@@ -5,9 +5,9 @@ Grammar (whitespace-insensitive):
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := ('+' | '-')* power
-    power  := atom ('^' factor)?          # right-associative
+    power  := atom (('^' | '**') factor)?   # right-associative
     atom   := NUMBER | 't' | 'e' | 'pi'
-            | ('sqrt' | 'log' | 'exp') '(' expr ')'
+            | ('sqrt' | 'log' | 'exp' | 'abs') '(' expr ')'
             | '(' expr ')'
 
 Just enough to write things like "t^2", "sqrt(t)", or
@@ -23,7 +23,7 @@ from typing import Callable, List, Tuple
 
 from .errors import DomainError, UsageError
 
-_FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
+_FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "abs": math.fabs}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 
 
@@ -63,6 +63,10 @@ def _tokenize(source: str) -> List[Tuple[str, object, int]]:
                 j += 1
             tokens.append(("name", source[i:j], i))
             i = j
+            continue
+        if source.startswith("**", i):
+            tokens.append(("op", "^", i))
+            i += 2
             continue
         if ch in "+-*/^()":
             tokens.append(("op", ch, i))
@@ -186,7 +190,7 @@ class FunctionExpr:
     def __call__(self, t: float) -> float:
         try:
             value = self._evaluate(float(t))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
             raise DomainError(
                 f"cannot evaluate {self.source!r} at t = {t!r}: {exc}") from None
         if isinstance(value, complex):

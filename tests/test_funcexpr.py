@@ -9,6 +9,8 @@ from opmeans import DomainError, UsageError, parse_function
 def test_basic_expressions():
     assert parse_function("t^2")(3.0) == 9.0
     assert parse_function("sqrt(t)")(4.0) == 2.0
+    assert parse_function("abs(t-2)")(1.0) == 1.0
+    assert parse_function("t**2")(3.0) == 9.0
     assert parse_function("2*t/(1+t)")(3.0) == pytest.approx(1.5)
     f = parse_function("(exp(t)-1)/(exp(1)-1)")
     assert f(1.0) == pytest.approx(1.0, rel=1e-15)
@@ -19,7 +21,9 @@ def test_precedence_and_associativity():
     assert parse_function("2+3*4")(0.0) == 14.0
     assert parse_function("2*3^2")(0.0) == 18.0
     assert parse_function("2^3^2")(0.0) == 512.0     # right-associative
+    assert parse_function("2**3**2")(0.0) == 512.0
     assert parse_function("-t^2")(2.0) == -4.0       # unary binds looser
+    assert parse_function("-t**2")(2.0) == -4.0
     assert parse_function("(-t)^2")(2.0) == 4.0
     assert parse_function("2^-1")(0.0) == 0.5
     assert parse_function("6/3/2")(0.0) == 1.0       # left-associative
@@ -46,7 +50,7 @@ def test_source_is_kept():
 
 def test_parse_errors_carry_position():
     for bad in ("t +", "2 *", "(t", "t)", "", "   ", "t @ 2", "foo(t)",
-                "sqrt", "sqrt 2", "1 2", "t t"):
+                "sqrt", "sqrt 2", "1 2", "t t", "t ** ", "t***2", "abs t"):
         with pytest.raises(UsageError):
             parse_function(bad)
     with pytest.raises(UsageError, match="position"):
@@ -73,6 +77,8 @@ def test_domain_errors_at_evaluation():
         parse_function("exp(t)")(1e6)          # overflow surfaces as domain
     with pytest.raises(DomainError):
         parse_function("t^t")(-0.5)            # complex result rejected
+    with pytest.raises(DomainError):
+        parse_function("abs(t^0.5)")(-1.0)     # no modulus of a complex value
 
 
 def test_evaluation_is_plain_float():

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeans import (SpdMatrix, StructuralError, apply_spectral_function,
-                     as_spd, loewner_leq, matrix_from_json_dict,
-                     matrix_to_json_dict, min_eig_and_norm, random_spd,
-                     sqrt_pair, sym_eigendecompose)
+from opmeans import (ConditioningError, SpdMatrix, StructuralError,
+                     apply_spectral_function, as_spd, loewner_leq,
+                     matrix_from_json_dict, matrix_to_json_dict,
+                     min_eig_and_norm, random_spd, sqrt_pair,
+                     sym_eigendecompose)
 from opmeans.jsonio import dumps, loads
+from opmeans.spd import random_spd_from
+
+EPS = np.finfo(float).eps
 
 
 def test_eigendecompose_matches_numpy_oracle():
@@ -36,13 +40,63 @@ def test_eigendecompose_orders_nonascending_and_is_deterministic():
 
 
 def test_eigendecompose_converges_on_hard_random_matrices():
-    # regression: the off-diagonal convergence measure must not be computed
-    # by subtracting large near-equal totals
+    # reconstruction holds to working accuracy at condition numbers up to 1e3
     for seed in range(30):
         m = random_spd(6, cond_cap=1000.0, seed=seed)
         dec = sym_eigendecompose(m.entries)
         assert np.allclose(dec.reconstruct(), m.entries,
                            atol=1e-10 * np.linalg.norm(m.entries))
+
+
+def _mp_eigenvalues(a):
+    """Non-ascending eigenvalues of the float matrix a, from 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True)
+        return np.array(sorted((float(x) for x in w), reverse=True))
+
+
+def test_eigenvalues_meet_normwise_accuracy_contract():
+    # |lambda_i - lambda_i*| <= 4 n eps ||A||_2, the guarantee of a backward
+    # stable solver, on graded D M D (wide-range D, well-conditioned M) in
+    # decreasing, increasing and permuted grading, and on both paths:
+    # eigenvectors requested (sym_eigendecompose) or not (min_eig_and_norm)
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 6, 10, 16):
+        grade = np.logspace(0.0, -8.0, n)
+        for d in (grade, grade[::-1], rng.permutation(grade)):
+            m = random_spd_from(rng, n, cond_cap=10.0).entries
+            a = m * np.outer(d, d)
+            a = 0.5 * (a + a.T)
+            exact = _mp_eigenvalues(a)
+            bound = 4.0 * n * EPS * float(np.max(np.abs(exact)))
+            got = sym_eigendecompose(a).eigenvalues
+            assert np.max(np.abs(got - exact)) <= bound, (n, d)
+            assert abs(min_eig_and_norm(a)[0] - exact[-1]) <= bound, (n, d)
+
+
+def test_eigenvalues_relative_accuracy_within_condition_number():
+    # |lambda_i - lambda_i*| / lambda_i* <= 4 n eps kappa on random SPD input
+    for n in (2, 3, 6, 10, 16):
+        for seed in range(3):
+            a = random_spd(n, cond_cap=1e3, seed=seed).entries
+            exact = _mp_eigenvalues(a)
+            kappa = exact[0] / exact[-1]
+            got = sym_eigendecompose(a).eigenvalues
+            assert np.max(np.abs(got - exact) / exact) <= 4.0 * n * EPS * kappa, (n, seed)
+
+
+def test_overflowed_input_raises_conditioning_error():
+    # B - A and (M + M^T)/2 overflow to inf; the eigensolver must refuse
+    # rather than hand back NaN eigenvalues (or a False order verdict)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConditioningError):
+            loewner_leq(np.diag([-1e308, 1.0]), np.diag([1e308, 1.0]))
+        huge = np.full((3, 3), 1e308)
+        with pytest.raises(ConditioningError):
+            min_eig_and_norm(huge)
+        with pytest.raises(ConditioningError):
+            sym_eigendecompose(huge)
 
 
 def test_spd_validation_rejects_bad_inputs():
