@@ -25,15 +25,15 @@ def _as_array(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.shape[0] == 0:
+        raise StructuralError(f"{name} must have at least one row")
+    if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
     return a
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2."""
-    if a.shape[0] == 0:
-        raise StructuralError(f"{name} must have at least one row")
     scale = max(1.0, float(np.linalg.norm(a)))
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_RTOL * scale:

@@ -118,6 +118,82 @@ def test_selfadjoint_derivative_matches_central_difference(t):
         numeric, rel=1e-6)
 
 
+EXTREME_T = (1e-35, 1e-60, 1e-200, 1e35, 1e60, 1e200)
+
+
+@pytest.mark.parametrize("t", EXTREME_T)
+def test_lattice_closed_forms_hold_at_extreme_t(t):
+    # the lattice identities hold for every finite t > 0, not only near t = 1
+    cases = [
+        (eval_symmetric_rep(HDensity.constant(0.0, SYMMETRIC), t), 0.5 * (1.0 + t)),
+        (eval_symmetric_rep(HDensity.constant(0.5, SYMMETRIC), t), math.sqrt(t)),
+        (eval_symmetric_rep(HDensity.constant(1.0, SYMMETRIC), t), 2.0 * t / (1.0 + t)),
+    ]
+    for c in (0.3, 0.5, 0.75):
+        cases.append((eval_selfadjoint_rep(HDensity.constant(c, SELF_ADJOINT), t), t ** c))
+    for got, want in cases:
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _mp_oracle(mpmath, h: HDensity, t: float):
+    """f(t) and f'(t) by 30-digit quadrature of the kernels and their t-derivatives."""
+    t = mpmath.mpf(t)
+    sym = h.domain_class == SYMMETRIC
+    if sym:
+        def kernel(u):
+            return (u * u - 1) * (1 - t) ** 2 / ((t + u) * (1 + t * u) * (1 + u) ** 2)
+
+        def kernel_dt(u):
+            return (1 - u * u) * (1 - t * t) / ((t + u) ** 2 * (1 + t * u) ** 2)
+        logf, dlogf = mpmath.log((1 + t) / 2), 1 / (1 + t)
+    else:
+        def kernel(u):
+            return 1 / (u - t) + t / (1 - u * t)
+
+        def kernel_dt(u):
+            return 1 / (u - t) ** 2 + 1 / (1 - u * t) ** 2
+        logf = dlogf = mpmath.mpf(0)
+    # a pole sits at distance min(t, 1/t) from u = 0: cut the panels there
+    sign = 1 if sym else -1
+    near = [sign * min(t, 1 / t) * 10 ** j for j in range(8)]
+    for a, b, v in zip(h.breaks, h.breaks[1:], h.values):
+        points = sorted({mpmath.mpf(a), mpmath.mpf(b)} | {p for p in near if a < p < b})
+        logf += v * mpmath.quad(kernel, points)
+        dlogf += v * mpmath.quad(kernel_dt, points)
+    f = mpmath.exp(logf)
+    return f, f * dlogf
+
+
+def _random_density(rng, cls: str) -> HDensity:
+    lo, hi = (0.0, 1.0) if cls == SYMMETRIC else (-1.0, 0.0)
+    k = int(rng.integers(1, 6))
+    cuts = np.sort(rng.uniform(lo, hi, k - 1))
+    return HDensity(cls, (lo, *cuts, hi), tuple(rng.uniform(0.0, 1.0, k)))
+
+
+def test_representations_match_high_precision_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20180)
+    densities = [_random_density(rng, cls) for cls in (SYMMETRIC, SELF_ADJOINT)
+                 for _ in range(10)]
+    # densities whose derivative cancels at large t: h = 1 at u = 0 for sym,
+    # h = 0 at u = 0 for sa
+    densities += [HDensity.constant(1.0, SYMMETRIC),
+                  HDensity(SYMMETRIC, (0.0, 0.3, 1.0), (1.0, 0.2)),
+                  HDensity(SELF_ADJOINT, (-1.0, -0.3, 0.0), (0.7, 0.0))]
+    points = (1e-6, 1e-3, 0.2, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 3.0, 1e3, 1e6)
+    with mpmath.workdps(30):
+        for h in densities:
+            if h.domain_class == SYMMETRIC:
+                rep, slope = eval_symmetric_rep, symmetric_rep_derivative
+            else:
+                rep, slope = eval_selfadjoint_rep, selfadjoint_rep_derivative
+            for t in points:
+                f, df = _mp_oracle(mpmath, h, t)
+                assert abs(rep(h, t) - f) <= 1e-13 * abs(f), (h, t)
+                assert abs(slope(h, t) - df) <= 1e-13 * abs(df), (h, t)
+
+
 def test_normalization_at_one_is_exact():
     assert eval_symmetric_rep(STEP_SYM, 1.0) == 1.0
     assert eval_selfadjoint_rep(STEP_SA, 1.0) == 1.0

@@ -150,6 +150,17 @@ def test_min_eig_and_norm():
     assert nrm == pytest.approx(np.sqrt(10.0), rel=1e-12)
 
 
+def test_loewner_leq_rejects_empty_matrices():
+    empty = np.zeros((0, 0))
+    with pytest.raises(StructuralError, match="A must have at least one row"):
+        loewner_leq(empty, empty)
+
+
+def test_min_eig_and_norm_rejects_empty_matrix():
+    with pytest.raises(StructuralError, match="must have at least one row"):
+        min_eig_and_norm(np.zeros((0, 0)))
+
+
 def test_sqrt_pair_inverts():
     m = random_spd(4, seed=3).entries
     root, inv_root = sqrt_pair(m)
