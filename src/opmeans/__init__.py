@@ -16,8 +16,9 @@ from .hdensity import (SELF_ADJOINT, SYMMETRIC, HDensity, dagger_density,
                        lattice_meet_join, selfadjoint_rep_derivative,
                        symmetric_rep_derivative)
 from .means import (AxiomReport, MeanDescriptor, RepresentingFunction,
-                    eval_mean, eval_mean_from_function, parse_mean_descriptor,
-                    representing_function, verify_mean_axioms)
+                    eval_mean, eval_mean_from_function, mean_from_spectrum,
+                    parse_mean_descriptor, representing_function,
+                    verify_mean_axioms)
 from .monocheck import (InequalityChainReport, LinkMargin, LoewnerWitness,
                         MonoConfig, MonotonicityVerdict, TransferWitness,
                         falsify_transfer, is_operator_monotone_sampled,
@@ -31,10 +32,10 @@ from .solvers import (ChainWitness, PairWitness, ScalarPairSolution,
                       solve_geom_heinz_matrix, solve_heinz_heron_matrix,
                       solve_matrix_pair, solve_scalar_geometric_pair,
                       solve_scalar_heinz_heron)
-from .spd import (SpdMatrix, SpectralDecomposition, apply_spectral_function,
-                  as_spd, loewner_leq, matrix_from_json_dict,
-                  matrix_to_json_dict, min_eig_and_norm, random_spd,
-                  sqrt_pair, sym_eigendecompose)
+from .spd import (RelativeSpectrum, SpdMatrix, SpectralDecomposition,
+                  apply_spectral_function, as_spd, loewner_leq,
+                  matrix_from_json_dict, matrix_to_json_dict, min_eig_and_norm,
+                  random_spd, sqrt_pair, sym_eigendecompose)
 
 __version__ = "0.1.0"
 
@@ -44,7 +45,8 @@ __all__ = [
     "KaReport", "KaViolation", "LinkMargin", "LoewnerWitness",
     "MeanDescriptor", "MonoConfig", "MonotonicityVerdict", "OpmeansError",
     "OrderError", "OutOfRangeError", "PairWitness", "PhiProfile",
-    "RepresentingFunction", "ScalarPairSolution", "SELF_ADJOINT",
+    "RelativeSpectrum", "RepresentingFunction", "ScalarPairSolution",
+    "SELF_ADJOINT",
     "SpdMatrix", "SpectralDecomposition", "StructuralError", "SYMMETRIC",
     "TransferWitness", "UnsupportedMeanError", "UsageError",
     "apply_spectral_function", "as_spd", "build_monotone_chain", "dagger",
@@ -54,7 +56,8 @@ __all__ = [
     "invert_f_alpha", "invert_geom_heinz_ratio", "invert_phi",
     "is_operator_monotone_sampled", "ka_condition_check",
     "lattice_meet_join", "loewner_leq", "loewner_matrix",
-    "matrix_from_json_dict", "matrix_to_json_dict", "min_eig_and_norm",
+    "matrix_from_json_dict", "matrix_to_json_dict", "mean_from_spectrum",
+    "min_eig_and_norm",
     "order_leq_sa", "order_leq_sym", "parse_function",
     "parse_mean_descriptor", "phi_profile", "random_spd",
     "representing_function", "selfadjoint_rep_derivative",

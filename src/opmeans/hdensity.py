@@ -48,6 +48,11 @@ SELF_ADJOINT = "sa"
 _DOMAIN = {SYMMETRIC: (0.0, 1.0), SELF_ADJOINT: (-1.0, 0.0)}
 
 _MEASURE_EPS = 1e-12    # sets of breakpoint measure below this are ignored
+# The slope of log f at x <= 1 has a term h/x, which overflows at subnormal x
+# although f'(x) does not. The derivatives divide by x * _SLOPE_SCALE and
+# multiply f' back by _SLOPE_SCALE: both are exact scalings by a power of
+# two, so every result that did not overflow before keeps all its bits.
+_SLOPE_SCALE = 2.0 ** 64
 
 ORDER_LEQ = "leq"
 ORDER_GEQ = "geq"
@@ -141,6 +146,11 @@ def _jumps(h: HDensity) -> tuple[np.ndarray, np.ndarray]:
     return np.array(h.breaks), v[:-1] - v[1:]
 
 
+def _fold(ts: np.ndarray) -> np.ndarray:
+    """x = min(t, 1/t), without forming the 1/t that overflows at subnormal t."""
+    return np.minimum(ts, 1.0 / np.maximum(ts, 1.0))
+
+
 def _symmetric_rep(ts, x, b, w) -> np.ndarray:
     """f at ts, from the folded points x = min(ts, 1/ts)."""
     xc = x[:, None]
@@ -159,7 +169,7 @@ def eval_symmetric_rep(h: HDensity, t):
     """Evaluate the symmetric-class representing function of h at t (> 0)."""
     _require_class(h, SYMMETRIC, "eval_symmetric_rep")
     ts, scalar = _as_positive_1d(t)
-    f = _symmetric_rep(ts, np.minimum(ts, 1.0 / ts), *_jumps(h))
+    f = _symmetric_rep(ts, _fold(ts), *_jumps(h))
     return float(f[0]) if scalar else f
 
 
@@ -167,7 +177,7 @@ def eval_selfadjoint_rep(h: HDensity, t):
     """Evaluate the self-adjoint-class representing function of h at t (> 0)."""
     _require_class(h, SELF_ADJOINT, "eval_selfadjoint_rep")
     ts, scalar = _as_positive_1d(t)
-    f = _selfadjoint_rep(ts, np.minimum(ts, 1.0 / ts), *_jumps(h))
+    f = _selfadjoint_rep(ts, _fold(ts), *_jumps(h))
     return float(f[0]) if scalar else f
 
 
@@ -182,13 +192,14 @@ def symmetric_rep_derivative(h: HDensity, t):
     """
     _require_class(h, SYMMETRIC, "symmetric_rep_derivative")
     ts, scalar = _as_positive_1d(t)
-    x = np.minimum(ts, 1.0 / ts)
+    x = _fold(ts)
     b, w = _jumps(h)
     h0 = h.values[0]
     xc, u = x[:, None], b[1:]
     r = x * (1.0 / (1.0 + x) + (-1.0 / (xc + u) - u / (1.0 + xc * u)) @ w[1:])
-    dlog = np.where(ts > 1.0, x * ((1.0 - h0) - r), (h0 + r) / x)
-    out = _symmetric_rep(ts, x, b, w) * dlog
+    up = ts > 1.0
+    dlog = np.where(up, x * ((1.0 - h0) - r), (h0 + r) / (x * _SLOPE_SCALE))
+    out = _symmetric_rep(ts, x, b, w) * dlog * np.where(up, 1.0, _SLOPE_SCALE)
     return float(out[0]) if scalar else out
 
 
@@ -201,12 +212,14 @@ def selfadjoint_rep_derivative(h: HDensity, t):
     """
     _require_class(h, SELF_ADJOINT, "selfadjoint_rep_derivative")
     ts, scalar = _as_positive_1d(t)
-    x = np.minimum(ts, 1.0 / ts)
+    x = _fold(ts)
     b, w = _jumps(h)
+    up = ts > 1.0
+    scale = np.where(up, 1.0, _SLOPE_SCALE)
     xc = x[:, None]
-    dlog = ((1.0 - b * b) / ((xc - b) * (1.0 - xc * b))) @ w
-    dlog = np.where(ts > 1.0, x * (x * dlog), dlog)
-    out = _selfadjoint_rep(ts, x, b, w) * dlog
+    dlog = ((1.0 - b * b) / ((xc - b) * (1.0 - xc * b) * scale[:, None])) @ w
+    dlog = np.where(up, x * (x * dlog), dlog)
+    out = _selfadjoint_rep(ts, x, b, w) * dlog * scale
     return float(out[0]) if scalar else out
 
 

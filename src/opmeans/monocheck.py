@@ -25,10 +25,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError, UsageError
-from .means import (MeanDescriptor, RepresentingFunction, eval_mean_from_function,
-                    representing_function)
-from .spd import (apply_spectral_function, matrix_to_json_dict, min_eig_and_norm,
-                  random_spd_from, sqrt_pair, sym_eigendecompose)
+from .means import MeanDescriptor, mean_from_spectrum, representing_function
+from .spd import (RelativeSpectrum, _as_array, _eigh, apply_spectral_function,
+                  matrix_to_json_dict, min_eig_and_norm, random_spd_from,
+                  sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -102,8 +102,8 @@ def _difference_rounding_bound(a: np.ndarray, b: np.ndarray,
     _ULPS * n * eps * kappa * (||lhs||_F + ||rhs||_F), and by Weyl's
     inequality so is each of its eigenvalues.
     """
-    spec_a = np.linalg.eigvalsh(a)
-    spec_b = np.linalg.eigvalsh(b)
+    spec_a = _eigh(a, vectors=False)
+    spec_b = _eigh(b, vectors=False)
     kappa = max(spec_a[-1], spec_b[-1]) / min(spec_a[0], spec_b[0])
     scale = float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs))
     return _ULPS * a.shape[0] * _EPS * float(kappa) * scale
@@ -282,8 +282,9 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     schedule.append((4, max(0, trials - schedule[0][1] - schedule[1][1])))
 
     def gap(a, b):
-        lhs = _apply_scalar(eval_mean_from_function(a, b, rep_s), f)
-        rhs = _apply_scalar(eval_mean_from_function(a, b, rep_t), f)
+        spectrum = RelativeSpectrum(a, b)
+        lhs = _apply_scalar(mean_from_spectrum(spectrum, rep_s), f)
+        rhs = _apply_scalar(mean_from_spectrum(spectrum, rep_t), f)
         return (*min_eig_and_norm(rhs - lhs),
                 _difference_rounding_bound(a, b, lhs, rhs))
 
@@ -373,21 +374,10 @@ def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChai
     if not 0.0 <= float(s) <= 1.0:
         raise StructuralError(f"s must lie in [0, 1], got {s}")
     s = float(s)
-    from .means import _as_array   # shared coercion, not public API
-    am = _as_array(a)
-    bm = _as_array(b)
-    if am.shape != bm.shape:
-        raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
-
-    root, inv_root = sqrt_pair(am)
-    inner = inv_root @ bm @ inv_root
-    dec = sym_eigendecompose(0.5 * (inner + inner.T))
-    ev = dec.eigenvalues
-
-    def congruate(values):
-        m = root @ dec.apply(values) @ root
-        return 0.5 * (m + m.T)
-
+    am = _as_array(a, "A")
+    bm = _as_array(b, "B")
+    spectrum = RelativeSpectrum(am, bm)
+    ev = spectrum.eigenvalues
     harm_v = 2.0 * ev / (1.0 + ev)
     geo_v = np.sqrt(ev)
     heinz_v = 0.5 * (ev ** s + ev ** (1.0 - s))
@@ -406,7 +396,7 @@ def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChai
                              ("heinz<=heron", heinz_v, heron_v),
                              ("heron<=arithmetic", heron_v, arith_v),
                              ("heinz<=arithmetic", heinz_v, arith_v)):
-        min_eig, norm = min_eig_and_norm(congruate(hi_v - lo_v))
+        min_eig, norm = min_eig_and_norm(spectrum.congruate(hi_v - lo_v))
         links.append(LinkMargin(name, min_eig, norm))
 
     comm_norm = float(np.linalg.norm(am @ bm - bm @ am))

@@ -33,10 +33,11 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     RepresentingFunction, eval_mean_from_function,
-                    representing_function)
+                    mean_from_spectrum, representing_function)
 from .monocheck import (MonoConfig, MonotonicityVerdict, _difference_rounding_bound,
                         is_operator_monotone_sampled)
-from .spd import matrix_to_json_dict, min_eig_and_norm, random_spd_from
+from .spd import (RelativeSpectrum, matrix_to_json_dict, min_eig_and_norm,
+                  random_spd_from)
 
 DIRECTION_UP = "non-decreasing"
 DIRECTION_DOWN = "non-increasing"
@@ -288,10 +289,11 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     g_perp = dagger(g_tau)
 
     def margin(a, b):
-        mixed_lo = eval_mean_from_function(a, b, g_tau)
-        mixed_hi = eval_mean_from_function(a, b, g_perp)
+        spectrum = RelativeSpectrum(a, b)
+        mixed_lo = mean_from_spectrum(spectrum, g_tau)
+        mixed_hi = mean_from_spectrum(spectrum, g_perp)
         lhs = eval_mean_from_function(mixed_lo, mixed_hi, f_sigma)
-        rhs = eval_mean_from_function(a, b, f_sigma)
+        rhs = mean_from_spectrum(spectrum, f_sigma)
         return (*min_eig_and_norm(rhs - lhs),
                 _difference_rounding_bound(a.entries, b.entries, lhs, rhs))
 

@@ -24,11 +24,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
-from .means import (MeanDescriptor, RepresentingFunction, eval_mean,
+from .means import (MeanDescriptor, RepresentingFunction, mean_from_spectrum,
                     representing_function)
 from .orders import PhiProfile, phi_profile
-from .spd import (SpdMatrix, loewner_leq, matrix_to_json_dict, sqrt_pair,
-                  sym_eigendecompose)
+from .spd import RelativeSpectrum, SpdMatrix, loewner_leq, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -190,6 +189,19 @@ def _relative_residual(computed: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(computed - target) / np.linalg.norm(target))
 
 
+def _pair_witness(mat_a, mat_b, fn_x: RepresentingFunction,
+                  fn_y: RepresentingFunction, xa, ya) -> PairWitness:
+    """Re-evaluate both target means on (A, B) from one relative spectrum."""
+    spectrum = RelativeSpectrum(mat_a, mat_b)
+    residual_x = _relative_residual(mean_from_spectrum(spectrum, fn_x), xa)
+    residual_y = _relative_residual(mean_from_spectrum(spectrum, fn_y), ya)
+    if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"pair solve residuals too large: {fn_x.label} {residual_x:.3e}, "
+            f"{fn_y.label} {residual_y:.3e}")
+    return PairWitness(mat_a, mat_b, residual_x, residual_y)
+
+
 def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     """Find (A, B) whose geometric mean is X and whose sigma-mean is Y.
 
@@ -197,71 +209,18 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     sigma increases (gamma > 1), mirrored (gamma X < Y <= X) when it
     decreases. Spectrally inverts the realize map on X^{-1/2} Y X^{-1/2} and
     congruates back: A = X^{1/2} A0 X^{1/2}, B = X^{1/2} A0^{-1} X^{1/2}.
+    invert_phi checks each relative eigenvalue against that range.
     """
     xa = _coerce_spd(x, "X")
     ya = _coerce_spd(y, "Y")
-    if xa.shape != ya.shape:
-        raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
+    spectrum = RelativeSpectrum(xa, ya)
     fn = representing_function(sigma)
     profile = phi_profile(fn)
-    gamma = profile.realize_gamma
-
-    root, inv_root = sqrt_pair(xa)
-    inner = inv_root @ ya @ inv_root
-    dec = sym_eigendecompose(0.5 * (inner + inner.T))
-    eigs = dec.eigenvalues.copy()
-
-    for i, lam in enumerate(eigs):
-        lam = float(lam)
-        if gamma > 1.0:
-            if lam < 1.0 - _EIG_CLAMP:
-                raise OutOfRangeError(
-                    f"relative eigenvalue {lam!r} below 1: X <= Y fails "
-                    f"(gamma = {gamma!r})")
-            if lam >= gamma:
-                raise OutOfRangeError(
-                    f"relative eigenvalue {lam!r} at or above gamma = "
-                    f"{gamma!r}: Y < gamma X fails")
-        elif gamma < 1.0:
-            if lam > 1.0 + _EIG_CLAMP:
-                raise OutOfRangeError(
-                    f"relative eigenvalue {lam!r} above 1: Y <= X fails "
-                    f"(gamma = {gamma!r})")
-            if lam <= gamma:
-                raise OutOfRangeError(
-                    f"relative eigenvalue {lam!r} at or below gamma = "
-                    f"{gamma!r}: gamma X < Y fails")
-        else:
-            if abs(lam - 1.0) > _EIG_CLAMP:
-                raise OutOfRangeError(
-                    f"relative eigenvalue {lam!r} differs from 1 but the "
-                    f"realize map is constant (gamma = {gamma!r})")
-        eigs[i] = min(lam, 1.0) if gamma < 1.0 else max(lam, 1.0)
-        if gamma == 1.0:
-            eigs[i] = 1.0
-
-    cache: dict = {}
-    deltas = np.empty_like(eigs)
-    for i, lam in enumerate(eigs):
-        if lam not in cache:
-            cache[lam] = invert_phi(fn, lam, profile)
-        deltas[i] = cache[lam]
-
-    a0 = dec.apply(deltas)
-    b0 = dec.apply(1.0 / deltas)
-    mat_a = root @ a0 @ root
-    mat_a = 0.5 * (mat_a + mat_a.T)
-    mat_b = root @ b0 @ root
-    mat_b = 0.5 * (mat_b + mat_b.T)
-
-    residual_x = _relative_residual(
-        eval_mean(mat_a, mat_b, MeanDescriptor.geometric()), xa)
-    residual_y = _relative_residual(eval_mean(mat_a, mat_b, sigma), ya)
-    if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"pair solve residuals too large: geometric {residual_x:.3e}, "
-            f"target mean {residual_y:.3e}")
-    return PairWitness(mat_a, mat_b, residual_x, residual_y)
+    eigs = spectrum.eigenvalues.tolist()
+    inverse = {lam: invert_phi(fn, lam, profile) for lam in dict.fromkeys(eigs)}
+    deltas = np.array([inverse[lam] for lam in eigs])
+    return _pair_witness(spectrum.congruate(deltas), spectrum.congruate(1.0 / deltas),
+                         representing_function(MeanDescriptor.geometric()), fn, xa, ya)
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -310,10 +269,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     if not loewner_leq(xa, ya, tol=1e-10):
         raise OrderError("X <= Y fails in the Loewner order")
 
-    root, inv_root = sqrt_pair(xa)
-    inner = inv_root @ ya @ inv_root
-    dec = sym_eigendecompose(0.5 * (inner + inner.T))
-    lams = np.maximum(dec.eigenvalues, 1.0)
+    spectrum = RelativeSpectrum(xa, ya)
+    lams = np.maximum(spectrum.eigenvalues, 1.0)
 
     # Group near-equal eigenvalues so they substitute in one step.
     order = np.argsort(lams, kind="stable")
@@ -343,12 +300,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
             pending.remove(i)
         node_values.append(values.copy())
 
-    def build(vals):
-        z = root @ dec.apply(vals) @ root
-        return 0.5 * (z + z.T)
-
     links = [xa.copy()]
-    links.extend(build(v) for v in node_values[:-1])
+    links.extend(spectrum.congruate(v) for v in node_values[:-1])
     links.append(ya.copy())
 
     witnesses = tuple(solve_matrix_pair(sigma, links[k], links[k + 1])
@@ -500,39 +453,21 @@ def _normalized_smaller_target(x, y):
     """Shared head of the congruence solvers: X0 = Y^{-1/2} X Y^{-1/2} <= I."""
     xa = _coerce_spd(x, "X")
     ya = _coerce_spd(y, "Y")
-    if xa.shape != ya.shape:
-        raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     if not loewner_leq(xa, ya, tol=1e-8):
         raise OrderError("X <= Y fails in the Loewner order")
-    yroot, yinv = sqrt_pair(ya)
-    inner = yinv @ xa @ yinv
-    dec = sym_eigendecompose(0.5 * (inner + inner.T))
-    xi = dec.eigenvalues.copy()
-    for i, v in enumerate(xi):
-        v = float(v)
-        if v > 1.0 + _EIG_CLAMP:
-            raise OrderError(
-                f"relative eigenvalue {v!r} exceeds 1: X <= Y fails")
-        xi[i] = min(v, 1.0)
-    return xa, ya, yroot, dec, xi
+    spectrum = RelativeSpectrum(ya, xa)
+    top = float(spectrum.eigenvalues[0])
+    if top > 1.0 + _EIG_CLAMP:
+        raise OrderError(f"relative eigenvalue {top!r} exceeds 1: X <= Y fails")
+    return xa, ya, spectrum, np.minimum(spectrum.eigenvalues, 1.0)
 
 
-def _pair_from_ratio_inverse(xa, ya, yroot, dec, ratios, denom_fn,
+def _pair_from_ratio_inverse(xa, ya, spectrum, ratios, denom_fn,
                              x_mean: MeanDescriptor, y_mean: MeanDescriptor):
     d = denom_fn(ratios)
-    a0 = dec.apply(1.0 / d)
-    b0 = dec.apply(ratios / d)
-    mat_a = yroot @ a0 @ yroot
-    mat_a = 0.5 * (mat_a + mat_a.T)
-    mat_b = yroot @ b0 @ yroot
-    mat_b = 0.5 * (mat_b + mat_b.T)
-    residual_x = _relative_residual(eval_mean(mat_a, mat_b, x_mean), xa)
-    residual_y = _relative_residual(eval_mean(mat_a, mat_b, y_mean), ya)
-    if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"pair solve residuals too large: {residual_x:.3e}, "
-            f"{residual_y:.3e}")
-    return PairWitness(mat_a, mat_b, residual_x, residual_y)
+    return _pair_witness(spectrum.congruate(1.0 / d), spectrum.congruate(ratios / d),
+                         representing_function(x_mean), representing_function(y_mean),
+                         xa, ya)
 
 
 def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
@@ -544,7 +479,7 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     """
     s = _validate_heinz_heron_parameter(s)
     alpha = 2.0 * s - 1.0
-    xa, ya, yroot, dec, xi = _normalized_smaller_target(x, y)
+    xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
     cs = np.array([invert_f_alpha(alpha, v) for v in xi])
     ratios = np.exp(-2.0 * cs)
     alpha2 = alpha * alpha
@@ -553,7 +488,7 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
         return alpha2 * 0.5 * (1.0 + t) + (1.0 - alpha2) * np.sqrt(t)
 
     return _pair_from_ratio_inverse(
-        xa, ya, yroot, dec, ratios, denom,
+        xa, ya, spectrum, ratios, denom,
         MeanDescriptor.heinz(s), MeanDescriptor.heron(alpha2))
 
 
@@ -591,12 +526,12 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     branch C0 <= I and congruates back by Y^{1/2}.
     """
     s = _validate_heinz_heron_parameter(s)
-    xa, ya, yroot, dec, xi = _normalized_smaller_target(x, y)
+    xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
     ratios = np.array([invert_geom_heinz_ratio(s, v) for v in xi])
 
     def denom(t):
         return 0.5 * (t ** s + t ** (1.0 - s))
 
     return _pair_from_ratio_inverse(
-        xa, ya, yroot, dec, ratios, denom,
+        xa, ya, spectrum, ratios, denom,
         MeanDescriptor.geometric(), MeanDescriptor.heinz(s))

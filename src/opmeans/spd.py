@@ -5,6 +5,11 @@ The eigensolver is LAPACK's symmetric solver (numpy's eigh/eigvalsh). It is
 normwise backward stable: every computed eigenvalue lies within a small
 multiple of n * eps * ||M||_2 of the exact one. That error is far below the
 tol * ||M|| term of every refutation rule in monocheck.
+
+Every operator mean of a pair (P, Q) is a spectral function of the relative
+spectrum Z = P^{-1/2} Q P^{-1/2}, congruated back by P^{1/2}. RelativeSpectrum
+decomposes a pair once; the means, the inverse solvers, the chain builder and
+the sampled checks all go through it.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise StructuralError(
             f"{name} is not symmetric: max |M - M^T| = {asym:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
-    return 0.5 * (a + a.T)
+    return _symmetrize(a)
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -230,6 +235,46 @@ def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
             f"matrix square root requires positive spectrum, got {np.min(lam)!r}")
     r = np.sqrt(lam)
     return dec.apply(r), dec.apply(1.0 / r)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class RelativeSpectrum:
+    """The relative spectrum Z = P^{-1/2} Q P^{-1/2} of an SPD pair (P, Q).
+
+    Holds P^{1/2} and the eigendecomposition of Z, so any number of spectral
+    functions g of one pair cost a single decomposition each way:
+    congruate(g(eigenvalues)) = P^{1/2} g(Z) P^{1/2}. congruate(ones) is P
+    and congruate(eigenvalues) is Q.
+    """
+
+    root: np.ndarray
+    decomposition: SpectralDecomposition
+
+    def __init__(self, p, q):
+        pm = _as_array(p, "P")
+        qm = _as_array(q, "Q")
+        if pm.shape != qm.shape:
+            raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
+        root, inv_root = sqrt_pair(pm)
+        root.setflags(write=False)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "decomposition",
+                           sym_eigendecompose(_symmetrize(inv_root @ qm @ inv_root)))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of Z, non-ascending."""
+        return self.decomposition.eigenvalues
+
+    @property
+    def condition(self) -> float:
+        """Largest over smallest eigenvalue of Z; inf when the smallest is <= 0."""
+        lo = float(self.eigenvalues[-1])
+        return float(self.eigenvalues[0]) / lo if lo > 0.0 else math.inf
+
+    def congruate(self, values) -> np.ndarray:
+        """P^{1/2} U diag(values) U^T P^{1/2}, U the eigenbasis of Z."""
+        return _symmetrize(self.root @ self.decomposition.apply(values) @ self.root)
 
 
 def random_spd(n: int, cond_cap: float = 100.0, seed: int = 0) -> SpdMatrix:

@@ -1,6 +1,7 @@
 """Integral representations over step densities, with an independent
 quadrature oracle and the closed forms at the lattice extremes."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,34 @@ def test_lattice_closed_forms_hold_at_extreme_t(t):
         cases.append((eval_selfadjoint_rep(HDensity.constant(c, SELF_ADJOINT), t), t ** c))
     for got, want in cases:
         assert abs(got - want) <= 1e-12 * want
+
+
+TINY_T = (1e-300, 1e-310)   # 1e-310 is subnormal
+
+
+@pytest.mark.parametrize("t", TINY_T)
+def test_lattice_derivatives_hold_at_tiny_t(t):
+    # f'(t) is finite here although the slope h/t of log f overflows
+    cases = [
+        (symmetric_rep_derivative(HDensity.constant(0.0, SYMMETRIC), t), 0.5),
+        (symmetric_rep_derivative(HDensity.constant(0.5, SYMMETRIC), t), 0.5 / math.sqrt(t)),
+        (symmetric_rep_derivative(HDensity.constant(1.0, SYMMETRIC), t), 2.0 / (1.0 + t) ** 2),
+        (selfadjoint_rep_derivative(HDensity.constant(0.3, SELF_ADJOINT), t), 0.3 * t ** -0.7),
+    ]
+    for got, want in cases:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("t", (1e-310, 1.7e308))
+def test_representations_do_not_warn_at_range_ends(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (STEP_SYM, HDensity.constant(0.0, SYMMETRIC), HDensity.constant(1.0, SYMMETRIC)):
+            eval_symmetric_rep(h, t)
+            symmetric_rep_derivative(h, t)
+        for h in (STEP_SA, HDensity.constant(0.3, SELF_ADJOINT)):
+            eval_selfadjoint_rep(h, t)
+            selfadjoint_rep_derivative(h, t)
 
 
 def _mp_oracle(mpmath, h: HDensity, t: float):

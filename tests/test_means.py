@@ -138,6 +138,12 @@ def test_eval_mean_rejects_mismatched_and_singular():
         eval_mean(np.eye(2), np.diag([1.0, 0.0]), MeanDescriptor.geometric())
 
 
+def test_eval_mean_refuses_ill_conditioned_definite_pair():
+    # both matrices are positive definite; the relative spectrum spans 1e13
+    with pytest.raises(ConditioningError):
+        eval_mean(np.eye(2), np.diag([1.0, 1e-13]), MeanDescriptor.geometric())
+
+
 def test_axiom_report_all_catalog_means():
     for d in CATALOG:
         report = verify_mean_axioms(d, trials=8)

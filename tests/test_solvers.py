@@ -177,6 +177,17 @@ def test_matrix_pair_rejects_unordered_targets():
         solve_matrix_pair(HARM, np.eye(2), 2.0 * np.eye(2))
 
 
+def test_matrix_pair_clamps_relative_eigenvalues_within_band():
+    # relative eigenvalues 5e-10 on the wrong side of 1 clamp to 1; 1e-8 does not
+    x = random_spd(3, cond_cap=20.0, seed=8).entries
+    w = solve_matrix_pair(ARITH, x, (1.0 - 5e-10) * x)
+    assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+    with pytest.raises(OutOfRangeError, match="gamma"):
+        solve_matrix_pair(ARITH, x, (1.0 - 1e-8) * x)
+    w = solve_matrix_pair(HARM, x, (1.0 + 5e-10) * x)
+    assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+
+
 def test_matrix_pair_rejects_shape_mismatch_and_non_spd():
     with pytest.raises(StructuralError):
         solve_matrix_pair(ARITH, np.eye(2), np.eye(3))

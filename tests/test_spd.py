@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeans import (ConditioningError, SpdMatrix, StructuralError,
-                     apply_spectral_function, as_spd, loewner_leq,
+from opmeans import (ConditioningError, RelativeSpectrum, SpdMatrix,
+                     StructuralError, apply_spectral_function, as_spd, loewner_leq,
                      matrix_from_json_dict, matrix_to_json_dict,
                      min_eig_and_norm, random_spd, sqrt_pair,
                      sym_eigendecompose)
@@ -166,6 +166,34 @@ def test_sqrt_pair_inverts():
     root, inv_root = sqrt_pair(m)
     assert np.allclose(root @ root, m, atol=1e-11 * np.linalg.norm(m))
     assert np.allclose(root @ inv_root, np.eye(4), atol=1e-10)
+
+
+def test_relative_spectrum_reproduces_its_pair():
+    # kappa is the joint condition number of the pair
+    for n in (1, 2, 3, 8):
+        for seed in range(10):
+            p = random_spd(n, seed=seed).entries
+            q = random_spd(n, seed=seed + 100).entries
+            wp, wq = np.linalg.eigvalsh(p), np.linalg.eigvalsh(q)
+            bound = 4.0 * n * EPS * max(wp[-1], wq[-1]) / min(wp[0], wq[0])
+            spectrum = RelativeSpectrum(p, q)
+            ev = spectrum.eigenvalues
+            for got, want in ((spectrum.congruate(np.ones(n)), p),
+                              (spectrum.congruate(ev), q)):
+                assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+            assert np.all(ev[:-1] >= ev[1:])
+            exact = np.sort(np.linalg.eigvals(np.linalg.solve(p, q)).real)[::-1]
+            assert np.max(np.abs(ev - exact) / exact) <= bound
+            assert spectrum.condition == pytest.approx(exact[0] / exact[-1], rel=2.0 * bound)
+
+
+def test_relative_spectrum_rejects_malformed_pairs():
+    good = np.eye(2)
+    for p, q in ((good, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
+                 (np.zeros((0, 0)), np.zeros((0, 0))),
+                 (good, np.array([[np.nan, 0.0], [0.0, 1.0]]))):
+        with pytest.raises(StructuralError):
+            RelativeSpectrum(p, q)
 
 
 def test_apply_spectral_function_log_exp_inverse():
