@@ -188,8 +188,11 @@ class FunctionExpr:
     _evaluate: Callable[[float], float]
 
     def __call__(self, t: float) -> float:
+        # an array t fails here with a plain TypeError, before a message naming
+        # it is built, so trying an array first costs scalar-only callers little
+        t = float(t)
         try:
-            value = self._evaluate(float(t))
+            value = self._evaluate(t)
         except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
             raise DomainError(
                 f"cannot evaluate {self.source!r} at t = {t!r}: {exc}") from None

@@ -146,6 +146,12 @@ def _jumps(h: HDensity) -> tuple[np.ndarray, np.ndarray]:
     return np.array(h.breaks), v[:-1] - v[1:]
 
 
+def _weighted_rows(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j terms[i, j] * w[j] per row i; unlike terms @ w, whose BLAS row
+    blocking lets a point's value depend on the other points in the call."""
+    return (terms * w).sum(axis=1)
+
+
 def _fold(ts: np.ndarray) -> np.ndarray:
     """x = min(t, 1/t), without forming the 1/t that overflows at subnormal t."""
     return np.minimum(ts, 1.0 / np.maximum(ts, 1.0))
@@ -154,14 +160,14 @@ def _fold(ts: np.ndarray) -> np.ndarray:
 def _symmetric_rep(ts, x, b, w) -> np.ndarray:
     """f at ts, from the folded points x = min(ts, 1/ts)."""
     xc = x[:, None]
-    hv = np.log((xc + b) * (1.0 + xc * b) / ((1.0 + b) * (1.0 + b))) @ -w
+    hv = _weighted_rows(np.log((xc + b) * (1.0 + xc * b) / ((1.0 + b) * (1.0 + b))), -w)
     return 0.5 * (1.0 + ts) * np.exp(hv)
 
 
 def _selfadjoint_rep(ts, x, b, w) -> np.ndarray:
     """f at ts, from the folded points x = min(ts, 1/ts)."""
     xc = x[:, None]
-    lv = np.log((xc - b) / (1.0 - xc * b)) @ w
+    lv = _weighted_rows(np.log((xc - b) / (1.0 - xc * b)), w)
     return np.exp(np.where(ts > 1.0, -lv, lv))
 
 
@@ -196,7 +202,7 @@ def symmetric_rep_derivative(h: HDensity, t):
     b, w = _jumps(h)
     h0 = h.values[0]
     xc, u = x[:, None], b[1:]
-    r = x * (1.0 / (1.0 + x) + (-1.0 / (xc + u) - u / (1.0 + xc * u)) @ w[1:])
+    r = x * (1.0 / (1.0 + x) + _weighted_rows(-1.0 / (xc + u) - u / (1.0 + xc * u), w[1:]))
     up = ts > 1.0
     dlog = np.where(up, x * ((1.0 - h0) - r), (h0 + r) / (x * _SLOPE_SCALE))
     out = _symmetric_rep(ts, x, b, w) * dlog * np.where(up, 1.0, _SLOPE_SCALE)
@@ -208,7 +214,9 @@ def selfadjoint_rep_derivative(h: HDensity, t):
 
     The bracket 1/(t - u) + u/(1 - t u) is summed as
     (1 - u^2)/((t - u)(1 - t u)), which has no cancellation for u <= 0. For
-    t > 1, f(1/t)*f(t) = 1 gives d/dt log f(t) = x^2 L'(x) with x = 1/t.
+    t > 1, f(1/t)*f(t) = 1 gives d/dt log f(t) = x^2 L'(x) with x = 1/t; one
+    factor x goes into each bracket, where it cancels the 1/x of u = 0, which
+    overflows at the subnormal x of the largest t.
     """
     _require_class(h, SELF_ADJOINT, "selfadjoint_rep_derivative")
     ts, scalar = _as_positive_1d(t)
@@ -217,8 +225,9 @@ def selfadjoint_rep_derivative(h: HDensity, t):
     up = ts > 1.0
     scale = np.where(up, 1.0, _SLOPE_SCALE)
     xc = x[:, None]
-    dlog = ((1.0 - b * b) / ((xc - b) * (1.0 - xc * b) * scale[:, None])) @ w
-    dlog = np.where(up, x * (x * dlog), dlog)
+    num = np.where(up, x, 1.0 / _SLOPE_SCALE)[:, None]
+    dlog = _weighted_rows((1.0 - b * b) * num / ((xc - b) * (1.0 - xc * b)), w)
+    dlog = np.where(up, x * dlog, dlog)
     out = _selfadjoint_rep(ts, x, b, w) * dlog * scale
     return float(out[0]) if scalar else out
 

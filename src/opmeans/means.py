@@ -214,6 +214,22 @@ def eval_mean_from_function(a, b, fn: RepresentingFunction) -> np.ndarray:
     return mean_from_spectrum(RelativeSpectrum(a, b), fn)
 
 
+def _class_residual(fn: RepresentingFunction, cls: str, grid: np.ndarray) -> float:
+    """Worst residual on grid of the identities of class cls (both for "both"):
+
+    max |t f(1/t) - f(t)| / |f(t)| for t f(1/t) = f(t) (symmetric), and
+    max |f(1/t) f(t) - 1| for f(1/t) f(t) = 1 (self-adjoint).
+    """
+    fv = np.asarray(fn.value(grid), dtype=float)
+    fr = np.asarray(fn.value(1.0 / grid), dtype=float)
+    resid = 0.0
+    if cls != CLASS_SELF_ADJOINT:
+        resid = float(np.max(np.abs(grid * fr - fv) / np.abs(fv)))
+    if cls != CLASS_SYMMETRIC:
+        resid = max(resid, float(np.max(np.abs(fr * fv - 1.0))))
+    return resid
+
+
 def eval_mean(a, b, descriptor: MeanDescriptor) -> np.ndarray:
     """Evaluate the described mean on a pair of positive definite matrices."""
     return eval_mean_from_function(a, b, representing_function(descriptor))
@@ -249,17 +265,8 @@ def verify_mean_axioms(descriptor: MeanDescriptor, *, seed: int = 0,
     fn = representing_function(descriptor)
     normalization_ok = abs(fn.value(1.0) - 1.0) <= tol
 
-    grid = np.logspace(-3, 3, 25)
-    fv = np.asarray(fn.value(grid), dtype=float)
-    fr = np.asarray(fn.value(1.0 / grid), dtype=float)
-    sym_resid = float(np.max(np.abs(grid * fr - fv) / np.abs(fv)))
-    sa_resid = float(np.max(np.abs(fr * fv - 1.0)))
-    if fn.symmetry_class == CLASS_SYMMETRIC:
-        class_identity_ok = sym_resid <= 1e-10
-    elif fn.symmetry_class == CLASS_SELF_ADJOINT:
-        class_identity_ok = sa_resid <= 1e-10
-    else:
-        class_identity_ok = sym_resid <= 1e-10 and sa_resid <= 1e-10
+    class_identity_ok = _class_residual(fn, fn.symmetry_class,
+                                        np.logspace(-3, 3, 25)) <= 1e-10
 
     config = MonoConfig(trials=max(trials, 10), seed=seed)
     verdict = is_operator_monotone_sampled(fn.value, fn.derivative, config=config)

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, UsageError
 from .means import MeanDescriptor, mean_from_spectrum, representing_function
-from .spd import (RelativeSpectrum, _as_array, _eigh, apply_spectral_function,
-                  matrix_to_json_dict, min_eig_and_norm, random_spd_from,
-                  sym_eigendecompose)
+from .spd import (RelativeSpectrum, _as_array, _eigh, _evaluate,
+                  apply_spectral_function, matrix_to_json_dict, min_eig_and_norm,
+                  random_spd_from, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -50,7 +50,8 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     Entry (i, j) is (f(x_i) - f(x_j)) / (x_i - x_j) off the diagonal and
     f'(x_i) on it (central difference when no derivative is supplied).
     Positive semidefiniteness of these matrices over all point sets is the
-    operator-monotonicity criterion.
+    operator-monotonicity criterion. An array-in, array-out f is called on
+    all points at once, a scalar-only f once per point; so is fprime.
 
     with_error=True returns (matrix, bound), bound an entrywise bound on the
     rounding error of the matrix when each value of f is within _ULPS ulps:
@@ -67,19 +68,18 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
         raise StructuralError("points must form a one-dimensional sequence")
     if np.unique(pts).size != pts.size:
         raise StructuralError("Loewner matrix needs distinct points")
-    fx = np.array([float(f(x)) for x in pts])
-    diff_x = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff_x, 1.0)
-    out = (fx[:, None] - fx[None, :]) / diff_x
     if fprime is not None:
-        diag = np.array([float(fprime(x)) for x in pts])
+        fx = _evaluate(f, pts)
+        diag = _evaluate(fprime, pts)
         diag_err = _ULPS * _EPS * np.abs(diag)
     else:
         step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
-        up = np.array([float(f(x)) for x in pts + step])
-        down = np.array([float(f(x)) for x in pts - step])
+        fx, up, down = _evaluate(f, np.concatenate((pts, pts + step, pts - step))).reshape(3, -1)
         diag = (up - down) / (2.0 * step)
         diag_err = _ULPS * _EPS * (np.abs(up) + np.abs(down)) / step
+    diff_x = pts[:, None] - pts[None, :]
+    np.fill_diagonal(diff_x, 1.0)
+    out = (fx[:, None] - fx[None, :]) / diff_x
     np.fill_diagonal(out, diag)
     out = 0.5 * (out + out.T)
     if not with_error:
@@ -214,7 +214,8 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     A point set refutes when the smallest eigenvalue of its Loewner matrix
     lies below -(config.tol * ||L||_F + rounding bound), the bound assuming
     f accurate to _ULPS ulps; a consistent verdict means no refutation was
-    found, not a proof of monotonicity.
+    found, not a proof of monotonicity. f and fprime may take arrays or
+    scalars only, as in loewner_matrix.
     """
     trials_run = 0
 
@@ -246,11 +247,6 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
 
 
-def _apply_scalar(matrix: np.ndarray, f: Callable) -> np.ndarray:
-    return apply_spectral_function(matrix, lambda v: np.array(
-        [float(f(x)) for x in np.atleast_1d(v)]) if np.ndim(v) else float(f(v)))
-
-
 def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
                      trials: int = 1000, seed: int = 0,
                      tol: float = 1e-8) -> MonotonicityVerdict:
@@ -263,6 +259,7 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     difference has min eigenvalue below -(tol * max(1, norm) + E), E the
     rounding bound of _difference_rounding_bound. For operator monotone f no
     witness exists; for many non-monotone f a 2x2 witness appears quickly.
+    f may take arrays or scalars only, as in apply_spectral_function.
     """
     rep_s = representing_function(sigma)
     rep_t = representing_function(tau)
@@ -283,8 +280,8 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
 
     def gap(a, b):
         spectrum = RelativeSpectrum(a, b)
-        lhs = _apply_scalar(mean_from_spectrum(spectrum, rep_s), f)
-        rhs = _apply_scalar(mean_from_spectrum(spectrum, rep_t), f)
+        lhs = apply_spectral_function(mean_from_spectrum(spectrum, rep_s), f)
+        rhs = apply_spectral_function(mean_from_spectrum(spectrum, rep_t), f)
         return (*min_eig_and_norm(rhs - lhs),
                 _difference_rounding_bound(a, b, lhs, rhs))
 

@@ -32,8 +32,9 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
-                    RepresentingFunction, eval_mean_from_function,
-                    mean_from_spectrum, representing_function)
+                    RepresentingFunction, _class_residual, _scalarize,
+                    eval_mean_from_function, mean_from_spectrum,
+                    representing_function)
 from .monocheck import (MonoConfig, MonotonicityVerdict, _difference_rounding_bound,
                         is_operator_monotone_sampled)
 from .spd import (RelativeSpectrum, matrix_to_json_dict, min_eig_and_norm,
@@ -66,24 +67,18 @@ class PhiProfile:
 def _limit_at_infinity(fn: Callable) -> float:
     """Estimate lim fn(2^k) for k -> inf; inf above 1e12, snap tiny to 0.
 
-    A sequence still rising unconverged at k = 40 is declared infinite; one
-    still falling is declared 0 (every catalog profile is eventually
-    monotone, so the horizon only truncates slow tails).
+    fn takes arrays and is called once, on k = 0..40. A sequence still
+    rising unconverged at k = 40 is declared infinite; one still falling is
+    declared 0 (every catalog profile is eventually monotone, so the horizon
+    only truncates slow tails).
     """
-    prev = None
-    value = None
-    for k in range(_GAMMA_STEPS + 1):
-        prev = value
-        value = float(fn(2.0 ** k))
-        if not math.isfinite(value) or value > _GAMMA_CUTOFF:
-            return math.inf
-    if prev is not None and abs(value - prev) > 1e-9 * max(1.0, abs(value)):
-        if value > prev:
-            return math.inf
-        return 0.0
-    if abs(value) < _GAMMA_SNAP:
-        return 0.0
-    return value
+    values = np.asarray(fn(2.0 ** np.arange(_GAMMA_STEPS + 1)), dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values > _GAMMA_CUTOFF):
+        return math.inf
+    prev, value = float(values[-2]), float(values[-1])
+    if abs(value - prev) > 1e-9 * max(1.0, abs(value)):
+        return math.inf if value > prev else 0.0
+    return 0.0 if abs(value) < _GAMMA_SNAP else value
 
 
 def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
@@ -100,10 +95,6 @@ def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
     return DIRECTION_FLAT
 
 
-def _eval_vec(fn: Callable, t: np.ndarray) -> np.ndarray:
-    return np.array([float(fn(x)) for x in t])
-
-
 def phi_profile(f: RepresentingFunction) -> PhiProfile:
     """Build the phi-profile of a representing function.
 
@@ -112,23 +103,16 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
     Direction flags on (0, 1) and (1, inf) come from sampled differences at
     relative tolerance 1e-7.
     """
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(f.value(t * t), dtype=float) / t
-        return float(out) if out.ndim == 0 else out
-
-    def realize_phi(t):
-        t = np.asarray(t, dtype=float)
-        out = t * np.asarray(f.value(1.0 / (t * t)), dtype=float)
-        return float(out) if out.ndim == 0 else out
+    phi = _scalarize(lambda t: np.asarray(f.value(t * t), dtype=float) / t)
+    realize_phi = _scalarize(lambda t: t * np.asarray(f.value(1.0 / (t * t)), dtype=float))
 
     at_one = phi(1.0)
     if abs(at_one - 1.0) > 1e-9:
         raise StructuralError(
             f"profile requires f(1) = 1; got phi(1) = {at_one!r}")
 
-    below = _eval_vec(phi, np.logspace(-3.0, np.log10(0.999), 33))
-    above = _eval_vec(phi, np.logspace(np.log10(1.001), 3.0, 33))
+    below = phi(np.logspace(-3.0, np.log10(0.999), 33))
+    above = phi(np.logspace(np.log10(1.001), 3.0, 33))
     return PhiProfile(
         phi=phi,
         gamma=_limit_at_infinity(phi),
@@ -140,18 +124,13 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
 
 
 def _check_class_identity(fn: RepresentingFunction, want: str, op: str) -> None:
-    fv = _eval_vec(fn.value, _CLASS_GRID)
-    fr = _eval_vec(fn.value, 1.0 / _CLASS_GRID)
-    if want == CLASS_SYMMETRIC:
-        resid = np.max(np.abs(_CLASS_GRID * fr - fv) / np.abs(fv))
-        name = "symmetric (t f(1/t) = f(t))"
-    else:
-        resid = np.max(np.abs(fr * fv - 1.0))
-        name = "self-adjoint (f(1/t) f(t) = 1)"
+    resid = _class_residual(fn, want, _CLASS_GRID)
+    name = ("symmetric (t f(1/t) = f(t))" if want == CLASS_SYMMETRIC
+            else "self-adjoint (f(1/t) f(t) = 1)")
     if resid > 1e-8:
         raise StructuralError(
             f"{op}: {fn.label} fails the {name} identity "
-            f"(max residual {float(resid):.3e})")
+            f"(max residual {resid:.3e})")
 
 
 def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
@@ -167,11 +146,11 @@ def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
     _check_class_identity(g, CLASS_SYMMETRIC, "order_leq_sym")
 
     def psi(t):
-        return 0.5 * (t + 1.0) * float(f.value(t)) / float(g.value(t))
+        return 0.5 * (t + 1.0) * f.value(t) / g.value(t)
 
     def psi_prime(t):
-        fv, gv = float(f.value(t)), float(g.value(t))
-        fp, gp = float(f.derivative(t)), float(g.derivative(t))
+        fv, gv = f.value(t), g.value(t)
+        fp, gp = f.derivative(t), g.derivative(t)
         return 0.5 * fv / gv + 0.5 * (t + 1.0) * (fp * gv - fv * gp) / (gv * gv)
 
     return is_operator_monotone_sampled(psi, psi_prime, config or MonoConfig())
@@ -190,11 +169,11 @@ def order_leq_sa(f: RepresentingFunction, g: RepresentingFunction,
     _check_class_identity(g, CLASS_SELF_ADJOINT, "order_leq_sa")
 
     def quot(t):
-        return float(f.value(t)) / float(g.value(t))
+        return f.value(t) / g.value(t)
 
     def quot_prime(t):
-        fv, gv = float(f.value(t)), float(g.value(t))
-        fp, gp = float(f.derivative(t)), float(g.derivative(t))
+        fv, gv = f.value(t), g.value(t)
+        fp, gp = f.derivative(t), g.derivative(t)
         return (fp * gv - fv * gp) / (gv * gv)
 
     return is_operator_monotone_sampled(quot, quot_prime, config or MonoConfig())
@@ -205,25 +184,19 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
 
     Preserves both symmetry classes; at the density level it maps h to 1-h.
     """
-    def value(t):
-        arr = np.asarray(t, dtype=float)
-        fv = np.asarray(f.value(arr), dtype=float)
+    def nonvanishing(t):
+        fv = np.asarray(f.value(t), dtype=float)
         if np.any(fv == 0.0):
             raise DomainError(f"adjoint undefined where {f.label} vanishes")
-        out = arr / fv
-        return float(out) if arr.ndim == 0 else out
+        return fv
 
     def derivative(t):
-        arr = np.asarray(t, dtype=float)
-        fv = np.asarray(f.value(arr), dtype=float)
-        fp = np.asarray(f.derivative(arr), dtype=float)
-        if np.any(fv == 0.0):
-            raise DomainError(f"adjoint undefined where {f.label} vanishes")
-        out = (fv - arr * fp) / (fv * fv)
-        return float(out) if arr.ndim == 0 else out
+        fv = nonvanishing(t)
+        return (fv - t * np.asarray(f.derivative(t), dtype=float)) / (fv * fv)
 
     return RepresentingFunction(f"adjoint of {f.label}", f.symmetry_class,
-                                value, derivative)
+                                _scalarize(lambda t: t / nonvanishing(t)),
+                                _scalarize(derivative))
 
 
 @dataclass(frozen=True)

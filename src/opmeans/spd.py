@@ -174,31 +174,33 @@ def matrix_from_json_dict(data) -> np.ndarray:
     return a
 
 
+def _evaluate(g, x: np.ndarray) -> np.ndarray:
+    """g at each point of the 1-d float array x: one call on the whole array,
+    or, when that raises or returns the wrong shape, one call per point (whose
+    errors propagate). Rejecting non-finite values is the caller's job."""
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(g(x), dtype=float)
+            if out.shape == x.shape:
+                return out
+        except Exception:
+            pass
+        return np.array([float(g(v)) for v in x.tolist()])
+
+
 def apply_spectral_function(m, g) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its eigenvalues.
 
-    g may be vectorized over a 1-d array or accept scalars. Any non-finite
-    value or evaluation failure raises DomainError naming the eigenvalue.
+    An array-in, array-out g is called once on all the eigenvalues; a g that
+    accepts only scalars (a FunctionExpr, a math.* lambda) is called on each.
+    Any non-finite value or evaluation failure raises DomainError.
     """
     dec = sym_eigendecompose(m)
     lam = dec.eigenvalues
-    vals = None
     try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(g(lam), dtype=float)
-        if out.shape == lam.shape:
-            vals = out
-    except Exception:
-        vals = None
-    if vals is None:
-        collected = []
-        for x in lam:
-            try:
-                with np.errstate(all="ignore"):
-                    collected.append(float(g(float(x))))
-            except Exception as exc:
-                raise DomainError(f"function undefined at eigenvalue {x!r}: {exc}") from exc
-        vals = np.array(collected)
+        vals = _evaluate(g, lam)
+    except Exception as exc:
+        raise DomainError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         bad = lam[~np.isfinite(vals)][0]
         raise DomainError(f"function undefined at eigenvalue {bad!r}")

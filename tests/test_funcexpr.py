@@ -1,6 +1,7 @@
 """Parsing and evaluation of scalar function expressions in the variable t."""
 import math
 
+import numpy as np
 import pytest
 
 from opmeans import DomainError, UsageError, parse_function
@@ -85,3 +86,14 @@ def test_evaluation_is_plain_float():
     v = parse_function("t^2 + 1")(1.5)
     assert isinstance(v, float)
     assert v == 3.25
+
+
+def test_array_input_is_rejected_with_a_plain_type_error():
+    # callers that try an array first fall back to scalar calls on TypeError;
+    # the rejection must not be a DomainError whose message formats the array
+    f = parse_function("sqrt(t)")
+    with pytest.raises(TypeError) as info:
+        f(np.array([1.0, 4.0]))
+    assert not isinstance(info.value, DomainError)
+    assert f(np.float64(4.0)) == 2.0
+    assert f(np.array(9.0)) == 3.0

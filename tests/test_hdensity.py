@@ -164,6 +164,31 @@ def test_representations_do_not_warn_at_range_ends(t):
             selfadjoint_rep_derivative(h, t)
 
 
+def test_selfadjoint_derivative_at_top_float():
+    # x = 1/t is subnormal at the largest float; f'(t) = h t^(h-1) stays finite
+    t = float(np.nextafter(np.inf, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (0.0, 0.3, 1.0):
+            got = selfadjoint_rep_derivative(HDensity.constant(c, SELF_ADJOINT), t)
+            want = c * t ** (c - 1.0)
+            assert abs(got - want) <= 1e-12 * want, (c, got, want)
+
+
+def test_vector_calls_equal_scalar_calls_bitwise():
+    # a value must not depend on which other points share the call
+    rng = np.random.default_rng(6)
+    t = np.exp(rng.uniform(np.log(1e-8), np.log(1e8), 300))
+    for cls, fns in ((SYMMETRIC, (eval_symmetric_rep, symmetric_rep_derivative)),
+                     (SELF_ADJOINT, (eval_selfadjoint_rep, selfadjoint_rep_derivative))):
+        for _ in range(8):
+            h = _random_density(rng, cls)
+            for fn in fns:
+                vector = fn(h, t)
+                scalar = np.array([fn(h, float(x)) for x in t])
+                assert np.array_equal(vector, scalar), (fn.__name__, h)
+
+
 def _mp_oracle(mpmath, h: HDensity, t: float):
     """f(t) and f'(t) by 30-digit quadrature of the kernels and their t-derivatives."""
     t = mpmath.mpf(t)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
-                     falsify_transfer, is_operator_monotone_sampled,
-                     loewner_leq, loewner_matrix, random_spd,
-                     verify_inequality_chain)
+                     apply_spectral_function, falsify_transfer,
+                     is_operator_monotone_sampled, loewner_leq, loewner_matrix,
+                     parse_function, random_spd, verify_inequality_chain)
 from opmeans.means import eval_mean_from_function, representing_function
-from opmeans.monocheck import _ULPS, _apply_scalar, _difference_rounding_bound
+from opmeans.monocheck import _ULPS, _difference_rounding_bound
 
 EPS = float(np.finfo(float).eps)
 
@@ -50,6 +50,35 @@ def test_loewner_rejects_duplicates_and_handles_empty():
     with pytest.raises(StructuralError):
         loewner_matrix([1.0, 1.0], np.sqrt)
     assert loewner_matrix([], np.sqrt).shape == (0, 0)
+
+
+def test_vectorized_function_is_called_on_whole_point_sets():
+    calls = []
+
+    def f(t):
+        calls.append(np.ndim(t))
+        return np.sqrt(t)
+
+    def fprime(t):
+        calls.append(np.ndim(t))
+        return 0.5 / np.sqrt(t)
+
+    for deriv in (None, fprime):
+        calls.clear()
+        loewner_matrix([0.5, 1.0, 7.0], f, deriv, with_error=True)
+        assert 1 <= len(calls) <= 2 and set(calls) == {1}
+        calls.clear()
+        verdict = is_operator_monotone_sampled(f, deriv, MonoConfig(trials=20))
+        assert len(calls) <= 2 * verdict.trials_run
+
+
+def test_scalar_only_functions_match_their_array_form_bitwise():
+    pts = np.logspace(-3.0, 3.0, 9)
+    for deriv, scalar_deriv in ((None, None),
+                                (lambda t: 0.5 / np.sqrt(t), lambda t: 0.5 / math.sqrt(t))):
+        want = loewner_matrix(pts, np.sqrt, deriv)
+        for f in (math.sqrt, parse_function("sqrt(t)")):
+            assert np.array_equal(loewner_matrix(pts, f, scalar_deriv), want)
 
 
 MONOTONE = [np.sqrt, lambda t: t, lambda t: 2.0 * t / (1.0 + t),
@@ -160,11 +189,11 @@ def test_falsify_transfer_finds_square_witness():
     w = verdict.witness
     assert w.matrix_a.shape == (2, 2)
     # independent re-verification of the witness pair
-    lo = _apply_scalar(np.asarray(
+    lo = apply_spectral_function(np.asarray(
         __import__("opmeans").eval_mean(w.matrix_a, w.matrix_b,
                                         MeanDescriptor.geometric())),
         lambda t: t * t)
-    hi = _apply_scalar(np.asarray(
+    hi = apply_spectral_function(np.asarray(
         __import__("opmeans").eval_mean(w.matrix_a, w.matrix_b,
                                         MeanDescriptor.arithmetic())),
         lambda t: t * t)
@@ -208,8 +237,8 @@ def test_transfer_rounding_bound_covers_computed_difference():
             n = 2 + k % 3
             a = random_spd(n, cond_cap=50.0, seed=40 + k).entries
             b = random_spd(n, cond_cap=50.0, seed=80 + k).entries
-            lhs = _apply_scalar(eval_mean_from_function(a, b, geo), cube)
-            rhs = _apply_scalar(eval_mean_from_function(a, b, arith), cube)
+            lhs = apply_spectral_function(eval_mean_from_function(a, b, geo), cube)
+            rhs = apply_spectral_function(eval_mean_from_function(a, b, arith), cube)
             am, bm = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
             exact = (spectral(mean(am, bm, lambda x: (1 + x) / 2), cube)
                      - spectral(mean(am, bm, mpmath.sqrt), cube))

@@ -8,6 +8,7 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      StructuralError, dagger, dagger_density, h_order,
                      ka_condition_check, order_leq_sa, order_leq_sym,
                      phi_profile, representing_function)
+from opmeans.means import RepresentingFunction
 from opmeans.monocheck import MonoConfig
 
 ARITH = representing_function(MeanDescriptor.arithmetic())
@@ -22,6 +23,18 @@ def test_phi_profile_arithmetic():
     assert math.isinf(p.gamma)
     assert math.isinf(p.realize_gamma)
     assert p.direction_above_1 == "non-decreasing"
+
+
+def test_phi_profile_evaluates_f_a_fixed_number_of_times():
+    calls = []
+
+    def value(t):
+        calls.append(np.ndim(t))
+        return GEO.value(t)
+
+    p = phi_profile(RepresentingFunction("counted", GEO.symmetry_class, value, GEO.derivative))
+    assert len(calls) <= 5
+    assert p.gamma == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phi_profile_geometric_is_constant_one():

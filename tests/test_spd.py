@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeans import (ConditioningError, RelativeSpectrum, SpdMatrix,
+from opmeans import (ConditioningError, DomainError, RelativeSpectrum, SpdMatrix,
                      StructuralError, apply_spectral_function, as_spd, loewner_leq,
                      matrix_from_json_dict, matrix_to_json_dict,
-                     min_eig_and_norm, random_spd, sqrt_pair,
+                     min_eig_and_norm, parse_function, random_spd, sqrt_pair,
                      sym_eigendecompose)
 from opmeans.jsonio import dumps, loads
 from opmeans.spd import random_spd_from
@@ -222,3 +222,13 @@ def test_property_congruence_of_spectral_apply(seed, n):
     lhs = q @ apply_spectral_function(m, np.sqrt) @ q.T
     rhs = apply_spectral_function(q @ m @ q.T, np.sqrt)
     assert np.allclose(lhs, rhs, atol=1e-9 * max(1.0, np.linalg.norm(rhs)))
+
+
+def test_apply_spectral_function_with_scalar_only_functions():
+    assert np.array_equal(apply_spectral_function(np.array([[4.0]]), parse_function("sqrt(t)")),
+                          [[2.0]])
+    m = random_spd(3, seed=4).entries
+    assert np.array_equal(apply_spectral_function(m, parse_function("sqrt(t)")),
+                          apply_spectral_function(m, np.sqrt))
+    with pytest.raises(DomainError):
+        apply_spectral_function(-m, parse_function("sqrt(t)"))
