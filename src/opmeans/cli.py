@@ -47,9 +47,22 @@ def _config_echo(args) -> dict:
             "cond_cap": float(getattr(args, "cond_cap", DEFAULT_COND_CAP))}
 
 
-def _load_spd(path: str) -> np.ndarray:
-    data = jsonio.load_file(path)
-    return SpdMatrix(matrix_from_json_dict(data)).entries
+def _load_spd(path: str) -> SpdMatrix:
+    return SpdMatrix(matrix_from_json_dict(jsonio.load_file(path)))
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive real, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
 
 
 def _parse_float_list(text: str) -> List[float]:
@@ -114,12 +127,9 @@ def _cmd_solve_pair(args) -> tuple:
 
 
 def _cmd_solve_heinz_heron(args) -> tuple:
-    if args.targets == "heinz-heron":
-        witness = solve_heinz_heron_matrix(args.s, _load_spd(args.x),
-                                           _load_spd(args.y))
-    else:
-        witness = solve_geom_heinz_matrix(args.s, _load_spd(args.x),
-                                          _load_spd(args.y))
+    solver = (solve_heinz_heron_matrix if args.targets == "heinz-heron"
+              else solve_geom_heinz_matrix)
+    witness = solver(args.s, _load_spd(args.x), _load_spd(args.y))
     payload = {"config": _config_echo(args), "s": float(args.s),
                "targets": args.targets}
     payload.update(witness.to_json_dict())
@@ -263,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "matrices: evaluation, inverse problems, "
                                  "chains, and monotonicity checks.")
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="numerical tolerance (default 1e-8)")
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    common.add_argument("--trials", type=_non_negative, default=DEFAULT_TRIALS,
                         help="random trials (default 1000)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED,
                         help="RNG seed (default 42)")
 
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")

@@ -155,6 +155,16 @@ class MonotonicityVerdict:
                 "witness": None if self.witness is None else self.witness.to_json_dict()}
 
 
+def _check_sampling(trials: int, seed: int, tol: float) -> None:
+    """Reject a negative trial count or seed and a non-finite or non-positive tol."""
+    if trials < 0:
+        raise StructuralError("trials must be non-negative")
+    if seed < 0:
+        raise StructuralError(f"seed must be non-negative, got {seed!r}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise StructuralError(f"tolerance must be a finite positive real, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class MonoConfig:
     """Sampling plan for the operator-monotonicity test.
@@ -174,10 +184,7 @@ class MonoConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise StructuralError("trials must be non-negative")
-        if self.tol <= 0.0:
-            raise StructuralError("tolerance must be positive")
+        _check_sampling(self.trials, self.seed, self.tol)
         if not self.sizes or any(int(s) < 2 for s in self.sizes):
             raise StructuralError("point-set sizes must be at least 2")
         for grid in self.grids:
@@ -271,8 +278,7 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
         raise UsageError(
             f"means are not pointwise ordered: f_sigma({bad:.6g}) > f_tau({bad:.6g})")
 
-    if trials < 0:
-        raise StructuralError("trials must be non-negative")
+    _check_sampling(trials, seed, tol)
     rng = np.random.default_rng(seed)
     schedule = [(2, int(np.ceil(trials * 0.6))),
                 (3, int(np.ceil(trials * 0.25)))]

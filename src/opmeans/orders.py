@@ -35,8 +35,8 @@ from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     RepresentingFunction, _class_residual, _scalarize,
                     eval_mean_from_function, mean_from_spectrum,
                     representing_function)
-from .monocheck import (MonoConfig, MonotonicityVerdict, _difference_rounding_bound,
-                        is_operator_monotone_sampled)
+from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling,
+                        _difference_rounding_bound, is_operator_monotone_sampled)
 from .spd import (RelativeSpectrum, matrix_to_json_dict, min_eig_and_norm,
                   random_spd_from)
 
@@ -255,8 +255,7 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     computed difference from monocheck._difference_rounding_bound. The
     returned margin is the worst normalized eigenvalue seen.
     """
-    if trials < 0:
-        raise StructuralError("trials must be non-negative")
+    _check_sampling(trials, seed, tol)
     f_sigma = representing_function(sigma)
     g_tau = representing_function(tau)
     g_perp = dagger(g_tau)

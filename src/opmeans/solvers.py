@@ -11,6 +11,12 @@ mean values?" and hands back a witness that re-evaluates to the targets:
   * the Heinz/Heron solvers invert the hyperbolic-cosine ratio shared by
     those two families, in scalar and matrix form.
 
+Means are covariant under congruence, C (D1 sigma D2) C^T = (C D1 C^T)
+sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
+a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
+C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
+solved in one basis, and solve_matrix_pair is its one-link case v = 1.
+
 Residuals are part of every witness: each solver re-evaluates its target
 equations and refuses to return silently inaccurate answers.
 """
@@ -27,7 +33,7 @@ from .errors import (ConvergenceError, DomainError, OrderError,
 from .means import (MeanDescriptor, RepresentingFunction, mean_from_spectrum,
                     representing_function)
 from .orders import PhiProfile, phi_profile
-from .spd import RelativeSpectrum, SpdMatrix, loewner_leq, matrix_to_json_dict
+from .spd import RelativeSpectrum, as_spd, loewner_leq, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -83,15 +89,6 @@ class ScalarPairSolution:
         return {"x": self.x, "y": self.y, "c": self.c}
 
 
-def _coerce_spd(m, name: str) -> np.ndarray:
-    if isinstance(m, SpdMatrix):
-        return m.entries
-    try:
-        return SpdMatrix(np.asarray(m, dtype=float)).entries
-    except StructuralError as exc:
-        raise StructuralError(f"{name}: {exc}") from None
-
-
 def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
     """Sign-based bisection of fn on [lo, hi]; fn(lo) and fn(hi) differ in sign."""
     for _ in range(_BISECT_MAX_ITER):
@@ -129,21 +126,13 @@ def invert_phi(f: RepresentingFunction, y0: float,
         raise StructuralError(f"target must be a positive real, got {y0!r}")
 
     if gamma > 1.0:
-        if y0 < 1.0 - _EIG_CLAMP:
-            raise OutOfRangeError(
-                f"target {y0!r} below the realizable range [1, gamma) with "
-                f"gamma = {gamma!r}")
-        if y0 >= gamma:
+        if not 1.0 - _EIG_CLAMP <= y0 < gamma:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range [1, gamma) with "
                 f"gamma = {gamma!r}")
         y0 = max(y0, 1.0)
     elif gamma < 1.0:
-        if y0 > 1.0 + _EIG_CLAMP:
-            raise OutOfRangeError(
-                f"target {y0!r} above the realizable range (gamma, 1] with "
-                f"gamma = {gamma!r}")
-        if y0 <= gamma:
+        if not gamma < y0 <= 1.0 + _EIG_CLAMP:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range (gamma, 1] with "
                 f"gamma = {gamma!r}")
@@ -185,21 +174,38 @@ def invert_phi(f: RepresentingFunction, y0: float,
     return root
 
 
-def _relative_residual(computed: np.ndarray, target: np.ndarray) -> float:
-    return float(np.linalg.norm(computed - target) / np.linalg.norm(target))
-
-
-def _pair_witness(mat_a, mat_b, fn_x: RepresentingFunction,
-                  fn_y: RepresentingFunction, xa, ya) -> PairWitness:
-    """Re-evaluate both target means on (A, B) from one relative spectrum."""
-    spectrum = RelativeSpectrum(mat_a, mat_b)
-    residual_x = _relative_residual(mean_from_spectrum(spectrum, fn_x), xa)
-    residual_y = _relative_residual(mean_from_spectrum(spectrum, fn_y), ya)
+def _pair_witness(spectrum: RelativeSpectrum, values_a, values_b,
+                  mean_x: MeanDescriptor, mean_y: MeanDescriptor, xa, ya) -> PairWitness:
+    """(A, B) = (congruate(values_a), congruate(values_b)) of spectrum, with both
+    target means re-evaluated on it from its own relative spectrum."""
+    mat_a, mat_b = spectrum.congruate(values_a), spectrum.congruate(values_b)
+    fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
+    pair = RelativeSpectrum(mat_a, mat_b)
+    residual_x, residual_y = (
+        float(np.linalg.norm(mean_from_spectrum(pair, fn) - target) / np.linalg.norm(target))
+        for fn, target in ((fn_x, xa), (fn_y, ya)))
     if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
         raise ConvergenceError(
             f"pair solve residuals too large: {fn_x.label} {residual_x:.3e}, "
             f"{fn_y.label} {residual_y:.3e}")
     return PairWitness(mat_a, mat_b, residual_x, residual_y)
+
+
+def _realize_links(sigma: MeanDescriptor, profile: PhiProfile,
+                   spectrum: RelativeSpectrum, nodes, targets) -> tuple:
+    """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
+    targets[k], targets[k+1]; one memo of inversions serves every link."""
+    fn = representing_function(sigma)
+    inverse: dict = {}
+    witnesses = []
+    for lo, hi, x_k, y_k in zip(nodes, nodes[1:], targets, targets[1:]):
+        ratios = (hi / lo).tolist()
+        inverse.update({r: invert_phi(fn, r, profile)
+                        for r in dict.fromkeys(ratios) if r not in inverse})
+        deltas = np.array([inverse[r] for r in ratios])
+        witnesses.append(_pair_witness(spectrum, lo * deltas, lo / deltas,
+                                       MeanDescriptor.geometric(), sigma, x_k, y_k))
+    return tuple(witnesses)
 
 
 def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
@@ -211,16 +217,12 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     congruates back: A = X^{1/2} A0 X^{1/2}, B = X^{1/2} A0^{-1} X^{1/2}.
     invert_phi checks each relative eigenvalue against that range.
     """
-    xa = _coerce_spd(x, "X")
-    ya = _coerce_spd(y, "Y")
+    xa = as_spd(x, "X").entries
+    ya = as_spd(y, "Y").entries
     spectrum = RelativeSpectrum(xa, ya)
-    fn = representing_function(sigma)
-    profile = phi_profile(fn)
-    eigs = spectrum.eigenvalues.tolist()
-    inverse = {lam: invert_phi(fn, lam, profile) for lam in dict.fromkeys(eigs)}
-    deltas = np.array([inverse[lam] for lam in eigs])
-    return _pair_witness(spectrum.congruate(deltas), spectrum.congruate(1.0 / deltas),
-                         representing_function(MeanDescriptor.geometric()), fn, xa, ya)
+    profile = phi_profile(representing_function(sigma))
+    nodes = (np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues)
+    return _realize_links(sigma, profile, spectrum, nodes, (xa, ya))[0]
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -237,16 +239,17 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
                          gamma0: Optional[float] = None) -> ChainWitness:
     """Connect X <= Y by a finite chain with per-link pair realizations.
 
-    Works in the coordinates of Y0 = X^{-1/2} Y X^{-1/2}: raises the
-    not-yet-finished eigenvalue blocks through successive powers of gamma0
-    and substitutes each group of (near-)equal eigenvalues once the power
-    ladder reaches it. Every consecutive ratio stays within [1, gamma0], so
-    each link is solvable by solve_matrix_pair; endpoints are the given X
-    and Y themselves. gamma0 defaults to sqrt(gamma) when gamma is finite
-    and 2 otherwise, and must lie strictly between 1 and gamma.
+    Works in the eigenbasis U of Y0 = X^{-1/2} Y X^{-1/2}: raises unfinished
+    eigenvalues through the powers of gamma0 and substitutes each group of
+    (near-)equal ones once the ladder reaches it. Node values v_k run from 1
+    to the clamped eigenvalues with ratios in [1, gamma0]; link k is
+    C diag(v_k) C^T, C = X^{1/2} U, and its pair is realized in that basis
+    too, from one phi-profile. Endpoints are the given X and Y themselves.
+    gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
+    strictly between 1 and gamma.
     """
-    xa = _coerce_spd(x, "X")
-    ya = _coerce_spd(y, "Y")
+    xa = as_spd(x, "X").entries
+    ya = as_spd(y, "Y").entries
     if xa.shape != ya.shape:
         raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     fn = representing_function(sigma)
@@ -254,15 +257,13 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     gamma = profile.realize_gamma
     if not gamma > 1.0:
         raise UnsupportedMeanError(
-            f"chain construction needs gamma > 1; {fn.label} has gamma = "
-            f"{gamma!r}")
+            f"chain construction needs gamma > 1; {fn.label} has gamma = {gamma!r}")
     if gamma0 is None:
         gamma0 = math.sqrt(gamma) if math.isfinite(gamma) else 2.0
     gamma0 = float(gamma0)
     if not 1.0 < gamma0 < gamma:
         raise OutOfRangeError(
-            f"gamma0 = {gamma0!r} must lie strictly between 1 and gamma = "
-            f"{gamma!r}")
+            f"gamma0 = {gamma0!r} must lie strictly between 1 and gamma = {gamma!r}")
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
@@ -273,13 +274,11 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     lams = np.maximum(spectrum.eigenvalues, 1.0)
 
     # Group near-equal eigenvalues so they substitute in one step.
+    # Eigenvalues within 1e-12 of 1 are at their target already; never raised.
     order = np.argsort(lams, kind="stable")
     groups: list[list[int]] = []
-    for idx in order:
-        lam = lams[idx]
-        if lam <= 1.0 + 1e-12:
-            continue   # already at target; never raised
-        if groups and lam <= lams[groups[-1][0]] * (1.0 + 1e-10):
+    for idx in order[lams[order] > 1.0 + 1e-12]:
+        if groups and lams[idx] <= lams[groups[-1][0]] * (1.0 + 1e-10):
             groups[-1].append(idx)
         else:
             groups.append([int(idx)])
@@ -289,23 +288,19 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     node_values = []
     power = 0
     for group in groups:
-        rep = float(lams[group[0]])
-        m = _power_index(rep, gamma0)
+        m = _power_index(float(lams[group[0]]), gamma0)
         while power < m:
             power += 1
             values[pending] = gamma0 ** power
             node_values.append(values.copy())
-        for i in group:
-            values[i] = lams[i]
-            pending.remove(i)
+        values[group] = lams[group]
+        pending = pending[len(group):]
         node_values.append(values.copy())
 
-    links = [xa.copy()]
-    links.extend(spectrum.congruate(v) for v in node_values[:-1])
-    links.append(ya.copy())
-
-    witnesses = tuple(solve_matrix_pair(sigma, links[k], links[k + 1])
-                      for k in range(len(links) - 1))
+    # The last node is lams itself, also when no eigenvalue needs raising.
+    nodes = [np.ones_like(lams), *node_values[:-1], lams]
+    links = [xa.copy(), *(spectrum.congruate(v) for v in nodes[1:-1]), ya.copy()]
+    witnesses = _realize_links(sigma, profile, spectrum, nodes, links)
     return ChainWitness(tuple(links), gamma0, witnesses)
 
 
@@ -322,8 +317,7 @@ def solve_scalar_geometric_pair(sigma: MeanDescriptor, x: float,
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise StructuralError("targets must be finite positive reals")
     fn = representing_function(sigma)
-    profile = phi_profile(fn)
-    t = invert_phi(fn, y / x, profile)
+    t = invert_phi(fn, y / x)
     a = x * t
     b = x / t
     mean_value = a * float(fn.value(b / a))
@@ -451,8 +445,8 @@ def _validate_heinz_heron_parameter(s) -> float:
 
 def _normalized_smaller_target(x, y):
     """Shared head of the congruence solvers: X0 = Y^{-1/2} X Y^{-1/2} <= I."""
-    xa = _coerce_spd(x, "X")
-    ya = _coerce_spd(y, "Y")
+    xa = as_spd(x, "X").entries
+    ya = as_spd(y, "Y").entries
     if not loewner_leq(xa, ya, tol=1e-8):
         raise OrderError("X <= Y fails in the Loewner order")
     spectrum = RelativeSpectrum(ya, xa)
@@ -460,14 +454,6 @@ def _normalized_smaller_target(x, y):
     if top > 1.0 + _EIG_CLAMP:
         raise OrderError(f"relative eigenvalue {top!r} exceeds 1: X <= Y fails")
     return xa, ya, spectrum, np.minimum(spectrum.eigenvalues, 1.0)
-
-
-def _pair_from_ratio_inverse(xa, ya, spectrum, ratios, denom_fn,
-                             x_mean: MeanDescriptor, y_mean: MeanDescriptor):
-    d = denom_fn(ratios)
-    return _pair_witness(spectrum.congruate(1.0 / d), spectrum.congruate(ratios / d),
-                         representing_function(x_mean), representing_function(y_mean),
-                         xa, ya)
 
 
 def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
@@ -483,13 +469,9 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     cs = np.array([invert_f_alpha(alpha, v) for v in xi])
     ratios = np.exp(-2.0 * cs)
     alpha2 = alpha * alpha
-
-    def denom(t):
-        return alpha2 * 0.5 * (1.0 + t) + (1.0 - alpha2) * np.sqrt(t)
-
-    return _pair_from_ratio_inverse(
-        xa, ya, spectrum, ratios, denom,
-        MeanDescriptor.heinz(s), MeanDescriptor.heron(alpha2))
+    d = alpha2 * 0.5 * (1.0 + ratios) + (1.0 - alpha2) * np.sqrt(ratios)
+    return _pair_witness(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
+                         MeanDescriptor.heron(alpha2), xa, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -528,10 +510,6 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     s = _validate_heinz_heron_parameter(s)
     xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
     ratios = np.array([invert_geom_heinz_ratio(s, v) for v in xi])
-
-    def denom(t):
-        return 0.5 * (t ** s + t ** (1.0 - s))
-
-    return _pair_from_ratio_inverse(
-        xa, ya, spectrum, ratios, denom,
-        MeanDescriptor.geometric(), MeanDescriptor.heinz(s))
+    d = 0.5 * (ratios ** s + ratios ** (1.0 - s))
+    return _pair_witness(spectrum, 1.0 / d, ratios / d, MeanDescriptor.geometric(),
+                         MeanDescriptor.heinz(s), xa, ya)

@@ -149,11 +149,14 @@ class SpdMatrix:
         return cls(matrix_from_json_dict(data))
 
 
-def as_spd(m) -> SpdMatrix:
-    """Coerce an array-like to SpdMatrix, validating on the way in."""
+def as_spd(m, name: str = "matrix") -> SpdMatrix:
+    """Coerce to SpdMatrix, validating on the way in; errors start with name."""
     if isinstance(m, SpdMatrix):
         return m
-    return SpdMatrix(m)
+    try:
+        return SpdMatrix(m)
+    except StructuralError as exc:
+        raise StructuralError(f"{name}: {exc}") from None
 
 
 def matrix_to_json_dict(m) -> dict:
@@ -193,16 +196,17 @@ def apply_spectral_function(m, g) -> np.ndarray:
 
     An array-in, array-out g is called once on all the eigenvalues; a g that
     accepts only scalars (a FunctionExpr, a math.* lambda) is called on each.
-    Any non-finite value or evaluation failure raises DomainError.
+    A non-finite value or an arithmetic, value or type error of g (a complex
+    value fails float()) raises DomainError; any other error of g propagates.
     """
     dec = sym_eigendecompose(m)
     lam = dec.eigenvalues
     try:
         vals = _evaluate(g, lam)
-    except Exception as exc:
+    except (DomainError, ArithmeticError, ValueError, TypeError) as exc:
         raise DomainError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(vals)):
-        bad = lam[~np.isfinite(vals)][0]
+        bad = float(lam[~np.isfinite(vals)][0])
         raise DomainError(f"function undefined at eigenvalue {bad!r}")
     return dec.apply(vals)
 

@@ -267,6 +267,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("flag", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+                                  ["--tol=-1e-8"], ["--seed", "-1"], ["--trials", "-1"]])
+def test_bad_tolerance_seed_or_trials_exits_two(tmp_path, capsys, flag):
+    x = _mat(tmp_path, "x.json", np.eye(2).tolist())
+    y = _mat(tmp_path, "y.json", (1.25 * np.eye(2)).tolist())
+    for argv in (["check-monotone", "--fn", "t^2", "--trials", "5"],
+                 ["check-order", "--f", "geometric", "--g", "arithmetic", "--trials", "5"],
+                 ["ka-check", "--sigma", "geometric", "--tau", "arithmetic", "--trials", "2"],
+                 ["solve-pair", "--mean", "arithmetic", "--x", x, "--y", y]):
+        code, out, err = _run(capsys, argv + flag)
+        assert code == 2 and out == "" and flag[0].split("=")[0] in err
+
+
 def test_non_spd_input_exits_two(tmp_path, capsys):
     bad = _mat(tmp_path, "bad.json", [[0.0, 0.0], [0.0, 1.0]])
     good = _mat(tmp_path, "good.json", np.eye(2).tolist())

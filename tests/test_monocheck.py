@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
-                     apply_spectral_function, falsify_transfer,
+                     apply_spectral_function, falsify_transfer, ka_condition_check,
                      is_operator_monotone_sampled, loewner_leq, loewner_matrix,
                      parse_function, random_spd, verify_inequality_chain)
 from opmeans.means import eval_mean_from_function, representing_function
@@ -210,6 +210,14 @@ def test_falsify_transfer_consistent_for_sqrt_and_identity():
     assert ident.status == "consistent"
 
 
+def test_falsify_transfer_propagates_faults_of_f():
+    # a fault of f is not a point outside its domain: no trial may skip it
+    with pytest.raises(NameError):
+        falsify_transfer(lambda t: t * undefined_name,  # noqa: F821
+                         MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                         trials=20)
+
+
 def test_falsify_transfer_precheck_rejects_unordered_means():
     with pytest.raises(UsageError):
         falsify_transfer(np.sqrt, MeanDescriptor.arithmetic(),
@@ -295,3 +303,15 @@ def test_mono_config_validation():
         MonoConfig(sizes=(1,))
     with pytest.raises(StructuralError):
         MonoConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("plan", [{"trials": -1}, {"seed": -1}, {"tol": 0.0},
+                                  {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf}])
+def test_sampling_plans_are_validated_alike(plan):
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    with pytest.raises(StructuralError):
+        MonoConfig(**plan)
+    with pytest.raises(StructuralError):
+        falsify_transfer(np.sqrt, geo, arith, **plan)
+    with pytest.raises(StructuralError):
+        ka_condition_check(geo, arith, **plan)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from opmeans import spd as spd_module
 from opmeans import (ConvergenceError, DomainError, MeanDescriptor, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError,
                      build_monotone_chain, eval_mean, f_alpha, geom_heinz_ratio,
@@ -19,6 +20,7 @@ from opmeans import (ConvergenceError, DomainError, MeanDescriptor, OrderError,
                      representing_function, solve_geom_heinz_matrix,
                      solve_heinz_heron_matrix, solve_matrix_pair,
                      solve_scalar_geometric_pair, solve_scalar_heinz_heron)
+from opmeans.hdensity import SELF_ADJOINT, HDensity
 
 ARITH = MeanDescriptor.arithmetic()
 GEO = MeanDescriptor.geometric()
@@ -290,6 +292,64 @@ def test_chain_json_shape():
     d = chain.to_json_dict()
     assert set(d) == {"links", "gamma0", "pair_witnesses"}
     assert len(d["links"]) == len(chain.links)
+
+
+def test_chain_near_equal_endpoints_two_nodes():
+    # every relative eigenvalue lies within 1e-12 of 1, so nothing is raised
+    # and the one link must still end at Y itself
+    x = random_spd(3, cond_cap=20.0, seed=31).entries
+    for y in (x * (1.0 + 1e-13), x + 1e-13 * np.eye(3)):
+        assert not np.array_equal(x, y)
+        chain = build_monotone_chain(ARITH, x, y)
+        assert len(chain.links) == 2 and len(chain.pair_witnesses) == 1
+        assert np.array_equal(chain.links[0], x)
+        assert np.array_equal(chain.links[-1], y)
+        w = chain.pair_witnesses[0]
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+
+
+_SA_STEP = MeanDescriptor.from_h_density(
+    HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15)))
+
+
+@pytest.mark.parametrize("sigma", [MeanDescriptor.weighted_geometric(0.25), _SA_STEP],
+                         ids=["wgeo:0.25", "sa-density"])
+def test_chain_witnesses_reverify_through_eval_mean(sigma):
+    # independent path: each witness pair is re-evaluated from scratch by
+    # eval_mean against its own link, not through the solver's residuals
+    for k in range(3):
+        n = 2 + k
+        x = random_spd(n, cond_cap=30.0, seed=60 + k).entries
+        bump = np.random.default_rng(600 + k).standard_normal((n, n))
+        y = x + 3.0 * (bump @ bump.T) / n
+        chain = build_monotone_chain(sigma, x, y, gamma0=1.5)
+        assert len(chain.pair_witnesses) == len(chain.links) - 1 >= 2
+        for lo, hi, w in zip(chain.links, chain.links[1:], chain.pair_witnesses):
+            got_x = eval_mean(w.matrix_a, w.matrix_b, GEO)
+            got_y = eval_mean(w.matrix_a, w.matrix_b, sigma)
+            assert np.linalg.norm(got_x - lo) <= 1e-7 * np.linalg.norm(lo)
+            assert np.linalg.norm(got_y - hi) <= 1e-7 * np.linalg.norm(hi)
+
+
+def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
+    # two validations, one Loewner test and one relative spectrum of (X, Y)
+    # cost five eigensolves; each link adds only its witness re-evaluation
+    calls = []
+    real = spd_module._eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spd_module, "_eigh", counting)
+    for k, sigma in enumerate((ARITH, MeanDescriptor.heron(0.5))):
+        x = random_spd(3, cond_cap=30.0, seed=70 + k).entries
+        bump = np.random.default_rng(700 + k).standard_normal((3, 3))
+        calls.clear()
+        chain = build_monotone_chain(sigma, x, x + 2.0 * bump @ bump.T, gamma0=1.4)
+        links = len(chain.pair_witnesses)
+        assert links >= 3
+        assert len(calls) == 5 + 2 * links
 
 
 # ------------------------------------------------------- f_alpha and inverses

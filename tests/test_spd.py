@@ -1,9 +1,14 @@
 """Core SPD machinery: eigensolver, validation, order test, square roots."""
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opmeans
 from opmeans import (ConditioningError, DomainError, RelativeSpectrum, SpdMatrix,
                      StructuralError, apply_spectral_function, as_spd, loewner_leq,
                      matrix_from_json_dict, matrix_to_json_dict,
@@ -232,3 +237,42 @@ def test_apply_spectral_function_with_scalar_only_functions():
                           apply_spectral_function(m, np.sqrt))
     with pytest.raises(DomainError):
         apply_spectral_function(-m, parse_function("sqrt(t)"))
+
+
+def test_apply_spectral_function_separates_domain_errors_from_faults():
+    m = random_spd(3, seed=4).entries
+    with pytest.raises(DomainError, match=r"at eigenvalue -\d") as info:
+        apply_spectral_function(-m, np.log)
+    assert "np.float64" not in str(info.value)
+    with pytest.raises(DomainError):
+        apply_spectral_function(-m, math.sqrt)                  # ValueError
+    with pytest.raises(DomainError):
+        apply_spectral_function(m, lambda t: complex(t, 1.0))   # TypeError in float()
+    with pytest.raises(NameError):
+        apply_spectral_function(m, lambda t: t * undefined_name)  # noqa: F821
+
+
+def test_eigensolver_is_called_only_inside_eigh():
+    # per-layer decomposition counts rest on spd._eigh being the package's
+    # one eigensolver: no other code may reach numpy's (or any) linalg.eig*
+    package = Path(opmeans.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "spd.py":
+            eigh = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_eigh")
+            allowed = set(range(eigh.lineno, eigh.end_lineno + 1))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("eig")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                hit = node.lineno
+            elif (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+                  and any(alias.name.startswith("eig") for alias in node.names)):
+                hit = node.lineno
+            else:
+                continue
+            if hit not in allowed:
+                found.append(f"{path.name}:{hit}")
+    assert found == [], f"eigensolver calls outside spd._eigh: {found}"
