@@ -201,12 +201,15 @@ def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> 
     """mean(P, Q) = P^{1/2} f(Z) P^{1/2} from the relative spectrum Z of (P, Q).
 
     Refuses pairs whose relative spectrum has condition number above 1e12.
+    For a stacked spectrum, f is called once on all eigenvalues of the stack,
+    and one ill-conditioned pair refuses the stack.
     """
-    if spectrum.condition > _COND_CAP:
+    ev = spectrum.eigenvalues
+    if np.any(spectrum.condition > _COND_CAP):
         raise ConditioningError(
-            f"relative spectrum of the matrix pair spans [{spectrum.eigenvalues[-1]:.3e}, "
-            f"{spectrum.eigenvalues[0]:.3e}]; too ill-conditioned to evaluate reliably")
-    return spectrum.congruate(fn.value(spectrum.eigenvalues))
+            f"relative spectrum of the matrix pair spans [{np.min(ev):.3e}, "
+            f"{np.max(ev):.3e}]; too ill-conditioned to evaluate reliably")
+    return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
 
 
 def eval_mean_from_function(a, b, fn: RepresentingFunction) -> np.ndarray:

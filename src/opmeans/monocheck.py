@@ -16,6 +16,11 @@ The module also searches for matrix-pair counterexamples to the order
 transfer f(mean_sigma(A, B)) <= f(mean_tau(A, B)) for pointwise-ordered
 means, and verifies the harmonic/geometric/Heinz/Heron/arithmetic inequality
 chain on concrete matrix pairs.
+
+The checks run many point sets or matrix pairs at once, as stacks through
+the spd primitives, with f called once over all their points; skips,
+faults and refutations are then resolved in trial order, so every verdict,
+trials_run and witness is that of checking one set or pair at a time.
 """
 from __future__ import annotations
 
@@ -26,9 +31,9 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, UsageError
 from .means import MeanDescriptor, mean_from_spectrum, representing_function
-from .spd import (RelativeSpectrum, _as_array, _eigh, _evaluate,
-                  apply_spectral_function, matrix_to_json_dict, min_eig_and_norm,
-                  random_spd_from, sym_eigendecompose)
+from .spd import (RelativeSpectrum, _as_array, _evaluate, _evaluate_sets, _frobenius,
+                  _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
+                  min_eig_and_norm, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -41,6 +46,13 @@ _DIFF_STEP = float(np.cbrt(_EPS))
 _ULPS = 16.0
 _NEAR_COLLISION = 3e-6
 _TRANSFER_GRID = np.logspace(-6.0, 6.0, 97)
+# Trials per stack in falsify_transfer: a refutation wastes at most one
+# stack's trials, and 8 and 16 measured alike.
+_TRANSFER_BLOCK = 8
+# Errors of f that skip a point set (sampler) or a matrix pair (transfer);
+# any other error of f propagates once its set or pair is reached.
+_SET_SKIPS = (DomainError, OverflowError, ValueError, ZeroDivisionError)
+_PAIR_SKIPS = (DomainError, ArithmeticError, ValueError, TypeError)
 
 
 def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
@@ -50,8 +62,10 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     Entry (i, j) is (f(x_i) - f(x_j)) / (x_i - x_j) off the diagonal and
     f'(x_i) on it (central difference when no derivative is supplied).
     Positive semidefiniteness of these matrices over all point sets is the
-    operator-monotonicity criterion. An array-in, array-out f is called on
-    all points at once, a scalar-only f once per point; so is fprime.
+    operator-monotonicity criterion. points may also be a (k, n) array of k
+    point sets, which gives a (k, n, n) stack. An array-in, array-out f is
+    called once on all points of all sets, a scalar-only f once per point;
+    so is fprime.
 
     with_error=True returns (matrix, bound), bound an entrywise bound on the
     rounding error of the matrix when each value of f is within _ULPS ulps:
@@ -64,49 +78,108 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     the matrix, so it costs no further evaluation.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.ndim != 1:
-        raise StructuralError("points must form a one-dimensional sequence")
-    if np.unique(pts).size != pts.size:
+    if pts.ndim > 2:
+        raise StructuralError("points must form a one-dimensional sequence or a (k, n) array")
+    ordered = np.sort(pts, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise StructuralError("Loewner matrix needs distinct points")
-    if fprime is not None:
-        fx = _evaluate(f, pts)
-        diag = _evaluate(fprime, pts)
-        diag_err = _ULPS * _EPS * np.abs(diag)
+    if fprime is None:
+        x = _evaluation_points(pts)
+        mat, err = _loewner_stack(pts, _evaluate(f, x.ravel()).reshape(x.shape), None)
     else:
+        mat, err = _loewner_stack(pts, _evaluate(f, pts.ravel()).reshape(pts.shape),
+                                  _evaluate(fprime, pts.ravel()).reshape(pts.shape))
+    return (mat, err) if with_error else mat
+
+
+def _evaluation_points(pts: np.ndarray) -> np.ndarray:
+    """Points (..., 3n) where f builds the Loewner matrices of the sets
+    pts (..., n) without a derivative: each set, then each point plus and
+    minus its central-difference step."""
+    step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
+    return np.concatenate((pts, pts + step, pts - step), axis=-1)
+
+
+def _loewner_stack(pts: np.ndarray, values: np.ndarray, derivative):
+    """Loewner matrices and entrywise rounding bounds (see loewner_matrix) of
+    the point sets pts (..., n), from the values of f at
+    _evaluation_points(pts) when derivative is None, else from the values
+    of f and of its derivative at pts."""
+    if derivative is None:
         step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
-        fx, up, down = _evaluate(f, np.concatenate((pts, pts + step, pts - step))).reshape(3, -1)
+        fx, up, down = np.moveaxis(values.reshape(*pts.shape[:-1], 3, pts.shape[-1]), -2, 0)
         diag = (up - down) / (2.0 * step)
         diag_err = _ULPS * _EPS * (np.abs(up) + np.abs(down)) / step
-    diff_x = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff_x, 1.0)
-    out = (fx[:, None] - fx[None, :]) / diff_x
-    np.fill_diagonal(out, diag)
-    out = 0.5 * (out + out.T)
-    if not with_error:
-        return out
+    else:
+        fx, diag = values, derivative
+        diag_err = _ULPS * _EPS * np.abs(diag)
+    on_diag = np.arange(pts.shape[-1])
+    diff_x = pts[..., :, None] - pts[..., None, :]
+    diff_x[..., on_diag, on_diag] = 1.0
+    out = (fx[..., :, None] - fx[..., None, :]) / diff_x
+    out[..., on_diag, on_diag] = diag
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
     abs_fx = np.abs(fx)
-    err = _ULPS * _EPS * (abs_fx[:, None] + abs_fx[None, :]) / np.abs(diff_x)
-    np.fill_diagonal(err, diag_err)
+    err = _ULPS * _EPS * (abs_fx[..., :, None] + abs_fx[..., None, :]) / np.abs(diff_x)
+    err[..., on_diag, on_diag] = diag_err
     return out, err
 
 
-def _difference_rounding_bound(a: np.ndarray, b: np.ndarray,
-                               lhs: np.ndarray, rhs: np.ndarray) -> float:
+def _resolve(count: int, phases, skips: tuple):
+    """Per item, whether its evaluations of f succeeded, and its fault.
+
+    phases lists, in the order the one-item-at-a-time check evaluates them,
+    pairs (errors, finite): errors from _evaluate_sets (None when none
+    failed) and finite, when given, whether the values came out finite. The
+    first phase with an error, or with non-finite values, ends an item: an
+    error in skips or a non-finite value makes it skipped, any other error
+    its fault, which the caller raises if no earlier item decides first.
+    Returns (usable mask, faults: per item an exception or None).
+    """
+    usable = np.ones(count, dtype=bool)
+    faults = [None] * count
+    for errors, finite in phases:
+        for i, err in enumerate(errors or ()):
+            if err is not None and usable[i]:
+                usable[i] = False
+                if not isinstance(err, skips):
+                    faults[i] = err
+        if finite is not None:
+            usable &= finite
+    return usable, faults
+
+
+def _first_hit(hits: np.ndarray, faults: list, trial: np.ndarray):
+    """(item, trials examined) of the earliest refutation or fault, items
+    ordered by their trial numbers; (None, 0) when there is none."""
+    hits = hits | np.array([e is not None for e in faults], dtype=bool)
+    if not hits.any():
+        return None, 0
+    candidates = np.flatnonzero(hits)
+    item = int(candidates[np.argmin(trial[candidates])])
+    if faults[item] is not None:
+        raise faults[item]
+    return item, int(trial[item]) + 1
+
+
+def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
+                               lhs: np.ndarray, rhs: np.ndarray):
     """Bound on the eigenvalue error of the computed difference rhs - lhs.
 
-    lhs and rhs are built from means of the SPD pair (a, b), whose spectra
-    all lie in the joint spectral range of a and b; the congruences by
-    square roots that evaluate them lose at most about n * eps * kappa
-    relative, kappa being the joint condition number. With _ULPS ulps per
-    value the computed difference is off by at most
+    lhs and rhs are built from means of the SPD pair (a, b) with ascending
+    spectra spec_a and spec_b (those validation computed); the means'
+    spectra all lie in the joint spectral range of a and b, and the
+    congruences by square roots that evaluate them lose at most about
+    n * eps * kappa relative, kappa being the joint condition number. With
+    _ULPS ulps per value the computed difference is off by at most
     _ULPS * n * eps * kappa * (||lhs||_F + ||rhs||_F), and by Weyl's
-    inequality so is each of its eigenvalues.
+    inequality so is each of its eigenvalues. Stacks of pairs give a (k,)
+    array of bounds.
     """
-    spec_a = _eigh(a, vectors=False)
-    spec_b = _eigh(b, vectors=False)
-    kappa = max(spec_a[-1], spec_b[-1]) / min(spec_a[0], spec_b[0])
-    scale = float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs))
-    return _ULPS * a.shape[0] * _EPS * float(kappa) * scale
+    kappa = (np.maximum(spec_a[..., -1], spec_b[..., -1])
+             / np.minimum(spec_a[..., 0], spec_b[..., 0]))
+    scale = _frobenius(lhs) + _frobenius(rhs)
+    return _ULPS * lhs.shape[-1] * _EPS * kappa * scale
 
 
 @dataclass(frozen=True)
@@ -193,24 +266,80 @@ class MonoConfig:
                 raise StructuralError(f"bad grid {grid!r}: need 0 < lo < hi and count >= 2")
 
 
-def _structured_point_sets(config: MonoConfig):
-    for lo, hi, count in config.grids:
-        yield np.logspace(np.log10(lo), np.log10(hi), int(count))
-    for anchor in (1e-2, 1.0, 1e2):
-        yield anchor * (1.0 + 1e-3 * np.arange(6))
+def _point_set_stages(config: MonoConfig):
+    """The sampler's point sets in trial order, in three stages: the
+    configured grids, the other structured sets (tight clusters and
+    near-collision sets), then config.trials random log-uniform sets."""
+    yield [np.logspace(np.log10(lo), np.log10(hi), int(count))
+           for lo, hi, count in config.grids]
+    structured = [anchor * (1.0 + 1e-3 * np.arange(6)) for anchor in (1e-2, 1.0, 1e2)]
     for x in np.logspace(-3, 3, 13):
-        yield np.array([x, x * (1.0 + _NEAR_COLLISION)])
-        yield np.array([x / 10.0, x, x * (1.0 + _NEAR_COLLISION), x * 10.0])
+        structured.append(np.array([x, x * (1.0 + _NEAR_COLLISION)]))
+        structured.append(np.array([x / 10.0, x, x * (1.0 + _NEAR_COLLISION), x * 10.0]))
+    yield structured
+    rng = np.random.default_rng(config.seed)
+    log_lo, log_hi = np.log(1e-3), np.log(1e3)
+    drawn = []
+    for _ in range(config.trials):
+        size = int(rng.choice(config.sizes))
+        pts = np.unique(np.exp(rng.uniform(log_lo, log_hi, size)))
+        if pts.size >= 2:
+            drawn.append(pts)
+    yield drawn
 
 
-def _loewner_witness(pts, f, fprime, tol) -> Optional[LoewnerWitness]:
-    mat, err = loewner_matrix(pts, f, fprime, with_error=True)
-    if not np.all(np.isfinite(mat)):
-        raise DomainError("function not finitely evaluable on point set")
-    min_eig, norm = min_eig_and_norm(mat)
-    if min_eig < -(tol * norm + float(np.linalg.norm(err))):
-        return LoewnerWitness(tuple(float(x) for x in pts), min_eig, norm)
-    return None
+def _first_loewner_witness(sets: list, f, fprime, tol: float):
+    """(witness, sets examined) for the point sets in trial order, with f
+    (and fprime) called once over the points of all sets.
+
+    Sets are grouped by size, each group's Loewner matrices decomposed as
+    one stack. A set is skipped when f raises one of _SET_SKIPS on it or a
+    value or matrix entry is not finite: fast-growing or partial functions
+    may not evaluate on a far-out set, and a violation shows up on smaller
+    points. The earliest refuting set wins, unless an earlier set's f
+    raised another error, which propagates.
+    """
+    if not sets:
+        return None, 0
+    sizes = np.array([p.size for p in sets])
+    groups = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    pts = [np.array([sets[i] for i in idx]) for idx in groups]
+    trial = np.concatenate(groups)
+    rows = pts if fprime is not None else [_evaluation_points(p) for p in pts]
+    x = np.concatenate([r.ravel() for r in rows])
+    lengths = np.concatenate([np.full(len(r), r.shape[-1]) for r in rows])
+    values, errors = _evaluate_sets(f, x, lengths)
+    phases = [(errors, None)]
+    finite = np.isfinite(values)
+    if fprime is not None:
+        derivs, d_errors = _evaluate_sets(fprime, x, lengths)
+        phases.append((d_errors, None))
+        finite &= np.isfinite(derivs)
+    starts = np.cumsum(lengths) - lengths
+    phases.append((None, np.logical_and.reduceat(finite, starts)))
+    usable, faults = _resolve(len(sets), phases, _SET_SKIPS)
+
+    refuted = np.zeros(len(sets), dtype=bool)
+    min_eig, norm = np.zeros(len(sets)), np.zeros(len(sets))
+    row = offset = 0
+    for p, r in zip(pts, rows):
+        first_row, block = row, slice(offset, offset + r.size)
+        row, offset = row + len(r), offset + r.size
+        ok = np.flatnonzero(usable[first_row:row])
+        deriv = None if fprime is None else derivs[block].reshape(r.shape)[ok]
+        mat, err = _loewner_stack(p[ok], values[block].reshape(r.shape)[ok], deriv)
+        bounded = np.all(np.isfinite(mat), axis=(-2, -1))
+        if not bounded.any():
+            continue
+        ok = first_row + ok[bounded]
+        lo, fro = min_eig_and_norm(mat[bounded])
+        refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
+        min_eig[ok], norm[ok] = lo, fro
+    item, examined = _first_hit(refuted, faults, trial)
+    if item is None:
+        return None, len(sets)
+    return LoewnerWitness(tuple(float(v) for v in sets[trial[item]]),
+                          float(min_eig[item]), float(norm[item])), examined
 
 
 def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
@@ -222,33 +351,15 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     lies below -(config.tol * ||L||_F + rounding bound), the bound assuming
     f accurate to _ULPS ulps; a consistent verdict means no refutation was
     found, not a proof of monotonicity. f and fprime may take arrays or
-    scalars only, as in loewner_matrix.
+    scalars only, as in loewner_matrix; f is called once over the points of
+    all sets of a stage (the grids, the other structured sets, the random
+    sets), and the verdict and trials_run are those of checking the sets
+    one at a time.
     """
     trials_run = 0
-
-    def check(pts):
-        # fast-growing or partial functions may not evaluate on a far-out
-        # point set; skip that set, a violation shows up on smaller points
-        try:
-            return _loewner_witness(pts, f, fprime, config.tol)
-        except (DomainError, OverflowError, ValueError, ZeroDivisionError):
-            return None
-
-    for pts in _structured_point_sets(config):
-        trials_run += 1
-        witness = check(pts)
-        if witness is not None:
-            return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
-
-    rng = np.random.default_rng(config.seed)
-    log_lo, log_hi = np.log(1e-3), np.log(1e3)
-    for _ in range(config.trials):
-        size = int(rng.choice(config.sizes))
-        pts = np.unique(np.exp(rng.uniform(log_lo, log_hi, size)))
-        if pts.size < 2:
-            continue
-        trials_run += 1
-        witness = check(pts)
+    for sets in _point_set_stages(config):
+        witness, examined = _first_loewner_witness(sets, f, fprime, config.tol)
+        trials_run += examined
         if witness is not None:
             return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
     return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
@@ -266,7 +377,10 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     difference has min eigenvalue below -(tol * max(1, norm) + E), E the
     rounding bound of _difference_rounding_bound. For operator monotone f no
     witness exists; for many non-monotone f a 2x2 witness appears quickly.
-    f may take arrays or scalars only, as in apply_spectral_function.
+    f may take arrays or scalars only, as in apply_spectral_function. The
+    trials of each size run as stacks of _TRANSFER_BLOCK pairs, and f is
+    called once on the eigenvalues of all means of a stack; trials_run and
+    the witness are those of running the trials one at a time.
     """
     rep_s = representing_function(sigma)
     rep_t = representing_function(tau)
@@ -284,27 +398,49 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
                 (3, int(np.ceil(trials * 0.25)))]
     schedule.append((4, max(0, trials - schedule[0][1] - schedule[1][1])))
 
-    def gap(a, b):
-        spectrum = RelativeSpectrum(a, b)
-        lhs = apply_spectral_function(mean_from_spectrum(spectrum, rep_s), f)
-        rhs = apply_spectral_function(mean_from_spectrum(spectrum, rep_t), f)
-        return (*min_eig_and_norm(rhs - lhs),
-                _difference_rounding_bound(a, b, lhs, rhs))
-
     trials_run = 0
     for n, count in schedule:
-        for _ in range(count):
-            trials_run += 1
-            a = random_spd_from(rng, n, cond_cap=50.0).entries
-            b = random_spd_from(rng, n, cond_cap=50.0).entries
-            try:
-                min_eig, norm, bound = gap(a, b)
-            except (DomainError, OverflowError, ValueError, ZeroDivisionError):
-                continue
-            if min_eig < -(tol * max(1.0, norm) + bound):
-                witness = TransferWitness(a, b, min_eig, norm)
+        for start in range(0, count, _TRANSFER_BLOCK):
+            witness, examined = _first_transfer_witness(
+                rng, n, min(_TRANSFER_BLOCK, count - start), f, rep_s, rep_t, tol)
+            trials_run += examined
+            if witness is not None:
                 return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
     return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
+
+
+def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float):
+    """(witness, trials examined) for the next size random n x n pairs, run
+    as one stack, with f called once on the eigenvalues of all their means.
+
+    A pair is skipped when f raises one of _PAIR_SKIPS on the spectrum of
+    either mean or gives a non-finite value there, as apply_spectral_function
+    would report it; the earliest refuting pair wins, unless f raised
+    another error on an earlier pair, which propagates.
+    """
+    mats = _random_spd_stack(rng, 2 * size, n, 50.0)
+    spectra = _pd_spectrum(mats)
+    a, b = mats[0::2], mats[1::2]
+    spectrum = RelativeSpectrum(a, b)
+    means = sym_eigendecompose(np.concatenate((mean_from_spectrum(spectrum, rep_s),
+                                               mean_from_spectrum(spectrum, rep_t))))
+    values, errors = _evaluate_sets(f, means.eigenvalues.ravel(), np.full(2 * size, n))
+    values = values.reshape(2 * size, n)
+    finite = np.all(np.isfinite(values), axis=-1)
+    lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
+    usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])],
+                              _PAIR_SKIPS)
+    # skipped pairs get harmless values and their margins are ignored
+    images = means.apply(np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
+    lhs, rhs = images[:size], images[size:]
+    min_eig, norm = min_eig_and_norm(rhs - lhs)
+    bound = _difference_rounding_bound(spectra[0::2], spectra[1::2], lhs, rhs)
+    refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
+    item, examined = _first_hit(refuted, faults, np.arange(size))
+    if item is None:
+        return None, size
+    return TransferWitness(a[item].copy(), b[item].copy(),
+                           float(min_eig[item]), float(norm[item])), examined
 
 
 @dataclass(frozen=True)
@@ -392,15 +528,15 @@ def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChai
     # eigenbasis.  Subtracting two separately congruated means instead would
     # swamp tight links (the Heinz-Heron gap is quartic in the spectral
     # spread) with absolute rounding noise; this way the error stays
-    # relative to the difference itself, ~ n*eps*cond(a).
-    links = []
-    for name, lo_v, hi_v in (("harmonic<=heinz", harm_v, heinz_v),
-                             ("geometric<=heinz", geo_v, heinz_v),
-                             ("heinz<=heron", heinz_v, heron_v),
-                             ("heron<=arithmetic", heron_v, arith_v),
-                             ("heinz<=arithmetic", heinz_v, arith_v)):
-        min_eig, norm = min_eig_and_norm(spectrum.congruate(hi_v - lo_v))
-        links.append(LinkMargin(name, min_eig, norm))
+    # relative to the difference itself, ~ n*eps*cond(a).  The five gaps
+    # congruate and decompose as one stack.
+    names = ("harmonic<=heinz", "geometric<=heinz", "heinz<=heron",
+             "heron<=arithmetic", "heinz<=arithmetic")
+    gaps = np.stack((heinz_v - harm_v, heinz_v - geo_v, heron_v - heinz_v,
+                     arith_v - heron_v, arith_v - heinz_v))
+    min_eig, norm = min_eig_and_norm(spectrum.congruate(gaps))
+    links = [LinkMargin(name, float(lo), float(size))
+             for name, lo, size in zip(names, min_eig, norm)]
 
     comm_norm = float(np.linalg.norm(am @ bm - bm @ am))
     scale = max(float(np.linalg.norm(am)) * float(np.linalg.norm(bm)), 1e-300)

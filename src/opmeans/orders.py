@@ -37,8 +37,8 @@ from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     representing_function)
 from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling,
                         _difference_rounding_bound, is_operator_monotone_sampled)
-from .spd import (RelativeSpectrum, matrix_to_json_dict, min_eig_and_norm,
-                  random_spd_from)
+from .spd import (RelativeSpectrum, _pd_spectrum, _random_spd_stack,
+                  matrix_to_json_dict, min_eig_and_norm)
 
 DIRECTION_UP = "non-decreasing"
 DIRECTION_DOWN = "non-increasing"
@@ -253,33 +253,27 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     violation is any pair whose difference has min eigenvalue below
     -(tol * max(1, norm) + E), E the bound on the eigenvalue error of the
     computed difference from monocheck._difference_rounding_bound. The
-    returned margin is the worst normalized eigenvalue seen.
+    returned margin is the worst normalized eigenvalue seen. All trials run
+    as one stack of pairs.
     """
     _check_sampling(trials, seed, tol)
     f_sigma = representing_function(sigma)
     g_tau = representing_function(tau)
     g_perp = dagger(g_tau)
-
-    def margin(a, b):
-        spectrum = RelativeSpectrum(a, b)
-        mixed_lo = mean_from_spectrum(spectrum, g_tau)
-        mixed_hi = mean_from_spectrum(spectrum, g_perp)
-        lhs = eval_mean_from_function(mixed_lo, mixed_hi, f_sigma)
-        rhs = mean_from_spectrum(spectrum, f_sigma)
-        return (*min_eig_and_norm(rhs - lhs),
-                _difference_rounding_bound(a.entries, b.entries, lhs, rhs))
-
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = []
-    for _ in range(trials):
-        a = random_spd_from(rng, n, cond_cap=50.0)
-        b = random_spd_from(rng, n, cond_cap=50.0)
-        min_eig, norm, bound = margin(a, b)
-        worst = min(worst, min_eig / max(1.0, norm))
-        if min_eig < -(tol * max(1.0, norm) + bound):
-            violations.append(KaViolation(a, b, min_eig, norm))
-    if math.isinf(worst):
-        worst = 0.0
+    if not trials:
+        return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
+    mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)
+    spectra = _pd_spectrum(mats)
+    a, b = mats[0::2], mats[1::2]
+    spectrum = RelativeSpectrum(a, b)
+    mixed_lo = mean_from_spectrum(spectrum, g_tau)
+    mixed_hi = mean_from_spectrum(spectrum, g_perp)
+    lhs = eval_mean_from_function(mixed_lo, mixed_hi, f_sigma)
+    rhs = mean_from_spectrum(spectrum, f_sigma)
+    min_eig, norm = min_eig_and_norm(rhs - lhs)
+    bound = _difference_rounding_bound(spectra[0::2], spectra[1::2], lhs, rhs)
+    violated = np.flatnonzero(min_eig < -(tol * np.maximum(1.0, norm) + bound))
+    violations = tuple(KaViolation(a[i].copy(), b[i].copy(), float(min_eig[i]), float(norm[i]))
+                       for i in violated)
     return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,
-                    worst, tuple(violations))
+                    float(np.min(min_eig / np.maximum(1.0, norm))), violations)

@@ -10,6 +10,13 @@ Every operator mean of a pair (P, Q) is a spectral function of the relative
 spectrum Z = P^{-1/2} Q P^{-1/2}, congruated back by P^{1/2}. RelativeSpectrum
 decomposes a pair once; the means, the inverse solvers, the chain builder and
 the sampled checks all go through it.
+
+The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
+min_eig_and_norm and RelativeSpectrum take a (k, n, n) stack of matrices as
+well as one (n, n) matrix, through the same code: numpy's eigh, eigvalsh, qr
+and @ act on the last two axes, and on this build give each matrix of a stack
+bitwise the result of a call on that matrix alone. The sampled checks run
+their trials through them as stacks.
 """
 from __future__ import annotations
 
@@ -24,13 +31,15 @@ SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
 
 
-def _as_array(m, name: str = "matrix") -> np.ndarray:
+def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """m as a float array: one square matrix, or with stack a (k, n, n) stack."""
     if isinstance(m, SpdMatrix):
         return m.entries
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise StructuralError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
+        shape = "square 2-d array or a (k, n, n) stack" if stack else "square 2-d array"
+        raise StructuralError(f"{name} must be a {shape}, got shape {a.shape}")
+    if a.shape[-1] == 0:
         raise StructuralError(f"{name} must have at least one row")
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
@@ -38,28 +47,51 @@ def _as_array(m, name: str = "matrix") -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2."""
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_RTOL * scale:
-        raise StructuralError(
-            f"{name} is not symmetric: max |M - M^T| = {asym:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
+    """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2.
+
+    A stack is checked matrix by matrix, each against its own norm; exactly
+    symmetric input, the common case, needs no norm.
+    """
+    asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
+    if asym.any():
+        bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
+        if bad.any():
+            raise StructuralError(
+                f"{name} is not symmetric: max |M - M^T| = {float(np.max(asym[bad])):.3e} "
+                f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
     return _symmetrize(a)
 
 
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _transpose(a))
+
+
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack.
+
+    Each norm is sqrt(x @ x) over the matrix's entries in row order, the
+    arithmetic of np.linalg.norm(matrix), so a stacked norm is bitwise the
+    norm of that matrix alone; np.linalg.norm(stack, axis=(-2, -1)) and
+    einsum sum in other orders and are not.
+    """
+    rows = a.reshape(a.shape[:-2] + (1, -1))
+    return np.sqrt((rows @ _transpose(rows))[..., 0, 0])
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):
     """The package's one symmetric eigensolver: LAPACK through numpy.
 
     Returns ascending eigenvalues w, or (w, V) with a = V diag(w) V^T when
-    vectors is true. The solver is normwise backward stable, so each
-    eigenvalue is within a small multiple of n * eps * ||a||_2 of the exact
-    one. Non-finite input (an overflowed difference or symmetrization) and
-    LAPACK failures raise ConditioningError instead of returning NaN.
+    vectors is true; for a (k, n, n) stack, w is (k, n) and V is (k, n, n),
+    each bitwise what the matrix alone would give. The solver is normwise
+    backward stable, so each eigenvalue is within a small multiple of
+    n * eps * ||a||_2 of the exact one. Non-finite input (an overflowed
+    difference or symmetrization) and LAPACK failures raise
+    ConditioningError instead of returning NaN.
     """
     if not np.all(np.isfinite(a)):
         raise ConditioningError(
@@ -72,7 +104,10 @@ def _eigh(a: np.ndarray, vectors: bool = True):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (non-ascending) and an orthonormal eigenbasis (columns)."""
+    """Eigenvalues (non-ascending) and an orthonormal eigenbasis (columns).
+
+    For a stack, eigenvalues is (k, n) and basis is (k, n, n).
+    """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -86,9 +121,13 @@ class SpectralDecomposition:
         object.__setattr__(self, "basis", u)
 
     def apply(self, values) -> np.ndarray:
-        """Assemble U diag(values) U^T."""
+        """Assemble U diag(values) U^T.
+
+        values may carry leading axes, (k, n) for a stack or for k value sets
+        on one basis; the result is then a (k, n, n) stack.
+        """
         vals = np.asarray(values, dtype=float)
-        return _symmetrize((self.basis * vals) @ self.basis.T)
+        return _symmetrize((self.basis * vals[..., None, :]) @ _transpose(self.basis))
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(self.eigenvalues)
@@ -99,13 +138,22 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
 
     Eigenvalues come back non-ascending. Eigenvector signs are fixed by making
     the largest-magnitude component of each column positive, so repeated calls
-    on equal input give identical output.
+    on equal input give identical output. A (k, n, n) stack is decomposed
+    matrix by matrix in one call.
     """
-    a = _require_symmetric(_as_array(m), "matrix")
+    return _eigendecompose(_require_symmetric(_as_array(m, stack=True), "matrix"))
+
+
+def _eigendecompose(a: np.ndarray) -> SpectralDecomposition:
+    """sym_eigendecompose of an array the package built symmetric itself."""
     w, v = _eigh(a)
-    w, v = w[::-1], v[:, ::-1]
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    v = v * np.where(lead < 0.0, -1.0, 1.0)
+    w, v = w[..., ::-1], v[..., ::-1]
+    # the largest-magnitude entry of each column, gathered from the columns
+    # laid out as rows
+    row = np.abs(v).argmax(axis=-2)
+    columns = _transpose(v).reshape(-1, v.shape[-1])
+    lead = columns[np.arange(len(columns)), row.ravel()].reshape(row.shape)
+    v = v * np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
     return SpectralDecomposition(eigenvalues=w, basis=v)
 
 
@@ -122,13 +170,7 @@ class SpdMatrix:
 
     def __post_init__(self):
         a = _require_symmetric(_as_array(self.entries, "SpdMatrix"), "SpdMatrix")
-        w = _eigh(a, vectors=False)
-        floor = PD_FLOOR_RTOL * float(np.linalg.norm(a))
-        lam_min = float(np.min(w))
-        if lam_min <= floor:
-            raise StructuralError(
-                f"matrix is not positive definite within tolerance: smallest "
-                f"eigenvalue {lam_min:.6e} is below the floor {floor:.6e}")
+        _pd_spectrum(a)
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -147,6 +189,24 @@ class SpdMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpdMatrix":
         return cls(matrix_from_json_dict(data))
+
+
+def _pd_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric a, (n, n) or (k, n, n).
+
+    Raises StructuralError unless the smallest eigenvalue of every matrix
+    exceeds PD_FLOOR_RTOL * ||M||_F.
+    """
+    w = _eigh(a, vectors=False)
+    floor = PD_FLOOR_RTOL * _frobenius(a)
+    bad = w[..., 0] <= floor
+    if bad.any():
+        first = np.argmax(np.ravel(bad))
+        lam_min, floor = np.ravel(w[..., 0])[first], np.ravel(floor)[first]
+        raise StructuralError(
+            f"matrix is not positive definite within tolerance: smallest "
+            f"eigenvalue {lam_min:.6e} is below the floor {floor:.6e}")
+    return w
 
 
 def as_spd(m, name: str = "matrix") -> SpdMatrix:
@@ -191,6 +251,35 @@ def _evaluate(g, x: np.ndarray) -> np.ndarray:
         return np.array([float(g(v)) for v in x.tolist()])
 
 
+def _evaluate_sets(g, x: np.ndarray, lengths):
+    """g at the 1-d float array x, which holds consecutive point sets of the
+    given lengths: one call on all of x, or, when that raises or returns the
+    wrong shape, _evaluate on each set as if called on that set alone.
+
+    Returns (values, errors). errors is None after the one call; otherwise it
+    holds per set the exception _evaluate raised on it, or None. That error is
+    kept, not raised, so the caller can raise it when its set is reached; a
+    failed set's values are NaN.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(g(x), dtype=float)
+            if out.shape == x.shape:
+                return out, None
+        except Exception:
+            pass
+    out = np.full(x.shape, np.nan)
+    errors = []
+    cuts = np.cumsum(lengths)[:-1]
+    for part, vals in zip(np.split(x, cuts), np.split(out, cuts)):
+        try:
+            vals[:] = _evaluate(g, part)
+            errors.append(None)
+        except Exception as exc:
+            errors.append(exc)
+    return out, errors
+
+
 def apply_spectral_function(m, g) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its eigenvalues.
 
@@ -222,14 +311,18 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
         raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
     d = _symmetrize(bm - am)
     w = _eigh(d, vectors=False)
-    return float(np.min(w)) >= -tol * max(1.0, float(np.linalg.norm(d)))
+    return float(w[0]) >= -tol * max(1.0, float(_frobenius(d)))
 
 
-def min_eig_and_norm(a) -> tuple[float, float]:
-    """Smallest eigenvalue and Frobenius norm of a symmetric matrix."""
-    m = _symmetrize(_as_array(a))
-    w = _eigh(m, vectors=False)
-    return float(np.min(w)), float(np.linalg.norm(m))
+def min_eig_and_norm(a):
+    """Smallest eigenvalue and Frobenius norm of a symmetric matrix.
+
+    Two floats for one matrix; for a (k, n, n) stack two (k,) arrays, from
+    one eigvalsh call, each entry bitwise the value of its matrix alone.
+    """
+    m = _symmetrize(_as_array(a, stack=True))
+    lo, norm = _eigh(m, vectors=False)[..., 0], _frobenius(m)
+    return (float(lo), float(norm)) if m.ndim == 2 else (lo, norm)
 
 
 def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
@@ -250,22 +343,24 @@ class RelativeSpectrum:
     Holds P^{1/2} and the eigendecomposition of Z, so any number of spectral
     functions g of one pair cost a single decomposition each way:
     congruate(g(eigenvalues)) = P^{1/2} g(Z) P^{1/2}. congruate(ones) is P
-    and congruate(eigenvalues) is Q.
+    and congruate(eigenvalues) is Q. P and Q may be (k, n, n) stacks of k
+    pairs; eigenvalues is then (k, n) and congruate maps (k, n) values to a
+    (k, n, n) stack, each matrix bitwise that of its pair alone.
     """
 
     root: np.ndarray
     decomposition: SpectralDecomposition
 
     def __init__(self, p, q):
-        pm = _as_array(p, "P")
-        qm = _as_array(q, "Q")
+        pm = _as_array(p, "P", stack=True)
+        qm = _as_array(q, "Q", stack=True)
         if pm.shape != qm.shape:
             raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
         root, inv_root = sqrt_pair(pm)
         root.setflags(write=False)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "decomposition",
-                           sym_eigendecompose(_symmetrize(inv_root @ qm @ inv_root)))
+                           _eigendecompose(_symmetrize(inv_root @ qm @ inv_root)))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -273,13 +368,22 @@ class RelativeSpectrum:
         return self.decomposition.eigenvalues
 
     @property
-    def condition(self) -> float:
-        """Largest over smallest eigenvalue of Z; inf when the smallest is <= 0."""
-        lo = float(self.eigenvalues[-1])
-        return float(self.eigenvalues[0]) / lo if lo > 0.0 else math.inf
+    def condition(self):
+        """Largest over smallest eigenvalue of Z; inf when the smallest is <= 0.
+
+        A float, or for a stack a (k,) array.
+        """
+        lo, hi = self.eigenvalues[..., -1], self.eigenvalues[..., 0]
+        if lo.ndim == 0:
+            return float(hi) / float(lo) if lo > 0.0 else math.inf
+        return np.divide(hi, lo, out=np.full(lo.shape, math.inf), where=lo > 0.0)
 
     def congruate(self, values) -> np.ndarray:
-        """P^{1/2} U diag(values) U^T P^{1/2}, U the eigenbasis of Z."""
+        """P^{1/2} U diag(values) U^T P^{1/2}, U the eigenbasis of Z.
+
+        values (..., n) with leading axes gives a stack: with one pair, k
+        value sets congruate to k matrices.
+        """
         return _symmetrize(self.root @ self.decomposition.apply(values) @ self.root)
 
 
@@ -290,14 +394,30 @@ def random_spd(n: int, cond_cap: float = 100.0, seed: int = 0) -> SpdMatrix:
 
 def random_spd_from(rng: np.random.Generator, n: int, cond_cap: float = 100.0) -> SpdMatrix:
     """Draw a random SPD matrix from an existing generator stream."""
+    return SpdMatrix(_random_spd_stack(rng, 1, n, cond_cap)[0])
+
+
+def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
+                      cond_cap: float) -> np.ndarray:
+    """count random SPD matrices as a (count, n, n) stack, not yet validated.
+
+    The draws from rng are those of count successive random_spd_from calls,
+    and matrix k is bitwise the entries of the k-th call's SpdMatrix.
+    Validate the stack as one with _pd_spectrum, as SpdMatrix does.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise StructuralError(f"matrix size must be a positive integer, got {n!r}")
     if not (cond_cap >= 1.0):
         raise StructuralError(f"condition cap must be >= 1, got {cond_cap!r}")
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    q = q * np.where(d >= 0.0, 1.0, -1.0)
+    g = np.empty((count, n, n))
     # eigenvalues log-uniform in [1, cond_cap] keeps the condition number capped
-    lam = np.exp(rng.uniform(0.0, math.log(cond_cap), size=n)) if cond_cap > 1.0 else np.ones(n)
-    return SpdMatrix(_symmetrize((q * lam) @ q.T))
+    log_lam = np.zeros((count, n))
+    for k in range(count):
+        g[k] = rng.standard_normal((n, n))
+        if cond_cap > 1.0:
+            log_lam[k] = rng.uniform(0.0, math.log(cond_cap), size=n)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
+    lam = np.exp(log_lam) if cond_cap > 1.0 else np.ones((count, n))
+    return _symmetrize((q * lam[:, None, :]) @ _transpose(q))

@@ -210,6 +210,46 @@ def test_falsify_transfer_consistent_for_sqrt_and_identity():
     assert ident.status == "consistent"
 
 
+def test_skips_stay_per_point_set_inside_a_stage():
+    # the 1e-3..1e3 grid overflows math.expm1 and is skipped alone; the
+    # 1e-2..1e2 grid evaluated in the same call still refutes
+    verdict = is_operator_monotone_sampled(
+        lambda t: math.expm1(t) / math.expm1(1.0), config=MonoConfig(trials=60, seed=0))
+    assert verdict.status == "refuted" and verdict.trials_run == 2
+    assert verdict.witness.points == tuple(np.logspace(-2.0, 2.0, 13))
+    assert verdict.witness.min_eigenvalue == -2.424812263620341e+40
+    assert verdict.witness.matrix_norm == 1.5668483460335152e+43
+
+
+def test_fault_after_the_refuting_point_set_is_never_reached():
+    # both grids go to f in one call, but the second one's NameError comes
+    # after the first one's refutation in trial order, so it never surfaces
+    def f(t):
+        return t * t if t <= 1.0 else undefined_name  # noqa: F821
+
+    verdict = is_operator_monotone_sampled(
+        f, config=MonoConfig(grids=((1e-2, 0.5, 5), (1e-2, 1e2, 5))))
+    assert verdict.status == "refuted" and verdict.trials_run == 1
+
+
+@pytest.mark.parametrize("seed, trials_run, min_eig, diff_norm", [
+    (0, 5, -0.06418436289233664, 209.32260962027615),
+    (2, 52, -0.42765739086086896, 119.58454710517493)])
+def test_transfer_skips_only_the_pairs_where_f_fails(seed, trials_run, min_eig, diff_norm):
+    # f fails on the eigenvalues of some pairs of a stack: those pairs are
+    # skipped, and trials_run and the witness are those of one pair at a time
+    def square_below_20(t):
+        if t > 20.0:
+            raise ValueError("outside the domain")
+        return t * t
+
+    verdict = falsify_transfer(square_below_20, MeanDescriptor.geometric(),
+                               MeanDescriptor.arithmetic(), trials=200, seed=seed)
+    assert verdict.status == "refuted" and verdict.trials_run == trials_run
+    assert verdict.witness.min_eigenvalue == min_eig
+    assert verdict.witness.diff_norm == diff_norm
+
+
 def test_falsify_transfer_propagates_faults_of_f():
     # a fault of f is not a point outside its domain: no trial may skip it
     with pytest.raises(NameError):
@@ -251,7 +291,8 @@ def test_transfer_rounding_bound_covers_computed_difference():
             exact = (spectral(mean(am, bm, lambda x: (1 + x) / 2), cube)
                      - spectral(mean(am, bm, mpmath.sqrt), cube))
             error = np.linalg.norm((rhs - lhs) - np.array(exact.tolist(), dtype=float))
-            assert error <= _difference_rounding_bound(a, b, lhs, rhs), k
+            spectra = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+            assert error <= _difference_rounding_bound(*spectra, lhs, rhs), k
 
 
 def test_inequality_chain_tight_when_equal():

@@ -529,6 +529,18 @@ def test_matrix_target_solvers_require_order():
         solve_geom_heinz_matrix(0.3, 2.0 * np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("solver", [solve_heinz_heron_matrix, solve_geom_heinz_matrix])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_matrix_target_order_check_is_scale_invariant(solver, scale):
+    # X <= Y is judged on the relative spectrum of (Y, X) alone, so the
+    # answer cannot depend on the scale of the pair
+    y = scale * np.eye(2)
+    w = solver(0.25, y * (1.0 + 5e-10), y)
+    assert w.residual_x <= 1e-9 and w.residual_y <= 1e-9
+    with pytest.raises(OrderError):
+        solver(0.25, y * (1.0 + 1e-8), y)
+
+
 def test_matrix_target_solvers_equal_targets():
     # the ratio map is quartically flat at equal targets, so the solved pair
     # is only determined to ~eps^(1/4); the targets themselves still

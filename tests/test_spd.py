@@ -15,7 +15,9 @@ from opmeans import (ConditioningError, DomainError, RelativeSpectrum, SpdMatrix
                      min_eig_and_norm, parse_function, random_spd, sqrt_pair,
                      sym_eigendecompose)
 from opmeans.jsonio import dumps, loads
-from opmeans.spd import random_spd_from
+from opmeans.monocheck import loewner_matrix
+from opmeans.spd import (_eigh, _frobenius, _pd_spectrum, _random_spd_stack,
+                         random_spd_from)
 
 EPS = np.finfo(float).eps
 
@@ -276,3 +278,44 @@ def test_eigensolver_is_called_only_inside_eigh():
             if hit not in allowed:
                 found.append(f"{path.name}:{hit}")
     assert found == [], f"eigensolver calls outside spd._eigh: {found}"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", [1, 7, 64])
+def test_stacked_primitives_match_each_matrix_alone_bitwise(k, n):
+    # the sampled checks run their trials as stacks; every verdict, witness
+    # and margin rests on each stacked result being that of its matrix alone
+    def same(stacked, singles):
+        return all(np.array_equal(x, y) for x, y in zip(stacked, singles, strict=True))
+
+    rng = np.random.default_rng(1000 * k + n)
+    a = _random_spd_stack(rng, k, n, 50.0)
+    b = _random_spd_stack(rng, k, n, 50.0)
+    loop = np.random.default_rng(1000 * k + n)
+    assert same(a, [random_spd_from(loop, n, 50.0).entries for _ in range(k)])
+    assert same(b, [random_spd_from(loop, n, 50.0).entries for _ in range(k)])
+    assert same(_pd_spectrum(a), [_eigh(m, vectors=False) for m in a])
+
+    d = b - a                                   # symmetric, indefinite
+    w, v = _eigh(d)
+    assert same(w, [_eigh(m)[0] for m in d]) and same(v, [_eigh(m)[1] for m in d])
+    dec = sym_eigendecompose(d)
+    assert same(dec.eigenvalues, [sym_eigendecompose(m).eigenvalues for m in d])
+    assert same(dec.basis, [sym_eigendecompose(m).basis for m in d])
+    lo, norm = min_eig_and_norm(d)
+    assert same(lo, [min_eig_and_norm(m)[0] for m in d])
+    assert same(norm, [min_eig_and_norm(m)[1] for m in d])
+    assert same(_frobenius(d), [np.linalg.norm(m) for m in d])
+
+    spectrum = RelativeSpectrum(a, b)
+    values = np.sqrt(spectrum.eigenvalues)
+    assert same(spectrum.congruate(values),
+                [RelativeSpectrum(x, y).congruate(g) for x, y, g in zip(a, b, values)])
+    one = RelativeSpectrum(a[0], b[0])           # k value sets on one pair
+    assert same(one.congruate(values), [one.congruate(g) for g in values])
+
+    points = np.sort(np.exp(rng.uniform(-3.0, 3.0, (k, n))), axis=-1)
+    for fprime in (None, lambda t: 0.5 / np.sqrt(t)):
+        mats, errs = loewner_matrix(points, np.sqrt, fprime, with_error=True)
+        singles = [loewner_matrix(p, np.sqrt, fprime, with_error=True) for p in points]
+        assert same(mats, [m for m, _ in singles]) and same(errs, [e for _, e in singles])
