@@ -15,7 +15,10 @@ Means are covariant under congruence, C (D1 sigma D2) C^T = (C D1 C^T)
 sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
 a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
 C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
-solved in one basis, and solve_matrix_pair is its one-link case v = 1.
+solved in one basis, and solve_matrix_pair is its one-link case v = 1. All
+the eigenvalue ratios of a chain (or of a pair) are inverted together, in one
+batched scan and bisection whose every realize-map call serves all of them,
+and all its link witnesses are re-evaluated as one (links, n, n) stack.
 
 Residuals are part of every witness: each solver re-evaluates its target
 equations and refuses to return silently inaccurate answers.
@@ -23,6 +26,7 @@ equations and refuses to return silently inaccurate answers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +41,13 @@ from .spd import RelativeSpectrum, as_spd, loewner_leq, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
+_BISECT_DEPTH = 6          # bisection steps per batched realize-map call
 _SCAN_PER_DECADE = 64
 _SCAN_MAX_DECADES = 40
+# scan points 10^(k/64), k = 0..2560, by Python's float power: numpy's
+# 10.0 ** arange(...) is an ulp off at some k
+_SCAN_GRID = np.array([10.0 ** (k / _SCAN_PER_DECADE)
+                       for k in range(_SCAN_PER_DECADE * _SCAN_MAX_DECADES + 1)])
 _EIG_CLAMP = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-7
 _SCALAR_RESIDUAL_TOL = 1e-10
@@ -89,13 +98,21 @@ class ScalarPairSolution:
         return {"x": self.x, "y": self.y, "c": self.c}
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
-    """Sign-based bisection of fn on [lo, hi]; fn(lo) and fn(hi) differ in sign."""
-    for _ in range(_BISECT_MAX_ITER):
+def _bisect(fn, lo: float, hi: float, f_lo: float, steps: int = 0):
+    """Sign-based bisection of fn on [lo, hi]; fn(lo) = f_lo and fn(hi) differ
+    in sign. Returns the root.
+
+    fn may answer None at a midpoint it cannot evaluate yet. The bisection
+    then pauses and returns its state (lo, hi, f_lo, steps), and
+    _bisect(fn, *state) resumes it exactly, under the same step cap.
+    """
+    for steps in range(steps, _BISECT_MAX_ITER):
         if hi - lo <= _BISECT_REL * max(1.0, abs(lo)):
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
+        if f_mid is None:
+            return lo, hi, f_lo, steps
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -107,6 +124,121 @@ def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
         f"{_BISECT_MAX_ITER} iterations")
 
 
+def _tree_gap(points: list, values: list, y0: float):
+    """The gap phi(t) - y0 for _bisect, read off one sorted row of midpoints
+    (points, with phi at its inner points in values); None off the row."""
+    def gap(mid):
+        k = bisect_left(points, mid)
+        return values[k - 1] - y0 if points[k] == mid else None
+    return gap
+
+
+def _clamped_target(y0, gamma: float) -> float:
+    """y0 checked against the realizable range of a realize map with limit
+    gamma and clamped into it: [1, gamma) when gamma > 1, (gamma, 1] when
+    gamma < 1, and 1 when the map is constant."""
+    y0 = float(y0)
+    if not math.isfinite(y0) or y0 <= 0.0:
+        raise StructuralError(f"target must be a positive real, got {y0!r}")
+    if gamma > 1.0:
+        if not 1.0 - _EIG_CLAMP <= y0 < gamma:
+            raise OutOfRangeError(
+                f"target {y0!r} outside the realizable range [1, gamma) with "
+                f"gamma = {gamma!r}")
+        return max(y0, 1.0)
+    if gamma < 1.0:
+        if not gamma < y0 <= 1.0 + _EIG_CLAMP:
+            raise OutOfRangeError(
+                f"target {y0!r} outside the realizable range (gamma, 1] with "
+                f"gamma = {gamma!r}")
+        return min(y0, 1.0)
+    if abs(y0 - 1.0) > _EIG_CLAMP:
+        raise OutOfRangeError(
+            f"target {y0!r} unrealizable: the mean of (t, 1/t) is "
+            f"constant (gamma = {gamma!r})")
+    return 1.0
+
+
+def _invert_realize(profile: PhiProfile, targets) -> list:
+    """invert_phi of every target of a list, in one batched pass.
+
+    Every target is range-checked and clamped first, in order. The scan then
+    calls realize_phi once per decade block of _SCAN_GRID for all targets not
+    yet bracketed. Each bisection round calls it once on the midpoint trees,
+    _BISECT_DEPTH levels deep, of all live brackets, and every bisection walks
+    its tree through _bisect, paused at the tree's leaves; as realize_phi is
+    bitwise the same on an array as on each point, every root is bitwise that
+    of its target alone. The first target, in order, whose inversion failed
+    raises its error.
+    """
+    phi, gamma = profile.realize_phi, profile.realize_gamma
+    ys = [_clamped_target(y0, gamma) for y0 in targets]
+    roots = [1.0 if y0 == 1.0 else None for y0 in ys]
+    errors: list = [None] * len(ys)
+
+    # scan: the first grid point where the gap phi(t) - y0 is zero or has
+    # changed sign since the previous point
+    live: dict = {}     # i -> the state (lo, hi, f_lo, steps) of bisection i
+    pending = [i for i, y0 in enumerate(ys) if y0 != 1.0]
+    for start in range(0, len(_SCAN_GRID) - 1, _SCAN_PER_DECADE):
+        if not pending:
+            break
+        grid = _SCAN_GRID[start:start + _SCAN_PER_DECADE + 1]
+        gaps = phi(grid)[None, :] - np.array([ys[i] for i in pending])[:, None]
+        hit = gaps == 0.0
+        hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
+        unbracketed = []
+        for i, g, k, found in zip(pending, gaps.tolist(), hit.argmax(axis=1).tolist(),
+                                  hit.any(axis=1).tolist()):
+            if not found:
+                unbracketed.append(i)
+            elif g[k] == 0.0:
+                roots[i] = float(grid[k])
+            else:
+                live[i] = (float(grid[k - 1]), float(grid[k]), g[k - 1], 0)
+        pending = unbracketed
+    for i in pending:
+        errors[i] = OutOfRangeError(
+            f"target {ys[i]!r} not reached by the realize map within the scan "
+            f"horizon (gamma = {gamma!r})")
+
+    # row r of tree holds the midpoints of the next _BISECT_DEPTH steps of the
+    # r-th live bisection: each level is 0.5 * (lo + hi) of the one above,
+    # _bisect's own midpoint, and every row is sorted
+    bisected = list(live)
+    width = 2 ** _BISECT_DEPTH
+    tree = np.empty((len(live), width + 1))
+    levels = [(tree[:, :-1:w], tree[:, w::w], tree[:, w // 2::w])
+              for w in (width >> d for d in range(_BISECT_DEPTH))]
+    while live:
+        m = len(live)
+        tree[:m, ::width] = [state[:2] for state in live.values()]
+        for lo, hi, mid in levels:
+            mid[...] = 0.5 * (lo + hi)
+        values = phi(tree[:m, 1:-1].ravel()).reshape(m, -1)
+        for i, points, row in zip(list(live), tree[:m].tolist(), values.tolist()):
+            try:
+                state = _bisect(_tree_gap(points, row, ys[i]), *live.pop(i))
+            except ConvergenceError as exc:
+                errors[i] = exc
+                continue
+            if isinstance(state, tuple):
+                live[i] = state
+            else:
+                roots[i] = state
+
+    checked = [i for i in bisected if errors[i] is None]
+    values = phi(np.array([roots[i] for i in checked])).tolist() if checked else []
+    for i, v in zip(checked, values):
+        if abs(v - ys[i]) > 1e-11 * max(1.0, abs(ys[i])):
+            errors[i] = ConvergenceError(
+                f"realize-map inversion inaccurate at target {ys[i]!r}")
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return roots
+
+
 def invert_phi(f: RepresentingFunction, y0: float,
                profile: Optional[PhiProfile] = None) -> float:
     """Smallest t in [1, inf) whose pair (t, 1/t) has mean value y0.
@@ -116,96 +248,51 @@ def invert_phi(f: RepresentingFunction, y0: float,
     (gamma > 1) and in (gamma, 1] when it decreases (gamma < 1), where gamma
     is the map's limit at infinity. When the map is merely surjective the
     returned preimage is the smallest one, found by a log-spaced scan for
-    the first crossing followed by bisection.
+    the first crossing followed by bisection. This is the one-target case of
+    the batched inversion that the pair and chain solvers run.
     """
     profile = profile if profile is not None else phi_profile(f)
-    phi = profile.realize_phi
-    gamma = profile.realize_gamma
-    y0 = float(y0)
-    if not math.isfinite(y0) or y0 <= 0.0:
-        raise StructuralError(f"target must be a positive real, got {y0!r}")
-
-    if gamma > 1.0:
-        if not 1.0 - _EIG_CLAMP <= y0 < gamma:
-            raise OutOfRangeError(
-                f"target {y0!r} outside the realizable range [1, gamma) with "
-                f"gamma = {gamma!r}")
-        y0 = max(y0, 1.0)
-    elif gamma < 1.0:
-        if not gamma < y0 <= 1.0 + _EIG_CLAMP:
-            raise OutOfRangeError(
-                f"target {y0!r} outside the realizable range (gamma, 1] with "
-                f"gamma = {gamma!r}")
-        y0 = min(y0, 1.0)
-    else:
-        if abs(y0 - 1.0) > _EIG_CLAMP:
-            raise OutOfRangeError(
-                f"target {y0!r} unrealizable: the mean of (t, 1/t) is "
-                f"constant (gamma = {gamma!r})")
-        y0 = 1.0
-
-    if y0 == 1.0:
-        return 1.0
-
-    def gap(t):
-        return float(phi(t)) - y0
-
-    g_lo = gap(1.0)
-    if g_lo == 0.0:
-        return 1.0
-    lo = 1.0
-    for k in range(1, _SCAN_PER_DECADE * _SCAN_MAX_DECADES + 1):
-        t = 10.0 ** (k / _SCAN_PER_DECADE)
-        g = gap(t)
-        if g == 0.0:
-            return t
-        if (g > 0.0) != (g_lo > 0.0):
-            root = _bisect(gap, lo, t, g_lo)
-            break
-        lo, g_lo = t, g
-    else:
-        raise OutOfRangeError(
-            f"target {y0!r} not reached by the realize map within the scan "
-            f"horizon (gamma = {gamma!r})")
-
-    if abs(float(phi(root)) - y0) > 1e-11 * max(1.0, abs(y0)):
-        raise ConvergenceError(
-            f"realize-map inversion inaccurate at target {y0!r}")
-    return root
+    return _invert_realize(profile, [y0])[0]
 
 
-def _pair_witness(spectrum: RelativeSpectrum, values_a, values_b,
-                  mean_x: MeanDescriptor, mean_y: MeanDescriptor, xa, ya) -> PairWitness:
-    """(A, B) = (congruate(values_a), congruate(values_b)) of spectrum, with both
-    target means re-evaluated on it from its own relative spectrum."""
-    mat_a, mat_b = spectrum.congruate(values_a), spectrum.congruate(values_b)
+def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
+                    mean_x: MeanDescriptor, mean_y: MeanDescriptor, xs, ys):
+    """Witnesses (A, B) = (congruate(values_a), congruate(values_b)) of spectrum
+    against the targets xs, ys: one PairWitness for (n,) values and (n, n)
+    targets, or a tuple of k for (k, n) values and (k, n, n) targets. Both
+    target means are re-evaluated on the pairs (as one stack) from their own
+    relative spectrum; the first pair that misses raises."""
+    mats_a, mats_b = spectrum.congruate(values_a), spectrum.congruate(values_b)
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
-    pair = RelativeSpectrum(mat_a, mat_b)
-    residual_x, residual_y = (
-        float(np.linalg.norm(mean_from_spectrum(pair, fn) - target) / np.linalg.norm(target))
-        for fn, target in ((fn_x, xa), (fn_y, ya)))
-    if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"pair solve residuals too large: {fn_x.label} {residual_x:.3e}, "
-            f"{fn_y.label} {residual_y:.3e}")
-    return PairWitness(mat_a, mat_b, residual_x, residual_y)
+    pairs = RelativeSpectrum(mats_a, mats_b)
+    means_x, means_y = (mean_from_spectrum(pairs, fn) for fn in (fn_x, fn_y))
+
+    def witness(mat_a, mat_b, got_x, want_x, got_y, want_y):
+        residual_x, residual_y = (
+            float(np.linalg.norm(got - want) / np.linalg.norm(want))
+            for got, want in ((got_x, want_x), (got_y, want_y)))
+        if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"pair solve residuals too large: {fn_x.label} {residual_x:.3e}, "
+                f"{fn_y.label} {residual_y:.3e}")
+        return PairWitness(mat_a, mat_b, residual_x, residual_y)
+
+    if mats_a.ndim == 2:
+        return witness(mats_a, mats_b, means_x, xs, means_y, ys)
+    return tuple(map(witness, mats_a, mats_b, means_x, xs, means_y, ys))
 
 
 def _realize_links(sigma: MeanDescriptor, profile: PhiProfile,
                    spectrum: RelativeSpectrum, nodes, targets) -> tuple:
     """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
-    targets[k], targets[k+1]; one memo of inversions serves every link."""
-    fn = representing_function(sigma)
-    inverse: dict = {}
-    witnesses = []
-    for lo, hi, x_k, y_k in zip(nodes, nodes[1:], targets, targets[1:]):
-        ratios = (hi / lo).tolist()
-        inverse.update({r: invert_phi(fn, r, profile)
-                        for r in dict.fromkeys(ratios) if r not in inverse})
-        deltas = np.array([inverse[r] for r in ratios])
-        witnesses.append(_pair_witness(spectrum, lo * deltas, lo / deltas,
-                                       MeanDescriptor.geometric(), sigma, x_k, y_k))
-    return tuple(witnesses)
+    targets[k], targets[k+1], for (links + 1, n) nodes and (links + 1, n, n)
+    targets: every distinct ratio of the chain is inverted in one pass."""
+    ratios = (nodes[1:] / nodes[:-1]).ravel().tolist()
+    distinct = list(dict.fromkeys(ratios))
+    inverse = dict(zip(distinct, _invert_realize(profile, distinct)))
+    deltas = np.reshape([inverse[r] for r in ratios], nodes[1:].shape)
+    return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
+                           MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
 
 
 def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
@@ -215,14 +302,15 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     sigma increases (gamma > 1), mirrored (gamma X < Y <= X) when it
     decreases. Spectrally inverts the realize map on X^{-1/2} Y X^{-1/2} and
     congruates back: A = X^{1/2} A0 X^{1/2}, B = X^{1/2} A0^{-1} X^{1/2}.
-    invert_phi checks each relative eigenvalue against that range.
+    Every relative eigenvalue is checked against that range, as invert_phi
+    checks its target, before any is inverted.
     """
     xa = as_spd(x, "X").entries
     ya = as_spd(y, "Y").entries
     spectrum = RelativeSpectrum(xa, ya)
     profile = phi_profile(representing_function(sigma))
-    nodes = (np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues)
-    return _realize_links(sigma, profile, spectrum, nodes, (xa, ya))[0]
+    nodes = np.stack([np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues])
+    return _realize_links(sigma, profile, spectrum, nodes, np.stack([xa, ya]))[0]
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -298,8 +386,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
         node_values.append(values.copy())
 
     # The last node is lams itself, also when no eigenvalue needs raising.
-    nodes = [np.ones_like(lams), *node_values[:-1], lams]
-    links = [xa.copy(), *(spectrum.congruate(v) for v in nodes[1:-1]), ya.copy()]
+    nodes = np.array([np.ones_like(lams), *node_values[:-1], lams])
+    links = np.concatenate([xa[None], spectrum.congruate(nodes[1:-1]), ya[None]])
     witnesses = _realize_links(sigma, profile, spectrum, nodes, links)
     return ChainWitness(tuple(links), gamma0, witnesses)
 
@@ -380,12 +468,12 @@ def invert_f_alpha(alpha: float, r: float) -> float:
         return (_logcosh(alpha * c) - _log_f_alpha_den(alpha, c)) - log_r
 
     lo, hi = 0.0, 1.0
-    g_lo = gap(lo)
+    g_lo, g_hi = gap(lo), gap(hi)
     for _ in range(80):
-        if gap(hi) <= 0.0:
+        if g_hi <= 0.0:
             break
-        lo, hi = hi, hi * 2.0
-        g_lo = gap(lo)
+        lo, g_lo, hi = hi, g_hi, hi * 2.0
+        g_hi = gap(hi)
     else:
         raise ConvergenceError(f"no bracket found inverting f_alpha at r = {r!r}")
     c = _bisect(gap, lo, hi, g_lo)
@@ -472,8 +560,8 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     ratios = np.exp(-2.0 * cs)
     alpha2 = alpha * alpha
     d = alpha2 * 0.5 * (1.0 + ratios) + (1.0 - alpha2) * np.sqrt(ratios)
-    return _pair_witness(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                         MeanDescriptor.heron(alpha2), xa, ya)
+    return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
+                           MeanDescriptor.heron(alpha2), xa, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -513,5 +601,5 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
     ratios = np.array([invert_geom_heinz_ratio(s, v) for v in xi])
     d = 0.5 * (ratios ** s + ratios ** (1.0 - s))
-    return _pair_witness(spectrum, 1.0 / d, ratios / d, MeanDescriptor.geometric(),
-                         MeanDescriptor.heinz(s), xa, ya)
+    return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.geometric(),
+                           MeanDescriptor.heinz(s), xa, ya)

@@ -11,8 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from opmeans import hdensity
+from opmeans import solvers as solvers_module
 from opmeans import spd as spd_module
-from opmeans import (ConvergenceError, DomainError, MeanDescriptor, OrderError,
+from opmeans import (ConditioningError, ConvergenceError, DomainError,
+                     MeanDescriptor, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError,
                      build_monotone_chain, eval_mean, f_alpha, geom_heinz_ratio,
                      invert_f_alpha, invert_geom_heinz_ratio, invert_phi,
@@ -76,6 +79,117 @@ def test_invert_phi_roundtrip_many_targets():
         for y0 in np.linspace(1.0, 4.0, 17):
             t = invert_phi(fn, float(y0), profile)
             assert profile.realize_phi(t) == pytest.approx(y0, rel=1e-11)
+
+
+def _invert_one_point_at_a_time(profile, y0):
+    """Reference inversion of one in-range target: scan 10^(k/64) and bisect
+    with one realize-map call per point, the loop the batched pass replaced."""
+    phi = profile.realize_phi
+    y0 = max(y0, 1.0) if profile.realize_gamma > 1.0 else min(y0, 1.0)
+    if y0 == 1.0:
+        return 1.0
+
+    def gap(t):
+        return float(phi(t)) - y0
+
+    lo, g_lo = 1.0, gap(1.0)
+    if g_lo == 0.0:
+        return 1.0
+    for k in range(1, 64 * 40 + 1):
+        hi = 10.0 ** (k / 64)
+        g = gap(hi)
+        if g == 0.0:
+            return hi
+        if (g > 0.0) != (g_lo > 0.0):
+            break
+        lo, g_lo = hi, g
+    while hi - lo > 1e-14 * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if g == 0.0:
+            return mid
+        if (g > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_SA_STEP = MeanDescriptor.from_h_density(
+    HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15)))
+
+
+@pytest.mark.parametrize("desc", [ARITH, HARM, MeanDescriptor.weighted_geometric(0.25),
+                                  MeanDescriptor.heinz(0.2), MeanDescriptor.heron(0.3),
+                                  _SA_STEP],
+                         ids=["arithmetic", "harmonic", "wgeo", "heinz", "heron", "sa-density"])
+def test_batched_inversion_is_bitwise_the_per_target_one(desc):
+    fn = representing_function(desc)
+    profile = phi_profile(fn)
+    rising = profile.realize_gamma > 1.0
+    # exactly 1, one target clamped to 1 from within _EIG_CLAMP, and two
+    # realizable ones within _EIG_CLAMP of 1
+    inward = 1.0 if rising else -1.0
+    band = [1.0, 1.0 - 5e-10 * inward, 1.0 + 5e-10 * inward, 1.0 + 1e-12 * inward]
+    if rising:
+        # multi-decade scans up to targets far out toward gamma = inf
+        spread = [1.01, 1.25, 2.0, 3.7, 42.0, 1e3, 1e6, 1e9]
+    else:
+        # the decreasing regime, down to targets near gamma = 0
+        spread = [0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
+    targets = band + spread + spread[::-1]
+    batched = solvers_module._invert_realize(profile, targets)
+    one_by_one = [invert_phi(fn, y0, profile) for y0 in targets]
+    reference = [_invert_one_point_at_a_time(profile, y0) for y0 in targets]
+    assert batched == one_by_one == reference
+    assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
+
+
+def test_batched_inversion_raises_the_first_bad_target_in_order():
+    profile = phi_profile(representing_function(ARITH))
+    with pytest.raises(OutOfRangeError, match="0.5"):
+        solvers_module._invert_realize(profile, [2.0, 0.5, -1.0])
+    with pytest.raises(StructuralError, match="-1.0"):
+        solvers_module._invert_realize(profile, [2.0, -1.0, 0.5])
+    # the scan horizon is 10^40, where the arithmetic realize map is 5e39
+    with pytest.raises(OutOfRangeError, match="horizon"):
+        solvers_module._invert_realize(profile, [2.0, 1e41, 3.0])
+
+
+def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
+    # every realize-map call of a self-adjoint density mean is one
+    # eval_selfadjoint_rep call, however many eigenvalues it serves
+    calls = []
+    real = hdensity.eval_selfadjoint_rep
+
+    def counting(h, t):
+        calls.append(np.size(t))
+        return real(h, t)
+
+    monkeypatch.setattr(hdensity, "eval_selfadjoint_rep", counting)
+    counts = {}
+    for n in (2, 12):
+        x = random_spd(n, cond_cap=20.0, seed=80 + n).entries
+        root = spd_module.sqrt_pair(x)[0]
+        ratios = np.geomspace(1.1, 8.0, n)
+        calls.clear()
+        w = solve_matrix_pair(_SA_STEP, x, root @ np.diag(ratios) @ root)
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+        counts[n] = len(calls)
+    assert counts[12] <= counts[2]
+
+
+def test_stacked_chain_with_one_ill_conditioned_link_raises():
+    # three links: ratios (1.5, 1), then (1, 9e5), then (1, 3.3); the middle
+    # link's witness pair has a relative spectrum of condition about
+    # (1.8e6)^2 > 1e12, and it refuses the whole stack
+    x = random_spd(2, cond_cap=5.0, seed=3).entries
+    root = spd_module.sqrt_pair(x)[0]
+    y = root @ np.diag([1.5, 3e6]) @ root
+    with pytest.raises(ConditioningError):
+        build_monotone_chain(ARITH, x, y, gamma0=9e5)
+    chain = build_monotone_chain(ARITH, x, y, gamma0=1e3)
+    assert len(chain.pair_witnesses) >= 3
 
 
 # ---------------------------------------------------------- scalar pair solve
@@ -308,10 +422,6 @@ def test_chain_near_equal_endpoints_two_nodes():
         assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
 
 
-_SA_STEP = MeanDescriptor.from_h_density(
-    HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15)))
-
-
 @pytest.mark.parametrize("sigma", [MeanDescriptor.weighted_geometric(0.25), _SA_STEP],
                          ids=["wgeo:0.25", "sa-density"])
 def test_chain_witnesses_reverify_through_eval_mean(sigma):
@@ -333,23 +443,25 @@ def test_chain_witnesses_reverify_through_eval_mean(sigma):
 
 def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
     # two validations, one Loewner test and one relative spectrum of (X, Y)
-    # cost five eigensolves; each link adds only its witness re-evaluation
-    calls = []
+    # cost five eigensolves; each link adds only its witness re-evaluation,
+    # and the witnesses of all links are decomposed as one stack in two calls
+    matrices = []
     real = spd_module._eigh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        matrices.append(a.shape[0] if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(spd_module, "_eigh", counting)
     for k, sigma in enumerate((ARITH, MeanDescriptor.heron(0.5))):
         x = random_spd(3, cond_cap=30.0, seed=70 + k).entries
         bump = np.random.default_rng(700 + k).standard_normal((3, 3))
-        calls.clear()
+        matrices.clear()
         chain = build_monotone_chain(sigma, x, x + 2.0 * bump @ bump.T, gamma0=1.4)
         links = len(chain.pair_witnesses)
         assert links >= 3
-        assert len(calls) == 5 + 2 * links
+        assert sum(matrices) == 5 + 2 * links
+        assert len(matrices) == 7
 
 
 # ------------------------------------------------------- f_alpha and inverses
@@ -388,6 +500,47 @@ def test_f_alpha_large_c_no_overflow():
     v = f_alpha(0.5, 1000.0)
     assert 0.0 < v < 1.0
     assert invert_f_alpha(0.5, v) == pytest.approx(1000.0, rel=1e-10)
+
+
+def _invert_f_alpha_reference(alpha, r):
+    """invert_f_alpha with its bracket doubling evaluating gap twice per point,
+    as it did before each bracket value was reused: the bitwise reference."""
+    log_r = math.log(r)
+
+    def gap(c):
+        return (solvers_module._logcosh(alpha * c)
+                - solvers_module._log_f_alpha_den(alpha, c)) - log_r
+
+    lo, hi = 0.0, 1.0
+    g_lo = gap(lo)
+    while gap(hi) > 0.0:
+        lo, hi = hi, hi * 2.0
+        g_lo = gap(lo)
+    return solvers_module._bisect(gap, lo, hi, g_lo)
+
+
+def test_invert_f_alpha_evaluates_each_bracket_point_once(monkeypatch):
+    # the targets of acceptance criterion 8; small r needs several doublings
+    points = []
+    real = solvers_module._log_f_alpha_den
+
+    def recording(alpha, c):
+        points.append(c)
+        return real(alpha, c)
+
+    r_grid = np.linspace(0.01, 0.99, 99)
+    alphas = [a for a in np.linspace(-0.9, 0.9, 19) if abs(a) > 1e-12]
+    expected = {(a, r): _invert_f_alpha_reference(float(a), float(r))
+                for a in alphas for r in r_grid}
+    monkeypatch.setattr(solvers_module, "_log_f_alpha_den", recording)
+    doubled = 0
+    for (alpha, r), c in expected.items():
+        points.clear()
+        assert invert_f_alpha(float(alpha), float(r)) == c
+        # every point is evaluated once, before the closing accuracy check
+        assert len(set(points[:-1])) == len(points) - 1
+        doubled += 2.0 in points
+    assert doubled > 0
 
 
 def test_f_alpha_validation():
