@@ -6,6 +6,10 @@ input error (message on stderr). Every report starts with a "config" header
 echoing the effective tolerance, trial count, seed, matrix size, and
 condition cap so runs are reproducible; all numbers are printed with 17
 significant digits.
+
+`main` may run many times in one process: the parser is built once, at
+import, and each verb's handler returns only its report body and exit code,
+to which `main` prepends the config header.
 """
 from __future__ import annotations
 
@@ -20,9 +24,7 @@ import numpy as np
 from . import jsonio
 from .errors import OpmeansError, UsageError
 from .funcexpr import parse_function
-from .hdensity import (SELF_ADJOINT, SYMMETRIC, HDensity, eval_selfadjoint_rep,
-                       eval_symmetric_rep, selfadjoint_rep_derivative,
-                       symmetric_rep_derivative)
+from .hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from .means import (CLASS_BOTH, CLASS_SELF_ADJOINT, CLASS_SYMMETRIC,
                     MeanDescriptor, eval_mean, parse_mean_descriptor,
                     representing_function)
@@ -91,9 +93,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_eval_mean(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
     value = eval_mean(_load_spd(args.a), _load_spd(args.b), descriptor)
-    return ({"config": _config_echo(args),
-             "mean": descriptor.describe(),
-             "value": matrix_to_json_dict(value)}, 0)
+    return {"mean": descriptor.describe(), "value": matrix_to_json_dict(value)}, 0
 
 
 def _cmd_rep_eval(args) -> tuple:
@@ -105,53 +105,39 @@ def _cmd_rep_eval(args) -> tuple:
         cls = SYMMETRIC if args.domain_class == "sym" else SELF_ADJOINT
         h = HDensity.constant(args.constant, cls)
     points = np.array(_parse_float_list(args.t))
-    if h.domain_class == SYMMETRIC:
-        values = eval_symmetric_rep(h, points)
-        slopes = symmetric_rep_derivative(h, points)
-    else:
-        values = eval_selfadjoint_rep(h, points)
-        slopes = selfadjoint_rep_derivative(h, points)
-    return ({"config": _config_echo(args),
-             "class": h.domain_class,
-             "t": points.tolist(),
-             "value": np.asarray(values).tolist(),
-             "derivative": np.asarray(slopes).tolist()}, 0)
+    fn = representing_function(MeanDescriptor.from_h_density(h))
+    return {"class": h.domain_class,
+            "t": points.tolist(),
+            "value": np.asarray(fn.value(points)).tolist(),
+            "derivative": np.asarray(fn.derivative(points)).tolist()}, 0
 
 
 def _cmd_solve_pair(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
     witness = solve_matrix_pair(descriptor, _load_spd(args.x), _load_spd(args.y))
-    payload = {"config": _config_echo(args), "mean": descriptor.describe()}
-    payload.update(witness.to_json_dict())
-    return payload, 0
+    return {"mean": descriptor.describe(), **witness.to_json_dict()}, 0
 
 
 def _cmd_solve_heinz_heron(args) -> tuple:
     solver = (solve_heinz_heron_matrix if args.targets == "heinz-heron"
               else solve_geom_heinz_matrix)
     witness = solver(args.s, _load_spd(args.x), _load_spd(args.y))
-    payload = {"config": _config_echo(args), "s": float(args.s),
-               "targets": args.targets}
-    payload.update(witness.to_json_dict())
-    return payload, 0
+    return {"s": float(args.s), "targets": args.targets,
+            **witness.to_json_dict()}, 0
 
 
 def _cmd_chain(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
     witness = build_monotone_chain(descriptor, _load_spd(args.x),
                                    _load_spd(args.y), gamma0=args.gamma0)
-    payload = {"config": _config_echo(args), "mean": descriptor.describe()}
-    payload.update(witness.to_json_dict())
-    return payload, 0
+    return {"mean": descriptor.describe(), **witness.to_json_dict()}, 0
 
 
 def _cmd_check_monotone(args) -> tuple:
     fn = parse_function(args.fn)
     config = MonoConfig(trials=args.trials, seed=args.seed, tol=args.tol)
     verdict = is_operator_monotone_sampled(fn, None, config)
-    payload = {"config": _config_echo(args), "fn": fn.source}
-    payload.update(verdict.to_json_dict())
-    return payload, (1 if verdict.refuted else 0)
+    return {"fn": fn.source, **verdict.to_json_dict()}, (1 if verdict.refuted else 0)
 
 
 def _infer_order_class(f, g) -> str:
@@ -177,10 +163,8 @@ def _cmd_check_order(args) -> tuple:
         verdict = order_leq_sym(ff, gg, config)
     else:
         verdict = order_leq_sa(ff, gg, config)
-    payload = {"config": _config_echo(args), "f": df.describe(),
-               "g": dg.describe(), "order_class": order_class}
-    payload.update(verdict.to_json_dict())
-    return payload, (1 if verdict.refuted else 0)
+    return ({"f": df.describe(), "g": dg.describe(), "order_class": order_class,
+             **verdict.to_json_dict()}, (1 if verdict.refuted else 0))
 
 
 def _cmd_ka_check(args) -> tuple:
@@ -188,10 +172,8 @@ def _cmd_ka_check(args) -> tuple:
     tau = parse_mean_descriptor(args.tau)
     report = ka_condition_check(sigma, tau, trials=args.trials,
                                 seed=args.seed, tol=args.tol, n=args.n)
-    payload = {"config": _config_echo(args)}
-    payload.update((k, v) for k, v in report.to_json_dict().items()
-                   if k != "config")
-    return payload, (0 if report.ok else 1)
+    body = {k: v for k, v in report.to_json_dict().items() if k != "config"}
+    return body, (0 if report.ok else 1)
 
 
 _MARGIN_COLUMNS = ["s", "geometric", "heinz", "heron", "arithmetic",
@@ -256,8 +238,8 @@ def _cmd_sweep(args) -> tuple:
                 writer.writerow([_format_cell(v) for v in row])
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
-    return ({"config": _config_echo(args), "kind": args.kind,
-             "rows": len(rows), "columns": columns, "out": args.out}, 0)
+    return {"kind": args.kind, "rows": len(rows), "columns": columns,
+            "out": args.out}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,12 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        payload, code = args.handler(args)
+        args = _PARSER.parse_args(argv)
+        body, code = args.handler(args)
     except OpmeansError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(jsonio.dumps(payload))
+    print(jsonio.dumps({"config": _config_echo(args), **body}))
     return code

@@ -37,7 +37,7 @@ from .errors import (ConvergenceError, DomainError, OrderError,
 from .means import (MeanDescriptor, RepresentingFunction, mean_from_spectrum,
                     representing_function)
 from .orders import PhiProfile, phi_profile
-from .spd import RelativeSpectrum, as_spd, loewner_leq, matrix_to_json_dict
+from .spd import RelativeSpectrum, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -355,10 +355,13 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    if not loewner_leq(xa, ya, tol=1e-10):
-        raise OrderError("X <= Y fails in the Loewner order")
-
+    # X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
+    # least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
+    # at any scale
     spectrum = RelativeSpectrum(xa, ya)
+    low = float(spectrum.eigenvalues[-1])
+    if low < 1.0 - _EIG_CLAMP:
+        raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
     lams = np.maximum(spectrum.eigenvalues, 1.0)
 
     # Group near-equal eigenvalues so they substitute in one step.

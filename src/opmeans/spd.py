@@ -47,19 +47,25 @@ def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2.
+    """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2."""
+    _check_symmetric(a, name)
+    return _symmetrize(a)
+
+
+def _check_symmetric(a: np.ndarray, name: str) -> None:
+    """Raise unless a is symmetric within SYMMETRY_RTOL * max(1, ||a||_F).
 
     A stack is checked matrix by matrix, each against its own norm; exactly
-    symmetric input, the common case, needs no norm.
+    symmetric input, the common case, costs one comparison.
     """
+    if not (a != _transpose(a)).any():
+        return
     asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
-    if asym.any():
-        bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
-        if bad.any():
-            raise StructuralError(
-                f"{name} is not symmetric: max |M - M^T| = {float(np.max(asym[bad])):.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
-    return _symmetrize(a)
+    bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
+    if bad.any():
+        raise StructuralError(
+            f"{name} is not symmetric: max |M - M^T| = {float(np.max(asym[bad])):.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -238,28 +244,24 @@ def matrix_from_json_dict(data) -> np.ndarray:
 
 
 def _evaluate(g, x: np.ndarray) -> np.ndarray:
-    """g at each point of the 1-d float array x: one call on the whole array,
-    or, when that raises or returns the wrong shape, one call per point (whose
-    errors propagate). Rejecting non-finite values is the caller's job."""
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(g(x), dtype=float)
-            if out.shape == x.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(g(v)) for v in x.tolist()])
+    """g at each point of the 1-d float array x: _evaluate_sets on one set,
+    with that set's error, if any, raised."""
+    out, errors = _evaluate_sets(g, x, [len(x)])
+    if errors and errors[0] is not None:
+        raise errors[0]
+    return out
 
 
 def _evaluate_sets(g, x: np.ndarray, lengths):
     """g at the 1-d float array x, which holds consecutive point sets of the
     given lengths: one call on all of x, or, when that raises or returns the
-    wrong shape, _evaluate on each set as if called on that set alone.
+    wrong shape, one call per point. Rejecting non-finite values is the
+    caller's job.
 
     Returns (values, errors). errors is None after the one call; otherwise it
-    holds per set the exception _evaluate raised on it, or None. That error is
-    kept, not raised, so the caller can raise it when its set is reached; a
-    failed set's values are NaN.
+    holds per set the first exception g raised on one of its points, or None.
+    That error is kept, not raised, so the caller can raise it when its set
+    is reached; a failed set's values are NaN.
     """
     with np.errstate(all="ignore"):
         try:
@@ -268,15 +270,15 @@ def _evaluate_sets(g, x: np.ndarray, lengths):
                 return out, None
         except Exception:
             pass
-    out = np.full(x.shape, np.nan)
-    errors = []
-    cuts = np.cumsum(lengths)[:-1]
-    for part, vals in zip(np.split(x, cuts), np.split(out, cuts)):
-        try:
-            vals[:] = _evaluate(g, part)
-            errors.append(None)
-        except Exception as exc:
-            errors.append(exc)
+        out = np.full(x.shape, np.nan)
+        errors = []
+        cuts = np.cumsum(lengths)[:-1]
+        for part, vals in zip(np.split(x, cuts), np.split(out, cuts)):
+            try:
+                vals[:] = [float(g(v)) for v in part.tolist()]
+                errors.append(None)
+            except Exception as exc:
+                errors.append(exc)
     return out, errors
 
 
@@ -327,7 +329,11 @@ def min_eig_and_norm(a):
 
 def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
     """Return (M^{1/2}, M^{-1/2}) for a positive definite matrix."""
-    dec = sym_eigendecompose(m)
+    return _roots(sym_eigendecompose(m))
+
+
+def _roots(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """(M^{1/2}, M^{-1/2}) from the decomposition of M."""
     lam = dec.eigenvalues
     if float(np.min(lam)) <= 0.0:
         raise ConditioningError(
@@ -345,7 +351,8 @@ class RelativeSpectrum:
     congruate(g(eigenvalues)) = P^{1/2} g(Z) P^{1/2}. congruate(ones) is P
     and congruate(eigenvalues) is Q. P and Q may be (k, n, n) stacks of k
     pairs; eigenvalues is then (k, n) and congruate maps (k, n) values to a
-    (k, n, n) stack, each matrix bitwise that of its pair alone.
+    (k, n, n) stack, each matrix bitwise that of its pair alone. P and Q
+    must each be symmetric within SYMMETRY_RTOL, as SpdMatrix requires.
     """
 
     root: np.ndarray
@@ -356,7 +363,9 @@ class RelativeSpectrum:
         qm = _as_array(q, "Q", stack=True)
         if pm.shape != qm.shape:
             raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
-        root, inv_root = sqrt_pair(pm)
+        pm = _require_symmetric(pm, "P")
+        _check_symmetric(qm, "Q")     # Z is symmetrized below
+        root, inv_root = _roots(_eigendecompose(pm))
         root.setflags(write=False)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "decomposition",

@@ -3,6 +3,7 @@
 Exit-code contract: 0 success / nothing found, 1 a check found a violation
 (witness on stdout), 2 usage or input error (message on stderr).
 """
+import argparse
 import json
 import math
 import subprocess
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from opmeans.cli import main
+
+DEFAULT_ECHO = {"tol": 1e-8, "trials": 1000, "seed": 42, "n": 3, "cond_cap": 100.0}
 
 
 def _write(tmp_path, name, obj):
@@ -47,8 +50,7 @@ def test_eval_mean_arithmetic(tmp_path, capsys):
     assert code == 0 and err == ""
     payload = _payload(out)
     assert list(payload)[0] == "config"
-    assert payload["config"] == {"tol": 1e-8, "trials": 1000, "seed": 42,
-                                 "n": 3, "cond_cap": 100.0}
+    assert payload["config"] == DEFAULT_ECHO
     assert payload["value"]["rows"] == [[2.0, 0.0], [0.0, 2.0]]
 
 
@@ -294,6 +296,52 @@ def test_solver_order_failure_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, ["solve-pair", "--mean", "arithmetic",
                                  "--x", x, "--y", y])
     assert code == 2 and "error:" in err
+
+
+# ------------------------------------------------------- one parser, one report
+
+def _default_argv(tmp_path, verb):
+    x = _mat(tmp_path, "x.json", np.eye(2).tolist())
+    y = _mat(tmp_path, "y.json", [[1.25, 0.0], [0.0, 1.5]])
+    below = _mat(tmp_path, "below.json", (0.9 * np.eye(2)).tolist())
+    return {
+        "eval-mean": ["--mean", "arithmetic", "--a", x, "--b", y],
+        "rep-eval": ["--constant", "0.5", "--t", "1,2"],
+        "solve-pair": ["--mean", "arithmetic", "--x", x, "--y", y],
+        "solve-heinz-heron": ["--s", "0.3", "--x", below, "--y", x],
+        "chain": ["--mean", "arithmetic", "--x", x, "--y", y],
+        "check-monotone": ["--fn", "sqrt(t)"],
+        "check-order": ["--f", "geometric", "--g", "arithmetic"],
+        "ka-check": ["--sigma", "geometric", "--tau", "wgeo:0.3"],
+        "sweep": ["--kind", "margins", "--grid", "0:1:3", "--a", "1", "--b", "2",
+                  "--out", str(tmp_path / "m.csv")],
+    }[verb]
+
+
+@pytest.mark.parametrize("verb", ["eval-mean", "rep-eval", "solve-pair",
+                                  "solve-heinz-heron", "chain", "check-monotone",
+                                  "check-order", "ka-check", "sweep"])
+def test_every_verb_reports_the_default_config_first(tmp_path, capsys, verb):
+    code, out, err = _run(capsys, [verb] + _default_argv(tmp_path, verb))
+    assert code == 0 and err == ""
+    payload = _payload(out)
+    assert list(payload)[0] == "config"
+    assert payload["config"] == DEFAULT_ECHO
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        code, out, _ = _run(capsys, ["rep-eval", "--constant", "0.5", "--t", "4"])
+        assert code == 0 and _payload(out)["value"] == [2.0]
+    assert built == []
 
 
 # -------------------------------------------------------------- reproducibility

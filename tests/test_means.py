@@ -134,6 +134,10 @@ def test_parse_mean_descriptor_forms(tmp_path):
 def test_eval_mean_rejects_mismatched_and_singular():
     with pytest.raises(StructuralError):
         eval_mean(np.eye(2), np.eye(3), MeanDescriptor.arithmetic())
+    asymmetric = np.array([[2.0, 0.9], [0.0, 2.0]])
+    for a, b in ((np.eye(2), asymmetric), (asymmetric, np.eye(2))):
+        with pytest.raises(StructuralError):
+            eval_mean(a, b, MeanDescriptor.arithmetic())
     with pytest.raises((StructuralError, ConditioningError)):
         eval_mean(np.eye(2), np.diag([1.0, 0.0]), MeanDescriptor.geometric())
 

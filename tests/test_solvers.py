@@ -442,9 +442,9 @@ def test_chain_witnesses_reverify_through_eval_mean(sigma):
 
 
 def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
-    # two validations, one Loewner test and one relative spectrum of (X, Y)
-    # cost five eigensolves; each link adds only its witness re-evaluation,
-    # and the witnesses of all links are decomposed as one stack in two calls
+    # two validations and one relative spectrum of (X, Y) cost four
+    # eigensolves; each link adds only its witness re-evaluation, and the
+    # witnesses of all links are decomposed as one stack in two calls
     matrices = []
     real = spd_module._eigh
 
@@ -460,8 +460,21 @@ def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
         chain = build_monotone_chain(sigma, x, x + 2.0 * bump @ bump.T, gamma0=1.4)
         links = len(chain.pair_witnesses)
         assert links >= 3
-        assert sum(matrices) == 5 + 2 * links
-        assert len(matrices) == 7
+        assert sum(matrices) == 4 + 2 * links
+        assert len(matrices) == 6
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_chain_order_check_is_scale_invariant(scale):
+    # X <= Y is judged on the relative spectrum of (X, Y) alone, so the
+    # answer cannot depend on the scale of the pair
+    y = scale * np.diag([1.0, 3.0])
+    chain = build_monotone_chain(ARITH, y * (1.0 + 5e-10), y)
+    assert len(chain.pair_witnesses) == 1
+    w = chain.pair_witnesses[0]
+    assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+    with pytest.raises(OrderError):
+        build_monotone_chain(ARITH, y * (1.0 + 1e-8), y)
 
 
 # ------------------------------------------------------- f_alpha and inverses

@@ -198,7 +198,9 @@ def test_relative_spectrum_rejects_malformed_pairs():
     good = np.eye(2)
     for p, q in ((good, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
                  (np.zeros((0, 0)), np.zeros((0, 0))),
-                 (good, np.array([[np.nan, 0.0], [0.0, 1.0]]))):
+                 (good, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                 (good, np.array([[2.0, 0.9], [0.0, 2.0]])),
+                 (np.array([[2.0, 0.9], [0.0, 2.0]]), good)):
         with pytest.raises(StructuralError):
             RelativeSpectrum(p, q)
 
