@@ -280,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="comma-separated points, all > 0")
     p.set_defaults(handler=_cmd_rep_eval)
 
-    p = sub.add_parser("solve-pair", parents=[common],
+    p = sub.add_parser("solve-pair",
                        help="find (A, B) with geometric mean X and sigma-mean Y")
     p.add_argument("--mean", required=True)
     p.add_argument("--x", required=True, help="JSON file with target X")
     p.add_argument("--y", required=True, help="JSON file with target Y")
     p.set_defaults(handler=_cmd_solve_pair)
 
-    p = sub.add_parser("solve-heinz-heron", parents=[common],
+    p = sub.add_parser("solve-heinz-heron",
                        help="find (A, B) hitting Heinz/Heron or "
                             "geometric/Heinz targets")
     p.add_argument("--s", type=float, required=True,
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="heinz-heron")
     p.set_defaults(handler=_cmd_solve_heinz_heron)
 
-    p = sub.add_parser("chain", parents=[common],
+    p = sub.add_parser("chain",
                        help="connect X <= Y by a bounded-ratio monotone chain")
     p.add_argument("--mean", required=True)
     p.add_argument("--x", required=True)

@@ -45,6 +45,7 @@ _DIFF_STEP = float(np.cbrt(_EPS))
 # of the exact one.  Rounding noise below that can no longer refute.
 _ULPS = 16.0
 _NEAR_COLLISION = 3e-6
+_NEAR_REL = float(np.sqrt(_EPS))   # closer points: mean of their derivatives
 _TRANSFER_GRID = np.logspace(-6.0, 6.0, 97)
 # Trials per stack in falsify_transfer: a refutation wastes at most one
 # stack's trials, and 8 and 16 measured alike.
@@ -60,7 +61,8 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     """Divided-difference matrix of f over the given distinct points.
 
     Entry (i, j) is (f(x_i) - f(x_j)) / (x_i - x_j) off the diagonal and
-    f'(x_i) on it (central difference when no derivative is supplied).
+    f'(x_i) on it (central difference when no derivative is supplied; with
+    one, (f'(x_i) + f'(x_j)) / 2 at points within sqrt(eps) relative).
     Positive semidefiniteness of these matrices over all point sets is the
     operator-monotonicity criterion. points may also be a (k, n) array of k
     point sets, which gives a (k, n, n) stack. An array-in, array-out f is
@@ -69,13 +71,14 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
 
     with_error=True returns (matrix, bound), bound an entrywise bound on the
     rounding error of the matrix when each value of f is within _ULPS ulps:
-    _ULPS * eps * (|f(x_i)| + |f(x_j)|) / |x_i - x_j| off the diagonal and
-    _ULPS * eps * |f'(x_i)| on it. A central difference at step h carries
-    the rounding term _ULPS * eps * (|f(x+h)| + |f(x-h)|) / (2h); its step
-    h = cbrt(eps) * max(1, |x|) is the one that balances truncation against
-    rounding, so the truncation term is taken as no larger and the bound
-    is twice the rounding term. The bound reuses the values of f that build
-    the matrix, so it costs no further evaluation.
+    _ULPS * eps * (|f(x_i)| + |f(x_j)|) / |x_i - x_j| off the diagonal,
+    _ULPS * eps * |f'(x_i)| on it, and |f'(x_i) - f'(x_j)| + _ULPS * eps *
+    (|f'(x_i)| + |f'(x_j)|) / 2 for a mean of derivatives. A central
+    difference at step h carries the rounding term _ULPS * eps * (|f(x+h)|
+    + |f(x-h)|) / (2h); its step h = cbrt(eps) * max(1, |x|) balances
+    truncation against rounding, so the truncation term is taken as no
+    larger and the bound is twice the rounding term. The bound reuses the
+    values of f that build the matrix, so it costs no further evaluation.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 2:
@@ -118,11 +121,20 @@ def _loewner_stack(pts: np.ndarray, values: np.ndarray, derivative):
     diff_x[..., on_diag, on_diag] = 1.0
     out = (fx[..., :, None] - fx[..., None, :]) / diff_x
     out[..., on_diag, on_diag] = diag
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    abs_fx = np.abs(fx)
-    err = _ULPS * _EPS * (abs_fx[..., :, None] + abs_fx[..., None, :]) / np.abs(diff_x)
+    abs_fx, abs_dx = np.abs(fx), np.abs(diff_x)
+    err = _ULPS * _EPS * (abs_fx[..., :, None] + abs_fx[..., None, :]) / abs_dx
     err[..., on_diag, on_diag] = diag_err
-    return out, err
+    if derivative is not None:
+        # points too close for a difference quotient (which cancellation
+        # leaves no digit of) take the mean of their derivatives
+        near = abs_dx <= _NEAR_REL * np.abs(pts)[..., :, None]
+        if near.any():
+            near |= np.swapaxes(near, -1, -2)
+            d_i = np.broadcast_to(diag[..., :, None], out.shape)[near]
+            d_j = np.broadcast_to(diag[..., None, :], out.shape)[near]
+            out[near] = 0.5 * (d_i + d_j)
+            err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * (np.abs(d_i) + np.abs(d_j)))
+    return 0.5 * (out + np.swapaxes(out, -1, -2)), err
 
 
 def _resolve(count: int, phases, skips: tuple):

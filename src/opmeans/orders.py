@@ -70,9 +70,11 @@ def _limit_at_infinity(fn: Callable) -> float:
     fn takes arrays and is called once, on k = 0..40. A sequence still
     rising unconverged at k = 40 is declared infinite; one still falling is
     declared 0 (every catalog profile is eventually monotone, so the horizon
-    only truncates slow tails).
+    only truncates slow tails). Its first value, fn(1) = f(1), must be 1.
     """
     values = np.asarray(fn(2.0 ** np.arange(_GAMMA_STEPS + 1)), dtype=float)
+    if abs(values[0] - 1.0) > 1e-9:
+        raise StructuralError(f"f(1) must be 1; got {float(values[0])!r}")
     if not np.all(np.isfinite(values)) or np.any(values > _GAMMA_CUTOFF):
         return math.inf
     prev, value = float(values[-2]), float(values[-1])
@@ -95,6 +97,13 @@ def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
     return DIRECTION_FLAT
 
 
+def realize_map(f: RepresentingFunction) -> tuple:
+    """(realize_phi, realize_gamma) of f's phi-profile: the mean of the pair
+    (t, 1/t) as a map of t, and its limit at infinity."""
+    realize_phi = _scalarize(lambda t: t * np.asarray(f.value(1.0 / (t * t)), dtype=float))
+    return realize_phi, _limit_at_infinity(realize_phi)
+
+
 def phi_profile(f: RepresentingFunction) -> PhiProfile:
     """Build the phi-profile of a representing function.
 
@@ -103,23 +112,15 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
     Direction flags on (0, 1) and (1, inf) come from sampled differences at
     relative tolerance 1e-7.
     """
+    realize_phi, realize_gamma = realize_map(f)
     phi = _scalarize(lambda t: np.asarray(f.value(t * t), dtype=float) / t)
-    realize_phi = _scalarize(lambda t: t * np.asarray(f.value(1.0 / (t * t)), dtype=float))
-
-    at_one = phi(1.0)
-    if abs(at_one - 1.0) > 1e-9:
-        raise StructuralError(
-            f"profile requires f(1) = 1; got phi(1) = {at_one!r}")
-
-    below = phi(np.logspace(-3.0, np.log10(0.999), 33))
-    above = phi(np.logspace(np.log10(1.001), 3.0, 33))
     return PhiProfile(
         phi=phi,
         gamma=_limit_at_infinity(phi),
-        direction_below_1=_direction(below),
-        direction_above_1=_direction(above),
+        direction_below_1=_direction(phi(np.logspace(-3.0, np.log10(0.999), 33))),
+        direction_above_1=_direction(phi(np.logspace(np.log10(1.001), 3.0, 33))),
         realize_phi=realize_phi,
-        realize_gamma=_limit_at_infinity(realize_phi),
+        realize_gamma=realize_gamma,
         symmetry_class=f.symmetry_class)
 
 

@@ -16,9 +16,10 @@ sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
 a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
 C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
 solved in one basis, and solve_matrix_pair is its one-link case v = 1. All
-the eigenvalue ratios of a chain (or of a pair) are inverted together, in one
-batched scan and bisection whose every realize-map call serves all of them,
-and all its link witnesses are re-evaluated as one (links, n, n) stack.
+the eigenvalue ratios of a chain (or of a pair) are inverted together, by one
+batched scan and safeguarded Newton iteration whose every call of the
+representing function serves all of them, and all its link witnesses are
+re-evaluated as one (links, n, n) stack.
 
 Residuals are part of every witness: each solver re-evaluates its target
 equations and refuses to return silently inaccurate answers.
@@ -26,7 +27,6 @@ equations and refuses to return silently inaccurate answers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,12 +36,11 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, mean_from_spectrum,
                     representing_function)
-from .orders import PhiProfile, phi_profile
+from .orders import PhiProfile, realize_map
 from .spd import RelativeSpectrum, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
-_BISECT_DEPTH = 6          # bisection steps per batched realize-map call
 _SCAN_PER_DECADE = 64
 _SCAN_MAX_DECADES = 40
 # scan points 10^(k/64), k = 0..2560, by Python's float power: numpy's
@@ -98,21 +97,14 @@ class ScalarPairSolution:
         return {"x": self.x, "y": self.y, "c": self.c}
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float, steps: int = 0):
+def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
     """Sign-based bisection of fn on [lo, hi]; fn(lo) = f_lo and fn(hi) differ
-    in sign. Returns the root.
-
-    fn may answer None at a midpoint it cannot evaluate yet. The bisection
-    then pauses and returns its state (lo, hi, f_lo, steps), and
-    _bisect(fn, *state) resumes it exactly, under the same step cap.
-    """
-    for steps in range(steps, _BISECT_MAX_ITER):
+    in sign. Returns the root."""
+    for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= _BISECT_REL * max(1.0, abs(lo)):
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
-        if f_mid is None:
-            return lo, hi, f_lo, steps
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -122,15 +114,6 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, steps: int = 0):
     raise ConvergenceError(
         f"bisection did not converge: interval [{lo}, {hi}] after "
         f"{_BISECT_MAX_ITER} iterations")
-
-
-def _tree_gap(points: list, values: list, y0: float):
-    """The gap phi(t) - y0 for _bisect, read off one sorted row of midpoints
-    (points, with phi at its inner points in values); None off the row."""
-    def gap(mid):
-        k = bisect_left(points, mid)
-        return values[k - 1] - y0 if points[k] == mid else None
-    return gap
 
 
 def _clamped_target(y0, gamma: float) -> float:
@@ -159,26 +142,26 @@ def _clamped_target(y0, gamma: float) -> float:
     return 1.0
 
 
-def _invert_realize(profile: PhiProfile, targets) -> list:
-    """invert_phi of every target of a list, in one batched pass.
+def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
+    """invert_phi of every target of a list in one batched pass, with
+    realize = orders.realize_map(f).
 
     Every target is range-checked and clamped first, in order. The scan then
     calls realize_phi once per decade block of _SCAN_GRID for all targets not
-    yet bracketed. Each bisection round calls it once on the midpoint trees,
-    _BISECT_DEPTH levels deep, of all live brackets, and every bisection walks
-    its tree through _bisect, paused at the tree's leaves; as realize_phi is
-    bitwise the same on an array as on each point, every root is bitwise that
-    of its target alone. The first target, in order, whose inversion failed
-    raises its error.
+    yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
+    u = 1/t^2, g'(t) = f(u) - 2 u f'(u), calls f and f' once for all of them,
+    moves lo or hi to t by the sign of g, and takes the midpoint for a step
+    not strictly inside. All is elementwise, so each root is bitwise that of
+    its target alone. The first target, in order, that failed raises.
     """
-    phi, gamma = profile.realize_phi, profile.realize_gamma
+    phi, gamma = realize
     ys = [_clamped_target(y0, gamma) for y0 in targets]
     roots = [1.0 if y0 == 1.0 else None for y0 in ys]
     errors: list = [None] * len(ys)
 
     # scan: the first grid point where the gap phi(t) - y0 is zero or has
     # changed sign since the previous point
-    live: dict = {}     # i -> the state (lo, hi, f_lo, steps) of bisection i
+    brackets: dict = {}     # i -> (lo, hi, the gap at lo)
     pending = [i for i, y0 in enumerate(ys) if y0 != 1.0]
     for start in range(0, len(_SCAN_GRID) - 1, _SCAN_PER_DECADE):
         if not pending:
@@ -195,39 +178,39 @@ def _invert_realize(profile: PhiProfile, targets) -> list:
             elif g[k] == 0.0:
                 roots[i] = float(grid[k])
             else:
-                live[i] = (float(grid[k - 1]), float(grid[k]), g[k - 1], 0)
+                brackets[i] = (float(grid[k - 1]), float(grid[k]), g[k - 1])
         pending = unbracketed
     for i in pending:
         errors[i] = OutOfRangeError(
             f"target {ys[i]!r} not reached by the realize map within the scan "
             f"horizon (gamma = {gamma!r})")
 
-    # row r of tree holds the midpoints of the next _BISECT_DEPTH steps of the
-    # r-th live bisection: each level is 0.5 * (lo + hi) of the one above,
-    # _bisect's own midpoint, and every row is sorted
-    bisected = list(live)
-    width = 2 ** _BISECT_DEPTH
-    tree = np.empty((len(live), width + 1))
-    levels = [(tree[:, :-1:w], tree[:, w::w], tree[:, w // 2::w])
-              for w in (width >> d for d in range(_BISECT_DEPTH))]
-    while live:
-        m = len(live)
-        tree[:m, ::width] = [state[:2] for state in live.values()]
-        for lo, hi, mid in levels:
-            mid[...] = 0.5 * (lo + hi)
-        values = phi(tree[:m, 1:-1].ravel()).reshape(m, -1)
-        for i, points, row in zip(list(live), tree[:m].tolist(), values.tolist()):
-            try:
-                state = _bisect(_tree_gap(points, row, ys[i]), *live.pop(i))
-            except ConvergenceError as exc:
-                errors[i] = exc
-                continue
-            if isinstance(state, tuple):
-                live[i] = state
-            else:
-                roots[i] = state
+    live = np.array(list(brackets), dtype=int)
+    lo, hi, g_lo = np.array(list(brackets.values())).reshape(-1, 3).T
+    rising, y = g_lo > 0.0, np.array([ys[i] for i in brackets])
+    t = 0.5 * (lo + hi)
+    for _ in range(_BISECT_MAX_ITER):
+        if not live.size:
+            break
+        u = 1.0 / (t * t)
+        fu, dfu = (np.asarray(fn(u), dtype=float) for fn in (f.value, f.derivative))
+        gap = t * fu - y
+        below = (gap > 0.0) == rising
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        # g'(1) = 0 for every symmetric mean: a step may divide by zero
+        with np.errstate(all="ignore"):
+            newton = t - gap / (fu - 2.0 * u * dfu)
+        t_next = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        done = ((gap == 0.0) | (np.abs(t_next - t) <= _BISECT_REL * t)
+                | (hi - lo <= _BISECT_REL * lo))
+        for i, root in zip(live[done], np.where(gap == 0.0, t, t_next)[done]):
+            roots[i] = float(root)
+        live, lo, hi, rising, y, t = (a[~done] for a in (live, lo, hi, rising, y, t_next))
+    for i in live.tolist():
+        errors[i] = ConvergenceError(f"realize-map inversion did not converge at "
+                                     f"target {ys[i]!r} in {_BISECT_MAX_ITER} steps")
 
-    checked = [i for i in bisected if errors[i] is None]
+    checked = [i for i in brackets if errors[i] is None]
     values = phi(np.array([roots[i] for i in checked])).tolist() if checked else []
     for i, v in zip(checked, values):
         if abs(v - ys[i]) > 1e-11 * max(1.0, abs(ys[i])):
@@ -248,11 +231,12 @@ def invert_phi(f: RepresentingFunction, y0: float,
     (gamma > 1) and in (gamma, 1] when it decreases (gamma < 1), where gamma
     is the map's limit at infinity. When the map is merely surjective the
     returned preimage is the smallest one, found by a log-spaced scan for
-    the first crossing followed by bisection. This is the one-target case of
-    the batched inversion that the pair and chain solvers run.
+    the first crossing and a safeguarded Newton iteration inside it, on the
+    map of profile when given, else of orders.realize_map(f). This is the
+    one-target case of the batched inversion the pair and chain solvers run.
     """
-    profile = profile if profile is not None else phi_profile(f)
-    return _invert_realize(profile, [y0])[0]
+    realize = realize_map(f) if profile is None else (profile.realize_phi, profile.realize_gamma)
+    return _invert_realize(f, realize, [y0])[0]
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
@@ -282,14 +266,16 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     return tuple(map(witness, mats_a, mats_b, means_x, xs, means_y, ys))
 
 
-def _realize_links(sigma: MeanDescriptor, profile: PhiProfile,
+def _realize_links(sigma: MeanDescriptor, realize: tuple,
                    spectrum: RelativeSpectrum, nodes, targets) -> tuple:
     """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
     targets[k], targets[k+1], for (links + 1, n) nodes and (links + 1, n, n)
-    targets: every distinct ratio of the chain is inverted in one pass."""
+    targets: every distinct ratio of the chain is inverted in one pass;
+    realize = orders.realize_map of sigma's representing function."""
     ratios = (nodes[1:] / nodes[:-1]).ravel().tolist()
     distinct = list(dict.fromkeys(ratios))
-    inverse = dict(zip(distinct, _invert_realize(profile, distinct)))
+    inverse = dict(zip(distinct, _invert_realize(representing_function(sigma),
+                                                 realize, distinct)))
     deltas = np.reshape([inverse[r] for r in ratios], nodes[1:].shape)
     return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                            MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
@@ -308,9 +294,9 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     xa = as_spd(x, "X").entries
     ya = as_spd(y, "Y").entries
     spectrum = RelativeSpectrum(xa, ya)
-    profile = phi_profile(representing_function(sigma))
+    realize = realize_map(representing_function(sigma))
     nodes = np.stack([np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues])
-    return _realize_links(sigma, profile, spectrum, nodes, np.stack([xa, ya]))[0]
+    return _realize_links(sigma, realize, spectrum, nodes, np.stack([xa, ya]))[0]
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -332,7 +318,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     (near-)equal ones once the ladder reaches it. Node values v_k run from 1
     to the clamped eigenvalues with ratios in [1, gamma0]; link k is
     C diag(v_k) C^T, C = X^{1/2} U, and its pair is realized in that basis
-    too, from one phi-profile. Endpoints are the given X and Y themselves.
+    too, from one realize map. Endpoints are the given X and Y themselves.
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
@@ -341,8 +327,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     if xa.shape != ya.shape:
         raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     fn = representing_function(sigma)
-    profile = phi_profile(fn)
-    gamma = profile.realize_gamma
+    realize = realize_map(fn)
+    gamma = realize[1]
     if not gamma > 1.0:
         raise UnsupportedMeanError(
             f"chain construction needs gamma > 1; {fn.label} has gamma = {gamma!r}")
@@ -391,7 +377,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     # The last node is lams itself, also when no eigenvalue needs raising.
     nodes = np.array([np.ones_like(lams), *node_values[:-1], lams])
     links = np.concatenate([xa[None], spectrum.congruate(nodes[1:-1]), ya[None]])
-    witnesses = _realize_links(sigma, profile, spectrum, nodes, links)
+    witnesses = _realize_links(sigma, realize, spectrum, nodes, links)
     return ChainWitness(tuple(links), gamma0, witnesses)
 
 

@@ -277,7 +277,9 @@ def test_bad_tolerance_seed_or_trials_exits_two(tmp_path, capsys, flag):
     for argv in (["check-monotone", "--fn", "t^2", "--trials", "5"],
                  ["check-order", "--f", "geometric", "--g", "arithmetic", "--trials", "5"],
                  ["ka-check", "--sigma", "geometric", "--tau", "arithmetic", "--trials", "2"],
-                 ["solve-pair", "--mean", "arithmetic", "--x", x, "--y", y]):
+                 ["solve-pair", "--mean", "arithmetic", "--x", x, "--y", y],
+                 ["solve-heinz-heron", "--s", "0.25", "--x", x, "--y", y],
+                 ["chain", "--mean", "arithmetic", "--x", x, "--y", y]):
         code, out, err = _run(capsys, argv + flag)
         assert code == 2 and out == "" and flag[0].split("=")[0] in err
 

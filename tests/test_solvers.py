@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from opmeans import hdensity
+from opmeans import orders as orders_module
 from opmeans import solvers as solvers_module
 from opmeans import spd as spd_module
 from opmeans import (ConditioningError, ConvergenceError, DomainError,
@@ -23,7 +24,9 @@ from opmeans import (ConditioningError, ConvergenceError, DomainError,
                      representing_function, solve_geom_heinz_matrix,
                      solve_heinz_heron_matrix, solve_matrix_pair,
                      solve_scalar_geometric_pair, solve_scalar_heinz_heron)
-from opmeans.hdensity import SELF_ADJOINT, HDensity
+from opmeans.hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
+from opmeans.means import RepresentingFunction
+from opmeans.orders import realize_map
 
 ARITH = MeanDescriptor.arithmetic()
 GEO = MeanDescriptor.geometric()
@@ -81,42 +84,33 @@ def test_invert_phi_roundtrip_many_targets():
             assert profile.realize_phi(t) == pytest.approx(y0, rel=1e-11)
 
 
-def _invert_one_point_at_a_time(profile, y0):
-    """Reference inversion of one in-range target: scan 10^(k/64) and bisect
-    with one realize-map call per point, the loop the batched pass replaced."""
+def _scan_bracket_one_point_at_a_time(profile, y0):
+    """Reference bracket [lo, hi] of the smallest preimage of one in-range
+    target, clamped: the scan over 10^(k/64) with one realize-map call per
+    point, as the one-target bisection ran it before the batched pass."""
     phi = profile.realize_phi
-    y0 = max(y0, 1.0) if profile.realize_gamma > 1.0 else min(y0, 1.0)
     if y0 == 1.0:
-        return 1.0
+        return 1.0, 1.0
 
     def gap(t):
         return float(phi(t)) - y0
 
     lo, g_lo = 1.0, gap(1.0)
-    if g_lo == 0.0:
-        return 1.0
     for k in range(1, 64 * 40 + 1):
         hi = 10.0 ** (k / 64)
         g = gap(hi)
         if g == 0.0:
-            return hi
+            return hi, hi
         if (g > 0.0) != (g_lo > 0.0):
-            break
+            return lo, hi
         lo, g_lo = hi, g
-    while hi - lo > 1e-14 * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if g == 0.0:
-            return mid
-        if (g > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    raise AssertionError(f"target {y0!r} not bracketed")
 
 
 _SA_STEP = MeanDescriptor.from_h_density(
     HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15)))
+_SYM_STEP = MeanDescriptor.from_h_density(
+    HDensity(SYMMETRIC, (0.0, 0.3, 0.7, 1.0), (0.2, 0.1, 0.3)))
 
 
 @pytest.mark.parametrize("desc", [ARITH, HARM, MeanDescriptor.weighted_geometric(0.25),
@@ -138,22 +132,98 @@ def test_batched_inversion_is_bitwise_the_per_target_one(desc):
         # the decreasing regime, down to targets near gamma = 0
         spread = [0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
     targets = band + spread + spread[::-1]
-    batched = solvers_module._invert_realize(profile, targets)
+    batched = solvers_module._invert_realize(fn, realize_map(fn), targets)
     one_by_one = [invert_phi(fn, y0, profile) for y0 in targets]
-    reference = [_invert_one_point_at_a_time(profile, y0) for y0 in targets]
-    assert batched == one_by_one == reference
+    assert batched == one_by_one
     assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
+    # Newton roots are not bitwise the bisection's; each must still be the
+    # smallest preimage (inside the reference scan's bracket) and hit its
+    # target to a few ulps
+    eps = np.finfo(float).eps
+    for y0, t in zip(targets, batched):
+        y0 = max(y0, 1.0) if rising else min(y0, 1.0)
+        lo, hi = _scan_bracket_one_point_at_a_time(profile, y0)
+        assert lo <= t <= hi
+        assert abs(profile.realize_phi(t) - y0) <= 4.0 * eps * max(1.0, y0)
 
 
 def test_batched_inversion_raises_the_first_bad_target_in_order():
-    profile = phi_profile(representing_function(ARITH))
+    fn = representing_function(ARITH)
+    realize = realize_map(fn)
     with pytest.raises(OutOfRangeError, match="0.5"):
-        solvers_module._invert_realize(profile, [2.0, 0.5, -1.0])
+        solvers_module._invert_realize(fn, realize, [2.0, 0.5, -1.0])
     with pytest.raises(StructuralError, match="-1.0"):
-        solvers_module._invert_realize(profile, [2.0, -1.0, 0.5])
+        solvers_module._invert_realize(fn, realize, [2.0, -1.0, 0.5])
     # the scan horizon is 10^40, where the arithmetic realize map is 5e39
     with pytest.raises(OutOfRangeError, match="horizon"):
-        solvers_module._invert_realize(profile, [2.0, 1e41, 3.0])
+        solvers_module._invert_realize(fn, realize, [2.0, 1e41, 3.0])
+
+
+def test_inversion_bisects_through_a_nan_derivative():
+    # a NaN Newton step is never inside its bracket: every step takes the
+    # bracket's midpoint, which converges as a plain bisection does
+    fn = representing_function(MeanDescriptor.heinz(0.2))
+    calls = {"newton": 0, "nan": 0}
+
+    def counted(key, derivative):
+        def wrapped(t):
+            calls[key] += 1
+            return derivative(t)
+        return wrapped
+
+    good = RepresentingFunction("heinz", fn.symmetry_class, fn.value,
+                                counted("newton", fn.derivative))
+    nan = RepresentingFunction("nan slope", fn.symmetry_class, fn.value,
+                               counted("nan", lambda t: np.full(np.shape(t), np.nan)))
+    targets = [1.0 + 1e-9, 1.25, 42.0, 1e6]
+    want = solvers_module._invert_realize(good, realize_map(good), targets)
+    got = solvers_module._invert_realize(nan, realize_map(nan), targets)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert calls["nan"] > calls["newton"]
+
+
+def test_solvers_build_no_phi_profile(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return phi_profile(f)
+
+    monkeypatch.setattr(orders_module, "phi_profile", counting)
+    # a by-name import into solvers would bypass the orders binding
+    monkeypatch.setattr(solvers_module, "phi_profile", counting, raising=False)
+    x = random_spd(3, cond_cap=10.0, seed=4).entries
+    root = spd_module.sqrt_pair(x)[0]
+    y = root @ np.diag([1.2, 3.0, 7.5]) @ root
+    fn = representing_function(_SYM_STEP)
+    invert_phi(fn, 1.25)
+    solve_scalar_geometric_pair(_SYM_STEP, 1.0, 1.25)
+    solve_matrix_pair(_SYM_STEP, x, y)
+    build_monotone_chain(ARITH, x, y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("desc", [_SA_STEP, _SYM_STEP], ids=["sa-density", "sym-density"])
+def test_density_solve_evaluates_at_most_n_points_past_the_scan(monkeypatch, desc):
+    # beyond the 41-point gamma limit and the 65-point scan blocks, every
+    # call of the density's function or derivative holds at most one point
+    # per eigenvalue: the Newton steps, the forward check and the witness
+    sizes = []
+    for name in ("eval_symmetric_rep", "eval_selfadjoint_rep",
+                 "symmetric_rep_derivative", "selfadjoint_rep_derivative"):
+        def counting(h, t, real=getattr(hdensity, name)):
+            sizes.append(np.size(t))
+            return real(h, t)
+        monkeypatch.setattr(hdensity, name, counting)
+    for n in (2, 5, 8):
+        x = random_spd(n, cond_cap=20.0, seed=60 + n).entries
+        root = spd_module.sqrt_pair(x)[0]
+        ratios = np.geomspace(1.05, 4.0, n)
+        sizes.clear()
+        w = solve_matrix_pair(desc, x, root @ np.diag(ratios) @ root)
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+        assert sizes.count(41) == 1 and 65 in sizes
+        assert all(size <= n for size in sizes if size not in (41, 65))
 
 
 def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
