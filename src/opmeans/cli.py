@@ -3,9 +3,10 @@
 Exit codes: 0 = success (or a check that found nothing), 1 = a check ran and
 found a refutation or violation (the witness is on stdout), 2 = usage or
 input error (message on stderr). Every report starts with a "config" header
-echoing the effective tolerance, trial count, seed, matrix size, and
-condition cap so runs are reproducible; all numbers are printed with 17
-significant digits.
+echoing the effective values of the options the verb takes, so runs are
+reproducible: tolerance, trial count and seed for check-monotone and
+check-order, those and the matrix size for ka-check, and nothing ({}) for
+the other verbs. All numbers are printed with 17 significant digits.
 
 `main` may run many times in one process: the parser is built once, at
 import, and each verb's handler returns only its report body and exit code,
@@ -26,7 +27,8 @@ from .errors import OpmeansError, UsageError
 from .funcexpr import parse_function
 from .hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from .means import (CLASS_BOTH, CLASS_SELF_ADJOINT, CLASS_SYMMETRIC,
-                    MeanDescriptor, eval_mean, parse_mean_descriptor,
+                    MeanDescriptor, arithmetic_rep, eval_mean, geometric_rep,
+                    heinz_rep, heron_rep, parse_mean_descriptor,
                     representing_function)
 from .monocheck import MonoConfig, is_operator_monotone_sampled
 from .orders import ka_condition_check, order_leq_sa, order_leq_sym, phi_profile
@@ -38,15 +40,11 @@ DEFAULT_TOL = 1e-8
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42
 DEFAULT_N = 3
-DEFAULT_COND_CAP = 100.0
+_ECHOED = ("tol", "trials", "seed", "n")
 
 
 def _config_echo(args) -> dict:
-    return {"tol": float(getattr(args, "tol", DEFAULT_TOL)),
-            "trials": int(getattr(args, "trials", DEFAULT_TRIALS)),
-            "seed": int(getattr(args, "seed", DEFAULT_SEED)),
-            "n": int(getattr(args, "n", DEFAULT_N)),
-            "cond_cap": float(getattr(args, "cond_cap", DEFAULT_COND_CAP))}
+    return {key: getattr(args, key) for key in _ECHOED if hasattr(args, key)}
 
 
 def _load_spd(path: str) -> SpdMatrix:
@@ -183,14 +181,12 @@ _GAMMA_COLUMNS = ["s", "gamma", "gamma_is_infinite"]
 
 
 def _margin_rows(a: float, b: float, grid: np.ndarray) -> list:
+    # every mean of (a, b) is a f(b / a)
+    t = b / a
+    geo, arith = a * geometric_rep(t), a * arithmetic_rep(t)
     rows = []
-    geo = math.sqrt(a * b)
-    arith = 0.5 * (a + b)
-    for s in grid:
-        s = float(s)
-        alpha2 = (2.0 * s - 1.0) ** 2
-        heinz = 0.5 * (a ** s * b ** (1.0 - s) + a ** (1.0 - s) * b ** s)
-        heron = alpha2 * arith + (1.0 - alpha2) * geo
+    for s in grid.tolist():
+        heinz, heron = a * heinz_rep(s, t), a * heron_rep((2.0 * s - 1.0) ** 2, t)
         rows.append([s, geo, heinz, heron, arith,
                      heinz - geo, heron - heinz, arith - heron])
     return rows

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,16 +145,33 @@ def _scalarize(fn):
     return wrapped
 
 
+# The catalog's representing functions f(t), the mean of (1, t), as plain
+# array functions that representing_function wraps; every module evaluates a
+# catalog mean of a scalar pair (a, b) through them, as a f(b / a).
+def arithmetic_rep(t):
+    return 0.5 * (1.0 + t)
+
+
+def harmonic_rep(t):
+    return 2.0 * t / (1.0 + t)
+
+
+def geometric_rep(t):
+    return np.sqrt(t)
+
+
+def heinz_rep(s, t):
+    return 0.5 * (t ** s + t ** (1.0 - s))
+
+
+def heron_rep(s, t):
+    return s * arithmetic_rep(t) + (1.0 - s) * geometric_rep(t)
+
+
 _CATALOG = {
-    ARITHMETIC: (CLASS_SYMMETRIC,
-                 lambda t: 0.5 * (1.0 + t),
-                 lambda t: np.full_like(t, 0.5)),
-    HARMONIC: (CLASS_SYMMETRIC,
-               lambda t: 2.0 * t / (1.0 + t),
-               lambda t: 2.0 / (1.0 + t) ** 2),
-    GEOMETRIC: (CLASS_BOTH,
-                lambda t: np.sqrt(t),
-                lambda t: 0.5 / np.sqrt(t)),
+    ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_rep, lambda t: np.full_like(t, 0.5)),
+    HARMONIC: (CLASS_SYMMETRIC, harmonic_rep, lambda t: 2.0 / (1.0 + t) ** 2),
+    GEOMETRIC: (CLASS_BOTH, geometric_rep, lambda t: 0.5 / np.sqrt(t)),
 }
 
 
@@ -176,14 +193,14 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
-            _scalarize(lambda t: 0.5 * (t ** s + t ** (1.0 - s))),
+            _scalarize(partial(heinz_rep, s)),
             _scalarize(lambda t: 0.5 * (s * t ** (s - 1.0)
                                         + (1.0 - s) * t ** (-s))))
     if kind == HERON:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
-            _scalarize(lambda t: s * 0.5 * (1.0 + t) + (1.0 - s) * np.sqrt(t)),
+            _scalarize(partial(heron_rep, s)),
             _scalarize(lambda t: s * 0.5 + (1.0 - s) * 0.5 / np.sqrt(t)))
     h = descriptor.density
     if h.domain_class == hdensity.SYMMETRIC:

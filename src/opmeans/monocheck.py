@@ -30,7 +30,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError, UsageError
-from .means import MeanDescriptor, mean_from_spectrum, representing_function
+from .means import (MeanDescriptor, arithmetic_rep, geometric_rep, harmonic_rep,
+                    heinz_rep, heron_rep, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, _as_array, _evaluate, _evaluate_sets, _frobenius,
                   _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
                   min_eig_and_norm, sym_eigendecompose)
@@ -497,18 +498,13 @@ class InequalityChainReport:
 
 
 def _scalar_chain_margin(a: np.ndarray, b: np.ndarray, s: float) -> float:
-    """Normalized worst margin of the five-term scalar chain on paired values."""
-    geo = np.sqrt(a * b)
-    heinz = 0.5 * (a ** s * b ** (1.0 - s) + a ** (1.0 - s) * b ** s)
-    alpha2 = (2.0 * s - 1.0) ** 2
-    heron_sq = alpha2 * 0.5 * (a + b) + (1.0 - alpha2) * geo
-    heron_abs = abs(2.0 * s - 1.0) * 0.5 * (a + b) + (1.0 - abs(2.0 * s - 1.0)) * geo
-    arith = 0.5 * (a + b)
-    chain = (geo, heinz, heron_sq, heron_abs, arith)
-    worst = np.inf
-    for lo, hi in zip(chain, chain[1:]):
-        worst = min(worst, float(np.min((hi - lo) / np.maximum(1.0, np.abs(hi)))))
-    return worst
+    """Normalized worst margin of the five-term scalar chain, each mean a f(b / a)."""
+    t = b / a
+    alpha = abs(2.0 * s - 1.0)
+    chain = [a * v for v in (geometric_rep(t), heinz_rep(s, t), heron_rep(alpha * alpha, t),
+                             heron_rep(alpha, t), arithmetic_rep(t))]
+    return min(float(np.min((hi - lo) / np.maximum(1.0, np.abs(hi))))
+               for lo, hi in zip(chain, chain[1:]))
 
 
 def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChainReport:
@@ -529,12 +525,9 @@ def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChai
     bm = _as_array(b, "B")
     spectrum = RelativeSpectrum(am, bm)
     ev = spectrum.eigenvalues
-    harm_v = 2.0 * ev / (1.0 + ev)
-    geo_v = np.sqrt(ev)
-    heinz_v = 0.5 * (ev ** s + ev ** (1.0 - s))
-    arith_v = 0.5 * (1.0 + ev)
-    alpha2 = (2.0 * s - 1.0) ** 2
-    heron_v = alpha2 * arith_v + (1.0 - alpha2) * geo_v
+    harm_v, geo_v, heinz_v, heron_v, arith_v = (
+        harmonic_rep(ev), geometric_rep(ev), heinz_rep(s, ev),
+        heron_rep((2.0 * s - 1.0) ** 2, ev), arithmetic_rep(ev))
 
     # Each difference is one congruence of the scalar gap in the shared
     # eigenbasis.  Subtracting two separately congruated means instead would

@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
-from .means import (MeanDescriptor, RepresentingFunction, mean_from_spectrum,
-                    representing_function)
-from .orders import PhiProfile, realize_map
+from .means import (MeanDescriptor, RepresentingFunction, geometric_rep, heinz_rep,
+                    heron_rep, mean_from_spectrum, representing_function)
+from .orders import realize_map
 from .spd import RelativeSpectrum, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
@@ -222,8 +222,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
     return roots
 
 
-def invert_phi(f: RepresentingFunction, y0: float,
-               profile: Optional[PhiProfile] = None) -> float:
+def invert_phi(f: RepresentingFunction, y0: float) -> float:
     """Smallest t in [1, inf) whose pair (t, 1/t) has mean value y0.
 
     Inverts the realize map t -> t f(1/t^2), i.e. the value of the mean at
@@ -231,12 +230,11 @@ def invert_phi(f: RepresentingFunction, y0: float,
     (gamma > 1) and in (gamma, 1] when it decreases (gamma < 1), where gamma
     is the map's limit at infinity. When the map is merely surjective the
     returned preimage is the smallest one, found by a log-spaced scan for
-    the first crossing and a safeguarded Newton iteration inside it, on the
-    map of profile when given, else of orders.realize_map(f). This is the
-    one-target case of the batched inversion the pair and chain solvers run.
+    the first crossing and a safeguarded Newton iteration inside it, on
+    orders.realize_map(f). This is the one-target case of the batched
+    inversion the pair and chain solvers run.
     """
-    realize = realize_map(f) if profile is None else (profile.realize_phi, profile.realize_gamma)
-    return _invert_realize(f, realize, [y0])[0]
+    return _invert_realize(f, realize_map(f), [y0])[0]
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
@@ -279,6 +277,20 @@ def _realize_links(sigma: MeanDescriptor, realize: tuple,
     deltas = np.reshape([inverse[r] for r in ratios], nodes[1:].shape)
     return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                            MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
+
+
+def _ordered_spectrum(xa: np.ndarray, ya: np.ndarray) -> tuple:
+    """RelativeSpectrum(X, Y) and its eigenvalues clamped to at least 1.
+
+    X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
+    least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
+    at any scale.
+    """
+    spectrum = RelativeSpectrum(xa, ya)
+    low = float(spectrum.eigenvalues[-1])
+    if low < 1.0 - _EIG_CLAMP:
+        raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
+    return spectrum, np.maximum(spectrum.eigenvalues, 1.0)
 
 
 def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
@@ -341,14 +353,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    # X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
-    # least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
-    # at any scale
-    spectrum = RelativeSpectrum(xa, ya)
-    low = float(spectrum.eigenvalues[-1])
-    if low < 1.0 - _EIG_CLAMP:
-        raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
-    lams = np.maximum(spectrum.eigenvalues, 1.0)
+    spectrum, lams = _ordered_spectrum(xa, ya)
 
     # Group near-equal eigenvalues so they substitute in one step.
     # Eigenvalues within 1e-12 of 1 are at their target already; never raised.
@@ -498,9 +503,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
         raise ConvergenceError(
             f"solution left the representable range (c = {c!r})")
 
-    heinz = 0.5 * (x ** s * y ** (1.0 - s) + x ** (1.0 - s) * y ** s)
-    alpha2 = alpha * alpha
-    heron = alpha2 * 0.5 * (x + y) + (1.0 - alpha2) * math.sqrt(x * y)
+    heinz, heron = x * heinz_rep(s, y / x), x * heron_rep(alpha * alpha, y / x)
     if (abs(heinz - a) > _SCALAR_RESIDUAL_TOL * max(1.0, a)
             or abs(heron - b) > _SCALAR_RESIDUAL_TOL * max(1.0, b)):
         raise ConvergenceError(
@@ -520,37 +523,23 @@ def _validate_heinz_heron_parameter(s) -> float:
     return s
 
 
-def _normalized_smaller_target(x, y):
-    """Shared head of the congruence solvers: X0 = Y^{-1/2} X Y^{-1/2} <= I.
-
-    X <= Y holds exactly when the top eigenvalue of X0 is at most 1; the
-    test allows 1 + _EIG_CLAMP, relative to Y and so the same at any scale.
-    """
-    xa = as_spd(x, "X").entries
-    ya = as_spd(y, "Y").entries
-    spectrum = RelativeSpectrum(ya, xa)
-    top = float(spectrum.eigenvalues[0])
-    if top > 1.0 + _EIG_CLAMP:
-        raise OrderError(f"relative eigenvalue {top!r} exceeds 1: X <= Y fails")
-    return xa, ya, spectrum, np.minimum(spectrum.eigenvalues, 1.0)
-
-
 def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) with Heinz_s(A, B) = X and Heron_{(2s-1)^2}(A, B) = Y.
 
-    Requires 0 < X <= Y and s away from 1/2. Normalizes by Y, inverts the
-    scalar ratio map per eigenvalue of Y^{-1/2} X Y^{-1/2} through f_alpha
-    (taking the branch with C0 <= I), and congruates back by Y^{1/2}.
+    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: for
+    each eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2}, c = invert_f_alpha
+    at 1 / lambda gives the ratio u = e^{-2c} of a scalar pair whose Heinz
+    to Heron ratio is 1 / lambda; the pair (1, u) / Heinz_s(u) has Heinz
+    mean 1 and Heron mean lambda, and A, B are its congruates by X^{1/2} U.
     """
     s = _validate_heinz_heron_parameter(s)
     alpha = 2.0 * s - 1.0
-    xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
-    cs = np.array([invert_f_alpha(alpha, v) for v in xi])
-    ratios = np.exp(-2.0 * cs)
-    alpha2 = alpha * alpha
-    d = alpha2 * 0.5 * (1.0 + ratios) + (1.0 - alpha2) * np.sqrt(ratios)
+    xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
+    spectrum, lams = _ordered_spectrum(xa, ya)
+    ratios = np.exp(-2.0 * np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams]))
+    d = heinz_rep(s, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                           MeanDescriptor.heron(alpha2), xa, ya)
+                           MeanDescriptor.heron(alpha * alpha), xa, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -582,13 +571,15 @@ def invert_geom_heinz_ratio(s: float, r: float) -> float:
 def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) whose geometric mean is X and whose Heinz_s mean is Y.
 
-    Requires 0 < X <= Y and s away from 1/2. Inverts the closed-form
-    hyperbolic-secant ratio map per eigenvalue of Y^{-1/2} X Y^{-1/2} on the
-    branch C0 <= I and congruates back by Y^{1/2}.
+    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: for
+    each eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2}, the closed-form
+    inverse of the hyperbolic-secant ratio map at 1 / lambda gives the
+    ratio u of a scalar pair; the pair (1 / sqrt(u), sqrt(u)) has geometric
+    mean 1 and Heinz mean lambda, and A, B are its congruates by X^{1/2} U.
     """
     s = _validate_heinz_heron_parameter(s)
-    xa, ya, spectrum, xi = _normalized_smaller_target(x, y)
-    ratios = np.array([invert_geom_heinz_ratio(s, v) for v in xi])
-    d = 0.5 * (ratios ** s + ratios ** (1.0 - s))
-    return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.geometric(),
+    xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
+    spectrum, lams = _ordered_spectrum(xa, ya)
+    roots = geometric_rep(np.array([invert_geom_heinz_ratio(s, 1.0 / v) for v in lams]))
+    return _pair_witnesses(spectrum, 1.0 / roots, roots, MeanDescriptor.geometric(),
                            MeanDescriptor.heinz(s), xa, ya)

@@ -5,7 +5,6 @@ Exit-code contract: 0 success / nothing found, 1 a check found a violation
 """
 import argparse
 import json
-import math
 import subprocess
 import sys
 
@@ -13,8 +12,14 @@ import numpy as np
 import pytest
 
 from opmeans.cli import main
+from opmeans.means import arithmetic_rep, geometric_rep, heinz_rep, heron_rep
 
-DEFAULT_ECHO = {"tol": 1e-8, "trials": 1000, "seed": 42, "n": 3, "cond_cap": 100.0}
+# each verb echoes the defaults of the options it takes, and only those
+_SAMPLED_ECHO = {"tol": 1e-8, "trials": 1000, "seed": 42}
+DEFAULT_ECHO = {"eval-mean": {}, "rep-eval": {}, "solve-pair": {},
+                "solve-heinz-heron": {}, "chain": {}, "sweep": {},
+                "check-monotone": _SAMPLED_ECHO, "check-order": _SAMPLED_ECHO,
+                "ka-check": {**_SAMPLED_ECHO, "n": 3}}
 
 
 def _write(tmp_path, name, obj):
@@ -50,7 +55,7 @@ def test_eval_mean_arithmetic(tmp_path, capsys):
     assert code == 0 and err == ""
     payload = _payload(out)
     assert list(payload)[0] == "config"
-    assert payload["config"] == DEFAULT_ECHO
+    assert payload["config"] == DEFAULT_ECHO["eval-mean"]
     assert payload["value"]["rows"] == [[2.0, 0.0], [0.0, 2.0]]
 
 
@@ -211,6 +216,22 @@ def test_sweep_margins_csv(tmp_path, capsys):
         assert cells[7] >= -1e-15    # arithmetic - heron
 
 
+def test_sweep_margins_cells_are_the_catalog_means(tmp_path, capsys):
+    # every mean of (a, b) in the CSV is a f(b / a), f the catalog definition
+    out_csv = tmp_path / "margins.csv"
+    a, b = 0.37, 11.3
+    code, _, _ = _run(capsys, ["sweep", "--kind", "margins", "--grid", "0.05:0.95:7",
+                               "--a", repr(a), "--b", repr(b), "--out", str(out_csv)])
+    assert code == 0
+    t = b / a
+    for line in out_csv.read_text().strip().split("\n")[1:]:
+        s, geo, heinz, heron, arith, *gaps = (float(v) for v in line.split(","))
+        assert geo == a * geometric_rep(t) and arith == a * arithmetic_rep(t)
+        assert heinz == a * heinz_rep(s, t)
+        assert heron == a * heron_rep((2.0 * s - 1.0) ** 2, t)
+        assert gaps == [heinz - geo, heron - heinz, arith - heron]
+
+
 def test_sweep_gamma_csv_marks_infinities(tmp_path, capsys):
     out_csv = tmp_path / "gamma.csv"
     code, _, _ = _run(capsys, ["sweep", "--kind", "gamma", "--family",
@@ -328,7 +349,7 @@ def test_every_verb_reports_the_default_config_first(tmp_path, capsys, verb):
     assert code == 0 and err == ""
     payload = _payload(out)
     assert list(payload)[0] == "config"
-    assert payload["config"] == DEFAULT_ECHO
+    assert payload["config"] == DEFAULT_ECHO[verb]
 
 
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
@@ -375,4 +396,4 @@ def test_module_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["value"]["rows"] == np.eye(2).tolist()
-    assert math.isfinite(payload["config"]["tol"])
+    assert payload["config"] == DEFAULT_ECHO["eval-mean"]

@@ -10,8 +10,9 @@ from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
                      apply_spectral_function, falsify_transfer, ka_condition_check,
                      is_operator_monotone_sampled, loewner_leq, loewner_matrix,
                      parse_function, random_spd, verify_inequality_chain)
-from opmeans.means import eval_mean_from_function, representing_function
-from opmeans.monocheck import _ULPS, _difference_rounding_bound
+from opmeans.means import (arithmetic_rep, eval_mean_from_function, geometric_rep,
+                           heinz_rep, heron_rep, representing_function)
+from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
 
 EPS = float(np.finfo(float).eps)
 
@@ -203,6 +204,16 @@ def test_falsify_transfer_finds_square_witness():
     assert not loewner_leq(lo, hi, tol=1e-8)
 
 
+def test_transfer_witness_json_shape():
+    verdict = falsify_transfer(lambda t: t * t, MeanDescriptor.geometric(),
+                               MeanDescriptor.arithmetic(), trials=1000, seed=3)
+    d = verdict.witness.to_json_dict()
+    assert set(d) == {"kind", "A", "B", "min_eigenvalue", "diff_norm"}
+    assert d["kind"] == "matrix-pair"
+    assert d["A"]["n"] == 2 and d["B"]["n"] == 2
+    assert d["min_eigenvalue"] < 0.0 < d["diff_norm"]
+
+
 def test_falsify_transfer_consistent_for_sqrt_and_identity():
     ok = falsify_transfer(np.sqrt, MeanDescriptor.geometric(),
                           MeanDescriptor.arithmetic(), trials=150, seed=1)
@@ -314,6 +325,21 @@ def test_inequality_chain_commuting_reduces_to_scalars():
     assert report.scalar_checked
     assert report.scalar_min_margin >= -1e-12
     assert report.all_hold(1e-8)
+
+
+def test_scalar_chain_margin_evaluates_the_catalog_means():
+    # each mean of a pair (a, b) is a f(b / a), f the catalog definition;
+    # one pair at a time, so every link is the worst one for some (pair, s)
+    for a, b in ((0.37, 11.3), (3.3, 7.9), (2.9, 0.45), (0.013, 170.3), (4.0, 4.0)):
+        a, b = np.array([a]), np.array([b])
+        t = b / a
+        for s in (0.05, 0.2, 0.35, 0.49, 0.65, 0.8, 0.95):
+            alpha = abs(2.0 * s - 1.0)
+            chain = [a * geometric_rep(t), a * heinz_rep(s, t), a * heron_rep(alpha * alpha, t),
+                     a * heron_rep(alpha, t), a * arithmetic_rep(t)]
+            want = min(float(np.min((hi - lo) / np.maximum(1.0, np.abs(hi))))
+                       for lo, hi in zip(chain, chain[1:]))
+            assert _scalar_chain_margin(a, b, s) == want
 
 
 def test_inequality_chain_noncommuting_random():

@@ -181,6 +181,16 @@ def test_ka_condition_geometric_vs_weighted_geometric():
     assert payload["violations"] == []
 
 
+def test_ka_violation_json_shape():
+    report = ka_condition_check(MeanDescriptor.harmonic(), MeanDescriptor.arithmetic(),
+                                trials=5, seed=0)
+    assert not report.ok
+    d = report.violations[0].to_json_dict()
+    assert set(d) == {"A", "B", "min_eigenvalue", "diff_norm"}
+    assert d["A"]["n"] == 3 and d["B"]["n"] == 3
+    assert d["min_eigenvalue"] < 0.0 < d["diff_norm"]
+
+
 def test_ka_condition_zero_trials_reports_cleanly():
     report = ka_condition_check(MeanDescriptor.geometric(),
                                 MeanDescriptor.weighted_geometric(0.5),

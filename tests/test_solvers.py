@@ -80,7 +80,7 @@ def test_invert_phi_roundtrip_many_targets():
         fn = representing_function(desc)
         profile = phi_profile(fn)
         for y0 in np.linspace(1.0, 4.0, 17):
-            t = invert_phi(fn, float(y0), profile)
+            t = invert_phi(fn, float(y0))
             assert profile.realize_phi(t) == pytest.approx(y0, rel=1e-11)
 
 
@@ -133,7 +133,7 @@ def test_batched_inversion_is_bitwise_the_per_target_one(desc):
         spread = [0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
     targets = band + spread + spread[::-1]
     batched = solvers_module._invert_realize(fn, realize_map(fn), targets)
-    one_by_one = [invert_phi(fn, y0, profile) for y0 in targets]
+    one_by_one = [invert_phi(fn, y0) for y0 in targets]
     assert batched == one_by_one
     assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
     # Newton roots are not bitwise the bisection's; each must still be the
@@ -744,6 +744,18 @@ def test_geom_heinz_matrix_reproduces_targets():
         heinz = eval_mean(w.matrix_a, w.matrix_b, MeanDescriptor.heinz(s))
         assert np.linalg.norm(geo - x) <= 1e-7 * np.linalg.norm(x)
         assert np.linalg.norm(heinz - y) <= 1e-7 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.7, 0.9])
+def test_geom_heinz_closed_form_matches_the_newton_pair_solve(s):
+    # one problem, two inversions: the closed-form hyperbolic-secant inverse
+    # and the realize-map Newton iteration of solve_matrix_pair, both on the
+    # branch A >= B
+    x, y = _random_ordered_targets("geom-heinz", s, 500, 3)
+    closed = solve_geom_heinz_matrix(s, x, y)
+    newton = solve_matrix_pair(MeanDescriptor.heinz(s), x, y)
+    for got, want in ((closed.matrix_a, newton.matrix_a), (closed.matrix_b, newton.matrix_b)):
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_matrix_target_solvers_identity_oracle():
