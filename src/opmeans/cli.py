@@ -27,8 +27,8 @@ from .errors import OpmeansError, UsageError
 from .funcexpr import parse_function
 from .hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from .means import (CLASS_BOTH, CLASS_SELF_ADJOINT, CLASS_SYMMETRIC,
-                    MeanDescriptor, arithmetic_rep, eval_mean, geometric_rep,
-                    heinz_rep, heron_rep, parse_mean_descriptor,
+                    MeanDescriptor, arithmetic_pair, eval_mean, geometric_pair,
+                    heinz_pair, heron_pair, parse_mean_descriptor,
                     representing_function)
 from .monocheck import MonoConfig, is_operator_monotone_sampled
 from .orders import ka_condition_check, order_leq_sa, order_leq_sym, phi_profile
@@ -181,12 +181,10 @@ _GAMMA_COLUMNS = ["s", "gamma", "gamma_is_infinite"]
 
 
 def _margin_rows(a: float, b: float, grid: np.ndarray) -> list:
-    # every mean of (a, b) is a f(b / a)
-    t = b / a
-    geo, arith = a * geometric_rep(t), a * arithmetic_rep(t)
+    geo, arith = geometric_pair(a, b), arithmetic_pair(a, b)
     rows = []
     for s in grid.tolist():
-        heinz, heron = a * heinz_rep(s, t), a * heron_rep((2.0 * s - 1.0) ** 2, t)
+        heinz, heron = heinz_pair(s, a, b), heron_pair((2.0 * s - 1.0) ** 2, a, b)
         rows.append([s, geo, heinz, heron, arith,
                      heinz - geo, heron - heinz, arith - heron])
     return rows
@@ -219,6 +217,8 @@ def _cmd_sweep(args) -> tuple:
         if not (args.a > 0.0 and args.b > 0.0 and math.isfinite(args.a)
                 and math.isfinite(args.b)):
             raise UsageError("--a and --b must be finite positive reals")
+        if not math.isfinite(arithmetic_pair(args.a, args.b)):
+            raise UsageError("the arithmetic mean of --a and --b overflows")
         columns = _MARGIN_COLUMNS
         rows = _margin_rows(args.a, args.b, grid)
     else:

@@ -145,33 +145,33 @@ def _scalarize(fn):
     return wrapped
 
 
-# The catalog's representing functions f(t), the mean of (1, t), as plain
-# array functions that representing_function wraps; every module evaluates a
-# catalog mean of a scalar pair (a, b) through them, as a f(b / a).
-def arithmetic_rep(t):
-    return 0.5 * (1.0 + t)
+# Each catalog formula, once, as the mean of a scalar pair (a, b) of arrays;
+# the representing function is f(t) = mean(1, t). No ratio b / a is formed:
+# it overflows where the mean does not (a = 1e-200, b = 1e200).
+def arithmetic_pair(a, b):
+    return 0.5 * (a + b)
 
 
-def harmonic_rep(t):
-    return 2.0 * t / (1.0 + t)
+def harmonic_pair(a, b):
+    return 2.0 * a * b / (a + b)
 
 
-def geometric_rep(t):
-    return np.sqrt(t)
+def geometric_pair(a, b):
+    return np.sqrt(a) * np.sqrt(b)
 
 
-def heinz_rep(s, t):
-    return 0.5 * (t ** s + t ** (1.0 - s))
+def heinz_pair(s, a, b):
+    return 0.5 * (a ** s * b ** (1.0 - s) + a ** (1.0 - s) * b ** s)
 
 
-def heron_rep(s, t):
-    return s * arithmetic_rep(t) + (1.0 - s) * geometric_rep(t)
+def heron_pair(s, a, b):
+    return s * arithmetic_pair(a, b) + (1.0 - s) * geometric_pair(a, b)
 
 
 _CATALOG = {
-    ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_rep, lambda t: np.full_like(t, 0.5)),
-    HARMONIC: (CLASS_SYMMETRIC, harmonic_rep, lambda t: 2.0 / (1.0 + t) ** 2),
-    GEOMETRIC: (CLASS_BOTH, geometric_rep, lambda t: 0.5 / np.sqrt(t)),
+    ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_pair, lambda t: np.full_like(t, 0.5)),
+    HARMONIC: (CLASS_SYMMETRIC, harmonic_pair, lambda t: 2.0 / (1.0 + t) ** 2),
+    GEOMETRIC: (CLASS_BOTH, geometric_pair, lambda t: 0.5 / np.sqrt(t)),
 }
 
 
@@ -182,7 +182,7 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
     if kind in _CATALOG:
         cls, val, der = _CATALOG[kind]
         return RepresentingFunction(descriptor.describe(), cls,
-                                    _scalarize(val), _scalarize(der))
+                                    _scalarize(partial(val, 1.0)), _scalarize(der))
     if kind == WEIGHTED_GEOMETRIC:
         w = descriptor.param
         return RepresentingFunction(
@@ -193,14 +193,14 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
-            _scalarize(partial(heinz_rep, s)),
+            _scalarize(partial(heinz_pair, s, 1.0)),
             _scalarize(lambda t: 0.5 * (s * t ** (s - 1.0)
                                         + (1.0 - s) * t ** (-s))))
     if kind == HERON:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
-            _scalarize(partial(heron_rep, s)),
+            _scalarize(partial(heron_pair, s, 1.0)),
             _scalarize(lambda t: s * 0.5 + (1.0 - s) * 0.5 / np.sqrt(t)))
     h = descriptor.density
     if h.domain_class == hdensity.SYMMETRIC:

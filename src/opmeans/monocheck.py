@@ -30,8 +30,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError, UsageError
-from .means import (MeanDescriptor, arithmetic_rep, geometric_rep, harmonic_rep,
-                    heinz_rep, heron_rep, mean_from_spectrum, representing_function)
+from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
+                    heinz_pair, heron_pair, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, _as_array, _evaluate, _evaluate_sets, _frobenius,
                   _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
                   min_eig_and_norm, sym_eigendecompose)
@@ -498,11 +498,10 @@ class InequalityChainReport:
 
 
 def _scalar_chain_margin(a: np.ndarray, b: np.ndarray, s: float) -> float:
-    """Normalized worst margin of the five-term scalar chain, each mean a f(b / a)."""
-    t = b / a
+    """Normalized worst margin of the five-term scalar chain on paired values."""
     alpha = abs(2.0 * s - 1.0)
-    chain = [a * v for v in (geometric_rep(t), heinz_rep(s, t), heron_rep(alpha * alpha, t),
-                             heron_rep(alpha, t), arithmetic_rep(t))]
+    chain = (geometric_pair(a, b), heinz_pair(s, a, b), heron_pair(alpha * alpha, a, b),
+             heron_pair(alpha, a, b), arithmetic_pair(a, b))
     return min(float(np.min((hi - lo) / np.maximum(1.0, np.abs(hi))))
                for lo, hi in zip(chain, chain[1:]))
 
@@ -526,8 +525,8 @@ def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChai
     spectrum = RelativeSpectrum(am, bm)
     ev = spectrum.eigenvalues
     harm_v, geo_v, heinz_v, heron_v, arith_v = (
-        harmonic_rep(ev), geometric_rep(ev), heinz_rep(s, ev),
-        heron_rep((2.0 * s - 1.0) ** 2, ev), arithmetic_rep(ev))
+        harmonic_pair(1.0, ev), geometric_pair(1.0, ev), heinz_pair(s, 1.0, ev),
+        heron_pair((2.0 * s - 1.0) ** 2, 1.0, ev), arithmetic_pair(1.0, ev))
 
     # Each difference is one congruence of the scalar gap in the shared
     # eigenbasis.  Subtracting two separately congruated means instead would

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
-                    RepresentingFunction, _class_residual, _scalarize, arithmetic_rep,
+                    RepresentingFunction, _class_residual, _scalarize, arithmetic_pair,
                     eval_mean_from_function, mean_from_spectrum,
                     representing_function)
 from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling,
@@ -147,12 +147,12 @@ def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
     _check_class_identity(g, CLASS_SYMMETRIC, "order_leq_sym")
 
     def psi(t):
-        return arithmetic_rep(t) * f.value(t) / g.value(t)
+        return arithmetic_pair(1.0, t) * f.value(t) / g.value(t)
 
     def psi_prime(t):
         fv, gv = f.value(t), g.value(t)
         fp, gp = f.derivative(t), g.derivative(t)
-        return 0.5 * fv / gv + arithmetic_rep(t) * (fp * gv - fv * gp) / (gv * gv)
+        return 0.5 * fv / gv + arithmetic_pair(1.0, t) * (fp * gv - fv * gp) / (gv * gv)
 
     return is_operator_monotone_sampled(psi, psi_prime, config or MonoConfig())
 

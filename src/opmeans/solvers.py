@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
-from .means import (MeanDescriptor, RepresentingFunction, geometric_rep, heinz_rep,
-                    heron_rep, mean_from_spectrum, representing_function)
+from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
+                    mean_from_spectrum, representing_function)
 from .orders import realize_map
 from .spd import RelativeSpectrum, as_spd, matrix_to_json_dict
 
@@ -503,7 +503,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
         raise ConvergenceError(
             f"solution left the representable range (c = {c!r})")
 
-    heinz, heron = x * heinz_rep(s, y / x), x * heron_rep(alpha * alpha, y / x)
+    heinz, heron = heinz_pair(s, x, y), heron_pair(alpha * alpha, x, y)
     if (abs(heinz - a) > _SCALAR_RESIDUAL_TOL * max(1.0, a)
             or abs(heron - b) > _SCALAR_RESIDUAL_TOL * max(1.0, b)):
         raise ConvergenceError(
@@ -537,7 +537,7 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
     spectrum, lams = _ordered_spectrum(xa, ya)
     ratios = np.exp(-2.0 * np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams]))
-    d = heinz_rep(s, ratios)
+    d = heinz_pair(s, 1.0, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
                            MeanDescriptor.heron(alpha * alpha), xa, ya)
 
@@ -580,6 +580,6 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     s = _validate_heinz_heron_parameter(s)
     xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
     spectrum, lams = _ordered_spectrum(xa, ya)
-    roots = geometric_rep(np.array([invert_geom_heinz_ratio(s, 1.0 / v) for v in lams]))
+    roots = np.sqrt(np.array([invert_geom_heinz_ratio(s, 1.0 / v) for v in lams]))
     return _pair_witnesses(spectrum, 1.0 / roots, roots, MeanDescriptor.geometric(),
                            MeanDescriptor.heinz(s), xa, ya)

@@ -5,6 +5,7 @@ Exit-code contract: 0 success / nothing found, 1 a check found a violation
 """
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from opmeans.cli import main
-from opmeans.means import arithmetic_rep, geometric_rep, heinz_rep, heron_rep
+from opmeans.means import arithmetic_pair, geometric_pair, heinz_pair, heron_pair
 
 # each verb echoes the defaults of the options it takes, and only those
 _SAMPLED_ECHO = {"tol": 1e-8, "trials": 1000, "seed": 42}
@@ -216,20 +217,21 @@ def test_sweep_margins_csv(tmp_path, capsys):
         assert cells[7] >= -1e-15    # arithmetic - heron
 
 
-def test_sweep_margins_cells_are_the_catalog_means(tmp_path, capsys):
-    # every mean of (a, b) in the CSV is a f(b / a), f the catalog definition
+@pytest.mark.parametrize("a, b", [(0.37, 11.3), (1e-200, 1e200), (1e200, 1e200)])
+def test_sweep_margins_cells_are_the_catalog_means(tmp_path, capsys, a, b):
+    # every mean of (a, b) in the CSV is the catalog's scalar-pair definition,
+    # also where b / a (second pair) or a b (third) overflows
     out_csv = tmp_path / "margins.csv"
-    a, b = 0.37, 11.3
     code, _, _ = _run(capsys, ["sweep", "--kind", "margins", "--grid", "0.05:0.95:7",
                                "--a", repr(a), "--b", repr(b), "--out", str(out_csv)])
     assert code == 0
-    t = b / a
     for line in out_csv.read_text().strip().split("\n")[1:]:
         s, geo, heinz, heron, arith, *gaps = (float(v) for v in line.split(","))
-        assert geo == a * geometric_rep(t) and arith == a * arithmetic_rep(t)
-        assert heinz == a * heinz_rep(s, t)
-        assert heron == a * heron_rep((2.0 * s - 1.0) ** 2, t)
+        assert geo == geometric_pair(a, b) and arith == arithmetic_pair(a, b)
+        assert heinz == heinz_pair(s, a, b)
+        assert heron == heron_pair((2.0 * s - 1.0) ** 2, a, b)
         assert gaps == [heinz - geo, heron - heinz, arith - heron]
+        assert all(math.isfinite(v) for v in (geo, heinz, heron, arith, *gaps))
 
 
 def test_sweep_gamma_csv_marks_infinities(tmp_path, capsys):
@@ -273,6 +275,10 @@ def test_sweep_usage_errors(tmp_path, capsys):
                                  "--b", "-2", "--grid", "0:1:3",
                                  "--out", out_csv])
     assert code == 2 and "error:" in err
+    code, _, err = _run(capsys, ["sweep", "--kind", "margins", "--a", "1e308",
+                                 "--b", "1.5e308", "--grid", "0:1:3",
+                                 "--out", out_csv])
+    assert code == 2 and "overflows" in err
 
 
 # --------------------------------------------------------------- usage errors

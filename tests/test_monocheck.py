@@ -10,8 +10,8 @@ from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
                      apply_spectral_function, falsify_transfer, ka_condition_check,
                      is_operator_monotone_sampled, loewner_leq, loewner_matrix,
                      parse_function, random_spd, verify_inequality_chain)
-from opmeans.means import (arithmetic_rep, eval_mean_from_function, geometric_rep,
-                           heinz_rep, heron_rep, representing_function)
+from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_pair,
+                           heinz_pair, heron_pair, representing_function)
 from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
 
 EPS = float(np.finfo(float).eps)
@@ -328,18 +328,20 @@ def test_inequality_chain_commuting_reduces_to_scalars():
 
 
 def test_scalar_chain_margin_evaluates_the_catalog_means():
-    # each mean of a pair (a, b) is a f(b / a), f the catalog definition;
-    # one pair at a time, so every link is the worst one for some (pair, s)
-    for a, b in ((0.37, 11.3), (3.3, 7.9), (2.9, 0.45), (0.013, 170.3), (4.0, 4.0)):
+    # each mean of a pair (a, b) is the catalog's scalar-pair definition; one
+    # pair at a time, so every link is the worst one for some (pair, s), and
+    # the last pair's ratio b / a overflows
+    for a, b in ((0.37, 11.3), (3.3, 7.9), (2.9, 0.45), (0.013, 170.3), (4.0, 4.0),
+                 (1e-200, 1e200)):
         a, b = np.array([a]), np.array([b])
-        t = b / a
         for s in (0.05, 0.2, 0.35, 0.49, 0.65, 0.8, 0.95):
             alpha = abs(2.0 * s - 1.0)
-            chain = [a * geometric_rep(t), a * heinz_rep(s, t), a * heron_rep(alpha * alpha, t),
-                     a * heron_rep(alpha, t), a * arithmetic_rep(t)]
+            chain = [geometric_pair(a, b), heinz_pair(s, a, b), heron_pair(alpha * alpha, a, b),
+                     heron_pair(alpha, a, b), arithmetic_pair(a, b)]
             want = min(float(np.min((hi - lo) / np.maximum(1.0, np.abs(hi))))
                        for lo, hi in zip(chain, chain[1:]))
             assert _scalar_chain_margin(a, b, s) == want
+            assert math.isfinite(want)
 
 
 def test_inequality_chain_noncommuting_random():

@@ -667,6 +667,16 @@ def test_scalar_heinz_heron_equal_targets_collapse():
     assert sol.c == 0.0
 
 
+def test_scalar_heinz_heron_ratio_past_the_float_range():
+    # at c > 355 the solved ratio y / x = e^{2c} overflows, though x and y
+    # are normal floats; the residual check must not form it
+    a, b = f_alpha(0.8, 356.0) * 1e100, 1e100
+    sol = solve_scalar_heinz_heron(0.9, a, b)
+    assert sol.c > 355.0 and math.isinf(sol.y / sol.x)
+    assert _heinz(0.9, sol.x, sol.y) == pytest.approx(a, rel=1e-10)
+    assert _heron(0.64, sol.x, sol.y) == pytest.approx(b, rel=1e-10)
+
+
 def test_scalar_heinz_heron_validation():
     with pytest.raises(StructuralError):
         solve_scalar_heinz_heron(0.5, 1.0, 2.0)
@@ -780,8 +790,9 @@ def test_matrix_target_solvers_require_order():
 @pytest.mark.parametrize("solver", [solve_heinz_heron_matrix, solve_geom_heinz_matrix])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_matrix_target_order_check_is_scale_invariant(solver, scale):
-    # X <= Y is judged on the relative spectrum of (Y, X) alone, so the
-    # answer cannot depend on the scale of the pair
+    # X <= Y is judged on the relative spectrum of (X, Y) alone
+    # (solvers._ordered_spectrum), so the answer cannot depend on the scale
+    # of the pair
     y = scale * np.eye(2)
     w = solver(0.25, y * (1.0 + 5e-10), y)
     assert w.residual_x <= 1e-9 and w.residual_y <= 1e-9
