@@ -50,12 +50,18 @@ _COND_CAP = 1e12
 
 @dataclass(frozen=True)
 class RepresentingFunction:
-    """A representing function with its derivative and symmetry class."""
+    """A representing function with its derivative and symmetry class.
+
+    realize_inverse, when given, maps an array of targets y of the realize
+    map t -> t f(1/t^2) to their roots t >= 1 in closed form; the catalog
+    means with a non-constant realize map carry one.
+    """
 
     label: str
     symmetry_class: str
     value: Callable
     derivative: Callable
+    realize_inverse: Optional[Callable] = None
 
     def __call__(self, t):
         return self.value(t)
@@ -168,10 +174,40 @@ def heron_pair(s, a, b):
     return s * arithmetic_pair(a, b) + (1.0 - s) * geometric_pair(a, b)
 
 
+def _cosh_log_root(d):
+    """The root t >= 1 of cosh(log t) = (t + 1/t) / 2 = 1 + d, for d >= 0:
+    algebraic, as exp(arccosh) misses the target by more than a few ulps."""
+    return 1.0 + d + np.sqrt(d * (d + 2.0))
+
+
+def _power_root(s: float):
+    """r -> r^(1/k), the root of t^k = r, for k = 1 - 2s; None for s = 1/2.
+
+    k and 1/k are exact integer ratios, and 1/k is split into its float e
+    and the float of the rest: r^e alone is off by the rounding of e times
+    log r, 10 ulps at r = 1e9, and the float 1 - 2s rounds for s < 1/4.
+    """
+    n, d = s.as_integer_ratio()
+    num = d - 2 * n                 # k = num / d
+    if num == 0:
+        return None
+    e = d / num                     # int true division rounds once
+    en, ed = e.as_integer_ratio()
+    rest = (d * ed - en * num) / (num * ed)
+    return lambda r: r ** e * r ** rest
+
+
+# The realize map of each catalog mean, mean(t, 1/t), is cosh(log t) for the
+# arithmetic, 1 / cosh(log t) for the harmonic, cosh((1 - 2s) log t) for
+# Heinz_s, s cosh(log t) + 1 - s for Heron_s and t^(1 - 2w) for the weighted
+# geometric w. A constant map (geometric, Heinz 1/2, Heron 0, weighted
+# geometric 1/2) has no inverse: its one target, 1, needs none.
 _CATALOG = {
-    ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_pair, lambda t: np.full_like(t, 0.5)),
-    HARMONIC: (CLASS_SYMMETRIC, harmonic_pair, lambda t: 2.0 / (1.0 + t) ** 2),
-    GEOMETRIC: (CLASS_BOTH, geometric_pair, lambda t: 0.5 / np.sqrt(t)),
+    ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_pair, lambda t: np.full_like(t, 0.5),
+                 lambda y: _cosh_log_root(y - 1.0)),
+    HARMONIC: (CLASS_SYMMETRIC, harmonic_pair, lambda t: 2.0 / (1.0 + t) ** 2,
+               lambda y: _cosh_log_root((1.0 - y) / y)),
+    GEOMETRIC: (CLASS_BOTH, geometric_pair, lambda t: 0.5 / np.sqrt(t), None),
 }
 
 
@@ -180,28 +216,33 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
     """Build the representing function (with analytic derivative) of a mean."""
     kind = descriptor.kind
     if kind in _CATALOG:
-        cls, val, der = _CATALOG[kind]
+        cls, val, der, inverse = _CATALOG[kind]
         return RepresentingFunction(descriptor.describe(), cls,
-                                    _scalarize(partial(val, 1.0)), _scalarize(der))
+                                    _scalarize(partial(val, 1.0)), _scalarize(der),
+                                    inverse)
     if kind == WEIGHTED_GEOMETRIC:
         w = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SELF_ADJOINT,
             _scalarize(lambda t: t ** w),
-            _scalarize(lambda t: w * t ** (w - 1.0)))
+            _scalarize(lambda t: w * t ** (w - 1.0)),
+            _power_root(w))
     if kind == HEINZ:
         s = descriptor.param
+        power = _power_root(min(s, 1.0 - s))
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
             _scalarize(partial(heinz_pair, s, 1.0)),
             _scalarize(lambda t: 0.5 * (s * t ** (s - 1.0)
-                                        + (1.0 - s) * t ** (-s))))
+                                        + (1.0 - s) * t ** (-s))),
+            None if power is None else lambda y: power(_cosh_log_root(y - 1.0)))
     if kind == HERON:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
             _scalarize(partial(heron_pair, s, 1.0)),
-            _scalarize(lambda t: s * 0.5 + (1.0 - s) * 0.5 / np.sqrt(t)))
+            _scalarize(lambda t: s * 0.5 + (1.0 - s) * 0.5 / np.sqrt(t)),
+            None if s == 0.0 else lambda y: _cosh_log_root((y - 1.0) / s))
     h = descriptor.density
     if h.domain_class == hdensity.SYMMETRIC:
         return RepresentingFunction(

@@ -16,10 +16,12 @@ sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
 a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
 C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
 solved in one basis, and solve_matrix_pair is its one-link case v = 1. All
-the eigenvalue ratios of a chain (or of a pair) are inverted together, by one
-batched scan and safeguarded Newton iteration whose every call of the
-representing function serves all of them, and all its link witnesses are
-re-evaluated as one (links, n, n) stack.
+the eigenvalue ratios of a chain (or of a pair) are inverted together, and
+all its link witnesses are re-evaluated as one (links, n, n) stack. A
+catalog mean inverts them in closed form (RepresentingFunction.realize_inverse);
+a density mean by one batched scan and safeguarded Newton iteration whose
+every call of the representing function serves all of them. Either way a
+root must lie below the scan horizon 1e40 and is checked forward.
 
 Residuals are part of every witness: each solver re-evaluates its target
 equations and refuses to return silently inaccurate answers.
@@ -142,27 +144,23 @@ def _clamped_target(y0, gamma: float) -> float:
     return 1.0
 
 
-def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
-    """invert_phi of every target of a list in one batched pass, with
-    realize = orders.realize_map(f).
+def _scan_and_newton(f: RepresentingFunction, phi, ys: dict) -> dict:
+    """Roots of the targets ys (index -> clamped target other than 1) by scan
+    and Newton: each index maps to its root or to a ConvergenceError, and a
+    target the scan does not bracket within its horizon is left out.
 
-    Every target is range-checked and clamped first, in order. The scan then
-    calls realize_phi once per decade block of _SCAN_GRID for all targets not
-    yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
+    The scan calls phi once per decade block of _SCAN_GRID for all targets
+    not yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
     u = 1/t^2, g'(t) = f(u) - 2 u f'(u), calls f and f' once for all of them,
     moves lo or hi to t by the sign of g, and takes the midpoint for a step
     not strictly inside. All is elementwise, so each root is bitwise that of
-    its target alone. The first target, in order, that failed raises.
+    its target alone.
     """
-    phi, gamma = realize
-    ys = [_clamped_target(y0, gamma) for y0 in targets]
-    roots = [1.0 if y0 == 1.0 else None for y0 in ys]
-    errors: list = [None] * len(ys)
-
+    found: dict = {}
     # scan: the first grid point where the gap phi(t) - y0 is zero or has
     # changed sign since the previous point
     brackets: dict = {}     # i -> (lo, hi, the gap at lo)
-    pending = [i for i, y0 in enumerate(ys) if y0 != 1.0]
+    pending = list(ys)
     for start in range(0, len(_SCAN_GRID) - 1, _SCAN_PER_DECADE):
         if not pending:
             break
@@ -171,19 +169,15 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
         hit = gaps == 0.0
         hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
         unbracketed = []
-        for i, g, k, found in zip(pending, gaps.tolist(), hit.argmax(axis=1).tolist(),
-                                  hit.any(axis=1).tolist()):
-            if not found:
+        for i, g, k, bracketed in zip(pending, gaps.tolist(), hit.argmax(axis=1).tolist(),
+                                      hit.any(axis=1).tolist()):
+            if not bracketed:
                 unbracketed.append(i)
             elif g[k] == 0.0:
-                roots[i] = float(grid[k])
+                found[i] = float(grid[k])
             else:
                 brackets[i] = (float(grid[k - 1]), float(grid[k]), g[k - 1])
         pending = unbracketed
-    for i in pending:
-        errors[i] = OutOfRangeError(
-            f"target {ys[i]!r} not reached by the realize map within the scan "
-            f"horizon (gamma = {gamma!r})")
 
     live = np.array(list(brackets), dtype=int)
     lo, hi, g_lo = np.array(list(brackets.values())).reshape(-1, 3).T
@@ -204,13 +198,50 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
         done = ((gap == 0.0) | (np.abs(t_next - t) <= _BISECT_REL * t)
                 | (hi - lo <= _BISECT_REL * lo))
         for i, root in zip(live[done], np.where(gap == 0.0, t, t_next)[done]):
-            roots[i] = float(root)
+            found[int(i)] = float(root)
         live, lo, hi, rising, y, t = (a[~done] for a in (live, lo, hi, rising, y, t_next))
     for i in live.tolist():
-        errors[i] = ConvergenceError(f"realize-map inversion did not converge at "
-                                     f"target {ys[i]!r} in {_BISECT_MAX_ITER} steps")
+        found[i] = ConvergenceError(f"realize-map inversion did not converge at "
+                                    f"target {ys[i]!r} in {_BISECT_MAX_ITER} steps")
+    return found
 
-    checked = [i for i in brackets if errors[i] is None]
+
+def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
+    """invert_phi of every target of a list in one batched pass, with
+    realize = orders.realize_map(f).
+
+    Every target is range-checked and clamped first, in order. A function
+    with a realize_inverse inverts all targets other than 1 in one call of
+    it; any other runs _scan_and_newton. Either way a root above the scan
+    horizon _SCAN_GRID[-1] = 1e40 (or not finite) is out of range, each root
+    is checked forward through realize_phi to 1e-11, and the first target, in
+    order, that failed raises.
+    """
+    phi, gamma = realize
+    ys = [_clamped_target(y0, gamma) for y0 in targets]
+    pending = {i: y0 for i, y0 in enumerate(ys) if y0 != 1.0}
+    if f.realize_inverse is None:
+        found = _scan_and_newton(f, phi, pending)
+    else:
+        # a root past the float range comes out inf or nan, out of range
+        # like any root past 1e40
+        with np.errstate(all="ignore"):
+            closed = f.realize_inverse(np.array(list(pending.values()), dtype=float))
+        found = {i: t for i, t in zip(pending, closed.tolist()) if t <= _SCAN_GRID[-1]}
+
+    roots: list = [1.0] * len(ys)
+    errors: list = [None] * len(ys)
+    for i in pending:
+        root = found.get(i)
+        if root is None:
+            errors[i] = OutOfRangeError(
+                f"target {ys[i]!r} not reached by the realize map within the scan "
+                f"horizon (gamma = {gamma!r})")
+        elif isinstance(root, Exception):
+            errors[i] = root
+        else:
+            roots[i] = root
+    checked = [i for i in pending if errors[i] is None]
     values = phi(np.array([roots[i] for i in checked])).tolist() if checked else []
     for i, v in zip(checked, values):
         if abs(v - ys[i]) > 1e-11 * max(1.0, abs(ys[i])):
@@ -228,11 +259,14 @@ def invert_phi(f: RepresentingFunction, y0: float) -> float:
     Inverts the realize map t -> t f(1/t^2), i.e. the value of the mean at
     the pair (t, 1/t). Targets live in [1, gamma) when the map increases
     (gamma > 1) and in (gamma, 1] when it decreases (gamma < 1), where gamma
-    is the map's limit at infinity. When the map is merely surjective the
-    returned preimage is the smallest one, found by a log-spaced scan for
-    the first crossing and a safeguarded Newton iteration inside it, on
-    orders.realize_map(f). This is the one-target case of the batched
-    inversion the pair and chain solvers run.
+    is the map's limit at infinity. A catalog mean's map is constant or
+    strictly monotone, and inverted in closed form (f.realize_inverse). For
+    any other f, when the map is merely surjective, the returned preimage is
+    the smallest one, found by a log-spaced scan for the first crossing and
+    a safeguarded Newton iteration inside it, on orders.realize_map(f).
+    Either way a root above the scan horizon 1e40 raises OutOfRangeError,
+    and every root is checked forward to 1e-11. This is the one-target case
+    of the batched inversion the pair and chain solvers run.
     """
     return _invert_realize(f, realize_map(f), [y0])[0]
 
@@ -483,7 +517,8 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
     s away from 1/2, where the two families collapse onto each other.
     Solves c from the ratio a / b = f_alpha(c) with alpha = 2s - 1, then
     x = b e^{-c} / d and y = b e^{c} / d with d = alpha^2 cosh(c) + 1 -
-    alpha^2, which satisfies both target equations identically.
+    alpha^2, which satisfies both target equations identically; each is
+    formed as the exp of its log, so x underflows only where its value does.
     """
     s = _validate_heinz_heron_parameter(s)
     a = float(a)
@@ -496,9 +531,10 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
             "never exceeds the Heron value")
     alpha = 2.0 * s - 1.0
     c = invert_f_alpha(alpha, a / b)
-    log_den = _log_f_alpha_den(alpha, c)
-    x = b * math.exp(-c - log_den)
-    y = b * math.exp(c - log_den)
+    # exp of the whole log: b e^{-c} / d underflows through e^{-c} first
+    log_b = math.log(b) - _log_f_alpha_den(alpha, c)
+    x = math.exp(log_b - c)
+    y = math.exp(log_b + c)
     if x <= 0.0 or not math.isfinite(y):
         raise ConvergenceError(
             f"solution left the representable range (c = {c!r})")
@@ -571,15 +607,16 @@ def invert_geom_heinz_ratio(s: float, r: float) -> float:
 def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) whose geometric mean is X and whose Heinz_s mean is Y.
 
-    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: for
-    each eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2}, the closed-form
-    inverse of the hyperbolic-secant ratio map at 1 / lambda gives the
-    ratio u of a scalar pair; the pair (1 / sqrt(u), sqrt(u)) has geometric
-    mean 1 and Heinz mean lambda, and A, B are its congruates by X^{1/2} U.
+    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: each
+    eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2} is inverted by the
+    closed-form realize inverse of Heinz_s, the root t >= 1 of
+    cosh((1 - 2s) log t) = lambda; the pair (t, 1 / t) has geometric mean 1
+    and Heinz mean lambda, and A, B are its congruates by X^{1/2} U.
     """
     s = _validate_heinz_heron_parameter(s)
     xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
     spectrum, lams = _ordered_spectrum(xa, ya)
-    roots = np.sqrt(np.array([invert_geom_heinz_ratio(s, 1.0 / v) for v in lams]))
-    return _pair_witnesses(spectrum, 1.0 / roots, roots, MeanDescriptor.geometric(),
-                           MeanDescriptor.heinz(s), xa, ya)
+    sigma = MeanDescriptor.heinz(s)
+    roots = representing_function(sigma).realize_inverse(lams)
+    return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
+                           sigma, xa, ya)

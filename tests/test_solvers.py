@@ -113,12 +113,22 @@ _SYM_STEP = MeanDescriptor.from_h_density(
     HDensity(SYMMETRIC, (0.0, 0.3, 0.7, 1.0), (0.2, 0.1, 0.3)))
 
 
+def _newton_only(desc) -> RepresentingFunction:
+    """desc's representing function without its closed-form realize inverse,
+    so that it is inverted by scan and Newton."""
+    fn = representing_function(desc)
+    return RepresentingFunction(fn.label, fn.symmetry_class, fn.value, fn.derivative)
+
+
+# the catalog cases invert in closed form; the density case and the
+# rebuilt harmonic (a map falling to gamma = 0) run the scan and Newton
 @pytest.mark.parametrize("desc", [ARITH, HARM, MeanDescriptor.weighted_geometric(0.25),
                                   MeanDescriptor.heinz(0.2), MeanDescriptor.heron(0.3),
-                                  _SA_STEP],
-                         ids=["arithmetic", "harmonic", "wgeo", "heinz", "heron", "sa-density"])
+                                  _SA_STEP, _newton_only(HARM)],
+                         ids=["arithmetic", "harmonic", "wgeo", "heinz", "heron", "sa-density",
+                              "harmonic-newton"])
 def test_batched_inversion_is_bitwise_the_per_target_one(desc):
-    fn = representing_function(desc)
+    fn = desc if isinstance(desc, RepresentingFunction) else representing_function(desc)
     profile = phi_profile(fn)
     rising = profile.realize_gamma > 1.0
     # exactly 1, one target clamped to 1 from within _EIG_CLAMP, and two
@@ -136,15 +146,74 @@ def test_batched_inversion_is_bitwise_the_per_target_one(desc):
     one_by_one = [invert_phi(fn, y0) for y0 in targets]
     assert batched == one_by_one
     assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
-    # Newton roots are not bitwise the bisection's; each must still be the
-    # smallest preimage (inside the reference scan's bracket) and hit its
-    # target to a few ulps
+    # closed-form and Newton roots are not bitwise the bisection's; each must
+    # still be the smallest preimage (inside the reference scan's bracket)
+    # and hit its target to a few ulps
     eps = np.finfo(float).eps
     for y0, t in zip(targets, batched):
         y0 = max(y0, 1.0) if rising else min(y0, 1.0)
         lo, hi = _scan_bracket_one_point_at_a_time(profile, y0)
         assert lo <= t <= hi
         assert abs(profile.realize_phi(t) - y0) <= 4.0 * eps * max(1.0, y0)
+
+
+_CLOSED_FORMS = [ARITH, HARM, MeanDescriptor.weighted_geometric(0.1),
+                 MeanDescriptor.weighted_geometric(0.25), MeanDescriptor.weighted_geometric(0.8),
+                 MeanDescriptor.heinz(0.1), MeanDescriptor.heinz(0.2), MeanDescriptor.heinz(0.75),
+                 MeanDescriptor.heinz(0.95), MeanDescriptor.heron(0.05),
+                 MeanDescriptor.heron(0.3), MeanDescriptor.heron(1.0)]
+_CLOSED_FORM_IDS = ["arithmetic", "harmonic", "wgeo-0.1", "wgeo-0.25", "wgeo-0.8",
+                    "heinz-0.1", "heinz-0.2", "heinz-0.75", "heinz-0.95", "heron-0.05",
+                    "heron-0.3", "heron-1"]
+
+
+@pytest.mark.parametrize("desc", _CLOSED_FORMS, ids=_CLOSED_FORM_IDS)
+def test_closed_form_inverse_is_the_smallest_preimage(desc):
+    fn = representing_function(desc)
+    assert fn.realize_inverse is not None
+    profile = phi_profile(fn)
+    if profile.realize_gamma > 1.0:
+        targets = [1.0 + 1e-12, 1.0 + 1e-9, 1.01, 1.25, 2.0, 42.0, 1e3, 1e6, 1e9]
+    else:
+        targets = [1.0 - 1e-12, 1.0 - 1e-9, 0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
+    realize = realize_map(fn)
+    roots = solvers_module._invert_realize(fn, realize, targets)
+    newton = solvers_module._invert_realize(_newton_only(desc), realize, targets)
+    eps = np.finfo(float).eps
+    for y0, t, t_newton in zip(targets, roots, newton):
+        lo, hi = _scan_bracket_one_point_at_a_time(profile, y0)
+        # a root within an ulp of a grid point may round past it: for wgeo
+        # 0.1 at y = 1e3 the exact root lies 0.45 ulp above the bracket end,
+        # the grid point 10^(240/64), and the closed form rounds it up
+        assert np.nextafter(lo, 0.0) <= t <= np.nextafter(hi, np.inf)
+        assert abs(profile.realize_phi(t) - y0) <= 4.0 * eps * max(1.0, y0)
+        # near y = 1 the root is ill-conditioned, and the two may part there
+        if abs(math.log(y0)) >= math.log(1.01):
+            assert t == pytest.approx(t_newton, rel=1e-9)
+
+
+@pytest.mark.parametrize("desc, y0", [(ARITH, 1e41), (ARITH, 1e300), (HARM, 1e-300),
+                                      (MeanDescriptor.heinz(0.49), 1e9),
+                                      (MeanDescriptor.weighted_geometric(0.45), 1e6),
+                                      (MeanDescriptor.weighted_geometric(0.55), 1e-300)])
+def test_closed_form_keeps_the_scan_horizon(desc, y0):
+    # roots past 1e40, or past the float range, are refused as the scan
+    # refuses them
+    for fn in (representing_function(desc), _newton_only(desc)):
+        with pytest.raises(OutOfRangeError, match="within the scan horizon"):
+            solvers_module._invert_realize(fn, realize_map(fn), [2.0 if y0 > 1.0 else 0.5, y0])
+
+
+@pytest.mark.parametrize("desc", [GEO, MeanDescriptor.heinz(0.5), MeanDescriptor.heron(0.0),
+                                  MeanDescriptor.weighted_geometric(0.5)],
+                         ids=["geometric", "heinz-0.5", "heron-0", "wgeo-0.5"])
+def test_constant_realize_maps_have_no_inverse_to_divide_by_zero(desc):
+    fn = representing_function(desc)
+    assert fn.realize_inverse is None
+    targets = [1.0, 1.0 + 1e-10, 1.0 - 1e-10]
+    assert solvers_module._invert_realize(fn, realize_map(fn), targets) == [1.0, 1.0, 1.0]
+    with pytest.raises(OutOfRangeError, match="constant"):
+        invert_phi(fn, 1.1)
 
 
 def test_batched_inversion_raises_the_first_bad_target_in_order():
@@ -224,6 +293,47 @@ def test_density_solve_evaluates_at_most_n_points_past_the_scan(monkeypatch, des
         assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
         assert sizes.count(41) == 1 and 65 in sizes
         assert all(size <= n for size in sizes if size not in (41, 65))
+
+
+def _counting_realize_map(monkeypatch) -> list:
+    """Record the size of every call of the realize map the solvers build."""
+    sizes = []
+    real = solvers_module.realize_map
+
+    def counting(f):
+        def value(t):
+            sizes.append(np.size(t))
+            return f.value(t)
+        return real(RepresentingFunction(f.label, f.symmetry_class, value, f.derivative))
+
+    monkeypatch.setattr(solvers_module, "realize_map", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("desc, low, high", [
+    (ARITH, 1.2, 30.0), (HARM, 0.05, 0.9), (MeanDescriptor.weighted_geometric(0.25), 1.2, 30.0),
+    (MeanDescriptor.heinz(0.2), 1.2, 30.0), (MeanDescriptor.heron(0.3), 1.2, 30.0)],
+    ids=["arithmetic", "harmonic", "wgeo", "heinz", "heron"])
+def test_catalog_pair_solve_calls_the_realize_map_on_no_scan_block(monkeypatch, desc, low, high):
+    # the 41-point gamma limit and the forward check of the 5 roots
+    sizes = _counting_realize_map(monkeypatch)
+    x = random_spd(5, cond_cap=20.0, seed=90).entries
+    root = spd_module.sqrt_pair(x)[0]
+    w = solve_matrix_pair(desc, x, root @ np.diag(np.geomspace(low, high, 5)) @ root)
+    assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+    assert sizes == [41, 5]
+
+
+@pytest.mark.parametrize("desc", [ARITH, MeanDescriptor.heron(0.5)], ids=["arithmetic", "heron"])
+def test_catalog_chain_calls_the_realize_map_on_no_scan_block(monkeypatch, desc):
+    # the 41-point gamma limit and one forward check of every distinct ratio
+    sizes = _counting_realize_map(monkeypatch)
+    x = random_spd(4, cond_cap=20.0, seed=91).entries
+    root = spd_module.sqrt_pair(x)[0]
+    chain = build_monotone_chain(desc, x, root @ np.diag([1.5, 7.0, 40.0, 300.0]) @ root)
+    assert len(chain.pair_witnesses) > 3
+    assert sizes[0] == 41 and len(sizes) == 2
+    assert 1 < sizes[1] <= 4 * len(chain.pair_witnesses)
 
 
 def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
@@ -673,6 +783,25 @@ def test_scalar_heinz_heron_ratio_past_the_float_range():
     a, b = f_alpha(0.8, 356.0) * 1e100, 1e100
     sol = solve_scalar_heinz_heron(0.9, a, b)
     assert sol.c > 355.0 and math.isinf(sol.y / sol.x)
+    assert _heinz(0.9, sol.x, sol.y) == pytest.approx(a, rel=1e-10)
+    assert _heron(0.64, sol.x, sol.y) == pytest.approx(b, rel=1e-10)
+
+
+def test_scalar_heinz_heron_tiny_x_below_the_exponential_range():
+    # c = 399.9: e^{-c} underflows to 0, though x = 8.6e-248 is a normal float
+    s, a, b = 0.995, 1.87e98, 1e100
+    sol = solve_scalar_heinz_heron(s, a, b)
+    assert sol.c > 399.0 and 1e-250 < sol.x < 1e-245
+    assert _heinz(s, sol.x, sol.y) == pytest.approx(a, rel=1e-10)
+    assert _heron((2.0 * s - 1.0) ** 2, sol.x, sol.y) == pytest.approx(b, rel=1e-10)
+
+
+def test_scalar_heinz_heron_x_keeps_its_digits_past_a_subnormal_exponential():
+    # c = 365: e^{-c} / d = 2.9e-317 is subnormal, and x = b e^{-c} / d built
+    # from it missed the 1e-10 residual check
+    a, b = f_alpha(0.8, 365.0) * 1e100, 1e100
+    sol = solve_scalar_heinz_heron(0.9, a, b)
+    assert sol.c == pytest.approx(365.0, rel=1e-12)
     assert _heinz(0.9, sol.x, sol.y) == pytest.approx(a, rel=1e-10)
     assert _heron(0.64, sol.x, sol.y) == pytest.approx(b, rel=1e-10)
 
