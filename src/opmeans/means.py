@@ -258,15 +258,16 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
 def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> np.ndarray:
     """mean(P, Q) = P^{1/2} f(Z) P^{1/2} from the relative spectrum Z of (P, Q).
 
-    Refuses pairs whose relative spectrum has condition number above 1e12.
-    For a stacked spectrum, f is called once on all eigenvalues of the stack,
-    and one ill-conditioned pair refuses the stack.
+    Refuses pairs whose relative spectrum has condition number above 1e12
+    or is not positive. For a stacked spectrum, f is called once on all
+    eigenvalues of the stack, and one refused pair refuses the stack.
     """
     ev = spectrum.eigenvalues
     if np.any(spectrum.condition > _COND_CAP):
         raise ConditioningError(
             f"relative spectrum of the matrix pair spans [{np.min(ev):.3e}, "
-            f"{np.max(ev):.3e}]; too ill-conditioned to evaluate reliably")
+            f"{np.max(ev):.3e}]; " + ("the pair is not positive definite" if np.min(ev) <= 0.0
+                                     else "too ill-conditioned to evaluate reliably"))
     return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
 
 

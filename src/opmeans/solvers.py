@@ -17,7 +17,8 @@ a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
 C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
 solved in one basis, and solve_matrix_pair is its one-link case v = 1. All
 the eigenvalue ratios of a chain (or of a pair) are inverted together, and
-all its link witnesses are re-evaluated as one (links, n, n) stack. A
+all its link witnesses are re-evaluated as one (links, n, n) stack. Counting
+the SpdMatrix validations, a pair decomposes 5 matrices, a chain 3 + 2 * links. A
 catalog mean inverts them in closed form (RepresentingFunction.realize_inverse);
 a density mean by one batched scan and safeguarded Newton iteration whose
 every call of the representing function serves all of them. Either way a
@@ -39,7 +40,7 @@ from .errors import (ConvergenceError, DomainError, OrderError,
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     mean_from_spectrum, representing_function)
 from .orders import realize_map
-from .spd import RelativeSpectrum, as_spd, matrix_to_json_dict
+from .spd import RelativeSpectrum, SpdMatrix, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -313,14 +314,14 @@ def _realize_links(sigma: MeanDescriptor, realize: tuple,
                            MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
 
 
-def _ordered_spectrum(xa: np.ndarray, ya: np.ndarray) -> tuple:
+def _ordered_spectrum(xs: SpdMatrix, ys: SpdMatrix) -> tuple:
     """RelativeSpectrum(X, Y) and its eigenvalues clamped to at least 1.
 
     X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
     least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
     at any scale.
     """
-    spectrum = RelativeSpectrum(xa, ya)
+    spectrum = RelativeSpectrum(xs, ys)
     low = float(spectrum.eigenvalues[-1])
     if low < 1.0 - _EIG_CLAMP:
         raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
@@ -337,12 +338,12 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     Every relative eigenvalue is checked against that range, as invert_phi
     checks its target, before any is inverted.
     """
-    xa = as_spd(x, "X").entries
-    ya = as_spd(y, "Y").entries
-    spectrum = RelativeSpectrum(xa, ya)
+    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
+    spectrum = RelativeSpectrum(xs, ys)
     realize = realize_map(representing_function(sigma))
     nodes = np.stack([np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues])
-    return _realize_links(sigma, realize, spectrum, nodes, np.stack([xa, ya]))[0]
+    return _realize_links(sigma, realize, spectrum, nodes,
+                          np.stack([xs.entries, ys.entries]))[0]
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -368,8 +369,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
-    xa = as_spd(x, "X").entries
-    ya = as_spd(y, "Y").entries
+    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
+    xa, ya = xs.entries, ys.entries
     if xa.shape != ya.shape:
         raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     fn = representing_function(sigma)
@@ -387,7 +388,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    spectrum, lams = _ordered_spectrum(xa, ya)
+    spectrum, lams = _ordered_spectrum(xs, ys)
 
     # Group near-equal eigenvalues so they substitute in one step.
     # Eigenvalues within 1e-12 of 1 are at their target already; never raised.
@@ -570,12 +571,12 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     """
     s = _validate_heinz_heron_parameter(s)
     alpha = 2.0 * s - 1.0
-    xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
-    spectrum, lams = _ordered_spectrum(xa, ya)
+    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
+    spectrum, lams = _ordered_spectrum(xs, ys)
     ratios = np.exp(-2.0 * np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams]))
     d = heinz_pair(s, 1.0, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                           MeanDescriptor.heron(alpha * alpha), xa, ya)
+                           MeanDescriptor.heron(alpha * alpha), xs.entries, ys.entries)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -614,9 +615,9 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     and Heinz mean lambda, and A, B are its congruates by X^{1/2} U.
     """
     s = _validate_heinz_heron_parameter(s)
-    xa, ya = as_spd(x, "X").entries, as_spd(y, "Y").entries
-    spectrum, lams = _ordered_spectrum(xa, ya)
+    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
+    spectrum, lams = _ordered_spectrum(xs, ys)
     sigma = MeanDescriptor.heinz(s)
     roots = representing_function(sigma).realize_inverse(lams)
     return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
-                           sigma, xa, ya)
+                           sigma, xs.entries, ys.entries)

@@ -9,7 +9,8 @@ tol * ||M|| term of every refutation rule in monocheck.
 Every operator mean of a pair (P, Q) is a spectral function of the relative
 spectrum Z = P^{-1/2} Q P^{-1/2}, congruated back by P^{1/2}. RelativeSpectrum
 decomposes a pair once; the means, the inverse solvers, the chain builder and
-the sampled checks all go through it.
+the sampled checks all go through it. It reuses the eigendecomposition that
+an SpdMatrix P keeps from its validation.
 
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm and RelativeSpectrum take a (k, n, n) stack of matrices as
@@ -21,7 +22,7 @@ their trials through them as stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,12 +120,10 @@ class SpectralDecomposition:
     basis: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float)
-        u = np.array(self.basis, dtype=float)
-        w.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "basis", u)
+        for name in ("eigenvalues", "basis"):
+            x = np.array(getattr(self, name), dtype=float)
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     def apply(self, values) -> np.ndarray:
         """Assemble U diag(values) U^T.
@@ -132,11 +131,22 @@ class SpectralDecomposition:
         values may carry leading axes, (k, n) for a stack or for k value sets
         on one basis; the result is then a (k, n, n) stack.
         """
-        vals = np.asarray(values, dtype=float)
-        return _symmetrize((self.basis * vals[..., None, :]) @ _transpose(self.basis))
+        return _assemble(self.basis, values)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(self.eigenvalues)
+
+
+def _assemble(basis: np.ndarray, values) -> np.ndarray:
+    """basis diag(values) basis^T, symmetrized; values (..., n) gives a stack."""
+    vals = np.asarray(values, dtype=float)
+    return _symmetrize((basis * vals[..., None, :]) @ _transpose(basis))
+
+
+def _descending(w: np.ndarray, v: np.ndarray) -> tuple:
+    """An eigh result in non-ascending order, as C-contiguous copies, not
+    reversed views: numpy's ** rounds differently on non-contiguous input."""
+    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
 def sym_eigendecompose(m) -> SpectralDecomposition:
@@ -147,13 +157,7 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     on equal input give identical output. A (k, n, n) stack is decomposed
     matrix by matrix in one call.
     """
-    return _eigendecompose(_require_symmetric(_as_array(m, stack=True), "matrix"))
-
-
-def _eigendecompose(a: np.ndarray) -> SpectralDecomposition:
-    """sym_eigendecompose of an array the package built symmetric itself."""
-    w, v = _eigh(a)
-    w, v = w[..., ::-1], v[..., ::-1]
+    w, v = _descending(*_eigh(_require_symmetric(_as_array(m, stack=True), "matrix")))
     # the largest-magnitude entry of each column, gathered from the columns
     # laid out as rows
     row = np.abs(v).argmax(axis=-2)
@@ -170,16 +174,20 @@ class SpdMatrix:
     Construction checks symmetry (within SYMMETRY_RTOL relative) and rejects
     matrices whose smallest eigenvalue is <= PD_FLOOR_RTOL * ||M||_F. The
     stored array is a read-only copy; instances are immutable value objects.
+    Validation's eigendecomposition is kept, private and read-only, for
+    RelativeSpectrum to reuse.
     """
 
     entries: np.ndarray
+    _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _require_symmetric(_as_array(self.entries, "SpdMatrix"), "SpdMatrix")
-        _pd_spectrum(a)
-        a = a.copy()
-        a.setflags(write=False)
+        spectrum = _descending(*_pd_spectrum(a, vectors=True))
+        for x in (a, *spectrum):
+            x.setflags(write=False)
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def n(self) -> int:
@@ -197,13 +205,14 @@ class SpdMatrix:
         return cls(matrix_from_json_dict(data))
 
 
-def _pd_spectrum(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric a, (n, n) or (k, n, n).
+def _pd_spectrum(a: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues w of the symmetric a, (n, n) or (k, n, n); (w, V) with vectors.
 
     Raises StructuralError unless the smallest eigenvalue of every matrix
     exceeds PD_FLOOR_RTOL * ||M||_F.
     """
-    w = _eigh(a, vectors=False)
+    out = _eigh(a, vectors)
+    w = out[0] if vectors else out
     floor = PD_FLOOR_RTOL * _frobenius(a)
     bad = w[..., 0] <= floor
     if bad.any():
@@ -212,7 +221,7 @@ def _pd_spectrum(a: np.ndarray) -> np.ndarray:
         raise StructuralError(
             f"matrix is not positive definite within tolerance: smallest "
             f"eigenvalue {lam_min:.6e} is below the floor {floor:.6e}")
-    return w
+    return out
 
 
 def as_spd(m, name: str = "matrix") -> SpdMatrix:
@@ -329,25 +338,27 @@ def min_eig_and_norm(a):
 
 def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
     """Return (M^{1/2}, M^{-1/2}) for a positive definite matrix."""
-    return _roots(sym_eigendecompose(m))
+    dec = sym_eigendecompose(m)
+    return _roots(dec.eigenvalues, dec.basis, "matrix")
 
 
-def _roots(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """(M^{1/2}, M^{-1/2}) from the decomposition of M."""
-    lam = dec.eigenvalues
-    if float(np.min(lam)) <= 0.0:
-        raise ConditioningError(
-            f"matrix square root requires positive spectrum, got {np.min(lam)!r}")
-    r = np.sqrt(lam)
-    return dec.apply(r), dec.apply(1.0 / r)
+def _roots(w: np.ndarray, v: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(M^{1/2}, M^{-1/2}) from M = V diag(w) V^T, M named name in errors."""
+    lo = float(np.min(w))
+    if lo <= 0.0:
+        raise ConditioningError(f"square root of {name} needs a positive spectrum, got {lo!r}")
+    r = np.sqrt(w)
+    return _assemble(v, r), _assemble(v, 1.0 / r)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class RelativeSpectrum:
     """The relative spectrum Z = P^{-1/2} Q P^{-1/2} of an SPD pair (P, Q).
 
-    Holds P^{1/2} and the eigendecomposition of Z, so any number of spectral
-    functions g of one pair cost a single decomposition each way:
+    Holds P^{1/2} and Z's non-ascending eigenvalues and orthonormal basis
+    (column signs not normalized), read-only, so any number of spectral
+    functions g of one pair cost one decomposition each way (none for an
+    SpdMatrix P, whose kept one is reused, bitwise that of P's entries):
     congruate(g(eigenvalues)) = P^{1/2} g(Z) P^{1/2}. congruate(ones) is P
     and congruate(eigenvalues) is Q. P and Q may be (k, n, n) stacks of k
     pairs; eigenvalues is then (k, n) and congruate maps (k, n) values to a
@@ -356,25 +367,22 @@ class RelativeSpectrum:
     """
 
     root: np.ndarray
-    decomposition: SpectralDecomposition
+    eigenvalues: np.ndarray
+    basis: np.ndarray
 
     def __init__(self, p, q):
         pm = _as_array(p, "P", stack=True)
         qm = _as_array(q, "Q", stack=True)
         if pm.shape != qm.shape:
             raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
-        pm = _require_symmetric(pm, "P")
+        spectrum = (p._spectrum if isinstance(p, SpdMatrix)
+                    else _descending(*_eigh(_require_symmetric(pm, "P"))))
         _check_symmetric(qm, "Q")     # Z is symmetrized below
-        root, inv_root = _roots(_eigendecompose(pm))
-        root.setflags(write=False)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "decomposition",
-                           _eigendecompose(_symmetrize(inv_root @ qm @ inv_root)))
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of Z, non-ascending."""
-        return self.decomposition.eigenvalues
+        root, inv_root = _roots(*spectrum, "P")
+        z = _descending(*_eigh(_symmetrize(inv_root @ qm @ inv_root)))
+        for name, x in zip(("root", "eigenvalues", "basis"), (root, *z)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def condition(self):
@@ -393,7 +401,7 @@ class RelativeSpectrum:
         values (..., n) with leading axes gives a stack: with one pair, k
         value sets congruate to k matrices.
         """
-        return _symmetrize(self.root @ self.decomposition.apply(values) @ self.root)
+        return _symmetrize(self.root @ _assemble(self.basis, values) @ self.root)
 
 
 def random_spd(n: int, cond_cap: float = 100.0, seed: int = 0) -> SpdMatrix:

@@ -621,10 +621,8 @@ def test_chain_witnesses_reverify_through_eval_mean(sigma):
             assert np.linalg.norm(got_y - hi) <= 1e-7 * np.linalg.norm(hi)
 
 
-def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
-    # two validations and one relative spectrum of (X, Y) cost four
-    # eigensolves; each link adds only its witness re-evaluation, and the
-    # witnesses of all links are decomposed as one stack in two calls
+def _count_eigensolved_matrices(monkeypatch) -> list:
+    """Patch spd._eigh to record, per call, how many matrices it decomposed."""
     matrices = []
     real = spd_module._eigh
 
@@ -633,6 +631,15 @@ def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(spd_module, "_eigh", counting)
+    return matrices
+
+
+def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
+    # two validations cost two eigensolves, and the relative spectrum of
+    # (X, Y) one more: it reuses the decomposition X's validation kept. Each
+    # link adds only its witness re-evaluation, and the witnesses of all
+    # links are decomposed as one stack in two calls
+    matrices = _count_eigensolved_matrices(monkeypatch)
     for k, sigma in enumerate((ARITH, MeanDescriptor.heron(0.5))):
         x = random_spd(3, cond_cap=30.0, seed=70 + k).entries
         bump = np.random.default_rng(700 + k).standard_normal((3, 3))
@@ -640,8 +647,24 @@ def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
         chain = build_monotone_chain(sigma, x, x + 2.0 * bump @ bump.T, gamma0=1.4)
         links = len(chain.pair_witnesses)
         assert links >= 3
-        assert sum(matrices) == 4 + 2 * links
-        assert len(matrices) == 6
+        assert sum(matrices) == 3 + 2 * links
+        assert len(matrices) == 5
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, y: solve_matrix_pair(ARITH, x, y),
+    lambda x, y: solve_heinz_heron_matrix(0.3, x, y),
+    lambda x, y: solve_geom_heinz_matrix(0.3, x, y)], ids=["pair", "heinz-heron", "geom-heinz"])
+def test_pair_solve_decomposes_five_matrices(monkeypatch, solve):
+    # the validations of X and Y, the relative spectrum of (X, Y) on X's kept
+    # decomposition, and the witness pair's relative spectrum (two eigensolves)
+    matrices = _count_eigensolved_matrices(monkeypatch)
+    for n in (1, 3, 6):
+        x = random_spd(n, cond_cap=30.0, seed=80 + n).entries
+        bump = np.random.default_rng(800 + n).standard_normal((n, n))
+        matrices.clear()
+        solve(x, x + 0.5 * bump @ bump.T)
+        assert matrices == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opmeans
-from opmeans import (ConditioningError, DomainError, RelativeSpectrum, SpdMatrix,
-                     StructuralError, apply_spectral_function, as_spd, loewner_leq,
+from opmeans import (ConditioningError, DomainError, MeanDescriptor, RelativeSpectrum,
+                     SpdMatrix, StructuralError, apply_spectral_function, as_spd,
+                     eval_mean, loewner_leq,
                      matrix_from_json_dict, matrix_to_json_dict,
                      min_eig_and_norm, parse_function, random_spd, sqrt_pair,
                      sym_eigendecompose)
@@ -203,6 +204,60 @@ def test_relative_spectrum_rejects_malformed_pairs():
                  (np.array([[2.0, 0.9], [0.0, 2.0]]), good)):
         with pytest.raises(StructuralError):
             RelativeSpectrum(p, q)
+
+
+def test_relative_spectrum_reuses_the_spd_decomposition_bitwise():
+    # an SpdMatrix P hands its kept eigendecomposition to RelativeSpectrum;
+    # the result must be bitwise that of P's entries decomposed afresh
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8):
+        for _ in range(5):
+            p, q = random_spd_from(rng, n), random_spd_from(rng, n)
+            kept, fresh = RelativeSpectrum(p, q), RelativeSpectrum(p.entries, q.entries)
+            values = rng.uniform(0.5, 2.0, (4, n))
+            for name in ("root", "eigenvalues", "basis"):
+                got = getattr(kept, name)
+                assert np.array_equal(got, getattr(fresh, name))
+                assert got.flags.c_contiguous and not got.flags.writeable
+            assert np.array_equal(kept.congruate(values), fresh.congruate(values))
+    a, b = _random_spd_stack(rng, 6, 4, 50.0), _random_spd_stack(rng, 6, 4, 50.0)
+    stack = RelativeSpectrum(a, b)
+    for name in ("root", "eigenvalues", "basis"):
+        got = getattr(stack, name)
+        assert got.flags.c_contiguous and not got.flags.writeable
+    for k in range(len(a)):
+        one = RelativeSpectrum(SpdMatrix(a[k]), SpdMatrix(b[k]))
+        assert np.array_equal(stack.root[k], one.root)
+        assert np.array_equal(stack.eigenvalues[k], one.eigenvalues)
+        assert np.array_equal(stack.congruate(stack.eigenvalues)[k],
+                              one.congruate(one.eigenvalues))
+
+
+def test_spd_matrix_kept_decomposition_cannot_be_written():
+    m = random_spd(4, seed=5)
+    public = [getattr(m, name) for name in dir(m) if not name.startswith("_")]
+    arrays = [x for x in public if isinstance(x, np.ndarray)] + list(m._spectrum)
+    assert len(arrays) == 3
+    for x in arrays:
+        assert x.flags.c_contiguous and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[..., 0] = 0.0
+    with pytest.raises(AttributeError):
+        m._spectrum = (np.ones(4), np.eye(4))
+    w, v = m._spectrum
+    assert np.allclose((v * w) @ v.T, m.entries, atol=1e-12 * np.linalg.norm(m.entries))
+
+
+def test_non_positive_pairs_raise_conditioning_errors_that_name_them():
+    eye = np.eye(2)
+    with pytest.raises(ConditioningError, match=r"square root of P .* got -1\.0$") as info:
+        RelativeSpectrum(-eye, eye)
+    assert "np.float64" not in str(info.value)
+    with pytest.raises(ConditioningError, match="the pair is not positive definite") as info:
+        eval_mean(eye, -eye, MeanDescriptor.arithmetic())
+    assert "np.float64" not in str(info.value) and "ill-conditioned" not in str(info.value)
+    with pytest.raises(ConditioningError, match="too ill-conditioned"):
+        eval_mean(eye, np.diag([1.0, 1e-13]), MeanDescriptor.arithmetic())
 
 
 def test_apply_spectral_function_log_exp_inverse():
