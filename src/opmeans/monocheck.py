@@ -20,12 +20,16 @@ chain on concrete matrix pairs.
 The checks run many point sets or matrix pairs at once, as stacks through
 the spd primitives, with f called once over all their points; skips,
 faults and refutations are then resolved in trial order, so every verdict,
-trials_run and witness is that of checking one set or pair at a time.
+trials_run and witness is that of checking one set or pair at a time. The
+sampler builds its grid and structured point sets, with their Loewner
+geometry, once per process; f receives a copy of the points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import lru_cache
+from numbers import Integral
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -87,54 +91,58 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     ordered = np.sort(pts, axis=-1)
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise StructuralError("Loewner matrix needs distinct points")
-    if fprime is None:
-        x = _evaluation_points(pts)
-        mat, err = _loewner_stack(pts, _evaluate(f, x.ravel()).reshape(x.shape), None)
-    else:
-        mat, err = _loewner_stack(pts, _evaluate(f, pts.ravel()).reshape(pts.shape),
-                                  _evaluate(fprime, pts.ravel()).reshape(pts.shape))
+    x, geometry = _loewner_geometry(pts, fprime is not None)
+    values = _evaluate(f, x.ravel()).reshape(x.shape)
+    deriv = None if fprime is None else _evaluate(fprime, x.ravel()).reshape(x.shape)
+    mat, err = _loewner_stack(geometry, values, deriv)
     return (mat, err) if with_error else mat
 
 
-def _evaluation_points(pts: np.ndarray) -> np.ndarray:
-    """Points (..., 3n) where f builds the Loewner matrices of the sets
-    pts (..., n) without a derivative: each set, then each point plus and
-    minus its central-difference step."""
-    step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
-    return np.concatenate((pts, pts + step, pts - step), axis=-1)
-
-
-def _loewner_stack(pts: np.ndarray, values: np.ndarray, derivative):
-    """Loewner matrices and entrywise rounding bounds (see loewner_matrix) of
-    the point sets pts (..., n), from the values of f at
-    _evaluation_points(pts) when derivative is None, else from the values
-    of f and of its derivative at pts."""
-    if derivative is None:
+def _loewner_geometry(pts: np.ndarray, derivative: bool):
+    """(x, geometry) of the point sets pts (..., n): x the points where f
+    builds their Loewner matrices (with a derivative the sets, else each set
+    and each point plus and minus its central-difference step), geometry
+    x_i - x_j with 1 on the diagonal, its absolute value, and with a
+    derivative the mask of pairs too close for a difference quotient, else
+    each point's step."""
+    on_diag = np.arange(pts.shape[-1])
+    diff_x = pts[..., :, None] - pts[..., None, :]
+    diff_x[..., on_diag, on_diag] = 1.0
+    abs_dx = np.abs(diff_x)
+    if not derivative:
         step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
-        fx, up, down = np.moveaxis(values.reshape(*pts.shape[:-1], 3, pts.shape[-1]), -2, 0)
+        return np.concatenate((pts, pts + step, pts - step), axis=-1), (diff_x, abs_dx, step)
+    # points too close for a difference quotient (which cancellation
+    # leaves no digit of) take the mean of their derivatives
+    near = abs_dx <= _NEAR_REL * np.abs(pts)[..., :, None]
+    return pts, (diff_x, abs_dx, near | np.swapaxes(near, -1, -2))
+
+
+def _loewner_stack(geometry, values: np.ndarray, derivative):
+    """Loewner matrices and entrywise rounding bounds (see loewner_matrix) of
+    the point sets of the given geometry (see _loewner_geometry), from the
+    values of f at their x, and of its derivative when one is given."""
+    diff_x, abs_dx, step_or_near = geometry
+    on_diag = np.arange(diff_x.shape[-1])
+    if derivative is None:
+        step = step_or_near
+        fx, up, down = np.moveaxis(values.reshape(*step.shape[:-1], 3, step.shape[-1]), -2, 0)
         diag = (up - down) / (2.0 * step)
         diag_err = _ULPS * _EPS * (np.abs(up) + np.abs(down)) / step
     else:
         fx, diag = values, derivative
         diag_err = _ULPS * _EPS * np.abs(diag)
-    on_diag = np.arange(pts.shape[-1])
-    diff_x = pts[..., :, None] - pts[..., None, :]
-    diff_x[..., on_diag, on_diag] = 1.0
     out = (fx[..., :, None] - fx[..., None, :]) / diff_x
     out[..., on_diag, on_diag] = diag
-    abs_fx, abs_dx = np.abs(fx), np.abs(diff_x)
+    abs_fx = np.abs(fx)
     err = _ULPS * _EPS * (abs_fx[..., :, None] + abs_fx[..., None, :]) / abs_dx
     err[..., on_diag, on_diag] = diag_err
-    if derivative is not None:
-        # points too close for a difference quotient (which cancellation
-        # leaves no digit of) take the mean of their derivatives
-        near = abs_dx <= _NEAR_REL * np.abs(pts)[..., :, None]
-        if near.any():
-            near |= np.swapaxes(near, -1, -2)
-            d_i = np.broadcast_to(diag[..., :, None], out.shape)[near]
-            d_j = np.broadcast_to(diag[..., None, :], out.shape)[near]
-            out[near] = 0.5 * (d_i + d_j)
-            err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * (np.abs(d_i) + np.abs(d_j)))
+    if derivative is not None and step_or_near.any():
+        near = step_or_near
+        d_i = np.broadcast_to(diag[..., :, None], out.shape)[near]
+        d_j = np.broadcast_to(diag[..., None, :], out.shape)[near]
+        out[near] = 0.5 * (d_i + d_j)
+        err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * (np.abs(d_i) + np.abs(d_j)))
     return 0.5 * (out + np.swapaxes(out, -1, -2)), err
 
 
@@ -242,11 +250,10 @@ class MonotonicityVerdict:
 
 
 def _check_sampling(trials: int, seed: int, tol: float) -> None:
-    """Reject a negative trial count or seed and a non-finite or non-positive tol."""
-    if trials < 0:
-        raise StructuralError("trials must be non-negative")
-    if seed < 0:
-        raise StructuralError(f"seed must be non-negative, got {seed!r}")
+    """Reject a non-integer or negative trials or seed and a non-finite or non-positive tol."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, Integral) or value < 0:
+            raise StructuralError(f"{name} must be a non-negative integer, got {value!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise StructuralError(f"tolerance must be a finite positive real, got {tol!r}")
 
@@ -255,8 +262,9 @@ def _check_sampling(trials: int, seed: int, tol: float) -> None:
 class MonoConfig:
     """Sampling plan for the operator-monotonicity test.
 
-    grids: (lo, hi, count) log-spaced point sets tested whole.
-    sizes: candidate sizes for random point sets.
+    grids: (lo, hi, count) log-spaced point sets tested whole, 0 < lo < hi
+        finite, count an integer >= 2; kept as (float, float, int) tuples.
+    sizes: candidate sizes, integers >= 2, for random point sets.
     trials: number of random point sets.
     tol: refute when min eig < -(tol * ||L||_F + E), with ||L||_F the
         Frobenius norm of the Loewner matrix and E the Frobenius norm of the
@@ -271,76 +279,116 @@ class MonoConfig:
 
     def __post_init__(self):
         _check_sampling(self.trials, self.seed, self.tol)
-        if not self.sizes or any(int(s) < 2 for s in self.sizes):
-            raise StructuralError("point-set sizes must be at least 2")
+        if not self.sizes or any(not isinstance(s, Integral) or s < 2 for s in self.sizes):
+            raise StructuralError("point-set sizes must be integers of at least 2")
         for grid in self.grids:
             lo, hi, count = grid
-            if not (0.0 < lo < hi) or int(count) < 2:
-                raise StructuralError(f"bad grid {grid!r}: need 0 < lo < hi and count >= 2")
+            if not (0.0 < lo < hi < np.inf) or not isinstance(count, Integral) or count < 2:
+                raise StructuralError(f"bad grid {grid!r}: need 0 < lo < hi < inf, count >= 2")
+        object.__setattr__(self, "grids", tuple((float(lo), float(hi), int(count))
+                                                for lo, hi, count in self.grids))
 
 
-def _point_set_stages(config: MonoConfig):
-    """The sampler's point sets in trial order, in three stages: the
-    configured grids, the other structured sets (tight clusters and
-    near-collision sets), then config.trials random log-uniform sets."""
-    yield [np.logspace(np.log10(lo), np.log10(hi), int(count))
-           for lo, hi, count in config.grids]
+class _Plan(NamedTuple):
+    """A stage's point sets (in trial order) grouped by size: each set's
+    trial number, per group the shape of its rows of x and its Loewner
+    geometry, and x, where f runs, as sets of lengths beginning at starts."""
+
+    sets: tuple
+    trial: np.ndarray
+    groups: tuple
+    x: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+
+
+def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
+    """The read-only _Plan of the point sets (None when there are none),
+    for f with a derivative or without one."""
+    if not sets:
+        return None
+    sizes = np.array([p.size for p in sets])
+    groups = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    rows, geometry = zip(*(_loewner_geometry(np.array([sets[i] for i in idx]), derivative)
+                           for idx in groups))
+    lengths = np.concatenate([np.full(len(r), r.shape[-1]) for r in rows])
+    plan = _Plan(tuple(sets), np.concatenate(groups),
+                 tuple((r.shape, g) for r, g in zip(rows, geometry)),
+                 np.concatenate([r.ravel() for r in rows]), lengths, np.cumsum(lengths) - lengths)
+    for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
+                *(a for g in geometry for a in g)):
+        arr.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=16)
+def _grid_plan(grids: tuple, derivative: bool) -> Optional[_Plan]:
+    return _plan([np.logspace(np.log10(lo), np.log10(hi), n) for lo, hi, n in grids], derivative)
+
+
+@lru_cache(maxsize=2)
+def _structured_plan(derivative: bool) -> _Plan:
     structured = [anchor * (1.0 + 1e-3 * np.arange(6)) for anchor in (1e-2, 1.0, 1e2)]
     for x in np.logspace(-3, 3, 13):
         structured.append(np.array([x, x * (1.0 + _NEAR_COLLISION)]))
         structured.append(np.array([x / 10.0, x, x * (1.0 + _NEAR_COLLISION), x * 10.0]))
-    yield structured
+    return _plan(structured, derivative)
+
+
+def _point_set_stages(config: MonoConfig, derivative: bool):
+    """The _Plan of each of the sampler's three stages, in trial order: the
+    configured grids, the other structured sets (tight clusters and
+    near-collision sets), both built once per process per (grids,
+    derivative), then config.trials random log-uniform sets, drawn anew."""
+    yield _grid_plan(config.grids, derivative)
+    yield _structured_plan(derivative)
     rng = np.random.default_rng(config.seed)
     log_lo, log_hi = np.log(1e-3), np.log(1e3)
     drawn = []
     for _ in range(config.trials):
-        size = int(rng.choice(config.sizes))
-        pts = np.unique(np.exp(rng.uniform(log_lo, log_hi, size)))
+        # the stream of rng.choice(sizes) and np.unique, drawn for less
+        size = config.sizes[rng.integers(len(config.sizes))]
+        pts = np.exp(rng.uniform(log_lo, log_hi, size))
+        pts.sort()
+        if (pts[1:] == pts[:-1]).any():
+            pts = np.unique(pts)
         if pts.size >= 2:
             drawn.append(pts)
-    yield drawn
+    yield _plan(drawn, derivative)
 
 
-def _first_loewner_witness(sets: list, f, fprime, tol: float):
-    """(witness, sets examined) for the point sets in trial order, with f
-    (and fprime) called once over the points of all sets.
+def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
+    """(witness, sets examined) for the point sets of the plan in trial
+    order, with f (and fprime) called once, on a copy of plan.x.
 
-    Sets are grouped by size, each group's Loewner matrices decomposed as
-    one stack. A set is skipped when f raises one of _SET_SKIPS on it or a
-    value or matrix entry is not finite: fast-growing or partial functions
-    may not evaluate on a far-out set, and a violation shows up on smaller
-    points. The earliest refuting set wins, unless an earlier set's f
-    raised another error, which propagates.
+    Each size group's Loewner matrices are decomposed as one stack. A set is
+    skipped when f raises one of _SET_SKIPS on it or a value or matrix entry
+    is not finite: fast-growing or partial functions may not evaluate on a
+    far-out set, and a violation shows up on smaller points. The earliest
+    refuting set wins, unless an earlier set's f raised another error.
     """
-    if not sets:
+    if plan is None:
         return None, 0
-    sizes = np.array([p.size for p in sets])
-    groups = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
-    pts = [np.array([sets[i] for i in idx]) for idx in groups]
-    trial = np.concatenate(groups)
-    rows = pts if fprime is not None else [_evaluation_points(p) for p in pts]
-    x = np.concatenate([r.ravel() for r in rows])
-    lengths = np.concatenate([np.full(len(r), r.shape[-1]) for r in rows])
-    values, errors = _evaluate_sets(f, x, lengths)
+    values, errors = _evaluate_sets(f, plan.x.copy(), plan.lengths)
     phases = [(errors, None)]
     finite = np.isfinite(values)
     if fprime is not None:
-        derivs, d_errors = _evaluate_sets(fprime, x, lengths)
+        derivs, d_errors = _evaluate_sets(fprime, plan.x.copy(), plan.lengths)
         phases.append((d_errors, None))
         finite &= np.isfinite(derivs)
-    starts = np.cumsum(lengths) - lengths
-    phases.append((None, np.logical_and.reduceat(finite, starts)))
-    usable, faults = _resolve(len(sets), phases, _SET_SKIPS)
+    phases.append((None, np.logical_and.reduceat(finite, plan.starts)))
+    usable, faults = _resolve(len(plan.sets), phases, _SET_SKIPS)
 
-    refuted = np.zeros(len(sets), dtype=bool)
-    min_eig, norm = np.zeros(len(sets)), np.zeros(len(sets))
+    refuted = np.zeros(len(plan.sets), dtype=bool)
+    min_eig, norm = np.zeros(len(plan.sets)), np.zeros(len(plan.sets))
     row = offset = 0
-    for p, r in zip(pts, rows):
-        first_row, block = row, slice(offset, offset + r.size)
-        row, offset = row + len(r), offset + r.size
+    for shape, geometry in plan.groups:
+        first_row, block = row, slice(offset, offset + shape[0] * shape[1])
+        row, offset = row + shape[0], block.stop
         ok = np.flatnonzero(usable[first_row:row])
-        deriv = None if fprime is None else derivs[block].reshape(r.shape)[ok]
-        mat, err = _loewner_stack(p[ok], values[block].reshape(r.shape)[ok], deriv)
+        deriv = None if fprime is None else derivs[block].reshape(shape)[ok]
+        mat, err = _loewner_stack(tuple(g[ok] for g in geometry),
+                                  values[block].reshape(shape)[ok], deriv)
         bounded = np.all(np.isfinite(mat), axis=(-2, -1))
         if not bounded.any():
             continue
@@ -348,10 +396,10 @@ def _first_loewner_witness(sets: list, f, fprime, tol: float):
         lo, fro = min_eig_and_norm(mat[bounded])
         refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
         min_eig[ok], norm[ok] = lo, fro
-    item, examined = _first_hit(refuted, faults, trial)
+    item, examined = _first_hit(refuted, faults, plan.trial)
     if item is None:
-        return None, len(sets)
-    return LoewnerWitness(tuple(float(v) for v in sets[trial[item]]),
+        return None, len(plan.sets)
+    return LoewnerWitness(tuple(float(v) for v in plan.sets[plan.trial[item]]),
                           float(min_eig[item]), float(norm[item])), examined
 
 
@@ -366,12 +414,13 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     found, not a proof of monotonicity. f and fprime may take arrays or
     scalars only, as in loewner_matrix; f is called once over the points of
     all sets of a stage (the grids, the other structured sets, the random
-    sets), and the verdict and trials_run are those of checking the sets
-    one at a time.
+    sets), on a copy of them, and the verdict and trials_run are those of
+    checking the sets one at a time. The grid and structured stages are
+    built once per process per (grids, derivative or not), on first use.
     """
     trials_run = 0
-    for sets in _point_set_stages(config):
-        witness, examined = _first_loewner_witness(sets, f, fprime, config.tol)
+    for plan in _point_set_stages(config, fprime is not None):
+        witness, examined = _first_loewner_witness(plan, f, fprime, config.tol)
         trials_run += examined
         if witness is not None:
             return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)

@@ -12,6 +12,7 @@ from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
                      parse_function, random_spd, verify_inequality_chain)
 from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_pair,
                            heinz_pair, heron_pair, representing_function)
+from opmeans import monocheck
 from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
 
 EPS = float(np.finfo(float).eps)
@@ -159,6 +160,70 @@ def test_refutation_witness_reverifies():
     fresh = loewner_matrix(w.points, lambda t: t * t)
     eigs = np.linalg.eigvalsh(fresh)
     assert eigs.min() < -1e-8 * np.linalg.norm(fresh)
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 4, 6), (2, 3, 4)])
+def test_random_point_sets_keep_the_choice_and_unique_stream(sizes):
+    # the reference draw the sampler's random stage must reproduce bitwise
+    log_lo, log_hi = np.log(1e-3), np.log(1e3)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(40):
+            pts = np.unique(np.exp(rng.uniform(log_lo, log_hi, int(rng.choice(sizes)))))
+            if pts.size >= 2:
+                want.append(pts)
+        config = MonoConfig(sizes=sizes, trials=40, seed=seed)
+        got = list(monocheck._point_set_stages(config, False))[2].sets
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+def test_f_writing_into_its_points_leaves_later_checks_alone():
+    config = MonoConfig(trials=40, seed=5)
+    before = [is_operator_monotone_sampled(g, config=config) for g in (np.sqrt, lambda t: t ** 3)]
+
+    calls = []
+
+    def scribble(t):
+        calls.append(np.ndim(t))
+        t *= 3.0
+        return t
+
+    # f writes into a copy of the points, so it still runs once per stage
+    assert is_operator_monotone_sampled(scribble, config=config).status == "consistent"
+    assert calls == [1, 1, 1]
+    after = [is_operator_monotone_sampled(g, config=config) for g in (np.sqrt, lambda t: t ** 3)]
+    assert after == before and after[1].refuted
+
+
+def test_cached_plans_are_read_only():
+    for plan in (monocheck._grid_plan(MonoConfig().grids, False),
+                 monocheck._grid_plan(MonoConfig().grids, True),
+                 monocheck._structured_plan(False), monocheck._structured_plan(True)):
+        arrays = [plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
+                  *(a for _, geometry in plan.groups for a in geometry)]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_fixed_point_sets_are_planned_once(monkeypatch):
+    shapes = []
+
+    def counted(pts, derivative):
+        shapes.append(pts.shape)
+        return geometry(pts, derivative)
+
+    geometry = monocheck._loewner_geometry
+    monkeypatch.setattr(monocheck, "_loewner_geometry", counted)
+    first = is_operator_monotone_sampled(np.sqrt, config=MonoConfig(
+        grids=((3e-2, 3e1, 7),), trials=30, seed=5))
+    assert (1, 7) in shapes
+    shapes.clear()
+    # the same grids, given as a list: only the random sets get a geometry
+    second = is_operator_monotone_sampled(np.sqrt, config=MonoConfig(
+        grids=[[3e-2, 30, 7]], trials=30, seed=6))
+    assert first.trials_run == second.trials_run == 1 + 29 + 30
+    assert sum(shape[0] for shape in shapes) == 30
+    assert {shape[-1] for shape in shapes} <= {2, 3, 4, 6}
 
 
 def test_monotone_in_point_count_submatrix_property():
@@ -375,10 +440,18 @@ def test_mono_config_validation():
         MonoConfig(sizes=(1,))
     with pytest.raises(StructuralError):
         MonoConfig(tol=0.0)
+    for bad in ({"grids": ((1e-2, math.inf, 5),)}, {"grids": ((1e-2, 1e2, 5.7),)},
+                {"grids": ((1e-2, math.nan, 5),)}, {"sizes": (2.5,)}, {"trials": 2.5}):
+        with pytest.raises(StructuralError):
+            MonoConfig(**bad)
+    config = MonoConfig(grids=[[1, 100, np.int64(5)]], sizes=(2, np.int64(3)), seed=np.int64(4))
+    assert config.grids == ((1.0, 100.0, 5),) and hash(config.grids)
+    assert [type(v) for v in config.grids[0]] == [float, float, int]
 
 
 @pytest.mark.parametrize("plan", [{"trials": -1}, {"seed": -1}, {"tol": 0.0},
-                                  {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf}])
+                                  {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf},
+                                  {"trials": 2.5}, {"seed": 1.5}])
 def test_sampling_plans_are_validated_alike(plan):
     geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
     with pytest.raises(StructuralError):
