@@ -100,11 +100,10 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
 
 def _loewner_geometry(pts: np.ndarray, derivative: bool):
     """(x, geometry) of the point sets pts (..., n): x the points where f
-    builds their Loewner matrices (with a derivative the sets, else each set
-    and each point plus and minus its central-difference step), geometry
-    x_i - x_j with 1 on the diagonal, its absolute value, and with a
-    derivative the mask of pairs too close for a difference quotient, else
-    each point's step."""
+    builds their Loewner matrices (the sets, and without a derivative each
+    point plus and minus its central-difference step); geometry x_i - x_j
+    with 1 on the diagonal, its absolute value, and the mask of pairs too
+    close for a difference quotient or, without a derivative, each step."""
     on_diag = np.arange(pts.shape[-1])
     diff_x = pts[..., :, None] - pts[..., None, :]
     diff_x[..., on_diag, on_diag] = 1.0
@@ -262,9 +261,8 @@ def _check_sampling(trials: int, seed: int, tol: float) -> None:
 class MonoConfig:
     """Sampling plan for the operator-monotonicity test.
 
-    grids: (lo, hi, count) log-spaced point sets tested whole, 0 < lo < hi
-        finite, count an integer >= 2; kept as (float, float, int) tuples.
-    sizes: candidate sizes, integers >= 2, for random point sets.
+    grids: (lo, hi, count) log-spaced point sets tested whole, kept as floats and an int.
+    sizes: candidate sizes for random point sets.
     trials: number of random point sets.
     tol: refute when min eig < -(tol * ||L||_F + E), with ||L||_F the
         Frobenius norm of the Loewner matrix and E the Frobenius norm of the
@@ -317,7 +315,7 @@ def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
                  np.concatenate([r.ravel() for r in rows]), lengths, np.cumsum(lengths) - lengths)
     for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
                 *(a for g in geometry for a in g)):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return plan
 
 
@@ -350,7 +348,7 @@ def _point_set_stages(config: MonoConfig, derivative: bool):
         size = config.sizes[rng.integers(len(config.sizes))]
         pts = np.exp(rng.uniform(log_lo, log_hi, size))
         pts.sort()
-        if (pts[1:] == pts[:-1]).any():
+        if len(set(pts.tolist())) < size:
             pts = np.unique(pts)
         if pts.size >= 2:
             drawn.append(pts)
@@ -386,12 +384,14 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
         first_row, block = row, slice(offset, offset + shape[0] * shape[1])
         row, offset = row + shape[0], block.stop
         ok = np.flatnonzero(usable[first_row:row])
-        deriv = None if fprime is None else derivs[block].reshape(shape)[ok]
-        mat, err = _loewner_stack(tuple(g[ok] for g in geometry),
-                                  values[block].reshape(shape)[ok], deriv)
+        keep = ok if len(ok) < shape[0] else slice(None)   # a view, not a copy
+        deriv = None if fprime is None else derivs[block].reshape(shape)[keep]
+        mat, err = _loewner_stack(tuple(g[keep] for g in geometry),
+                                  values[block].reshape(shape)[keep], deriv)
         bounded = np.all(np.isfinite(mat), axis=(-2, -1))
         if not bounded.any():
             continue
+        bounded = slice(None) if bounded.all() else bounded
         ok = first_row + ok[bounded]
         lo, fro = min_eig_and_norm(mat[bounded])
         refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))

@@ -178,6 +178,23 @@ def test_random_point_sets_keep_the_choice_and_unique_stream(sizes):
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
+def test_random_point_sets_drop_coinciding_points(monkeypatch):
+    class Coinciding:
+        def __init__(self, seed):
+            self.draws = iter(([0.5, 0.5, 0.1], [0.2, 0.2, 0.2]))
+
+        def integers(self, high):
+            return 0
+
+        def uniform(self, low, high, size):
+            return np.array(next(self.draws))
+
+    monkeypatch.setattr(np.random, "default_rng", Coinciding)
+    config = MonoConfig(sizes=(3,), trials=2)
+    got = list(monocheck._point_set_stages(config, False))[2].sets
+    assert [p.tolist() for p in got] == [np.exp([0.1, 0.5]).tolist()]
+
+
 def test_f_writing_into_its_points_leaves_later_checks_alone():
     config = MonoConfig(trials=40, seed=5)
     before = [is_operator_monotone_sampled(g, config=config) for g in (np.sqrt, lambda t: t ** 3)]
