@@ -363,7 +363,7 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
     skipped when f raises one of _SET_SKIPS on it or a value or matrix entry
     is not finite: fast-growing or partial functions may not evaluate on a
     far-out set, and a violation shows up on smaller points. The earliest
-    refuting set wins, unless an earlier set's f raised another error.
+    refuting set wins; another error of f on an earlier set propagates.
     """
     if plan is None:
         return None, 0
