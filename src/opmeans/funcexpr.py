@@ -10,13 +10,17 @@ Grammar (whitespace-insensitive):
             | ('sqrt' | 'log' | 'exp' | 'abs') '(' expr ')'
             | '(' expr ')'
 
-Just enough to write things like "t^2", "sqrt(t)", or
-"(exp(t) - 1) / (exp(1) - 1)" on a command line. Parse errors carry the
-offending position; evaluation outside a function's domain raises a domain
-error rather than returning NaN.
+Just enough to write "t^2", "sqrt(t)" or "(exp(t) - 1) / (exp(1) - 1)" on a
+command line. `_tokenize` decides which characters, numbers and names are
+legal; Python's parser reads the tokens (numbers as the name `_k`, '^' as
+'**') with exactly the grammar's precedence and associativity; a whitelist
+of nodes builds closures and rejects the rest, such as t(2) or (). No user
+text reaches eval, exec or compile. Parse errors carry the offending
+position; evaluation outside a function's domain raises a domain error.
 """
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -25,6 +29,11 @@ from .errors import DomainError, UsageError
 
 _FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "abs": math.fabs}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
+_BINARY = {ast.Add: lambda l, r: lambda t: l(t) + r(t),
+           ast.Sub: lambda l, r: lambda t: l(t) - r(t),
+           ast.Mult: lambda l, r: lambda t: l(t) * r(t),
+           ast.Div: lambda l, r: lambda t: l(t) / r(t),
+           ast.Pow: lambda l, r: lambda t: l(t) ** r(t)}
 
 
 def _tokenize(source: str) -> List[Tuple[str, object, int]]:
@@ -77,107 +86,43 @@ def _tokenize(source: str) -> List[Tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
+def _python_source(tokens):
+    """Python source with each token at twice its offset from the first, so
+    '**' and `_k` fit, and a map of columns to tokens. A run of unary signs
+    becomes its first sign, '-' if it negates, as factor folds it."""
+    at = {2 * (tok[2] - tokens[0][2]): tok for tok in tokens}
+    chars, unary, sign = [" "] * max(at), True, None
+    for column, (kind, value, pos) in list(at.items())[:-1]:
+        if kind == "name" and value not in ("t", *_CONSTANTS, *_FUNCTIONS):
+            raise UsageError(f"unknown name {value!r} at position {pos}")
+        if unary and value in ("+", "-"):
+            sign = column if sign is None else sign
+            chars[sign] = "+-"[(chars[sign] == "-") ^ (value == "-")]
+            continue
+        sign = None
+        piece = "_k" if kind == "num" else "**" if value == "^" else value
+        chars[column:column + len(piece)] = piece
+        unary = kind == "op" and value != ")"
+    return "".join(chars), at
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, at = self.peek()
-        if kind == "op" and value == symbol:
-            return self.advance()
-        raise UsageError(f"expected {symbol!r} at position {at}")
-
-    def parse(self) -> Callable[[float], float]:
-        node = self.expr()
-        kind, value, at = self.peek()
-        if kind != "end":
-            raise UsageError(f"unexpected {value!r} at position {at}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = (lambda l, r: lambda t: l(t) + r(t))(node, rhs) \
-                    if value == "+" else \
-                    (lambda l, r: lambda t: l(t) - r(t))(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = (lambda l, r: lambda t: l(t) * r(t))(node, rhs) \
-                    if value == "*" else \
-                    (lambda l, r: lambda t: l(t) / r(t))(node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        negate = False
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                if value == "-":
-                    negate = not negate
-            else:
-                break
-        node = self.power()
-        if negate:
-            inner = node
-            node = lambda t: -inner(t)
-        return node
-
-    def power(self):
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exponent = self.factor()
-            return lambda t: base(t) ** exponent(t)
-        return base
-
-    def atom(self):
-        kind, value, at = self.advance()
-        if kind == "num":
-            return lambda t, v=value: v
-        if kind == "name":
-            if value == "t":
-                return lambda t: t
-            if value in _CONSTANTS:
-                return lambda t, v=_CONSTANTS[value]: v
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                fn = _FUNCTIONS[value]
-                return lambda t, f=fn, a=arg: f(a(t))
-            raise UsageError(f"unknown name {value!r} at position {at}")
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "end":
-            raise UsageError("unexpected end of expression")
-        raise UsageError(f"unexpected {value!r} at position {at}")
+def _build(node, text, at):
+    """The closures of a whitelisted node; any other node is a syntax error."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left, text, at), _build(node.right, text, at))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        inner = _build(node.operand, text, at)
+        return inner if isinstance(node.op, ast.UAdd) else lambda t: -inner(t)
+    if isinstance(node, ast.Name) and node.id in ("t", "_k", *_CONSTANTS):
+        value = at[node.col_offset][1] if node.id == "_k" else _CONSTANTS.get(node.id)
+        return (lambda t: t) if node.id == "t" else lambda t, v=value: v
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS
+            and len(node.args) == 1 and not node.keywords):
+        fn, arg = _FUNCTIONS[node.func.id], _build(node.args[0], text, at)
+        return lambda t, f=fn, a=arg: f(a(t))
+    column = (text.index("(", node.func.end_col_offset)     # the call's '('
+              if isinstance(node, ast.Call) else node.col_offset)
+    raise SyntaxError("invalid syntax", ("", 1, column + 1, text))
 
 
 @dataclass(frozen=True)
@@ -206,5 +151,15 @@ def parse_function(source: str) -> FunctionExpr:
     """Parse an expression in t; raises a usage error with the bad position."""
     if not isinstance(source, str) or not source.strip():
         raise UsageError("empty function expression")
-    evaluate = _Parser(source).parse()
-    return FunctionExpr(source, evaluate)
+    text, at = _python_source(_tokenize(source))
+    try:
+        return FunctionExpr(source, _build(ast.parse(text, mode="eval").body, text, at))
+    except SyntaxError as exc:
+        # offset: the 1-based column of the bad token, 0 where the text ended
+        kind, value, pos = at.get((exc.offset or 0) - 1, ("end", None, None))
+        if kind == "end":
+            raise UsageError("unexpected end of expression") from None
+        why = "" if exc.msg.startswith("invalid syntax") else f" ({exc.msg})"
+        raise UsageError(f"unexpected {value!r} at position {pos}{why}") from None
+    except (RecursionError, MemoryError):     # how Python reports too deep a tree
+        raise UsageError("expression nested too deeply") from None

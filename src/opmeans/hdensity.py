@@ -73,8 +73,11 @@ class HDensity:
             raise StructuralError(
                 f'density class must be "{SYMMETRIC}" or "{SELF_ADJOINT}", '
                 f"got {self.domain_class!r}")
-        breaks = tuple(float(x) for x in self.breaks)
-        values = tuple(float(v) for v in self.values)
+        try:
+            breaks = tuple(float(x) for x in self.breaks)
+            values = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError):
+            raise StructuralError("density breaks and values must be lists of numbers") from None
         lo, hi = _DOMAIN[self.domain_class]
         if len(breaks) < 2:
             raise StructuralError("density needs at least two breakpoints")
@@ -114,7 +117,7 @@ class HDensity:
         if not isinstance(data, dict) or not {"class", "breaks", "values"} <= set(data):
             raise StructuralError(
                 'density JSON must be an object with "class", "breaks", "values"')
-        return cls(data["class"], tuple(data["breaks"]), tuple(data["values"]))
+        return cls(data["class"], data["breaks"], data["values"])
 
 
 def _as_positive_1d(t, name: str = "t") -> tuple[np.ndarray, bool]:

@@ -64,6 +64,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError("invalid JSON: nested too deeply") from None
 
 
 def load_file(path: str) -> Any:

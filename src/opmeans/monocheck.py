@@ -280,9 +280,14 @@ class MonoConfig:
         if not self.sizes or any(not isinstance(s, Integral) or s < 2 for s in self.sizes):
             raise StructuralError("point-set sizes must be integers of at least 2")
         for grid in self.grids:
-            lo, hi, count = grid
-            if not (0.0 < lo < hi < np.inf) or not isinstance(count, Integral) or count < 2:
-                raise StructuralError(f"bad grid {grid!r}: need 0 < lo < hi < inf, count >= 2")
+            try:
+                lo, hi, count = grid
+                ok = 0.0 < lo < hi < np.inf and isinstance(count, Integral) and count >= 2
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise StructuralError(
+                    f"bad grid {grid!r}: need (lo, hi, count), 0 < lo < hi < inf, count >= 2")
         object.__setattr__(self, "grids", tuple((float(lo), float(hi), int(count))
                                                 for lo, hi, count in self.grids))
 
@@ -555,7 +560,7 @@ def _scalar_chain_margin(a: np.ndarray, b: np.ndarray, s: float) -> float:
                for lo, hi in zip(chain, chain[1:]))
 
 
-def verify_inequality_chain(a, b, s: float, tol: float = 1e-8) -> InequalityChainReport:
+def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     """Check the mean inequality chain on one SPD pair.
 
     Matrix links, all of which hold for every SPD pair:

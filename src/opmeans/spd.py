@@ -246,7 +246,10 @@ def matrix_from_json_dict(data) -> np.ndarray:
     rows = data["rows"]
     if not isinstance(n, int) or n < 1:
         raise StructuralError(f'matrix JSON field "n" must be a positive integer, got {n!r}')
-    a = np.asarray(rows, dtype=float)
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise StructuralError('matrix JSON "rows" must be a list of rows of numbers') from None
     if a.shape != (n, n):
         raise StructuralError(f'matrix JSON "rows" has shape {a.shape}, expected ({n}, {n})')
     return a

@@ -319,6 +319,23 @@ def test_non_spd_input_exits_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_malformed_input_files_exit_two(tmp_path, capsys):
+    good = _mat(tmp_path, "good.json", np.eye(2).tolist())
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for bad in (str(deep),
+                _write(tmp_path, "ragged.json", {"n": 2, "rows": [[1.0, 0.0], [1.0]]}),
+                _write(tmp_path, "text.json", {"n": 2, "rows": [[1.0, "a"], [0.0, 1.0]]})):
+        code, out, err = _run(capsys, ["eval-mean", "--mean", "arithmetic",
+                                       "--a", bad, "--b", good])
+        assert code == 2 and out == "" and "error:" in err
+    for breaks, values in ((0.5, [0.3]), ([0.0, "a", 1.0], [0.3, 0.3]), ([0.0, 1.0], [None])):
+        density = _write(tmp_path, "h.json",
+                         {"class": "sym", "breaks": breaks, "values": values})
+        code, out, err = _run(capsys, ["rep-eval", "--density", density, "--t", "2.0"])
+        assert code == 2 and out == "" and "error:" in err
+
+
 def test_solver_order_failure_exits_two(tmp_path, capsys):
     x = _mat(tmp_path, "x.json", (2.0 * np.eye(2)).tolist())
     y = _mat(tmp_path, "y.json", np.eye(2).tolist())

@@ -1,10 +1,13 @@
 """Parsing and evaluation of scalar function expressions in the variable t."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opmeans import DomainError, UsageError, parse_function
+from opmeans import DomainError, UsageError, funcexpr, parse_function
+from opmeans.cli import main
 
 
 def test_basic_expressions():
@@ -29,12 +32,16 @@ def test_precedence_and_associativity():
     assert parse_function("2^-1")(0.0) == 0.5
     assert parse_function("6/3/2")(0.0) == 1.0       # left-associative
     assert parse_function("1-2-3")(0.0) == -4.0
+    assert parse_function("--t")(2.0) == 2.0
+    assert parse_function("+t")(2.0) == 2.0
+    assert parse_function("2^-t")(1.0) == 0.5
 
 
 def test_constants_and_whitespace():
     assert parse_function("e")(0.0) == math.e
     assert parse_function("pi")(0.0) == math.pi
     assert parse_function("  t +  1 ")(2.0) == 3.0
+    assert parse_function("t\n+ 1")(2.0) == 3.0
     assert parse_function("0.5*(t^0.25 + t^0.75)")(1.0) == 1.0
 
 
@@ -42,6 +49,8 @@ def test_number_formats():
     assert parse_function("1e-3")(0.0) == 1e-3
     assert parse_function("2.5E2")(0.0) == 250.0
     assert parse_function(".5")(0.0) == 0.5
+    assert parse_function("01")(0.0) == 1.0          # digits, not Python literals
+    assert parse_function("t^007")(2.0) == 128.0
 
 
 def test_source_is_kept():
@@ -51,7 +60,10 @@ def test_source_is_kept():
 
 def test_parse_errors_carry_position():
     for bad in ("t +", "2 *", "(t", "t)", "", "   ", "t @ 2", "foo(t)",
-                "sqrt", "sqrt 2", "1 2", "t t", "t ** ", "t***2", "abs t"):
+                "sqrt", "sqrt 2", "1 2", "t t", "t ** ", "t***2", "abs t",
+                "t(2)", "(t)(t)", "sqrt(t)(t)", "e(t)", "sqrt(t,)", "0x10", "1_0",
+                "1j", "t # c", "t % 2", "t // 2", "t < 1", "not t", "t if t else t",
+                "True", "[t]"):
         with pytest.raises(UsageError):
             parse_function(bad)
     with pytest.raises(UsageError, match="position"):
@@ -97,3 +109,23 @@ def test_array_input_is_rejected_with_a_plain_type_error():
     assert not isinstance(info.value, DomainError)
     assert f(np.float64(4.0)) == 2.0
     assert f(np.array(9.0)) == 3.0
+
+
+def test_deep_input_is_a_usage_error():
+    # the parent's recursive descent died here with a RecursionError, which
+    # the CLI reported as exit 1, "refuted"
+    for deep in ("(" * 300 + "t" + ")" * 300, "+".join(["t"] * 3001)):
+        with pytest.raises(UsageError):
+            parse_function(deep)
+        assert main(["check-monotone", "--fn", deep]) == 2
+    assert parse_function("-" * 5001 + "t")(2.0) == -2.0      # sign runs fold
+
+
+def test_parser_never_evaluates_code():
+    # user text reaches Python only through ast.parse and the node whitelist
+    tree = ast.parse(Path(funcexpr.__file__).read_text(encoding="utf-8"))
+    banned = {"eval", "exec", "compile"}
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in banned)
+             or (isinstance(node, ast.Attribute) and node.attr in banned)]
+    assert found == [], f"eval, exec or compile in funcexpr.py: {found}"

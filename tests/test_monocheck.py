@@ -458,7 +458,8 @@ def test_mono_config_validation():
     with pytest.raises(StructuralError):
         MonoConfig(tol=0.0)
     for bad in ({"grids": ((1e-2, math.inf, 5),)}, {"grids": ((1e-2, 1e2, 5.7),)},
-                {"grids": ((1e-2, math.nan, 5),)}, {"sizes": (2.5,)}, {"trials": 2.5}):
+                {"grids": ((1e-2, math.nan, 5),)}, {"sizes": (2.5,)}, {"trials": 2.5},
+                {"grids": ((1e-2, 1e2),)}, {"grids": ((1e-2, 1e2, 5, 7),)}, {"grids": (5,)}):
         with pytest.raises(StructuralError):
             MonoConfig(**bad)
     config = MonoConfig(grids=[[1, 100, np.int64(5)]], sizes=(2, np.int64(3)), seed=np.int64(4))
