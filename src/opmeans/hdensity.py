@@ -69,7 +69,7 @@ class HDensity:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.domain_class not in _DOMAIN:
+        if self.domain_class not in (SYMMETRIC, SELF_ADJOINT):   # also unhashable input
             raise StructuralError(
                 f'density class must be "{SYMMETRIC}" or "{SELF_ADJOINT}", '
                 f"got {self.domain_class!r}")

@@ -72,5 +72,5 @@ def load_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc

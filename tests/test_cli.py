@@ -321,17 +321,18 @@ def test_non_spd_input_exits_two(tmp_path, capsys):
 
 def test_malformed_input_files_exit_two(tmp_path, capsys):
     good = _mat(tmp_path, "good.json", np.eye(2).tolist())
-    deep = tmp_path / "deep.json"
+    deep, latin = tmp_path / "deep.json", tmp_path / "latin.json"
     deep.write_text("[" * 100_000)
-    for bad in (str(deep),
+    latin.write_bytes(b'\xff{"n": 1, "rows": [[1.0]]}')
+    for bad in (str(deep), str(latin),
                 _write(tmp_path, "ragged.json", {"n": 2, "rows": [[1.0, 0.0], [1.0]]}),
                 _write(tmp_path, "text.json", {"n": 2, "rows": [[1.0, "a"], [0.0, 1.0]]})):
         code, out, err = _run(capsys, ["eval-mean", "--mean", "arithmetic",
                                        "--a", bad, "--b", good])
         assert code == 2 and out == "" and "error:" in err
-    for breaks, values in ((0.5, [0.3]), ([0.0, "a", 1.0], [0.3, 0.3]), ([0.0, 1.0], [None])):
-        density = _write(tmp_path, "h.json",
-                         {"class": "sym", "breaks": breaks, "values": values})
+    for cls, breaks, values in (("sym", 0.5, [0.3]), ("sym", [0.0, "a", 1.0], [0.3, 0.3]),
+                                ("sym", [0.0, 1.0], [None]), ([], [0.0, 1.0], [0.3])):
+        density = _write(tmp_path, "h.json", {"class": cls, "breaks": breaks, "values": values})
         code, out, err = _run(capsys, ["rep-eval", "--density", density, "--t", "2.0"])
         assert code == 2 and out == "" and "error:" in err
 
