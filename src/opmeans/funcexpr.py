@@ -87,9 +87,8 @@ def _tokenize(source: str) -> List[Tuple[str, object, int]]:
 
 
 def _python_source(tokens):
-    """Python source with each token at twice its offset from the first, so
-    '**' and `_k` fit, and a map of columns to tokens. A run of unary signs
-    becomes its first sign, '-' if it negates, as factor folds it."""
+    """Python source, each token at twice its offset from the first (room for '**'
+    and `_k`), and its tokens by column; a unary sign run folds into its first."""
     at = {2 * (tok[2] - tokens[0][2]): tok for tok in tokens}
     chars, unary, sign = [" "] * max(at), True, None
     for column, (kind, value, pos) in list(at.items())[:-1]:
@@ -107,7 +106,8 @@ def _python_source(tokens):
 
 
 def _build(node, text, at):
-    """The closures of a whitelisted node; any other node is a syntax error."""
+    """The closures of a whitelisted node; any other node is a syntax error, and
+    so is a function whose name is not right before its '(', as in (sqrt)(t)."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         return _BINARY[type(node.op)](_build(node.left, text, at), _build(node.right, text, at))
     if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
@@ -116,12 +116,13 @@ def _build(node, text, at):
     if isinstance(node, ast.Name) and node.id in ("t", "_k", *_CONSTANTS):
         value = at[node.col_offset][1] if node.id == "_k" else _CONSTANTS.get(node.id)
         return (lambda t: t) if node.id == "t" else lambda t, v=value: v
-    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS
-            and len(node.args) == 1 and not node.keywords):
-        fn, arg = _FUNCTIONS[node.func.id], _build(node.args[0], text, at)
-        return lambda t, f=fn, a=arg: f(a(t))
-    column = (text.index("(", node.func.end_col_offset)     # the call's '('
-              if isinstance(node, ast.Call) else node.col_offset)
+    column = node.col_offset
+    if isinstance(node, ast.Call):
+        column = text.index("(", node.func.end_col_offset)     # the call's '('
+        if (getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords and not text[node.func.end_col_offset:column].strip()):
+            fn, arg = _FUNCTIONS[node.func.id], _build(node.args[0], text, at)
+            return lambda t, f=fn, a=arg: f(a(t))
     raise SyntaxError("invalid syntax", ("", 1, column + 1, text))
 
 
@@ -157,9 +158,8 @@ def parse_function(source: str) -> FunctionExpr:
     except SyntaxError as exc:
         # offset: the 1-based column of the bad token, 0 where the text ended
         kind, value, pos = at.get((exc.offset or 0) - 1, ("end", None, None))
-        if kind == "end":
-            raise UsageError("unexpected end of expression") from None
         why = "" if exc.msg.startswith("invalid syntax") else f" ({exc.msg})"
-        raise UsageError(f"unexpected {value!r} at position {pos}{why}") from None
+        where = "end of expression" if kind == "end" else f"{value!r} at position {pos}{why}"
+        raise UsageError(f"unexpected {where}") from None
     except (RecursionError, MemoryError):     # how Python reports too deep a tree
         raise UsageError("expression nested too deeply") from None

@@ -61,9 +61,9 @@ def test_source_is_kept():
 def test_parse_errors_carry_position():
     for bad in ("t +", "2 *", "(t", "t)", "", "   ", "t @ 2", "foo(t)",
                 "sqrt", "sqrt 2", "1 2", "t t", "t ** ", "t***2", "abs t",
-                "t(2)", "(t)(t)", "sqrt(t)(t)", "e(t)", "sqrt(t,)", "0x10", "1_0",
-                "1j", "t # c", "t % 2", "t // 2", "t < 1", "not t", "t if t else t",
-                "True", "[t]"):
+                "t(2)", "(t)(t)", "(sqrt)(t)", "sqrt(t)(t)", "e(t)", "sqrt(t,)", "0x10",
+                "1_0", "1j", "t # c", "t % 2", "t // 2", "t < 1", "not t",
+                "t if t else t", "True", "[t]"):
         with pytest.raises(UsageError):
             parse_function(bad)
     with pytest.raises(UsageError, match="position"):
