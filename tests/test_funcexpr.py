@@ -112,8 +112,8 @@ def test_array_input_is_rejected_with_a_plain_type_error():
 
 
 def test_deep_input_is_a_usage_error():
-    # the parent's recursive descent died here with a RecursionError, which
-    # the CLI reported as exit 1, "refuted"
+    # an uncaught RecursionError here would reach the CLI as exit 1, which
+    # means "refuted"
     for deep in ("(" * 300 + "t" + ")" * 300, "+".join(["t"] * 3001)):
         with pytest.raises(UsageError):
             parse_function(deep)
