@@ -29,6 +29,7 @@ from .errors import DomainError, UsageError
 
 _FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "abs": math.fabs}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
+_NAMES = frozenset(("t", *_CONSTANTS, *_FUNCTIONS))     # the names an expression may use
 _BINARY = {ast.Add: lambda l, r: lambda t: l(t) + r(t),
            ast.Sub: lambda l, r: lambda t: l(t) - r(t),
            ast.Mult: lambda l, r: lambda t: l(t) * r(t),
@@ -92,7 +93,7 @@ def _python_source(tokens):
     at = {2 * (tok[2] - tokens[0][2]): tok for tok in tokens}
     chars, unary, sign = [" "] * max(at), True, None
     for column, (kind, value, pos) in list(at.items())[:-1]:
-        if kind == "name" and value not in ("t", *_CONSTANTS, *_FUNCTIONS):
+        if kind == "name" and value not in _NAMES:
             raise UsageError(f"unknown name {value!r} at position {pos}")
         if unary and value in ("+", "-"):
             sign = column if sign is None else sign

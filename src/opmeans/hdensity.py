@@ -191,7 +191,12 @@ def eval_selfadjoint_rep(h: HDensity, t):
 
 
 def symmetric_rep_derivative(h: HDensity, t):
-    """d/dt of the symmetric-class representing function of h.
+    """d/dt of the symmetric-class representing function of h."""
+    return _symmetric_jet(h, t)[1]
+
+
+def _symmetric_jet(h: HDensity, t):
+    """(eval_symmetric_rep(h, t), symmetric_rep_derivative(h, t)) at one evaluation of f.
 
     With x = min(t, 1/t), d/dx log f(x) = 1/(1 + x) + h_0/x + P(x), where
     h_0/x is the bracket at b_0 = 0 and P sums the other breakpoints. With
@@ -208,12 +213,18 @@ def symmetric_rep_derivative(h: HDensity, t):
     r = x * (1.0 / (1.0 + x) + _weighted_rows(-1.0 / (xc + u) - u / (1.0 + xc * u), w[1:]))
     up = ts > 1.0
     dlog = np.where(up, x * ((1.0 - h0) - r), (h0 + r) / (x * _SLOPE_SCALE))
-    out = _symmetric_rep(ts, x, b, w) * dlog * np.where(up, 1.0, _SLOPE_SCALE)
-    return float(out[0]) if scalar else out
+    f = _symmetric_rep(ts, x, b, w)
+    fprime = f * dlog * np.where(up, 1.0, _SLOPE_SCALE)
+    return (float(f[0]), float(fprime[0])) if scalar else (f, fprime)
 
 
 def selfadjoint_rep_derivative(h: HDensity, t):
-    """d/dt of the self-adjoint-class representing function of h.
+    """d/dt of the self-adjoint-class representing function of h."""
+    return _selfadjoint_jet(h, t)[1]
+
+
+def _selfadjoint_jet(h: HDensity, t):
+    """(eval_selfadjoint_rep(h, t), selfadjoint_rep_derivative(h, t)) at one evaluation of f.
 
     The bracket 1/(t - u) + u/(1 - t u) is summed as
     (1 - u^2)/((t - u)(1 - t u)), which has no cancellation for u <= 0. For
@@ -231,8 +242,9 @@ def selfadjoint_rep_derivative(h: HDensity, t):
     num = np.where(up, x, 1.0 / _SLOPE_SCALE)[:, None]
     dlog = _weighted_rows((1.0 - b * b) * num / ((xc - b) * (1.0 - xc * b)), w)
     dlog = np.where(up, x * dlog, dlog)
-    out = _selfadjoint_rep(ts, x, b, w) * dlog * scale
-    return float(out[0]) if scalar else out
+    f = _selfadjoint_rep(ts, x, b, w)
+    fprime = f * dlog * scale
+    return (float(f[0]), float(fprime[0])) if scalar else (f, fprime)
 
 
 def _merged_segments(hf: HDensity, hg: HDensity):

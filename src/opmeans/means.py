@@ -54,7 +54,7 @@ class RepresentingFunction:
 
     realize_inverse, when given, maps an array of targets y of the realize
     map t -> t f(1/t^2) to their roots t >= 1 in closed form; the catalog
-    means with a non-constant realize map carry one.
+    means with a non-constant realize map carry one, and density means a jet.
     """
 
     label: str
@@ -62,6 +62,7 @@ class RepresentingFunction:
     value: Callable
     derivative: Callable
     realize_inverse: Optional[Callable] = None
+    jet: Optional[Callable] = None      # t -> (value(t), derivative(t)) in one evaluation
 
     def __call__(self, t):
         return self.value(t)
@@ -248,11 +249,13 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
             lambda t: hdensity.eval_symmetric_rep(h, t),
-            lambda t: hdensity.symmetric_rep_derivative(h, t))
+            lambda t: hdensity.symmetric_rep_derivative(h, t),
+            jet=lambda t: hdensity._symmetric_jet(h, t))
     return RepresentingFunction(
         descriptor.describe(), CLASS_SELF_ADJOINT,
         lambda t: hdensity.eval_selfadjoint_rep(h, t),
-        lambda t: hdensity.selfadjoint_rep_derivative(h, t))
+        lambda t: hdensity.selfadjoint_rep_derivative(h, t),
+        jet=lambda t: hdensity._selfadjoint_jet(h, t))
 
 
 def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> np.ndarray:

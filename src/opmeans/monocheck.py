@@ -3,14 +3,16 @@
 A real function is operator monotone exactly when every Loewner matrix of
 divided differences built from points in its domain is positive
 semidefinite. That criterion cannot be exhausted numerically, so this module
-samples it: structured point sets (log grids, tight clusters, near-collision
-pairs) plus randomized ones. A "consistent" verdict is evidence, not proof.
-A "refuted" verdict must be sound under floating point, so a computed
-matrix refutes only when its smallest eigenvalue lies below
--(tol * ||M||_F + E), where E bounds the rounding error of the computed
-matrix in Frobenius norm; by Weyl's inequality no eigenvalue moves by more
-than E. The bound assumes every value of f (and of the means it is composed
-with) is accurate to _ULPS units in the last place.
+samples it in two stages: log grids, then the other structured point sets
+(tight clusters, near-collision pairs) together with randomized ones, so an
+f refuted by a structured set is still evaluated on the random sets. A
+"consistent" verdict is evidence, not proof. A "refuted" verdict must be
+sound under floating point, so a computed matrix refutes only when its
+smallest eigenvalue lies below -(tol * ||M||_F + E), where E bounds the
+rounding error of the computed matrix in Frobenius norm; by Weyl's
+inequality no eigenvalue moves by more than E. The bound assumes every value
+of f (and of the means it is composed with) is accurate to _ULPS units in
+the last place.
 
 The module also searches for matrix-pair counterexamples to the order
 transfer f(mean_sigma(A, B)) <= f(mean_tau(A, B)) for pointwise-ordered
@@ -37,7 +39,7 @@ from .errors import DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, _as_array, _evaluate, _evaluate_sets, _frobenius,
-                  _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
+                  _min_eig_and_norm, _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
                   min_eig_and_norm, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
@@ -262,7 +264,7 @@ class MonoConfig:
     """Sampling plan for the operator-monotonicity test.
 
     grids: (lo, hi, count) log-spaced point sets tested whole, kept as floats and an int.
-    sizes: candidate sizes for random point sets.
+    sizes: candidate sizes for random point sets, kept as a tuple.
     trials: number of random point sets.
     tol: refute when min eig < -(tol * ||L||_F + E), with ||L||_F the
         Frobenius norm of the Loewner matrix and E the Frobenius norm of the
@@ -277,9 +279,13 @@ class MonoConfig:
 
     def __post_init__(self):
         _check_sampling(self.trials, self.seed, self.tol)
-        if not self.sizes or any(not isinstance(s, Integral) or s < 2 for s in self.sizes):
+        try:
+            sizes, grids = tuple(self.sizes), tuple(self.grids)
+        except TypeError:
+            raise StructuralError("grids and sizes must be sequences") from None
+        if not sizes or any(not isinstance(s, Integral) or s < 2 for s in sizes):
             raise StructuralError("point-set sizes must be integers of at least 2")
-        for grid in self.grids:
+        for grid in grids:
             try:
                 lo, hi, count = grid
                 ok = 0.0 < lo < hi < np.inf and isinstance(count, Integral) and count >= 2
@@ -288,8 +294,9 @@ class MonoConfig:
             if not ok:
                 raise StructuralError(
                     f"bad grid {grid!r}: need (lo, hi, count), 0 < lo < hi < inf, count >= 2")
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "grids", tuple((float(lo), float(hi), int(count))
-                                                for lo, hi, count in self.grids))
+                                                for lo, hi, count in grids))
 
 
 class _Plan(NamedTuple):
@@ -305,17 +312,27 @@ class _Plan(NamedTuple):
     starts: np.ndarray
 
 
-def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
-    """The read-only _Plan of the point sets (None when there are none),
-    for f with a derivative or without one."""
+def _plan(sets: list, derivative: bool, before: Optional[_Plan] = None) -> Optional[_Plan]:
+    """The read-only _Plan of before's point sets, if given, then these, for f
+    with a derivative or without one (None if there are none). Each size group
+    joins before's rows and geometry to the new sets' by one np.concatenate."""
     if not sets:
-        return None
+        return before
+    parts, row, offset = {}, 0, 0     # x-row length -> [(trials, rows, geometry)]
+    for shape, geometry in before.groups if before else ():
+        rows = before.x[offset:offset + shape[0] * shape[1]].reshape(shape)
+        parts[shape[1]] = [(before.trial[row:row + shape[0]], rows, geometry)]
+        row, offset = row + shape[0], offset + rows.size
     sizes = np.array([p.size for p in sets])
-    groups = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
-    rows, geometry = zip(*(_loewner_geometry(np.array([sets[i] for i in idx]), derivative)
-                           for idx in groups))
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        rows, geometry = _loewner_geometry(np.array([sets[i] for i in idx]), derivative)
+        parts.setdefault(rows.shape[1], []).append((idx + row, rows, geometry))
+    trial, rows, geometry = zip(*((np.concatenate(t), np.concatenate(r),
+                                   tuple(map(np.concatenate, zip(*g))))
+                                  for t, r, g in (zip(*parts[k]) for k in sorted(parts))))
     lengths = np.concatenate([np.full(len(r), r.shape[-1]) for r in rows])
-    plan = _Plan(tuple(sets), np.concatenate(groups),
+    plan = _Plan((*(before.sets if before else ()), *sets), np.concatenate(trial),
                  tuple((r.shape, g) for r, g in zip(rows, geometry)),
                  np.concatenate([r.ravel() for r in rows]), lengths, np.cumsum(lengths) - lengths)
     for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
@@ -338,13 +355,8 @@ def _structured_plan(derivative: bool) -> _Plan:
     return _plan(structured, derivative)
 
 
-def _point_set_stages(config: MonoConfig, derivative: bool):
-    """The _Plan of each of the sampler's three stages, in trial order: the
-    configured grids, the other structured sets (tight clusters and
-    near-collision sets), both built once per process per (grids,
-    derivative), then config.trials random log-uniform sets, drawn anew."""
-    yield _grid_plan(config.grids, derivative)
-    yield _structured_plan(derivative)
+def _random_sets(config: MonoConfig) -> list:
+    """config.trials random log-uniform point sets, sorted and distinct, less those of 1 point."""
     rng = np.random.default_rng(config.seed)
     log_lo, log_hi = np.log(1e-3), np.log(1e3)
     drawn = []
@@ -357,7 +369,7 @@ def _point_set_stages(config: MonoConfig, derivative: bool):
             pts = np.unique(pts)
         if pts.size >= 2:
             drawn.append(pts)
-    yield _plan(drawn, derivative)
+    return drawn
 
 
 def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
@@ -398,7 +410,7 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
             continue
         bounded = slice(None) if bounded.all() else bounded
         ok = first_row + ok[bounded]
-        lo, fro = min_eig_and_norm(mat[bounded])
+        lo, fro = _min_eig_and_norm(mat[bounded])
         refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
         min_eig[ok], norm[ok] = lo, fro
     item, examined = _first_hit(refuted, faults, plan.trial)
@@ -418,18 +430,20 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     f accurate to _ULPS ulps; a consistent verdict means no refutation was
     found, not a proof of monotonicity. f and fprime may take arrays or
     scalars only, as in loewner_matrix; f is called once over the points of
-    all sets of a stage (the grids, the other structured sets, the random
-    sets), on a copy of them, and the verdict and trials_run are those of
-    checking the sets one at a time. The grid and structured stages are
-    built once per process per (grids, derivative or not), on first use.
+    all sets of a stage, on a copy of them: the grids, then the structured
+    and random sets together. So an f that a structured set refutes is also
+    evaluated on the random sets, but the verdict and trials_run are those
+    of checking the sets one at a time. The grids and structured sets are
+    planned once per process per (grids, derivative or not), on first use.
     """
-    trials_run = 0
-    for plan in _point_set_stages(config, fprime is not None):
-        witness, examined = _first_loewner_witness(plan, f, fprime, config.tol)
+    d, tol = fprime is not None, config.tol
+    witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
+    if witness is None:     # random sets are drawn only when the grids refute nothing
+        plan = _plan(_random_sets(config), d, _structured_plan(d))
+        witness, examined = _first_loewner_witness(plan, f, fprime, tol)
         trials_run += examined
-        if witness is not None:
-            return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
-    return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
+    status = STATUS_REFUTED if witness else STATUS_CONSISTENT
+    return MonotonicityVerdict(status, witness, trials_run)
 
 
 def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,

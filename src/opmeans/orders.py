@@ -134,6 +134,24 @@ def _check_class_identity(fn: RepresentingFunction, want: str, op: str) -> None:
             f"(max residual {resid:.3e})")
 
 
+def _sampled_quotient(f: RepresentingFunction, g: RepresentingFunction, config,
+                      quotient: Callable, slope: Callable) -> MonotonicityVerdict:
+    """The Loewner sampler on quotient(t, f, f', g, g') with derivative slope(...),
+    f and g evaluated with their derivatives at once. The sampler hands slope a
+    copy of quotient's points, so the last values are reused for equal bits."""
+    f_jet, g_jet = (fn.jet or (lambda t, fn=fn: (fn.value(t), fn.derivative(t))) for fn in (f, g))
+    last = [None, None]
+
+    def parts(t):
+        key = np.shape(t), np.asarray(t, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, (*f_jet(t), *g_jet(t))
+        return last[1]
+
+    return is_operator_monotone_sampled(lambda t: quotient(t, *parts(t)),
+                                        lambda t: slope(t, *parts(t)), config or MonoConfig())
+
+
 def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
                   config: Optional[MonoConfig] = None) -> MonotonicityVerdict:
     """Sampled test of the symmetric-class comparison 'f below g'.
@@ -145,16 +163,10 @@ def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
     """
     _check_class_identity(f, CLASS_SYMMETRIC, "order_leq_sym")
     _check_class_identity(g, CLASS_SYMMETRIC, "order_leq_sym")
-
-    def psi(t):
-        return arithmetic_pair(1.0, t) * f.value(t) / g.value(t)
-
-    def psi_prime(t):
-        fv, gv = f.value(t), g.value(t)
-        fp, gp = f.derivative(t), g.derivative(t)
-        return 0.5 * fv / gv + arithmetic_pair(1.0, t) * (fp * gv - fv * gp) / (gv * gv)
-
-    return is_operator_monotone_sampled(psi, psi_prime, config or MonoConfig())
+    return _sampled_quotient(
+        f, g, config, lambda t, fv, fp, gv, gp: arithmetic_pair(1.0, t) * fv / gv,
+        lambda t, fv, fp, gv, gp: (0.5 * fv / gv
+                                   + arithmetic_pair(1.0, t) * (fp * gv - fv * gp) / (gv * gv)))
 
 
 def order_leq_sa(f: RepresentingFunction, g: RepresentingFunction,
@@ -168,16 +180,8 @@ def order_leq_sa(f: RepresentingFunction, g: RepresentingFunction,
     """
     _check_class_identity(f, CLASS_SELF_ADJOINT, "order_leq_sa")
     _check_class_identity(g, CLASS_SELF_ADJOINT, "order_leq_sa")
-
-    def quot(t):
-        return f.value(t) / g.value(t)
-
-    def quot_prime(t):
-        fv, gv = f.value(t), g.value(t)
-        fp, gp = f.derivative(t), g.derivative(t)
-        return (fp * gv - fv * gp) / (gv * gv)
-
-    return is_operator_monotone_sampled(quot, quot_prime, config or MonoConfig())
+    return _sampled_quotient(f, g, config, lambda t, fv, fp, gv, gp: fv / gv,
+                             lambda t, fv, fp, gv, gp: (fp * gv - fv * gp) / (gv * gv))
 
 
 def dagger(f: RepresentingFunction) -> RepresentingFunction:

@@ -335,8 +335,13 @@ def min_eig_and_norm(a):
     one eigvalsh call, each entry bitwise the value of its matrix alone.
     """
     m = _symmetrize(_as_array(a, stack=True))
-    lo, norm = _eigh(m, vectors=False)[..., 0], _frobenius(m)
+    lo, norm = _min_eig_and_norm(m)
     return (float(lo), float(norm)) if m.ndim == 2 else (lo, norm)
+
+
+def _min_eig_and_norm(m: np.ndarray):
+    """min_eig_and_norm of an exactly symmetric float array, unvalidated."""
+    return _eigh(m, vectors=False)[..., 0], _frobenius(m)
 
 
 def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, StructuralError,
+from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor, StructuralError,
                      dagger_density, eval_selfadjoint_rep, eval_symmetric_rep,
                      h_order, lattice_meet_join, selfadjoint_rep_derivative,
-                     symmetric_rep_derivative)
+                     representing_function, symmetric_rep_derivative)
+from opmeans import hdensity
 from opmeans.jsonio import dumps, loads
 
 STEP_SYM = HDensity(SYMMETRIC, (0.0, 0.3, 0.7, 1.0), (0.9, 0.2, 0.55))
@@ -223,6 +224,27 @@ def _random_density(rng, cls: str) -> HDensity:
     k = int(rng.integers(1, 6))
     cuts = np.sort(rng.uniform(lo, hi, k - 1))
     return HDensity(cls, (lo, *cuts, hi), tuple(rng.uniform(0.0, 1.0, k)))
+
+
+def test_value_and_derivative_kernels_equal_the_public_functions_bitwise():
+    # one evaluation gives both f and f', each bit for bit what value and
+    # derivative give on their own, for arrays and for scalars
+    rng = np.random.default_rng(18)
+    t = np.exp(rng.uniform(np.log(1e-8), np.log(1e8), 200))
+    kernels = ((SYMMETRIC, hdensity._symmetric_jet, eval_symmetric_rep, symmetric_rep_derivative),
+               (SELF_ADJOINT, hdensity._selfadjoint_jet, eval_selfadjoint_rep,
+                selfadjoint_rep_derivative))
+    for cls, jet, value, derivative in kernels:
+        for _ in range(8):
+            h = _random_density(rng, cls)
+            rep = representing_function(MeanDescriptor.from_h_density(h))
+            for got in (jet(h, t), rep.jet(t)):
+                assert np.array_equal(got[0], value(h, t))
+                assert np.array_equal(got[1], derivative(h, t))
+            for x in (float(t[0]), 1.0, 1e-310, 1.7e308):
+                got = jet(h, x)
+                assert type(got[0]) is type(got[1]) is float
+                assert got == (value(h, x), derivative(h, x))
 
 
 def test_representations_match_high_precision_oracle():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opmeans import (MeanDescriptor, MonoConfig, StructuralError, UsageError,
+from opmeans import (HDensity, MeanDescriptor, MonoConfig, StructuralError, UsageError,
                      apply_spectral_function, falsify_transfer, ka_condition_check,
                      is_operator_monotone_sampled, loewner_leq, loewner_matrix,
-                     parse_function, random_spd, verify_inequality_chain)
+                     order_leq_sa, order_leq_sym, parse_function, random_spd,
+                     verify_inequality_chain)
 from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_pair,
                            heinz_pair, heron_pair, representing_function)
 from opmeans import monocheck
@@ -174,7 +175,7 @@ def test_random_point_sets_keep_the_choice_and_unique_stream(sizes):
             if pts.size >= 2:
                 want.append(pts)
         config = MonoConfig(sizes=sizes, trials=40, seed=seed)
-        got = list(monocheck._point_set_stages(config, False))[2].sets
+        got = monocheck._random_sets(config)
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
@@ -191,7 +192,7 @@ def test_random_point_sets_drop_coinciding_points(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", Coinciding)
     config = MonoConfig(sizes=(3,), trials=2)
-    got = list(monocheck._point_set_stages(config, False))[2].sets
+    got = monocheck._random_sets(config)
     assert [p.tolist() for p in got] == [np.exp([0.1, 0.5]).tolist()]
 
 
@@ -206,9 +207,10 @@ def test_f_writing_into_its_points_leaves_later_checks_alone():
         t *= 3.0
         return t
 
-    # f writes into a copy of the points, so it still runs once per stage
+    # f writes into a copy of the points, so it still runs once per stage:
+    # the grids, then the structured and random sets together
     assert is_operator_monotone_sampled(scribble, config=config).status == "consistent"
-    assert calls == [1, 1, 1]
+    assert calls == [1, 1]
     after = [is_operator_monotone_sampled(g, config=config) for g in (np.sqrt, lambda t: t ** 3)]
     assert after == before and after[1].refuted
 
@@ -326,6 +328,135 @@ def test_fault_after_the_refuting_point_set_is_never_reached():
     verdict = is_operator_monotone_sampled(
         f, config=MonoConfig(grids=((1e-2, 0.5, 5), (1e-2, 1e2, 5))))
     assert verdict.status == "refuted" and verdict.trials_run == 1
+
+
+def _one_set_at_a_time(f, fprime, config):
+    """The sampler's verdict by checking its point sets one by one, in trial
+    order: (status, trials_run, witness points, min eigenvalue, norm)."""
+    derivative = fprime is not None
+    grids = monocheck._grid_plan(config.grids, derivative)
+    sets = [*(grids.sets if grids else ()), *monocheck._structured_plan(derivative).sets,
+            *monocheck._random_sets(config)]
+    for trial, pts in enumerate(sets):
+        try:
+            with np.errstate(all="ignore"):
+                mat, err = loewner_matrix(pts, f, fprime, with_error=True)
+        except monocheck._SET_SKIPS:
+            continue
+        if not np.all(np.isfinite(mat)):
+            continue
+        lo, norm = np.linalg.eigvalsh(mat)[0], np.linalg.norm(mat)
+        if lo < -(config.tol * norm + np.linalg.norm(err)):
+            return "refuted", trial + 1, tuple(pts.tolist()), lo, norm
+    return "consistent", len(sets), None, None, None
+
+
+def _by_point_kind(on_grids, on_structured, elsewhere, derivative=False):
+    """A scalar-only f that is on_grids at the points the default grids
+    evaluate, on_structured at the structured sets' other points and
+    elsewhere (in practice: the random sets) at the rest."""
+    grids = set(monocheck._grid_plan(MonoConfig().grids, derivative).x.tolist())
+    structured = set(monocheck._structured_plan(derivative).x.tolist())
+
+    def f(t):
+        t = float(t)
+        return (on_grids if t in grids else on_structured if t in structured else elsewhere)(t)
+    return f
+
+
+def _outside_the_domain(t):
+    raise ValueError("outside the domain")
+
+
+def _power(p):
+    return lambda t: t ** p
+
+
+def _skip_above(limit, g):
+    return lambda t: g(t) if t <= limit else _outside_the_domain(t)
+
+
+def _half_rsqrt(t):
+    return 0.5 / np.sqrt(t)
+
+
+def _fault(t):
+    return t * undefined_name  # noqa: F821
+
+
+# name: (f, fprime, refuted after the grid stage)
+_SAMPLED = {
+    "sqrt": (np.sqrt, None, False),
+    "sqrt with derivative": (np.sqrt, _half_rsqrt, False),
+    "scalar-only t/(1+t)": (parse_function("t/(1+t)"), None, False),
+    "t^1.001 past the grids": (_by_point_kind(np.sqrt, np.sqrt, _power(1.001)), None, True),
+    "t^1.001 in the structured sets": (_by_point_kind(np.sqrt, _power(1.001), np.sqrt), None,
+                                       True),
+    "t^1.001 with derivative": (_by_point_kind(np.sqrt, np.sqrt, _power(1.001), True),
+                                _by_point_kind(_half_rsqrt, _half_rsqrt,
+                                               lambda t: 1.001 * t ** 0.001, True), True),
+    "skips on some random sets": (_by_point_kind(np.sqrt, np.sqrt,
+                                                 _skip_above(10.0, _power(1.001))), None, True),
+    "fault after a structured refutation": (_by_point_kind(np.sqrt, _power(1.001), _fault),
+                                            None, True),
+}
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+def test_two_stage_sampler_equals_checking_one_set_at_a_time(name):
+    f, fprime, refuted = _SAMPLED[name]
+    config = MonoConfig(trials=60, seed=3)
+    verdict = is_operator_monotone_sampled(f, fprime, config)
+    w = verdict.witness
+    got = (verdict.status, verdict.trials_run, *((w.points, w.min_eigenvalue, w.matrix_norm)
+                                                  if w else (None,) * 3))
+    assert got == _one_set_at_a_time(f, fprime, config)
+    assert verdict.refuted == refuted
+    assert verdict.trials_run > len(config.grids)
+
+
+@pytest.mark.parametrize("cls", ["sym", "sa"])
+def test_order_tests_equal_checking_one_set_at_a_time(cls):
+    # psi and psi' (quot and quot') share one evaluation of each density per
+    # stage; the reference forms them from the densities' value and
+    # derivative, as separate calls on each set alone
+    rng = np.random.default_rng(18)
+    lo, hi = (0.0, 1.0) if cls == "sym" else (-1.0, 0.0)
+    config = MonoConfig(trials=40, seed=2)
+    check = order_leq_sym if cls == "sym" else order_leq_sa
+    statuses = set()
+    for _ in range(4):
+        breaks = (lo, *np.sort(rng.uniform(lo, hi, 2)), hi)
+        low = rng.uniform(0.0, 0.7, 3)
+        f, g = (representing_function(MeanDescriptor.from_h_density(HDensity(cls, breaks, v)))
+                for v in (tuple(low + 0.3), tuple(low)))
+        for a, b in ((f, g), (g, f)):
+            if cls == "sym":
+                psi = lambda t, a=a, b=b: arithmetic_pair(1.0, t) * a.value(t) / b.value(t)
+                psi_prime = lambda t, a=a, b=b: (
+                    0.5 * a.value(t) / b.value(t) + arithmetic_pair(1.0, t)
+                    * (a.derivative(t) * b.value(t) - a.value(t) * b.derivative(t))
+                    / (b.value(t) * b.value(t)))
+            else:
+                psi = lambda t, a=a, b=b: a.value(t) / b.value(t)
+                psi_prime = lambda t, a=a, b=b: (
+                    (a.derivative(t) * b.value(t) - a.value(t) * b.derivative(t))
+                    / (b.value(t) * b.value(t)))
+            verdict = check(a, b, config)
+            w = verdict.witness
+            got = (verdict.status, verdict.trials_run,
+                   *((w.points, w.min_eigenvalue, w.matrix_norm) if w else (None,) * 3))
+            assert got == _one_set_at_a_time(psi, psi_prime, config)
+            statuses.add(verdict.status)
+    assert statuses == {"consistent", "refuted"}
+
+
+def test_two_stage_sampler_raises_the_first_fault_like_one_set_at_a_time():
+    f = _by_point_kind(np.sqrt, np.sqrt, _fault)
+    config = MonoConfig(trials=10, seed=3)
+    for check in (is_operator_monotone_sampled, _one_set_at_a_time):
+        with pytest.raises(NameError):
+            check(f, None, config)
 
 
 @pytest.mark.parametrize("seed, trials_run, min_eig, diff_norm", [
@@ -459,7 +590,8 @@ def test_mono_config_validation():
         MonoConfig(tol=0.0)
     for bad in ({"grids": ((1e-2, math.inf, 5),)}, {"grids": ((1e-2, 1e2, 5.7),)},
                 {"grids": ((1e-2, math.nan, 5),)}, {"sizes": (2.5,)}, {"trials": 2.5},
-                {"grids": ((1e-2, 1e2),)}, {"grids": ((1e-2, 1e2, 5, 7),)}, {"grids": (5,)}):
+                {"grids": ((1e-2, 1e2),)}, {"grids": ((1e-2, 1e2, 5, 7),)}, {"grids": (5,)},
+                {"grids": 5}, {"grids": None}, {"sizes": 5}):
         with pytest.raises(StructuralError):
             MonoConfig(**bad)
     config = MonoConfig(grids=[[1, 100, np.int64(5)]], sizes=(2, np.int64(3)), seed=np.int64(4))
