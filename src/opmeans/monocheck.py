@@ -38,9 +38,9 @@ import numpy as np
 from .errors import DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
-from .spd import (RelativeSpectrum, _as_array, _evaluate, _evaluate_sets, _frobenius,
-                  _min_eig_and_norm, _pd_spectrum, _random_spd_stack, matrix_to_json_dict,
-                  min_eig_and_norm, sym_eigendecompose)
+from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _evaluate, _evaluate_sets,
+                  _frobenius, _min_eig_and_norm, _random_spd_stack, matrix_to_json_dict,
+                  sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -188,8 +188,8 @@ def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
                                lhs: np.ndarray, rhs: np.ndarray):
     """Bound on the eigenvalue error of the computed difference rhs - lhs.
 
-    lhs and rhs are built from means of the SPD pair (a, b) with ascending
-    spectra spec_a and spec_b (those validation computed); the means'
+    lhs and rhs are built from means of the SPD pair (a, b) with spectra
+    spec_a and spec_b, in either order (those validation computed); the means'
     spectra all lie in the joint spectral range of a and b, and the
     congruences by square roots that evaluate them lose at most about
     n * eps * kappa relative, kappa being the joint condition number. With
@@ -198,8 +198,8 @@ def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
     inequality so is each of its eigenvalues. Stacks of pairs give a (k,)
     array of bounds.
     """
-    kappa = (np.maximum(spec_a[..., -1], spec_b[..., -1])
-             / np.minimum(spec_a[..., 0], spec_b[..., 0]))
+    kappa = (np.maximum(spec_a.max(axis=-1), spec_b.max(axis=-1))
+             / np.minimum(spec_a.min(axis=-1), spec_b.min(axis=-1)))
     scale = _frobenius(lhs) + _frobenius(rhs)
     return _ULPS * lhs.shape[-1] * _EPS * kappa * scale
 
@@ -500,8 +500,7 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     another error on an earlier pair, which propagates.
     """
     mats = _random_spd_stack(rng, 2 * size, n, 50.0)
-    spectra = _pd_spectrum(mats)
-    a, b = mats[0::2], mats[1::2]
+    a, b = SpdMatrix(mats[0::2]), SpdMatrix(mats[1::2])
     spectrum = RelativeSpectrum(a, b)
     means = sym_eigendecompose(np.concatenate((mean_from_spectrum(spectrum, rep_s),
                                                mean_from_spectrum(spectrum, rep_t))))
@@ -514,13 +513,13 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     # skipped pairs get harmless values and their margins are ignored
     images = means.apply(np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
     lhs, rhs = images[:size], images[size:]
-    min_eig, norm = min_eig_and_norm(rhs - lhs)
-    bound = _difference_rounding_bound(spectra[0::2], spectra[1::2], lhs, rhs)
+    min_eig, norm = _min_eig_and_norm(rhs - lhs)
+    bound = _difference_rounding_bound(a._spectrum[0], b._spectrum[0], lhs, rhs)
     refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
     item, examined = _first_hit(refuted, faults, np.arange(size))
     if item is None:
         return None, size
-    return TransferWitness(a[item].copy(), b[item].copy(),
+    return TransferWitness(a.entries[item].copy(), b.entries[item].copy(),
                            float(min_eig[item]), float(norm[item])), examined
 
 
@@ -606,7 +605,7 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
              "heron<=arithmetic", "heinz<=arithmetic")
     gaps = np.stack((heinz_v - harm_v, heinz_v - geo_v, heron_v - heinz_v,
                      arith_v - heron_v, arith_v - heinz_v))
-    min_eig, norm = min_eig_and_norm(spectrum.congruate(gaps))
+    min_eig, norm = _min_eig_and_norm(spectrum.congruate(gaps))
     links = [LinkMargin(name, float(lo), float(size))
              for name, lo, size in zip(names, min_eig, norm)]
 

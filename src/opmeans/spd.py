@@ -13,11 +13,11 @@ the sampled checks all go through it. It reuses the eigendecomposition that
 an SpdMatrix P keeps from its validation.
 
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
-min_eig_and_norm and RelativeSpectrum take a (k, n, n) stack of matrices as
-well as one (n, n) matrix, through the same code: numpy's eigh, eigvalsh, qr
-and @ act on the last two axes, and on this build give each matrix of a stack
-bitwise the result of a call on that matrix alone. The sampled checks run
-their trials through them as stacks.
+min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
+matrices as well as one (n, n) matrix, through the same code: numpy's eigh,
+eigvalsh, qr and @ act on the last two axes, and on this build give each
+matrix of a stack bitwise the result of a call on that matrix alone. The
+sampled checks run their trials through them as stacks of SpdMatrix pairs.
 """
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
 
 def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """m as a float array: one square matrix, or with stack a (k, n, n) stack."""
-    if isinstance(m, SpdMatrix):
-        return m.entries
-    a = np.asarray(m, dtype=float)
+    if isinstance(m, SpdMatrix) and (stack or m.entries.ndim == 2):
+        return m.entries        # validated already
+    a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
     if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         shape = "square 2-d array or a (k, n, n) stack" if stack else "square 2-d array"
         raise StructuralError(f"{name} must be a {shape}, got shape {a.shape}")
@@ -83,10 +83,21 @@ def _frobenius(a: np.ndarray):
     Each norm is sqrt(x @ x) over the matrix's entries in row order, the
     arithmetic of np.linalg.norm(matrix), so a stacked norm is bitwise the
     norm of that matrix alone; np.linalg.norm(stack, axis=(-2, -1)) and
-    einsum sum in other orders and are not.
+    einsum sum in other orders and are not. A matrix whose x @ x overflows
+    is scaled by a power of two first, so its norm is inf only if the norm is.
     """
+    total = np.vdot(a, a)       # of all matrices; np.vdot, unlike @, does not warn on overflow
+    if a.ndim == 2 and total < math.inf:
+        return np.sqrt(total)
     rows = a.reshape(a.shape[:-2] + (1, -1))
-    return np.sqrt((rows @ _transpose(rows))[..., 0, 0])
+    if total < 2.0 ** 1020:     # no matrix's x @ x overflows
+        return np.sqrt((rows @ _transpose(rows))[..., 0, 0])
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((rows @ _transpose(rows))[..., 0, 0])
+        exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
+        scaled = np.ldexp(rows, -exponent[..., None])
+        rescaled = np.sqrt((scaled @ _transpose(scaled))[..., 0, 0])
+        return np.where(np.isinf(norm), np.ldexp(rescaled, exponent[..., 0]), norm)[()]
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):
@@ -169,21 +180,28 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """A validated symmetric positive definite matrix.
+    """A validated symmetric positive definite matrix, or a (k, n, n) stack.
 
     Construction checks symmetry (within SYMMETRY_RTOL relative) and rejects
-    matrices whose smallest eigenvalue is <= PD_FLOOR_RTOL * ||M||_F. The
-    stored array is a read-only copy; instances are immutable value objects.
-    Validation's eigendecomposition is kept, private and read-only, for
-    RelativeSpectrum to reuse.
+    matrices whose smallest eigenvalue is <= PD_FLOOR_RTOL * ||M||_F, each
+    matrix of a stack bitwise as if alone. The stored array is a read-only
+    copy; instances are immutable value objects. Validation's (w, V), w
+    non-ascending, is kept, private and read-only, for RelativeSpectrum.
     """
 
     entries: np.ndarray
     _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _require_symmetric(_as_array(self.entries, "SpdMatrix"), "SpdMatrix")
-        spectrum = _descending(*_pd_spectrum(a, vectors=True))
+        a = _require_symmetric(_as_array(self.entries, "SpdMatrix", stack=True), "SpdMatrix")
+        w, v = _eigh(a)
+        low, floor = np.ravel(w[..., 0]), np.ravel(PD_FLOOR_RTOL * _frobenius(a))
+        bad = np.flatnonzero(low <= floor)
+        if bad.size:
+            raise StructuralError(
+                f"matrix is not positive definite within tolerance: smallest eigenvalue "
+                f"{low[bad[0]]:.6e} is below the floor {floor[bad[0]]:.6e}")
+        spectrum = _descending(w, v)
         for x in (a, *spectrum):
             x.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -191,7 +209,7 @@ class SpdMatrix:
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @classmethod
     def identity(cls, n: int) -> "SpdMatrix":
@@ -205,31 +223,11 @@ class SpdMatrix:
         return cls(matrix_from_json_dict(data))
 
 
-def _pd_spectrum(a: np.ndarray, vectors: bool = False):
-    """Ascending eigenvalues w of the symmetric a, (n, n) or (k, n, n); (w, V) with vectors.
-
-    Raises StructuralError unless the smallest eigenvalue of every matrix
-    exceeds PD_FLOOR_RTOL * ||M||_F.
-    """
-    out = _eigh(a, vectors)
-    w = out[0] if vectors else out
-    floor = PD_FLOOR_RTOL * _frobenius(a)
-    bad = w[..., 0] <= floor
-    if bad.any():
-        first = np.argmax(np.ravel(bad))
-        lam_min, floor = np.ravel(w[..., 0])[first], np.ravel(floor)[first]
-        raise StructuralError(
-            f"matrix is not positive definite within tolerance: smallest "
-            f"eigenvalue {lam_min:.6e} is below the floor {floor:.6e}")
-    return out
-
-
 def as_spd(m, name: str = "matrix") -> SpdMatrix:
-    """Coerce to SpdMatrix, validating on the way in; errors start with name."""
-    if isinstance(m, SpdMatrix):
-        return m
+    """Coerce one matrix (not a stack) to SpdMatrix, validating it; errors start with name."""
     try:
-        return SpdMatrix(m)
+        _as_array(m, "SpdMatrix")
+        return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
     except StructuralError as exc:
         raise StructuralError(f"{name}: {exc}") from None
 
@@ -318,23 +316,25 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
     """Test A <= B in the Loewner order, up to a relative tolerance.
 
     True iff the smallest eigenvalue of B - A is >= -tol * max(1, ||B-A||_F).
+    A and B must each be symmetric within SYMMETRY_RTOL.
     """
     am = _as_array(a, "A")
     bm = _as_array(b, "B")
     if am.shape != bm.shape:
         raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    d = _symmetrize(bm - am)
-    w = _eigh(d, vectors=False)
-    return float(w[0]) >= -tol * max(1.0, float(_frobenius(d)))
+    _check_symmetric(am, "A")
+    _check_symmetric(bm, "B")
+    lo, norm = _min_eig_and_norm(_symmetrize(bm - am))
+    return float(lo) >= -tol * max(1.0, float(norm))
 
 
 def min_eig_and_norm(a):
-    """Smallest eigenvalue and Frobenius norm of a symmetric matrix.
+    """Smallest eigenvalue and Frobenius norm of a matrix symmetric within SYMMETRY_RTOL.
 
     Two floats for one matrix; for a (k, n, n) stack two (k,) arrays, from
     one eigvalsh call, each entry bitwise the value of its matrix alone.
     """
-    m = _symmetrize(_as_array(a, stack=True))
+    m = _require_symmetric(_as_array(a, stack=True), "matrix")
     lo, norm = _min_eig_and_norm(m)
     return (float(lo), float(norm)) if m.ndim == 2 else (lo, norm)
 
@@ -424,11 +424,11 @@ def random_spd_from(rng: np.random.Generator, n: int, cond_cap: float = 100.0) -
 
 def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
                       cond_cap: float) -> np.ndarray:
-    """count random SPD matrices as a (count, n, n) stack, not yet validated.
+    """count random SPD matrices as an exactly symmetric (count, n, n) array.
 
     The draws from rng are those of count successive random_spd_from calls,
     and matrix k is bitwise the entries of the k-th call's SpdMatrix.
-    Validate the stack as one with _pd_spectrum, as SpdMatrix does.
+    SpdMatrix(stack) validates and decomposes all of them in one call.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise StructuralError(f"matrix size must be a positive integer, got {n!r}")

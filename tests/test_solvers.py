@@ -17,8 +17,9 @@ from opmeans import solvers as solvers_module
 from opmeans import spd as spd_module
 from opmeans import (ConditioningError, ConvergenceError, DomainError,
                      MeanDescriptor, OrderError,
-                     OutOfRangeError, StructuralError, UnsupportedMeanError,
-                     build_monotone_chain, eval_mean, f_alpha, geom_heinz_ratio,
+                     OutOfRangeError, SpdMatrix, StructuralError, UnsupportedMeanError,
+                     as_spd, build_monotone_chain, eval_mean, f_alpha,
+                     falsify_transfer, geom_heinz_ratio, ka_condition_check,
                      invert_f_alpha, invert_geom_heinz_ratio, invert_phi,
                      loewner_leq, phi_profile, random_spd,
                      representing_function, solve_geom_heinz_matrix,
@@ -667,6 +668,38 @@ def test_pair_solve_decomposes_five_matrices(monkeypatch, solve):
         assert matrices == [1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("check", [
+    lambda trials: falsify_transfer(np.sqrt, GEO, ARITH, trials=trials, seed=5).trials_run,
+    lambda trials: ka_condition_check(GEO, ARITH, trials=trials, seed=5).trials],
+    ids=["transfer", "ka"])
+def test_sampled_pair_checks_decompose_six_matrices_per_pair(monkeypatch, check):
+    # the two SpdMatrix stacks (their validation keeps the A decomposition
+    # that the relative spectrum reuses), Z, the two means compared and
+    # their difference
+    matrices = _count_eigensolved_matrices(monkeypatch)
+    for trials in (8, 10):
+        matrices.clear()
+        assert check(trials) == trials
+        assert sum(matrices) == 6 * trials
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, y: (as_spd(x, "X"), as_spd(y, "Y")),
+    lambda x, y: solve_matrix_pair(ARITH, x, y),
+    lambda x, y: build_monotone_chain(ARITH, x, y),
+    lambda x, y: solve_heinz_heron_matrix(0.3, x, y),
+    lambda x, y: solve_geom_heinz_matrix(0.3, x, y)],
+    ids=["as_spd", "pair", "chain", "heinz-heron", "geom-heinz"])
+def test_single_matrix_entry_points_reject_stacks(solve):
+    # SpdMatrix takes (k, n, n) stacks; the solvers take one matrix each
+    x = np.stack((np.eye(2), 2.0 * np.eye(2)))
+    for wrap in (np.asarray, SpdMatrix):
+        with pytest.raises(StructuralError, match="X: .* square 2-d array, got shape"):
+            solve(wrap(x), 3.0 * x[1])
+        with pytest.raises(StructuralError, match="Y: .* square 2-d array, got shape"):
+            solve(x[0], wrap(3.0 * x))
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_chain_order_check_is_scale_invariant(scale):
     # X <= Y is judged on the relative spectrum of (X, Y) alone, so the
@@ -910,9 +943,11 @@ def test_geom_heinz_matrix_reproduces_targets():
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.7, 0.9])
 def test_geom_heinz_closed_form_matches_the_newton_pair_solve(s):
-    # one problem, two inversions: the closed-form hyperbolic-secant inverse
-    # and the realize-map Newton iteration of solve_matrix_pair, both on the
-    # branch A >= B
+    # one problem, two paths to the hyperbolic-secant inverse, both on the
+    # branch A >= B: solve_geom_heinz_matrix's own, and solve_matrix_pair's
+    # closed-form realize_inverse of Heinz_s (no Newton iteration runs). The
+    # tolerance stays: bitwise equality would assume numpy's ** rounds alike
+    # for every array length on every host
     x, y = _random_ordered_targets("geom-heinz", s, 500, 3)
     closed = solve_geom_heinz_matrix(s, x, y)
     newton = solve_matrix_pair(MeanDescriptor.heinz(s), x, y)

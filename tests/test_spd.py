@@ -17,8 +17,7 @@ from opmeans import (ConditioningError, DomainError, MeanDescriptor, RelativeSpe
                      sym_eigendecompose)
 from opmeans.jsonio import dumps, loads
 from opmeans.monocheck import loewner_matrix
-from opmeans.spd import (_eigh, _frobenius, _pd_spectrum, _random_spd_stack,
-                         random_spd_from)
+from opmeans.spd import _eigh, _frobenius, _random_spd_stack, random_spd_from
 
 EPS = np.finfo(float).eps
 
@@ -120,6 +119,30 @@ def test_spd_validation_rejects_bad_inputs():
         SpdMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))  # non-finite
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_spd_matrix_of_a_stack_is_each_matrix_alone(n):
+    # the sampled checks validate their random matrices as one SpdMatrix stack
+    # and reuse its kept spectrum: both must be those of each matrix alone
+    stack = _random_spd_stack(np.random.default_rng(n), 9, n, 50.0)
+    many = SpdMatrix(stack)
+    singles = [SpdMatrix(m) for m in stack]
+    assert many.n == n and many.entries.shape == (9, n, n)
+    assert all(np.array_equal(many.entries[k], s.entries) for k, s in enumerate(singles))
+    for part in (0, 1):
+        assert all(np.array_equal(many._spectrum[part][k], s._spectrum[part])
+                   for k, s in enumerate(singles))
+    for x in (many.entries, *many._spectrum):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    # one bad matrix refuses the stack, as it would alone
+    for bad, message in ((np.diag(np.r_[-1.0, np.ones(n - 1)]), "not positive definite"),
+                         (np.triu(np.ones((n, n))) + n * np.eye(n), "not symmetric")):
+        if n == 1 and message == "not symmetric":
+            continue
+        with pytest.raises(StructuralError, match=message):
+            SpdMatrix(np.concatenate((stack, bad[None])))
+
+
 def test_spd_matrix_is_immutable_value_object():
     m = SpdMatrix(np.eye(2))
     assert m.n == 2
@@ -162,6 +185,43 @@ def test_loewner_leq_rejects_empty_matrices():
     empty = np.zeros((0, 0))
     with pytest.raises(StructuralError, match="A must have at least one row"):
         loewner_leq(empty, empty)
+
+
+def test_asymmetric_input_is_rejected_with_the_argument_named():
+    # the symmetric part of [[1, 5], [-5, 1]] is I: measuring it instead
+    # would report min eigenvalue 1 and norm sqrt(2) for a matrix of norm 7.2
+    skew = np.array([[1.0, 5.0], [-5.0, 1.0]])
+    zeros = np.zeros((2, 2))
+    with pytest.raises(StructuralError, match="matrix is not symmetric"):
+        min_eig_and_norm(skew)
+    with pytest.raises(StructuralError, match="matrix is not symmetric"):
+        min_eig_and_norm(np.stack((np.eye(2), skew)))
+    with pytest.raises(StructuralError, match="B is not symmetric"):
+        loewner_leq(zeros, skew)
+    with pytest.raises(StructuralError, match="A is not symmetric"):
+        loewner_leq(skew, zeros)
+    # asymmetry within SYMMETRY_RTOL is rounding: the symmetric part is measured
+    near = np.array([[2.0, 1.0 + 4e-16], [1.0, 3.0]])
+    part = 0.5 * (near + near.T)
+    assert min_eig_and_norm(near) == min_eig_and_norm(part)
+    assert loewner_leq(zeros, near) and loewner_leq(near, 4.0 * np.eye(2))
+
+
+def test_norms_of_huge_matrices_do_not_overflow():
+    # x @ x overflows past about 1e154; such matrices are measured after an
+    # exact power-of-two scaling, without warnings (pyproject makes them errors)
+    big = 1e200 * np.eye(2)
+    zeros = np.zeros((2, 2))
+    assert not loewner_leq(big, zeros)
+    assert loewner_leq(zeros, big)
+    assert SpdMatrix(big).n == 2
+    assert min_eig_and_norm(-big) == (-1e200, math.sqrt(2.0) * 1e200)
+    # every finite plain norm is kept bitwise, in a stack as alone
+    stack = np.stack((big, np.diag([3.0, 1e-200]), np.full((2, 2), 1e308)))
+    norms = _frobenius(stack)
+    assert norms[0] == math.sqrt(2.0) * 1e200
+    assert norms[1] == np.linalg.norm(stack[1]) == _frobenius(stack[1])
+    assert norms[2] == math.inf                  # the norm itself overflows
 
 
 def test_min_eig_and_norm_rejects_empty_matrix():
@@ -337,6 +397,24 @@ def test_eigensolver_is_called_only_inside_eigh():
     assert found == [], f"eigensolver calls outside spd._eigh: {found}"
 
 
+def test_only_spd_calls_the_public_validating_primitives():
+    # package code hands its own (finite, exactly symmetric) arrays to the
+    # private kernels; the public, validating entry points are for callers
+    validating = {"min_eig_and_norm", "loewner_leq", "_pd_spectrum"}
+    package = Path(opmeans.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spd.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in validating:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == [], f"validating primitives called outside spd: {found}"
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("k", [1, 7, 64])
 def test_stacked_primitives_match_each_matrix_alone_bitwise(k, n):
@@ -351,7 +429,7 @@ def test_stacked_primitives_match_each_matrix_alone_bitwise(k, n):
     loop = np.random.default_rng(1000 * k + n)
     assert same(a, [random_spd_from(loop, n, 50.0).entries for _ in range(k)])
     assert same(b, [random_spd_from(loop, n, 50.0).entries for _ in range(k)])
-    assert same(_pd_spectrum(a), [_eigh(m, vectors=False) for m in a])
+    assert same(SpdMatrix(a)._spectrum[0], [SpdMatrix(m)._spectrum[0] for m in a])
 
     d = b - a                                   # symmetric, indefinite
     w, v = _eigh(d)
