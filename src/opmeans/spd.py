@@ -42,7 +42,7 @@ def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise StructuralError(f"{name} must be a {shape}, got shape {a.shape}")
     if a.shape[-1] == 0:
         raise StructuralError(f"{name} must have at least one row")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise StructuralError(f"{name} contains non-finite entries")
     return a
 
@@ -111,7 +111,7 @@ def _eigh(a: np.ndarray, vectors: bool = True):
     difference or symmetrization) and LAPACK failures raise
     ConditioningError instead of returning NaN.
     """
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ConditioningError(
             "eigensolver input has non-finite entries (overflow upstream)")
     try:
@@ -195,12 +195,12 @@ class SpdMatrix:
     def __post_init__(self):
         a = _require_symmetric(_as_array(self.entries, "SpdMatrix", stack=True), "SpdMatrix")
         w, v = _eigh(a)
-        low, floor = np.ravel(w[..., 0]), np.ravel(PD_FLOOR_RTOL * _frobenius(a))
-        bad = np.flatnonzero(low <= floor)
-        if bad.size:
+        low, floor = w[..., 0], PD_FLOOR_RTOL * _frobenius(a)
+        if (low <= floor).any():
+            first = np.argmax(low <= floor)
             raise StructuralError(
                 f"matrix is not positive definite within tolerance: smallest eigenvalue "
-                f"{low[bad[0]]:.6e} is below the floor {floor[bad[0]]:.6e}")
+                f"{low.flat[first]:.6e} is below the floor {floor.flat[first]:.6e}")
         spectrum = _descending(w, v)
         for x in (a, *spectrum):
             x.setflags(write=False)
