@@ -38,9 +38,9 @@ import numpy as np
 from .errors import DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _evaluate, _evaluate_sets,
-                  _frobenius, _min_eig_and_norm, _random_spd_stack, matrix_to_json_dict,
-                  sym_eigendecompose)
+from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _eigh_descending,
+                  _evaluate, _evaluate_sets, _frobenius, _min_eig_and_norm, _random_spd_stack,
+                  matrix_to_json_dict, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -502,16 +502,17 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     mats = _random_spd_stack(rng, 2 * size, n, 50.0)
     a, b = SpdMatrix(mats[0::2]), SpdMatrix(mats[1::2])
     spectrum = RelativeSpectrum(a, b)
-    means = sym_eigendecompose(np.concatenate((mean_from_spectrum(spectrum, rep_s),
-                                               mean_from_spectrum(spectrum, rep_t))))
-    values, errors = _evaluate_sets(f, means.eigenvalues.ravel(), np.full(2 * size, n))
+    # the means are exactly symmetric: decompose them without re-validation
+    w, v = _eigh_descending(np.concatenate((mean_from_spectrum(spectrum, rep_s),
+                                            mean_from_spectrum(spectrum, rep_t))))
+    values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))
     values = values.reshape(2 * size, n)
     finite = np.all(np.isfinite(values), axis=-1)
     lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
     usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])],
                               _PAIR_SKIPS)
     # skipped pairs get harmless values and their margins are ignored
-    images = means.apply(np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
+    images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
     lhs, rhs = images[:size], images[size:]
     min_eig, norm = _min_eig_and_norm(rhs - lhs)
     bound = _difference_rounding_bound(a._spectrum[0], b._spectrum[0], lhs, rhs)

@@ -154,9 +154,10 @@ def _assemble(basis: np.ndarray, values) -> np.ndarray:
     return _symmetrize((basis * vals[..., None, :]) @ _transpose(basis))
 
 
-def _descending(w: np.ndarray, v: np.ndarray) -> tuple:
-    """An eigh result in non-ascending order, as C-contiguous copies, not
-    reversed views: numpy's ** rounds differently on non-contiguous input."""
+def _eigh_descending(a: np.ndarray) -> tuple:
+    """_eigh(a) in non-ascending order, as C-contiguous copies, not reversed
+    views: numpy's ** rounds differently on non-contiguous input."""
+    w, v = _eigh(a)
     return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
@@ -168,7 +169,7 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     on equal input give identical output. A (k, n, n) stack is decomposed
     matrix by matrix in one call.
     """
-    w, v = _descending(*_eigh(_require_symmetric(_as_array(m, stack=True), "matrix")))
+    w, v = _eigh_descending(_require_symmetric(_as_array(m, stack=True), "matrix"))
     # the largest-magnitude entry of each column, gathered from the columns
     # laid out as rows
     row = np.abs(v).argmax(axis=-2)
@@ -194,18 +195,17 @@ class SpdMatrix:
 
     def __post_init__(self):
         a = _require_symmetric(_as_array(self.entries, "SpdMatrix", stack=True), "SpdMatrix")
-        w, v = _eigh(a)
-        low, floor = w[..., 0], PD_FLOOR_RTOL * _frobenius(a)
+        w, v = _eigh_descending(a)
+        low, floor = w[..., -1], PD_FLOOR_RTOL * _frobenius(a)
         if (low <= floor).any():
             first = np.argmax(low <= floor)
             raise StructuralError(
                 f"matrix is not positive definite within tolerance: smallest eigenvalue "
                 f"{low.flat[first]:.6e} is below the floor {floor.flat[first]:.6e}")
-        spectrum = _descending(w, v)
-        for x in (a, *spectrum):
+        for x in (a, w, v):
             x.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_spectrum", (w, v))
 
     @property
     def n(self) -> int:
@@ -384,10 +384,10 @@ class RelativeSpectrum:
         if pm.shape != qm.shape:
             raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
         spectrum = (p._spectrum if isinstance(p, SpdMatrix)
-                    else _descending(*_eigh(_require_symmetric(pm, "P"))))
+                    else _eigh_descending(_require_symmetric(pm, "P")))
         _check_symmetric(qm, "Q")     # Z is symmetrized below
         root, inv_root = _roots(*spectrum, "P")
-        z = _descending(*_eigh(_symmetrize(inv_root @ qm @ inv_root)))
+        z = _eigh_descending(_symmetrize(inv_root @ qm @ inv_root))
         for name, x in zip(("root", "eigenvalues", "basis"), (root, *z)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
