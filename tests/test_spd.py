@@ -222,6 +222,8 @@ def test_norms_of_huge_matrices_do_not_overflow():
     assert norms[0] == math.sqrt(2.0) * 1e200
     assert norms[1] == np.linalg.norm(stack[1]) == _frobenius(stack[1])
     assert norms[2] == math.inf                  # the norm itself overflows
+    plain = _random_spd_stack(np.random.default_rng(5), 7, 4, 50.0)
+    assert all(_frobenius(plain)[k] == _frobenius(m) for k, m in enumerate(plain))
 
 
 def test_min_eig_and_norm_rejects_empty_matrix():
