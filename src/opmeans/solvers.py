@@ -124,20 +124,20 @@ def _clamped_target(y0, gamma: float) -> float:
     gamma and clamped into it: [1, gamma) when gamma > 1, (gamma, 1] when
     gamma < 1, and 1 when the map is constant."""
     y0 = float(y0)
-    if not math.isfinite(y0) or y0 <= 0.0:
+    if not 0.0 < y0 < math.inf:
         raise StructuralError(f"target must be a positive real, got {y0!r}")
     if gamma > 1.0:
         if not 1.0 - _EIG_CLAMP <= y0 < gamma:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range [1, gamma) with "
                 f"gamma = {gamma!r}")
-        return max(y0, 1.0)
+        return y0 if y0 > 1.0 else 1.0
     if gamma < 1.0:
         if not gamma < y0 <= 1.0 + _EIG_CLAMP:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range (gamma, 1] with "
                 f"gamma = {gamma!r}")
-        return min(y0, 1.0)
+        return y0 if y0 < 1.0 else 1.0
     if abs(y0 - 1.0) > _EIG_CLAMP:
         raise OutOfRangeError(
             f"target {y0!r} unrealizable: the mean of (t, 1/t) is "
@@ -145,10 +145,11 @@ def _clamped_target(y0, gamma: float) -> float:
     return 1.0
 
 
-def _scan_and_newton(f: RepresentingFunction, phi, ys: dict) -> dict:
-    """Roots of the targets ys (index -> clamped target other than 1) by scan
-    and Newton: each index maps to its root or to a ConvergenceError, and a
-    target the scan does not bracket within its horizon is left out.
+def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
+    """(roots, converged) of the array ys of clamped targets, none of them 1,
+    by scan and Newton. A root is NaN where the scan brackets nothing within
+    its horizon; converged is false where _BISECT_MAX_ITER Newton steps did
+    not finish, and the root is then the last iterate.
 
     The scan calls phi once per decade block of _SCAN_GRID for all targets
     not yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
@@ -157,32 +158,27 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: dict) -> dict:
     not strictly inside. All is elementwise, so each root is bitwise that of
     its target alone.
     """
-    found: dict = {}
+    roots, lo, hi, g_lo = (np.full(len(ys), np.nan) for _ in range(4))
     # scan: the first grid point where the gap phi(t) - y0 is zero or has
-    # changed sign since the previous point
-    brackets: dict = {}     # i -> (lo, hi, the gap at lo)
-    pending = list(ys)
+    # changed sign since the previous point brackets [lo, hi], the gap at lo
+    todo = np.arange(len(ys))
     for start in range(0, len(_SCAN_GRID) - 1, _SCAN_PER_DECADE):
-        if not pending:
+        if not todo.size:
             break
         grid = _SCAN_GRID[start:start + _SCAN_PER_DECADE + 1]
-        gaps = phi(grid)[None, :] - np.array([ys[i] for i in pending])[:, None]
+        gaps = phi(grid) - ys[todo, None]
         hit = gaps == 0.0
         hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
-        unbracketed = []
-        for i, g, k, bracketed in zip(pending, gaps.tolist(), hit.argmax(axis=1).tolist(),
-                                      hit.any(axis=1).tolist()):
-            if not bracketed:
-                unbracketed.append(i)
-            elif g[k] == 0.0:
-                found[i] = float(grid[k])
-            else:
-                brackets[i] = (float(grid[k - 1]), float(grid[k]), g[k - 1])
-        pending = unbracketed
+        bracketed = hit.any(axis=1)
+        rows = np.flatnonzero(bracketed)
+        k, i = hit[rows].argmax(axis=1), todo[rows]
+        lo[i], hi[i], g_lo[i] = grid[k - 1], grid[k], gaps[rows, k - 1]
+        roots[i] = np.where(gaps[rows, k] == 0.0, grid[k], np.nan)
+        todo = todo[~bracketed]
 
-    live = np.array(list(brackets), dtype=int)
-    lo, hi, g_lo = np.array(list(brackets.values())).reshape(-1, 3).T
-    rising, y = g_lo > 0.0, np.array([ys[i] for i in brackets])
+    converged = np.ones(len(ys), dtype=bool)
+    live = np.flatnonzero(np.isnan(roots) & ~np.isnan(hi))
+    lo, hi, rising, y = lo[live], hi[live], g_lo[live] > 0.0, ys[live]
     t = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX_ITER):
         if not live.size:
@@ -198,13 +194,10 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: dict) -> dict:
         t_next = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         done = ((gap == 0.0) | (np.abs(t_next - t) <= _BISECT_REL * t)
                 | (hi - lo <= _BISECT_REL * lo))
-        for i, root in zip(live[done], np.where(gap == 0.0, t, t_next)[done]):
-            found[int(i)] = float(root)
+        roots[live[done]] = np.where(gap == 0.0, t, t_next)[done]
         live, lo, hi, rising, y, t = (a[~done] for a in (live, lo, hi, rising, y, t_next))
-    for i in live.tolist():
-        found[i] = ConvergenceError(f"realize-map inversion did not converge at "
-                                    f"target {ys[i]!r} in {_BISECT_MAX_ITER} steps")
-    return found
+    roots[live], converged[live] = t, False
+    return roots, converged
 
 
 def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
@@ -214,44 +207,44 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
     Every target is range-checked and clamped first, in order. A function
     with a realize_inverse inverts all targets other than 1 in one call of
     it; any other runs _scan_and_newton. Either way a root above the scan
-    horizon _SCAN_GRID[-1] = 1e40 (or not finite) is out of range, each root
-    is checked forward through realize_phi to 1e-11, and the first target, in
-    order, that failed raises.
+    horizon _SCAN_GRID[-1] = 1e40 (or not finite) is out of range, a
+    converged root within it is checked forward through realize_phi to
+    1e-11, and the first target, in order, that failed raises.
     """
     phi, gamma = realize
-    ys = [_clamped_target(y0, gamma) for y0 in targets]
-    pending = {i: y0 for i, y0 in enumerate(ys) if y0 != 1.0}
+    ys = np.array([_clamped_target(y0, gamma) for y0 in targets])
+    pending = ys != 1.0
+    y = ys[pending]
     if f.realize_inverse is None:
-        found = _scan_and_newton(f, phi, pending)
+        roots, converged = _scan_and_newton(f, phi, y)
+        checked = (roots <= _SCAN_GRID[-1]) & converged
     else:
         # a root past the float range comes out inf or nan, out of range
         # like any root past 1e40
         with np.errstate(all="ignore"):
-            closed = f.realize_inverse(np.array(list(pending.values()), dtype=float))
-        found = {i: t for i, t in zip(pending, closed.tolist()) if t <= _SCAN_GRID[-1]}
-
-    roots: list = [1.0] * len(ys)
-    errors: list = [None] * len(ys)
-    for i in pending:
-        root = found.get(i)
-        if root is None:
-            errors[i] = OutOfRangeError(
-                f"target {ys[i]!r} not reached by the realize map within the scan "
+            roots = f.realize_inverse(y)
+        checked = roots <= _SCAN_GRID[-1]
+    # the first failure is the first root not checked, or an inaccurate one
+    # before it: only those need the forward check
+    first = len(y) if np.count_nonzero(checked) == len(y) else int(checked.argmin())
+    if first:
+        # targets lie above 1 when gamma > 1 and below it otherwise
+        ahead = y[:first]
+        tol = 1e-11 * ahead if gamma > 1.0 else 1e-11
+        inaccurate = abs(phi(roots[:first]) - ahead) > tol
+        if np.count_nonzero(inaccurate):
+            raise ConvergenceError(f"realize-map inversion inaccurate at target "
+                                   f"{float(ahead[inaccurate.argmax()])!r}")
+    if first < len(y):
+        y0 = float(y[first])
+        if not roots[first] <= _SCAN_GRID[-1]:
+            raise OutOfRangeError(
+                f"target {y0!r} not reached by the realize map within the scan "
                 f"horizon (gamma = {gamma!r})")
-        elif isinstance(root, Exception):
-            errors[i] = root
-        else:
-            roots[i] = root
-    checked = [i for i in pending if errors[i] is None]
-    values = phi(np.array([roots[i] for i in checked])).tolist() if checked else []
-    for i, v in zip(checked, values):
-        if abs(v - ys[i]) > 1e-11 * max(1.0, abs(ys[i])):
-            errors[i] = ConvergenceError(
-                f"realize-map inversion inaccurate at target {ys[i]!r}")
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return roots
+        raise ConvergenceError(f"realize-map inversion did not converge at target "
+                               f"{y0!r} in {_BISECT_MAX_ITER} steps")
+    ys[pending] = roots     # a target of 1 is its own root
+    return ys.tolist()
 
 
 def invert_phi(f: RepresentingFunction, y0: float) -> float:
@@ -303,13 +296,12 @@ def _realize_links(sigma: MeanDescriptor, realize: tuple,
                    spectrum: RelativeSpectrum, nodes, targets) -> tuple:
     """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
     targets[k], targets[k+1], for (links + 1, n) nodes and (links + 1, n, n)
-    targets: every distinct ratio of the chain is inverted in one pass;
-    realize = orders.realize_map of sigma's representing function."""
-    ratios = (nodes[1:] / nodes[:-1]).ravel().tolist()
-    distinct = list(dict.fromkeys(ratios))
-    inverse = dict(zip(distinct, _invert_realize(representing_function(sigma),
-                                                 realize, distinct)))
-    deltas = np.reshape([inverse[r] for r in ratios], nodes[1:].shape)
+    targets: every ratio of the chain is inverted in one pass, and equal
+    ratios get bitwise equal roots; realize = orders.realize_map of sigma's
+    representing function."""
+    ratios = (nodes[1:] / nodes[:-1]).ravel()
+    deltas = np.reshape(_invert_realize(representing_function(sigma), realize, ratios),
+                        nodes[1:].shape)
     return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                            MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
 
