@@ -103,11 +103,9 @@ def _cmd_rep_eval(args) -> tuple:
         cls = SYMMETRIC if args.domain_class == "sym" else SELF_ADJOINT
         h = HDensity.constant(args.constant, cls)
     points = np.array(_parse_float_list(args.t))
-    fn = representing_function(MeanDescriptor.from_h_density(h))
-    return {"class": h.domain_class,
-            "t": points.tolist(),
-            "value": np.asarray(fn.value(points)).tolist(),
-            "derivative": np.asarray(fn.derivative(points)).tolist()}, 0
+    value, derivative = representing_function(MeanDescriptor.from_h_density(h)).jet(points)
+    return {"class": h.domain_class, "t": points.tolist(),
+            "value": value.tolist(), "derivative": derivative.tolist()}, 0
 
 
 def _cmd_solve_pair(args) -> tuple:

@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import spd
 from .errors import DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
@@ -189,14 +190,13 @@ def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
     """Bound on the eigenvalue error of the computed difference rhs - lhs.
 
     lhs and rhs are built from means of the SPD pair (a, b) with spectra
-    spec_a and spec_b, in either order (those validation computed); the means'
-    spectra all lie in the joint spectral range of a and b, and the
-    congruences by square roots that evaluate them lose at most about
-    n * eps * kappa relative, kappa being the joint condition number. With
-    _ULPS ulps per value the computed difference is off by at most
-    _ULPS * n * eps * kappa * (||lhs||_F + ||rhs||_F), and by Weyl's
-    inequality so is each of its eigenvalues. Stacks of pairs give a (k,)
-    array of bounds.
+    spec_a and spec_b, each in either order; the means' spectra all lie in
+    the joint spectral range of a and b, and the congruences by square roots
+    that evaluate them lose at most about n * eps * kappa relative, kappa
+    being the joint condition number. With _ULPS ulps per value the computed
+    difference is off by at most _ULPS * n * eps * kappa * (||lhs||_F +
+    ||rhs||_F), and by Weyl's inequality so is each of its eigenvalues.
+    Stacks of pairs give a (k,) array of bounds.
     """
     kappa = (np.maximum(spec_a.max(axis=-1), spec_b.max(axis=-1))
              / np.minimum(spec_a.min(axis=-1), spec_b.min(axis=-1)))
@@ -500,7 +500,7 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     another error on an earlier pair, which propagates.
     """
     mats = _random_spd_stack(rng, 2 * size, n, 50.0)
-    a, b = SpdMatrix(mats[0::2]), SpdMatrix(mats[1::2])
+    a, b = SpdMatrix(mats[0::2]), mats[1::2]
     spectrum = RelativeSpectrum(a, b)
     # the means are exactly symmetric: decompose them without re-validation
     w, v = _eigh_descending(np.concatenate((mean_from_spectrum(spectrum, rep_s),
@@ -515,12 +515,12 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
     lhs, rhs = images[:size], images[size:]
     min_eig, norm = _min_eig_and_norm(rhs - lhs)
-    bound = _difference_rounding_bound(a._spectrum[0], b._spectrum[0], lhs, rhs)
+    bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
     refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
     item, examined = _first_hit(refuted, faults, np.arange(size))
     if item is None:
         return None, size
-    return TransferWitness(a.entries[item].copy(), b.entries[item].copy(),
+    return TransferWitness(a.entries[item].copy(), b[item].copy(),
                            float(min_eig[item]), float(norm[item])), examined
 
 

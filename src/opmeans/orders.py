@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import spd
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     RepresentingFunction, _class_residual, _scalarize, arithmetic_pair,
@@ -268,16 +269,16 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     if not trials:
         return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
     mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)
-    a, b = SpdMatrix(mats[0::2]), SpdMatrix(mats[1::2])
+    a, b = SpdMatrix(mats[0::2]), mats[1::2]
     spectrum = RelativeSpectrum(a, b)
     mixed_lo = mean_from_spectrum(spectrum, g_tau)
     mixed_hi = mean_from_spectrum(spectrum, g_perp)
     lhs = eval_mean_from_function(mixed_lo, mixed_hi, f_sigma)
     rhs = mean_from_spectrum(spectrum, f_sigma)
     min_eig, norm = _min_eig_and_norm(rhs - lhs)
-    bound = _difference_rounding_bound(a._spectrum[0], b._spectrum[0], lhs, rhs)
+    bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
     violated = np.flatnonzero(min_eig < -(tol * np.maximum(1.0, norm) + bound))
-    violations = tuple(KaViolation(a.entries[i].copy(), b.entries[i].copy(),
+    violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(),
                                    float(min_eig[i]), float(norm[i])) for i in violated)
     return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,
                     float(np.min(min_eig / np.maximum(1.0, norm))), violations)

@@ -169,12 +169,11 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
         gaps = phi(grid) - ys[todo, None]
         hit = gaps == 0.0
         hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
-        bracketed = hit.any(axis=1)
-        rows = np.flatnonzero(bracketed)
+        rows = np.flatnonzero(hit.any(axis=1))
         k, i = hit[rows].argmax(axis=1), todo[rows]
         lo[i], hi[i], g_lo[i] = grid[k - 1], grid[k], gaps[rows, k - 1]
         roots[i] = np.where(gaps[rows, k] == 0.0, grid[k], np.nan)
-        todo = todo[~bracketed]
+        todo = np.delete(todo, rows)
 
     converged = np.ones(len(ys), dtype=bool)
     live = np.flatnonzero(np.isnan(roots) & ~np.isnan(hi))
@@ -224,8 +223,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
         with np.errstate(all="ignore"):
             roots = f.realize_inverse(y)
         checked = roots <= _SCAN_GRID[-1]
-    # the first failure is the first root not checked, or an inaccurate one
-    # before it: only those need the forward check
+    # the first failure: the first root not checked, or an inaccurate one before it
     first = len(y) if np.count_nonzero(checked) == len(y) else int(checked.argmin())
     if first:
         # targets lie above 1 when gamma > 1 and below it otherwise

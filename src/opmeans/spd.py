@@ -224,10 +224,12 @@ class SpdMatrix:
 
 
 def as_spd(m, name: str = "matrix") -> SpdMatrix:
-    """Coerce one matrix (not a stack) to SpdMatrix, validating it; errors start with name."""
+    """Coerce one matrix (not a stack) to SpdMatrix, validating it once; errors start with name."""
+    a = m.entries if isinstance(m, SpdMatrix) else np.asarray(m, dtype=float)
     try:
-        _as_array(m, "SpdMatrix")
-        return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:     # SpdMatrix checks the rest
+            raise StructuralError(f"SpdMatrix must be a square 2-d array, got shape {a.shape}")
+        return m if isinstance(m, SpdMatrix) else SpdMatrix(a)
     except StructuralError as exc:
         raise StructuralError(f"{name}: {exc}") from None
 

@@ -6,12 +6,16 @@ Exit-code contract: 0 success / nothing found, 1 a check found a violation
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opmeans
+from opmeans import hdensity
 from opmeans.cli import main
 from opmeans.means import arithmetic_pair, geometric_pair, heinz_pair, heron_pair
 
@@ -121,6 +125,23 @@ def test_rep_eval_density_file(tmp_path, capsys):
     payload = _payload(out)
     assert payload["class"] == "sa"
     assert payload["value"][0] == pytest.approx(2.0 ** 0.3, rel=1e-10)
+
+
+@pytest.mark.parametrize("density", [
+    {"class": "sym", "breaks": [0.0, 0.3, 1.0], "values": [0.2, 0.6]},
+    {"class": "sa", "breaks": [-1.0, -0.4, 0.0], "values": [0.8, 0.15]}], ids=["sym", "sa"])
+def test_rep_eval_evaluates_the_density_once(tmp_path, capsys, monkeypatch, density):
+    # value and derivative come from one evaluation of the representing function
+    calls = []
+    for name in ("_symmetric_rep", "_selfadjoint_rep"):
+        def counting(*args, real=getattr(hdensity, name)):
+            calls.append(np.size(args[0]))
+            return real(*args)
+        monkeypatch.setattr(hdensity, name, counting)
+    path = _write(tmp_path, "h.json", density)
+    code, out, _ = _run(capsys, ["rep-eval", "--density", path, "--t", "0.5,1,2,30"])
+    assert code == 0 and calls == [4]
+    assert len(_payload(out)["derivative"]) == 4
 
 
 def test_rep_eval_requires_exactly_one_source(capsys):
@@ -413,10 +434,13 @@ def test_floats_printed_with_full_precision(tmp_path, capsys):
 
 def test_module_entry_point_subprocess(tmp_path):
     a = _mat(tmp_path, "a.json", np.eye(2).tolist())
+    # the child imports the package under test, from its own source tree
+    src = str(Path(opmeans.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "opmeans", "eval-mean", "--mean", "geometric",
          "--a", a, "--b", a],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["value"]["rows"] == np.eye(2).tolist()

@@ -51,6 +51,15 @@ def test_normalization_f_of_one_is_one():
         assert representing_function(d).value(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_calling_a_representing_function_is_its_value():
+    density = MeanDescriptor.from_h_density(HDensity(SYMMETRIC, (0.0, 0.4, 1.0), (0.2, 0.7)))
+    t = np.array([0.25, 1.0, 4.0])
+    for d in CATALOG + [density]:
+        fn = representing_function(d)
+        assert np.asarray(fn(t)).tobytes() == np.asarray(fn.value(t)).tobytes()
+        assert fn(2.0) == fn.value(2.0)
+
+
 def test_eval_mean_commuting_diagonal_oracle():
     a = np.diag([1.0, 4.0, 9.0])
     b = np.diag([4.0, 4.0, 1.0])

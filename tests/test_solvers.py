@@ -229,6 +229,38 @@ def test_batched_inversion_raises_the_first_bad_target_in_order():
         solvers_module._invert_realize(fn, realize, [2.0, 1e41, 3.0])
 
 
+def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
+    # range, convergence and forward-check failures in one batch: the first
+    # failing target in order raises, whatever the kind of the others
+    fn = representing_function(ARITH)
+    wrong = RepresentingFunction(
+        "wrong inverse", fn.symmetry_class, fn.value, fn.derivative,
+        lambda y: np.where(y == 3.0, 1.5, fn.realize_inverse(y)))
+    realize = realize_map(wrong)
+    # the arithmetic root of 1e41 lies past the scan horizon
+    with pytest.raises(ConvergenceError, match="inaccurate at target 3.0"):
+        solvers_module._invert_realize(wrong, realize, [2.0, 3.0, 1e41])
+    with pytest.raises(OutOfRangeError, match="1e.41.*horizon"):
+        solvers_module._invert_realize(wrong, realize, [2.0, 1e41, 3.0])
+
+    # the self-adjoint density's realize map reaches only 5.5e27 at 1e40
+    density = representing_function(_SA_STEP)
+    realize = realize_map(density)
+    # Newton on a function 1e-6 off the realize map lands off its target
+    shifted = RepresentingFunction("shifted", density.symmetry_class,
+                                   lambda t: (1.0 + 1e-6) * density.value(t),
+                                   lambda t: (1.0 + 1e-6) * density.derivative(t))
+    with pytest.raises(ConvergenceError, match="inaccurate at target 2.0"):
+        solvers_module._invert_realize(shifted, realize, [1.0, 2.0, 1e30])
+    with pytest.raises(OutOfRangeError, match="1e.30.*horizon"):
+        solvers_module._invert_realize(shifted, realize, [1.0, 1e30, 2.0])
+    monkeypatch.setattr(solvers_module, "_BISECT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="did not converge at target 2.0 in 1 steps"):
+        solvers_module._invert_realize(density, realize, [2.0, 1e30])
+    with pytest.raises(OutOfRangeError, match="1e.30.*horizon"):
+        solvers_module._invert_realize(density, realize, [1e30, 2.0])
+
+
 def test_inversion_bisects_through_a_nan_derivative():
     # a NaN Newton step is never inside its bracket: every step takes the
     # bracket's midpoint, which converges as a plain bisection does
@@ -389,6 +421,14 @@ def test_scalar_pair_harmonic_hand_roots():
     a, b = solve_scalar_geometric_pair(HARM, 1.0, 0.8)
     assert a == pytest.approx(2.0, rel=1e-12)
     assert b == pytest.approx(0.5, rel=1e-12)
+
+
+def test_scalar_pair_solutions_serialize_their_fields():
+    sol = solve_scalar_geometric_pair(ARITH, 1.0, 10.0)
+    assert sol.to_json_dict() == {"x": sol.x, "y": sol.y, "c": sol.c}
+    sol = solve_scalar_heinz_heron(0.3, 2.0, 3.0)
+    assert sol.to_json_dict() == {"x": sol.x, "y": sol.y, "c": sol.c}
+    assert tuple(sol) == (sol.x, sol.y)
 
 
 def test_scalar_pair_scales_with_x():
@@ -673,9 +713,9 @@ def test_pair_solve_decomposes_five_matrices(monkeypatch, solve):
     lambda trials: ka_condition_check(GEO, ARITH, trials=trials, seed=5).trials],
     ids=["transfer", "ka"])
 def test_sampled_pair_checks_decompose_six_matrices_per_pair(monkeypatch, check):
-    # the two SpdMatrix stacks (their validation keeps the A decomposition
-    # that the relative spectrum reuses), Z, the two means compared and
-    # their difference
+    # the SpdMatrix stack of the A's (its validation keeps the decomposition
+    # that the relative spectrum reuses), the eigenvalues of the B's, Z, the
+    # two means compared and their difference
     matrices = _count_eigensolved_matrices(monkeypatch)
     for trials in (8, 10):
         matrices.clear()

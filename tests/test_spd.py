@@ -152,10 +152,49 @@ def test_spd_matrix_is_immutable_value_object():
     assert np.array_equal(SpdMatrix.identity(3).entries, np.eye(3))
 
 
+_SQUARE = "X: SpdMatrix must be a square 2-d array, got shape "
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.ones(3), _SQUARE + "(3,)"),
+    (np.ones((2, 2, 2)), _SQUARE + "(2, 2, 2)"),
+    (np.ones((1, 2, 2, 2)), _SQUARE + "(1, 2, 2, 2)"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], _SQUARE + "(2, 3)"),
+    (np.zeros((0, 0)), "X: SpdMatrix must have at least one row"),
+    ([], _SQUARE + "(0,)"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "X: SpdMatrix contains non-finite entries"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "X: SpdMatrix contains non-finite entries"),
+    (3.0, _SQUARE + "()"),
+    (SpdMatrix(np.stack((np.eye(2), 2.0 * np.eye(2)))), _SQUARE + "(2, 2, 2)")],
+    ids=["1-d", "3-d", "4-d", "non-square", "empty", "empty-1-d", "nan", "inf", "scalar",
+         "spd-stack"])
+def test_as_spd_structural_errors(m, message):
+    with pytest.raises(StructuralError) as info:
+        as_spd(m, "X")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [[[1.0, 2.0], [3.0]], "ab"], ids=["ragged", "string"])
+def test_as_spd_passes_on_numpy_conversion_errors(m):
+    # input numpy cannot read as floats raises numpy's own ValueError
+    with pytest.raises(ValueError) as want:
+        np.asarray(m, dtype=float)
+    with pytest.raises(ValueError) as got:
+        as_spd(m, "X")
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 def test_matrix_json_roundtrip():
     m = random_spd(3, seed=1).entries
     again = matrix_from_json_dict(loads(dumps(matrix_to_json_dict(m))))
     assert np.array_equal(m, again)
+
+
+def test_spd_matrix_json_roundtrip_is_bitwise():
+    m = random_spd(4, cond_cap=1e3, seed=2)
+    again = SpdMatrix.from_json_dict(loads(dumps(m.to_json_dict())))
+    assert again.entries.tobytes() == m.entries.tobytes()
+    assert m.to_json_dict()["n"] == 4
 
 
 def test_matrix_json_rejects_malformed():
