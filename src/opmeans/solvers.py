@@ -158,7 +158,7 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
     not strictly inside. All is elementwise, so each root is bitwise that of
     its target alone.
     """
-    roots, lo, hi, g_lo = (np.full(len(ys), np.nan) for _ in range(4))
+    roots, lo, hi, g_lo = np.full((4, len(ys)), np.nan)
     # scan: the first grid point where the gap phi(t) - y0 is zero or has
     # changed sign since the previous point brackets [lo, hi], the gap at lo
     todo = np.arange(len(ys))
@@ -169,11 +169,12 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
         gaps = phi(grid) - ys[todo, None]
         hit = gaps == 0.0
         hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
-        rows = np.flatnonzero(hit.any(axis=1))
+        bracketed = hit.any(axis=1)
+        rows = np.flatnonzero(bracketed)
         k, i = hit[rows].argmax(axis=1), todo[rows]
         lo[i], hi[i], g_lo[i] = grid[k - 1], grid[k], gaps[rows, k - 1]
         roots[i] = np.where(gaps[rows, k] == 0.0, grid[k], np.nan)
-        todo = np.delete(todo, rows)
+        todo = todo[~bracketed]
 
     converged = np.ones(len(ys), dtype=bool)
     live = np.flatnonzero(np.isnan(roots) & ~np.isnan(hi))
@@ -226,8 +227,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
     # the first failure: the first root not checked, or an inaccurate one before it
     first = len(y) if np.count_nonzero(checked) == len(y) else int(checked.argmin())
     if first:
-        # targets lie above 1 when gamma > 1 and below it otherwise
-        ahead = y[:first]
+        ahead = y[:first]       # all above 1 when gamma > 1, all below it otherwise
         tol = 1e-11 * ahead if gamma > 1.0 else 1e-11
         inaccurate = abs(phi(roots[:first]) - ahead) > tol
         if np.count_nonzero(inaccurate):
