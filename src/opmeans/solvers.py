@@ -124,20 +124,20 @@ def _clamped_target(y0, gamma: float) -> float:
     gamma and clamped into it: [1, gamma) when gamma > 1, (gamma, 1] when
     gamma < 1, and 1 when the map is constant."""
     y0 = float(y0)
-    if not 0.0 < y0 < math.inf:
+    if not math.isfinite(y0) or y0 <= 0.0:
         raise StructuralError(f"target must be a positive real, got {y0!r}")
     if gamma > 1.0:
         if not 1.0 - _EIG_CLAMP <= y0 < gamma:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range [1, gamma) with "
                 f"gamma = {gamma!r}")
-        return y0 if y0 > 1.0 else 1.0
+        return max(y0, 1.0)
     if gamma < 1.0:
         if not gamma < y0 <= 1.0 + _EIG_CLAMP:
             raise OutOfRangeError(
                 f"target {y0!r} outside the realizable range (gamma, 1] with "
                 f"gamma = {gamma!r}")
-        return y0 if y0 < 1.0 else 1.0
+        return min(y0, 1.0)
     if abs(y0 - 1.0) > _EIG_CLAMP:
         raise OutOfRangeError(
             f"target {y0!r} unrealizable: the mean of (t, 1/t) is "
@@ -147,9 +147,9 @@ def _clamped_target(y0, gamma: float) -> float:
 
 def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
     """(roots, converged) of the array ys of clamped targets, none of them 1,
-    by scan and Newton. A root is NaN where the scan brackets nothing within
-    its horizon; converged is false where _BISECT_MAX_ITER Newton steps did
-    not finish, and the root is then the last iterate.
+    by scan and Newton, once per distinct value. A root is NaN where the scan
+    brackets nothing within its horizon; converged is false where
+    _BISECT_MAX_ITER Newton steps did not finish (the root is the last iterate).
 
     The scan calls phi once per decade block of _SCAN_GRID for all targets
     not yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
@@ -158,6 +158,7 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
     not strictly inside. All is elementwise, so each root is bitwise that of
     its target alone.
     """
+    ys, inverse = np.unique(ys, return_inverse=True)   # a chain repeats its ladder ratio
     roots, lo, hi, g_lo = np.full((4, len(ys)), np.nan)
     # scan: the first grid point where the gap phi(t) - y0 is zero or has
     # changed sign since the previous point brackets [lo, hi], the gap at lo
@@ -197,7 +198,7 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
         roots[live[done]] = np.where(gap == 0.0, t, t_next)[done]
         live, lo, hi, rising, y, t = (a[~done] for a in (live, lo, hi, rising, y, t_next))
     roots[live], converged[live] = t, False
-    return roots, converged
+    return roots[inverse], converged[inverse]
 
 
 def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
@@ -225,12 +226,11 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
             roots = f.realize_inverse(y)
         checked = roots <= _SCAN_GRID[-1]
     # the first failure: the first root not checked, or an inaccurate one before it
-    first = len(y) if np.count_nonzero(checked) == len(y) else int(checked.argmin())
+    first = len(y) if checked.all() else int(checked.argmin())
     if first:
-        ahead = y[:first]       # all above 1 when gamma > 1, all below it otherwise
-        tol = 1e-11 * ahead if gamma > 1.0 else 1e-11
-        inaccurate = abs(phi(roots[:first]) - ahead) > tol
-        if np.count_nonzero(inaccurate):
+        ahead = y[:first]
+        inaccurate = abs(phi(roots[:first]) - ahead) > 1e-11 * np.maximum(1.0, ahead)
+        if inaccurate.any():
             raise ConvergenceError(f"realize-map inversion inaccurate at target "
                                    f"{float(ahead[inaccurate.argmax()])!r}")
     if first < len(y):
@@ -294,12 +294,12 @@ def _realize_links(sigma: MeanDescriptor, realize: tuple,
                    spectrum: RelativeSpectrum, nodes, targets) -> tuple:
     """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
     targets[k], targets[k+1], for (links + 1, n) nodes and (links + 1, n, n)
-    targets: every ratio of the chain is inverted in one pass, and equal
-    ratios get bitwise equal roots; realize = orders.realize_map of sigma's
-    representing function."""
-    ratios = (nodes[1:] / nodes[:-1]).ravel()
-    deltas = np.reshape(_invert_realize(representing_function(sigma), realize, ratios),
-                        nodes[1:].shape)
+    targets: every ratio of the chain other than 1 is inverted in one pass;
+    realize = orders.realize_map of sigma's representing function."""
+    ratios = nodes[1:] / nodes[:-1]
+    moving = ratios != 1.0      # an eigenvalue a link leaves alone needs no root
+    deltas = np.ones_like(ratios)
+    deltas[moving] = _invert_realize(representing_function(sigma), realize, ratios[moving])
     return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                            MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
 

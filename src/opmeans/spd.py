@@ -32,14 +32,18 @@ SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
 
 
+def _shape_error(name: str, shape: tuple, stack: bool = False) -> StructuralError:
+    want = "square 2-d array or a (k, n, n) stack" if stack else "square 2-d array"
+    return StructuralError(f"{name} must be a {want}, got shape {shape}")
+
+
 def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """m as a float array: one square matrix, or with stack a (k, n, n) stack."""
     if isinstance(m, SpdMatrix) and (stack or m.entries.ndim == 2):
         return m.entries        # validated already
     a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
     if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
-        shape = "square 2-d array or a (k, n, n) stack" if stack else "square 2-d array"
-        raise StructuralError(f"{name} must be a {shape}, got shape {a.shape}")
+        raise _shape_error(name, a.shape, stack)
     if a.shape[-1] == 0:
         raise StructuralError(f"{name} must have at least one row")
     if not np.isfinite(a).all():
@@ -228,7 +232,7 @@ def as_spd(m, name: str = "matrix") -> SpdMatrix:
     a = m.entries if isinstance(m, SpdMatrix) else np.asarray(m, dtype=float)
     try:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:     # SpdMatrix checks the rest
-            raise StructuralError(f"SpdMatrix must be a square 2-d array, got shape {a.shape}")
+            raise _shape_error("SpdMatrix", a.shape)
         return m if isinstance(m, SpdMatrix) else SpdMatrix(a)
     except StructuralError as exc:
         raise StructuralError(f"{name}: {exc}") from None

@@ -261,6 +261,23 @@ def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
         solvers_module._invert_realize(density, realize, [1e30, 2.0])
 
 
+def test_scan_inverts_each_distinct_target_once(monkeypatch):
+    # a chain repeats its ladder ratio: equal targets share one scan and one
+    # Newton iteration, and each gets bitwise the root of its target alone
+    fn = representing_function(_SYM_STEP)
+    sizes = []
+
+    def counting(h, t, real=hdensity.symmetric_rep_derivative):
+        sizes.append(np.size(t))
+        return real(h, t)
+
+    monkeypatch.setattr(hdensity, "symmetric_rep_derivative", counting)
+    targets = [2.0, 1.25, 2.0, 2.0, 1.25, 3.0]
+    roots = solvers_module._invert_realize(fn, realize_map(fn), targets)
+    assert sizes and max(sizes) == 3
+    assert roots == [invert_phi(fn, y0) for y0 in targets]
+
+
 def test_inversion_bisects_through_a_nan_derivative():
     # a NaN Newton step is never inside its bracket: every step takes the
     # bracket's midpoint, which converges as a plain bisection does
@@ -359,7 +376,7 @@ def test_catalog_pair_solve_calls_the_realize_map_on_no_scan_block(monkeypatch, 
 
 @pytest.mark.parametrize("desc", [ARITH, MeanDescriptor.heron(0.5)], ids=["arithmetic", "heron"])
 def test_catalog_chain_calls_the_realize_map_on_no_scan_block(monkeypatch, desc):
-    # the 41-point gamma limit and one forward check of every distinct ratio
+    # the 41-point gamma limit and one forward check of every ratio other than 1
     sizes = _counting_realize_map(monkeypatch)
     x = random_spd(4, cond_cap=20.0, seed=91).entries
     root = spd_module.sqrt_pair(x)[0]
