@@ -55,6 +55,7 @@ class RepresentingFunction:
     realize_inverse, when given, maps an array of targets y of the realize
     map t -> t f(1/t^2) to their roots t >= 1 in closed form; the catalog
     means with a non-constant realize map carry one, and density means a jet.
+    realize_gamma, set for every catalog mean, is the map's exact limit at inf.
     """
 
     label: str
@@ -63,9 +64,13 @@ class RepresentingFunction:
     derivative: Callable
     realize_inverse: Optional[Callable] = None
     jet: Optional[Callable] = None      # t -> (value(t), derivative(t)) in one evaluation
+    realize_gamma: Optional[float] = None
 
     def __call__(self, t):
         return self.value(t)
+
+    def value_and_derivative(self, t) -> tuple:
+        return self.jet(t) if self.jet else (self.value(t), self.derivative(t))
 
 
 @dataclass(frozen=True)
@@ -205,10 +210,10 @@ def _power_root(s: float):
 # geometric 1/2) has no inverse: its one target, 1, needs none.
 _CATALOG = {
     ARITHMETIC: (CLASS_SYMMETRIC, arithmetic_pair, lambda t: np.full_like(t, 0.5),
-                 lambda y: _cosh_log_root(y - 1.0)),
+                 lambda y: _cosh_log_root(y - 1.0), math.inf),
     HARMONIC: (CLASS_SYMMETRIC, harmonic_pair, lambda t: 2.0 / (1.0 + t) ** 2,
-               lambda y: _cosh_log_root((1.0 - y) / y)),
-    GEOMETRIC: (CLASS_BOTH, geometric_pair, lambda t: 0.5 / np.sqrt(t), None),
+               lambda y: _cosh_log_root((1.0 - y) / y), 0.0),
+    GEOMETRIC: (CLASS_BOTH, geometric_pair, lambda t: 0.5 / np.sqrt(t), None, 1.0),
 }
 
 
@@ -217,33 +222,34 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
     """Build the representing function (with analytic derivative) of a mean."""
     kind = descriptor.kind
     if kind in _CATALOG:
-        cls, val, der, inverse = _CATALOG[kind]
+        cls, val, der, inverse, gamma = _CATALOG[kind]
         return RepresentingFunction(descriptor.describe(), cls,
                                     _scalarize(partial(val, 1.0)), _scalarize(der),
-                                    inverse)
+                                    inverse, realize_gamma=gamma)
     if kind == WEIGHTED_GEOMETRIC:
         w = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SELF_ADJOINT,
             _scalarize(lambda t: t ** w),
             _scalarize(lambda t: w * t ** (w - 1.0)),
-            _power_root(w))
+            _power_root(w), realize_gamma=math.inf if w < 0.5 else 1.0 if w == 0.5 else 0.0)
     if kind == HEINZ:
         s = descriptor.param
         power = _power_root(min(s, 1.0 - s))
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
             _scalarize(partial(heinz_pair, s, 1.0)),
-            _scalarize(lambda t: 0.5 * (s * t ** (s - 1.0)
-                                        + (1.0 - s) * t ** (-s))),
-            None if power is None else lambda y: power(_cosh_log_root(y - 1.0)))
+            _scalarize(lambda t: 0.5 * (s * t ** (s - 1.0) + (1.0 - s) * t ** (-s))),
+            None if power is None else lambda y: power(_cosh_log_root(y - 1.0)),
+            realize_gamma=1.0 if power is None else math.inf)
     if kind == HERON:
         s = descriptor.param
         return RepresentingFunction(
             descriptor.describe(), CLASS_SYMMETRIC,
             _scalarize(partial(heron_pair, s, 1.0)),
             _scalarize(lambda t: s * 0.5 + (1.0 - s) * 0.5 / np.sqrt(t)),
-            None if s == 0.0 else lambda y: _cosh_log_root((y - 1.0) / s))
+            None if s == 0.0 else lambda y: _cosh_log_root((y - 1.0) / s),
+            realize_gamma=1.0 if s == 0.0 else math.inf)
     h = descriptor.density
     if h.domain_class == hdensity.SYMMETRIC:
         return RepresentingFunction(

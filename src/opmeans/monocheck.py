@@ -28,7 +28,7 @@ geometry, once per process; f receives a copy of the points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Union
@@ -548,7 +548,6 @@ class InequalityChainReport:
     commuting: bool
     scalar_checked: bool
     scalar_min_margin: Optional[float] = None
-    scalar_links: tuple = field(default=())
 
     def all_hold(self, tol: float = 1e-8) -> bool:
         matrix_ok = all(link.holds(tol) for link in self.links)

@@ -100,9 +100,10 @@ def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
 
 def realize_map(f: RepresentingFunction) -> tuple:
     """(realize_phi, realize_gamma) of f's phi-profile: the mean of the pair
-    (t, 1/t) as a map of t, and its limit at infinity."""
+    (t, 1/t) as a map of t, and its limit at infinity (f.realize_gamma, or estimated)."""
     realize_phi = _scalarize(lambda t: t * np.asarray(f.value(1.0 / (t * t)), dtype=float))
-    return realize_phi, _limit_at_infinity(realize_phi)
+    gamma = f.realize_gamma
+    return realize_phi, _limit_at_infinity(realize_phi) if gamma is None else gamma
 
 
 def phi_profile(f: RepresentingFunction) -> PhiProfile:
@@ -110,6 +111,7 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
 
     gamma values are numeric limit estimates of phi(2^k) up to k = 40:
     divergence past 1e12 reads as infinity and limits below 1e-9 as 0.
+    realize_gamma is exact for catalog means (f.realize_gamma), else estimated alike.
     Direction flags on (0, 1) and (1, inf) come from sampled differences at
     relative tolerance 1e-7.
     """
@@ -140,13 +142,12 @@ def _sampled_quotient(f: RepresentingFunction, g: RepresentingFunction, config,
     """The Loewner sampler on quotient(t, f, f', g, g') with derivative slope(...),
     f and g evaluated with their derivatives at once. The sampler hands slope a
     copy of quotient's points, so the last values are reused for equal bits."""
-    f_jet, g_jet = (fn.jet or (lambda t, fn=fn: (fn.value(t), fn.derivative(t))) for fn in (f, g))
     last = [None, None]
 
     def parts(t):
         key = np.shape(t), np.asarray(t, dtype=float).tobytes()
         if key != last[0]:
-            last[:] = key, (*f_jet(t), *g_jet(t))
+            last[:] = key, (*f.value_and_derivative(t), *g.value_and_derivative(t))
         return last[1]
 
     return is_operator_monotone_sampled(lambda t: quotient(t, *parts(t)),

@@ -15,9 +15,10 @@ Means are covariant under congruence, C (D1 sigma D2) C^T = (C D1 C^T)
 sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
 a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
 C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
-solved in one basis, and solve_matrix_pair is its one-link case v = 1. All
-the eigenvalue ratios of a chain (or of a pair) are inverted together, and
-all its link witnesses are re-evaluated as one (links, n, n) stack. Counting
+solved in one basis. A pair is its one-link case v = 1, w the relative
+eigenvalues, inverted directly; solve_matrix_pair and solve_geom_heinz_matrix
+share it. All the eigenvalue ratios of a chain are inverted together, and all
+its link witnesses are re-evaluated as one (links, n, n) stack. Counting
 the SpdMatrix validations, a pair decomposes 5 matrices, a chain 3 + 2 * links. A
 catalog mean inverts them in closed form (RepresentingFunction.realize_inverse);
 a density mean by one batched scan and safeguarded Newton iteration whose
@@ -153,10 +154,10 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
 
     The scan calls phi once per decade block of _SCAN_GRID for all targets
     not yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
-    u = 1/t^2, g'(t) = f(u) - 2 u f'(u), calls f and f' once for all of them,
-    moves lo or hi to t by the sign of g, and takes the midpoint for a step
-    not strictly inside. All is elementwise, so each root is bitwise that of
-    its target alone.
+    u = 1/t^2, g'(t) = f(u) - 2 u f'(u), evaluates f and f' in one call for all
+    of them, moves lo or hi to t by the sign of g, and takes the midpoint for a
+    step not strictly inside. All is elementwise, so each root is bitwise that
+    of its target alone.
     """
     ys, inverse = np.unique(ys, return_inverse=True)   # a chain repeats its ladder ratio
     roots, lo, hi, g_lo = np.full((4, len(ys)), np.nan)
@@ -185,7 +186,7 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
         if not live.size:
             break
         u = 1.0 / (t * t)
-        fu, dfu = (np.asarray(fn(u), dtype=float) for fn in (f.value, f.derivative))
+        fu, dfu = (np.asarray(v, dtype=float) for v in f.value_and_derivative(u))
         gap = t * fu - y
         below = (gap > 0.0) == rising
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
@@ -290,20 +291,6 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     return tuple(map(witness, mats_a, mats_b, means_x, xs, means_y, ys))
 
 
-def _realize_links(sigma: MeanDescriptor, realize: tuple,
-                   spectrum: RelativeSpectrum, nodes, targets) -> tuple:
-    """Witnesses of the links congruate(nodes[k]) -> congruate(nodes[k+1]) against
-    targets[k], targets[k+1], for (links + 1, n) nodes and (links + 1, n, n)
-    targets: every ratio of the chain other than 1 is inverted in one pass;
-    realize = orders.realize_map of sigma's representing function."""
-    ratios = nodes[1:] / nodes[:-1]
-    moving = ratios != 1.0      # an eigenvalue a link leaves alone needs no root
-    deltas = np.ones_like(ratios)
-    deltas[moving] = _invert_realize(representing_function(sigma), realize, ratios[moving])
-    return _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
-                           MeanDescriptor.geometric(), sigma, targets[:-1], targets[1:])
-
-
 def _ordered_spectrum(xs: SpdMatrix, ys: SpdMatrix) -> tuple:
     """RelativeSpectrum(X, Y) and its eigenvalues clamped to at least 1.
 
@@ -329,11 +316,18 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     checks its target, before any is inverted.
     """
     xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    spectrum = RelativeSpectrum(xs, ys)
-    realize = realize_map(representing_function(sigma))
-    nodes = np.stack([np.ones_like(spectrum.eigenvalues), spectrum.eigenvalues])
-    return _realize_links(sigma, realize, spectrum, nodes,
-                          np.stack([xs.entries, ys.entries]))[0]
+    return _geometric_pair(sigma, xs, ys, RelativeSpectrum(xs, ys))
+
+
+def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
+                    spectrum: RelativeSpectrum) -> PairWitness:
+    """The witness (A, B) of A # B = X, A sigma B = Y from spectrum, the
+    relative spectrum of (X, Y): its eigenvalues are inverted in one pass
+    into the roots t, and (A, B) congruate (t, 1/t)."""
+    fn = representing_function(sigma)
+    roots = np.array(_invert_realize(fn, realize_map(fn), spectrum.eigenvalues))
+    return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
+                           sigma, xs.entries, ys.entries)
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -407,7 +401,12 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     # The last node is lams itself, also when no eigenvalue needs raising.
     nodes = np.array([np.ones_like(lams), *node_values[:-1], lams])
     links = np.concatenate([xa[None], spectrum.congruate(nodes[1:-1]), ya[None]])
-    witnesses = _realize_links(sigma, realize, spectrum, nodes, links)
+    ratios = nodes[1:] / nodes[:-1]
+    moving = ratios != 1.0      # an eigenvalue a link leaves alone needs no root
+    deltas = np.ones_like(ratios)
+    deltas[moving] = _invert_realize(fn, realize, ratios[moving])
+    witnesses = _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
+                                MeanDescriptor.geometric(), sigma, links[:-1], links[1:])
     return ChainWitness(tuple(links), gamma0, witnesses)
 
 
@@ -419,14 +418,12 @@ def solve_scalar_geometric_pair(sigma: MeanDescriptor, x: float,
     the realize map at y / x. The returned pair has a >= b exactly when the
     realize map increases.
     """
-    x = float(x)
-    y = float(y)
+    x, y = float(x), float(y)
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise StructuralError("targets must be finite positive reals")
     fn = representing_function(sigma)
     t = invert_phi(fn, y / x)
-    a = x * t
-    b = x / t
+    a, b = x * t, x / t
     mean_value = a * float(fn.value(b / a))
     if abs(mean_value - y) > _SCALAR_RESIDUAL_TOL * max(1.0, abs(y)):
         raise ConvergenceError(
@@ -512,8 +509,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
     formed as the exp of its log, so x underflows only where its value does.
     """
     s = _validate_heinz_heron_parameter(s)
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
         raise StructuralError("targets must be finite positive reals")
     if a > b:
@@ -524,8 +520,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
     c = invert_f_alpha(alpha, a / b)
     # exp of the whole log: b e^{-c} / d underflows through e^{-c} first
     log_b = math.log(b) - _log_f_alpha_den(alpha, c)
-    x = math.exp(log_b - c)
-    y = math.exp(log_b + c)
+    x, y = math.exp(log_b - c), math.exp(log_b + c)
     if x <= 0.0 or not math.isfinite(y):
         raise ConvergenceError(
             f"solution left the representable range (c = {c!r})")
@@ -598,16 +593,12 @@ def invert_geom_heinz_ratio(s: float, r: float) -> float:
 def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) whose geometric mean is X and whose Heinz_s mean is Y.
 
-    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: each
-    eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2} is inverted by the
-    closed-form realize inverse of Heinz_s, the root t >= 1 of
-    cosh((1 - 2s) log t) = lambda; the pair (t, 1 / t) has geometric mean 1
-    and Heinz mean lambda, and A, B are its congruates by X^{1/2} U.
+    solve_matrix_pair for sigma = Heinz_s, s away from 1/2, that also requires
+    0 < X <= Y (OrderError otherwise). Each eigenvalue lambda of X^{-1/2} Y
+    X^{-1/2} inverts to the root t >= 1 of cosh((1 - 2s) log t) = lambda,
+    range-, horizon- and forward-checked like every realize-map root; (t, 1/t)
+    has geometric mean 1 and Heinz mean lambda, and A, B congruate it.
     """
     s = _validate_heinz_heron_parameter(s)
     xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    spectrum, lams = _ordered_spectrum(xs, ys)
-    sigma = MeanDescriptor.heinz(s)
-    roots = representing_function(sigma).realize_inverse(lams)
-    return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
-                           sigma, xs.entries, ys.entries)
+    return _geometric_pair(MeanDescriptor.heinz(s), xs, ys, _ordered_spectrum(xs, ys)[0])

@@ -90,6 +90,17 @@ def test_solve_heinz_heron_both_target_kinds(tmp_path, capsys):
         assert payload["residual_y"] <= 1e-9
 
 
+def test_solve_geom_heinz_past_the_scan_horizon_exits_two(tmp_path, capsys):
+    # at s = 0.499 the roots of the relative eigenvalues 1.2, 3 and 1000 lie
+    # past the scan horizon
+    x = _mat(tmp_path, "x.json", np.eye(3).tolist())
+    y = _mat(tmp_path, "y.json", np.diag([1.2, 3.0, 1000.0]).tolist())
+    code, out, err = _run(capsys, ["solve-heinz-heron", "--s", "0.499", "--x", x, "--y", y,
+                                   "--targets", "geom-heinz"])
+    assert code == 2 and out == ""
+    assert "error:" in err and "not reached" in err and "horizon" in err
+
+
 def test_chain_reports_links(tmp_path, capsys):
     x = _mat(tmp_path, "x.json", np.eye(2).tolist())
     y = _mat(tmp_path, "y.json", [[2.5, 0.0], [0.0, 1.2]])

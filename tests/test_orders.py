@@ -10,6 +10,7 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      phi_profile, representing_function)
 from opmeans.means import RepresentingFunction
 from opmeans.monocheck import MonoConfig
+from opmeans.orders import _limit_at_infinity, realize_map
 
 ARITH = representing_function(MeanDescriptor.arithmetic())
 HARM = representing_function(MeanDescriptor.harmonic())
@@ -60,6 +61,38 @@ def test_phi_profile_weighted_geometric_asymmetry():
     q = phi_profile(representing_function(MeanDescriptor.weighted_geometric(0.7)))
     assert math.isinf(q.gamma)
     assert q.realize_gamma == 0.0
+
+
+_GAMMA_MEANS = ([MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(),
+                 MeanDescriptor.geometric()]
+                + [MeanDescriptor.weighted_geometric(w)
+                   for w in (0.05, 0.3, 0.499, 0.5, 0.501, 0.7)]
+                + [MeanDescriptor.heinz(s) for s in (0.0, 0.1, 0.499, 0.5, 0.6, 1.0)]
+                + [MeanDescriptor.heron(s) for s in (0.0, 1e-6, 0.2, 1.0)])
+
+
+@pytest.mark.parametrize("desc", _GAMMA_MEANS, ids=lambda d: d.describe())
+def test_catalog_realize_gamma_equals_the_estimate(desc):
+    # the closed-form limit of each catalog realize map, against the
+    # 41-point estimate that every other representing function still runs
+    fn = representing_function(desc)
+    assert fn.realize_gamma is not None
+    assert fn.realize_gamma == _limit_at_infinity(realize_map(fn)[0])
+    assert phi_profile(fn).realize_gamma == fn.realize_gamma
+
+
+def test_realize_gamma_is_exact_where_the_estimate_is_not():
+    # close to s = 1/2 the Heinz realize map rises too slowly for the
+    # estimate, which reads about 1; the exact limit is inf
+    fn = representing_function(MeanDescriptor.heinz(0.4999999))
+    assert fn.realize_gamma == math.inf == realize_map(fn)[1]
+    assert 1.0 < _limit_at_infinity(realize_map(fn)[0]) < 1.0 + 1e-9
+    # functions without a closed form keep the estimate
+    density = representing_function(MeanDescriptor.from_h_density(
+        HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15))))
+    for f in (density, dagger(ARITH)):
+        assert f.realize_gamma is None
+        assert realize_map(f)[1] == _limit_at_infinity(realize_map(f)[0])
 
 
 def test_phi_profile_realize_map_values():

@@ -6,6 +6,7 @@ means solving t + 1/t = 2 y / x, a quadratic with explicit roots; the
 harmonic case mirrors it. Matrix cases are checked against independent
 re-evaluation of both target means.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -263,19 +264,35 @@ def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
 
 def test_scan_inverts_each_distinct_target_once(monkeypatch):
     # a chain repeats its ladder ratio: equal targets share one scan and one
-    # Newton iteration, and each gets bitwise the root of its target alone
+    # Newton iteration, and each gets bitwise the root of its target alone.
+    # Each Newton step evaluates f and f' in one jet call; the kernel
+    # _symmetric_rep under it also serves the scan blocks and forward check
     fn = representing_function(_SYM_STEP)
     sizes = []
 
-    def counting(h, t, real=hdensity.symmetric_rep_derivative):
+    def counting(h, t, real=hdensity._symmetric_jet):
         sizes.append(np.size(t))
         return real(h, t)
 
-    monkeypatch.setattr(hdensity, "symmetric_rep_derivative", counting)
+    monkeypatch.setattr(hdensity, "_symmetric_jet", counting)
     targets = [2.0, 1.25, 2.0, 2.0, 1.25, 3.0]
     roots = solvers_module._invert_realize(fn, realize_map(fn), targets)
     assert sizes and max(sizes) == 3
     assert roots == [invert_phi(fn, y0) for y0 in targets]
+
+
+def test_newton_evaluates_a_density_once_per_step():
+    # value and derivative come from one jet call: the separate derivative,
+    # which would compute f again, is never called
+    fn = representing_function(_SA_STEP)
+
+    def forbidden(t):
+        raise AssertionError("derivative called apart from the value")
+
+    jet_only = dataclasses.replace(fn, derivative=forbidden)
+    targets = [1.25, 2.0, 42.0, 1e6]
+    got = solvers_module._invert_realize(jet_only, realize_map(jet_only), targets)
+    assert got == solvers_module._invert_realize(fn, realize_map(fn), targets)
 
 
 def test_inversion_bisects_through_a_nan_derivative():
@@ -325,14 +342,14 @@ def test_solvers_build_no_phi_profile(monkeypatch):
 @pytest.mark.parametrize("desc", [_SA_STEP, _SYM_STEP], ids=["sa-density", "sym-density"])
 def test_density_solve_evaluates_at_most_n_points_past_the_scan(monkeypatch, desc):
     # beyond the 41-point gamma limit and the 65-point scan blocks, every
-    # call of the density's function or derivative holds at most one point
-    # per eigenvalue: the Newton steps, the forward check and the witness
+    # evaluation of the density's function (with or without its derivative)
+    # holds at most one point per eigenvalue: the Newton steps, the forward
+    # check and the witness. Each evaluation runs one representation kernel
     sizes = []
-    for name in ("eval_symmetric_rep", "eval_selfadjoint_rep",
-                 "symmetric_rep_derivative", "selfadjoint_rep_derivative"):
-        def counting(h, t, real=getattr(hdensity, name)):
-            sizes.append(np.size(t))
-            return real(h, t)
+    for name in ("_symmetric_rep", "_selfadjoint_rep"):
+        def counting(ts, *args, real=getattr(hdensity, name)):
+            sizes.append(np.size(ts))
+            return real(ts, *args)
         monkeypatch.setattr(hdensity, name, counting)
     for n in (2, 5, 8):
         x = random_spd(n, cond_cap=20.0, seed=60 + n).entries
@@ -354,7 +371,7 @@ def _counting_realize_map(monkeypatch) -> list:
         def value(t):
             sizes.append(np.size(t))
             return f.value(t)
-        return real(RepresentingFunction(f.label, f.symmetry_class, value, f.derivative))
+        return real(dataclasses.replace(f, value=value))
 
     monkeypatch.setattr(solvers_module, "realize_map", counting)
     return sizes
@@ -365,38 +382,38 @@ def _counting_realize_map(monkeypatch) -> list:
     (MeanDescriptor.heinz(0.2), 1.2, 30.0), (MeanDescriptor.heron(0.3), 1.2, 30.0)],
     ids=["arithmetic", "harmonic", "wgeo", "heinz", "heron"])
 def test_catalog_pair_solve_calls_the_realize_map_on_no_scan_block(monkeypatch, desc, low, high):
-    # the 41-point gamma limit and the forward check of the 5 roots
+    # the forward check of the 5 roots; a catalog gamma is exact, not estimated
     sizes = _counting_realize_map(monkeypatch)
     x = random_spd(5, cond_cap=20.0, seed=90).entries
     root = spd_module.sqrt_pair(x)[0]
     w = solve_matrix_pair(desc, x, root @ np.diag(np.geomspace(low, high, 5)) @ root)
     assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
-    assert sizes == [41, 5]
+    assert sizes == [5]
 
 
 @pytest.mark.parametrize("desc", [ARITH, MeanDescriptor.heron(0.5)], ids=["arithmetic", "heron"])
 def test_catalog_chain_calls_the_realize_map_on_no_scan_block(monkeypatch, desc):
-    # the 41-point gamma limit and one forward check of every ratio other than 1
+    # one forward check of every ratio other than 1; a catalog gamma is exact
     sizes = _counting_realize_map(monkeypatch)
     x = random_spd(4, cond_cap=20.0, seed=91).entries
     root = spd_module.sqrt_pair(x)[0]
     chain = build_monotone_chain(desc, x, root @ np.diag([1.5, 7.0, 40.0, 300.0]) @ root)
     assert len(chain.pair_witnesses) > 3
-    assert sizes[0] == 41 and len(sizes) == 2
-    assert 1 < sizes[1] <= 4 * len(chain.pair_witnesses)
+    assert len(sizes) == 1
+    assert 1 < sizes[0] <= 4 * len(chain.pair_witnesses)
 
 
 def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
-    # every realize-map call of a self-adjoint density mean is one
-    # eval_selfadjoint_rep call, however many eigenvalues it serves
+    # every evaluation of a self-adjoint density mean (realize map or Newton
+    # jet) is one _selfadjoint_rep kernel call, however many eigenvalues it serves
     calls = []
-    real = hdensity.eval_selfadjoint_rep
+    real = hdensity._selfadjoint_rep
 
-    def counting(h, t):
-        calls.append(np.size(t))
-        return real(h, t)
+    def counting(ts, *args):
+        calls.append(np.size(ts))
+        return real(ts, *args)
 
-    monkeypatch.setattr(hdensity, "eval_selfadjoint_rep", counting)
+    monkeypatch.setattr(hdensity, "_selfadjoint_rep", counting)
     counts = {}
     for n in (2, 12):
         x = random_spd(n, cond_cap=20.0, seed=80 + n).entries
@@ -1010,6 +1027,19 @@ def test_geom_heinz_closed_form_matches_the_newton_pair_solve(s):
     newton = solve_matrix_pair(MeanDescriptor.heinz(s), x, y)
     for got, want in ((closed.matrix_a, newton.matrix_a), (closed.matrix_b, newton.matrix_b)):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_geom_heinz_matrix_keeps_the_scan_horizon():
+    # near s = 1/2 the Heinz realize map cosh((1 - 2s) log t) grows so slowly
+    # that the roots of 1.2, 3 and 1000 lie past 1e40 (or past the float
+    # range): out of range, as for solve_matrix_pair, not a non-finite witness
+    x = random_spd(3, cond_cap=10.0, seed=4).entries
+    root = spd_module.sqrt_pair(x)[0]
+    y = root @ np.diag([1.2, 3.0, 1000.0]) @ root
+    for solve in (lambda: solve_geom_heinz_matrix(0.499, x, y),
+                  lambda: solve_matrix_pair(MeanDescriptor.heinz(0.499), x, y)):
+        with pytest.raises(OutOfRangeError, match="horizon"):
+            solve()
 
 
 def test_matrix_target_solvers_identity_oracle():
