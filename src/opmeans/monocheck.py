@@ -23,8 +23,8 @@ The checks run many point sets or matrix pairs at once, as stacks through
 the spd primitives, with f called once over all their points; skips,
 faults and refutations are then resolved in trial order, so every verdict,
 trials_run and witness is that of checking one set or pair at a time. The
-sampler builds its grid and structured point sets, with their Loewner
-geometry, once per process; f receives a copy of the points.
+sampler plans its grids, with their Loewner geometry, once per process and
+its other point sets on every call; f receives a copy of the points.
 """
 from __future__ import annotations
 
@@ -312,47 +312,39 @@ class _Plan(NamedTuple):
     starts: np.ndarray
 
 
-def _plan(sets: list, derivative: bool, before: Optional[_Plan] = None) -> Optional[_Plan]:
-    """The read-only _Plan of before's point sets, if given, then these, for f
-    with a derivative or without one (None if there are none). Each size group
-    joins before's rows and geometry to the new sets' by one np.concatenate."""
+def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
+    """The _Plan of the point sets, for f with a derivative or without one
+    (None if there are none); each size group lists its sets in trial order."""
     if not sets:
-        return before
-    parts, row, offset = {}, 0, 0     # x-row length -> [(trials, rows, geometry)]
-    for shape, geometry in before.groups if before else ():
-        rows = before.x[offset:offset + shape[0] * shape[1]].reshape(shape)
-        parts[shape[1]] = [(before.trial[row:row + shape[0]], rows, geometry)]
-        row, offset = row + shape[0], offset + rows.size
+        return None
     sizes = np.array([p.size for p in sets])
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
-        rows, geometry = _loewner_geometry(np.array([sets[i] for i in idx]), derivative)
-        parts.setdefault(rows.shape[1], []).append((idx + row, rows, geometry))
-    trial, rows, geometry = zip(*((np.concatenate(t), np.concatenate(r),
-                                   tuple(map(np.concatenate, zip(*g))))
-                                  for t, r, g in (zip(*parts[k]) for k in sorted(parts))))
-    lengths = np.concatenate([np.full(len(r), r.shape[-1]) for r in rows])
-    plan = _Plan((*(before.sets if before else ()), *sets), np.concatenate(trial),
-                 tuple((r.shape, g) for r, g in zip(rows, geometry)),
+    trial = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    rows, geometry = zip(*(_loewner_geometry(np.array([sets[i] for i in idx]), derivative)
+                           for idx in trial))
+    lengths = np.concatenate([np.full(len(r), r.shape[1]) for r in rows])
+    return _Plan(tuple(sets), np.concatenate(trial), tuple(zip((r.shape for r in rows), geometry)),
                  np.concatenate([r.ravel() for r in rows]), lengths, np.cumsum(lengths) - lengths)
-    for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
-                *(a for g in geometry for a in g)):
-        arr.setflags(write=False)
-    return plan
 
 
 @lru_cache(maxsize=16)
 def _grid_plan(grids: tuple, derivative: bool) -> Optional[_Plan]:
-    return _plan([np.logspace(np.log10(lo), np.log10(hi), n) for lo, hi, n in grids], derivative)
+    """The plan of the log grids, read-only since every call shares it."""
+    plan = _plan([np.logspace(np.log10(lo), np.log10(hi), n) for lo, hi, n in grids], derivative)
+    if plan is not None:
+        for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
+                    *(a for _, geometry in plan.groups for a in geometry)):
+            arr.setflags(write=False)
+    return plan
 
 
-@lru_cache(maxsize=2)
-def _structured_plan(derivative: bool) -> _Plan:
-    structured = [anchor * (1.0 + 1e-3 * np.arange(6)) for anchor in (1e-2, 1.0, 1e2)]
-    for x in np.logspace(-3, 3, 13):
-        structured.append(np.array([x, x * (1.0 + _NEAR_COLLISION)]))
-        structured.append(np.array([x / 10.0, x, x * (1.0 + _NEAR_COLLISION), x * 10.0]))
-    return _plan(structured, derivative)
+# The second stage's structured point sets, shared and so read-only: tight
+# clusters at three scales; at each x, a near-collision pair alone and framed by x / 10 and 10 x.
+_STRUCTURED = (*(anchor * (1.0 + 1e-3 * np.arange(6)) for anchor in (1e-2, 1.0, 1e2)),
+               *(pts for x in np.logspace(-3, 3, 13)
+                 for pts in (np.array([x, x * (1.0 + _NEAR_COLLISION)]),
+                             np.array([x / 10.0, x, x * (1.0 + _NEAR_COLLISION), x * 10.0]))))
+for _pts in _STRUCTURED:
+    _pts.setflags(write=False)
 
 
 def _random_sets(config: MonoConfig) -> list:
@@ -433,13 +425,13 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     all sets of a stage, on a copy of them: the grids, then the structured
     and random sets together. So an f that a structured set refutes is also
     evaluated on the random sets, but the verdict and trials_run are those
-    of checking the sets one at a time. The grids and structured sets are
-    planned once per process per (grids, derivative or not), on first use.
+    of checking the sets one at a time. Only the grids are planned once per
+    process per (grids, derivative or not), on first use.
     """
     d, tol = fprime is not None, config.tol
     witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
     if witness is None:     # random sets are drawn only when the grids refute nothing
-        plan = _plan(_random_sets(config), d, _structured_plan(d))
+        plan = _plan([*_STRUCTURED, *_random_sets(config)], d)
         witness, examined = _first_loewner_witness(plan, f, fprime, tol)
         trials_run += examined
     status = STATUS_REFUTED if witness else STATUS_CONSISTENT

@@ -109,17 +109,24 @@ def realize_map(f: RepresentingFunction) -> tuple:
 def phi_profile(f: RepresentingFunction) -> PhiProfile:
     """Build the phi-profile of a representing function.
 
-    gamma values are numeric limit estimates of phi(2^k) up to k = 40:
+    Both gammas are exact for catalog means: realize_gamma is f.realize_gamma,
+    and gamma is that limit too for a symmetric f (phi = realize_phi) and its
+    reciprocal for a self-adjoint one (phi = 1 / realize_phi). For any other
+    f both are numeric limit estimates of the map at 2^k up to k = 40:
     divergence past 1e12 reads as infinity and limits below 1e-9 as 0.
-    realize_gamma is exact for catalog means (f.realize_gamma), else estimated alike.
     Direction flags on (0, 1) and (1, inf) come from sampled differences at
     relative tolerance 1e-7.
     """
     realize_phi, realize_gamma = realize_map(f)
     phi = _scalarize(lambda t: np.asarray(f.value(t * t), dtype=float) / t)
+    gamma = realize_gamma
+    if f.realize_gamma is None:
+        gamma = _limit_at_infinity(phi)
+    elif f.symmetry_class == CLASS_SELF_ADJOINT:    # phi = 1 / realize_phi
+        gamma = 1.0 / gamma if gamma else math.inf
     return PhiProfile(
         phi=phi,
-        gamma=_limit_at_infinity(phi),
+        gamma=gamma,
         direction_below_1=_direction(phi(np.logspace(-3.0, np.log10(0.999), 33))),
         direction_above_1=_direction(phi(np.logspace(np.log10(1.001), 3.0, 33))),
         realize_phi=realize_phi,

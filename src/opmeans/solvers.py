@@ -202,8 +202,8 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
     return roots[inverse], converged[inverse]
 
 
-def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
-    """invert_phi of every target of a list in one batched pass, with
+def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> np.ndarray:
+    """invert_phi of every target of a list, as an array, in one batched pass, with
     realize = orders.realize_map(f).
 
     Every target is range-checked and clamped first, in order. A function
@@ -243,7 +243,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> list:
         raise ConvergenceError(f"realize-map inversion did not converge at target "
                                f"{y0!r} in {_BISECT_MAX_ITER} steps")
     ys[pending] = roots     # a target of 1 is its own root
-    return ys.tolist()
+    return ys
 
 
 def invert_phi(f: RepresentingFunction, y0: float) -> float:
@@ -261,7 +261,7 @@ def invert_phi(f: RepresentingFunction, y0: float) -> float:
     and every root is checked forward to 1e-11. This is the one-target case
     of the batched inversion the pair and chain solvers run.
     """
-    return _invert_realize(f, realize_map(f), [y0])[0]
+    return float(_invert_realize(f, realize_map(f), [y0])[0])
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
@@ -325,7 +325,7 @@ def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
     relative spectrum of (X, Y): its eigenvalues are inverted in one pass
     into the roots t, and (A, B) congruate (t, 1/t)."""
     fn = representing_function(sigma)
-    roots = np.array(_invert_realize(fn, realize_map(fn), spectrum.eigenvalues))
+    roots = _invert_realize(fn, realize_map(fn), spectrum.eigenvalues)
     return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
                            sigma, xs.entries, ys.entries)
 

@@ -281,6 +281,19 @@ def test_sweep_gamma_csv_marks_infinities(tmp_path, capsys):
     assert last[1] == "inf" and last[2] == "1"
 
 
+def test_sweep_gamma_is_exact_for_catalog_means(tmp_path, capsys):
+    # the limit estimate read 1.2e-9 for wgeo 0.13 and about 1 for Heinz
+    # near s = 1/2, whose phi-limits are 0 and inf
+    out_csv = tmp_path / "gamma.csv"
+    for family, grid, cells in (("wgeo", "0.1:0.2:11", [["0", "0"]] * 11),
+                                ("heinz", "0.4999999:0.4999999:1", [["inf", "1"]])):
+        code, _, _ = _run(capsys, ["sweep", "--kind", "gamma", "--family", family,
+                                   "--grid", grid, "--out", str(out_csv)])
+        assert code == 0
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[1:] for row in rows] == cells
+
+
 def test_sweep_empty_grid_writes_header_only(tmp_path, capsys):
     out_csv = tmp_path / "empty.csv"
     code, out, _ = _run(capsys, ["sweep", "--kind", "margins",

@@ -217,11 +217,11 @@ def test_f_writing_into_its_points_leaves_later_checks_alone():
 
 def test_cached_plans_are_read_only():
     for plan in (monocheck._grid_plan(MonoConfig().grids, False),
-                 monocheck._grid_plan(MonoConfig().grids, True),
-                 monocheck._structured_plan(False), monocheck._structured_plan(True)):
+                 monocheck._grid_plan(MonoConfig().grids, True)):
         arrays = [plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
                   *(a for _, geometry in plan.groups for a in geometry)]
         assert not any(a.flags.writeable for a in arrays)
+    assert not any(pts.flags.writeable for pts in monocheck._STRUCTURED)
 
 
 def test_fixed_point_sets_are_planned_once(monkeypatch):
@@ -237,11 +237,12 @@ def test_fixed_point_sets_are_planned_once(monkeypatch):
         grids=((3e-2, 3e1, 7),), trials=30, seed=5))
     assert (1, 7) in shapes
     shapes.clear()
-    # the same grids, given as a list: only the random sets get a geometry
+    # the same grids, given as a list: only the structured and random sets
+    # get a geometry
     second = is_operator_monotone_sampled(np.sqrt, config=MonoConfig(
         grids=[[3e-2, 30, 7]], trials=30, seed=6))
     assert first.trials_run == second.trials_run == 1 + 29 + 30
-    assert sum(shape[0] for shape in shapes) == 30
+    assert sum(shape[0] for shape in shapes) == 29 + 30
     assert {shape[-1] for shape in shapes} <= {2, 3, 4, 6}
 
 
@@ -335,7 +336,7 @@ def _one_set_at_a_time(f, fprime, config):
     order: (status, trials_run, witness points, min eigenvalue, norm)."""
     derivative = fprime is not None
     grids = monocheck._grid_plan(config.grids, derivative)
-    sets = [*(grids.sets if grids else ()), *monocheck._structured_plan(derivative).sets,
+    sets = [*(grids.sets if grids else ()), *monocheck._STRUCTURED,
             *monocheck._random_sets(config)]
     for trial, pts in enumerate(sets):
         try:
@@ -356,7 +357,7 @@ def _by_point_kind(on_grids, on_structured, elsewhere, derivative=False):
     evaluate, on_structured at the structured sets' other points and
     elsewhere (in practice: the random sets) at the rest."""
     grids = set(monocheck._grid_plan(MonoConfig().grids, derivative).x.tolist())
-    structured = set(monocheck._structured_plan(derivative).x.tolist())
+    structured = set(monocheck._plan(monocheck._STRUCTURED, derivative).x.tolist())
 
     def f(t):
         t = float(t)

@@ -73,12 +73,26 @@ _GAMMA_MEANS = ([MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(),
 
 @pytest.mark.parametrize("desc", _GAMMA_MEANS, ids=lambda d: d.describe())
 def test_catalog_realize_gamma_equals_the_estimate(desc):
-    # the closed-form limit of each catalog realize map, against the
-    # 41-point estimate that every other representing function still runs
+    # the closed-form limits of each catalog realize map and phi, against
+    # the 41-point estimate that every other representing function still runs
     fn = representing_function(desc)
     assert fn.realize_gamma is not None
     assert fn.realize_gamma == _limit_at_infinity(realize_map(fn)[0])
-    assert phi_profile(fn).realize_gamma == fn.realize_gamma
+    p = phi_profile(fn)
+    assert p.realize_gamma == fn.realize_gamma
+    assert p.gamma == _limit_at_infinity(p.phi)
+
+
+def test_catalog_gamma_is_exact_where_the_estimate_is_not():
+    # phi = t^(2w - 1) of the weighted geometric 0.13 falls to 0, but its
+    # estimate snaps too late and reads 1.2e-9; phi of Heinz near s = 1/2
+    # rises to inf too slowly for the estimate, which reads about 1
+    wgeo = phi_profile(representing_function(MeanDescriptor.weighted_geometric(0.13)))
+    assert 0.0 < _limit_at_infinity(wgeo.phi) < 1e-8
+    assert wgeo.gamma == 0.0 and math.isinf(wgeo.realize_gamma)
+    heinz = phi_profile(representing_function(MeanDescriptor.heinz(0.4999999)))
+    assert 1.0 < _limit_at_infinity(heinz.phi) < 1.0 + 1e-9
+    assert math.isinf(heinz.gamma) and math.isinf(heinz.realize_gamma)
 
 
 def test_realize_gamma_is_exact_where_the_estimate_is_not():

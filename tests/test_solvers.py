@@ -144,7 +144,7 @@ def test_batched_inversion_is_bitwise_the_per_target_one(desc):
         # the decreasing regime, down to targets near gamma = 0
         spread = [0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
     targets = band + spread + spread[::-1]
-    batched = solvers_module._invert_realize(fn, realize_map(fn), targets)
+    batched = solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
     one_by_one = [invert_phi(fn, y0) for y0 in targets]
     assert batched == one_by_one
     assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
@@ -213,7 +213,7 @@ def test_constant_realize_maps_have_no_inverse_to_divide_by_zero(desc):
     fn = representing_function(desc)
     assert fn.realize_inverse is None
     targets = [1.0, 1.0 + 1e-10, 1.0 - 1e-10]
-    assert solvers_module._invert_realize(fn, realize_map(fn), targets) == [1.0, 1.0, 1.0]
+    assert solvers_module._invert_realize(fn, realize_map(fn), targets).tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(OutOfRangeError, match="constant"):
         invert_phi(fn, 1.1)
 
@@ -276,7 +276,7 @@ def test_scan_inverts_each_distinct_target_once(monkeypatch):
 
     monkeypatch.setattr(hdensity, "_symmetric_jet", counting)
     targets = [2.0, 1.25, 2.0, 2.0, 1.25, 3.0]
-    roots = solvers_module._invert_realize(fn, realize_map(fn), targets)
+    roots = solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
     assert sizes and max(sizes) == 3
     assert roots == [invert_phi(fn, y0) for y0 in targets]
 
@@ -291,8 +291,8 @@ def test_newton_evaluates_a_density_once_per_step():
 
     jet_only = dataclasses.replace(fn, derivative=forbidden)
     targets = [1.25, 2.0, 42.0, 1e6]
-    got = solvers_module._invert_realize(jet_only, realize_map(jet_only), targets)
-    assert got == solvers_module._invert_realize(fn, realize_map(fn), targets)
+    got = solvers_module._invert_realize(jet_only, realize_map(jet_only), targets).tolist()
+    assert got == solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
 
 
 def test_inversion_bisects_through_a_nan_derivative():
