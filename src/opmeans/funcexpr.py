@@ -17,24 +17,57 @@ legal; Python's parser reads the tokens (numbers as the name `_k`, '^' as
 of nodes builds closures and rejects the rest, such as t(2) or (). No user
 text reaches eval, exec or compile. Parse errors carry the offending
 position; evaluation outside a function's domain raises a domain error.
+
+The walk builds two evaluators with the same values, bit for bit: one on a
+float, one on a whole array. On arrays, + - * /, sqrt and abs run in numpy
+(exact or correctly rounded, as in Python), and ^, exp and log run Python's
+own operator.pow, math.exp and math.log on each element.
 """
 from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 
-_FUNCTIONS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "abs": math.fabs}
+
+def _finite(values):
+    """values, once every one is finite: numpy returns inf or nan where Python
+    raises (1/0, sqrt(-1)), and a later node such as 1/x or x^0 could turn
+    that value back into a finite one."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError("non-finite value")
+    return values
+
+
+def _checked(ufunc):
+    return lambda *args: _finite(ufunc(*args))
+
+
+def _python(fn, nin: int):
+    """fn applied to each element as a Python float: its results exactly; an
+    error of fn propagates, and a complex result fails as a TypeError. Finite
+    arguments give finite results, since Python raises instead of overflowing."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+# each operation as (float evaluator, array evaluator); negation and abs stay finite
+_FUNCTIONS = {"sqrt": (math.sqrt, _checked(np.sqrt)), "log": (math.log, _python(math.log, 1)),
+              "exp": (math.exp, _python(math.exp, 1)), "abs": (math.fabs, np.abs)}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 _NAMES = frozenset(("t", *_CONSTANTS, *_FUNCTIONS))     # the names an expression may use
-_BINARY = {ast.Add: lambda l, r: lambda t: l(t) + r(t),
-           ast.Sub: lambda l, r: lambda t: l(t) - r(t),
-           ast.Mult: lambda l, r: lambda t: l(t) * r(t),
-           ast.Div: lambda l, r: lambda t: l(t) / r(t),
-           ast.Pow: lambda l, r: lambda t: l(t) ** r(t)}
+_BINARY = {ast.Add: (operator.add, _checked(np.add)),
+           ast.Sub: (operator.sub, _checked(np.subtract)),
+           ast.Mult: (operator.mul, _checked(np.multiply)),
+           ast.Div: (operator.truediv, _checked(np.divide)),
+           ast.Pow: (operator.pow, _python(operator.pow, 2))}
+_NEGATE = (operator.neg, np.negative)
 
 
 def _tokenize(source: str) -> List[Tuple[str, object, int]]:
@@ -106,37 +139,66 @@ def _python_source(tokens):
     return "".join(chars), at
 
 
+def _apply(op, *operands):
+    """The (float, array) closures of op, a (float, array) evaluator pair, on
+    the (float, array) closures of its one or two operands."""
+    scalar, array = op
+    if len(operands) == 1:
+        (s, a), = operands
+        return (lambda t: scalar(s(t))), (lambda t: array(a(t)))
+    (s1, a1), (s2, a2) = operands
+    return (lambda t: scalar(s1(t), s2(t))), (lambda t: array(a1(t), a2(t)))
+
+
 def _build(node, text, at):
-    """The closures of a whitelisted node; any other node is a syntax error, and
-    so is a function whose name is not right before its '(', as in (sqrt)(t)."""
+    """The (float, array) closures of a whitelisted node; any other node is a
+    syntax error, and so is a function whose name is not right before its
+    '(', as in (sqrt)(t)."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_build(node.left, text, at), _build(node.right, text, at))
+        return _apply(_BINARY[type(node.op)], _build(node.left, text, at),
+                      _build(node.right, text, at))
     if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
         inner = _build(node.operand, text, at)
-        return inner if isinstance(node.op, ast.UAdd) else lambda t: -inner(t)
-    if isinstance(node, ast.Name) and node.id in ("t", "_k", *_CONSTANTS):
-        value = at[node.col_offset][1] if node.id == "_k" else _CONSTANTS.get(node.id)
-        return (lambda t: t) if node.id == "t" else lambda t, v=value: v
+        return inner if isinstance(node.op, ast.UAdd) else _apply(_NEGATE, inner)
+    if isinstance(node, ast.Name) and node.id == "t":
+        return (lambda t: t), (lambda t: t)
+    if isinstance(node, ast.Name) and node.id in ("_k", *_CONSTANTS):
+        value = at[node.col_offset][1] if node.id == "_k" else _CONSTANTS[node.id]
+        # a number such as 1e999 reads as inf, which the array evaluator refuses
+        array = (lambda t: value) if math.isfinite(value) else (lambda t: _finite(value))
+        return (lambda t: value), array
     column = node.col_offset
     if isinstance(node, ast.Call):
         column = text.index("(", node.func.end_col_offset)     # the call's '('
         if (getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1
                 and not node.keywords and not text[node.func.end_col_offset:column].strip()):
-            fn, arg = _FUNCTIONS[node.func.id], _build(node.args[0], text, at)
-            return lambda t, f=fn, a=arg: f(a(t))
+            return _apply(_FUNCTIONS[node.func.id], _build(node.args[0], text, at))
     raise SyntaxError("invalid syntax", ("", 1, column + 1, text))
 
 
 @dataclass(frozen=True)
 class FunctionExpr:
-    """A parsed scalar expression in the variable t, callable on floats."""
+    """A parsed scalar expression in the variable t.
+
+    A float, numpy scalar or 0-d array gives a float, or a DomainError
+    outside the domain. An array of one or more dimensions gives the float
+    calls' values elementwise, bit for bit; where one of them would fail, or
+    a value on the way is not finite, the array call raises a plain error
+    (not a DomainError, and not formatting the array), so that a caller can
+    retry point by point.
+    """
 
     source: str
     _evaluate: Callable[[float], float]
+    _evaluate_array: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, t: float) -> float:
-        # an array t fails here with a plain TypeError, before a message naming
-        # it is built, so trying an array first costs scalar-only callers little
+    def __call__(self, t):
+        if isinstance(t, np.ndarray) and t.ndim:
+            x = t.astype(float, casting="same_kind", copy=False)
+            with np.errstate(all="ignore"):
+                out = self._evaluate_array(_finite(x))
+            # "t" returns x itself and a constant a scalar: give both a new array
+            return out if out is not x and np.shape(out) == x.shape else np.full(x.shape, out)
         t = float(t)
         try:
             value = self._evaluate(t)
@@ -155,7 +217,7 @@ def parse_function(source: str) -> FunctionExpr:
         raise UsageError("empty function expression")
     text, at = _python_source(_tokenize(source))
     try:
-        return FunctionExpr(source, _build(ast.parse(text, mode="eval").body, text, at))
+        return FunctionExpr(source, *_build(ast.parse(text, mode="eval").body, text, at))
     except SyntaxError as exc:
         # offset: the 1-based column of the bad token, 0 where the text ended
         kind, value, pos = at.get((exc.offset or 0) - 1, ("end", None, None))

@@ -137,16 +137,17 @@ class MeanDescriptor:
     def describe(self) -> str:
         if self.kind in _PARAMETER_FREE:
             return f"{self.kind} mean"
+        if self.kind == H_DENSITY:
+            cls = ("symmetric" if self.density.domain_class == hdensity.SYMMETRIC
+                   else "self-adjoint")
+            return (f"density-generated mean ({cls} class, "
+                    f"{len(self.density.values)} segment(s))")
+        # :g unless it rounds the parameter, which could give two means one label
+        param = f"{self.param:g}"
+        param = param if float(param) == self.param else repr(float(self.param))
         if self.kind == WEIGHTED_GEOMETRIC:
-            return f"weighted geometric mean (exponent {self.param:g})"
-        if self.kind == HEINZ:
-            return f"Heinz mean (s = {self.param:g})"
-        if self.kind == HERON:
-            return f"Heron mean (s = {self.param:g})"
-        cls = ("symmetric" if self.density.domain_class == hdensity.SYMMETRIC
-               else "self-adjoint")
-        return (f"density-generated mean ({cls} class, "
-                f"{len(self.density.values)} segment(s))")
+            return f"weighted geometric mean (exponent {param})"
+        return f"{'Heinz' if self.kind == HEINZ else 'Heron'} mean (s = {param})"
 
 
 def _scalarize(fn):

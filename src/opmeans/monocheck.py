@@ -73,8 +73,9 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     one, (f'(x_i) + f'(x_j)) / 2 at points within sqrt(eps) relative).
     Positive semidefiniteness of these matrices over all point sets is the
     operator-monotonicity criterion. points may also be a (k, n) array of k
-    point sets, which gives a (k, n, n) stack. An array-in, array-out f is
-    called once on all points of all sets, a scalar-only f once per point;
+    point sets, which gives a (k, n, n) stack. An array-in, array-out f (a
+    parsed FunctionExpr among them) is called once on all points of all
+    sets; a scalar-only f, or one whose array call raises, once per point;
     so is fprime.
 
     with_error=True returns (matrix, bound), bound an entrywise bound on the

@@ -84,6 +84,11 @@ def _limit_at_infinity(fn: Callable) -> float:
     return 0.0 if abs(value) < _GAMMA_SNAP else value
 
 
+def _reciprocal_limit(gamma: float) -> float:
+    """The limit of 1 / phi where phi tends to gamma: 0 and inf swap."""
+    return 1.0 / gamma if gamma else math.inf
+
+
 def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
     diffs = np.diff(values)
     scale = tol * np.maximum(1.0, np.abs(values[:-1]))
@@ -123,7 +128,7 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
     if f.realize_gamma is None:
         gamma = _limit_at_infinity(phi)
     elif f.symmetry_class == CLASS_SELF_ADJOINT:    # phi = 1 / realize_phi
-        gamma = 1.0 / gamma if gamma else math.inf
+        gamma = _reciprocal_limit(gamma)
     return PhiProfile(
         phi=phi,
         gamma=gamma,
@@ -197,6 +202,8 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
     """The adjoint map f -> t/f(t): involutive and order reversing.
 
     Preserves both symmetry classes; at the density level it maps h to 1-h.
+    Its realize map is the reciprocal of f's, so where f has an exact
+    realize_gamma the adjoint has its reciprocal.
     """
     def nonvanishing(t):
         fv = np.asarray(f.value(t), dtype=float)
@@ -208,9 +215,10 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
         fv = nonvanishing(t)
         return (fv - t * np.asarray(f.derivative(t), dtype=float)) / (fv * fv)
 
+    gamma = None if f.realize_gamma is None else _reciprocal_limit(f.realize_gamma)
     return RepresentingFunction(f"adjoint of {f.label}", f.symmetry_class,
                                 _scalarize(lambda t: t / nonvanishing(t)),
-                                _scalarize(derivative))
+                                _scalarize(derivative), realize_gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -301,8 +301,9 @@ def _evaluate_sets(g, x: np.ndarray, lengths):
 def apply_spectral_function(m, g) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its eigenvalues.
 
-    An array-in, array-out g is called once on all the eigenvalues; a g that
-    accepts only scalars (a FunctionExpr, a math.* lambda) is called on each.
+    An array-in, array-out g (a FunctionExpr too) is called once on all the
+    eigenvalues; a g that accepts only scalars (a math.* lambda), or whose
+    array call raises, is called on each.
     A non-finite value or an arithmetic, value or type error of g (a complex
     value fails float()) raises DomainError; any other error of g propagates.
     """

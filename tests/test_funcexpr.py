@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opmeans import DomainError, UsageError, funcexpr, parse_function
+from opmeans import (DomainError, MeanDescriptor, MonoConfig, UsageError, falsify_transfer,
+                     funcexpr, is_operator_monotone_sampled, parse_function, spd)
 from opmeans.cli import main
 
 
@@ -100,15 +101,105 @@ def test_evaluation_is_plain_float():
     assert v == 3.25
 
 
-def test_array_input_is_rejected_with_a_plain_type_error():
-    # callers that try an array first fall back to scalar calls on TypeError;
-    # the rejection must not be a DomainError whose message formats the array
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_array_input_gives_the_float_values_or_a_plain_error():
+    # callers that try an array first fall back to scalar calls when it
+    # raises; the error must not be a DomainError whose message formats the
+    # array, and scalars keep their own path
     f = parse_function("sqrt(t)")
-    with pytest.raises(TypeError) as info:
-        f(np.array([1.0, 4.0]))
+    x = np.array([1.0, 2.0, 4.0, 1e-300, 0.0, 123.5])
+    assert _bits(f(x)) == _bits([f(v) for v in x.tolist()])
+    assert _bits(f(x.reshape(2, 3))) == _bits(f(x).reshape(2, 3))
+    for source in ("t", "+t", "sqrt(2)", "2"):      # no array node: a new array all the same
+        g = parse_function(source)
+        got = g(x.reshape(2, 3))
+        assert got.shape == (2, 3) and got.dtype == float and not np.shares_memory(got, x)
+        assert _bits(got.ravel()) == _bits([g(v) for v in x.tolist()])
+    with pytest.raises(Exception) as info:
+        f(np.array([4.0, -123.5]))
     assert not isinstance(info.value, DomainError)
+    assert "123.5" not in str(info.value)
     assert f(np.float64(4.0)) == 2.0
     assert f(np.array(9.0)) == 3.0
+    assert isinstance(f(np.array(9.0)), float)
+
+
+# the functions the sampler is pointed at: consistent, then refuted
+_SAMPLER_EXPRESSIONS = ("sqrt(t)", "t^0.3", "t/(1+t)", "log(1+t)", "t", "2*t/(1+t)",
+                        "0.5*(t^0.25+t^0.75)", "t - 1/t", "-1/t", "t^0.999", "log(t)",
+                        "t^2", "t^3", "(exp(t)-1)/(exp(1)-1)", "t^1.01", "t^1.001")
+# (expression, a good point set, a point set the array call fails on): domain
+# edges of every array operation, and non-finite values that a later node
+# would hide (the float path gives nan, 0 or inf there without an error)
+_EDGE_EXPRESSIONS = (("sqrt(t-5)", [5.5, 6.0], [4.0, 6.0]), ("log(t-1)", [1.5, 2.0], [1.0, 2.0]),
+                     ("1/(t-1)", [2.0, 3.0], [2.0, 1.0]), ("(t-2)^0.5", [3.0, 4.0], [3.0, 1.5]),
+                     ("sqrt(t-2)^0", [3.0, 4.0], [3.0, 1.0]),
+                     ("exp(t)", [1.0, 709.78], [709.78, 709.79]),
+                     ("t^t", [0.5, 2.0], [0.5, -0.5]), ("abs(t-1)^-1", [2.0, 3.0], [1.0, 3.0]),
+                     ("1/(1/(t-1))", [2.0, 3.0], [2.0, 1.0]),
+                     ("1/(1e300*t*t)", [1.0, 2.0], [1.0, 1e10]))
+
+
+def _scalar_only(f):
+    return lambda t: f(float(t))
+
+
+def _errors(errors) -> list:
+    return None if errors is None else [e and (type(e), str(e)) for e in errors]
+
+
+@pytest.mark.parametrize("source", _SAMPLER_EXPRESSIONS)
+def test_array_path_is_bitwise_the_float_path(source):
+    f = parse_function(source)
+    x = np.logspace(-3.0, 2.5, 2001)
+    assert _bits(f(x)) == _bits([f(v) for v in x.tolist()])
+
+
+@pytest.mark.parametrize("source, good, bad", _EDGE_EXPRESSIONS)
+def test_array_path_at_domain_edges_falls_back_to_the_float_path(source, good, bad):
+    # a good set, a bad one, the good one again: the array call raises a plain
+    # error, and the per-point fallback gives the float path's values and errors
+    f = parse_function(source)
+    x = np.array([*good, *bad, *good])
+    assert _bits(f(np.array(good))) == _bits([f(v) for v in good])
+    with pytest.raises(Exception) as info:
+        f(x)
+    assert not isinstance(info.value, DomainError)
+    values, errors = spd._evaluate_sets(f, x.copy(), [2, 2, 2])
+    want, want_errors = spd._evaluate_sets(_scalar_only(f), x.copy(), [2, 2, 2])
+    assert _bits(values) == _bits(want)
+    assert _errors(errors) == _errors(want_errors)
+    assert want_errors[0] is None and want_errors[2] is None
+
+
+@pytest.mark.parametrize("source", [*_SAMPLER_EXPRESSIONS, *(e[0] for e in _EDGE_EXPRESSIONS)])
+def test_checks_on_a_parsed_function_equal_those_on_its_float_path(source):
+    # the sampler and the transfer search call f once on all their points,
+    # which a parsed function answers unless a point is off its domain; the
+    # verdicts, trials_run and witnesses are those of one call per point
+    f = parse_function(source)
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    for seed in (0, 3, 7):
+        config = MonoConfig(trials=40, seed=seed)
+        got, want = (is_operator_monotone_sampled(g, None, config).to_json_dict()
+                     for g in (f, _scalar_only(f)))
+        assert got == want
+        got, want = (falsify_transfer(g, geo, arith, trials=24, seed=seed).to_json_dict()
+                     for g in (f, _scalar_only(f)))
+        assert got == want
+
+
+def test_an_infinite_number_sends_every_array_to_the_float_path():
+    # 1e999 reads as inf; 1/inf is 0 for numpy and Python alike, but the
+    # array evaluator refuses every non-finite value, constants included
+    for source in ("1/1e999 + t", "1e999*0 + t"):
+        with pytest.raises(FloatingPointError):
+            parse_function(source)(np.array([2.0, 3.0]))
+    assert parse_function("1/1e999 + t")(2.0) == 2.0
+    assert math.isnan(parse_function("1e999*0 + t")(2.0))
 
 
 def test_deep_input_is_a_usage_error():

@@ -16,6 +16,22 @@ CATALOG = [MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(),
            MeanDescriptor.heinz(0.25), MeanDescriptor.heron(0.7)]
 
 
+def test_labels_print_each_parameter_exactly():
+    # :g would print s = 0.4999999 as 0.5, the label of another mean; labels
+    # that :g already prints exactly keep its form
+    labels = {MeanDescriptor.heinz(0.4999999): "Heinz mean (s = 0.4999999)",
+              MeanDescriptor.heinz(0.5): "Heinz mean (s = 0.5)",
+              MeanDescriptor.heinz(0): "Heinz mean (s = 0)",
+              MeanDescriptor.heron(1e-6): "Heron mean (s = 1e-06)",
+              MeanDescriptor.heron(0.1 + 0.2): "Heron mean (s = 0.30000000000000004)",
+              MeanDescriptor.weighted_geometric(1 / 3):
+                  "weighted geometric mean (exponent 0.3333333333333333)",
+              MeanDescriptor.weighted_geometric(0.13): "weighted geometric mean (exponent 0.13)"}
+    for desc, label in labels.items():
+        assert desc.describe() == label
+        assert representing_function(desc).label == label
+
+
 def test_representing_function_closed_forms():
     t = np.linspace(0.1, 5.0, 23)
     table = {

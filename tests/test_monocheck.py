@@ -389,7 +389,8 @@ def _fault(t):
 _SAMPLED = {
     "sqrt": (np.sqrt, None, False),
     "sqrt with derivative": (np.sqrt, _half_rsqrt, False),
-    "scalar-only t/(1+t)": (parse_function("t/(1+t)"), None, False),
+    "parsed t/(1+t)": (parse_function("t/(1+t)"), None, False),
+    "scalar-only t/(1+t)": (lambda t: float(t) / (1.0 + float(t)), None, False),
     "t^1.001 past the grids": (_by_point_kind(np.sqrt, np.sqrt, _power(1.001)), None, True),
     "t^1.001 in the structured sets": (_by_point_kind(np.sqrt, _power(1.001), np.sqrt), None,
                                        True),

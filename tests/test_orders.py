@@ -95,6 +95,27 @@ def test_catalog_gamma_is_exact_where_the_estimate_is_not():
     assert math.isinf(heinz.gamma) and math.isinf(heinz.realize_gamma)
 
 
+@pytest.mark.parametrize("desc", _GAMMA_MEANS, ids=lambda d: d.describe())
+def test_adjoint_gammas_are_the_reciprocal_limits(desc):
+    # the adjoint's realize map is 1 / f's, so its exact limit is the
+    # reciprocal of f's, 0 and inf swapped; the estimate agrees here
+    fn = representing_function(desc)
+    adjoint = dagger(fn)
+    want = 1.0 / fn.realize_gamma if fn.realize_gamma else math.inf
+    assert adjoint.realize_gamma == want == _limit_at_infinity(realize_map(adjoint)[0])
+    p = phi_profile(adjoint)
+    assert p.realize_gamma == want
+    assert p.gamma == _limit_at_infinity(p.phi)
+
+
+def test_adjoint_gammas_are_exact_where_the_estimate_is_not():
+    heinz = phi_profile(dagger(representing_function(MeanDescriptor.heinz(0.4999999))))
+    assert heinz.gamma == 0.0 and heinz.realize_gamma == 0.0
+    wgeo = phi_profile(dagger(representing_function(MeanDescriptor.weighted_geometric(0.13))))
+    assert 0.0 < _limit_at_infinity(wgeo.realize_phi) < 1e-8
+    assert wgeo.realize_gamma == 0.0 and math.isinf(wgeo.gamma)
+
+
 def test_realize_gamma_is_exact_where_the_estimate_is_not():
     # close to s = 1/2 the Heinz realize map rises too slowly for the
     # estimate, which reads about 1; the exact limit is inf
@@ -104,7 +125,7 @@ def test_realize_gamma_is_exact_where_the_estimate_is_not():
     # functions without a closed form keep the estimate
     density = representing_function(MeanDescriptor.from_h_density(
         HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15))))
-    for f in (density, dagger(ARITH)):
+    for f in (density, dagger(density)):
         assert f.realize_gamma is None
         assert realize_map(f)[1] == _limit_at_infinity(realize_map(f)[0])
 
