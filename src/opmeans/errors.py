@@ -39,3 +39,10 @@ class ConvergenceError(OpmeansError):
 
 class UsageError(OpmeansError):
     """Bad command-line arguments or malformed input files."""
+
+
+# The errors of a scalar function f that mean "f is undefined there": the
+# sampled checks skip the point set or pair, apply_spectral_function and a
+# parsed function raise DomainError. A complex value fails float() with a
+# TypeError; any other error of f is a fault and propagates.
+DOMAIN_ERRORS = (DomainError, ArithmeticError, ValueError, TypeError)

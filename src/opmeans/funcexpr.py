@@ -11,113 +11,84 @@ Grammar (whitespace-insensitive):
             | '(' expr ')'
 
 Just enough to write "t^2", "sqrt(t)" or "(exp(t) - 1) / (exp(1) - 1)" on a
-command line. `_tokenize` decides which characters, numbers and names are
-legal; Python's parser reads the tokens (numbers as the name `_k`, '^' as
-'**') with exactly the grammar's precedence and associativity; a whitelist
-of nodes builds closures and rejects the rest, such as t(2) or (). No user
-text reaches eval, exec or compile. Parse errors carry the offending
-position; evaluation outside a function's domain raises a domain error.
+command line. One regular expression, _TOKEN, scans numbers, names and
+operators and rejects any other character; Python's parser reads the tokens
+(numbers as the name `_k`, '^' as '**') with exactly the grammar's
+precedence and associativity; a whitelist of nodes builds closures and
+rejects the rest, such as t(2) or (). No user text reaches eval, exec or
+compile. Parse errors carry the offending position; evaluation outside a
+function's domain raises a domain error.
 
 The walk builds two evaluators with the same values, bit for bit: one on a
 float, one on a whole array. On arrays, + - * /, sqrt and abs run in numpy
 (exact or correctly rounded, as in Python), and ^, exp and log run Python's
-own operator.pow, math.exp and math.log on each element.
+own operator.pow, math.exp and math.log on each element. A non-finite input
+or constant is refused, Python raises where it would overflow, and numpy's
+divide, overflow and invalid flags raise: so no value on the way leaves the
+finite range, and every array either fails or is the float path's.
 """
 from __future__ import annotations
 
 import ast
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DOMAIN_ERRORS, DomainError, UsageError
 
 
 def _finite(values):
-    """values, once every one is finite: numpy returns inf or nan where Python
-    raises (1/0, sqrt(-1)), and a later node such as 1/x or x^0 could turn
-    that value back into a finite one."""
+    """values, once every one is finite: the flags catch finite operands that
+    leave the finite range, not non-finite ones (inf / 0 is inf and sets no
+    flag, where Python raises), so the array path refuses them at the start."""
     if not np.isfinite(values).all():
         raise FloatingPointError("non-finite value")
     return values
 
 
-def _checked(ufunc):
-    return lambda *args: _finite(ufunc(*args))
-
-
 def _python(fn, nin: int):
-    """fn applied to each element as a Python float: its results exactly; an
-    error of fn propagates, and a complex result fails as a TypeError. Finite
-    arguments give finite results, since Python raises instead of overflowing."""
+    """fn applied to each element as a Python float: its results exactly. An
+    error of fn propagates and a complex result fails as a TypeError; finite
+    arguments give finite results, as Python raises rather than overflow."""
     ufunc = np.frompyfunc(fn, nin, 1)
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-# each operation as (float evaluator, array evaluator); negation and abs stay finite
-_FUNCTIONS = {"sqrt": (math.sqrt, _checked(np.sqrt)), "log": (math.log, _python(math.log, 1)),
+# each operation as (float evaluator, array evaluator); on finite operands a
+# numpy one leaves the finite range only by raising a floating-point flag
+_FUNCTIONS = {"sqrt": (math.sqrt, np.sqrt), "log": (math.log, _python(math.log, 1)),
               "exp": (math.exp, _python(math.exp, 1)), "abs": (math.fabs, np.abs)}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 _NAMES = frozenset(("t", *_CONSTANTS, *_FUNCTIONS))     # the names an expression may use
-_BINARY = {ast.Add: (operator.add, _checked(np.add)),
-           ast.Sub: (operator.sub, _checked(np.subtract)),
-           ast.Mult: (operator.mul, _checked(np.multiply)),
-           ast.Div: (operator.truediv, _checked(np.divide)),
+_BINARY = {ast.Add: (operator.add, np.add), ast.Sub: (operator.sub, np.subtract),
+           ast.Mult: (operator.mul, np.multiply), ast.Div: (operator.truediv, np.divide),
            ast.Pow: (operator.pow, _python(operator.pow, 2))}
 _NEGATE = (operator.neg, np.negative)
+# after optional whitespace: a number, a name, an operator or any other
+# character, which is an error
+_TOKEN = (r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d_]+)"
+          r"|(?P<op>\*\*|[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(source: str) -> List[Tuple[str, object, int]]:
-    """Tokens as (kind, value, position); kinds: num, name, op, end."""
+    """Tokens as (kind, value, position); kinds: num, name, op, end. The first
+    malformed number or stray character, in source order, is a usage error."""
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE" and (
-                    j + 1 < n and (source[j + 1].isdigit()
-                                   or (source[j + 1] in "+-" and j + 2 < n
-                                       and source[j + 2].isdigit()))):
-                j += 2 if source[j + 1] in "+-" else 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise UsageError(
-                    f"malformed number {text!r} at position {i}") from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and source[j].isalpha():
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        if source.startswith("**", i):
-            tokens.append(("op", "^", i))
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise UsageError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("end", None, n))
-    return tokens
+    for match in re.finditer(_TOKEN, source):
+        kind = match.lastgroup
+        text, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise UsageError(f"unexpected character {text!r} at position {pos}")
+        try:
+            value = float(text) if kind == "num" else "^" if text == "**" else text
+        except ValueError:     # digits with two or more dots
+            raise UsageError(f"malformed number {text!r} at position {pos}") from None
+        tokens.append((kind, value, pos))
+    return tokens + [("end", None, len(source))]
 
 
 def _python_source(tokens):
@@ -183,9 +154,9 @@ class FunctionExpr:
     A float, numpy scalar or 0-d array gives a float, or a DomainError
     outside the domain. An array of one or more dimensions gives the float
     calls' values elementwise, bit for bit; where one of them would fail, or
-    a value on the way is not finite, the array call raises a plain error
-    (not a DomainError, and not formatting the array), so that a caller can
-    retry point by point.
+    a value on the way would not be finite, the array call raises a plain
+    error (not a DomainError, and not formatting the array), so that a
+    caller can retry point by point.
     """
 
     source: str
@@ -195,14 +166,15 @@ class FunctionExpr:
     def __call__(self, t):
         if isinstance(t, np.ndarray) and t.ndim:
             x = t.astype(float, casting="same_kind", copy=False)
-            with np.errstate(all="ignore"):
+            # an operation that leaves the finite range raises FloatingPointError
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
                 out = self._evaluate_array(_finite(x))
             # "t" returns x itself and a constant a scalar: give both a new array
             return out if out is not x and np.shape(out) == x.shape else np.full(x.shape, out)
         t = float(t)
         try:
             value = self._evaluate(t)
-        except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
+        except DOMAIN_ERRORS as exc:
             raise DomainError(
                 f"cannot evaluate {self.source!r} at t = {t!r}: {exc}") from None
         if isinstance(value, complex):

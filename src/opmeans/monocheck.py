@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import spd
-from .errors import DomainError, StructuralError, UsageError
+from .errors import DOMAIN_ERRORS, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _eigh_descending,
@@ -58,10 +58,6 @@ _TRANSFER_GRID = np.logspace(-6.0, 6.0, 97)
 # Trials per stack in falsify_transfer: a refutation wastes at most one
 # stack's trials, and 8 and 16 measured alike.
 _TRANSFER_BLOCK = 8
-# Errors of f that skip a point set (sampler) or a matrix pair (transfer);
-# any other error of f propagates once its set or pair is reached.
-_SET_SKIPS = (DomainError, OverflowError, ValueError, ZeroDivisionError)
-_PAIR_SKIPS = (DomainError, ArithmeticError, ValueError, TypeError)
 
 
 def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
@@ -149,15 +145,15 @@ def _loewner_stack(geometry, values: np.ndarray, derivative):
     return 0.5 * (out + np.swapaxes(out, -1, -2)), err
 
 
-def _resolve(count: int, phases, skips: tuple):
+def _resolve(count: int, phases):
     """Per item, whether its evaluations of f succeeded, and its fault.
 
     phases lists, in the order the one-item-at-a-time check evaluates them,
     pairs (errors, finite): errors from _evaluate_sets (None when none
     failed) and finite, when given, whether the values came out finite. The
     first phase with an error, or with non-finite values, ends an item: an
-    error in skips or a non-finite value makes it skipped, any other error
-    its fault, which the caller raises if no earlier item decides first.
+    error in DOMAIN_ERRORS or a non-finite value makes it skipped, any other
+    error its fault, which the caller raises if no earlier item decides first.
     Returns (usable mask, faults: per item an exception or None).
     """
     usable = np.ones(count, dtype=bool)
@@ -166,7 +162,7 @@ def _resolve(count: int, phases, skips: tuple):
         for i, err in enumerate(errors or ()):
             if err is not None and usable[i]:
                 usable[i] = False
-                if not isinstance(err, skips):
+                if not isinstance(err, DOMAIN_ERRORS):
                     faults[i] = err
         if finite is not None:
             usable &= finite
@@ -370,7 +366,7 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
     order, with f (and fprime) called once, on a copy of plan.x.
 
     Each size group's Loewner matrices are decomposed as one stack. A set is
-    skipped when f raises one of _SET_SKIPS on it or a value or matrix entry
+    skipped when f raises one of DOMAIN_ERRORS on it or a value or matrix entry
     is not finite: fast-growing or partial functions may not evaluate on a
     far-out set, and a violation shows up on smaller points. The earliest
     refuting set wins; another error of f on an earlier set propagates.
@@ -385,27 +381,30 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
         phases.append((d_errors, None))
         finite &= np.isfinite(derivs)
     phases.append((None, np.logical_and.reduceat(finite, plan.starts)))
-    usable, faults = _resolve(len(plan.sets), phases, _SET_SKIPS)
+    usable, faults = _resolve(len(plan.sets), phases)
 
     refuted = np.zeros(len(plan.sets), dtype=bool)
     min_eig, norm = np.zeros(len(plan.sets)), np.zeros(len(plan.sets))
     row = offset = 0
-    for shape, geometry in plan.groups:
-        first_row, block = row, slice(offset, offset + shape[0] * shape[1])
-        row, offset = row + shape[0], block.stop
-        ok = np.flatnonzero(usable[first_row:row])
-        keep = ok if len(ok) < shape[0] else slice(None)   # a view, not a copy
-        deriv = None if fprime is None else derivs[block].reshape(shape)[keep]
-        mat, err = _loewner_stack(tuple(g[keep] for g in geometry),
-                                  values[block].reshape(shape)[keep], deriv)
-        bounded = np.all(np.isfinite(mat), axis=(-2, -1))
-        if not bounded.any():
-            continue
-        bounded = slice(None) if bounded.all() else bounded
-        ok = first_row + ok[bounded]
-        lo, fro = _min_eig_and_norm(mat[bounded])
-        refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
-        min_eig[ok], norm[ok] = lo, fro
+    # values of f near the largest float overflow an entry (the set is skipped)
+    # or the rounding bound (the set cannot refute)
+    with np.errstate(over="ignore"):
+        for shape, geometry in plan.groups:
+            first_row, block = row, slice(offset, offset + shape[0] * shape[1])
+            row, offset = row + shape[0], block.stop
+            ok = np.flatnonzero(usable[first_row:row])
+            keep = ok if len(ok) < shape[0] else slice(None)   # a view, not a copy
+            deriv = None if fprime is None else derivs[block].reshape(shape)[keep]
+            mat, err = _loewner_stack(tuple(g[keep] for g in geometry),
+                                      values[block].reshape(shape)[keep], deriv)
+            bounded = np.all(np.isfinite(mat), axis=(-2, -1))
+            if not bounded.any():
+                continue
+            bounded = slice(None) if bounded.all() else bounded
+            ok = first_row + ok[bounded]
+            lo, fro = _min_eig_and_norm(mat[bounded])
+            refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
+            min_eig[ok], norm[ok] = lo, fro
     item, examined = _first_hit(refuted, faults, plan.trial)
     if item is None:
         return None, len(plan.sets)
@@ -428,6 +427,10 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     evaluated on the random sets, but the verdict and trials_run are those
     of checking the sets one at a time. Only the grids are planned once per
     process per (grids, derivative or not), on first use.
+
+    A set where f raises one of errors.DOMAIN_ERRORS is skipped, as a pair
+    is in falsify_transfer: an f that raises TypeError on every point (a
+    complex value fails float()) reads as skipped sets, and as consistent.
     """
     d, tol = fprime is not None, config.tol
     witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
@@ -487,10 +490,11 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     """(witness, trials examined) for the next size random n x n pairs, run
     as one stack, with f called once on the eigenvalues of all their means.
 
-    A pair is skipped when f raises one of _PAIR_SKIPS on the spectrum of
+    A pair is skipped when f raises one of DOMAIN_ERRORS on the spectrum of
     either mean or gives a non-finite value there, as apply_spectral_function
-    would report it; the earliest refuting pair wins, unless f raised
-    another error on an earlier pair, which propagates.
+    would report it, or when f of either mean or their difference overflows;
+    the earliest refuting pair wins, unless f raised another error on an
+    earlier pair, which propagates.
     """
     mats = _random_spd_stack(rng, 2 * size, n, 50.0)
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
@@ -502,13 +506,19 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     values = values.reshape(2 * size, n)
     finite = np.all(np.isfinite(values), axis=-1)
     lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
-    usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])],
-                              _PAIR_SKIPS)
-    # skipped pairs get harmless values and their margins are ignored
-    images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
-    lhs, rhs = images[:size], images[size:]
-    min_eig, norm = _min_eig_and_norm(rhs - lhs)
-    bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
+    usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])])
+    # skipped pairs get harmless values and their margins are ignored; with
+    # values of f near the largest float, f(mean) or the difference overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
+        diff = images[size:] - images[:size]
+        if not np.isfinite(diff).all():     # skip those pairs too
+            bounded = np.all(np.isfinite(diff), axis=(-2, -1))
+            usable &= bounded
+            images[~np.concatenate((bounded, bounded))] = diff[~bounded] = 0.0
+        bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False),
+                                           images[:size], images[size:])
+    min_eig, norm = _min_eig_and_norm(diff)
     refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
     item, examined = _first_hit(refuted, faults, np.arange(size))
     if item is None:

@@ -282,9 +282,9 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     f_sigma = representing_function(sigma)
     g_tau = representing_function(tau)
     g_perp = dagger(g_tau)
+    mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)   # checks n
     if not trials:
         return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
-    mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
     spectrum = RelativeSpectrum(a, b)
     mixed_lo = mean_from_spectrum(spectrum, g_tau)

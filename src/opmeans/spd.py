@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, StructuralError
+from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralError
 
 SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
@@ -304,14 +304,14 @@ def apply_spectral_function(m, g) -> np.ndarray:
     An array-in, array-out g (a FunctionExpr too) is called once on all the
     eigenvalues; a g that accepts only scalars (a math.* lambda), or whose
     array call raises, is called on each.
-    A non-finite value or an arithmetic, value or type error of g (a complex
+    A non-finite value or an error of g in errors.DOMAIN_ERRORS (a complex
     value fails float()) raises DomainError; any other error of g propagates.
     """
     dec = sym_eigendecompose(m)
     lam = dec.eigenvalues
     try:
         vals = _evaluate(g, lam)
-    except (DomainError, ArithmeticError, ValueError, TypeError) as exc:
+    except DOMAIN_ERRORS as exc:
         raise DomainError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         bad = float(lam[~np.isfinite(vals)][0])

@@ -216,6 +216,13 @@ def test_check_order_self_adjoint_class(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("trials, n", [("0", "-5"), ("0", "0"), ("2", "0")])
+def test_ka_check_bad_matrix_size_exits_two(capsys, trials, n):
+    code, out, err = _run(capsys, ["ka-check", "--sigma", "geometric", "--tau", "arithmetic",
+                                   "--trials", trials, "--n", n])
+    assert code == 2 and out == "" and "matrix size must be a positive integer" in err
+
+
 def test_ka_check_reports_config(capsys):
     code, out, _ = _run(capsys, ["ka-check", "--sigma", "geometric",
                                  "--tau", "wgeo:0.3", "--trials", "50"])

@@ -73,6 +73,27 @@ def test_parse_errors_carry_position():
         parse_function("t + (t")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("t + $", "unexpected character '$' at position 4"),
+    ("1.2.3*t", "malformed number '1.2.3' at position 0"),
+    ("x + 1", "unknown name 'x' at position 0"),
+    ("x + $", "unexpected character '$' at position 4")])   # scanning comes first
+def test_scanning_and_name_errors_give_exact_messages(source, message):
+    with pytest.raises(UsageError) as info:
+        parse_function(source)
+    assert str(info.value) == message
+
+
+def test_unicode_digits_and_spaces():
+    # decimal digits of any script are numbers and any Unicode space is
+    # whitespace; superscripts and vulgar fractions are not numbers
+    assert parse_function("\u0663*t")(2.0) == 6.0          # Arabic-Indic three
+    assert parse_function("t\u00a0+ 1")(2.0) == 3.0        # a no-break space
+    for bad in ("t\u00b2", "\u00bd*t"):
+        with pytest.raises(UsageError):
+            parse_function(bad)
+
+
 def test_unknown_name_rejected_at_parse_time():
     with pytest.raises(UsageError, match="x"):
         parse_function("x + 1")
@@ -140,7 +161,10 @@ _EDGE_EXPRESSIONS = (("sqrt(t-5)", [5.5, 6.0], [4.0, 6.0]), ("log(t-1)", [1.5, 2
                      ("exp(t)", [1.0, 709.78], [709.78, 709.79]),
                      ("t^t", [0.5, 2.0], [0.5, -0.5]), ("abs(t-1)^-1", [2.0, 3.0], [1.0, 3.0]),
                      ("1/(1/(t-1))", [2.0, 3.0], [2.0, 1.0]),
-                     ("1/(1e300*t*t)", [1.0, 2.0], [1.0, 1e10]))
+                     ("1/(1e300*t*t)", [1.0, 2.0], [1.0, 1e10]),
+                     ("t+1e308", [1.0, 2.0], [1e308, 2.0]),          # overflow in +
+                     ("-1e308-t", [1.0, 2.0], [1e308, 2.0]),         # overflow in -
+                     ("(t-1)/(t-1)", [2.0, 3.0], [1.0, 3.0]))        # 0/0
 
 
 def _scalar_only(f):
@@ -200,6 +224,13 @@ def test_an_infinite_number_sends_every_array_to_the_float_path():
             parse_function(source)(np.array([2.0, 3.0]))
     assert parse_function("1/1e999 + t")(2.0) == 2.0
     assert math.isnan(parse_function("1e999*0 + t")(2.0))
+    # so does an infinite input: inf/0 is inf and sets no floating-point
+    # flag, where Python raises
+    f = parse_function("1/(t/0)")
+    with pytest.raises(FloatingPointError):
+        f(np.array([np.inf, np.inf]))
+    with pytest.raises(DomainError):
+        f(np.inf)
 
 
 def test_deep_input_is_a_usage_error():

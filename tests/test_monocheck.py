@@ -14,6 +14,7 @@ from opmeans import (HDensity, MeanDescriptor, MonoConfig, StructuralError, Usag
 from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_pair,
                            heinz_pair, heron_pair, representing_function)
 from opmeans import monocheck
+from opmeans.errors import DOMAIN_ERRORS
 from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
 
 EPS = float(np.finfo(float).eps)
@@ -342,7 +343,7 @@ def _one_set_at_a_time(f, fprime, config):
         try:
             with np.errstate(all="ignore"):
                 mat, err = loewner_matrix(pts, f, fprime, with_error=True)
-        except monocheck._SET_SKIPS:
+        except DOMAIN_ERRORS:
             continue
         if not np.all(np.isfinite(mat)):
             continue
@@ -477,6 +478,41 @@ def test_transfer_skips_only_the_pairs_where_f_fails(seed, trials_run, min_eig, 
     assert verdict.status == "refuted" and verdict.trials_run == trials_run
     assert verdict.witness.min_eigenvalue == min_eig
     assert verdict.witness.diff_norm == diff_norm
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_sampler_and_transfer_skip_the_same_errors(seed):
+    # below t = 0.5 the scalar-only power is complex and float() of it raises
+    # TypeError, where the parsed function raises DomainError: both are
+    # outside the domain for the sampler and the transfer search alike
+    def scalar_only(t):
+        return float(t - 0.5) ** 0.5
+
+    parsed = parse_function("(t-0.5)^0.5")
+    config = MonoConfig(trials=40, seed=seed)
+    got, want = (is_operator_monotone_sampled(f, None, config) for f in (scalar_only, parsed))
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.status == "consistent" and got.trials_run == 71
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    got, want = (falsify_transfer(f, geo, arith, trials=24, seed=seed).to_json_dict()
+                 for f in (scalar_only, parsed))
+    assert got == want
+    with pytest.raises(TypeError):
+        float(scalar_only(0.25))
+
+
+def test_values_near_the_largest_float_skip_their_sets_and_pairs():
+    # f(M) = M + 1e308 I overflows when assembled, and the sampler's rounding
+    # bound overflows: such pairs are skipped and such sets cannot refute,
+    # without a warning or a failed eigensolve
+    def f(t):
+        return t + 1e308
+
+    verdict = falsify_transfer(f, MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                               trials=24, seed=0)
+    assert verdict.status == "consistent" and verdict.trials_run == 24
+    verdict = is_operator_monotone_sampled(f, None, MonoConfig(trials=40, seed=0))
+    assert verdict.status == "consistent" and verdict.trials_run == 71
 
 
 def test_falsify_transfer_propagates_faults_of_f():

@@ -265,3 +265,11 @@ def test_ka_condition_zero_trials_reports_cleanly():
                                 trials=0, seed=0)
     assert report.ok
     assert report.min_margin == 0.0
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+def test_ka_condition_checks_n_however_many_trials(trials, n):
+    with pytest.raises(StructuralError, match="matrix size must be a positive integer"):
+        ka_condition_check(MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                           trials=trials, n=n)
