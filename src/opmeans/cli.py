@@ -217,6 +217,8 @@ def _cmd_sweep(args) -> tuple:
             raise UsageError("--a and --b must be finite positive reals")
         if not math.isfinite(arithmetic_pair(args.a, args.b)):
             raise UsageError("the arithmetic mean of --a and --b overflows")
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):    # NaN fails too
+            raise UsageError(f"margins sweep parameter s must lie in [0, 1], got {args.grid!r}")
         columns = _MARGIN_COLUMNS
         rows = _margin_rows(args.a, args.b, grid)
     else:

@@ -37,6 +37,7 @@ finite t > 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,28 @@ def _jumps(h: HDensity) -> tuple[np.ndarray, np.ndarray]:
     return np.array(h.breaks), v[:-1] - v[1:]
 
 
+def _realize_gamma(h: HDensity) -> float:
+    """Exact limit at inf of the realize map t -> t f(1/t^2) of h's mean.
+
+    With h_e the value next to u = 0 (the first segment of "sym", the last
+    of "sa"), the map is C t^(1 - 2 h_e) (1 + o(1)): the bracket at b = 0
+    gives h_e log(1/t^2) and the others constants. So the limit is inf for
+    h_e < 1/2, 0 for h_e > 1/2 and C for h_e = 1/2, with jumps w_j at b_j:
+      sym:  log C = sum over b_j > 0 of w_j (2 log(1 + b_j) - log b_j) - log 2
+      sa:   log C = sum over b_j < 0 of w_j log(-b_j)
+    """
+    sym = h.domain_class == SYMMETRIC
+    edge = h.values[0 if sym else -1]
+    if edge != 0.5:
+        return math.inf if edge < 0.5 else 0.0
+    b, w = _jumps(h)
+    if sym:
+        b, w = b[b > 0.0], w[b > 0.0]
+        return 0.5 * math.exp(float(np.sum(w * (2.0 * np.log1p(b) - np.log(b)))))
+    b, w = b[b < 0.0], w[b < 0.0]
+    return math.exp(float(np.sum(w * np.log(-b))))
+
+
 def _weighted_rows(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j terms[i, j] * w[j] per row i; unlike terms @ w, whose BLAS row
     blocking lets a point's value depend on the other points in the call."""
@@ -247,6 +270,14 @@ def _selfadjoint_jet(h: HDensity, t):
     return (float(f[0]), float(fprime[0])) if scalar else (f, fprime)
 
 
+def _require_pair(hf: HDensity, hg: HDensity, op: str) -> None:
+    if not isinstance(hf, HDensity) or not isinstance(hg, HDensity):
+        raise StructuralError(f"{op} expects two HDensity values")
+    if hf.domain_class != hg.domain_class:
+        raise StructuralError(
+            f"density class mismatch: {hf.domain_class!r} vs {hg.domain_class!r}")
+
+
 def _merged_segments(hf: HDensity, hg: HDensity):
     cuts = np.array(sorted(set(hf.breaks) | set(hg.breaks)))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
@@ -262,11 +293,7 @@ def h_order(hf: HDensity, hg: HDensity) -> str:
     up to disagreement sets of total length below 1e-12, which is exact in
     practice for piecewise-constant densities.
     """
-    if not isinstance(hf, HDensity) or not isinstance(hg, HDensity):
-        raise StructuralError("h_order expects two HDensity values")
-    if hf.domain_class != hg.domain_class:
-        raise StructuralError(
-            f"density class mismatch: {hf.domain_class!r} vs {hg.domain_class!r}")
+    _require_pair(hf, hg, "h_order")
     _, lengths, vf, vg = _merged_segments(hf, hg)
     above = float(np.sum(lengths[vf > vg]))
     below = float(np.sum(lengths[vf < vg]))
@@ -304,9 +331,7 @@ def lattice_meet_join(hf: HDensity, hg: HDensity) -> tuple[HDensity, HDensity]:
     the join the pointwise minimum; the self-adjoint class runs with the
     density, so the roles swap.
     """
-    if hf.domain_class != hg.domain_class:
-        raise StructuralError(
-            f"density class mismatch: {hf.domain_class!r} vs {hg.domain_class!r}")
+    _require_pair(hf, hg, "lattice_meet_join")
     cuts, _, vf, vg = _merged_segments(hf, hg)
     hi = np.maximum(vf, vg)
     lo = np.minimum(vf, vg)

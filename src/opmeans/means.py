@@ -18,7 +18,7 @@ matrix pairs, and congruence equivariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import hdensity, jsonio
 from .errors import ConditioningError, StructuralError, UsageError
 from .hdensity import HDensity
-from .spd import RelativeSpectrum, random_spd_from
+from .spd import RelativeSpectrum, _check_matrix_size, random_spd_from
 from .spd import sqrt_pair  # noqa: F401 -- perfbench's tracer test patches this binding
 
 ARITHMETIC = "arithmetic"
@@ -52,10 +52,11 @@ _COND_CAP = 1e12
 class RepresentingFunction:
     """A representing function with its derivative and symmetry class.
 
-    realize_inverse, when given, maps an array of targets y of the realize
-    map t -> t f(1/t^2) to their roots t >= 1 in closed form; the catalog
-    means with a non-constant realize map carry one, and density means a jet.
-    realize_gamma, set for every catalog mean, is the map's exact limit at inf.
+    realize_gamma, required and keyword-only, is the exact limit at inf of
+    the realize map t -> t f(1/t^2) (the method realize). realize_inverse,
+    when given, maps an array of targets of that map to their roots t >= 1
+    in closed form; the catalog means with a non-constant realize map carry
+    one, and density means a jet.
     """
 
     label: str
@@ -64,10 +65,14 @@ class RepresentingFunction:
     derivative: Callable
     realize_inverse: Optional[Callable] = None
     jet: Optional[Callable] = None      # t -> (value(t), derivative(t)) in one evaluation
-    realize_gamma: Optional[float] = None
+    realize_gamma: float = field(kw_only=True)
 
     def __call__(self, t):
         return self.value(t)
+
+    def realize(self, t):
+        """t f(1/t^2), the mean of the pair (t, 1/t); a float for a scalar t."""
+        return _scalarize(lambda t: t * np.asarray(self.value(1.0 / (t * t)), dtype=float))(t)
 
     def value_and_derivative(self, t) -> tuple:
         return self.jet(t) if self.jet else (self.value(t), self.derivative(t))
@@ -257,12 +262,14 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
             descriptor.describe(), CLASS_SYMMETRIC,
             lambda t: hdensity.eval_symmetric_rep(h, t),
             lambda t: hdensity.symmetric_rep_derivative(h, t),
-            jet=lambda t: hdensity._symmetric_jet(h, t))
+            jet=lambda t: hdensity._symmetric_jet(h, t),
+            realize_gamma=hdensity._realize_gamma(h))
     return RepresentingFunction(
         descriptor.describe(), CLASS_SELF_ADJOINT,
         lambda t: hdensity.eval_selfadjoint_rep(h, t),
         lambda t: hdensity.selfadjoint_rep_derivative(h, t),
-        jet=lambda t: hdensity._selfadjoint_jet(h, t))
+        jet=lambda t: hdensity._selfadjoint_jet(h, t),
+        realize_gamma=hdensity._realize_gamma(h))
 
 
 def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> np.ndarray:
@@ -332,8 +339,10 @@ def verify_mean_axioms(descriptor: MeanDescriptor, *, seed: int = 0,
     operator monotonicity of f, and the congruence identity
     T mean(A, B) T = mean(T A T, T B T) for random SPD T.
     """
-    from .monocheck import MonoConfig, is_operator_monotone_sampled
+    from .monocheck import MonoConfig, _check_sampling, is_operator_monotone_sampled
 
+    _check_sampling(trials, seed, tol)
+    _check_matrix_size(n)
     fn = representing_function(descriptor)
     normalization_ok = abs(fn.value(1.0) - 1.0) <= tol
 

@@ -46,9 +46,6 @@ DIRECTION_DOWN = "non-increasing"
 DIRECTION_FLAT = "constant"
 DIRECTION_MIXED = "mixed"
 
-_GAMMA_CUTOFF = 1e12
-_GAMMA_STEPS = 40
-_GAMMA_SNAP = 1e-9
 _CLASS_GRID = np.logspace(-4.0, 4.0, 33)
 
 
@@ -63,25 +60,6 @@ class PhiProfile:
     realize_phi: Callable
     realize_gamma: float
     symmetry_class: str
-
-
-def _limit_at_infinity(fn: Callable) -> float:
-    """Estimate lim fn(2^k) for k -> inf; inf above 1e12, snap tiny to 0.
-
-    fn takes arrays and is called once, on k = 0..40. A sequence still
-    rising unconverged at k = 40 is declared infinite; one still falling is
-    declared 0 (every catalog profile is eventually monotone, so the horizon
-    only truncates slow tails). Its first value, fn(1) = f(1), must be 1.
-    """
-    values = np.asarray(fn(2.0 ** np.arange(_GAMMA_STEPS + 1)), dtype=float)
-    if abs(values[0] - 1.0) > 1e-9:
-        raise StructuralError(f"f(1) must be 1; got {float(values[0])!r}")
-    if not np.all(np.isfinite(values)) or np.any(values > _GAMMA_CUTOFF):
-        return math.inf
-    prev, value = float(values[-2]), float(values[-1])
-    if abs(value - prev) > 1e-9 * max(1.0, abs(value)):
-        return math.inf if value > prev else 0.0
-    return 0.0 if abs(value) < _GAMMA_SNAP else value
 
 
 def _reciprocal_limit(gamma: float) -> float:
@@ -103,39 +81,24 @@ def _direction(values: np.ndarray, tol: float = 1e-7) -> str:
     return DIRECTION_FLAT
 
 
-def realize_map(f: RepresentingFunction) -> tuple:
-    """(realize_phi, realize_gamma) of f's phi-profile: the mean of the pair
-    (t, 1/t) as a map of t, and its limit at infinity (f.realize_gamma, or estimated)."""
-    realize_phi = _scalarize(lambda t: t * np.asarray(f.value(1.0 / (t * t)), dtype=float))
-    gamma = f.realize_gamma
-    return realize_phi, _limit_at_infinity(realize_phi) if gamma is None else gamma
-
-
 def phi_profile(f: RepresentingFunction) -> PhiProfile:
     """Build the phi-profile of a representing function.
 
-    Both gammas are exact for catalog means: realize_gamma is f.realize_gamma,
-    and gamma is that limit too for a symmetric f (phi = realize_phi) and its
-    reciprocal for a self-adjoint one (phi = 1 / realize_phi). For any other
-    f both are numeric limit estimates of the map at 2^k up to k = 40:
-    divergence past 1e12 reads as infinity and limits below 1e-9 as 0.
-    Direction flags on (0, 1) and (1, inf) come from sampled differences at
-    relative tolerance 1e-7.
+    Both gammas are exact: realize_phi is f.realize and realize_gamma is
+    f.realize_gamma, and gamma is that limit too for a symmetric f
+    (phi = realize_phi) and its reciprocal for a self-adjoint one
+    (phi = 1 / realize_phi). Direction flags on (0, 1) and (1, inf) come
+    from sampled differences at relative tolerance 1e-7.
     """
-    realize_phi, realize_gamma = realize_map(f)
     phi = _scalarize(lambda t: np.asarray(f.value(t * t), dtype=float) / t)
-    gamma = realize_gamma
-    if f.realize_gamma is None:
-        gamma = _limit_at_infinity(phi)
-    elif f.symmetry_class == CLASS_SELF_ADJOINT:    # phi = 1 / realize_phi
-        gamma = _reciprocal_limit(gamma)
+    gamma = f.realize_gamma
     return PhiProfile(
         phi=phi,
-        gamma=gamma,
+        gamma=_reciprocal_limit(gamma) if f.symmetry_class == CLASS_SELF_ADJOINT else gamma,
         direction_below_1=_direction(phi(np.logspace(-3.0, np.log10(0.999), 33))),
         direction_above_1=_direction(phi(np.logspace(np.log10(1.001), 3.0, 33))),
-        realize_phi=realize_phi,
-        realize_gamma=realize_gamma,
+        realize_phi=f.realize,
+        realize_gamma=gamma,
         symmetry_class=f.symmetry_class)
 
 
@@ -202,8 +165,7 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
     """The adjoint map f -> t/f(t): involutive and order reversing.
 
     Preserves both symmetry classes; at the density level it maps h to 1-h.
-    Its realize map is the reciprocal of f's, so where f has an exact
-    realize_gamma the adjoint has its reciprocal.
+    Its realize map is the reciprocal of f's, and so is its realize_gamma.
     """
     def nonvanishing(t):
         fv = np.asarray(f.value(t), dtype=float)
@@ -215,10 +177,10 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
         fv = nonvanishing(t)
         return (fv - t * np.asarray(f.derivative(t), dtype=float)) / (fv * fv)
 
-    gamma = None if f.realize_gamma is None else _reciprocal_limit(f.realize_gamma)
     return RepresentingFunction(f"adjoint of {f.label}", f.symmetry_class,
                                 _scalarize(lambda t: t / nonvanishing(t)),
-                                _scalarize(derivative), realize_gamma=gamma)
+                                _scalarize(derivative),
+                                realize_gamma=_reciprocal_limit(f.realize_gamma))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     mean_from_spectrum, representing_function)
-from .orders import realize_map
 from .spd import RelativeSpectrum, SpdMatrix, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
@@ -146,29 +145,29 @@ def _clamped_target(y0, gamma: float) -> float:
     return 1.0
 
 
-def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
+def _scan_and_newton(f: RepresentingFunction, ys: np.ndarray) -> tuple:
     """(roots, converged) of the array ys of clamped targets, none of them 1,
     by scan and Newton, once per distinct value. A root is NaN where the scan
     brackets nothing within its horizon; converged is false where
     _BISECT_MAX_ITER Newton steps did not finish (the root is the last iterate).
 
-    The scan calls phi once per decade block of _SCAN_GRID for all targets
-    not yet bracketed. In the brackets, each Newton step on g(t) = t f(u) - y,
-    u = 1/t^2, g'(t) = f(u) - 2 u f'(u), evaluates f and f' in one call for all
-    of them, moves lo or hi to t by the sign of g, and takes the midpoint for a
-    step not strictly inside. All is elementwise, so each root is bitwise that
-    of its target alone.
+    The scan calls f.realize once per decade block of _SCAN_GRID for all
+    targets not yet bracketed. In the brackets, each Newton step on
+    g(t) = t f(u) - y, u = 1/t^2, g'(t) = f(u) - 2 u f'(u), evaluates f and
+    f' in one call for all of them, moves lo or hi to t by the sign of g,
+    and takes the midpoint for a step not strictly inside. All is
+    elementwise, so each root is bitwise that of its target alone.
     """
     ys, inverse = np.unique(ys, return_inverse=True)   # a chain repeats its ladder ratio
     roots, lo, hi, g_lo = np.full((4, len(ys)), np.nan)
-    # scan: the first grid point where the gap phi(t) - y0 is zero or has
-    # changed sign since the previous point brackets [lo, hi], the gap at lo
+    # scan: the first grid point where the gap f.realize(t) - y0 is zero or
+    # has changed sign since the previous point brackets [lo, hi], the gap at lo
     todo = np.arange(len(ys))
     for start in range(0, len(_SCAN_GRID) - 1, _SCAN_PER_DECADE):
         if not todo.size:
             break
         grid = _SCAN_GRID[start:start + _SCAN_PER_DECADE + 1]
-        gaps = phi(grid) - ys[todo, None]
+        gaps = f.realize(grid) - ys[todo, None]
         hit = gaps == 0.0
         hit[:, 1:] |= (gaps[:, 1:] > 0.0) != (gaps[:, :-1] > 0.0)
         bracketed = hit.any(axis=1)
@@ -202,23 +201,21 @@ def _scan_and_newton(f: RepresentingFunction, phi, ys: np.ndarray) -> tuple:
     return roots[inverse], converged[inverse]
 
 
-def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> np.ndarray:
-    """invert_phi of every target of a list, as an array, in one batched pass, with
-    realize = orders.realize_map(f).
+def _invert_realize(f: RepresentingFunction, targets) -> np.ndarray:
+    """invert_phi of every target of a list, as an array, in one batched pass.
 
-    Every target is range-checked and clamped first, in order. A function
-    with a realize_inverse inverts all targets other than 1 in one call of
-    it; any other runs _scan_and_newton. Either way a root above the scan
-    horizon _SCAN_GRID[-1] = 1e40 (or not finite) is out of range, a
-    converged root within it is checked forward through realize_phi to
-    1e-11, and the first target, in order, that failed raises.
+    Every target is range-checked against f.realize_gamma and clamped
+    first, in order. A function with a realize_inverse inverts all targets
+    other than 1 in one call of it; any other runs _scan_and_newton. Either
+    way a root above the scan horizon _SCAN_GRID[-1] = 1e40 (or not finite)
+    is out of range, a converged root within it is checked forward through
+    f.realize to 1e-11, and the first target, in order, that failed raises.
     """
-    phi, gamma = realize
-    ys = np.array([_clamped_target(y0, gamma) for y0 in targets])
+    ys = np.array([_clamped_target(y0, f.realize_gamma) for y0 in targets])
     pending = ys != 1.0
     y = ys[pending]
     if f.realize_inverse is None:
-        roots, converged = _scan_and_newton(f, phi, y)
+        roots, converged = _scan_and_newton(f, y)
         checked = (roots <= _SCAN_GRID[-1]) & converged
     else:
         # a root past the float range comes out inf or nan, out of range
@@ -230,7 +227,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> np.ndar
     first = len(y) if checked.all() else int(checked.argmin())
     if first:
         ahead = y[:first]
-        inaccurate = abs(phi(roots[:first]) - ahead) > 1e-11 * np.maximum(1.0, ahead)
+        inaccurate = abs(f.realize(roots[:first]) - ahead) > 1e-11 * np.maximum(1.0, ahead)
         if inaccurate.any():
             raise ConvergenceError(f"realize-map inversion inaccurate at target "
                                    f"{float(ahead[inaccurate.argmax()])!r}")
@@ -239,7 +236,7 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> np.ndar
         if not roots[first] <= _SCAN_GRID[-1]:
             raise OutOfRangeError(
                 f"target {y0!r} not reached by the realize map within the scan "
-                f"horizon (gamma = {gamma!r})")
+                f"horizon (gamma = {f.realize_gamma!r})")
         raise ConvergenceError(f"realize-map inversion did not converge at target "
                                f"{y0!r} in {_BISECT_MAX_ITER} steps")
     ys[pending] = roots     # a target of 1 is its own root
@@ -249,19 +246,19 @@ def _invert_realize(f: RepresentingFunction, realize: tuple, targets) -> np.ndar
 def invert_phi(f: RepresentingFunction, y0: float) -> float:
     """Smallest t in [1, inf) whose pair (t, 1/t) has mean value y0.
 
-    Inverts the realize map t -> t f(1/t^2), i.e. the value of the mean at
-    the pair (t, 1/t). Targets live in [1, gamma) when the map increases
-    (gamma > 1) and in (gamma, 1] when it decreases (gamma < 1), where gamma
-    is the map's limit at infinity. A catalog mean's map is constant or
-    strictly monotone, and inverted in closed form (f.realize_inverse). For
-    any other f, when the map is merely surjective, the returned preimage is
-    the smallest one, found by a log-spaced scan for the first crossing and
-    a safeguarded Newton iteration inside it, on orders.realize_map(f).
-    Either way a root above the scan horizon 1e40 raises OutOfRangeError,
-    and every root is checked forward to 1e-11. This is the one-target case
-    of the batched inversion the pair and chain solvers run.
+    Inverts the realize map f.realize, t -> t f(1/t^2). Targets live in
+    [1, gamma) when it increases (gamma > 1) and in (gamma, 1] when it
+    decreases (gamma < 1), gamma = f.realize_gamma being its exact limit at
+    infinity. A catalog mean's map is constant or strictly monotone, and
+    inverted in closed form (f.realize_inverse). For any other f, when the
+    map is merely surjective, the returned preimage is the smallest one,
+    found by a log-spaced scan for the first crossing and a safeguarded
+    Newton iteration inside it. Either way a root above the scan horizon
+    1e40 raises OutOfRangeError, and every root is checked forward to 1e-11.
+    This is the one-target case of the batched inversion the pair and chain
+    solvers run.
     """
-    return float(_invert_realize(f, realize_map(f), [y0])[0])
+    return float(_invert_realize(f, [y0])[0])
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
@@ -325,7 +322,7 @@ def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
     relative spectrum of (X, Y): its eigenvalues are inverted in one pass
     into the roots t, and (A, B) congruate (t, 1/t)."""
     fn = representing_function(sigma)
-    roots = _invert_realize(fn, realize_map(fn), spectrum.eigenvalues)
+    roots = _invert_realize(fn, spectrum.eigenvalues)
     return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
                            sigma, xs.entries, ys.entries)
 
@@ -349,7 +346,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     (near-)equal ones once the ladder reaches it. Node values v_k run from 1
     to the clamped eigenvalues with ratios in [1, gamma0]; link k is
     C diag(v_k) C^T, C = X^{1/2} U, and its pair is realized in that basis
-    too, from one realize map. Endpoints are the given X and Y themselves.
+    too. Endpoints are the given X and Y themselves.
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
@@ -358,8 +355,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     if xa.shape != ya.shape:
         raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     fn = representing_function(sigma)
-    realize = realize_map(fn)
-    gamma = realize[1]
+    gamma = fn.realize_gamma
     if not gamma > 1.0:
         raise UnsupportedMeanError(
             f"chain construction needs gamma > 1; {fn.label} has gamma = {gamma!r}")
@@ -404,7 +400,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     ratios = nodes[1:] / nodes[:-1]
     moving = ratios != 1.0      # an eigenvalue a link leaves alone needs no root
     deltas = np.ones_like(ratios)
-    deltas[moving] = _invert_realize(fn, realize, ratios[moving])
+    deltas[moving] = _invert_realize(fn, ratios[moving])
     witnesses = _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                                 MeanDescriptor.geometric(), sigma, links[:-1], links[1:])
     return ChainWitness(tuple(links), gamma0, witnesses)

@@ -429,6 +429,11 @@ def random_spd_from(rng: np.random.Generator, n: int, cond_cap: float = 100.0) -
     return SpdMatrix(_random_spd_stack(rng, 1, n, cond_cap)[0])
 
 
+def _check_matrix_size(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise StructuralError(f"matrix size must be a positive integer, got {n!r}")
+
+
 def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
                       cond_cap: float) -> np.ndarray:
     """count random SPD matrices as an exactly symmetric (count, n, n) array.
@@ -437,8 +442,7 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
     and matrix k is bitwise the entries of the k-th call's SpdMatrix.
     SpdMatrix(stack) validates and decomposes all of them in one call.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise StructuralError(f"matrix size must be a positive integer, got {n!r}")
+    _check_matrix_size(n)
     if not (cond_cap >= 1.0):
         raise StructuralError(f"condition cap must be >= 1, got {cond_cap!r}")
     g = np.empty((count, n, n))

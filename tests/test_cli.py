@@ -333,6 +333,18 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert code == 2 and "overflows" in err
 
 
+@pytest.mark.parametrize("grid", ["-1:2:4", "0:1.5:3", "nan:1:3"])
+def test_sweep_margins_rejects_s_outside_the_unit_interval(tmp_path, capsys, grid):
+    # Heinz and Heron rows at s outside [0, 1] are not means, as the gamma
+    # sweep already says; nothing is written and nothing is echoed
+    out_csv = tmp_path / "m.csv"
+    code, out, err = _run(capsys, ["sweep", "--kind", "margins", f"--grid={grid}",
+                                   "--a", "1", "--b", "2", "--out", str(out_csv)])
+    assert code == 2 and out == ""
+    assert f"must lie in [0, 1], got {grid!r}" in err
+    assert not out_csv.exists()
+
+
 # --------------------------------------------------------------- usage errors
 
 def test_usage_errors_exit_two(tmp_path, capsys):

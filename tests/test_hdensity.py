@@ -330,6 +330,17 @@ def test_dagger_density_flips_and_is_involutive():
     assert twice.values == pytest.approx(STEP_SA.values, abs=1e-15)
 
 
+@pytest.mark.parametrize("op", [h_order, lattice_meet_join], ids=["h_order", "lattice"])
+def test_pair_operations_share_one_input_check(op):
+    # a non-density argument on either side, then a class mismatch
+    h = HDensity.constant(0.3, SYMMETRIC)
+    for args in ((h, "x"), ("x", h), (h, {"class": "sym"})):
+        with pytest.raises(StructuralError, match=f"{op.__name__} expects two HDensity values"):
+            op(*args)
+    with pytest.raises(StructuralError, match="density class mismatch: 'sym' vs 'sa'"):
+        op(h, HDensity.constant(0.3, SELF_ADJOINT))
+
+
 def test_lattice_meet_join_orientation():
     lo = HDensity.constant(0.2, SYMMETRIC)
     hi = HDensity.constant(0.8, SYMMETRIC)

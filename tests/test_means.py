@@ -183,6 +183,21 @@ def test_axiom_report_all_catalog_means():
         assert report.all_ok
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": -3}, "trials must be a non-negative integer"),
+    ({"trials": 2.5}, "trials must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"tol": 0.0}, "tolerance must be a finite positive real"),
+    ({"tol": float("nan")}, "tolerance must be a finite positive real"),
+    ({"trials": 0, "n": -5}, "matrix size must be a positive integer"),
+    ({"trials": 1, "n": -5}, "matrix size must be a positive integer"),
+    ({"trials": 0, "n": 2.5}, "matrix size must be a positive integer")])
+def test_axiom_check_validates_its_arguments_before_sampling(kwargs, message):
+    # as ka_condition_check does: no bad argument reads as all_ok
+    with pytest.raises(StructuralError, match=message):
+        verify_mean_axioms(MeanDescriptor.geometric(), **kwargs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_property_geometric_mean_congruence_invariance(seed):

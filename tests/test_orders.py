@@ -1,5 +1,6 @@
 """Phi profiles, order comparisons, the adjoint map, and the mixing check."""
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -10,7 +11,33 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      phi_profile, representing_function)
 from opmeans.means import RepresentingFunction
 from opmeans.monocheck import MonoConfig
-from opmeans.orders import _limit_at_infinity, realize_map
+
+# The 41-point estimate of a limit at infinity that phi_profile, dagger and
+# the pair solvers ran for every function without a closed-form limit, kept
+# verbatim as the reference the exact limits are compared against.
+_GAMMA_CUTOFF = 1e12
+_GAMMA_STEPS = 40
+_GAMMA_SNAP = 1e-9
+
+
+def _limit_at_infinity(fn: Callable) -> float:
+    """Estimate lim fn(2^k) for k -> inf; inf above 1e12, snap tiny to 0.
+
+    fn takes arrays and is called once, on k = 0..40. A sequence still
+    rising unconverged at k = 40 is declared infinite; one still falling is
+    declared 0 (every catalog profile is eventually monotone, so the horizon
+    only truncates slow tails). Its first value, fn(1) = f(1), must be 1.
+    """
+    values = np.asarray(fn(2.0 ** np.arange(_GAMMA_STEPS + 1)), dtype=float)
+    if abs(values[0] - 1.0) > 1e-9:
+        raise StructuralError(f"f(1) must be 1; got {float(values[0])!r}")
+    if not np.all(np.isfinite(values)) or np.any(values > _GAMMA_CUTOFF):
+        return math.inf
+    prev, value = float(values[-2]), float(values[-1])
+    if abs(value - prev) > 1e-9 * max(1.0, abs(value)):
+        return math.inf if value > prev else 0.0
+    return 0.0 if abs(value) < _GAMMA_SNAP else value
+
 
 ARITH = representing_function(MeanDescriptor.arithmetic())
 HARM = representing_function(MeanDescriptor.harmonic())
@@ -33,7 +60,8 @@ def test_phi_profile_evaluates_f_a_fixed_number_of_times():
         calls.append(np.ndim(t))
         return GEO.value(t)
 
-    p = phi_profile(RepresentingFunction("counted", GEO.symmetry_class, value, GEO.derivative))
+    p = phi_profile(RepresentingFunction("counted", GEO.symmetry_class, value, GEO.derivative,
+                                         realize_gamma=GEO.realize_gamma))
     assert len(calls) <= 5
     assert p.gamma == pytest.approx(1.0, rel=1e-12)
 
@@ -74,10 +102,10 @@ _GAMMA_MEANS = ([MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(),
 @pytest.mark.parametrize("desc", _GAMMA_MEANS, ids=lambda d: d.describe())
 def test_catalog_realize_gamma_equals_the_estimate(desc):
     # the closed-form limits of each catalog realize map and phi, against
-    # the 41-point estimate that every other representing function still runs
+    # the 41-point estimate
     fn = representing_function(desc)
     assert fn.realize_gamma is not None
-    assert fn.realize_gamma == _limit_at_infinity(realize_map(fn)[0])
+    assert fn.realize_gamma == _limit_at_infinity(fn.realize)
     p = phi_profile(fn)
     assert p.realize_gamma == fn.realize_gamma
     assert p.gamma == _limit_at_infinity(p.phi)
@@ -102,7 +130,7 @@ def test_adjoint_gammas_are_the_reciprocal_limits(desc):
     fn = representing_function(desc)
     adjoint = dagger(fn)
     want = 1.0 / fn.realize_gamma if fn.realize_gamma else math.inf
-    assert adjoint.realize_gamma == want == _limit_at_infinity(realize_map(adjoint)[0])
+    assert adjoint.realize_gamma == want == _limit_at_infinity(adjoint.realize)
     p = phi_profile(adjoint)
     assert p.realize_gamma == want
     assert p.gamma == _limit_at_infinity(p.phi)
@@ -120,14 +148,103 @@ def test_realize_gamma_is_exact_where_the_estimate_is_not():
     # close to s = 1/2 the Heinz realize map rises too slowly for the
     # estimate, which reads about 1; the exact limit is inf
     fn = representing_function(MeanDescriptor.heinz(0.4999999))
-    assert fn.realize_gamma == math.inf == realize_map(fn)[1]
-    assert 1.0 < _limit_at_infinity(realize_map(fn)[0]) < 1.0 + 1e-9
-    # functions without a closed form keep the estimate
+    assert fn.realize_gamma == math.inf
+    assert 1.0 < _limit_at_infinity(fn.realize) < 1.0 + 1e-9
+    # a density mean and its adjoint carry exact limits too: the edge value
+    # 0.15 < 1/2 next to u = 0 sends the map to inf, the adjoint's 0.85 to 0
     density = representing_function(MeanDescriptor.from_h_density(
         HDensity(SELF_ADJOINT, (-1.0, -0.4, 0.0), (0.8, 0.15))))
-    for f in (density, dagger(density)):
-        assert f.realize_gamma is None
-        assert realize_map(f)[1] == _limit_at_infinity(realize_map(f)[0])
+    assert density.realize_gamma == math.inf == _limit_at_infinity(density.realize)
+    assert dagger(density).realize_gamma == 0.0 == _limit_at_infinity(dagger(density).realize)
+
+
+def _random_density(rng, cls: str, half_edge: bool) -> HDensity:
+    """1-5 segments with uniform breaks and values; half_edge sets the value
+    next to u = 0 (the first segment of sym, the last of sa) to 1/2."""
+    lo, hi = (0.0, 1.0) if cls == SYMMETRIC else (-1.0, 0.0)
+    segments = int(rng.integers(1, 6))
+    values = rng.uniform(0.0, 1.0, segments)
+    if half_edge:
+        values[0 if cls == SYMMETRIC else -1] = 0.5
+    return HDensity(cls, (lo, *np.sort(rng.uniform(lo, hi, segments - 1)), hi), tuple(values))
+
+
+def _snapped(values: Callable, exact: float) -> bool:
+    """Whether the estimate of the limit of values failed to converge.
+
+    It converges where it reads 0 or inf, or where values at 2^80 still
+    equals its reading at 2^40, and then exact must equal it. Where it does
+    not, it snapped a map still falling toward 0 too late (1e-9 < reading),
+    and exact must be 0.
+    """
+    estimate = _limit_at_infinity(values)
+    if estimate in (0.0, math.inf) or values(2.0 ** 80) == pytest.approx(estimate, rel=1e-12):
+        assert exact == pytest.approx(estimate, rel=1e-14, abs=0.0)
+        return False
+    assert exact == 0.0 and 1e-9 <= estimate < 1.5e-9
+    assert values(2.0 ** 80) < 1e-3 * estimate
+    return True
+
+
+@pytest.mark.parametrize("cls", [SYMMETRIC, SELF_ADJOINT])
+def test_density_gammas_are_the_estimate_wherever_it_converges(cls):
+    # random densities and their adjoints, a third with the edge value 1/2
+    # and so a finite limit; the estimate snaps too late only for maps
+    # falling like t^(1 - 2h) with an edge value h near 0.88
+    rng = np.random.default_rng(26)
+    snapped = 0
+    for k in range(500):
+        fn = representing_function(MeanDescriptor.from_h_density(
+            _random_density(rng, cls, half_edge=k % 3 == 0)))
+        adjoint = dagger(fn)
+        assert adjoint.realize_gamma == (1.0 / fn.realize_gamma if fn.realize_gamma
+                                         else math.inf)
+        for f in (fn, adjoint):
+            profile = phi_profile(f)
+            assert profile.realize_gamma == f.realize_gamma
+            snapped += _snapped(f.realize, f.realize_gamma)
+            snapped += _snapped(profile.phi, profile.gamma)
+    assert 0 < snapped < 20
+
+
+def test_density_gamma_is_exact_where_the_estimate_snaps_too_late():
+    # the map t^(1 - 2h) falls to 0 but reads 1.1e-9 at 2^40, above the snap
+    fn = representing_function(MeanDescriptor.from_h_density(HDensity.constant(0.87695491)))
+    assert fn.realize_gamma == 0.0
+    assert 1e-9 < _limit_at_infinity(fn.realize) < 1.5e-9
+    assert phi_profile(fn).gamma == 0.0 and dagger(fn).realize_gamma == math.inf
+
+
+@pytest.mark.parametrize("cls", [SYMMETRIC, SELF_ADJOINT])
+def test_density_gamma_is_exact_next_to_one_half(cls):
+    # an edge value 1e-10 off 1/2 bends the map too slowly for the estimate,
+    # which reads the finite limit C of the edge value 1/2 itself; the
+    # limits are inf below 1/2 and 0 above it
+    lo, hi = (0.0, 1.0) if cls == SYMMETRIC else (-1.0, 0.0)
+
+    def mean(edge):
+        values = (edge, 0.2) if cls == SYMMETRIC else (0.2, edge)
+        return representing_function(MeanDescriptor.from_h_density(
+            HDensity(cls, (lo, 0.5 * (lo + hi), hi), values)))
+
+    limit = mean(0.5).realize_gamma
+    assert 1.0 < limit < math.inf
+    assert _limit_at_infinity(mean(0.5).realize) == pytest.approx(limit, rel=1e-14)
+    for edge, want in ((0.5 - 1e-10, math.inf), (0.5 + 1e-10, 0.0)):
+        assert mean(edge).realize_gamma == want
+        assert _limit_at_infinity(mean(edge).realize) == pytest.approx(limit, rel=1e-6)
+
+
+def test_every_representing_function_states_its_limit():
+    # realize_gamma is required and keyword-only: no function is left to guess
+    with pytest.raises(TypeError, match="realize_gamma"):
+        RepresentingFunction("no limit", GEO.symmetry_class, GEO.value, GEO.derivative)
+    with pytest.raises(TypeError):
+        RepresentingFunction("positional", GEO.symmetry_class, GEO.value, GEO.derivative,
+                             None, None, 1.0)
+    fn = RepresentingFunction("stated", GEO.symmetry_class, GEO.value, GEO.derivative,
+                              realize_gamma=1.0)
+    assert phi_profile(fn).gamma == phi_profile(fn).realize_gamma == 1.0
 
 
 def test_phi_profile_realize_map_values():

@@ -28,7 +28,6 @@ from opmeans import (ConditioningError, ConvergenceError, DomainError,
                      solve_scalar_geometric_pair, solve_scalar_heinz_heron)
 from opmeans.hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from opmeans.means import RepresentingFunction
-from opmeans.orders import realize_map
 
 ARITH = MeanDescriptor.arithmetic()
 GEO = MeanDescriptor.geometric()
@@ -61,6 +60,18 @@ def test_invert_phi_out_of_range_messages_name_gamma():
         invert_phi(representing_function(HARM), 1.5)
     with pytest.raises(OutOfRangeError, match="gamma"):
         invert_phi(representing_function(ARITH), 0.5)
+
+
+@pytest.mark.parametrize("y0, root", [(5e-10, 4.35e12), (1e-12, 1.65e16)])
+def test_invert_phi_reaches_targets_toward_an_exact_zero_limit(y0, root):
+    # the map t^(1 - 2h) of h = 0.87695491 falls to 0, which the 41-point
+    # estimate misread as 1.1e-9 and so refused these targets; their roots
+    # lie far inside the scan horizon 1e40
+    fn = representing_function(MeanDescriptor.from_h_density(HDensity.constant(0.87695491)))
+    assert fn.realize_gamma == 0.0
+    t = invert_phi(fn, y0)
+    assert t == pytest.approx(root, rel=1e-2)
+    assert abs(fn.realize(t) - y0) <= 1e-11 * y0
 
 
 def test_invert_phi_rejects_nonpositive_target():
@@ -118,8 +129,7 @@ _SYM_STEP = MeanDescriptor.from_h_density(
 def _newton_only(desc) -> RepresentingFunction:
     """desc's representing function without its closed-form realize inverse,
     so that it is inverted by scan and Newton."""
-    fn = representing_function(desc)
-    return RepresentingFunction(fn.label, fn.symmetry_class, fn.value, fn.derivative)
+    return dataclasses.replace(representing_function(desc), realize_inverse=None)
 
 
 # the catalog cases invert in closed form; the density case and the
@@ -144,7 +154,7 @@ def test_batched_inversion_is_bitwise_the_per_target_one(desc):
         # the decreasing regime, down to targets near gamma = 0
         spread = [0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
     targets = band + spread + spread[::-1]
-    batched = solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
+    batched = solvers_module._invert_realize(fn, targets).tolist()
     one_by_one = [invert_phi(fn, y0) for y0 in targets]
     assert batched == one_by_one
     assert batched[:2] == [1.0, 1.0] and batched[2] != 1.0
@@ -178,9 +188,8 @@ def test_closed_form_inverse_is_the_smallest_preimage(desc):
         targets = [1.0 + 1e-12, 1.0 + 1e-9, 1.01, 1.25, 2.0, 42.0, 1e3, 1e6, 1e9]
     else:
         targets = [1.0 - 1e-12, 1.0 - 1e-9, 0.99, 0.8, 0.5, 0.1, 1e-3, 1e-6, 1e-9]
-    realize = realize_map(fn)
-    roots = solvers_module._invert_realize(fn, realize, targets)
-    newton = solvers_module._invert_realize(_newton_only(desc), realize, targets)
+    roots = solvers_module._invert_realize(fn, targets)
+    newton = solvers_module._invert_realize(_newton_only(desc), targets)
     eps = np.finfo(float).eps
     for y0, t, t_newton in zip(targets, roots, newton):
         lo, hi = _scan_bracket_one_point_at_a_time(profile, y0)
@@ -203,7 +212,7 @@ def test_closed_form_keeps_the_scan_horizon(desc, y0):
     # refuses them
     for fn in (representing_function(desc), _newton_only(desc)):
         with pytest.raises(OutOfRangeError, match="within the scan horizon"):
-            solvers_module._invert_realize(fn, realize_map(fn), [2.0 if y0 > 1.0 else 0.5, y0])
+            solvers_module._invert_realize(fn, [2.0 if y0 > 1.0 else 0.5, y0])
 
 
 @pytest.mark.parametrize("desc", [GEO, MeanDescriptor.heinz(0.5), MeanDescriptor.heron(0.0),
@@ -213,53 +222,49 @@ def test_constant_realize_maps_have_no_inverse_to_divide_by_zero(desc):
     fn = representing_function(desc)
     assert fn.realize_inverse is None
     targets = [1.0, 1.0 + 1e-10, 1.0 - 1e-10]
-    assert solvers_module._invert_realize(fn, realize_map(fn), targets).tolist() == [1.0, 1.0, 1.0]
+    assert solvers_module._invert_realize(fn, targets).tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(OutOfRangeError, match="constant"):
         invert_phi(fn, 1.1)
 
 
 def test_batched_inversion_raises_the_first_bad_target_in_order():
     fn = representing_function(ARITH)
-    realize = realize_map(fn)
     with pytest.raises(OutOfRangeError, match="0.5"):
-        solvers_module._invert_realize(fn, realize, [2.0, 0.5, -1.0])
+        solvers_module._invert_realize(fn, [2.0, 0.5, -1.0])
     with pytest.raises(StructuralError, match="-1.0"):
-        solvers_module._invert_realize(fn, realize, [2.0, -1.0, 0.5])
+        solvers_module._invert_realize(fn, [2.0, -1.0, 0.5])
     # the scan horizon is 10^40, where the arithmetic realize map is 5e39
     with pytest.raises(OutOfRangeError, match="horizon"):
-        solvers_module._invert_realize(fn, realize, [2.0, 1e41, 3.0])
+        solvers_module._invert_realize(fn, [2.0, 1e41, 3.0])
 
 
 def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
     # range, convergence and forward-check failures in one batch: the first
     # failing target in order raises, whatever the kind of the others
     fn = representing_function(ARITH)
-    wrong = RepresentingFunction(
-        "wrong inverse", fn.symmetry_class, fn.value, fn.derivative,
-        lambda y: np.where(y == 3.0, 1.5, fn.realize_inverse(y)))
-    realize = realize_map(wrong)
+    wrong = dataclasses.replace(
+        fn, label="wrong inverse",
+        realize_inverse=lambda y: np.where(y == 3.0, 1.5, fn.realize_inverse(y)))
     # the arithmetic root of 1e41 lies past the scan horizon
     with pytest.raises(ConvergenceError, match="inaccurate at target 3.0"):
-        solvers_module._invert_realize(wrong, realize, [2.0, 3.0, 1e41])
+        solvers_module._invert_realize(wrong, [2.0, 3.0, 1e41])
     with pytest.raises(OutOfRangeError, match="1e.41.*horizon"):
-        solvers_module._invert_realize(wrong, realize, [2.0, 1e41, 3.0])
+        solvers_module._invert_realize(wrong, [2.0, 1e41, 3.0])
 
     # the self-adjoint density's realize map reaches only 5.5e27 at 1e40
     density = representing_function(_SA_STEP)
-    realize = realize_map(density)
-    # Newton on a function 1e-6 off the realize map lands off its target
-    shifted = RepresentingFunction("shifted", density.symmetry_class,
-                                   lambda t: (1.0 + 1e-6) * density.value(t),
-                                   lambda t: (1.0 + 1e-6) * density.derivative(t))
+    # Newton on a jet 1e-6 off the realize map lands off its target
+    shifted = dataclasses.replace(
+        density, jet=lambda t: tuple((1.0 + 1e-6) * v for v in density.jet(t)))
     with pytest.raises(ConvergenceError, match="inaccurate at target 2.0"):
-        solvers_module._invert_realize(shifted, realize, [1.0, 2.0, 1e30])
+        solvers_module._invert_realize(shifted, [1.0, 2.0, 1e30])
     with pytest.raises(OutOfRangeError, match="1e.30.*horizon"):
-        solvers_module._invert_realize(shifted, realize, [1.0, 1e30, 2.0])
+        solvers_module._invert_realize(shifted, [1.0, 1e30, 2.0])
     monkeypatch.setattr(solvers_module, "_BISECT_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="did not converge at target 2.0 in 1 steps"):
-        solvers_module._invert_realize(density, realize, [2.0, 1e30])
+        solvers_module._invert_realize(density, [2.0, 1e30])
     with pytest.raises(OutOfRangeError, match="1e.30.*horizon"):
-        solvers_module._invert_realize(density, realize, [1e30, 2.0])
+        solvers_module._invert_realize(density, [1e30, 2.0])
 
 
 def test_scan_inverts_each_distinct_target_once(monkeypatch):
@@ -276,7 +281,7 @@ def test_scan_inverts_each_distinct_target_once(monkeypatch):
 
     monkeypatch.setattr(hdensity, "_symmetric_jet", counting)
     targets = [2.0, 1.25, 2.0, 2.0, 1.25, 3.0]
-    roots = solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
+    roots = solvers_module._invert_realize(fn, targets).tolist()
     assert sizes and max(sizes) == 3
     assert roots == [invert_phi(fn, y0) for y0 in targets]
 
@@ -291,8 +296,8 @@ def test_newton_evaluates_a_density_once_per_step():
 
     jet_only = dataclasses.replace(fn, derivative=forbidden)
     targets = [1.25, 2.0, 42.0, 1e6]
-    got = solvers_module._invert_realize(jet_only, realize_map(jet_only), targets).tolist()
-    assert got == solvers_module._invert_realize(fn, realize_map(fn), targets).tolist()
+    got = solvers_module._invert_realize(jet_only, targets).tolist()
+    assert got == solvers_module._invert_realize(fn, targets).tolist()
 
 
 def test_inversion_bisects_through_a_nan_derivative():
@@ -308,12 +313,14 @@ def test_inversion_bisects_through_a_nan_derivative():
         return wrapped
 
     good = RepresentingFunction("heinz", fn.symmetry_class, fn.value,
-                                counted("newton", fn.derivative))
+                                counted("newton", fn.derivative),
+                                realize_gamma=fn.realize_gamma)
     nan = RepresentingFunction("nan slope", fn.symmetry_class, fn.value,
-                               counted("nan", lambda t: np.full(np.shape(t), np.nan)))
+                               counted("nan", lambda t: np.full(np.shape(t), np.nan)),
+                               realize_gamma=fn.realize_gamma)
     targets = [1.0 + 1e-9, 1.25, 42.0, 1e6]
-    want = solvers_module._invert_realize(good, realize_map(good), targets)
-    got = solvers_module._invert_realize(nan, realize_map(nan), targets)
+    want = solvers_module._invert_realize(good, targets)
+    got = solvers_module._invert_realize(nan, targets)
     assert got == pytest.approx(want, rel=1e-9)
     assert calls["nan"] > calls["newton"]
 
@@ -341,10 +348,11 @@ def test_solvers_build_no_phi_profile(monkeypatch):
 
 @pytest.mark.parametrize("desc", [_SA_STEP, _SYM_STEP], ids=["sa-density", "sym-density"])
 def test_density_solve_evaluates_at_most_n_points_past_the_scan(monkeypatch, desc):
-    # beyond the 41-point gamma limit and the 65-point scan blocks, every
-    # evaluation of the density's function (with or without its derivative)
-    # holds at most one point per eigenvalue: the Newton steps, the forward
-    # check and the witness. Each evaluation runs one representation kernel
+    # beyond the 65-point scan blocks, every evaluation of the density's
+    # function (with or without its derivative) holds at most one point per
+    # eigenvalue: the Newton steps, the forward check and the witness. Its
+    # limit is exact, so no 41-point estimate runs. Each evaluation runs one
+    # representation kernel
     sizes = []
     for name in ("_symmetric_rep", "_selfadjoint_rep"):
         def counting(ts, *args, real=getattr(hdensity, name)):
@@ -358,22 +366,20 @@ def test_density_solve_evaluates_at_most_n_points_past_the_scan(monkeypatch, des
         sizes.clear()
         w = solve_matrix_pair(desc, x, root @ np.diag(ratios) @ root)
         assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
-        assert sizes.count(41) == 1 and 65 in sizes
-        assert all(size <= n for size in sizes if size not in (41, 65))
+        assert 41 not in sizes and 65 in sizes
+        assert all(size <= n for size in sizes if size != 65)
 
 
 def _counting_realize_map(monkeypatch) -> list:
-    """Record the size of every call of the realize map the solvers build."""
+    """Record the size of every call of the realize map the solvers make."""
     sizes = []
-    real = solvers_module.realize_map
+    real = RepresentingFunction.realize
 
-    def counting(f):
-        def value(t):
-            sizes.append(np.size(t))
-            return f.value(t)
-        return real(dataclasses.replace(f, value=value))
+    def counting(f, t):
+        sizes.append(np.size(t))
+        return real(f, t)
 
-    monkeypatch.setattr(solvers_module, "realize_map", counting)
+    monkeypatch.setattr(RepresentingFunction, "realize", counting)
     return sizes
 
 
