@@ -41,7 +41,7 @@ from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pa
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _eigh_descending,
                   _evaluate, _evaluate_sets, _frobenius, _min_eig_and_norm, _random_spd_stack,
-                  matrix_to_json_dict, sym_eigendecompose)
+                  _symmetrize, matrix_to_json_dict, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -142,7 +142,7 @@ def _loewner_stack(geometry, values: np.ndarray, derivative):
         d_j = np.broadcast_to(diag[..., None, :], out.shape)[near]
         out[near] = 0.5 * (d_i + d_j)
         err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * (np.abs(d_i) + np.abs(d_j)))
-    return 0.5 * (out + np.swapaxes(out, -1, -2)), err
+    return _symmetrize(out), err
 
 
 def _resolve(count: int, phases):

@@ -5,8 +5,9 @@ mean values?" and hands back a witness that re-evaluates to the targets:
 
   * pair solvers find (A, B) with geometric mean X and a second prescribed
     mean value Y, by spectrally inverting the map t -> mean of (t, 1/t);
-  * the chain builder connects X <= Y through finitely many steps whose
-    consecutive ratios stay below a chosen bound, so each step is itself
+  * the chain builder connects X <= Y through the nodes
+    X^{1/2} min(Y0, gamma0^k) X^{1/2}, Y0 = X^{-1/2} Y X^{-1/2}, whose
+    consecutive ratios stay within the bound gamma0, so each step is itself
     realizable as a pair;
   * the Heinz/Heron solvers invert the hyperbolic-cosine ratio shared by
     those two families, in scalar and matrix form.
@@ -53,6 +54,7 @@ _SCAN_GRID = np.array([10.0 ** (k / _SCAN_PER_DECADE)
 _EIG_CLAMP = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-7
 _SCALAR_RESIDUAL_TOL = 1e-10
+_MAX_LINKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,8 @@ def _scan_and_newton(f: RepresentingFunction, ys: np.ndarray) -> tuple:
     and takes the midpoint for a step not strictly inside. All is
     elementwise, so each root is bitwise that of its target alone.
     """
-    ys, inverse = np.unique(ys, return_inverse=True)   # a chain repeats its ladder ratio
+    # the eigenvalues a chain link raises to the next power of gamma0 share one ratio
+    ys, inverse = np.unique(ys, return_inverse=True)
     roots, lo, hi, g_lo = np.full((4, len(ys)), np.nan)
     # scan: the first grid point where the gap f.realize(t) - y0 is zero or
     # has changed sign since the previous point brackets [lo, hi], the gap at lo
@@ -328,7 +331,7 @@ def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
 
 
 def _power_index(value: float, gamma0: float) -> int:
-    """Integer m with gamma0^m < value <= gamma0^{m+1}, for value > 1."""
+    """Integer m with gamma0^m < value <= gamma0^{m+1}, for value >= 1."""
     m = math.ceil(math.log(value) / math.log(gamma0)) - 1
     while gamma0 ** (m + 1) < value:
         m += 1
@@ -341,12 +344,14 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
                          gamma0: Optional[float] = None) -> ChainWitness:
     """Connect X <= Y by a finite chain with per-link pair realizations.
 
-    Works in the eigenbasis U of Y0 = X^{-1/2} Y X^{-1/2}: raises unfinished
-    eigenvalues through the powers of gamma0 and substitutes each group of
-    (near-)equal ones once the ladder reaches it. Node values v_k run from 1
-    to the clamped eigenvalues with ratios in [1, gamma0]; link k is
-    C diag(v_k) C^T, C = X^{1/2} U, and its pair is realized in that basis
-    too. Endpoints are the given X and Y themselves.
+    With Y0 = X^{-1/2} Y X^{-1/2} = U diag(lam) U^T (lam clamped to at least
+    1) and C = X^{1/2} U, node k is C diag(min(lam, gamma0^k)) C^T, that is
+    X^{1/2} min(Y0, gamma0^k) X^{1/2}, for k = 0 .. K, where K >= 1 is the
+    smallest power with gamma0^K >= max(lam). Each eigenvalue ratio of
+    consecutive nodes lies in [1, gamma0], so the chain is monotone and
+    every link is realizable as a pair, solved in the same basis. Endpoints
+    are the given X and Y themselves. A chain of more than _MAX_LINKS links
+    is refused (OutOfRangeError) before it is built.
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
@@ -369,38 +374,15 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
     spectrum, lams = _ordered_spectrum(xs, ys)
-
-    # Group near-equal eigenvalues so they substitute in one step.
-    # Eigenvalues within 1e-12 of 1 are at their target already; never raised.
-    order = np.argsort(lams, kind="stable")
-    groups: list[list[int]] = []
-    for idx in order[lams[order] > 1.0 + 1e-12]:
-        if groups and lams[idx] <= lams[groups[-1][0]] * (1.0 + 1e-10):
-            groups[-1].append(idx)
-        else:
-            groups.append([int(idx)])
-
-    values = np.where(lams <= 1.0 + 1e-12, lams, 1.0)
-    pending = [i for g in groups for i in g]
-    node_values = []
-    power = 0
-    for group in groups:
-        m = _power_index(float(lams[group[0]]), gamma0)
-        while power < m:
-            power += 1
-            values[pending] = gamma0 ** power
-            node_values.append(values.copy())
-        values[group] = lams[group]
-        pending = pending[len(group):]
-        node_values.append(values.copy())
-
-    # The last node is lams itself, also when no eigenvalue needs raising.
-    nodes = np.array([np.ones_like(lams), *node_values[:-1], lams])
+    count = max(1, _power_index(float(lams.max()), gamma0) + 1)
+    if count > _MAX_LINKS:
+        raise OutOfRangeError(
+            f"the chain needs {count} links at gamma0 = {gamma0!r}, more than {_MAX_LINKS}")
+    nodes = np.minimum(lams, gamma0 ** np.arange(count + 1.0)[:, None])
+    nodes[-1] = lams        # exactly, however gamma0^K rounds
     links = np.concatenate([xa[None], spectrum.congruate(nodes[1:-1]), ya[None]])
     ratios = nodes[1:] / nodes[:-1]
-    moving = ratios != 1.0      # an eigenvalue a link leaves alone needs no root
-    deltas = np.ones_like(ratios)
-    deltas[moving] = _invert_realize(fn, ratios[moving])
+    deltas = _invert_realize(fn, ratios.ravel()).reshape(ratios.shape)
     witnesses = _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
                                 MeanDescriptor.geometric(), sigma, links[:-1], links[1:])
     return ChainWitness(tuple(links), gamma0, witnesses)

@@ -78,7 +78,9 @@ def _transpose(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _transpose(a))
+    """(a + a^T) / 2, halved before the sum so that no finite entry overflows."""
+    half = 0.5 * a
+    return half + _transpose(half)
 
 
 def _frobenius(a: np.ndarray):
@@ -112,16 +114,22 @@ def _eigh(a: np.ndarray, vectors: bool = True):
     each bitwise what the matrix alone would give. The solver is normwise
     backward stable, so each eigenvalue is within a small multiple of
     n * eps * ||a||_2 of the exact one. Non-finite input (an overflowed
-    difference or symmetrization) and LAPACK failures raise
-    ConditioningError instead of returning NaN.
+    difference), eigenvalues past the float range and LAPACK failures raise
+    ConditioningError instead of returning inf or NaN.
     """
-    if not np.isfinite(a).all():
+    # no eigenvalue exceeds the root of this sum of squares in size: while
+    # it is finite, input and output are
+    bounded = np.vdot(a, a) < math.inf
+    if not bounded and not np.isfinite(a).all():
         raise ConditioningError(
             "eigensolver input has non-finite entries (overflow upstream)")
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        out = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"symmetric eigensolver failed: {exc}") from None
+    if not bounded and not np.isfinite(out[0] if vectors else out).all():
+        raise ConditioningError("eigenvalues overflow the float range")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,8 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, ConditioningError, HDensity,
                      MeanDescriptor, StructuralError, UsageError, eval_mean,
                      parse_mean_descriptor, random_spd, representing_function,
                      verify_mean_axioms)
+from opmeans import spd as spd_module
+from opmeans.spd import random_spd_from
 
 CATALOG = [MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(),
            MeanDescriptor.geometric(), MeanDescriptor.weighted_geometric(0.3),
@@ -196,6 +198,45 @@ def test_axiom_check_validates_its_arguments_before_sampling(kwargs, message):
     # as ka_condition_check does: no bad argument reads as all_ok
     with pytest.raises(StructuralError, match=message):
         verify_mean_axioms(MeanDescriptor.geometric(), **kwargs)
+
+
+def _congruence_residual_one_trial_at_a_time(d, seed, trials, n):
+    """The worst congruence residual of verify_mean_axioms, from validated
+    draws of A, B and T evaluated trial by trial."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        a, b, t = (random_spd_from(rng, n, cond_cap=cap).entries for cap in (50.0, 50.0, 10.0))
+        lhs = t @ eval_mean(a, b, d) @ t
+        rhs = eval_mean(t @ a @ t, t @ b @ t, d)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_axiom_check_decomposes_only_the_means_of_its_trials(monkeypatch, n):
+    # A, B and T are drawn without validation: a trial costs just the four
+    # eigensolves of its two means, and the stacked trials give the
+    # residual of the trials run one at a time, bit for bit
+    matrices = []
+    real = spd_module._eigh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(a.shape[0] if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spd_module, "_eigh", counting)
+    for d in CATALOG:
+        for seed in (0, 3):
+            counts = {}
+            for trials in (0, 10):      # both sample 10 monotonicity trials
+                matrices.clear()
+                report = verify_mean_axioms(d, trials=trials, seed=seed, n=n)
+                counts[trials] = sum(matrices)
+            assert counts[10] - counts[0] == 4 * 10
+            assert report.max_transformer_residual == \
+                _congruence_residual_one_trial_at_a_time(d, seed, 10, n)
+            assert report.all_ok
 
 
 @settings(max_examples=25, deadline=None)

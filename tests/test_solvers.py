@@ -268,7 +268,7 @@ def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
 
 
 def test_scan_inverts_each_distinct_target_once(monkeypatch):
-    # a chain repeats its ladder ratio: equal targets share one scan and one
+    # a chain link repeats its ratio: equal targets share one scan and one
     # Newton iteration, and each gets bitwise the root of its target alone.
     # Each Newton step evaluates f and f' in one jet call; the kernel
     # _symmetric_rep under it also serves the scan blocks and forward check
@@ -433,12 +433,12 @@ def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
 
 
 def test_stacked_chain_with_one_ill_conditioned_link_raises():
-    # three links: ratios (1.5, 1), then (1, 9e5), then (1, 3.3); the middle
-    # link's witness pair has a relative spectrum of condition about
-    # (1.8e6)^2 > 1e12, and it refuses the whole stack
+    # two links: ratios (1, 9e5), then (1, 3.3); the first link's witness
+    # pair has a relative spectrum of condition about (1.8e6)^2 > 1e12, and
+    # it refuses the whole stack
     x = random_spd(2, cond_cap=5.0, seed=3).entries
     root = spd_module.sqrt_pair(x)[0]
-    y = root @ np.diag([1.5, 3e6]) @ root
+    y = root @ np.diag([1.0, 3e6]) @ root
     with pytest.raises(ConditioningError):
         build_monotone_chain(ARITH, x, y, gamma0=9e5)
     chain = build_monotone_chain(ARITH, x, y, gamma0=1e3)
@@ -620,12 +620,89 @@ def test_chain_random_monotone_and_ratio_capped():
         chain = build_monotone_chain(ARITH, x, y, gamma0=1.4)
         assert np.array_equal(chain.links[0], x)
         assert np.array_equal(chain.links[-1], y)
-        assert len(chain.pair_witnesses) == len(chain.links) - 1
-        for a, b in zip(chain.links, chain.links[1:]):
-            assert loewner_leq(a, b, tol=1e-10)
-            assert np.max(_ratio_eigs(a, b)) <= 1.4 * (1.0 + 1e-10)
-        for w in chain.pair_witnesses:
-            assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+        _assert_sound_chain(chain, 1.4)
+
+
+def _assert_sound_chain(chain, gamma0):
+    """Each link is ordered, its ratio is at most gamma0 and its witness meets 1e-7."""
+    assert len(chain.pair_witnesses) == len(chain.links) - 1
+    for a, b in zip(chain.links, chain.links[1:]):
+        assert loewner_leq(a, b, tol=1e-10)
+        assert np.max(_ratio_eigs(a, b)) <= gamma0 * (1.0 + 1e-10)
+    for w in chain.pair_witnesses:
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+
+
+@pytest.mark.parametrize("gamma0", [1.1, 1.5, 2.0])
+def test_chain_nodes_are_the_powers_of_gamma0_capped_by_y(gamma0):
+    # node k has relative eigenvalues min(lam, gamma0^k) against X, and the
+    # chain has K links, K >= 1 the smallest power with gamma0^K >= max(lam)
+    for k in range(6):
+        n = 2 + k % 3
+        x = random_spd(n, cond_cap=20.0, seed=40 + k).entries
+        bump = np.random.default_rng(400 + k).standard_normal((n, n))
+        y = x + (1.0 + k) * (bump @ bump.T) / n
+        lams = np.maximum(np.sort(_ratio_eigs(x, y)), 1.0)
+        count = 1
+        while gamma0 ** count < lams[-1]:
+            count += 1
+        chain = build_monotone_chain(ARITH, x, y, gamma0=gamma0)
+        assert len(chain.pair_witnesses) == count
+        for j, link in enumerate(chain.links):
+            want = np.minimum(lams, gamma0 ** j)
+            assert np.sort(_ratio_eigs(x, link)) == pytest.approx(want, rel=1e-12)
+        _assert_sound_chain(chain, gamma0)
+
+
+def _ladder_link_count(lams, gamma0):
+    """Links of a grouped power ladder from 1 to lams: every unfinished
+    eigenvalue climbs through the powers of gamma0, and each group of
+    eigenvalues within 1e-10 of each other is set to its value in one extra
+    link once the ladder passes the power below it; eigenvalues within 1e-12
+    of 1 never move."""
+    groups = []
+    for lam in np.sort(lams[lams > 1.0 + 1e-12]):
+        if not groups or lam > groups[-1] * (1.0 + 1e-10):
+            groups.append(lam)
+    power = 0
+    for lam in groups:
+        power = max(power, solvers_module._power_index(float(lam), gamma0))
+    return max(1, power + len(groups))
+
+
+def test_chain_is_never_longer_than_the_grouped_ladder():
+    # the inputs of acceptance 03, against the link count of the ladder
+    # that substitutes each eigenvalue group in a link of its own
+    rng = np.random.default_rng(33)
+    for k in range(100):
+        sigma = (ARITH, MeanDescriptor.heron(0.5))[k % 2]
+        n = (k % 5) + 1
+        x = random_spd(n, cond_cap=100.0, seed=900 + k).entries
+        scale = float(rng.uniform(0.1, 4.0))
+        g = rng.standard_normal((n, n))
+        y = x + scale * (g @ g.T) / n
+        chain = build_monotone_chain(sigma, x, y)
+        lams = solvers_module._ordered_spectrum(as_spd(x), as_spd(y))[1]
+        assert len(chain.pair_witnesses) <= _ladder_link_count(lams, chain.gamma0)
+        _assert_sound_chain(chain, chain.gamma0)
+
+
+def test_chain_with_too_many_links_is_refused_before_it_is_built(monkeypatch):
+    # log(5) / log(1 + 1e-9) is about 1.6e9 links; nothing is inverted
+    def forbidden(*args):
+        raise AssertionError("a refused chain inverted its ratios")
+
+    monkeypatch.setattr(solvers_module, "_invert_realize", forbidden)
+    x, y = np.eye(3), np.diag([2.0, 3.0, 5.0])
+    message = r"needs 1609437781 links at gamma0 = 1\.000000001, more than 100000"
+    with pytest.raises(OutOfRangeError, match=message):
+        build_monotone_chain(ARITH, x, y, gamma0=1.0 + 1e-9)
+    monkeypatch.undo()
+    chain = build_monotone_chain(ARITH, x, y, gamma0=1.005)
+    assert len(chain.pair_witnesses) == 323 < solvers_module._MAX_LINKS
+    assert np.array_equal(chain.links[-1], y)
+    for w in chain.pair_witnesses:
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
 
 
 def test_chain_heron_mean_works_too():
@@ -693,7 +770,7 @@ def test_chain_witnesses_reverify_through_eval_mean(sigma):
         x = random_spd(n, cond_cap=30.0, seed=60 + k).entries
         bump = np.random.default_rng(600 + k).standard_normal((n, n))
         y = x + 3.0 * (bump @ bump.T) / n
-        chain = build_monotone_chain(sigma, x, y, gamma0=1.5)
+        chain = build_monotone_chain(sigma, x, y, gamma0=1.1)
         assert len(chain.pair_witnesses) == len(chain.links) - 1 >= 2
         for lo, hi, w in zip(chain.links, chain.links[1:], chain.pair_witnesses):
             got_x = eval_mean(w.matrix_a, w.matrix_b, GEO)

@@ -106,6 +106,13 @@ def test_overflowed_input_raises_conditioning_error():
             sym_eigendecompose(huge)
 
 
+def test_symmetrization_of_finite_values_near_the_float_limit_stays_finite():
+    # f(M) has entries near 1e308: (a + a^T) / 2 would overflow on the sum
+    got = apply_spectral_function([[2.0, 0.5], [0.5, 1.0]], lambda t: t + 1e308)
+    assert np.isfinite(got).all()
+    assert got[0, 0] == pytest.approx(1e308) and got[1, 1] == pytest.approx(1e308)
+
+
 def test_spd_validation_rejects_bad_inputs():
     with pytest.raises(StructuralError):
         SpdMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))     # asymmetric
