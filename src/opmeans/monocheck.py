@@ -82,8 +82,9 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     difference at step h carries the rounding term _ULPS * eps * (|f(x+h)|
     + |f(x-h)|) / (2h); its step h = cbrt(eps) * max(1, |x|) balances
     truncation against rounding, so the truncation term is taken as no
-    larger and the bound is twice the rounding term. The bound reuses the
-    values of f that build the matrix, so it costs no further evaluation.
+    larger and the bound is twice the rounding term. Each sum |a| + |b| is
+    formed as 2 (|a|/2 + |b|/2), finite for finite values. The bound reuses
+    the values of f that build the matrix, so it costs no further evaluation.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 2:
@@ -127,21 +128,22 @@ def _loewner_stack(geometry, values: np.ndarray, derivative):
         step = step_or_near
         fx, up, down = np.moveaxis(values.reshape(*step.shape[:-1], 3, step.shape[-1]), -2, 0)
         diag = (up - down) / (2.0 * step)
-        diag_err = _ULPS * _EPS * (np.abs(up) + np.abs(down)) / step
+        diag_err = 2.0 * _ULPS * _EPS * (0.5 * np.abs(up) + 0.5 * np.abs(down)) / step
     else:
         fx, diag = values, derivative
         diag_err = _ULPS * _EPS * np.abs(diag)
     out = (fx[..., :, None] - fx[..., None, :]) / diff_x
     out[..., on_diag, on_diag] = diag
-    abs_fx = np.abs(fx)
-    err = _ULPS * _EPS * (abs_fx[..., :, None] + abs_fx[..., None, :]) / abs_dx
+    # halved before the sum, as in spd._symmetrize, so that no finite value overflows it
+    half = 0.5 * np.abs(fx)
+    err = 2.0 * _ULPS * _EPS * (half[..., :, None] + half[..., None, :]) / abs_dx
     err[..., on_diag, on_diag] = diag_err
     if derivative is not None and step_or_near.any():
         near = step_or_near
         d_i = np.broadcast_to(diag[..., :, None], out.shape)[near]
         d_j = np.broadcast_to(diag[..., None, :], out.shape)[near]
-        out[near] = 0.5 * (d_i + d_j)
-        err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * (np.abs(d_i) + np.abs(d_j)))
+        out[near] = 0.5 * d_i + 0.5 * d_j
+        err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * np.abs(d_i) + 0.5 * np.abs(d_j))
     return _symmetrize(out), err
 
 
@@ -366,9 +368,9 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
     order, with f (and fprime) called once, on a copy of plan.x.
 
     Each size group's Loewner matrices are decomposed as one stack. A set is
-    skipped when f raises one of DOMAIN_ERRORS on it or a value or matrix entry
-    is not finite: fast-growing or partial functions may not evaluate on a
-    far-out set, and a violation shows up on smaller points. The earliest
+    skipped when f raises one of DOMAIN_ERRORS on it or a value or the norm
+    ||L||_F is not finite: fast-growing or partial functions may not evaluate
+    on a far-out set, and a violation shows up on smaller points. The earliest
     refuting set wins; another error of f on an earlier set propagates.
     """
     if plan is None:
@@ -386,8 +388,8 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
     refuted = np.zeros(len(plan.sets), dtype=bool)
     min_eig, norm = np.zeros(len(plan.sets)), np.zeros(len(plan.sets))
     row = offset = 0
-    # values of f near the largest float overflow an entry (the set is skipped)
-    # or the rounding bound (the set cannot refute)
+    # values of f near the largest float overflow an entry or the norm of a
+    # matrix (the set is skipped) or its rounding bound (the set cannot refute)
     with np.errstate(over="ignore"):
         for shape, geometry in plan.groups:
             first_row, block = row, slice(offset, offset + shape[0] * shape[1])
@@ -397,12 +399,11 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
             deriv = None if fprime is None else derivs[block].reshape(shape)[keep]
             mat, err = _loewner_stack(tuple(g[keep] for g in geometry),
                                       values[block].reshape(shape)[keep], deriv)
-            bounded = np.all(np.isfinite(mat), axis=(-2, -1))
-            if not bounded.any():
-                continue
+            fro = _frobenius(mat)
+            bounded = np.isfinite(fro)
             bounded = slice(None) if bounded.all() else bounded
-            ok = first_row + ok[bounded]
-            lo, fro = _min_eig_and_norm(mat[bounded])
+            ok, fro = first_row + ok[bounded], fro[bounded]
+            lo = spd._eigh(mat[bounded], vectors=False)[..., 0]    # none above fro in size
             refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
             min_eig[ok], norm[ok] = lo, fro
     item, examined = _first_hit(refuted, faults, plan.trial)
@@ -429,8 +430,9 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     process per (grids, derivative or not), on first use.
 
     A set where f raises one of errors.DOMAIN_ERRORS is skipped, as a pair
-    is in falsify_transfer: an f that raises TypeError on every point (a
-    complex value fails float()) reads as skipped sets, and as consistent.
+    is in falsify_transfer (an f that raises TypeError on every point, as a
+    complex value fails float(), reads as consistent), and so is a set whose
+    Loewner matrix has no finite Frobenius norm: it could not refute.
     """
     d, tol = fprime is not None, config.tol
     witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
@@ -457,7 +459,8 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     f may take arrays or scalars only, as in apply_spectral_function. The
     trials of each size run as stacks of _TRANSFER_BLOCK pairs, and f is
     called once on the eigenvalues of all means of a stack; trials_run and
-    the witness are those of running the trials one at a time.
+    the witness are those of running the trials one at a time. A pair whose
+    difference has no finite Frobenius norm is skipped: it could not refute.
     """
     rep_s = representing_function(sigma)
     rep_t = representing_function(tau)
@@ -492,9 +495,9 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
 
     A pair is skipped when f raises one of DOMAIN_ERRORS on the spectrum of
     either mean or gives a non-finite value there, as apply_spectral_function
-    would report it, or when f of either mean or their difference overflows;
-    the earliest refuting pair wins, unless f raised another error on an
-    earlier pair, which propagates.
+    would report it, or when the difference of f of the means has no finite
+    Frobenius norm; the earliest refuting pair wins, unless f raised another
+    error on an earlier pair, which propagates.
     """
     mats = _random_spd_stack(rng, 2 * size, n, 50.0)
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
@@ -512,13 +515,14 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     with np.errstate(over="ignore", invalid="ignore"):
         images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
         diff = images[size:] - images[:size]
-        if not np.isfinite(diff).all():     # skip those pairs too
-            bounded = np.all(np.isfinite(diff), axis=(-2, -1))
+        norm = _frobenius(diff)
+        bounded = np.isfinite(norm)
+        if not bounded.all():     # -(tol * norm + E) is -inf: skip those pairs too
             usable &= bounded
             images[~np.concatenate((bounded, bounded))] = diff[~bounded] = 0.0
         bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False),
                                            images[:size], images[size:])
-    min_eig, norm = _min_eig_and_norm(diff)
+    min_eig = spd._eigh(diff, vectors=False)[..., 0]    # none above norm in size
     refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
     item, examined = _first_hit(refuted, faults, np.arange(size))
     if item is None:

@@ -34,7 +34,6 @@ from . import spd
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     RepresentingFunction, _class_residual, _scalarize, arithmetic_pair,
-                    eval_mean_from_function, mean_from_spectrum,
                     representing_function)
 from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling,
                         _difference_rounding_bound, is_operator_monotone_sampled)
@@ -233,27 +232,30 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
 
         mean_sigma(mean_tau(A, B), mean_tau_perp(A, B)) <= mean_sigma(A, B)
 
-    where tau_perp carries the adjoint of tau's representing function. A
-    violation is any pair whose difference has min eigenvalue below
-    -(tol * max(1, norm) + E), E the bound on the eigenvalue error of the
-    computed difference from monocheck._difference_rounding_bound. The
-    returned margin is the worst normalized eigenvalue seen. All trials run
-    as one stack of pairs.
+    where tau_perp carries the adjoint t / g_tau(t) of tau's representing
+    function. Every mean of (A, B) is C diag(m(z)) C^T, z the relative
+    eigenvalues and C = A^{1/2} U; the mixed one has m = lo f_sigma(hi / lo),
+    lo = g_tau(z), hi = z / lo. Both sides and their difference (from the
+    scalar gap) congruate from that one spectrum, so a pair costs 4
+    eigensolves: A's validation, Z, the difference and B's eigenvalues for E.
+    A violation is a pair whose difference has min eigenvalue below
+    -(tol * max(1, norm) + E), E from monocheck._difference_rounding_bound
+    on the eigenvalue error of the computed difference. The returned margin
+    is the worst normalized eigenvalue seen. All trials run as one stack.
     """
     _check_sampling(trials, seed, tol)
-    f_sigma = representing_function(sigma)
-    g_tau = representing_function(tau)
-    g_perp = dagger(g_tau)
+    f_sigma, g_tau = representing_function(sigma), representing_function(tau)
     mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)   # checks n
     if not trials:
         return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
     spectrum = RelativeSpectrum(a, b)
-    mixed_lo = mean_from_spectrum(spectrum, g_tau)
-    mixed_hi = mean_from_spectrum(spectrum, g_perp)
-    lhs = eval_mean_from_function(mixed_lo, mixed_hi, f_sigma)
-    rhs = mean_from_spectrum(spectrum, f_sigma)
-    min_eig, norm = _min_eig_and_norm(rhs - lhs)
+    z = spectrum.eigenvalues.ravel()
+    lo = g_tau.value(z)
+    hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
+    mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
+    lhs, rhs, diff = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
+    min_eig, norm = _min_eig_and_norm(diff)
     bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
     violated = np.flatnonzero(min_eig < -(tol * np.maximum(1.0, norm) + bound))
     violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(),

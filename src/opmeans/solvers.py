@@ -41,7 +41,7 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     mean_from_spectrum, representing_function)
-from .spd import RelativeSpectrum, SpdMatrix, as_spd, matrix_to_json_dict
+from .spd import RelativeSpectrum, SpdMatrix, _frobenius, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -270,25 +270,20 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     against the targets xs, ys: one PairWitness for (n,) values and (n, n)
     targets, or a tuple of k for (k, n) values and (k, n, n) targets. Both
     target means are re-evaluated on the pairs (as one stack) from their own
-    relative spectrum; the first pair that misses raises."""
+    relative spectrum, the residuals ||mean - target||_F / ||target||_F of
+    each side by one stacked norm; the first pair that misses raises."""
     mats_a, mats_b = spectrum.congruate(values_a), spectrum.congruate(values_b)
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
     pairs = RelativeSpectrum(mats_a, mats_b)
-    means_x, means_y = (mean_from_spectrum(pairs, fn) for fn in (fn_x, fn_y))
-
-    def witness(mat_a, mat_b, got_x, want_x, got_y, want_y):
-        residual_x, residual_y = (
-            float(np.linalg.norm(got - want) / np.linalg.norm(want))
-            for got, want in ((got_x, want_x), (got_y, want_y)))
-        if residual_x > _PAIR_RESIDUAL_TOL or residual_y > _PAIR_RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"pair solve residuals too large: {fn_x.label} {residual_x:.3e}, "
-                f"{fn_y.label} {residual_y:.3e}")
-        return PairWitness(mat_a, mat_b, residual_x, residual_y)
-
+    res_x, res_y = (np.ravel(_frobenius(mean_from_spectrum(pairs, fn) - want)
+                             / _frobenius(want)).tolist() for fn, want in ((fn_x, xs), (fn_y, ys)))
+    for got_x, got_y in zip(res_x, res_y):
+        if got_x > _PAIR_RESIDUAL_TOL or got_y > _PAIR_RESIDUAL_TOL:
+            raise ConvergenceError(f"pair solve residuals too large: {fn_x.label} {got_x:.3e}, "
+                                   f"{fn_y.label} {got_y:.3e}")
     if mats_a.ndim == 2:
-        return witness(mats_a, mats_b, means_x, xs, means_y, ys)
-    return tuple(map(witness, mats_a, mats_b, means_x, xs, means_y, ys))
+        return PairWitness(mats_a, mats_b, res_x[0], res_y[0])
+    return tuple(map(PairWitness, mats_a, mats_b, res_x, res_y))
 
 
 def _ordered_spectrum(xs: SpdMatrix, ys: SpdMatrix) -> tuple:
@@ -357,8 +352,6 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     """
     xs, ys = as_spd(x, "X"), as_spd(y, "Y")
     xa, ya = xs.entries, ys.entries
-    if xa.shape != ya.shape:
-        raise StructuralError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     fn = representing_function(sigma)
     gamma = fn.realize_gamma
     if not gamma > 1.0:

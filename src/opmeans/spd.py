@@ -95,7 +95,7 @@ def _frobenius(a: np.ndarray):
     total = np.vdot(a, a)       # of all matrices; np.vdot, unlike @, does not warn on overflow
     if a.ndim == 2 and total < math.inf:
         return np.sqrt(total)
-    rows = a.reshape(a.shape[:-2] + (1, -1))
+    rows = a.reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))    # also for k = 0
     if total < 2.0 ** 1020:     # no matrix's x @ x overflows
         return np.sqrt((rows @ _transpose(rows))[..., 0, 0])
     with np.errstate(over="ignore"):

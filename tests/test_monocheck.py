@@ -515,6 +515,58 @@ def test_values_near_the_largest_float_skip_their_sets_and_pairs():
     assert verdict.status == "consistent" and verdict.trials_run == 71
 
 
+def _with_scalar_twin(f):
+    """f, and a twin that takes scalars only, as math.* lambdas do."""
+    return f, lambda t: float(f(np.float64(float(t))))
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["array", "scalar"])
+def test_finite_matrices_whose_eigenvalues_overflow_cannot_refute(which):
+    # Loewner matrices and mean differences with finite entries but an
+    # infinite Frobenius norm are skipped, not decomposed: their eigenvalues
+    # may overflow, and their threshold -(tol * norm + E) is -inf anyway
+    cos = _with_scalar_twin(lambda t: 1.7e308 * np.cos(t))[which]
+    verdict = is_operator_monotone_sampled(cos, None, MonoConfig(seed=0))
+    # cos decreases on the 6-point cluster at 0.01, the first set after the grids
+    assert verdict.status == "refuted" and verdict.trials_run == 3
+    assert verdict.witness.points[0] == 1e-2
+    assert verdict.witness.min_eigenvalue == pytest.approx(-1.0225336e307, rel=1e-6)
+    sin = _with_scalar_twin(lambda t: 1.7e308 * np.sin(3.0 * t))[which]
+    verdict = falsify_transfer(sin, MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                               trials=40, seed=1)
+    assert verdict.status == "refuted" and verdict.trials_run == 17
+    assert verdict.witness.min_eigenvalue == pytest.approx(-6.4026359e307, rel=1e-6)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["array", "scalar"])
+def test_transfer_skips_pairs_whose_difference_overflows(which):
+    # f of the two means is finite, their difference is not: those pairs
+    # are skipped, and a later pair refutes
+    cos = _with_scalar_twin(lambda t: 1.7e308 * np.cos(t))[which]
+    verdict = falsify_transfer(cos, MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                               trials=40, seed=1)
+    assert verdict.status == "refuted" and verdict.trials_run == 6
+    assert verdict.witness.min_eigenvalue == pytest.approx(-8.958093e307, rel=1e-6)
+
+
+def test_rounding_bound_near_the_largest_float_stays_finite():
+    # |f(x_i)| + |f(x_j)| overflows; the halves sum to a finite bound
+    mat, err = loewner_matrix([1.0, 1.5], lambda t: t + 1.7e308, with_error=True)
+    assert np.all(mat == 0.0)
+    assert np.all(np.isfinite(err))
+    # f is 1.7e308 at every point: the bound of each entry is
+    # _ULPS * eps * 2 * 1.7e308 over the central-difference step or |x_i - x_j|
+    scale = 2.0 * _ULPS * EPS * 1.7e308
+    steps = np.cbrt(EPS) * np.array([1.0, 1.5])
+    assert np.diag(err) == pytest.approx(scale / steps, rel=1e-14)      # 2.0e299, 1.3e299
+    assert err[0, 1] == err[1, 0] == pytest.approx(scale / 0.5, rel=1e-14)    # 2.4e294
+    # with a derivative, points this close take the mean of their derivatives
+    mat, err = loewner_matrix([1.0, 1.0 + 1e-9], lambda t: t + 1.7e308,
+                              lambda t: 1.7e308 + 0.0 * t, with_error=True)
+    assert np.all(mat == 1.7e308)
+    assert np.all(err == pytest.approx(scale / 2.0, rel=1e-14))
+
+
 def test_falsify_transfer_propagates_faults_of_f():
     # a fault of f is not a point outside its domain: no trial may skip it
     with pytest.raises(NameError):

@@ -9,7 +9,8 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      StructuralError, dagger, dagger_density, h_order,
                      ka_condition_check, order_leq_sa, order_leq_sym,
                      phi_profile, representing_function)
-from opmeans.means import RepresentingFunction
+from opmeans.means import RepresentingFunction, eval_mean_from_function
+from opmeans.spd import _random_spd_stack, min_eig_and_norm
 from opmeans.monocheck import MonoConfig
 
 # The 41-point estimate of a limit at infinity that phi_profile, dagger and
@@ -364,6 +365,31 @@ def test_ka_condition_geometric_vs_weighted_geometric():
     payload = report.to_json_dict()
     assert payload["config"]["trials"] == 60
     assert payload["violations"] == []
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    (MeanDescriptor.geometric(), MeanDescriptor.weighted_geometric(0.3)),
+    (MeanDescriptor.harmonic(), MeanDescriptor.arithmetic()),
+    (MeanDescriptor.heron(0.6), MeanDescriptor.heinz(0.2))],
+    ids=["geo-wgeo", "harm-arith", "heron-heinz"])
+def test_ka_mixed_mean_matches_the_mean_of_the_two_mixed_matrices(sigma, tau):
+    # the check congruates sigma(A tau B, A tau_perp B) from the relative
+    # spectrum of (A, B); here both mixed means are built as matrices and
+    # the mixed pair is evaluated again from its own relative spectrum
+    trials, seed = 12, 4
+    report = ka_condition_check(sigma, tau, trials=trials, seed=seed)
+    mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, 3, 50.0)
+    f_sigma, g_tau = representing_function(sigma), representing_function(tau)
+    margins, violated = [], 0
+    for a, b in zip(mats[0::2], mats[1::2]):
+        lo = eval_mean_from_function(a, b, g_tau)
+        hi = eval_mean_from_function(a, b, dagger(g_tau))
+        diff = eval_mean_from_function(a, b, f_sigma) - eval_mean_from_function(lo, hi, f_sigma)
+        low, norm = min_eig_and_norm(diff)
+        margins.append(low / max(1.0, norm))
+        violated += low < -1e-8 * max(1.0, norm)
+    assert report.min_margin == pytest.approx(min(margins), abs=1e-12)
+    assert len(report.violations) == violated
 
 
 def test_ka_violation_json_shape():

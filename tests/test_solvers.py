@@ -17,8 +17,8 @@ from opmeans import orders as orders_module
 from opmeans import solvers as solvers_module
 from opmeans import spd as spd_module
 from opmeans import (ConditioningError, ConvergenceError, DomainError,
-                     MeanDescriptor, OrderError,
-                     OutOfRangeError, SpdMatrix, StructuralError, UnsupportedMeanError,
+                     MeanDescriptor, OrderError, OutOfRangeError, PairWitness,
+                     RelativeSpectrum, SpdMatrix, StructuralError, UnsupportedMeanError,
                      as_spd, build_monotone_chain, eval_mean, f_alpha,
                      falsify_transfer, geom_heinz_ratio, ka_condition_check,
                      invert_f_alpha, invert_geom_heinz_ratio, invert_phi,
@@ -792,6 +792,34 @@ def _count_eigensolved_matrices(monkeypatch) -> list:
     return matrices
 
 
+def test_pair_witnesses_raise_on_the_first_pair_that_misses():
+    # pairs (4I, I) and (9I, I): geometric means 2I and 3I, arithmetic
+    # means 2.5I and 5I; the second pair's arithmetic target 6I misses by 1/6
+    spectrum = RelativeSpectrum(np.eye(2), np.eye(2))
+    values_a, values_b = np.array([[4.0, 4.0], [9.0, 9.0]]), np.ones((2, 2))
+    xs = np.array([2.0, 3.0])[:, None, None] * np.eye(2)
+    ys = np.array([2.5, 5.0])[:, None, None] * np.eye(2)
+    single = solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], GEO, ARITH,
+                                            xs[1], ys[1])
+    stacked = solvers_module._pair_witnesses(spectrum, values_a, values_b, GEO, ARITH, xs, ys)
+    assert isinstance(single, PairWitness) and len(stacked) == 2
+    for w, want in zip((single, *stacked), (5.0, 2.5, 5.0)):
+        assert type(w.residual_x) is float and type(w.residual_y) is float
+        assert w.residual_x <= 1e-15 and w.residual_y <= 1e-15
+        assert np.allclose(w.matrix_a + w.matrix_b, 2.0 * want * np.eye(2))
+    ys[1] *= 1.2
+    with pytest.raises(ConvergenceError, match=r"residuals too large: .* 1\.667e-01$"):
+        solvers_module._pair_witnesses(spectrum, values_a, values_b, GEO, ARITH, xs, ys)
+    with pytest.raises(ConvergenceError, match=r"residuals too large: .* 1\.667e-01$"):
+        solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], GEO, ARITH,
+                                       xs[1], ys[1])
+
+
+def test_chain_rejects_mismatched_shapes():
+    with pytest.raises(StructuralError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        build_monotone_chain(ARITH, np.eye(2), np.eye(3))
+
+
 def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
     # two validations cost two eigensolves, and the relative spectrum of
     # (X, Y) one more: it reuses the decomposition X's validation kept. Each
@@ -825,19 +853,21 @@ def test_pair_solve_decomposes_five_matrices(monkeypatch, solve):
         assert matrices == [1, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("check", [
-    lambda trials: falsify_transfer(np.sqrt, GEO, ARITH, trials=trials, seed=5).trials_run,
-    lambda trials: ka_condition_check(GEO, ARITH, trials=trials, seed=5).trials],
+@pytest.mark.parametrize("check, per_pair", [
+    (lambda trials: falsify_transfer(np.sqrt, GEO, ARITH, trials=trials, seed=5).trials_run, 6),
+    (lambda trials: ka_condition_check(GEO, ARITH, trials=trials, seed=5).trials, 4)],
     ids=["transfer", "ka"])
-def test_sampled_pair_checks_decompose_six_matrices_per_pair(monkeypatch, check):
-    # the SpdMatrix stack of the A's (its validation keeps the decomposition
-    # that the relative spectrum reuses), the eigenvalues of the B's, Z, the
-    # two means compared and their difference
+def test_sampled_pair_checks_decompose_a_fixed_count_per_pair(monkeypatch, check, per_pair):
+    # both: the SpdMatrix stack of the A's (its validation keeps the
+    # decomposition that the relative spectrum reuses), the eigenvalues of
+    # the B's, Z and the difference compared; the transfer search also
+    # decomposes the two means it applies f to, while the mixing check
+    # congruates every mean from Z's eigenvalues
     matrices = _count_eigensolved_matrices(monkeypatch)
     for trials in (8, 10):
         matrices.clear()
         assert check(trials) == trials
-        assert sum(matrices) == 6 * trials
+        assert sum(matrices) == per_pair * trials
 
 
 @pytest.mark.parametrize("solve", [

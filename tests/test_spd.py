@@ -272,6 +272,10 @@ def test_norms_of_huge_matrices_do_not_overflow():
     assert all(_frobenius(plain)[k] == _frobenius(m) for k, m in enumerate(plain))
 
 
+def test_norms_of_an_empty_stack_are_empty():
+    assert _frobenius(np.empty((0, 3, 3))).shape == (0,)
+
+
 def test_min_eig_and_norm_rejects_empty_matrix():
     with pytest.raises(StructuralError, match="must have at least one row"):
         min_eig_and_norm(np.zeros((0, 0)))
