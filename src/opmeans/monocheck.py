@@ -28,6 +28,7 @@ its other point sets on every call; f receives a copy of the points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -317,7 +318,8 @@ def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
     if not sets:
         return None
     sizes = np.array([p.size for p in sets])
-    trial = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    # not np.unique: in numpy 2.4 its first call imports numpy.ma, a cold-start cost
+    trial = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
     rows, geometry = zip(*(_loewner_geometry(np.array([sets[i] for i in idx]), derivative)
                            for idx in trial))
     lengths = np.concatenate([np.full(len(r), r.shape[1]) for r in rows])
@@ -357,7 +359,7 @@ def _random_sets(config: MonoConfig) -> list:
         pts = np.exp(rng.uniform(log_lo, log_hi, size))
         pts.sort()
         if len(set(pts.tolist())) < size:
-            pts = np.unique(pts)
+            pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
         if pts.size >= 2:
             drawn.append(pts)
     return drawn
@@ -589,7 +591,9 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
       Heinz_s <= arithmetic.
     When A and B commute the eigenvalue pairs additionally run through the
     scalar chain geometric <= Heinz <= Heron((2s-1)^2) <= Heron(|2s-1|) <=
-    arithmetic, reported as a single normalized worst margin.
+    arithmetic, reported as a single normalized worst margin. They commute
+    when ||AB - BA||_F <= 1e-10 ||A||_F ||B||_F, judged on A and B scaled by
+    exact powers of two to norms in [1/2, 1), so nothing over- or underflows.
     """
     if not 0.0 <= float(s) <= 1.0:
         raise StructuralError(f"s must lie in [0, 1], got {s}")
@@ -616,9 +620,10 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     links = [LinkMargin(name, float(lo), float(size))
              for name, lo, size in zip(names, min_eig, norm)]
 
-    comm_norm = float(np.linalg.norm(am @ bm - bm @ am))
-    scale = max(float(np.linalg.norm(am)) * float(np.linalg.norm(bm)), 1e-300)
-    commuting = comm_norm <= 1e-10 * scale
+    norm_a, norm_b = float(_frobenius(am)), float(_frobenius(bm))
+    (frac_a, exp_a), (frac_b, exp_b) = math.frexp(norm_a), math.frexp(norm_b)
+    an, bn = np.ldexp(am, -exp_a), np.ldexp(bm, -exp_b)     # norms frac_a and frac_b
+    commuting = bool(_frobenius(an @ bn - bn @ an) <= 1e-10 * (frac_a * frac_b))
 
     scalar_checked = False
     scalar_margin = None
@@ -626,9 +631,8 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
         probe = sym_eigendecompose(am + np.e * bm)
         a_t = probe.basis.T @ am @ probe.basis
         b_t = probe.basis.T @ bm @ probe.basis
-        off = max(float(np.linalg.norm(a_t - np.diag(np.diag(a_t)))),
-                  float(np.linalg.norm(b_t - np.diag(np.diag(b_t)))))
-        if off <= 1e-8 * max(1.0, float(np.linalg.norm(am)), float(np.linalg.norm(bm))):
+        off = max(_frobenius(a_t - np.diag(np.diag(a_t))), _frobenius(b_t - np.diag(np.diag(b_t))))
+        if off <= 1e-8 * max(1.0, norm_a, norm_b):
             scalar_checked = True
             scalar_margin = _scalar_chain_margin(np.diag(a_t), np.diag(b_t), s)
 

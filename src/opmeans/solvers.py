@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -100,25 +101,6 @@ class ScalarPairSolution:
 
     def to_json_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "c": self.c}
-
-
-def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
-    """Sign-based bisection of fn on [lo, hi]; fn(lo) = f_lo and fn(hi) differ
-    in sign. Returns the root."""
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_REL * max(1.0, abs(lo)):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not converge: interval [{lo}, {hi}] after "
-        f"{_BISECT_MAX_ITER} iterations")
 
 
 def _clamped_target(y0, gamma: float) -> float:
@@ -441,29 +423,62 @@ def f_alpha(alpha: float, c: float) -> float:
     return math.exp(_logcosh(alpha * c) - _log_f_alpha_den(alpha, c))
 
 
+@lru_cache(maxsize=64)
+def _ratio_series(a: float) -> tuple:
+    """The coefficients a^2 (1 - a^{2k-2}) / (2k)!, k = 15 down to 2, in c^{2k}
+    of N(c) = a^2 (cosh c - 1) - (cosh(a c) - 1), the numerator of 1 - f_alpha(c)
+    at a = |alpha|: all >= 0, each 1 - a^{2k-2} by expm1."""
+    return tuple(a * a * -math.expm1((2 * k - 2) * math.log(a)) / math.factorial(2 * k)
+                 for k in range(15, 1, -1))
+
+
+def _neg_log_f_alpha(a: float, c: float) -> tuple:
+    """(G, G') for G = -log f_alpha(c) at a = |alpha|, c > 0. Up to c = 2,
+    G = -log1p(-N / D), D = 1 + 2 a^2 sinh^2(c / 2), with N by Horner in c^2,
+    so G keeps its digits where it is ~ c^4; beyond, log D - log cosh(a c)."""
+    if c > 2.0:
+        den = _log_f_alpha_den(a, c)    # D' / D = tanh(c) (1 - (1 - a^2) / D)
+        slope = math.tanh(c) * (1.0 - (1.0 - a) * (1.0 + a) * math.exp(-den))
+        return den - _log_f_alpha_den(1.0, a * c), slope - a * math.tanh(a * c)
+    x, n, dn = c * c, 0.0, 0.0
+    for k2, t in zip(range(30, 3, -2), _ratio_series(a)):
+        n, dn = n * x + t, dn * x + k2 * t
+    n, dn, half = n * x * x, dn * x * c, math.sinh(0.5 * c)
+    d = 1.0 + 2.0 * a * a * half * half
+    return -math.log1p(-n / d), (dn * d - n * a * a * math.sinh(c)) / (d * (d - n))
+
+
 def invert_f_alpha(alpha: float, r: float) -> float:
-    """The unique c >= 0 with f_alpha(c) = r, for r in (0, 1]."""
+    """The unique c >= 0 with f_alpha(c) = r, for r in (0, 1].
+
+    Safeguarded Newton iteration on G(c)^{1/4} = (-log r)^{1/4}, G = -log
+    f_alpha, from the larger of the estimates G ~ alpha^2 (1 - alpha^2) c^4 / 24
+    near 0 and G ~ (1 - |alpha|) c + log alpha^2 far out; a step that leaves
+    the bracket takes its midpoint. It stops after a step of at most 1e-8 c
+    (convergence is quadratic) or once the bracket is 1e-14 relative, mostly
+    after 2 to 6 evaluations of G. G has no cancellation up to c = 2, so c is
+    accurate to a few ulps even for r within ulps of 1. The root is checked forward.
+    """
     alpha = _validate_alpha(alpha)
     r = float(r)
     if not (math.isfinite(r) and 0.0 < r <= 1.0):
         raise DomainError(f"ratio must lie in (0, 1], got {r!r}")
     if r == 1.0:
         return 0.0
-    log_r = math.log(r)
-
-    def gap(c):
-        return (_logcosh(alpha * c) - _log_f_alpha_den(alpha, c)) - log_r
-
-    lo, hi = 0.0, 1.0
-    g_lo, g_hi = gap(lo), gap(hi)
-    for _ in range(80):
-        if g_hi <= 0.0:
+    a, target = abs(alpha), -math.log(r)
+    # G(c) >= (1 - a) c + log(a^2 / 2), by D >= a^2 cosh c and log cosh(a c) <= a c
+    lo, hi = 0.0, (target - math.log(0.5 * a * a)) / (1.0 - a)
+    c = min(hi, max((24.0 * target / ((1.0 - a) * (1.0 + a))) ** 0.25 / math.sqrt(a),
+                    (target + 2.0 * math.log(a)) / (1.0 - a)))
+    for _ in range(_BISECT_MAX_ITER):
+        g, slope = _neg_log_f_alpha(a, c)
+        lo, hi = (c, hi) if g < target else (lo, c)
+        # Newton on G^{1/4}: the step (G^{1/4} - L^{1/4}) / (G^{1/4})'
+        step = 4.0 * g * (1.0 - (target / g) ** 0.25) / slope if g > 0.0 < slope else math.nan
+        inside = lo <= c - step <= hi
+        c = c - step if inside else 0.5 * (lo + hi)
+        if inside and abs(step) <= 1e-8 * c or hi - lo <= _BISECT_REL * hi:
             break
-        lo, g_lo, hi = hi, g_hi, hi * 2.0
-        g_hi = gap(hi)
-    else:
-        raise ConvergenceError(f"no bracket found inverting f_alpha at r = {r!r}")
-    c = _bisect(gap, lo, hi, g_lo)
     if abs(f_alpha(alpha, c) - r) > 1e-10 * max(1.0, r):
         raise ConvergenceError(f"f_alpha inversion inaccurate at r = {r!r}")
     return c
@@ -519,11 +534,11 @@ def _validate_heinz_heron_parameter(s) -> float:
 def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) with Heinz_s(A, B) = X and Heron_{(2s-1)^2}(A, B) = Y.
 
-    Requires 0 < X <= Y and s away from 1/2. Works in the basis of X: for
-    each eigenvalue lambda >= 1 of X^{-1/2} Y X^{-1/2}, c = invert_f_alpha
-    at 1 / lambda gives the ratio u = e^{-2c} of a scalar pair whose Heinz
-    to Heron ratio is 1 / lambda; the pair (1, u) / Heinz_s(u) has Heinz
-    mean 1 and Heron mean lambda, and A, B are its congruates by X^{1/2} U.
+    Requires 0 < X <= Y and s away from 1/2. For each eigenvalue lambda >= 1
+    of X^{-1/2} Y X^{-1/2}, c = invert_f_alpha(2s - 1, 1 / lambda), a few
+    Newton steps accurate to a few ulps even for lambda within ulps of 1,
+    gives u = e^{-2c}: the pair (1, u) / Heinz_s(u) has Heinz mean 1 and Heron
+    mean lambda, and A, B are its congruates by X^{1/2} U (U the eigenbasis).
     """
     s = _validate_heinz_heron_parameter(s)
     alpha = 2.0 * s - 1.0

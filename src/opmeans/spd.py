@@ -89,21 +89,26 @@ def _frobenius(a: np.ndarray):
     Each norm is sqrt(x @ x) over the matrix's entries in row order, the
     arithmetic of np.linalg.norm(matrix), so a stacked norm is bitwise the
     norm of that matrix alone; np.linalg.norm(stack, axis=(-2, -1)) and
-    einsum sum in other orders and are not. A matrix whose x @ x overflows
-    is scaled by a power of two first, so its norm is inf only if the norm is.
+    einsum sum in other orders and are not. A matrix whose x @ x overflows,
+    or falls below 2^-960 where its squares lose digits or underflow to 0,
+    is scaled by a power of two first: its norm is inf only if the norm is,
+    and 0 only for a zero matrix.
     """
     total = np.vdot(a, a)       # of all matrices; np.vdot, unlike @, does not warn on overflow
-    if a.ndim == 2 and total < math.inf:
+    if a.ndim == 2 and (2.0 ** -960 <= total < math.inf or not a.any()):
         return np.sqrt(total)
     rows = a.reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))    # also for k = 0
     if total < 2.0 ** 1020:     # no matrix's x @ x overflows
-        return np.sqrt((rows @ _transpose(rows))[..., 0, 0])
+        squares = (rows @ _transpose(rows))[..., 0, 0]
+        # nor falls below 2^-960, unless the matrix is zero and its norm 0 exact
+        if squares.min(initial=math.inf) >= 2.0 ** -960 or not rows[squares < 2.0 ** -960].any():
+            return np.sqrt(squares)
     with np.errstate(over="ignore"):
         norm = np.sqrt((rows @ _transpose(rows))[..., 0, 0])
         exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
         scaled = np.ldexp(rows, -exponent[..., None])
-        rescaled = np.sqrt((scaled @ _transpose(scaled))[..., 0, 0])
-        return np.where(np.isinf(norm), np.ldexp(rescaled, exponent[..., 0]), norm)[()]
+        rescaled = np.ldexp(np.sqrt((scaled @ _transpose(scaled))[..., 0, 0]), exponent[..., 0])
+        return np.where((2.0 ** -480 <= norm) & (norm < math.inf), norm, rescaled)[()]
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):

@@ -179,6 +179,13 @@ def test_check_monotone_exit_codes(capsys):
     assert payload["witness"]["kind"] == "loewner-points"
 
 
+def test_check_monotone_of_a_tiny_multiple_stays_consistent(capsys):
+    # Loewner norms of 1e-170 sqrt(t) underflowed to 0, and rounding noise refuted
+    code, out, _ = _run(capsys, ["check-monotone", "--fn", "1e-170*sqrt(t)"])
+    assert code == 0
+    assert _payload(out)["status"] == "consistent"
+
+
 def test_check_monotone_survives_fast_growth(capsys):
     code, out, _ = _run(capsys, ["check-monotone", "--trials", "40",
                                  "--fn", "(exp(t)-1)/(exp(1)-1)"])

@@ -1,5 +1,9 @@
 """Loewner-matrix monotonicity testing and inequality-chain verification."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,36 @@ def test_sampled_monotonicity_calibration():
         verdict = is_operator_monotone_sampled(f, config=cfg)
         assert verdict.status == "refuted", f
         assert verdict.witness is not None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-170, 1e-300])
+def test_sampled_verdicts_do_not_depend_on_the_scale_of_f(scale):
+    # Loewner matrices of scale * f have norms whose squares underflow below
+    # about 1e-162: the norm must not read 0, or rounding noise refutes
+    cfg = MonoConfig(seed=0)
+    for f in (np.sqrt, lambda t: t / (1.0 + t)):
+        verdict = is_operator_monotone_sampled(lambda t: scale * f(t), None, cfg)
+        assert verdict.status == "consistent"
+        assert verdict.trials_run == is_operator_monotone_sampled(f, None, cfg).trials_run
+    verdict = is_operator_monotone_sampled(lambda t: scale * t * t, None, cfg)
+    assert verdict.status == "refuted" and verdict.trials_run == 1
+
+
+def test_the_sampler_does_not_import_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on its first call, a cost of
+    # every cold start; the sampler plans and deduplicates its sets without it
+    src = str(Path(monocheck.__file__).resolve().parents[1])
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; "
+            "from opmeans import MonoConfig, is_operator_monotone_sampled; "
+            "is_operator_monotone_sampled(numpy.sqrt, None, MonoConfig(trials=20, seed=0)); "
+            "print(before, 'numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert after == "False"
 
 
 def _ulp_noise(base, ulps):
@@ -645,6 +679,18 @@ def test_scalar_chain_margin_evaluates_the_catalog_means():
                        for lo, hi in zip(chain, chain[1:]))
             assert _scalar_chain_margin(a, b, s) == want
             assert math.isfinite(want)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e160, 1e300])
+def test_inequality_chain_commuting_flag_is_scale_invariant(scale):
+    # the commutator and the norms are taken after exact power-of-two
+    # scalings: nothing underflows to a false "commuting" or overflows into
+    # warnings (errors under pyproject) and a false "not commuting"
+    a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[1.0, -0.3], [-0.3, 3.0]])
+    report = verify_inequality_chain(scale * a, scale * b, s=0.3)
+    assert not report.commuting and not report.scalar_checked
+    report = verify_inequality_chain(scale * np.diag([1.0, 2.0]), scale * np.diag([3.0, 5.0]), 0.3)
+    assert report.commuting and report.scalar_checked and report.all_hold()
 
 
 def test_inequality_chain_noncommuting_random():

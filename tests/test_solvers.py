@@ -938,45 +938,65 @@ def test_f_alpha_large_c_no_overflow():
     assert invert_f_alpha(0.5, v) == pytest.approx(1000.0, rel=1e-10)
 
 
-def _invert_f_alpha_reference(alpha, r):
-    """invert_f_alpha with its bracket doubling evaluating gap twice per point,
-    as it did before each bracket value was reused: the bitwise reference."""
-    log_r = math.log(r)
-
-    def gap(c):
-        return (solvers_module._logcosh(alpha * c)
-                - solvers_module._log_f_alpha_den(alpha, c)) - log_r
-
-    lo, hi = 0.0, 1.0
-    g_lo = gap(lo)
-    while gap(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        g_lo = gap(lo)
-    return solvers_module._bisect(gap, lo, hi, g_lo)
+# the targets of acceptance criterion 8, and Heinz/Heron ratios 1 / lambda
+# with lambda - 1 down to 1e-15, where G = -log f_alpha is ~ c^4
+_F_ALPHAS = [float(a) for a in np.linspace(-0.9, 0.9, 19) if abs(a) > 1e-12]
+_F_RATIOS = ([float(r) for r in np.linspace(0.01, 0.99, 99)]
+             + [1.0 / (1.0 + 10.0 ** e) for e in range(-15, -2)])
 
 
-def test_invert_f_alpha_evaluates_each_bracket_point_once(monkeypatch):
-    # the targets of acceptance criterion 8; small r needs several doublings
-    points = []
-    real = solvers_module._log_f_alpha_den
+def _mp_f_alpha_root(mpmath, alpha, r, c):
+    """The root of f_alpha(t) = r to 50 digits, by Newton on the log-space
+    gap from the float root c, at 80 digits: where c is small, the gap
+    cancels about 10 of them."""
+    with mpmath.workdps(80):
+        a, target, t = mpmath.mpf(alpha), -mpmath.log(mpmath.mpf(r)), mpmath.mpf(c)
+        for _ in range(4):
+            den = a * a * mpmath.cosh(t) + 1 - a * a
+            gap = mpmath.log(den) - mpmath.log(mpmath.cosh(a * t)) - target
+            step = gap / (a * a * mpmath.sinh(t) / den - a * mpmath.tanh(a * t))
+            t -= step
+        assert abs(step) <= mpmath.mpf(10) ** -50 * t
+        return t
 
-    def recording(alpha, c):
-        points.append(c)
-        return real(alpha, c)
 
-    r_grid = np.linspace(0.01, 0.99, 99)
-    alphas = [a for a in np.linspace(-0.9, 0.9, 19) if abs(a) > 1e-12]
-    expected = {(a, r): _invert_f_alpha_reference(float(a), float(r))
-                for a in alphas for r in r_grid}
-    monkeypatch.setattr(solvers_module, "_log_f_alpha_den", recording)
-    doubled = 0
-    for (alpha, r), c in expected.items():
-        points.clear()
-        assert invert_f_alpha(float(alpha), float(r)) == c
-        # every point is evaluated once, before the closing accuracy check
-        assert len(set(points[:-1])) == len(points) - 1
-        doubled += 2.0 in points
-    assert doubled > 0
+def test_invert_f_alpha_matches_a_50_digit_root():
+    # the bisection of the log-space gap was off by 1.6e-2 at lambda - 1 = 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for alpha in _F_ALPHAS:
+        for r in _F_RATIOS:
+            c = invert_f_alpha(alpha, r)
+            exact = _mp_f_alpha_root(mpmath, alpha, r, c)
+            worst = max(worst, float(abs(c - exact) / exact))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1e-8, -1e-8, 1e-3, -1e-3, 0.999999, -0.999999])
+def test_invert_f_alpha_round_trips_at_extreme_alphas(alpha):
+    for c0 in (1e-6, 1e-3, 0.1, 1.0, 2.0, 2.001, 10.0, 100.0, 349.0, 351.0, 700.0, 1000.0):
+        r = f_alpha(alpha, c0)
+        if r == 0.0:    # f_alpha(1000) underflows for small alpha
+            continue
+        c = invert_f_alpha(alpha, r)
+        assert abs(f_alpha(alpha, c) - r) <= 1e-12 * r
+
+
+def test_invert_f_alpha_evaluates_g_a_few_times_per_target(monkeypatch):
+    # Newton from the asymptotic start point: at most 8 evaluations of G per
+    # target (6 measured), where bisecting to 1e-14 took about 50
+    real, counts = solvers_module._neg_log_f_alpha, []
+
+    def counting(a, c):
+        counts[-1] += 1
+        return real(a, c)
+
+    monkeypatch.setattr(solvers_module, "_neg_log_f_alpha", counting)
+    for alpha in _F_ALPHAS:
+        for r in _F_RATIOS:
+            counts.append(0)
+            invert_f_alpha(alpha, r)
+    assert 1 <= min(counts) and max(counts) <= 8
 
 
 def test_f_alpha_validation():
@@ -1116,6 +1136,17 @@ def test_heinz_heron_matrix_reproduces_targets():
                           MeanDescriptor.heron((2.0 * s - 1.0) ** 2))
         assert np.linalg.norm(heinz - x) <= 1e-7 * np.linalg.norm(x)
         assert np.linalg.norm(heron - y) <= 1e-7 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-10])
+def test_heinz_heron_matrix_with_relative_eigenvalues_near_one(gap):
+    # lambda - 1 < 1e-9 in every direction, where G = -log f_alpha ~ c^4 is tiny
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    x = (q * [1.0, 2.0, 5.0]) @ q.T
+    y = (q * (np.array([1.0, 2.0, 5.0]) * (1.0 + gap * np.array([1.0, 3.0, 7.0])))) @ q.T
+    for s in (0.1, 0.3, 0.7):
+        w = solve_heinz_heron_matrix(s, x, y)
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
 
 
 def test_geom_heinz_matrix_reproduces_targets():

@@ -272,6 +272,20 @@ def test_norms_of_huge_matrices_do_not_overflow():
     assert all(_frobenius(plain)[k] == _frobenius(m) for k, m in enumerate(plain))
 
 
+def test_norms_of_tiny_matrices_do_not_underflow():
+    # x @ x underflows to 0 below about 1e-162; such matrices are measured
+    # after an exact power-of-two scaling, and a zero matrix still reads 0
+    m = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])
+    lo, norm = np.linalg.eigvalsh(m)[0], np.linalg.norm(m)
+    assert min_eig_and_norm(1e-170 * m) == pytest.approx((1e-170 * lo, 1e-170 * norm),
+                                                         rel=1e-14, abs=0.0)
+    stack = np.stack((m, 1e-170 * m, np.zeros((3, 3)), 1e-300 * m))
+    los, norms = min_eig_and_norm(stack)
+    assert los[:2].tolist() == [lo, min_eig_and_norm(1e-170 * m)[0]]
+    assert norms.tolist() == [norm, _frobenius(1e-170 * m), 0.0, _frobenius(1e-300 * m)]
+    assert norms[3] == pytest.approx(1e-300 * norm, rel=1e-14, abs=0.0)
+
+
 def test_norms_of_an_empty_stack_are_empty():
     assert _frobenius(np.empty((0, 3, 3))).shape == (0,)
 
