@@ -19,13 +19,19 @@ rejects the rest, such as t(2) or (). No user text reaches eval, exec or
 compile. Parse errors carry the offending position; evaluation outside a
 function's domain raises a domain error.
 
-The walk builds two evaluators with the same values, bit for bit: one on a
-float, one on a whole array. On arrays, + - * /, sqrt and abs run in numpy
-(exact or correctly rounded, as in Python), and ^, exp and log run Python's
-own operator.pow, math.exp and math.log on each element. A non-finite input
-or constant is refused, Python raises where it would overflow, and numpy's
-divide, overflow and invalid flags raise: so no value on the way leaves the
-finite range, and every array either fails or is the float path's.
+_OPS holds every interpretation of the tree: a row per operation (+ - * /
+^, negation, each function, the variable t and the constant lift), a column
+per interpretation (0 on a float, 1 on a whole array). An operation's entry
+takes its children's results; t's entry is t's evaluator, and the lift's
+turns a number into its evaluator. _build walks the tree once per column and
+never asks which, so a new interpretation is one more entry per row, taking
+and giving that column's results (say, (value, error) pairs), and one more
+field of FunctionExpr. The two columns agree bit for bit: on arrays, + - * /,
+sqrt and abs run in numpy (exact or correctly rounded, as in Python), and ^,
+exp and log run Python's operator.pow, math.exp and math.log per element;
+non-finite inputs and constants are refused, Python raises where it would
+overflow, and numpy's divide, overflow and invalid flags raise, so every
+array either fails or is the float path's.
 """
 from __future__ import annotations
 
@@ -58,16 +64,19 @@ def _python(fn, nin: int):
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-# each operation as (float evaluator, array evaluator); on finite operands a
-# numpy one leaves the finite range only by raising a floating-point flag
-_FUNCTIONS = {"sqrt": (math.sqrt, np.sqrt), "log": (math.log, _python(math.log, 1)),
-              "exp": (math.exp, _python(math.exp, 1)), "abs": (math.fabs, np.abs)}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
+_FUNCTIONS = ("sqrt", "log", "exp", "abs")
 _NAMES = frozenset(("t", *_CONSTANTS, *_FUNCTIONS))     # the names an expression may use
-_BINARY = {ast.Add: (operator.add, np.add), ast.Sub: (operator.sub, np.subtract),
-           ast.Mult: (operator.mul, np.multiply), ast.Div: (operator.truediv, np.divide),
-           ast.Pow: (operator.pow, _python(operator.pow, 2))}
-_NEGATE = (operator.neg, np.negative)
+# rows keyed by ast operator or function name, columns (float, array); a numpy entry
+# leaves the finite range only by raising a flag, and the array lift refuses inf (1e999)
+_OPS = {"t": (lambda t: t, lambda t: t),
+        "const": (lambda k: lambda t: k,
+                  lambda k: (lambda t: k) if math.isfinite(k) else (lambda t: _finite(k))),
+        ast.Add: (operator.add, np.add), ast.Sub: (operator.sub, np.subtract),
+        ast.Mult: (operator.mul, np.multiply), ast.Div: (operator.truediv, np.divide),
+        ast.Pow: (operator.pow, _python(operator.pow, 2)), ast.USub: (operator.neg, np.negative),
+        "sqrt": (math.sqrt, np.sqrt), "log": (math.log, _python(math.log, 1)),
+        "exp": (math.exp, _python(math.exp, 1)), "abs": (math.fabs, np.abs)}
 # after optional whitespace: a number, a name, an operator or any other
 # character, which is an error
 _TOKEN = (r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d_]+)"
@@ -110,41 +119,30 @@ def _python_source(tokens):
     return "".join(chars), at
 
 
-def _apply(op, *operands):
-    """The (float, array) closures of op, a (float, array) evaluator pair, on
-    the (float, array) closures of its one or two operands."""
-    scalar, array = op
-    if len(operands) == 1:
-        (s, a), = operands
-        return (lambda t: scalar(s(t))), (lambda t: array(a(t)))
-    (s1, a1), (s2, a2) = operands
-    return (lambda t: scalar(s1(t), s2(t))), (lambda t: array(a1(t), a2(t)))
-
-
-def _build(node, text, at):
-    """The (float, array) closures of a whitelisted node; any other node is a
-    syntax error, and so is a function whose name is not right before its
-    '(', as in (sqrt)(t)."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _apply(_BINARY[type(node.op)], _build(node.left, text, at),
-                      _build(node.right, text, at))
-    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
-        inner = _build(node.operand, text, at)
-        return inner if isinstance(node.op, ast.UAdd) else _apply(_NEGATE, inner)
-    if isinstance(node, ast.Name) and node.id == "t":
-        return (lambda t: t), (lambda t: t)
-    if isinstance(node, ast.Name) and node.id in ("_k", *_CONSTANTS):
-        value = at[node.col_offset][1] if node.id == "_k" else _CONSTANTS[node.id]
-        # a number such as 1e999 reads as inf, which the array evaluator refuses
-        array = (lambda t: value) if math.isfinite(value) else (lambda t: _finite(value))
-        return (lambda t: value), array
-    column = node.col_offset
-    if isinstance(node, ast.Call):
-        column = text.index("(", node.func.end_col_offset)     # the call's '('
+def _build(node, text, at, column):
+    """The evaluator of a whitelisted node in one column of _OPS; any other
+    node is a syntax error, and so is a function whose name is not right
+    before its '(', as in (sqrt)(t)."""
+    key, operands, where = None, (), node.col_offset
+    if isinstance(node, ast.Name) and node.id in ("t", "_k", *_CONSTANTS):
+        k = at[where][1] if node.id == "_k" else _CONSTANTS.get(node.id)
+        return _OPS["t"][column] if k is None else _OPS["const"][column](k)
+    if isinstance(node, ast.BinOp):
+        key, operands = type(node.op), (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp):
+        key, operands = type(node.op), (node.operand,)
+    elif isinstance(node, ast.Call):
+        where = text.index("(", node.func.end_col_offset)     # the call's '('
         if (getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1
-                and not node.keywords and not text[node.func.end_col_offset:column].strip()):
-            return _apply(_FUNCTIONS[node.func.id], _build(node.args[0], text, at))
-    raise SyntaxError("invalid syntax", ("", 1, column + 1, text))
+                and not node.keywords and not text[node.func.end_col_offset:where].strip()):
+            key, operands = node.func.id, node.args
+    if key is ast.UAdd:
+        return _build(node.operand, text, at, column)
+    if key not in _OPS:
+        raise SyntaxError("invalid syntax", ("", 1, where + 1, text))
+    fn, kids = _OPS[key][column], [_build(child, text, at, column) for child in operands]
+    a, b = kids if len(kids) == 2 else (kids[0], None)
+    return (lambda t: fn(a(t), b(t))) if b else (lambda t: fn(a(t)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,8 @@ def parse_function(source: str) -> FunctionExpr:
         raise UsageError("empty function expression")
     text, at = _python_source(_tokenize(source))
     try:
-        return FunctionExpr(source, *_build(ast.parse(text, mode="eval").body, text, at))
+        tree = ast.parse(text, mode="eval").body
+        return FunctionExpr(source, *(_build(tree, text, at, column) for column in (0, 1)))
     except SyntaxError as exc:
         # offset: the 1-based column of the bad token, 0 where the text ended
         kind, value, pos = at.get((exc.offset or 0) - 1, ("end", None, None))

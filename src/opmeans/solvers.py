@@ -103,30 +103,26 @@ class ScalarPairSolution:
         return {"x": self.x, "y": self.y, "c": self.c}
 
 
-def _clamped_target(y0, gamma: float) -> float:
-    """y0 checked against the realizable range of a realize map with limit
+def _clamped_targets(ys: np.ndarray, gamma: float) -> np.ndarray:
+    """ys checked against the realizable range of a realize map with limit
     gamma and clamped into it: [1, gamma) when gamma > 1, (gamma, 1] when
-    gamma < 1, and 1 when the map is constant."""
-    y0 = float(y0)
-    if not math.isfinite(y0) or y0 <= 0.0:
-        raise StructuralError(f"target must be a positive real, got {y0!r}")
+    gamma < 1, and 1 when the map is constant. The first target, in order,
+    outside it raises (each range excludes nan, inf and y <= 0)."""
     if gamma > 1.0:
-        if not 1.0 - _EIG_CLAMP <= y0 < gamma:
-            raise OutOfRangeError(
-                f"target {y0!r} outside the realizable range [1, gamma) with "
-                f"gamma = {gamma!r}")
-        return max(y0, 1.0)
-    if gamma < 1.0:
-        if not gamma < y0 <= 1.0 + _EIG_CLAMP:
-            raise OutOfRangeError(
-                f"target {y0!r} outside the realizable range (gamma, 1] with "
-                f"gamma = {gamma!r}")
-        return min(y0, 1.0)
-    if abs(y0 - 1.0) > _EIG_CLAMP:
-        raise OutOfRangeError(
-            f"target {y0!r} unrealizable: the mean of (t, 1/t) is "
-            f"constant (gamma = {gamma!r})")
-    return 1.0
+        ok, clamped = (1.0 - _EIG_CLAMP <= ys) & (ys < gamma), np.maximum(ys, 1.0)
+        why = "outside the realizable range [1, gamma) with gamma = {!r}"
+    elif gamma < 1.0:
+        ok, clamped = (gamma < ys) & (ys <= 1.0 + _EIG_CLAMP), np.minimum(ys, 1.0)
+        why = "outside the realizable range (gamma, 1] with gamma = {!r}"
+    else:
+        ok, clamped = abs(ys - 1.0) <= _EIG_CLAMP, np.ones_like(ys)
+        why = "unrealizable: the mean of (t, 1/t) is constant (gamma = {!r})"
+    if not ok.all():
+        y0 = float(ys[ok.argmin()])
+        if not math.isfinite(y0) or y0 <= 0.0:
+            raise StructuralError(f"target must be a positive real, got {y0!r}")
+        raise OutOfRangeError(f"target {y0!r} " + why.format(gamma))
+    return clamped
 
 
 def _scan_and_newton(f: RepresentingFunction, ys: np.ndarray) -> tuple:
@@ -196,7 +192,7 @@ def _invert_realize(f: RepresentingFunction, targets) -> np.ndarray:
     is out of range, a converged root within it is checked forward through
     f.realize to 1e-11, and the first target, in order, that failed raises.
     """
-    ys = np.array([_clamped_target(y0, f.realize_gamma) for y0 in targets])
+    ys = _clamped_targets(np.asarray(targets, dtype=float), f.realize_gamma)
     pending = ys != 1.0
     y = ys[pending]
     if f.realize_inverse is None:
@@ -243,7 +239,7 @@ def invert_phi(f: RepresentingFunction, y0: float) -> float:
     This is the one-target case of the batched inversion the pair and chain
     solvers run.
     """
-    return float(_invert_realize(f, [y0])[0])
+    return float(_invert_realize(f, [float(y0)])[0])
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
@@ -406,8 +402,10 @@ def _log_f_alpha_den(alpha: float, c: float) -> float:
     if c < 350.0:
         half = math.sinh(0.5 * c)
         return math.log1p(2.0 * a2 * half * half)
-    lc = _logcosh(c)
-    return math.log(a2) + lc + math.log1p((1.0 - a2) / a2 * math.exp(-lc))
+    # x = log(alpha^2 cosh c) by 2 log|alpha|, as alpha^2 underflows for tiny
+    # alpha; x <= 0 needs alpha^2 <= 1 / cosh(350), where 1 - alpha^2 is 1
+    x = 2.0 * math.log(abs(alpha)) + _logcosh(c)
+    return x + math.log1p((1.0 - a2) * math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
 
 
 def f_alpha(alpha: float, c: float) -> float:
@@ -467,7 +465,7 @@ def invert_f_alpha(alpha: float, r: float) -> float:
         return 0.0
     a, target = abs(alpha), -math.log(r)
     # G(c) >= (1 - a) c + log(a^2 / 2), by D >= a^2 cosh c and log cosh(a c) <= a c
-    lo, hi = 0.0, (target - math.log(0.5 * a * a)) / (1.0 - a)
+    lo, hi = 0.0, (target + math.log(2.0) - 2.0 * math.log(a)) / (1.0 - a)
     c = min(hi, max((24.0 * target / ((1.0 - a) * (1.0 + a))) ** 0.25 / math.sqrt(a),
                     (target + 2.0 * math.log(a)) / (1.0 - a)))
     for _ in range(_BISECT_MAX_ITER):

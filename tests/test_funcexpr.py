@@ -182,6 +182,32 @@ def test_array_path_is_bitwise_the_float_path(source):
     assert _bits(f(x)) == _bits([f(v) for v in x.tolist()])
 
 
+# with _SAMPLER_EXPRESSIONS, every row of the operation table: abs, e and pi,
+# negation of a function, a unary plus and t^t
+_ROW_EXPRESSIONS = ("abs(t-3)", "pi*t^e", "-exp(-t)", "sqrt(t)*log(t)", "t^t", "+t/e - 2")
+
+
+@pytest.mark.parametrize("source", _ROW_EXPRESSIONS)
+def test_every_operation_on_an_array_is_bitwise_the_float_path(source):
+    f = parse_function(source)
+    x = np.logspace(-3.0, 2.0, 2001)
+    assert _bits(f(x)) == _bits([f(v) for v in x.tolist()])
+
+
+def test_the_bitwise_expressions_use_every_row_of_the_table():
+    used = set()
+    for source in (*_SAMPLER_EXPRESSIONS, *_ROW_EXPRESSIONS):
+        text, _ = funcexpr._python_source(funcexpr._tokenize(source))
+        for node in ast.walk(ast.parse(text, mode="eval")):
+            if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+                used.add(type(node.op))
+            elif isinstance(node, ast.Call):
+                used.add(node.func.id)
+            elif isinstance(node, ast.Name) and node.id in ("t", "_k", "e", "pi"):
+                used.update(("t",) if node.id == "t" else ("const", node.id))
+    assert set(funcexpr._OPS) | {"e", "pi"} <= used
+
+
 @pytest.mark.parametrize("source, good, bad", _EDGE_EXPRESSIONS)
 def test_array_path_at_domain_edges_falls_back_to_the_float_path(source, good, bad):
     # a good set, a bad one, the good one again: the array call raises a plain

@@ -238,6 +238,22 @@ def test_batched_inversion_raises_the_first_bad_target_in_order():
         solvers_module._invert_realize(fn, [2.0, 1e41, 3.0])
 
 
+@pytest.mark.parametrize("desc, targets, message", [
+    (ARITH, [2.0, 0.5, -1.0], "target 0.5 outside the realizable range [1, gamma) with gamma = inf"),
+    (HARM, [0.5, 2.0, 0.0], "target 2.0 outside the realizable range (gamma, 1] with gamma = 0.0"),
+    (GEO, [1.0, 1.5, math.nan],
+     "target 1.5 unrealizable: the mean of (t, 1/t) is constant (gamma = 1.0)")],
+    ids=["increasing", "decreasing", "constant"])
+def test_batched_clamping_raises_the_first_bad_targets_own_error(desc, targets, message):
+    # the targets are range-checked as one array; the second is out of range
+    # and the third not a positive real, and the second's error is raised
+    with pytest.raises(OutOfRangeError) as info:
+        solvers_module._invert_realize(representing_function(desc), targets)
+    assert str(info.value) == message
+    with pytest.raises(StructuralError, match="positive real"):
+        solvers_module._invert_realize(representing_function(desc), targets[::2])
+
+
 def test_batched_inversion_raises_the_first_failure_of_mixed_kinds(monkeypatch):
     # range, convergence and forward-check failures in one batch: the first
     # failing target in order raises, whatever the kind of the others
@@ -980,6 +996,22 @@ def test_invert_f_alpha_round_trips_at_extreme_alphas(alpha):
             continue
         c = invert_f_alpha(alpha, r)
         assert abs(f_alpha(alpha, c) - r) <= 1e-12 * r
+
+
+@pytest.mark.parametrize("alpha", [1e-200, -1e-200, 1e-160])
+def test_f_alpha_and_its_inverse_at_tiny_alphas(alpha):
+    # alpha^2 underflows: log(alpha^2) raised a bare ValueError past c = 350
+    # for 1e-200, and 1e-160 read f_alpha(400) as 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for c in (1.0, 349.0, 350.0, 400.0, 700.0, 921.0, 1000.0):
+            want = mpmath.cosh(a * c) / (a * a * mpmath.cosh(c) + 1 - a * a)
+            assert f_alpha(alpha, c) == pytest.approx(float(want), rel=1e-12)
+    for r in (0.999, 0.5, 1e-3, 1e-100):
+        c = invert_f_alpha(alpha, r)
+        assert float(abs(c - _mp_f_alpha_root(mpmath, alpha, r, c))) <= 1e-13 * c
+        assert f_alpha(alpha, c) == pytest.approx(r, rel=1e-12)
 
 
 def test_invert_f_alpha_evaluates_g_a_few_times_per_target(monkeypatch):
