@@ -86,7 +86,7 @@ class HDensity:
             raise StructuralError(
                 f"breakpoints must span [{lo}, {hi}] exactly, got "
                 f"[{breaks[0]}, {breaks[-1]}]")
-        if any(b >= c for b, c in zip(breaks, breaks[1:])):
+        if not all(b < c for b, c in zip(breaks, breaks[1:])):     # also rejects nan
             raise StructuralError("breakpoints must be strictly increasing")
         if len(values) != len(breaks) - 1:
             raise StructuralError(

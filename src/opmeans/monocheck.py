@@ -29,7 +29,7 @@ its other point sets on every call; f receives a copy of the points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Union
@@ -204,6 +204,30 @@ def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
     return _ULPS * lhs.shape[-1] * _EPS * kappa * scale
 
 
+def _random_pairs(rng: np.random.Generator, count: int, n: int) -> tuple:
+    """count random n x n SPD pairs of condition at most 50, A then B, as
+    (SpdMatrix stack of the A's, array of the B's, their RelativeSpectrum)."""
+    mats = _random_spd_stack(rng, 2 * count, n, 50.0)     # checks n, also for no pairs
+    a, b = SpdMatrix(mats[0::2]), mats[1::2]
+    return a, b, RelativeSpectrum(a, b)
+
+
+def _pair_margins(a: SpdMatrix, b: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+                  diff: np.ndarray, tol: float) -> tuple:
+    """(min_eig, norm, refuted) of each difference rhs - lhs of means of the
+    pairs (a, b) of _random_pairs: refuted when min_eig < -(tol * max(1, norm)
+    + E), E its _difference_rounding_bound. A difference with no finite norm
+    cannot refute; its lhs, rhs and diff are zeroed in place for E and min_eig."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _frobenius(diff)
+        bounded = np.isfinite(norm)
+        if not bounded.all():
+            lhs[~bounded] = rhs[~bounded] = diff[~bounded] = 0.0
+        bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
+    min_eig = spd._eigh(diff, vectors=False)[..., 0]    # none above norm in size
+    return min_eig, norm, bounded & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
+
+
 @dataclass(frozen=True)
 class LoewnerWitness:
     """A point set whose Loewner matrix has a negative eigenvalue beyond rounding."""
@@ -219,20 +243,27 @@ class LoewnerWitness:
 
 
 @dataclass(frozen=True)
-class TransferWitness:
-    """A matrix pair on which f breaks the order between two ordered means."""
+class _MatrixPair:
+    """A matrix pair and the numbers reported with it, shared by every pair
+    witness; its JSON record is "A", "B", then each further field by name."""
 
     matrix_a: np.ndarray
     matrix_b: np.ndarray
+
+    def to_json_dict(self) -> dict:
+        return {"A": matrix_to_json_dict(self.matrix_a), "B": matrix_to_json_dict(self.matrix_b),
+                **{f.name: getattr(self, f.name) for f in fields(self)[2:]}}
+
+
+@dataclass(frozen=True)
+class TransferWitness(_MatrixPair):
+    """A matrix pair on which f breaks the order between two ordered means."""
+
     min_eigenvalue: float
     diff_norm: float
 
     def to_json_dict(self) -> dict:
-        return {"kind": "matrix-pair",
-                "A": matrix_to_json_dict(self.matrix_a),
-                "B": matrix_to_json_dict(self.matrix_b),
-                "min_eigenvalue": self.min_eigenvalue,
-                "diff_norm": self.diff_norm}
+        return {"kind": "matrix-pair", **super().to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -251,9 +282,9 @@ class MonotonicityVerdict:
 
 
 def _check_sampling(trials: int, seed: int, tol: float) -> None:
-    """Reject a non-integer or negative trials or seed and a non-finite or non-positive tol."""
+    """Reject a bool, non-integer or negative trials or seed; a non-finite or non-positive tol."""
     for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, Integral) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
             raise StructuralError(f"{name} must be a non-negative integer, got {value!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise StructuralError(f"tolerance must be a finite positive real, got {tol!r}")
@@ -476,34 +507,30 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
 
     _check_sampling(trials, seed, tol)
     rng = np.random.default_rng(seed)
-    schedule = [(2, int(np.ceil(trials * 0.6))),
-                (3, int(np.ceil(trials * 0.25)))]
-    schedule.append((4, max(0, trials - schedule[0][1] - schedule[1][1])))
+    two = int(np.ceil(trials * 0.6))
+    three = min(int(np.ceil(trials * 0.25)), trials - two)
 
     trials_run = 0
-    for n, count in schedule:
+    for n, count in ((2, two), (3, three), (4, trials - two - three)):
         for start in range(0, count, _TRANSFER_BLOCK):
             witness, examined = _first_transfer_witness(
-                rng, n, min(_TRANSFER_BLOCK, count - start), f, rep_s, rep_t, tol)
+                *_random_pairs(rng, min(_TRANSFER_BLOCK, count - start), n), f, rep_s, rep_t, tol)
             trials_run += examined
             if witness is not None:
                 return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
     return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
 
 
-def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float):
-    """(witness, trials examined) for the next size random n x n pairs, run
-    as one stack, with f called once on the eigenvalues of all their means.
+def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
+    """(witness, trials examined) for the pairs (a, b, spectrum) of
+    _random_pairs, as one stack, f called once on the eigenvalues of all means.
 
     A pair is skipped when f raises one of DOMAIN_ERRORS on the spectrum of
     either mean or gives a non-finite value there, as apply_spectral_function
-    would report it, or when the difference of f of the means has no finite
-    Frobenius norm; the earliest refuting pair wins, unless f raised another
-    error on an earlier pair, which propagates.
+    would report it, or when its difference has no finite norm. The earliest
+    refuting pair wins; another error of f on an earlier pair propagates.
     """
-    mats = _random_spd_stack(rng, 2 * size, n, 50.0)
-    a, b = SpdMatrix(mats[0::2]), mats[1::2]
-    spectrum = RelativeSpectrum(a, b)
+    size, n = b.shape[:2]
     # the means are exactly symmetric: decompose them without re-validation
     w, v = _eigh_descending(np.concatenate((mean_from_spectrum(spectrum, rep_s),
                                             mean_from_spectrum(spectrum, rep_t))))
@@ -517,16 +544,8 @@ def _first_transfer_witness(rng, n: int, size: int, f, rep_s, rep_t, tol: float)
     with np.errstate(over="ignore", invalid="ignore"):
         images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
         diff = images[size:] - images[:size]
-        norm = _frobenius(diff)
-        bounded = np.isfinite(norm)
-        if not bounded.all():     # -(tol * norm + E) is -inf: skip those pairs too
-            usable &= bounded
-            images[~np.concatenate((bounded, bounded))] = diff[~bounded] = 0.0
-        bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False),
-                                           images[:size], images[size:])
-    min_eig = spd._eigh(diff, vectors=False)[..., 0]    # none above norm in size
-    refuted = usable & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
-    item, examined = _first_hit(refuted, faults, np.arange(size))
+    min_eig, norm, refuted = _pair_margins(a, b, images[:size], images[size:], diff, tol)
+    item, examined = _first_hit(usable & refuted, faults, np.arange(size))
     if item is None:
         return None, size
     return TransferWitness(a.entries[item].copy(), b[item].copy(),

@@ -30,15 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import spd
 from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
                     RepresentingFunction, _class_residual, _scalarize, arithmetic_pair,
                     representing_function)
-from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling,
-                        _difference_rounding_bound, is_operator_monotone_sampled)
-from .spd import (RelativeSpectrum, SpdMatrix, _min_eig_and_norm, _random_spd_stack,
-                  matrix_to_json_dict)
+from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling, _MatrixPair,
+                        _pair_margins, _random_pairs, is_operator_monotone_sampled)
 
 DIRECTION_UP = "non-decreasing"
 DIRECTION_DOWN = "non-increasing"
@@ -183,19 +180,11 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
 
 
 @dataclass(frozen=True)
-class KaViolation:
+class KaViolation(_MatrixPair):
     """A matrix pair violating the mixing inequality, with its margin."""
 
-    matrix_a: np.ndarray
-    matrix_b: np.ndarray
     min_eigenvalue: float
     diff_norm: float
-
-    def to_json_dict(self) -> dict:
-        return {"A": matrix_to_json_dict(self.matrix_a),
-                "B": matrix_to_json_dict(self.matrix_b),
-                "min_eigenvalue": self.min_eigenvalue,
-                "diff_norm": self.diff_norm}
 
 
 @dataclass(frozen=True)
@@ -238,27 +227,22 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     lo = g_tau(z), hi = z / lo. Both sides and their difference (from the
     scalar gap) congruate from that one spectrum, so a pair costs 4
     eigensolves: A's validation, Z, the difference and B's eigenvalues for E.
-    A violation is a pair whose difference has min eigenvalue below
-    -(tol * max(1, norm) + E), E from monocheck._difference_rounding_bound
-    on the eigenvalue error of the computed difference. The returned margin
-    is the worst normalized eigenvalue seen. All trials run as one stack.
+    A violation is a pair, drawn and judged as in falsify_transfer, whose
+    difference has min eigenvalue below -(tol * max(1, norm) + E). The
+    margin is the worst normalized eigenvalue seen; all trials run as one stack.
     """
     _check_sampling(trials, seed, tol)
     f_sigma, g_tau = representing_function(sigma), representing_function(tau)
-    mats = _random_spd_stack(np.random.default_rng(seed), 2 * trials, n, 50.0)   # checks n
+    a, b, spectrum = _random_pairs(np.random.default_rng(seed), trials, n)
     if not trials:
         return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
-    a, b = SpdMatrix(mats[0::2]), mats[1::2]
-    spectrum = RelativeSpectrum(a, b)
     z = spectrum.eigenvalues.ravel()
     lo = g_tau.value(z)
     hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
     mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
     lhs, rhs, diff = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
-    min_eig, norm = _min_eig_and_norm(diff)
-    bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
-    violated = np.flatnonzero(min_eig < -(tol * np.maximum(1.0, norm) + bound))
-    violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(),
-                                   float(min_eig[i]), float(norm[i])) for i in violated)
+    min_eig, norm, violated = _pair_margins(a, b, lhs, rhs, diff, tol)
+    violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(), float(min_eig[i]),
+                                   float(norm[i])) for i in np.flatnonzero(violated))
     return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,
                     float(np.min(min_eig / np.maximum(1.0, norm))), violations)

@@ -42,6 +42,7 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     mean_from_spectrum, representing_function)
+from .monocheck import _MatrixPair
 from .spd import RelativeSpectrum, SpdMatrix, _frobenius, as_spd, matrix_to_json_dict
 
 _BISECT_MAX_ITER = 200
@@ -59,19 +60,11 @@ _MAX_LINKS = 100_000
 
 
 @dataclass(frozen=True)
-class PairWitness:
+class PairWitness(_MatrixPair):
     """A realized pair with the relative errors of its two target equations."""
 
-    matrix_a: np.ndarray
-    matrix_b: np.ndarray
     residual_x: float
     residual_y: float
-
-    def to_json_dict(self) -> dict:
-        return {"A": matrix_to_json_dict(self.matrix_a),
-                "B": matrix_to_json_dict(self.matrix_b),
-                "residual_x": self.residual_x,
-                "residual_y": self.residual_y}
 
 
 @dataclass(frozen=True)
@@ -371,6 +364,8 @@ def solve_scalar_geometric_pair(sigma: MeanDescriptor, x: float,
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise StructuralError("targets must be finite positive reals")
     fn = representing_function(sigma)
+    if not 0.0 < y / x < math.inf:
+        raise OutOfRangeError(f"target ratio of y = {y!r} to x = {x!r} leaves the float range")
     t = invert_phi(fn, y / x)
     a, b = x * t, x / t
     mean_value = a * float(fn.value(b / a))
@@ -501,6 +496,8 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
             f"Heinz target {a!r} exceeds Heron target {b!r}; the Heinz value "
             "never exceeds the Heron value")
     alpha = 2.0 * s - 1.0
+    if a / b == 0.0:
+        raise ConvergenceError(f"solution left the representable range: {a!r} / {b!r} underflows")
     c = invert_f_alpha(alpha, a / b)
     # exp of the whole log: b e^{-c} / d underflows through e^{-c} first
     log_b = math.log(b) - _log_f_alpha_den(alpha, c)

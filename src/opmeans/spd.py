@@ -372,7 +372,7 @@ def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
 
 def _roots(w: np.ndarray, v: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(M^{1/2}, M^{-1/2}) from M = V diag(w) V^T, M named name in errors."""
-    lo = float(np.min(w))
+    lo = float(np.min(w, initial=math.inf))     # an empty stack has no roots to check
     if lo <= 0.0:
         raise ConditioningError(f"square root of {name} needs a positive spectrum, got {lo!r}")
     r = np.sqrt(w)
@@ -443,7 +443,7 @@ def random_spd_from(rng: np.random.Generator, n: int, cond_cap: float = 100.0) -
 
 
 def _check_matrix_size(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise StructuralError(f"matrix size must be a positive integer, got {n!r}")
 
 

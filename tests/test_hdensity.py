@@ -292,6 +292,13 @@ def test_density_validation():
         eval_selfadjoint_rep(STEP_SYM, 2.0)
 
 
+@pytest.mark.parametrize("breaks", [(0.0, math.nan, 1.0), (0.0, 0.5, math.nan, 1.0)])
+def test_density_rejects_a_nan_breakpoint(breaks):
+    # every comparison with nan is false, so "b >= c" would let it through
+    with pytest.raises(StructuralError, match="strictly increasing"):
+        HDensity(SYMMETRIC, breaks, (0.2,) * (len(breaks) - 1))
+
+
 def test_density_json_roundtrip():
     again = HDensity.from_json_dict(loads(dumps(STEP_SYM.to_json_dict())))
     assert again == STEP_SYM

@@ -1,4 +1,5 @@
 """Loewner-matrix monotonicity testing and inequality-chain verification."""
+import json
 import math
 import os
 import subprocess
@@ -613,6 +614,41 @@ def test_falsify_transfer_precheck_rejects_unordered_means():
     with pytest.raises(UsageError):
         falsify_transfer(np.sqrt, MeanDescriptor.arithmetic(),
                          MeanDescriptor.geometric(), trials=10, seed=0)
+
+
+def test_falsify_transfer_runs_at_most_its_trials():
+    # the 2x2 and 3x3 shares round up; the 3x3 one must stay within the budget
+    for trials in range(21):
+        verdict = falsify_transfer(np.sqrt, MeanDescriptor.geometric(),
+                                   MeanDescriptor.arithmetic(), trials=trials, seed=2)
+        assert verdict.status == "consistent"
+        assert verdict.trials_run == trials
+
+
+@pytest.mark.parametrize("plan", [{"trials": True}, {"trials": False}, {"seed": True}])
+def test_sampling_plans_reject_booleans(plan):
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    with pytest.raises(StructuralError, match="non-negative integer"):
+        MonoConfig(**plan)
+    with pytest.raises(StructuralError, match="non-negative integer"):
+        falsify_transfer(np.sqrt, geo, arith, **plan)
+    with pytest.raises(StructuralError, match="non-negative integer"):
+        ka_condition_check(geo, arith, **plan)
+
+
+def test_pair_records_share_one_json_layout():
+    # "A", "B", then each further field in declaration order; the transfer
+    # witness puts its kind first
+    from opmeans import KaViolation, PairWitness, TransferWitness
+    a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2)
+    pair = ('"A": {"n": 2, "rows": [[2.0, 0.5], [0.5, 1.0]]}, '
+            '"B": {"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}')
+    assert (json.dumps(PairWitness(a, b, 1e-16, 2.5e-17).to_json_dict())
+            == '{' + pair + ', "residual_x": 1e-16, "residual_y": 2.5e-17}')
+    assert (json.dumps(TransferWitness(a, b, -0.25, 3.0).to_json_dict())
+            == '{"kind": "matrix-pair", ' + pair + ', "min_eigenvalue": -0.25, "diff_norm": 3.0}')
+    assert (json.dumps(KaViolation(a, b, -0.5, 1.5).to_json_dict())
+            == '{' + pair + ', "min_eigenvalue": -0.5, "diff_norm": 1.5}')
 
 
 def test_transfer_rounding_bound_covers_computed_difference():

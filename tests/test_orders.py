@@ -416,3 +416,11 @@ def test_ka_condition_checks_n_however_many_trials(trials, n):
     with pytest.raises(StructuralError, match="matrix size must be a positive integer"):
         ka_condition_check(MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
                            trials=trials, n=n)
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+def test_ka_condition_rejects_a_boolean_matrix_size(trials):
+    # True is an int to Python, but no matrix size
+    with pytest.raises(StructuralError, match="matrix size must be a positive integer"):
+        ka_condition_check(MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                           trials=trials, n=True)

@@ -501,6 +501,15 @@ def test_scalar_pair_rejects_bad_targets():
         solve_scalar_geometric_pair(GEO, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("mean, x, y", [(ARITH, 1e-300, 1e300), (HARM, 1e300, 1e-300)],
+                         ids=["overflow", "underflow"])
+def test_scalar_pair_target_ratio_past_the_float_range(mean, x, y):
+    # both targets are finite and positive; y / x is not, and the error says
+    # so instead of naming a target the caller never passed
+    with pytest.raises(OutOfRangeError, match=r"y = .* to x = .* leaves the float range"):
+        solve_scalar_geometric_pair(mean, x, y)
+
+
 # ---------------------------------------------------------- matrix pair solve
 
 def test_matrix_pair_arithmetic_identity_oracle():
@@ -1080,6 +1089,13 @@ def test_scalar_heinz_heron_ratio_past_the_float_range():
     assert sol.c > 355.0 and math.isinf(sol.y / sol.x)
     assert _heinz(0.9, sol.x, sol.y) == pytest.approx(a, rel=1e-10)
     assert _heron(0.64, sol.x, sol.y) == pytest.approx(b, rel=1e-10)
+
+
+def test_scalar_heinz_heron_target_ratio_below_the_float_range():
+    # a / b underflows to 0, which is no ratio in (0, 1]: the solution, as
+    # at 1e-150 and 1e150, leaves the representable range
+    with pytest.raises(ConvergenceError, match=r"1e-300 / 1e\+300 underflows"):
+        solve_scalar_heinz_heron(0.25, 1e-300, 1e300)
 
 
 def test_scalar_heinz_heron_tiny_x_below_the_exponential_range():
