@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import spd
-from .errors import DOMAIN_ERRORS, StructuralError, UsageError
+from .errors import DOMAIN_ERRORS, ConditioningError, StructuralError, UsageError
 from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
                     heinz_pair, heron_pair, mean_from_spectrum, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _eigh_descending,
@@ -191,7 +191,7 @@ def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
 
     lhs and rhs are built from means of the SPD pair (a, b) with spectra
     spec_a and spec_b, each in either order; the means' spectra all lie in
-    the joint spectral range of a and b, and the congruences by square roots
+    the joint spectral range of a and b, and the congruences by C = a^{1/2} U
     that evaluate them lose at most about n * eps * kappa relative, kappa
     being the joint condition number. With _ULPS ulps per value the computed
     difference is off by at most _ULPS * n * eps * kappa * (||lhs||_F +
@@ -608,6 +608,7 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
       harmonic <= Heinz_s, geometric <= Heinz_s,
       Heinz_s <= Heron with weight (2s-1)^2, Heron <= arithmetic,
       Heinz_s <= arithmetic.
+    A relative eigenvalue <= 0 (B not positive definite) raises ConditioningError.
     When A and B commute the eigenvalue pairs additionally run through the
     scalar chain geometric <= Heinz <= Heron((2s-1)^2) <= Heron(|2s-1|) <=
     arithmetic, reported as a single normalized worst margin. They commute
@@ -617,10 +618,12 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     if not 0.0 <= float(s) <= 1.0:
         raise StructuralError(f"s must lie in [0, 1], got {s}")
     s = float(s)
-    am = _as_array(a, "A")
-    bm = _as_array(b, "B")
+    am, bm = _as_array(a, "A"), _as_array(b, "B")
     spectrum = RelativeSpectrum(am, bm)
     ev = spectrum.eigenvalues
+    if ev[-1] <= 0.0:
+        raise ConditioningError(f"relative spectrum of the matrix pair has smallest eigenvalue "
+                                f"{float(ev[-1]):.3e}; the pair is not positive definite")
     harm_v, geo_v, heinz_v, heron_v, arith_v = (
         harmonic_pair(1.0, ev), geometric_pair(1.0, ev), heinz_pair(s, 1.0, ev),
         heron_pair((2.0 * s - 1.0) ** 2, 1.0, ev), arithmetic_pair(1.0, ev))
@@ -644,12 +647,10 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     an, bn = np.ldexp(am, -exp_a), np.ldexp(bm, -exp_b)     # norms frac_a and frac_b
     commuting = bool(_frobenius(an @ bn - bn @ an) <= 1e-10 * (frac_a * frac_b))
 
-    scalar_checked = False
-    scalar_margin = None
+    scalar_checked, scalar_margin = False, None
     if commuting:
         probe = sym_eigendecompose(am + np.e * bm)
-        a_t = probe.basis.T @ am @ probe.basis
-        b_t = probe.basis.T @ bm @ probe.basis
+        a_t, b_t = probe.basis.T @ np.stack((am, bm)) @ probe.basis
         off = max(_frobenius(a_t - np.diag(np.diag(a_t))), _frobenius(b_t - np.diag(np.diag(b_t))))
         if off <= 1e-8 * max(1.0, norm_a, norm_b):
             scalar_checked = True

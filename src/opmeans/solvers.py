@@ -13,18 +13,18 @@ mean values?" and hands back a witness that re-evaluates to the targets:
     those two families, in scalar and matrix form.
 
 Means are covariant under congruence, C (D1 sigma D2) C^T = (C D1 C^T)
-sigma (C D2 C^T). So with C = X^{1/2} U from the relative spectrum of (X, Y),
-a link C diag(v) C^T -> C diag(w) C^T is realized by the pair C diag(v d) C^T,
-C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue: a whole chain is
-solved in one basis. A pair is its one-link case v = 1, w the relative
-eigenvalues, inverted directly; solve_matrix_pair and solve_geom_heinz_matrix
-share it. All the eigenvalue ratios of a chain are inverted together, and all
-its link witnesses are re-evaluated as one (links, n, n) stack. Counting
-the SpdMatrix validations, a pair decomposes 5 matrices, a chain 3 + 2 * links. A
-catalog mean inverts them in closed form (RepresentingFunction.realize_inverse);
-a density mean by one batched scan and safeguarded Newton iteration whose
-every call of the representing function serves all of them. Either way a
-root must lie below the scan horizon 1e40 and is checked forward.
+sigma (C D2 C^T). So with C = X^{1/2} U, the factor RelativeSpectrum(X, Y)
+stores, a link C diag(v) C^T -> C diag(w) C^T is realized by the pair
+C diag(v d) C^T, C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue:
+a whole chain is solved in one basis, its eigenvalue ratios inverted together
+and its link witnesses re-evaluated as one (links, n, n) stack. A pair is its
+one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). With the
+SpdMatrix validations a pair decomposes 5 matrices, a chain 3 + 2 * links; a
+relative spectrum takes 3 matrix products and a congruation 1. A catalog mean
+inverts them in closed form (RepresentingFunction.realize_inverse); a density
+mean by one batched scan and safeguarded Newton iteration whose every call of
+the representing function serves all of them. Either way a root must lie
+below the scan horizon 1e40 and is checked forward.
 
 Residuals are part of every witness: each solver re-evaluates its target
 equations and refuses to return silently inaccurate answers.
@@ -389,31 +389,18 @@ def _validate_alpha(alpha: float) -> float:
     return alpha
 
 
-def _log_f_alpha_den(alpha: float, c: float) -> float:
-    # log(alpha^2 cosh(c) + 1 - alpha^2), overflow-safe for large c.
-    # Written as log1p(alpha^2 (cosh c - 1)) below the overflow knee so
-    # c = 0 maps to exactly 0 and near-1 denominators keep their digits.
-    a2 = alpha * alpha
-    if c < 350.0:
-        half = math.sinh(0.5 * c)
-        return math.log1p(2.0 * a2 * half * half)
-    # x = log(alpha^2 cosh c) by 2 log|alpha|, as alpha^2 underflows for tiny
-    # alpha; x <= 0 needs alpha^2 <= 1 / cosh(350), where 1 - alpha^2 is 1
-    x = 2.0 * math.log(abs(alpha)) + _logcosh(c)
-    return x + math.log1p((1.0 - a2) * math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
-
-
 def f_alpha(alpha: float, c: float) -> float:
     """cosh(alpha c) / (alpha^2 cosh(c) + 1 - alpha^2), for c >= 0.
 
-    Strictly decreasing from f_alpha(0) = 1 toward 0; computed in log space
-    so large c neither overflows nor loses the leading digits.
+    Strictly decreasing from f_alpha(0) = 1 toward 0; computed as exp(-G)
+    from the cancellation-free G of _neg_log_f_alpha, so large c neither
+    overflows nor loses the leading digits.
     """
     alpha = _validate_alpha(alpha)
     c = float(c)
     if not math.isfinite(c) or c < 0.0:
         raise DomainError(f"c must be a finite value >= 0, got {c!r}")
-    return math.exp(_logcosh(alpha * c) - _log_f_alpha_den(alpha, c))
+    return math.exp(-_neg_log_f_alpha(abs(alpha), c)[0])
 
 
 @lru_cache(maxsize=64)
@@ -426,13 +413,27 @@ def _ratio_series(a: float) -> tuple:
 
 
 def _neg_log_f_alpha(a: float, c: float) -> tuple:
-    """(G, G') for G = -log f_alpha(c) at a = |alpha|, c > 0. Up to c = 2,
+    """(G, G') for G = -log f_alpha(c) at a = |alpha|, c >= 0. Up to c = 2,
     G = -log1p(-N / D), D = 1 + 2 a^2 sinh^2(c / 2), with N by Horner in c^2,
-    so G keeps its digits where it is ~ c^4; beyond, log D - log cosh(a c)."""
+    so G keeps its digits where it is ~ c^4. Beyond, G = log1p(M / cosh(a c)),
+    M = D - cosh(a c) = 2 a^2 sinh((1 + a) c / 2) sinh((1 - a) c / 2) - 2 (1 - a)
+    (1 + a) sinh^2(a c / 2), whose terms cancel little there, all times e^{-a c}."""
     if c > 2.0:
-        den = _log_f_alpha_den(a, c)    # D' / D = tanh(c) (1 - (1 - a^2) / D)
-        slope = math.tanh(c) * (1.0 - (1.0 - a) * (1.0 + a) * math.exp(-den))
-        return den - _log_f_alpha_den(1.0, a * c), slope - a * math.tanh(a * c)
+        # sinh x = e^x (1 - e^{-2x}) / 2, and the two x of the first term sum to
+        # c: times e^{-a c} it is (a e^h)^2 rest, h = (1 - a) c / 2
+        h = 0.5 * (1.0 - a) * c
+        rest = 0.5 * math.expm1(-(1.0 + a) * c) * math.expm1(-(1.0 - a) * c)
+        cosh = 0.5 + 0.5 * math.exp(-2.0 * a * c)
+        log_root = math.log(a) + h
+        if log_root >= 350.0:   # past e^700 the first term leaves no digit of the rest
+            g = 2.0 * log_root + math.log(rest / cosh)
+        else:
+            root = a * math.exp(h) if h < 700.0 else math.exp(log_root)
+            second = 0.5 * (1.0 - a) * (1.0 + a) * math.expm1(-a * c) ** 2
+            g = math.log1p((root * root * rest - second) / cosh)
+        # D' / D = tanh(c) (1 - (1 - a^2) / D), log D = G + log cosh(a c)
+        slope = math.tanh(c) * (1.0 - (1.0 - a) * (1.0 + a) * math.exp(-g - _logcosh(a * c)))
+        return g, slope - a * math.tanh(a * c)
     x, n, dn = c * c, 0.0, 0.0
     for k2, t in zip(range(30, 3, -2), _ratio_series(a)):
         n, dn = n * x + t, dn * x + k2 * t
@@ -449,7 +450,7 @@ def invert_f_alpha(alpha: float, r: float) -> float:
     near 0 and G ~ (1 - |alpha|) c + log alpha^2 far out; a step that leaves
     the bracket takes its midpoint. It stops after a step of at most 1e-8 c
     (convergence is quadratic) or once the bracket is 1e-14 relative, mostly
-    after 2 to 6 evaluations of G. G has no cancellation up to c = 2, so c is
+    after 2 to 6 evaluations of G. G has no cancellation at any c, so c is
     accurate to a few ulps even for r within ulps of 1. The root is checked forward.
     """
     alpha = _validate_alpha(alpha)
@@ -500,7 +501,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
         raise ConvergenceError(f"solution left the representable range: {a!r} / {b!r} underflows")
     c = invert_f_alpha(alpha, a / b)
     # exp of the whole log: b e^{-c} / d underflows through e^{-c} first
-    log_b = math.log(b) - _log_f_alpha_den(alpha, c)
+    log_b = math.log(b) - _neg_log_f_alpha(abs(alpha), c)[0] - _logcosh(alpha * c)
     x, y = math.exp(log_b - c), math.exp(log_b + c)
     if x <= 0.0 or not math.isfinite(y):
         raise ConvergenceError(

@@ -6,11 +6,10 @@ normwise backward stable: every computed eigenvalue lies within a small
 multiple of n * eps * ||M||_2 of the exact one. That error is far below the
 tol * ||M|| term of every refutation rule in monocheck.
 
-Every operator mean of a pair (P, Q) is a spectral function of the relative
-spectrum Z = P^{-1/2} Q P^{-1/2}, congruated back by P^{1/2}. RelativeSpectrum
-decomposes a pair once; the means, the inverse solvers, the chain builder and
-the sampled checks all go through it. It reuses the eigendecomposition that
-an SpdMatrix P keeps from its validation.
+Every operator mean of a pair (P, Q) is C diag(g(lam)) C^T, for the relative
+spectrum Z = P^{-1/2} Q P^{-1/2} = U diag(lam) U^T and the factor C = P^{1/2} U.
+RelativeSpectrum decomposes a pair once, in the eigenbasis an SpdMatrix P keeps
+from its validation, and stores C; the means, solvers and checks all use it.
 
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
@@ -367,48 +366,47 @@ def _min_eig_and_norm(m: np.ndarray):
 def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
     """Return (M^{1/2}, M^{-1/2}) for a positive definite matrix."""
     dec = sym_eigendecompose(m)
-    return _roots(dec.eigenvalues, dec.basis, "matrix")
+    r = _sqrt_spectrum(dec.eigenvalues, "matrix")
+    return _assemble(dec.basis, r), _assemble(dec.basis, 1.0 / r)
 
 
-def _roots(w: np.ndarray, v: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(M^{1/2}, M^{-1/2}) from M = V diag(w) V^T, M named name in errors."""
+def _sqrt_spectrum(w: np.ndarray, name: str) -> np.ndarray:
+    """sqrt(w) for the eigenvalues w of a matrix named name in errors, all > 0."""
     lo = float(np.min(w, initial=math.inf))     # an empty stack has no roots to check
     if lo <= 0.0:
         raise ConditioningError(f"square root of {name} needs a positive spectrum, got {lo!r}")
-    r = np.sqrt(w)
-    return _assemble(v, r), _assemble(v, 1.0 / r)
+    return np.sqrt(w)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class RelativeSpectrum:
     """The relative spectrum Z = P^{-1/2} Q P^{-1/2} of an SPD pair (P, Q).
 
-    Holds P^{1/2} and Z's non-ascending eigenvalues and orthonormal basis
-    (column signs not normalized), read-only, so any number of spectral
-    functions g of one pair cost one decomposition each way (none for an
-    SpdMatrix P, whose kept one is reused, bitwise that of P's entries):
-    congruate(g(eigenvalues)) = P^{1/2} g(Z) P^{1/2}. congruate(ones) is P
-    and congruate(eigenvalues) is Q. P and Q may be (k, n, n) stacks of k
-    pairs; eigenvalues is then (k, n) and congruate maps (k, n) values to a
-    (k, n, n) stack, each matrix bitwise that of its pair alone. P and Q
-    must each be symmetric within SYMMETRY_RTOL, as SpdMatrix requires.
+    Holds, read-only, Z's non-ascending eigenvalues lam and the factor
+    C = P^{1/2} U, U an eigenbasis of Z (column signs not normalized):
+    congruate(g(lam)) = C diag(g(lam)) C^T = P^{1/2} g(Z) P^{1/2}, so
+    congruate(ones) is P and congruate(lam) is Q. From P = V diag(w) V^T (an
+    SpdMatrix P lends its kept one) and r = sqrt(w), (V^T Q V) / (r_i r_j) =
+    U' diag(lam) U'^T is decomposed and C = V diag(r) U': no matrix root of P
+    is formed. P and Q may be (k, n, n) stacks of k pairs; lam is then (k, n)
+    and congruate maps (k, n) values to a (k, n, n) stack, each matrix
+    bitwise that of its pair alone. P and Q must be symmetric within SYMMETRY_RTOL.
     """
 
-    root: np.ndarray
+    factor: np.ndarray
     eigenvalues: np.ndarray
-    basis: np.ndarray
 
     def __init__(self, p, q):
-        pm = _as_array(p, "P", stack=True)
-        qm = _as_array(q, "Q", stack=True)
+        pm, qm = _as_array(p, "P", stack=True), _as_array(q, "Q", stack=True)
         if pm.shape != qm.shape:
             raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
-        spectrum = (p._spectrum if isinstance(p, SpdMatrix)
-                    else _eigh_descending(_require_symmetric(pm, "P")))
+        w, v = (p._spectrum if isinstance(p, SpdMatrix)
+                else _eigh_descending(_require_symmetric(pm, "P")))
         _check_symmetric(qm, "Q")     # Z is symmetrized below
-        root, inv_root = _roots(*spectrum, "P")
-        z = _eigh_descending(_symmetrize(inv_root @ qm @ inv_root))
-        for name, x in zip(("root", "eigenvalues", "basis"), (root, *z)):
+        r = _sqrt_spectrum(w, "P")
+        ev, u = _eigh_descending(
+            _symmetrize((_transpose(v) @ qm @ v) / (r[..., :, None] * r[..., None, :])))
+        for name, x in (("factor", (v * r[..., None, :]) @ u), ("eigenvalues", ev)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
 
@@ -424,12 +422,12 @@ class RelativeSpectrum:
         return np.divide(hi, lo, out=np.full(lo.shape, math.inf), where=lo > 0.0)
 
     def congruate(self, values) -> np.ndarray:
-        """P^{1/2} U diag(values) U^T P^{1/2}, U the eigenbasis of Z.
+        """C diag(values) C^T = P^{1/2} U diag(values) U^T P^{1/2}.
 
         values (..., n) with leading axes gives a stack: with one pair, k
         value sets congruate to k matrices.
         """
-        return _symmetrize(self.root @ _assemble(self.basis, values) @ self.root)
+        return _assemble(self.factor, values)
 
 
 def random_spd(n: int, cond_cap: float = 100.0, seed: int = 0) -> SpdMatrix:

@@ -169,6 +169,34 @@ def test_eval_mean_rejects_mismatched_and_singular():
         eval_mean(np.eye(2), np.diag([1.0, 0.0]), MeanDescriptor.geometric())
 
 
+def test_eval_mean_is_accurate_when_a_is_ill_conditioned():
+    # A with kappa(A) = 1e8 against a 50-digit reference, in Frobenius norm.
+    # Congruating through P^{1/2} and P^{-1/2} as matrices gave a median
+    # relative error of 3.4e-9 here; the factor C = A^{1/2} U gives 6.0e-12
+    mpmath = pytest.importorskip("mpmath")
+    scalar = [(MeanDescriptor.geometric(), mpmath.sqrt),
+              (MeanDescriptor.heinz(0.3), lambda t: (t ** 0.3 + t ** 0.7) / 2),
+              (MeanDescriptor.harmonic(), lambda t: 2 * t / (1 + t))]
+    rng = np.random.default_rng(0)
+    errors = []
+    for _ in range(12):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = (q * np.geomspace(1.0, 1e8, 4)) @ q.T
+        a = 0.5 * (a + a.T)
+        b = random_spd_from(rng, 4, 100.0).entries
+        with mpmath.workdps(50):
+            w, v = mpmath.eigsy(mpmath.matrix(a.tolist()))
+            root = v * mpmath.diag([mpmath.sqrt(x) for x in w]) * v.T
+            inv_root = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T
+            lam, u = mpmath.eigsy(inv_root * mpmath.matrix(b.tolist()) * inv_root)
+            c = root * u
+            for descriptor, f in scalar:
+                exact = c * mpmath.diag([f(x) for x in lam]) * c.T
+                diff = mpmath.matrix(eval_mean(a, b, descriptor).tolist()) - exact
+                errors.append(float(mpmath.mnorm(diff, "f") / mpmath.mnorm(exact, "f")))
+    assert np.median(errors) <= 1e-10 and max(errors) <= 1e-7
+
+
 def test_eval_mean_refuses_ill_conditioned_definite_pair():
     # both matrices are positive definite; the relative spectrum spans 1e13
     with pytest.raises(ConditioningError):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opmeans import (HDensity, MeanDescriptor, MonoConfig, StructuralError, UsageError,
-                     apply_spectral_function, falsify_transfer, ka_condition_check,
+from opmeans import (ConditioningError, HDensity, MeanDescriptor, MonoConfig, StructuralError,
+                     UsageError, apply_spectral_function, falsify_transfer, ka_condition_check,
                      is_operator_monotone_sampled, loewner_leq, loewner_matrix,
                      order_leq_sa, order_leq_sym, parse_function, random_spd,
                      verify_inequality_chain)
@@ -498,8 +498,8 @@ def test_two_stage_sampler_raises_the_first_fault_like_one_set_at_a_time():
 
 
 @pytest.mark.parametrize("seed, trials_run, min_eig, diff_norm", [
-    (0, 5, -0.06418436289233664, 209.32260962027615),
-    (2, 52, -0.42765739086086896, 119.58454710517493)])
+    (0, 5, -0.06418436289233931, 209.3226096202764),
+    (2, 52, -0.4276573908608121, 119.58454710517503)])
 def test_transfer_skips_only_the_pairs_where_f_fails(seed, trials_run, min_eig, diff_norm):
     # f fails on the eigenvalues of some pairs of a stack: those pairs are
     # skipped, and trials_run and the witness are those of one pair at a time
@@ -742,6 +742,15 @@ def test_inequality_chain_rejects_bad_s():
     a = random_spd(2, seed=0).entries
     with pytest.raises(StructuralError):
         verify_inequality_chain(a, a, s=1.2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", [-np.eye(2), np.diag([1.0, 0.0]), np.diag([2.0, -1e-3])])
+def test_inequality_chain_refuses_a_pair_that_is_not_positive_definite(b):
+    # a relative eigenvalue <= 0 is refused before any scalar mean is formed,
+    # as eval_mean refuses it, with no numpy warning on the way
+    with pytest.raises(ConditioningError, match="the pair is not positive definite$"):
+        verify_inequality_chain(np.eye(2), b, s=0.3)
 
 
 def test_inequality_chain_json():

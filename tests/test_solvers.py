@@ -1023,6 +1023,21 @@ def test_f_alpha_and_its_inverse_at_tiny_alphas(alpha):
         assert f_alpha(alpha, c) == pytest.approx(r, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.99, -0.99, 0.999999, -0.999999])
+def test_neg_log_f_alpha_past_c_2_matches_50_digits(alpha):
+    # G = -log f_alpha formed as log D - log cosh(alpha c) lost about log D / G
+    # past c = 2: 8.2e-14 at alpha = 0.99 and 8.2e-10 at 0.999999 on (2, 30]
+    mpmath = pytest.importorskip("mpmath")
+    a = abs(alpha)      # f_alpha is even in alpha
+    with mpmath.workdps(50):
+        m = mpmath.mpf(a)
+        for c in [float(c) for c in np.linspace(2.0, 30.0, 57)[1:]] + [100.0, 700.0, 1e3, 1e4]:
+            g = solvers_module._neg_log_f_alpha(a, c)[0]
+            t = mpmath.mpf(c)
+            exact = mpmath.log(m * m * mpmath.cosh(t) + 1 - m * m) - mpmath.log(mpmath.cosh(m * t))
+            assert math.isfinite(g) and abs(g - exact) <= 1e-13 * exact, c
+
+
 def test_invert_f_alpha_evaluates_g_a_few_times_per_target(monkeypatch):
     # Newton from the asymptotic start point: at most 8 evaluations of G per
     # target (6 measured), where bisecting to 1e-14 took about 50

@@ -341,19 +341,19 @@ def test_relative_spectrum_reuses_the_spd_decomposition_bitwise():
             p, q = random_spd_from(rng, n), random_spd_from(rng, n)
             kept, fresh = RelativeSpectrum(p, q), RelativeSpectrum(p.entries, q.entries)
             values = rng.uniform(0.5, 2.0, (4, n))
-            for name in ("root", "eigenvalues", "basis"):
+            for name in ("factor", "eigenvalues"):
                 got = getattr(kept, name)
                 assert np.array_equal(got, getattr(fresh, name))
                 assert got.flags.c_contiguous and not got.flags.writeable
             assert np.array_equal(kept.congruate(values), fresh.congruate(values))
     a, b = _random_spd_stack(rng, 6, 4, 50.0), _random_spd_stack(rng, 6, 4, 50.0)
     stack = RelativeSpectrum(a, b)
-    for name in ("root", "eigenvalues", "basis"):
+    for name in ("factor", "eigenvalues"):
         got = getattr(stack, name)
         assert got.flags.c_contiguous and not got.flags.writeable
     for k in range(len(a)):
         one = RelativeSpectrum(SpdMatrix(a[k]), SpdMatrix(b[k]))
-        assert np.array_equal(stack.root[k], one.root)
+        assert np.array_equal(stack.factor[k], one.factor)
         assert np.array_equal(stack.eigenvalues[k], one.eigenvalues)
         assert np.array_equal(stack.congruate(stack.eigenvalues)[k],
                               one.congruate(one.eigenvalues))
