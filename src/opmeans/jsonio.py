@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import UsageError
+
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def format_float(x: float) -> str:
@@ -19,44 +22,25 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _encode(obj: Any, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(k)))
-            parts.append(": ")
-            _encode(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _encode(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _encode(obj: Any) -> str:
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return _LITERALS[obj]
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_quote(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_encode, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
     """Serialize to a single-line JSON string with 17-digit floats."""
-    parts: list[str] = []
-    _encode(obj, parts)
-    return "".join(parts)
+    return _encode(obj)
 
 
 def loads(text: str) -> Any:

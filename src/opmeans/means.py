@@ -273,7 +273,7 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
 
 
 def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> np.ndarray:
-    """mean(P, Q) = P^{1/2} f(Z) P^{1/2} from the relative spectrum Z of (P, Q).
+    """mean(A, B) = A^{1/2} f(Z) A^{1/2} from the relative spectrum Z of (A, B).
 
     Refuses pairs whose relative spectrum has condition number above 1e12
     or is not positive. For a stacked spectrum, f is called once on all

@@ -282,12 +282,10 @@ class MonotonicityVerdict:
 
 
 def _check_sampling(trials: int, seed: int, tol: float) -> None:
-    """Reject a bool, non-integer or negative trials or seed; a non-finite or non-positive tol."""
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-            raise StructuralError(f"{name} must be a non-negative integer, got {value!r}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise StructuralError(f"tolerance must be a finite positive real, got {tol!r}")
+    """Reject trials, seed and tol by spd's rules for counts and tolerances."""
+    spd._check_count("trials", trials)
+    spd._check_count("seed", seed)
+    spd._check_tol(tol)
 
 
 @dataclass(frozen=True)

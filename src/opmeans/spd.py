@@ -6,9 +6,9 @@ normwise backward stable: every computed eigenvalue lies within a small
 multiple of n * eps * ||M||_2 of the exact one. That error is far below the
 tol * ||M|| term of every refutation rule in monocheck.
 
-Every operator mean of a pair (P, Q) is C diag(g(lam)) C^T, for the relative
-spectrum Z = P^{-1/2} Q P^{-1/2} = U diag(lam) U^T and the factor C = P^{1/2} U.
-RelativeSpectrum decomposes a pair once, in the eigenbasis an SpdMatrix P keeps
+Every operator mean of a pair (A, B) is C diag(g(lam)) C^T, for the relative
+spectrum Z = A^{-1/2} B A^{-1/2} = U diag(lam) U^T and the factor C = A^{1/2} U.
+RelativeSpectrum decomposes a pair once, in the eigenbasis an SpdMatrix A keeps
 from its validation, and stores C; the means, solvers and checks all use it.
 
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def as_spd(m, name: str = "matrix") -> SpdMatrix:
 
 def matrix_to_json_dict(m) -> dict:
     a = _as_array(m)
-    return {"n": int(a.shape[0]), "rows": [[float(x) for x in row] for row in a]}
+    return {"n": int(a.shape[0]), "rows": a.tolist()}
 
 
 def matrix_from_json_dict(data) -> np.ndarray:
@@ -335,8 +336,10 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
     """Test A <= B in the Loewner order, up to a relative tolerance.
 
     True iff the smallest eigenvalue of B - A is >= -tol * max(1, ||B-A||_F).
-    A and B must each be symmetric within SYMMETRY_RTOL.
+    A and B must each be symmetric within SYMMETRY_RTOL; tol must be a finite
+    positive real.
     """
+    _check_tol(tol)
     am = _as_array(a, "A")
     bm = _as_array(b, "B")
     if am.shape != bm.shape:
@@ -380,32 +383,32 @@ def _sqrt_spectrum(w: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class RelativeSpectrum:
-    """The relative spectrum Z = P^{-1/2} Q P^{-1/2} of an SPD pair (P, Q).
+    """The relative spectrum Z = A^{-1/2} B A^{-1/2} of an SPD pair (A, B).
 
     Holds, read-only, Z's non-ascending eigenvalues lam and the factor
-    C = P^{1/2} U, U an eigenbasis of Z (column signs not normalized):
-    congruate(g(lam)) = C diag(g(lam)) C^T = P^{1/2} g(Z) P^{1/2}, so
-    congruate(ones) is P and congruate(lam) is Q. From P = V diag(w) V^T (an
-    SpdMatrix P lends its kept one) and r = sqrt(w), (V^T Q V) / (r_i r_j) =
-    U' diag(lam) U'^T is decomposed and C = V diag(r) U': no matrix root of P
-    is formed. P and Q may be (k, n, n) stacks of k pairs; lam is then (k, n)
+    C = A^{1/2} U, U an eigenbasis of Z (column signs not normalized):
+    congruate(g(lam)) = C diag(g(lam)) C^T = A^{1/2} g(Z) A^{1/2}, so
+    congruate(ones) is A and congruate(lam) is B. From A = V diag(w) V^T (an
+    SpdMatrix A lends its kept one) and r = sqrt(w), (V^T B V) / (r_i r_j) =
+    U' diag(lam) U'^T is decomposed and C = V diag(r) U': no matrix root of A
+    is formed. A and B may be (k, n, n) stacks of k pairs; lam is then (k, n)
     and congruate maps (k, n) values to a (k, n, n) stack, each matrix
-    bitwise that of its pair alone. P and Q must be symmetric within SYMMETRY_RTOL.
+    bitwise that of its pair alone. A and B must be symmetric within SYMMETRY_RTOL.
     """
 
     factor: np.ndarray
     eigenvalues: np.ndarray
 
-    def __init__(self, p, q):
-        pm, qm = _as_array(p, "P", stack=True), _as_array(q, "Q", stack=True)
-        if pm.shape != qm.shape:
-            raise StructuralError(f"shape mismatch: {pm.shape} vs {qm.shape}")
-        w, v = (p._spectrum if isinstance(p, SpdMatrix)
-                else _eigh_descending(_require_symmetric(pm, "P")))
-        _check_symmetric(qm, "Q")     # Z is symmetrized below
-        r = _sqrt_spectrum(w, "P")
+    def __init__(self, a, b):
+        am, bm = _as_array(a, "A", stack=True), _as_array(b, "B", stack=True)
+        if am.shape != bm.shape:
+            raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
+        w, v = (a._spectrum if isinstance(a, SpdMatrix)
+                else _eigh_descending(_require_symmetric(am, "A")))
+        _check_symmetric(bm, "B")     # Z is symmetrized below
+        r = _sqrt_spectrum(w, "A")
         ev, u = _eigh_descending(
-            _symmetrize((_transpose(v) @ qm @ v) / (r[..., :, None] * r[..., None, :])))
+            _symmetrize((_transpose(v) @ bm @ v) / (r[..., :, None] * r[..., None, :])))
         for name, x in (("factor", (v * r[..., None, :]) @ u), ("eigenvalues", ev)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -422,7 +425,7 @@ class RelativeSpectrum:
         return np.divide(hi, lo, out=np.full(lo.shape, math.inf), where=lo > 0.0)
 
     def congruate(self, values) -> np.ndarray:
-        """C diag(values) C^T = P^{1/2} U diag(values) U^T P^{1/2}.
+        """C diag(values) C^T = A^{1/2} U diag(values) U^T A^{1/2}.
 
         values (..., n) with leading axes gives a stack: with one pair, k
         value sets congruate to k matrices.
@@ -432,6 +435,7 @@ class RelativeSpectrum:
 
 def random_spd(n: int, cond_cap: float = 100.0, seed: int = 0) -> SpdMatrix:
     """Deterministic random SPD matrix with condition number <= cond_cap."""
+    _check_count("seed", seed)
     return random_spd_from(np.random.default_rng(seed), n, cond_cap)
 
 
@@ -443,6 +447,18 @@ def random_spd_from(rng: np.random.Generator, n: int, cond_cap: float = 100.0) -
 def _check_matrix_size(n) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise StructuralError(f"matrix size must be a positive integer, got {n!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count (a seed, a number of trials) that is a bool, not an integer or negative."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise StructuralError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _check_tol(tol) -> None:
+    """Reject a tolerance that is a bool, not a real, not finite or not positive."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < math.inf:
+        raise StructuralError(f"tolerance must be a finite positive real, got {tol!r}")
 
 
 def _random_spd_stack(rng: np.random.Generator, count: int, n: int,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import opmeans
-from opmeans import hdensity
+from opmeans import hdensity, jsonio
 from opmeans.cli import main
 from opmeans.means import arithmetic_pair, geometric_pair, heinz_pair, heron_pair
 
@@ -41,12 +41,17 @@ def _mat(tmp_path, name, rows):
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    if captured.out:
+        _payload(captured.out)      # every report printed is one canonical line
     return code, captured.out, captured.err
 
 
 def _payload(out):
     lines = out.strip().splitlines()
     assert len(lines) == 1, "reports are single-line JSON"
+    # the report is the encoder's canonical text: .17g numbers (ints parsed as
+    # floats keep -0 negative), ", " and ": " separators, ASCII escapes
+    assert jsonio.dumps(json.loads(lines[0], parse_int=float)) == lines[0]
     return json.loads(lines[0])
 
 
@@ -551,6 +556,6 @@ def test_module_entry_point_subprocess(tmp_path):
          "--a", a, "--b", a],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+    payload = _payload(proc.stdout)
     assert payload["value"]["rows"] == np.eye(2).tolist()
     assert payload["config"] == DEFAULT_ECHO["eval-mean"]

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opmeans
-from opmeans import (ConditioningError, DomainError, MeanDescriptor, RelativeSpectrum,
-                     SpdMatrix, StructuralError, apply_spectral_function, as_spd,
-                     eval_mean, loewner_leq,
+from opmeans import (ConditioningError, DomainError, MeanDescriptor, MonoConfig,
+                     RelativeSpectrum, SpdMatrix, StructuralError, apply_spectral_function,
+                     as_spd, eval_mean, eval_mean_from_function, falsify_transfer,
+                     ka_condition_check, loewner_leq,
                      matrix_from_json_dict, matrix_to_json_dict,
-                     min_eig_and_norm, parse_function, random_spd, sqrt_pair,
-                     sym_eigendecompose)
+                     min_eig_and_norm, parse_function, random_spd, representing_function,
+                     sqrt_pair, sym_eigendecompose, verify_inequality_chain,
+                     verify_mean_axioms)
 from opmeans.jsonio import dumps, loads
 from opmeans.monocheck import loewner_matrix
 from opmeans.spd import _eigh, _frobenius, _random_spd_stack, random_spd_from
@@ -376,7 +378,7 @@ def test_spd_matrix_kept_decomposition_cannot_be_written():
 
 def test_non_positive_pairs_raise_conditioning_errors_that_name_them():
     eye = np.eye(2)
-    with pytest.raises(ConditioningError, match=r"square root of P .* got -1\.0$") as info:
+    with pytest.raises(ConditioningError, match=r"square root of A .* got -1\.0$") as info:
         RelativeSpectrum(-eye, eye)
     assert "np.float64" not in str(info.value)
     with pytest.raises(ConditioningError, match="the pair is not positive definite") as info:
@@ -384,6 +386,54 @@ def test_non_positive_pairs_raise_conditioning_errors_that_name_them():
     assert "np.float64" not in str(info.value) and "ill-conditioned" not in str(info.value)
     with pytest.raises(ConditioningError, match="too ill-conditioned"):
         eval_mean(eye, np.diag([1.0, 1e-13]), MeanDescriptor.arithmetic())
+
+
+_GEO, _ARITH = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+_TAKES_TOL_AND_SEED = {
+    "MonoConfig": MonoConfig,
+    "falsify_transfer": lambda **kw: falsify_transfer(lambda t: t * t, _GEO, _ARITH,
+                                                      trials=20, **kw),
+    "ka_condition_check": lambda **kw: ka_condition_check(_ARITH, _GEO, trials=5, **kw),
+    "verify_mean_axioms": lambda **kw: verify_mean_axioms(_GEO, trials=5, **kw),
+    "loewner_leq": lambda **kw: loewner_leq(np.eye(2), np.eye(2), **kw),
+    "random_spd": lambda **kw: random_spd(2, **kw),
+}
+_BAD_TOL = (True, False, -1.0, 0.0, math.nan, math.inf, "1e-8")
+_BAD_SEED = (True, -1, 1.5, "0")
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    *(pytest.param(name, {"tol": tol}, "tolerance must be a finite positive real",
+                   id=f"{name}-tol={tol!r}")
+      for name in _TAKES_TOL_AND_SEED if name != "random_spd" for tol in _BAD_TOL),
+    *(pytest.param(name, {"seed": seed}, "seed must be a non-negative integer",
+                   id=f"{name}-seed={seed!r}")
+      for name in _TAKES_TOL_AND_SEED if name != "loewner_leq" for seed in _BAD_SEED)])
+def test_every_tol_and_seed_follows_one_rule(name, kwargs, message):
+    # a bool tol once read as 1.0 ("consistent" where the default refutes), a
+    # negative one made loewner_leq(I, I) False, and numpy took seed=True as 1
+    with pytest.raises(StructuralError, match=message):
+        _TAKES_TOL_AND_SEED[name](**kwargs)
+
+
+def test_numpy_scalar_tol_and_seed_are_accepted():
+    assert loewner_leq(np.eye(2), np.eye(2), tol=np.float64(1e-8))
+    assert np.array_equal(random_spd(3, seed=np.int64(4)).entries, random_spd(3, seed=4).entries)
+
+
+@pytest.mark.parametrize("a, b, error, message", [
+    (np.ones((2, 3)), np.eye(2), StructuralError, r"^A must be a square 2-d array"),
+    (np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), StructuralError, r"^B is not symmetric"),
+    (np.diag([1.0, -1.0]), np.eye(2), ConditioningError,
+     r"^square root of A needs a positive spectrum")])
+@pytest.mark.parametrize("call", [
+    lambda a, b: eval_mean(a, b, _ARITH),
+    lambda a, b: eval_mean_from_function(a, b, representing_function(_GEO)),
+    lambda a, b: verify_inequality_chain(a, b, 0.3)],
+    ids=["eval_mean", "eval_mean_from_function", "verify_inequality_chain"])
+def test_pair_errors_name_the_arguments_a_and_b(call, a, b, error, message):
+    with pytest.raises(error, match=message):
+        call(a, b)
 
 
 def test_apply_spectral_function_log_exp_inverse():
