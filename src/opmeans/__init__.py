@@ -15,17 +15,16 @@ from .hdensity import (SELF_ADJOINT, SYMMETRIC, HDensity, dagger_density,
                        eval_selfadjoint_rep, eval_symmetric_rep, h_order,
                        lattice_meet_join, selfadjoint_rep_derivative,
                        symmetric_rep_derivative)
-from .means import (AxiomReport, MeanDescriptor, RepresentingFunction,
-                    eval_mean, eval_mean_from_function, mean_from_spectrum,
-                    parse_mean_descriptor, representing_function,
-                    verify_mean_axioms)
-from .monocheck import (InequalityChainReport, LinkMargin, LoewnerWitness,
-                        MonoConfig, MonotonicityVerdict, TransferWitness,
-                        falsify_transfer, is_operator_monotone_sampled,
-                        loewner_matrix, verify_inequality_chain)
-from .orders import (KaReport, KaViolation, PhiProfile, dagger,
-                     ka_condition_check, order_leq_sa, order_leq_sym,
-                     phi_profile)
+from .means import (MeanDescriptor, RepresentingFunction, eval_mean,
+                    eval_mean_from_function, mean_from_spectrum,
+                    parse_mean_descriptor, representing_function)
+from .monocheck import (AxiomReport, InequalityChainReport, KaReport,
+                        KaViolation, LinkMargin, LoewnerWitness, MonoConfig,
+                        MonotonicityVerdict, TransferWitness, falsify_transfer,
+                        is_operator_monotone_sampled, ka_condition_check,
+                        loewner_matrix, verify_inequality_chain,
+                        verify_mean_axioms)
+from .orders import PhiProfile, dagger, order_leq_sa, order_leq_sym, phi_profile
 from .solvers import (ChainWitness, PairWitness, ScalarPairSolution,
                       build_monotone_chain, f_alpha, geom_heinz_ratio,
                       invert_f_alpha, invert_geom_heinz_ratio, invert_phi,

@@ -30,8 +30,8 @@ from .means import (CLASS_BOTH, CLASS_SELF_ADJOINT, CLASS_SYMMETRIC,
                     MeanDescriptor, arithmetic_pair, eval_mean, geometric_pair,
                     heinz_pair, heron_pair, parse_mean_descriptor,
                     representing_function)
-from .monocheck import MonoConfig, is_operator_monotone_sampled
-from .orders import ka_condition_check, order_leq_sa, order_leq_sym, phi_profile
+from .monocheck import MonoConfig, is_operator_monotone_sampled, ka_condition_check
+from .orders import order_leq_sa, order_leq_sym, phi_profile
 from .solvers import (build_monotone_chain, solve_geom_heinz_matrix,
                       solve_heinz_heron_matrix, solve_matrix_pair)
 from .spd import SpdMatrix, matrix_from_json_dict, matrix_to_json_dict
@@ -142,30 +142,23 @@ def _infer_order_class(f, g) -> str:
         return "sym"
     if classes <= {CLASS_SELF_ADJOINT, CLASS_BOTH}:
         return "sa"
-    raise UsageError(
-        "the two means live in different symmetry classes; no common order")
+    raise UsageError("the two means live in different symmetry classes; no common order")
 
 
 def _cmd_check_order(args) -> tuple:
-    df = parse_mean_descriptor(args.f)
-    dg = parse_mean_descriptor(args.g)
-    ff = representing_function(df)
-    gg = representing_function(dg)
+    df, dg = parse_mean_descriptor(args.f), parse_mean_descriptor(args.g)
+    ff, gg = representing_function(df), representing_function(dg)
     order_class = args.order_class
     if order_class == "auto":
         order_class = _infer_order_class(ff, gg)
     config = MonoConfig(trials=args.trials, seed=args.seed, tol=args.tol)
-    if order_class == "sym":
-        verdict = order_leq_sym(ff, gg, config)
-    else:
-        verdict = order_leq_sa(ff, gg, config)
+    verdict = (order_leq_sym if order_class == "sym" else order_leq_sa)(ff, gg, config)
     return ({"f": df.describe(), "g": dg.describe(), "order_class": order_class,
              **verdict.to_json_dict()}, (1 if verdict.refuted else 0))
 
 
 def _cmd_ka_check(args) -> tuple:
-    sigma = parse_mean_descriptor(args.sigma)
-    tau = parse_mean_descriptor(args.tau)
+    sigma, tau = parse_mean_descriptor(args.sigma), parse_mean_descriptor(args.tau)
     report = ka_condition_check(sigma, tau, trials=args.trials,
                                 seed=args.seed, tol=args.tol, n=args.n)
     body = {k: v for k, v in report.to_json_dict().items() if k != "config"}
@@ -200,10 +193,8 @@ def _gamma_rows(family: str, grid: np.ndarray) -> list:
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     if isinstance(value, float):
-        return jsonio.format_float(value)
+        return "inf" if math.isinf(value) else jsonio.format_float(value)
     return str(value)
 
 

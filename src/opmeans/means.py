@@ -11,9 +11,8 @@ of means of one pair from a single decomposition of it.
 
 This module holds the named catalog (arithmetic, harmonic, geometric,
 weighted geometric, Heinz, Heron), means generated from piecewise-constant
-densities, descriptor parsing for the CLI, and an axiom checker that probes
-normalization, the symmetry-class identity, operator monotonicity on sampled
-matrix pairs, and congruence equivariance.
+densities, and descriptor parsing for the CLI. The checks built on these
+means, the axiom checker among them, live in monocheck, a layer above.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import hdensity, jsonio
 from .errors import ConditioningError, StructuralError, UsageError
 from .hdensity import HDensity
-from .spd import RelativeSpectrum, _check_matrix_size, _frobenius, _random_spd_stack
+from .spd import RelativeSpectrum
 from .spd import sqrt_pair  # noqa: F401 -- perfbench's tracer test patches this binding
 
 ARITHMETIC = "arithmetic"
@@ -312,60 +311,6 @@ def _class_residual(fn: RepresentingFunction, cls: str, grid: np.ndarray) -> flo
 def eval_mean(a, b, descriptor: MeanDescriptor) -> np.ndarray:
     """Evaluate the described mean on a pair of positive definite matrices."""
     return eval_mean_from_function(a, b, representing_function(descriptor))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of verify_mean_axioms."""
-
-    normalization_ok: bool
-    class_identity_ok: bool
-    monotone_status: str
-    transformer_ok: bool
-    max_transformer_residual: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.normalization_ok and self.class_identity_ok
-                and self.monotone_status == "consistent" and self.transformer_ok)
-
-
-def verify_mean_axioms(descriptor: MeanDescriptor, *, seed: int = 0,
-                       trials: int = 25, n: int = 3,
-                       tol: float = 1e-9) -> AxiomReport:
-    """Probe the defining properties of a mean numerically.
-
-    Checks f(1) = 1, the symmetry-class identity on a log grid, sampled
-    operator monotonicity of f, and the congruence identity
-    T mean(A, B) T = mean(T A T, T B T) for random SPD T.
-    """
-    from .monocheck import MonoConfig, _check_sampling, is_operator_monotone_sampled
-
-    _check_sampling(trials, seed, tol)
-    _check_matrix_size(n)
-    fn = representing_function(descriptor)
-    normalization_ok = abs(fn.value(1.0) - 1.0) <= tol
-
-    class_identity_ok = _class_residual(fn, fn.symmetry_class,
-                                        np.logspace(-3, 3, 25)) <= 1e-10
-
-    config = MonoConfig(trials=max(trials, 10), seed=seed)
-    verdict = is_operator_monotone_sampled(fn.value, fn.derivative, config=config)
-
-    # A, B and T of each trial drawn in turn; the trials are checked as stacks
-    rng = np.random.default_rng(seed)
-    draws = [_random_spd_stack(rng, 1, n, cap)[0]
-             for _ in range(trials) for cap in (50.0, 50.0, 10.0)]
-    worst = 0.0
-    if trials:
-        a, b, t = (np.array(draws[k::3]) for k in range(3))
-        lhs = t @ eval_mean_from_function(a, b, fn) @ t
-        rhs = eval_mean_from_function(t @ a @ t, t @ b @ t, fn)
-        worst = float(np.max(_frobenius(lhs - rhs) / np.maximum(1.0, _frobenius(rhs))))
-    transformer_ok = worst <= 1e-8
-
-    return AxiomReport(normalization_ok, class_identity_ok,
-                       verdict.status, transformer_ok, worst)
 
 
 def parse_mean_descriptor(text: str) -> MeanDescriptor:

@@ -14,10 +14,11 @@ inequality no eigenvalue moves by more than E. The bound assumes every value
 of f (and of the means it is composed with) is accurate to _ULPS units in
 the last place.
 
-The module also searches for matrix-pair counterexamples to the order
-transfer f(mean_sigma(A, B)) <= f(mean_tau(A, B)) for pointwise-ordered
-means, and verifies the harmonic/geometric/Heinz/Heron/arithmetic inequality
-chain on concrete matrix pairs.
+Its two sampled matrix-pair checks, with one pair draw and one refutation
+rule between them, search for counterexamples to the order transfer
+f(mean_sigma(A, B)) <= f(mean_tau(A, B)) and test the mixing condition
+mean_sigma(A tau B, A tau_perp B) <= A sigma B. The module also verifies the
+mean inequality chain on one pair and probes the axioms of a mean.
 
 The checks run many point sets or matrix pairs at once, as stacks through
 the spd primitives, with f called once over all their points; skips,
@@ -29,7 +30,7 @@ its other point sets on every call; f receives a copy of the points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Union
@@ -38,11 +39,12 @@ import numpy as np
 
 from . import spd
 from .errors import DOMAIN_ERRORS, ConditioningError, StructuralError, UsageError
-from .means import (MeanDescriptor, arithmetic_pair, geometric_pair, harmonic_pair,
-                    heinz_pair, heron_pair, mean_from_spectrum, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _eigh_descending,
-                  _evaluate, _evaluate_sets, _frobenius, _min_eig_and_norm, _random_spd_stack,
-                  _symmetrize, matrix_to_json_dict, sym_eigendecompose)
+from .means import (MeanDescriptor, _class_residual, arithmetic_pair, eval_mean_from_function,
+                    geometric_pair, harmonic_pair, heinz_pair, heron_pair, mean_from_spectrum,
+                    representing_function)
+from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _check_matrix_size,
+                  _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
+                  _min_eig_and_norm, _random_spd_stack, _symmetrize, sym_eigendecompose)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -240,19 +242,6 @@ class LoewnerWitness:
         return {"kind": "loewner-points", "points": list(self.points),
                 "min_eigenvalue": self.min_eigenvalue,
                 "matrix_norm": self.matrix_norm}
-
-
-@dataclass(frozen=True)
-class _MatrixPair:
-    """A matrix pair and the numbers reported with it, shared by every pair
-    witness; its JSON record is "A", "B", then each further field by name."""
-
-    matrix_a: np.ndarray
-    matrix_b: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {"A": matrix_to_json_dict(self.matrix_a), "B": matrix_to_json_dict(self.matrix_b),
-                **{f.name: getattr(self, f.name) for f in fields(self)[2:]}}
 
 
 @dataclass(frozen=True)
@@ -551,6 +540,75 @@ def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
 
 
 @dataclass(frozen=True)
+class KaViolation(_MatrixPair):
+    """A matrix pair violating the mixing inequality, with its margin."""
+
+    min_eigenvalue: float
+    diff_norm: float
+
+
+@dataclass(frozen=True)
+class KaReport:
+    """Sampled check of mean_sigma(A tau B, A tau_perp B) <= A sigma B."""
+
+    sigma: str
+    tau: str
+    trials: int
+    seed: int
+    tol: float
+    n: int
+    min_margin: float
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_json_dict(self) -> dict:
+        return {"sigma": self.sigma, "tau": self.tau,
+                "config": {"trials": self.trials, "seed": self.seed,
+                           "tol": self.tol, "n": self.n},
+                "min_margin": self.min_margin,
+                "violations": [v.to_json_dict() for v in self.violations]}
+
+
+def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
+                       trials: int = 500, seed: int = 0, tol: float = 1e-8,
+                       n: int = 3) -> KaReport:
+    """Sample the mixing condition of sigma against tau and its adjoint.
+
+    Draws random SPD pairs (A, B) and tests, in the Loewner order,
+
+        mean_sigma(mean_tau(A, B), mean_tau_perp(A, B)) <= mean_sigma(A, B)
+
+    where tau_perp carries the adjoint t / g_tau(t) of tau's representing
+    function. Every mean of (A, B) is C diag(m(z)) C^T, z the relative
+    eigenvalues and C = A^{1/2} U; the mixed one has m = lo f_sigma(hi / lo),
+    lo = g_tau(z), hi = z / lo. Both sides and their difference (from the
+    scalar gap) congruate from that one spectrum, so a pair costs 4
+    eigensolves: A's validation, Z, the difference and B's eigenvalues for E.
+    A violation is a pair, drawn and judged as in falsify_transfer, whose
+    difference has min eigenvalue below -(tol * max(1, norm) + E). The
+    margin is the worst normalized eigenvalue seen; all trials run as one stack.
+    """
+    _check_sampling(trials, seed, tol)
+    f_sigma, g_tau = representing_function(sigma), representing_function(tau)
+    a, b, spectrum = _random_pairs(np.random.default_rng(seed), trials, n)
+    if not trials:
+        return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
+    z = spectrum.eigenvalues.ravel()
+    lo = g_tau.value(z)
+    hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
+    mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
+    lhs, rhs, diff = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
+    min_eig, norm, violated = _pair_margins(a, b, lhs, rhs, diff, tol)
+    violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(), float(min_eig[i]),
+                                   float(norm[i])) for i in np.flatnonzero(violated))
+    return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,
+                    float(np.min(min_eig / np.maximum(1.0, norm))), violations)
+
+
+@dataclass(frozen=True)
 class LinkMargin:
     """One inequality of the chain: min eigenvalue of (larger - smaller)."""
 
@@ -656,3 +714,55 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
 
     return InequalityChainReport(s, tuple(links), commuting,
                                  scalar_checked, scalar_margin)
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Outcome of verify_mean_axioms."""
+
+    normalization_ok: bool
+    class_identity_ok: bool
+    monotone_status: str
+    transformer_ok: bool
+    max_transformer_residual: float
+
+    @property
+    def all_ok(self) -> bool:
+        return (self.normalization_ok and self.class_identity_ok
+                and self.monotone_status == "consistent" and self.transformer_ok)
+
+
+def verify_mean_axioms(descriptor: MeanDescriptor, *, seed: int = 0,
+                       trials: int = 25, n: int = 3,
+                       tol: float = 1e-9) -> AxiomReport:
+    """Probe the defining properties of a mean numerically.
+
+    Checks f(1) = 1, the symmetry-class identity on a log grid, sampled
+    operator monotonicity of f, and the congruence identity
+    T mean(A, B) T = mean(T A T, T B T) for random SPD T.
+    """
+    _check_sampling(trials, seed, tol)
+    _check_matrix_size(n)
+    fn = representing_function(descriptor)
+    normalization_ok = abs(fn.value(1.0) - 1.0) <= tol
+
+    class_identity_ok = _class_residual(fn, fn.symmetry_class,
+                                        np.logspace(-3, 3, 25)) <= 1e-10
+
+    config = MonoConfig(trials=max(trials, 10), seed=seed)
+    verdict = is_operator_monotone_sampled(fn.value, fn.derivative, config=config)
+
+    # A, B and T of each trial drawn in turn; the trials are checked as stacks
+    rng = np.random.default_rng(seed)
+    draws = [_random_spd_stack(rng, 1, n, cap)[0]
+             for _ in range(trials) for cap in (50.0, 50.0, 10.0)]
+    worst = 0.0
+    if trials:
+        a, b, t = (np.array(draws[k::3]) for k in range(3))
+        lhs = t @ eval_mean_from_function(a, b, fn) @ t
+        rhs = eval_mean_from_function(t @ a @ t, t @ b @ t, fn)
+        worst = float(np.max(_frobenius(lhs - rhs) / np.maximum(1.0, _frobenius(rhs))))
+    transformer_ok = worst <= 1e-8
+
+    return AxiomReport(normalization_ok, class_identity_ok,
+                       verdict.status, transformer_ok, worst)

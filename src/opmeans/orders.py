@@ -1,7 +1,7 @@
 """Orders on representing functions, phi-profiles, and the adjoint involution.
 
 Two comparison tests live here, both reductions to sampled operator
-monotonicity (monocheck):
+monotonicity through monocheck's public sampler:
 
   symmetric class:     f below g  <=>  psi(t) = ((t+1)/2) f(t)/g(t) operator monotone
   self-adjoint class:  f/g operator monotone  <=>  the density of f dominates
@@ -31,11 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, MeanDescriptor,
-                    RepresentingFunction, _class_residual, _scalarize, arithmetic_pair,
-                    representing_function)
-from .monocheck import (MonoConfig, MonotonicityVerdict, _check_sampling, _MatrixPair,
-                        _pair_margins, _random_pairs, is_operator_monotone_sampled)
+from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, RepresentingFunction,
+                    _class_residual, _scalarize, arithmetic_pair)
+from .monocheck import MonoConfig, MonotonicityVerdict, is_operator_monotone_sampled
 
 DIRECTION_UP = "non-decreasing"
 DIRECTION_DOWN = "non-increasing"
@@ -177,72 +175,3 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
                                 _scalarize(lambda t: t / nonvanishing(t)),
                                 _scalarize(derivative),
                                 realize_gamma=_reciprocal_limit(f.realize_gamma))
-
-
-@dataclass(frozen=True)
-class KaViolation(_MatrixPair):
-    """A matrix pair violating the mixing inequality, with its margin."""
-
-    min_eigenvalue: float
-    diff_norm: float
-
-
-@dataclass(frozen=True)
-class KaReport:
-    """Sampled check of mean_sigma(A tau B, A tau_perp B) <= A sigma B."""
-
-    sigma: str
-    tau: str
-    trials: int
-    seed: int
-    tol: float
-    n: int
-    min_margin: float
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {"sigma": self.sigma, "tau": self.tau,
-                "config": {"trials": self.trials, "seed": self.seed,
-                           "tol": self.tol, "n": self.n},
-                "min_margin": self.min_margin,
-                "violations": [v.to_json_dict() for v in self.violations]}
-
-
-def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
-                       trials: int = 500, seed: int = 0, tol: float = 1e-8,
-                       n: int = 3) -> KaReport:
-    """Sample the mixing condition of sigma against tau and its adjoint.
-
-    Draws random SPD pairs (A, B) and tests, in the Loewner order,
-
-        mean_sigma(mean_tau(A, B), mean_tau_perp(A, B)) <= mean_sigma(A, B)
-
-    where tau_perp carries the adjoint t / g_tau(t) of tau's representing
-    function. Every mean of (A, B) is C diag(m(z)) C^T, z the relative
-    eigenvalues and C = A^{1/2} U; the mixed one has m = lo f_sigma(hi / lo),
-    lo = g_tau(z), hi = z / lo. Both sides and their difference (from the
-    scalar gap) congruate from that one spectrum, so a pair costs 4
-    eigensolves: A's validation, Z, the difference and B's eigenvalues for E.
-    A violation is a pair, drawn and judged as in falsify_transfer, whose
-    difference has min eigenvalue below -(tol * max(1, norm) + E). The
-    margin is the worst normalized eigenvalue seen; all trials run as one stack.
-    """
-    _check_sampling(trials, seed, tol)
-    f_sigma, g_tau = representing_function(sigma), representing_function(tau)
-    a, b, spectrum = _random_pairs(np.random.default_rng(seed), trials, n)
-    if not trials:
-        return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n, 0.0, ())
-    z = spectrum.eigenvalues.ravel()
-    lo = g_tau.value(z)
-    hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
-    mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
-    lhs, rhs, diff = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
-    min_eig, norm, violated = _pair_margins(a, b, lhs, rhs, diff, tol)
-    violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(), float(min_eig[i]),
-                                   float(norm[i])) for i in np.flatnonzero(violated))
-    return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,
-                    float(np.min(min_eig / np.maximum(1.0, norm))), violations)

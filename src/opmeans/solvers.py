@@ -42,8 +42,8 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     mean_from_spectrum, representing_function)
-from .monocheck import _MatrixPair
-from .spd import RelativeSpectrum, SpdMatrix, _frobenius, as_spd, matrix_to_json_dict
+from .spd import (RelativeSpectrum, SpdMatrix, _frobenius, _MatrixPair, as_spd,
+                  matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -488,7 +488,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
     alpha^2, which satisfies both target equations identically; each is
     formed as the exp of its log, so x underflows only where its value does.
     """
-    s = _validate_heinz_heron_parameter(s)
+    s, alpha = _heinz_heron_alpha(s)
     a, b = float(a), float(b)
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
         raise StructuralError("targets must be finite positive reals")
@@ -496,7 +496,6 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
         raise OrderError(
             f"Heinz target {a!r} exceeds Heron target {b!r}; the Heinz value "
             "never exceeds the Heron value")
-    alpha = 2.0 * s - 1.0
     if a / b == 0.0:
         raise ConvergenceError(f"solution left the representable range: {a!r} / {b!r} underflows")
     c = invert_f_alpha(alpha, a / b)
@@ -527,6 +526,14 @@ def _validate_heinz_heron_parameter(s) -> float:
     return s
 
 
+def _heinz_heron_alpha(s) -> tuple:
+    """(s, alpha = 2s - 1) for the Heinz/Heron solvers, refusing an s whose alpha rounds to -1."""
+    s = _validate_heinz_heron_parameter(s)
+    if 2.0 * s - 1.0 == -1.0:
+        raise StructuralError(f"s = {s!r} is too close to 0: 2s - 1 rounds to -1")
+    return s, 2.0 * s - 1.0
+
+
 def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     """Find (A, B) with Heinz_s(A, B) = X and Heron_{(2s-1)^2}(A, B) = Y.
 
@@ -535,12 +542,15 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     Newton steps accurate to a few ulps even for lambda within ulps of 1,
     gives u = e^{-2c}: the pair (1, u) / Heinz_s(u) has Heinz mean 1 and Heron
     mean lambda, and A, B are its congruates by X^{1/2} U (U the eigenbasis).
+    Where u underflows it raises the ConvergenceError solve_scalar_heinz_heron does.
     """
-    s = _validate_heinz_heron_parameter(s)
-    alpha = 2.0 * s - 1.0
+    s, alpha = _heinz_heron_alpha(s)
     xs, ys = as_spd(x, "X"), as_spd(y, "Y")
     spectrum, lams = _ordered_spectrum(xs, ys)
-    ratios = np.exp(-2.0 * np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams]))
+    cs = np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams])
+    ratios = np.exp(-2.0 * cs)
+    if not ratios.all():    # u = 0 makes Heinz_s(1, u) = 0 and the pair infinite
+        raise ConvergenceError(f"solution left the representable range (c = {float(cs.max())!r})")
     d = heinz_pair(s, 1.0, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
                            MeanDescriptor.heron(alpha * alpha), xs.entries, ys.entries)

@@ -21,7 +21,7 @@ sampled checks run their trials through them as stacks of SpdMatrix pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -256,12 +256,25 @@ def matrix_to_json_dict(m) -> dict:
     return {"n": int(a.shape[0]), "rows": a.tolist()}
 
 
+@dataclass(frozen=True)
+class _MatrixPair:
+    """A matrix pair and the numbers reported with it, shared by every pair
+    witness; its JSON record is "A", "B", then each further field by name."""
+
+    matrix_a: np.ndarray
+    matrix_b: np.ndarray
+
+    def to_json_dict(self) -> dict:
+        return {"A": matrix_to_json_dict(self.matrix_a), "B": matrix_to_json_dict(self.matrix_b),
+                **{f.name: getattr(self, f.name) for f in fields(self)[2:]}}
+
+
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise StructuralError('matrix JSON must be an object with "n" and "rows"')
     n = data["n"]
     rows = data["rows"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise StructuralError(f'matrix JSON field "n" must be a positive integer, got {n!r}')
     try:
         a = np.asarray(rows, dtype=float)
@@ -470,6 +483,8 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
     SpdMatrix(stack) validates and decomposes all of them in one call.
     """
     _check_matrix_size(n)
+    if isinstance(cond_cap, bool) or not isinstance(cond_cap, Real) or cond_cap == math.inf:
+        raise StructuralError(f"condition cap must be a finite real, got {cond_cap!r}")
     if not (cond_cap >= 1.0):
         raise StructuralError(f"condition cap must be >= 1, got {cond_cap!r}")
     g = np.empty((count, n, n))

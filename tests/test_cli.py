@@ -559,3 +559,36 @@ def test_module_entry_point_subprocess(tmp_path):
     payload = _payload(proc.stdout)
     assert payload["value"]["rows"] == np.eye(2).tolist()
     assert payload["config"] == DEFAULT_ECHO["eval-mean"]
+
+
+def test_matrix_file_with_a_bool_size_exits_two(tmp_path, capsys):
+    good = _mat(tmp_path, "good.json", [[2.0]])
+    bad = _write(tmp_path, "bool.json", {"n": True, "rows": [[2.0]]})
+    code, out, err = _run(capsys, ["eval-mean", "--mean", "arithmetic", "--a", bad, "--b", good])
+    assert (code, out) == (2, "")
+    assert err == 'error: matrix JSON field "n" must be a positive integer, got True\n'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rep-eval", "--constant", "0.5", "--t", "x"], "bad float list 'x'"),
+    (["rep-eval", "--constant", "0.5", "--t", ","], "no evaluation points given"),
+    (["sweep", "--kind", "gamma", "--family", "heron", "--grid", "a:b:c"],
+     "bad grid spec 'a:b:c'"),
+    (["sweep", "--kind", "gamma", "--family", "heron", "--grid", "0:1:-1"],
+     "grid count must be non-negative"),
+    (["sweep", "--kind", "gamma", "--grid", "0:1:3"], "gamma sweep needs --family")],
+    ids=["bad-t", "empty-t", "bad-grid", "negative-count", "no-family"])
+def test_input_errors_exit_two_with_their_message(tmp_path, capsys, argv, message):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "s.csv")]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "s.csv"
+    code, out, err = _run(capsys, ["sweep", "--kind", "gamma", "--family", "heron",
+                                   "--grid", "0:1:3", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")

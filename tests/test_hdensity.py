@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor, StructuralError,
-                     dagger_density, eval_selfadjoint_rep, eval_symmetric_rep,
+from opmeans import (SELF_ADJOINT, SYMMETRIC, DomainError, HDensity, MeanDescriptor,
+                     StructuralError, dagger_density, eval_selfadjoint_rep, eval_symmetric_rep,
                      h_order, lattice_meet_join, selfadjoint_rep_derivative,
                      representing_function, symmetric_rep_derivative)
 from opmeans import hdensity
@@ -362,3 +362,21 @@ def test_lattice_meet_join_orientation():
     smeet, sjoin = lattice_meet_join(slo, shi)
     assert h_order(smeet, slo) in ("leq", "equal")
     assert h_order(sjoin, shi) in ("geq", "equal")
+
+
+def test_malformed_densities_and_arguments_raise_typed_errors():
+    with pytest.raises(StructuralError, match="density needs at least two breakpoints"):
+        HDensity(SYMMETRIC, (0.0,), ())
+    with pytest.raises(StructuralError, match="expected 1 segment values, got 2"):
+        HDensity(SYMMETRIC, (0.0, 1.0), (0.5, 0.5))
+    with pytest.raises(StructuralError, match='density JSON must be an object with "class"'):
+        HDensity.from_json_dict([])
+    h = HDensity.constant(0.5, SYMMETRIC)
+    with pytest.raises(StructuralError, match="t must be a scalar or 1-d array"):
+        eval_symmetric_rep(h, np.ones((2, 2)))
+    with pytest.raises(DomainError, match="t must consist of finite positive reals"):
+        eval_symmetric_rep(h, -1.0)
+    with pytest.raises(StructuralError, match="eval_symmetric_rep expects an HDensity, got str"):
+        eval_symmetric_rep("x", 1.0)
+    with pytest.raises(StructuralError, match="dagger_density expects an HDensity, got str"):
+        dagger_density("x")

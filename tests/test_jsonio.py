@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opmeans import jsonio
+from opmeans import UsageError, jsonio
 
 _STRINGS = st.text(st.characters(max_codepoint=0x1F) | st.characters())
 # str and int keys only: jsonio writes str(k), so True and None keys read "True" and "None"
@@ -58,3 +58,8 @@ def test_non_finite_floats_raise_value_error(bad):
 def test_unsupported_types_raise_type_error(bad):
     with pytest.raises(TypeError, match="cannot serialize"):
         jsonio.dumps({"x": [bad]})
+
+
+def test_malformed_json_text_is_a_usage_error():
+    with pytest.raises(UsageError, match="invalid JSON: Expecting property name"):
+        jsonio.loads("{")

@@ -278,3 +278,16 @@ def test_property_geometric_mean_congruence_invariance(seed):
     lhs = t @ eval_mean(a, b, MeanDescriptor.geometric()) @ t
     rhs = eval_mean(t @ a @ t, t @ b @ t, MeanDescriptor.geometric())
     assert np.allclose(lhs, rhs, atol=1e-8 * max(1.0, np.linalg.norm(rhs)))
+
+
+def test_malformed_descriptors_raise_typed_errors():
+    with pytest.raises(StructuralError, match="heinz mean needs a numeric parameter"):
+        MeanDescriptor("heinz")
+    with pytest.raises(StructuralError, match="heinz parameter must be finite"):
+        MeanDescriptor("heinz", param=math.nan)
+    with pytest.raises(StructuralError, match="hdensity mean needs an HDensity"):
+        MeanDescriptor("hdensity")
+    with pytest.raises(StructuralError, match="density must be an HDensity"):
+        MeanDescriptor("hdensity", density="x")
+    with pytest.raises(UsageError, match="hdensity needs a JSON file path"):
+        parse_mean_descriptor("hdensity:")

@@ -791,3 +791,14 @@ def test_sampling_plans_are_validated_alike(plan):
         falsify_transfer(np.sqrt, geo, arith, **plan)
     with pytest.raises(StructuralError):
         ka_condition_check(geo, arith, **plan)
+
+
+def test_loewner_matrix_rejects_a_three_dimensional_point_array():
+    with pytest.raises(StructuralError, match=r"one-dimensional sequence or a \(k, n\) array"):
+        loewner_matrix(np.ones((2, 2, 2)), np.sqrt)
+
+
+def test_sampler_without_grids_runs_only_the_structured_and_random_sets():
+    # 29 structured sets (three clusters, 13 near-collision pairs framed and not) and 5 random
+    verdict = is_operator_monotone_sampled(np.sqrt, config=MonoConfig(grids=(), trials=5))
+    assert verdict.status == "consistent" and verdict.trials_run == 34

@@ -5,7 +5,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
+from opmeans import (SELF_ADJOINT, SYMMETRIC, DomainError, HDensity, MeanDescriptor,
                      StructuralError, dagger, dagger_density, h_order,
                      ka_condition_check, order_leq_sa, order_leq_sym,
                      phi_profile, representing_function)
@@ -424,3 +424,10 @@ def test_ka_condition_rejects_a_boolean_matrix_size(trials):
     with pytest.raises(StructuralError, match="matrix size must be a positive integer"):
         ka_condition_check(MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
                            trials=trials, n=True)
+
+
+def test_adjoint_of_a_vanishing_function_is_a_domain_error():
+    zero = RepresentingFunction("zero", SYMMETRIC, lambda t: 0.0 * np.asarray(t),
+                                lambda t: 0.0 * np.asarray(t), realize_gamma=1.0)
+    with pytest.raises(DomainError, match="adjoint undefined where zero vanishes"):
+        dagger(zero).value(2.0)

@@ -8,6 +8,7 @@ re-evaluation of both target means.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1291,3 +1292,28 @@ def test_matrix_target_solvers_equal_targets():
     heinz = eval_mean(w.matrix_a, w.matrix_b, MeanDescriptor.heinz(0.3))
     assert np.linalg.norm(heinz - x) <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(w.matrix_a - x) <= 1e-2 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("s, y", [(0.01, np.diag([2.0, 1e8])), (5e-17, np.diag([2.0, 3.0]))])
+def test_heinz_heron_pair_past_the_float_range_raises_what_the_scalar_solver_does(s, y):
+    # u = e^{-2c} of the largest eigenvalue underflows to 0; no warning, and the
+    # scalar solver of that eigenvalue names the same c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="left the representable range") as matrix:
+            solve_heinz_heron_matrix(s, np.eye(2), y)
+    with pytest.raises(ConvergenceError) as scalar:
+        solve_scalar_heinz_heron(s, 1.0, float(y.max()))
+    assert str(matrix.value) == str(scalar.value)
+
+
+def test_heinz_heron_solvers_reject_an_s_whose_alpha_rounds_to_minus_one():
+    x, y = np.eye(2), np.diag([2.0, 3.0])
+    for solve in (lambda: solve_heinz_heron_matrix(1e-300, x, y),
+                  lambda: solve_scalar_heinz_heron(1e-300, 1.0, 2.0)):
+        with pytest.raises(StructuralError, match=r"s = 1e-300 is too close to 0"):
+            solve()
+    # the geometric/Heinz maps never form alpha = 2s - 1 and keep answering
+    assert geom_heinz_ratio(1e-300, 0.25) == pytest.approx(0.8)
+    assert invert_geom_heinz_ratio(1e-300, 0.8) == pytest.approx(0.25)
+    assert solve_geom_heinz_matrix(1e-300, x, y).residual_y <= 1e-12

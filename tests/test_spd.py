@@ -235,6 +235,11 @@ def test_loewner_leq_rejects_empty_matrices():
         loewner_leq(empty, empty)
 
 
+def test_shape_mismatch_in_the_loewner_order_is_a_structural_error():
+    with pytest.raises(StructuralError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        loewner_leq(np.eye(2), np.eye(3))
+
+
 def test_asymmetric_input_is_rejected_with_the_argument_named():
     # the symmetric part of [[1, 5], [-5, 1]] is I: measuring it instead
     # would report min eigenvalue 1 and norm sqrt(2) for a matrix of norm 7.2
@@ -570,3 +575,14 @@ def test_stacked_primitives_match_each_matrix_alone_bitwise(k, n):
         mats, errs = loewner_matrix(points, np.sqrt, fprime, with_error=True)
         singles = [loewner_matrix(p, np.sqrt, fprime, with_error=True) for p in points]
         assert same(mats, [m for m, _ in singles]) and same(errs, [e for _, e in singles])
+
+
+def test_bool_and_non_finite_sizes_and_caps_are_structural_errors():
+    with pytest.raises(StructuralError, match='"n" must be a positive integer, got True'):
+        matrix_from_json_dict({"n": True, "rows": [[2.0]]})
+    for cap in (True, math.inf, "5"):
+        with pytest.raises(StructuralError, match="condition cap must be a finite real"):
+            random_spd(2, cond_cap=cap)
+    for cap in (math.nan, 0.5, -math.inf):
+        with pytest.raises(StructuralError, match="condition cap must be >= 1"):
+            random_spd(2, cond_cap=cap)
