@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -23,6 +25,13 @@ def format_float(x: float) -> str:
 
 
 def _encode(obj: Any) -> str:
+    # containers first: a report's matrices make most of its values lists
+    if isinstance(obj, (list, tuple)):
+        if all(map(isinstance, obj, repeat(float))):
+            return _encode_floats(obj)
+        return "[" + ", ".join(map(_encode, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_quote(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
@@ -31,11 +40,21 @@ def _encode(obj: Any) -> str:
         return _LITERALS[obj]
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{_quote(str(k))}: {_encode(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(_encode, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_floats(xs) -> str:
+    """A list of floats, each as format_float writes it, by one printf-style
+    .17g format of the whole list after one finiteness pass."""
+    if not all(map(math.isfinite, xs)):
+        for x in xs:
+            format_float(x)     # raises at the first non-finite value
+    return _list_format(len(xs)) % tuple(xs)
+
+
+@lru_cache(maxsize=64)
+def _list_format(n: int) -> str:
+    return "[" + ", ".join(["%.17g"] * n) + "]"
 
 
 def dumps(obj: Any) -> str:

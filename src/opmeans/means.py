@@ -278,13 +278,19 @@ def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> 
     or is not positive. For a stacked spectrum, f is called once on all
     eigenvalues of the stack, and one refused pair refuses the stack.
     """
+    ev = _checked_eigenvalues(spectrum)
+    return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
+
+
+def _checked_eigenvalues(spectrum: RelativeSpectrum) -> np.ndarray:
+    """The eigenvalues of spectrum, once mean_from_spectrum's check of them passed."""
     ev = spectrum.eigenvalues
     if np.any(spectrum.condition > _COND_CAP):
         raise ConditioningError(
             f"relative spectrum of the matrix pair spans [{np.min(ev):.3e}, "
             f"{np.max(ev):.3e}]; " + ("the pair is not positive definite" if np.min(ev) <= 0.0
                                      else "too ill-conditioned to evaluate reliably"))
-    return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
+    return ev
 
 
 def eval_mean_from_function(a, b, fn: RepresentingFunction) -> np.ndarray:

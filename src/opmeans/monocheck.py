@@ -89,6 +89,7 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     formed as 2 (|a|/2 + |b|/2), finite for finite values. The bound reuses
     the values of f that build the matrix, so it costs no further evaluation.
     """
+    _check_functions(f, fprime)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 2:
         raise StructuralError("points must form a one-dimensional sequence or a (k, n) array")
@@ -268,6 +269,13 @@ class MonotonicityVerdict:
     def to_json_dict(self) -> dict:
         return {"status": self.status, "trials_run": self.trials_run,
                 "witness": None if self.witness is None else self.witness.to_json_dict()}
+
+
+def _check_functions(f, fprime=None) -> None:
+    """Reject an f, or a given fprime, that is not callable."""
+    spd._check_callable("f", f)
+    if fprime is not None:
+        spd._check_callable("fprime", fprime)
 
 
 def _check_sampling(trials: int, seed: int, tol: float) -> None:
@@ -454,6 +462,7 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     complex value fails float(), reads as consistent), and so is a set whose
     Loewner matrix has no finite Frobenius norm: it could not refute.
     """
+    _check_functions(f, fprime)
     d, tol = fprime is not None, config.tol
     witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
     if witness is None:     # random sets are drawn only when the grids refute nothing
@@ -482,6 +491,7 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     the witness are those of running the trials one at a time. A pair whose
     difference has no finite Frobenius norm is skipped: it could not refute.
     """
+    _check_functions(f)
     rep_s = representing_function(sigma)
     rep_t = representing_function(tau)
     fs = np.asarray(rep_s.value(_TRANSFER_GRID), dtype=float)

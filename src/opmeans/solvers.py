@@ -18,12 +18,15 @@ stores, a link C diag(v) C^T -> C diag(w) C^T is realized by the pair
 C diag(v d) C^T, C diag(v / d) C^T with d = invert_phi(w / v) per eigenvalue:
 a whole chain is solved in one basis, its eigenvalue ratios inverted together
 and its link witnesses re-evaluated as one (links, n, n) stack. A pair is its
-one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). With the
-SpdMatrix validations a pair decomposes 5 matrices, a chain 3 + 2 * links; a
-relative spectrum takes 3 matrix products and a congruation 1. A catalog mean
-inverts them in closed form (RepresentingFunction.realize_inverse); a density
-mean by one batched scan and safeguarded Newton iteration whose every call of
-the representing function serves all of them. Either way a root must lie
+one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). A pair
+decomposes 4 matrices (X, Z, and the witness's A and relative spectrum), a
+chain 2 + 2 * links in 4 calls: Y is proven positive definite from X's and
+Z's spectra (spd._spd_relative_spectrum) and decomposed only when that bound
+falls short. A relative spectrum takes 3 matrix products and a congruation
+1. A catalog mean inverts them in closed form
+(RepresentingFunction.realize_inverse); a density mean by one batched scan
+and safeguarded Newton iteration whose every call of the representing
+function serves all of them. Either way a root must lie
 below the scan horizon 1e40 and is checked forward.
 
 Residuals are part of every witness: each solver re-evaluates its target
@@ -40,10 +43,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
-from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
-                    mean_from_spectrum, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _frobenius, _MatrixPair, as_spd,
-                  matrix_to_json_dict)
+from .means import (MeanDescriptor, RepresentingFunction, _checked_eigenvalues, heinz_pair,
+                    heron_pair, representing_function)
+from .spd import (RelativeSpectrum, SpdMatrix, _frobenius, _MatrixPair, _spd_relative_spectrum,
+                  as_spd, matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -239,15 +242,20 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
                     mean_x: MeanDescriptor, mean_y: MeanDescriptor, xs, ys):
     """Witnesses (A, B) = (congruate(values_a), congruate(values_b)) of spectrum
     against the targets xs, ys: one PairWitness for (n,) values and (n, n)
-    targets, or a tuple of k for (k, n) values and (k, n, n) targets. Both
-    target means are re-evaluated on the pairs (as one stack) from their own
-    relative spectrum, the residuals ||mean - target||_F / ||target||_F of
-    each side by one stacked norm; the first pair that misses raises."""
-    mats_a, mats_b = spectrum.congruate(values_a), spectrum.congruate(values_b)
+    targets, or a tuple of k for (k, n) values and (k, n, n) targets. A and
+    B come from one congruation. Both target means are re-evaluated on the
+    pairs (as one stack) from their own relative spectrum, by one condition
+    check and one congruation, and the residuals ||mean - target||_F /
+    ||target||_F of each side by one stacked norm; the first pair that misses
+    raises."""
+    mats_a, mats_b = spectrum.congruate(np.stack((values_a, values_b)))
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
     pairs = RelativeSpectrum(mats_a, mats_b)
-    res_x, res_y = (np.ravel(_frobenius(mean_from_spectrum(pairs, fn) - want)
-                             / _frobenius(want)).tolist() for fn, want in ((fn_x, xs), (fn_y, ys)))
+    ev = _checked_eigenvalues(pairs)
+    means = pairs.congruate(np.stack([np.reshape(fn.value(ev.ravel()), ev.shape)
+                                      for fn in (fn_x, fn_y)]))
+    res_x, res_y = (np.ravel(_frobenius(mean - want) / _frobenius(want)).tolist()
+                    for mean, want in zip(means, (xs, ys)))
     for got_x, got_y in zip(res_x, res_y):
         if got_x > _PAIR_RESIDUAL_TOL or got_y > _PAIR_RESIDUAL_TOL:
             raise ConvergenceError(f"pair solve residuals too large: {fn_x.label} {got_x:.3e}, "
@@ -257,14 +265,16 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     return tuple(map(PairWitness, mats_a, mats_b, res_x, res_y))
 
 
-def _ordered_spectrum(xs: SpdMatrix, ys: SpdMatrix) -> tuple:
-    """RelativeSpectrum(X, Y) and its eigenvalues clamped to at least 1.
+def _ordered_spectrum(xs: SpdMatrix, y, spectrum: Optional[RelativeSpectrum] = None) -> tuple:
+    """RelativeSpectrum(X, Y), computed here unless given, and its
+    eigenvalues clamped to at least 1.
 
     X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
     least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
     at any scale.
     """
-    spectrum = RelativeSpectrum(xs, ys)
+    if spectrum is None:
+        spectrum = RelativeSpectrum(xs, y)
     low = float(spectrum.eigenvalues[-1])
     if low < 1.0 - _EIG_CLAMP:
         raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
@@ -281,11 +291,14 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     Every relative eigenvalue is checked against that range, as invert_phi
     checks its target, before any is inverted.
     """
-    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    return _geometric_pair(sigma, xs, ys, RelativeSpectrum(xs, ys))
+    xs = as_spd(x, "X")
+    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
+    if spectrum is None:
+        spectrum = RelativeSpectrum(xs, ya)
+    return _geometric_pair(sigma, xs.entries, ya, spectrum)
 
 
-def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
+def _geometric_pair(sigma: MeanDescriptor, xa: np.ndarray, ya: np.ndarray,
                     spectrum: RelativeSpectrum) -> PairWitness:
     """The witness (A, B) of A # B = X, A sigma B = Y from spectrum, the
     relative spectrum of (X, Y): its eigenvalues are inverted in one pass
@@ -293,7 +306,7 @@ def _geometric_pair(sigma: MeanDescriptor, xs: SpdMatrix, ys: SpdMatrix,
     fn = representing_function(sigma)
     roots = _invert_realize(fn, spectrum.eigenvalues)
     return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
-                           sigma, xs.entries, ys.entries)
+                           sigma, xa, ya)
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -321,8 +334,9 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
-    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    xa, ya = xs.entries, ys.entries
+    xs = as_spd(x, "X")
+    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
+    xa = xs.entries
     fn = representing_function(sigma)
     gamma = fn.realize_gamma
     if not gamma > 1.0:
@@ -337,7 +351,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    spectrum, lams = _ordered_spectrum(xs, ys)
+    spectrum, lams = _ordered_spectrum(xs, ya, spectrum)
     count = max(1, _power_index(float(lams.max()), gamma0) + 1)
     if count > _MAX_LINKS:
         raise OutOfRangeError(
@@ -545,15 +559,16 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     Where u underflows it raises the ConvergenceError solve_scalar_heinz_heron does.
     """
     s, alpha = _heinz_heron_alpha(s)
-    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    spectrum, lams = _ordered_spectrum(xs, ys)
+    xs = as_spd(x, "X")
+    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
+    spectrum, lams = _ordered_spectrum(xs, ya, spectrum)
     cs = np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams])
     ratios = np.exp(-2.0 * cs)
     if not ratios.all():    # u = 0 makes Heinz_s(1, u) = 0 and the pair infinite
         raise ConvergenceError(f"solution left the representable range (c = {float(cs.max())!r})")
     d = heinz_pair(s, 1.0, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                           MeanDescriptor.heron(alpha * alpha), xs.entries, ys.entries)
+                           MeanDescriptor.heron(alpha * alpha), xs.entries, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -592,5 +607,7 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     has geometric mean 1 and Heinz mean lambda, and A, B congruate it.
     """
     s = _validate_heinz_heron_parameter(s)
-    xs, ys = as_spd(x, "X"), as_spd(y, "Y")
-    return _geometric_pair(MeanDescriptor.heinz(s), xs, ys, _ordered_spectrum(xs, ys)[0])
+    xs = as_spd(x, "X")
+    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
+    return _geometric_pair(MeanDescriptor.heinz(s), xs.entries, ya,
+                           _ordered_spectrum(xs, ya, spectrum)[0])

@@ -1,10 +1,11 @@
 """Symmetric eigendecomposition, spectral calculus, and Loewner comparisons.
 
 Everything numerically heavy in this package reduces to the primitives here.
-The eigensolver is LAPACK's symmetric solver (numpy's eigh/eigvalsh). It is
-normwise backward stable: every computed eigenvalue lies within a small
-multiple of n * eps * ||M||_2 of the exact one. That error is far below the
-tol * ||M|| term of every refutation rule in monocheck.
+The eigensolver is LAPACK's symmetric solver, through the gufuncs numpy's
+eigh/eigvalsh call. It is normwise backward stable: every computed
+eigenvalue lies within a small multiple of n * eps * ||M||_2 of the exact
+one. That error is far below the tol * ||M|| term of every refutation rule
+in monocheck.
 
 Every operator mean of a pair (A, B) is C diag(g(lam)) C^T, for the relative
 spectrum Z = A^{-1/2} B A^{-1/2} = U diag(lam) U^T and the factor C = A^{1/2} U.
@@ -13,10 +14,10 @@ from its validation, and stores C; the means, solvers and checks all use it.
 
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
-matrices as well as one (n, n) matrix, through the same code: numpy's eigh,
-eigvalsh, qr and @ act on the last two axes, and on this build give each
-matrix of a stack bitwise the result of a call on that matrix alone. The
-sampled checks run their trials through them as stacks of SpdMatrix pairs.
+matrices as well as one (n, n) matrix, through the same code: LAPACK's
+gufuncs, numpy's qr and @ act on the last two axes, and on this build give
+each matrix of a stack bitwise the result of a call on that matrix alone.
+The sampled checks run their trials through them as stacks of SpdMatrix pairs.
 """
 from __future__ import annotations
 
@@ -25,11 +26,14 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralError
 
 SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
+_PD_PROOF_ULPS = 64        # rounding allowance of _spd_relative_spectrum, in n * eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _shape_error(name: str, shape: tuple, stack: bool = False) -> StructuralError:
@@ -112,7 +116,7 @@ def _frobenius(a: np.ndarray):
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):
-    """The package's one symmetric eigensolver: LAPACK through numpy.
+    """The package's one symmetric eigensolver: LAPACK's, through numpy's gufuncs.
 
     Returns ascending eigenvalues w, or (w, V) with a = V diag(w) V^T when
     vectors is true; for a (k, n, n) stack, w is (k, n) and V is (k, n, n),
@@ -121,6 +125,13 @@ def _eigh(a: np.ndarray, vectors: bool = True):
     n * eps * ||a||_2 of the exact one. Non-finite input (an overflowed
     difference), eigenvalues past the float range and LAPACK failures raise
     ConditioningError instead of returning inf or NaN.
+
+    It calls the gufuncs eigh_lo and eigvalsh_lo of numpy.linalg._umath_linalg
+    as np.linalg.eigh and eigvalsh call them (lower triangle, signature d->dd
+    or d->d), so the results are bitwise theirs, but skips their wrapper,
+    whose conversions and checks cost more than the solve of a small matrix.
+    A gufunc marks a LAPACK failure by the invalid floating-point flag, which
+    that wrapper turns into LinAlgError.
     """
     # no eigenvalue exceeds the root of this sum of squares in size: while
     # it is finite, input and output are
@@ -129,9 +140,12 @@ def _eigh(a: np.ndarray, vectors: bool = True):
         raise ConditioningError(
             "eigensolver input has non-finite entries (overflow upstream)")
     try:
-        out = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"symmetric eigensolver failed: {exc}") from None
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            out = (_umath_linalg.eigh_lo(a, signature="d->dd") if vectors
+                   else _umath_linalg.eigvalsh_lo(a, signature="d->d"))
+    except FloatingPointError:
+        raise ConditioningError(
+            "symmetric eigensolver failed: Eigenvalues did not converge") from None
     if not bounded and not np.isfinite(out[0] if vectors else out).all():
         raise ConditioningError("eigenvalues overflow the float range")
     return out
@@ -251,6 +265,52 @@ def as_spd(m, name: str = "matrix") -> SpdMatrix:
         raise StructuralError(f"{name}: {exc}") from None
 
 
+def _symmetric_entries(m, name: str) -> np.ndarray:
+    """The entries as_spd(m, name) would hold, with its errors for the shape,
+    finiteness and symmetry of m, but not tested for positive definiteness."""
+    a = np.asarray(m, dtype=float)
+    try:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise _shape_error("SpdMatrix", a.shape)
+        return _require_symmetric(_as_array(a, "SpdMatrix"), "SpdMatrix")
+    except StructuralError as exc:
+        raise StructuralError(f"{name}: {exc}") from None
+
+
+def _spd_relative_spectrum(xs: SpdMatrix, y, name: str) -> tuple:
+    """(Y, spectrum) for a matrix y that must be SPD: Y the entries, and the
+    errors, of as_spd(y, name), and spectrum RelativeSpectrum(xs, Y), or None
+    when computing it raised (a shape mismatch, an overflow), so that the
+    caller computes it again where that error belongs.
+
+    Y is decomposed only when the spectrum cannot prove it SPD. X's kept
+    decomposition is exact for an X' = V diag(w) V^T near X, and Y =
+    X'^{1/2} Z' X'^{1/2}, so lambda_min(Y) >= w_min lambda_min(Z'). Forming
+    and decomposing Z' errs by a small multiple of n eps kappa(X) ||Z'||_2,
+    Y's own eigensolve by one of n eps ||Y||_F. Less
+    _PD_PROOF_ULPS times each, a bound above twice as_spd's floor proves that
+    as_spd accepts Y; otherwise as_spd decides.
+    """
+    if isinstance(y, SpdMatrix):
+        ya, proven = as_spd(y, name).entries, True
+    else:
+        ya, proven = _symmetric_entries(y, name), False
+    try:
+        with np.errstate(all="ignore"):     # every warning comes with an error
+            spectrum = RelativeSpectrum(xs, ya)
+    except (StructuralError, ConditioningError):
+        spectrum = None
+    if not proven and spectrum is not None:
+        w, lam = xs._spectrum[0], spectrum.eigenvalues
+        rounding = _PD_PROOF_ULPS * len(w) * _EPS
+        kappa, lo = float(w[0]) / float(w[-1]), float(lam[-1])
+        bound = float(w[-1]) * (lo - rounding * kappa * max(float(lam[0]), -lo))
+        proven = bound > (2.0 * PD_FLOOR_RTOL + rounding) * float(_frobenius(ya))
+    if not proven:
+        as_spd(y, name)     # raises unless Y is SPD
+    return ya, spectrum
+
+
 def matrix_to_json_dict(m) -> dict:
     a = _as_array(m)
     return {"n": int(a.shape[0]), "rows": a.tolist()}
@@ -333,6 +393,7 @@ def apply_spectral_function(m, g) -> np.ndarray:
     A non-finite value or an error of g in errors.DOMAIN_ERRORS (a complex
     value fails float()) raises DomainError; any other error of g propagates.
     """
+    _check_callable("g", g)
     dec = sym_eigendecompose(m)
     lam = dec.eigenvalues
     try:
@@ -468,6 +529,13 @@ def _check_count(name: str, value) -> None:
         raise StructuralError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _check_callable(name: str, f) -> None:
+    """Reject a function argument that is not callable: a parsed expression's
+    text, or a config passed in its place."""
+    if not callable(f):
+        raise StructuralError(f"{name} must be callable, got {type(f).__name__}")
+
+
 def _check_tol(tol) -> None:
     """Reject a tolerance that is a bool, not a real, not finite or not positive."""
     if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < math.inf:
@@ -489,13 +557,15 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
         raise StructuralError(f"condition cap must be >= 1, got {cond_cap!r}")
     g = np.empty((count, n, n))
     # eigenvalues log-uniform in [1, cond_cap] keeps the condition number capped
-    log_lam = np.zeros((count, n))
+    u = np.zeros((count, n))
     for k in range(count):
-        g[k] = rng.standard_normal((n, n))
+        rng.standard_normal(out=g[k])
         if cond_cap > 1.0:
-            log_lam[k] = rng.uniform(0.0, math.log(cond_cap), size=n)
+            rng.random(out=u[k])
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
-    lam = np.exp(log_lam) if cond_cap > 1.0 else np.ones((count, n))
+    # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
+    # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1
+    lam = np.exp(u * math.log(cond_cap))
     return _symmetrize((q * lam[:, None, :]) @ _transpose(q))

@@ -63,3 +63,35 @@ def test_unsupported_types_raise_type_error(bad):
 def test_malformed_json_text_is_a_usage_error():
     with pytest.raises(UsageError, match="invalid JSON: Expecting property name"):
         jsonio.loads("{")
+
+
+def _per_item(obj) -> str:
+    """The encoder with every float formatted on its own, the reference for
+    the one-format encoding of float lists."""
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_per_item, obj)) + "]"
+    return jsonio.format_float(obj) if isinstance(obj, float) else jsonio.dumps(obj)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.2250738585072014e-308, 0.1, 1e16, 1e17, 2.0, -1.5]
+
+
+@pytest.mark.parametrize("items", [
+    [], [1.0], _EDGE_FLOATS, tuple(_EDGE_FLOATS), [np.float64(x) for x in _EDGE_FLOATS],
+    [1.0, np.float64(-0.0), 3], [1.0, True, None, "a", 2], [[0.5, -0.0], (5e-324,), [], 7.0],
+    np.random.default_rng(36).standard_normal(40).tolist()],
+    ids=["empty", "one", "edges", "tuple", "float64", "with-int", "mixed", "nested", "random"])
+def test_float_lists_encode_as_each_float_alone(items):
+    assert jsonio.dumps(items) == _per_item(items)
+    assert jsonio.dumps({"rows": [items, items]}) == '{"rows": [%s, %s]}' % ((_per_item(items),) * 2)
+
+
+@pytest.mark.parametrize("items", [
+    [1.0, math.nan, math.inf], [2.0, -math.inf, math.nan], [np.float64(1.0), np.float64(math.inf)]],
+    ids=["nan", "-inf", "float64-inf"])
+def test_float_lists_raise_at_the_first_non_finite_value(items):
+    first = next(x for x in items if not math.isfinite(x))
+    with pytest.raises(ValueError) as info:
+        jsonio.dumps([items])
+    assert str(info.value) == f"cannot serialize non-finite float {first!r}"

@@ -802,3 +802,21 @@ def test_sampler_without_grids_runs_only_the_structured_and_random_sets():
     # 29 structured sets (three clusters, 13 near-collision pairs framed and not) and 5 random
     verdict = is_operator_monotone_sampled(np.sqrt, config=MonoConfig(grids=(), trials=5))
     assert verdict.status == "consistent" and verdict.trials_run == 34
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_operator_monotone_sampled(lambda t: t ** 2, MonoConfig(trials=5)),
+     "fprime must be callable, got MonoConfig"),
+    (lambda: is_operator_monotone_sampled("t^2"), "f must be callable, got str"),
+    (lambda: falsify_transfer("t^2", MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                              trials=20), "f must be callable, got str"),
+    (lambda: loewner_matrix([1.0, 2.0], "t^2"), "f must be callable, got str"),
+    (lambda: loewner_matrix([1.0, 2.0], np.sqrt, 0.5), "fprime must be callable, got float"),
+    (lambda: apply_spectral_function(np.eye(2), "sqrt"), "g must be callable, got str")],
+    ids=["config-as-fprime", "sampler-text", "transfer-text", "loewner-text",
+         "loewner-fprime", "spectral-text"])
+def test_a_function_that_is_not_callable_is_a_structural_error(call, message):
+    # before sampling: a skipped set would otherwise read as "consistent"
+    with pytest.raises(StructuralError) as info:
+        call()
+    assert str(info.value) == message

@@ -847,10 +847,11 @@ def test_chain_rejects_mismatched_shapes():
 
 
 def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
-    # two validations cost two eigensolves, and the relative spectrum of
-    # (X, Y) one more: it reuses the decomposition X's validation kept. Each
-    # link adds only its witness re-evaluation, and the witnesses of all
-    # links are decomposed as one stack in two calls
+    # X's validation costs one eigensolve, and the relative spectrum of
+    # (X, Y) one more: it reuses the decomposition X's validation kept, and
+    # proves Y positive definite without decomposing it. Each link adds only
+    # its witness re-evaluation, and the witnesses of all links are
+    # decomposed as one stack in two calls
     matrices = _count_eigensolved_matrices(monkeypatch)
     for k, sigma in enumerate((ARITH, MeanDescriptor.heron(0.5))):
         x = random_spd(3, cond_cap=30.0, seed=70 + k).entries
@@ -859,24 +860,25 @@ def test_chain_decomposes_only_for_the_endpoints_and_the_witnesses(monkeypatch):
         chain = build_monotone_chain(sigma, x, x + 2.0 * bump @ bump.T, gamma0=1.4)
         links = len(chain.pair_witnesses)
         assert links >= 3
-        assert sum(matrices) == 3 + 2 * links
-        assert len(matrices) == 5
+        assert sum(matrices) == 2 + 2 * links
+        assert len(matrices) == 4
 
 
 @pytest.mark.parametrize("solve", [
     lambda x, y: solve_matrix_pair(ARITH, x, y),
     lambda x, y: solve_heinz_heron_matrix(0.3, x, y),
     lambda x, y: solve_geom_heinz_matrix(0.3, x, y)], ids=["pair", "heinz-heron", "geom-heinz"])
-def test_pair_solve_decomposes_five_matrices(monkeypatch, solve):
-    # the validations of X and Y, the relative spectrum of (X, Y) on X's kept
-    # decomposition, and the witness pair's relative spectrum (two eigensolves)
+def test_pair_solve_decomposes_four_matrices(monkeypatch, solve):
+    # the validation of X, the relative spectrum of (X, Y) on X's kept
+    # decomposition, which proves Y positive definite, and the witness pair's
+    # relative spectrum (two eigensolves)
     matrices = _count_eigensolved_matrices(monkeypatch)
     for n in (1, 3, 6):
         x = random_spd(n, cond_cap=30.0, seed=80 + n).entries
         bump = np.random.default_rng(800 + n).standard_normal((n, n))
         matrices.clear()
         solve(x, x + 0.5 * bump @ bump.T)
-        assert matrices == [1, 1, 1, 1, 1]
+        assert matrices == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("check, per_pair", [
@@ -1317,3 +1319,128 @@ def test_heinz_heron_solvers_reject_an_s_whose_alpha_rounds_to_minus_one():
     assert geom_heinz_ratio(1e-300, 0.25) == pytest.approx(0.8)
     assert invert_geom_heinz_ratio(1e-300, 0.8) == pytest.approx(0.25)
     assert solve_geom_heinz_matrix(1e-300, x, y).residual_y <= 1e-12
+
+
+# ------------------------------------------ Y validated without its eigensolve
+
+_TARGET_SOLVERS = {
+    "pair": lambda x, y: solve_matrix_pair(ARITH, x, y),
+    "chain": lambda x, y: build_monotone_chain(ARITH, x, y),
+    "heinz-heron": lambda x, y: solve_heinz_heron_matrix(0.3, x, y),
+    "geom-heinz": lambda x, y: solve_geom_heinz_matrix(0.3, x, y)}
+
+
+def _outcome(call):
+    """A call's error as a (type, message) tuple, or its result's arrays and numbers as a list."""
+    try:
+        out = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    chain = not isinstance(out, PairWitness)
+    return ([*out.links, out.gamma0] if chain else []) + [
+        x for w in (out.pair_witnesses if chain else [out])
+        for x in (w.matrix_a, w.matrix_b, w.residual_x, w.residual_y)]
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+def _judged_by_as_spd(solve, x, y):
+    """The reference: Y validated, and decomposed, by as_spd before the solve."""
+    try:
+        ys = as_spd(y, "Y")
+    except StructuralError as exc:
+        return StructuralError, str(exc)
+    return _outcome(lambda: solve(x, ys))
+
+
+def _rotated(values, seed):
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values),) * 2))[0]
+    return (q * np.asarray(values)) @ q.T
+
+
+_TINY = 1e-300 * np.eye(2)      # SPD, but Y / 1e-300 overflows in the relative spectrum
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+@pytest.mark.parametrize("x, y", [
+    (np.eye(2), np.ones((2, 3))), (np.eye(2), np.ones((2, 2, 2))), (np.eye(2), 3.0),
+    (np.eye(2), np.zeros((0, 0))), (np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]),
+    (np.eye(2), [[2.0, 1.0], [0.0, 2.0]]), (np.eye(2), np.diag([1.0, -1.0])),
+    (np.eye(2), np.diag([1.0, 1e-13])), (np.eye(2), np.diag([1.0, 0.0, 2.0])),
+    (_TINY, np.diag([1e10, -1e10])), (_TINY, np.diag([1e10, 0.0]))],
+    ids=["non-square", "stack", "scalar", "empty", "nan", "asymmetric", "indefinite",
+         "below-floor", "mismatch-not-pd", "overflow-indefinite", "overflow-singular"])
+def test_invalid_y_raises_as_spds_error(solver, x, y):
+    with pytest.raises(StructuralError) as want:
+        as_spd(y, "Y")
+    with pytest.raises(StructuralError) as got:
+        _TARGET_SOLVERS[solver](x, y)
+    assert str(got.value) == str(want.value)
+    # X's own error comes first
+    with pytest.raises(StructuralError, match="^X: SpdMatrix is not symmetric"):
+        _TARGET_SOLVERS[solver]([[2.0, 1.0], [0.0, 2.0]], y)
+
+
+def test_chain_raises_ys_error_before_gamma0s_and_the_spectrums_after():
+    with pytest.raises(StructuralError, match="^Y: matrix is not positive definite"):
+        build_monotone_chain(ARITH, np.eye(2), np.diag([1.0, -1.0]), gamma0=0.5)
+    with pytest.raises(OutOfRangeError, match="^gamma0 = 0.5 must lie"):
+        build_monotone_chain(ARITH, np.eye(2), 2.0 * np.eye(3), gamma0=0.5)
+    with pytest.raises(OutOfRangeError, match="^gamma0 = 0.5 must lie"):
+        build_monotone_chain(ARITH, _TINY, 1e10 * np.eye(2), gamma0=0.5)
+    with pytest.raises(StructuralError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        build_monotone_chain(ARITH, np.eye(2), 2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+def test_y_whose_relative_spectrum_overflows_raises_the_spectrums_error(solver):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConditioningError, match="non-finite entries"):
+            _TARGET_SOLVERS[solver](_TINY, 1e10 * np.eye(2))
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+@pytest.mark.parametrize("x, y", [
+    (np.eye(2), _rotated([1.0, 1e-15], 1)),               # kappa(Z) 1e15, below the floor
+    (_rotated([1e-11, 1.0], 2), _rotated([1.0, 1e-4], 3)),    # kappa(Z) ~ 1e15, SPD
+    (np.diag([1.0, 1e-3]), _rotated([1.5e-12, 1.0], 4)),  # just above the floor
+    (np.diag([1.0, 1e-3]), _rotated([0.9e-12, 1.0], 5)),  # just below it
+    (np.eye(3), _rotated([2.0, 3.0, 5.0], 6))],
+    ids=["not-pd-1e15", "pd-1e15", "above-floor", "below-floor", "well-conditioned"])
+def test_ill_conditioned_y_is_judged_as_by_as_spd(solver, x, y):
+    solve = _TARGET_SOLVERS[solver]
+    assert _same(_outcome(lambda: solve(x, y)), _judged_by_as_spd(solve, x, y))
+
+
+def test_y_is_proven_positive_definite_only_when_as_spd_accepts_it(monkeypatch):
+    # Y near the floor, against X of condition up to 1e6: every Y the
+    # spectral bound proves SPD must pass as_spd, and the rest get its verdict
+    fallbacks = []
+    real = spd_module.as_spd
+    monkeypatch.setattr(spd_module, "as_spd", lambda m, name: fallbacks.append(1) or real(m, name))
+    rng = np.random.default_rng(3636)
+    proven = accepted = 0
+    for k in range(400):
+        n = 2 + k % 5
+        x = random_spd(n, cond_cap=10.0 ** float(rng.uniform(0.0, 6.0)), seed=k).entries
+        low = 10.0 ** float(rng.uniform(-13.0, -10.0))
+        y = _rotated(np.concatenate(([low], rng.uniform(0.2, 1.0, n - 1))), 5000 + k)
+        xs = as_spd(x, "X")
+        fallbacks.clear()
+        try:
+            real(y, "Y")
+        except StructuralError as exc:
+            with pytest.raises(StructuralError) as info:
+                spd_module._spd_relative_spectrum(xs, y, "Y")
+            assert str(info.value) == str(exc)
+            continue
+        ya, spectrum = spd_module._spd_relative_spectrum(xs, y, "Y")
+        assert np.array_equal(ya, real(y, "Y").entries) and spectrum is not None
+        proven += not fallbacks
+        accepted += 1
+    assert 40 <= proven <= accepted - 40 and accepted <= 360

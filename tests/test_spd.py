@@ -19,6 +19,7 @@ from opmeans import (ConditioningError, DomainError, MeanDescriptor, MonoConfig,
                      verify_mean_axioms)
 from opmeans.jsonio import dumps, loads
 from opmeans.monocheck import loewner_matrix
+from opmeans import spd as spd_module
 from opmeans.spd import _eigh, _frobenius, _random_spd_stack, random_spd_from
 
 EPS = np.finfo(float).eps
@@ -494,7 +495,8 @@ def test_apply_spectral_function_separates_domain_errors_from_faults():
 
 def test_eigensolver_is_called_only_inside_eigh():
     # per-layer decomposition counts rest on spd._eigh being the package's
-    # one eigensolver: no other code may reach numpy's (or any) linalg.eig*
+    # one eigensolver: no other code may reach numpy's (or any) linalg.eig*,
+    # nor the LAPACK gufuncs of numpy.linalg._umath_linalg
     package = Path(opmeans.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -506,7 +508,9 @@ def test_eigensolver_is_called_only_inside_eigh():
             allowed = set(range(eigh.lineno, eigh.end_lineno + 1))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr.startswith("eig")
-                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                    and (isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                         or getattr(node.value, "id", getattr(node.value, "attr", None))
+                         == "_umath_linalg")):
                 hit = node.lineno
             elif (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
                   and any(alias.name.startswith("eig") for alias in node.names)):
@@ -586,3 +590,62 @@ def test_bool_and_non_finite_sizes_and_caps_are_structural_errors():
     for cap in (math.nan, 0.5, -math.inf):
         with pytest.raises(StructuralError, match="condition cap must be >= 1"):
             random_spd(2, cond_cap=cap)
+
+
+@pytest.mark.parametrize("k", [None, 1, 5])
+def test_eigh_is_bitwise_numpys_eigh_and_eigvalsh(k):
+    # _eigh calls the LAPACK gufuncs numpy.linalg.eigh and eigvalsh call,
+    # without their wrapper: the results must be theirs bit for bit
+    rng = np.random.default_rng(36 if k is None else 36 + k)
+    for n in range(1, 25):
+        g = rng.standard_normal((n, n) if k is None else (k, n, n))
+        a = g + np.swapaxes(g, -1, -2)
+        w, v = _eigh(a)
+        want_w, want_v = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(_eigh(a, vectors=False), np.linalg.eigvalsh(a))
+
+
+def test_eigh_turns_a_lapack_failure_into_a_conditioning_error(monkeypatch):
+    # a gufunc reports LAPACK's failure by raising the invalid flag, as 0 * inf does
+    class Failing:
+        @staticmethod
+        def eigh_lo(a, signature):
+            return np.zeros(a.shape[-1]) * np.inf, np.zeros(a.shape)
+
+        @staticmethod
+        def eigvalsh_lo(a, signature):
+            return np.zeros(a.shape[-1]) * np.inf
+
+    monkeypatch.setattr(spd_module, "_umath_linalg", Failing)
+    for vectors in (True, False):
+        with pytest.raises(ConditioningError) as info:
+            _eigh(np.eye(2), vectors=vectors)
+        assert str(info.value) == "symmetric eigensolver failed: Eigenvalues did not converge"
+
+
+def _reference_draws(rng, count, n, cond_cap):
+    """The per-matrix draws _random_spd_stack must reproduce: each matrix's
+    standard_normal((n, n)) and then, for a cap above 1, its eigenvalues'
+    uniform(0, log cap, n)."""
+    g, log_lam = np.empty((count, n, n)), np.zeros((count, n))
+    for k in range(count):
+        g[k] = rng.standard_normal((n, n))
+        if cond_cap > 1.0:
+            log_lam[k] = rng.uniform(0.0, math.log(cond_cap), size=n)
+    q, r = np.linalg.qr(g)
+    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[:, None, :]
+    lam = np.exp(log_lam)
+    half = 0.5 * ((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2))
+    return half + np.swapaxes(half, -1, -2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+@pytest.mark.parametrize("cond_cap", [1.0, 50.0])
+def test_random_spd_stack_draws_in_place_as_the_per_matrix_reference(count, cond_cap):
+    for n in range(1, 6):
+        rng, ref = np.random.default_rng(3600 + n), np.random.default_rng(3600 + n)
+        got = _random_spd_stack(rng, count, n, cond_cap)
+        want = _reference_draws(ref, count, n, cond_cap)
+        assert got.shape == (count, n, n) and np.array_equal(got, want)
+        assert rng.random() == ref.random()     # the same stream consumed
