@@ -26,7 +26,7 @@ import numpy as np
 from . import hdensity, jsonio
 from .errors import ConditioningError, StructuralError, UsageError
 from .hdensity import HDensity
-from .spd import RelativeSpectrum
+from .spd import RelativeSpectrum, _check_real
 from .spd import sqrt_pair  # noqa: F401 -- perfbench's tracer test patches this binding
 
 ARITHMETIC = "arithmetic"
@@ -92,6 +92,7 @@ class MeanDescriptor:
         elif self.kind in _PARAMETRIC:
             if self.param is None or self.density is not None:
                 raise StructuralError(f"{self.kind} mean needs a numeric parameter")
+            _check_real(f"{self.kind} parameter", self.param)
             p = float(self.param)
             if not math.isfinite(p):
                 raise StructuralError(f"{self.kind} parameter must be finite")

@@ -39,9 +39,9 @@ import numpy as np
 
 from . import spd
 from .errors import DOMAIN_ERRORS, ConditioningError, StructuralError, UsageError
-from .means import (MeanDescriptor, _class_residual, arithmetic_pair, eval_mean_from_function,
-                    geometric_pair, harmonic_pair, heinz_pair, heron_pair, mean_from_spectrum,
-                    representing_function)
+from .means import (MeanDescriptor, _checked_eigenvalues, _class_residual, arithmetic_pair,
+                    eval_mean_from_function, geometric_pair, harmonic_pair, heinz_pair,
+                    heron_pair, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _check_matrix_size,
                   _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
                   _min_eig_and_norm, _random_spd_stack, _symmetrize, sym_eigendecompose)
@@ -528,9 +528,11 @@ def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
     refuting pair wins; another error of f on an earlier pair propagates.
     """
     size, n = b.shape[:2]
-    # the means are exactly symmetric: decompose them without re-validation
-    w, v = _eigh_descending(np.concatenate((mean_from_spectrum(spectrum, rep_s),
-                                            mean_from_spectrum(spectrum, rep_t))))
+    # both means of every pair by one condition check and one congruation;
+    # they are exactly symmetric: decompose them without re-validation
+    ev = _checked_eigenvalues(spectrum).ravel()
+    means = spectrum.congruate(np.reshape((rep_s.value(ev), rep_t.value(ev)), (2, size, n)))
+    w, v = _eigh_descending(means.reshape(2 * size, n, n))
     values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))
     values = values.reshape(2 * size, n)
     finite = np.all(np.isfinite(values), axis=-1)
@@ -681,6 +683,7 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     when ||AB - BA||_F <= 1e-10 ||A||_F ||B||_F, judged on A and B scaled by
     exact powers of two to norms in [1/2, 1), so nothing over- or underflows.
     """
+    spd._check_real("s", s)
     if not 0.0 <= float(s) <= 1.0:
         raise StructuralError(f"s must lie in [0, 1], got {s}")
     s = float(s)
@@ -702,11 +705,11 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     # congruate and decompose as one stack.
     names = ("harmonic<=heinz", "geometric<=heinz", "heinz<=heron",
              "heron<=arithmetic", "heinz<=arithmetic")
-    gaps = np.stack((heinz_v - harm_v, heinz_v - geo_v, heron_v - heinz_v,
+    gaps = np.array((heinz_v - harm_v, heinz_v - geo_v, heron_v - heinz_v,
                      arith_v - heron_v, arith_v - heinz_v))
     min_eig, norm = _min_eig_and_norm(spectrum.congruate(gaps))
-    links = [LinkMargin(name, float(lo), float(size))
-             for name, lo, size in zip(names, min_eig, norm)]
+    links = [LinkMargin(name, lo, size)
+             for name, lo, size in zip(names, min_eig.tolist(), norm.tolist())]
 
     norm_a, norm_b = float(_frobenius(am)), float(_frobenius(bm))
     (frac_a, exp_a), (frac_b, exp_b) = math.frexp(norm_a), math.frexp(norm_b)

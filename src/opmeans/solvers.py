@@ -45,8 +45,8 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, _checked_eigenvalues, heinz_pair,
                     heron_pair, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _frobenius, _MatrixPair, _spd_relative_spectrum,
-                  as_spd, matrix_to_json_dict)
+from .spd import (RelativeSpectrum, SpdMatrix, _check_real, _frobenius, _MatrixPair,
+                  _spd_relative_spectrum, as_spd, matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -248,11 +248,11 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     check and one congruation, and the residuals ||mean - target||_F /
     ||target||_F of each side by one stacked norm; the first pair that misses
     raises."""
-    mats_a, mats_b = spectrum.congruate(np.stack((values_a, values_b)))
+    mats_a, mats_b = spectrum.congruate(np.array((values_a, values_b)))
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
     pairs = RelativeSpectrum(mats_a, mats_b)
     ev = _checked_eigenvalues(pairs)
-    means = pairs.congruate(np.stack([np.reshape(fn.value(ev.ravel()), ev.shape)
+    means = pairs.congruate(np.array([np.reshape(fn.value(ev.ravel()), ev.shape)
                                       for fn in (fn_x, fn_y)]))
     res_x, res_y = (np.ravel(_frobenius(mean - want) / _frobenius(want)).tolist()
                     for mean, want in zip(means, (xs, ys)))
@@ -344,6 +344,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
             f"chain construction needs gamma > 1; {fn.label} has gamma = {gamma!r}")
     if gamma0 is None:
         gamma0 = math.sqrt(gamma) if math.isfinite(gamma) else 2.0
+    _check_real("gamma0", gamma0)
     gamma0 = float(gamma0)
     if not 1.0 < gamma0 < gamma:
         raise OutOfRangeError(
@@ -529,6 +530,7 @@ def solve_scalar_heinz_heron(s: float, a: float, b: float) -> ScalarPairSolution
 
 
 def _validate_heinz_heron_parameter(s) -> float:
+    _check_real("s", s)
     s = float(s)
     if s == 0.5:
         raise StructuralError(

@@ -15,8 +15,9 @@ from its validation, and stores C; the means, solvers and checks all use it.
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
 matrices as well as one (n, n) matrix, through the same code: LAPACK's
-gufuncs, numpy's qr and @ act on the last two axes, and on this build give
-each matrix of a stack bitwise the result of a call on that matrix alone.
+gufuncs (the eigensolver's and the QR factorization's, called as
+numpy.linalg calls them) and @ act on the last two axes, and on this build
+give each matrix of a stack bitwise the result of a call on that matrix alone.
 The sampled checks run their trials through them as stacks of SpdMatrix pairs.
 """
 from __future__ import annotations
@@ -42,7 +43,12 @@ def _shape_error(name: str, shape: tuple, stack: bool = False) -> StructuralErro
 
 
 def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """m as a float array: one square matrix, or with stack a (k, n, n) stack."""
+    """m as a float array: one square matrix, or with stack a (k, n, n) stack.
+
+    Its entries are finite when their sum of squares is (np.vdot does not
+    warn when it overflows); only when it is not are they tested one by one,
+    so a finite matrix of huge entries passes.
+    """
     if isinstance(m, SpdMatrix) and (stack or m.entries.ndim == 2):
         return m.entries        # validated already
     a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
@@ -50,7 +56,7 @@ def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise _shape_error(name, a.shape, stack)
     if a.shape[-1] == 0:
         raise StructuralError(f"{name} must have at least one row")
-    if not np.isfinite(a).all():
+    if not np.vdot(a, a) < math.inf and not np.isfinite(a).all():
         raise StructuralError(f"{name} contains non-finite entries")
     return a
 
@@ -449,7 +455,7 @@ def sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
 
 def _sqrt_spectrum(w: np.ndarray, name: str) -> np.ndarray:
     """sqrt(w) for the eigenvalues w of a matrix named name in errors, all > 0."""
-    lo = float(np.min(w, initial=math.inf))     # an empty stack has no roots to check
+    lo = float(w.min(initial=math.inf))     # an empty stack has no roots to check
     if lo <= 0.0:
         raise ConditioningError(f"square root of {name} needs a positive spectrum, got {lo!r}")
     return np.sqrt(w)
@@ -465,9 +471,11 @@ class RelativeSpectrum:
     congruate(ones) is A and congruate(lam) is B. From A = V diag(w) V^T (an
     SpdMatrix A lends its kept one) and r = sqrt(w), (V^T B V) / (r_i r_j) =
     U' diag(lam) U'^T is decomposed and C = V diag(r) U': no matrix root of A
-    is formed. A and B may be (k, n, n) stacks of k pairs; lam is then (k, n)
-    and congruate maps (k, n) values to a (k, n, n) stack, each matrix
-    bitwise that of its pair alone. A and B must be symmetric within SYMMETRY_RTOL.
+    is formed. An SpdMatrix's kept w lies above its positive floor, so only
+    a raw A's w is checked before its root is taken. A and B may be (k, n, n)
+    stacks of k pairs; lam is then (k, n) and congruate maps (k, n) values
+    to a (k, n, n) stack, each matrix bitwise that of its pair alone. A and
+    B must be symmetric within SYMMETRY_RTOL.
     """
 
     factor: np.ndarray
@@ -477,10 +485,10 @@ class RelativeSpectrum:
         am, bm = _as_array(a, "A", stack=True), _as_array(b, "B", stack=True)
         if am.shape != bm.shape:
             raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
-        w, v = (a._spectrum if isinstance(a, SpdMatrix)
-                else _eigh_descending(_require_symmetric(am, "A")))
+        kept = isinstance(a, SpdMatrix)
+        w, v = a._spectrum if kept else _eigh_descending(_require_symmetric(am, "A"))
         _check_symmetric(bm, "B")     # Z is symmetrized below
-        r = _sqrt_spectrum(w, "A")
+        r = np.sqrt(w) if kept else _sqrt_spectrum(w, "A")
         ev, u = _eigh_descending(
             _symmetrize((_transpose(v) @ bm @ v) / (r[..., :, None] * r[..., None, :])))
         for name, x in (("factor", (v * r[..., None, :]) @ u), ("eigenvalues", ev)):
@@ -536,6 +544,12 @@ def _check_callable(name: str, f) -> None:
         raise StructuralError(f"{name} must be callable, got {type(f).__name__}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a real parameter (a mean's s, a chain's gamma0) that is a bool or not a real."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise StructuralError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_tol(tol) -> None:
     """Reject a tolerance that is a bool, not a real, not finite or not positive."""
     if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < math.inf:
@@ -549,6 +563,10 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
     The draws from rng are those of count successive random_spd_from calls,
     and matrix k is bitwise the entries of the k-th call's SpdMatrix.
     SpdMatrix(stack) validates and decomposes all of them in one call.
+    The Gaussian stack is factored by the gufuncs qr_r_raw and qr_reduced of
+    numpy.linalg._umath_linalg, as np.linalg.qr calls them in its "reduced"
+    mode, so Q is bitwise its Q; R's diagonal is read from the factored
+    array. A gufunc marks a LAPACK failure by the invalid flag, as in _eigh.
     """
     _check_matrix_size(n)
     if isinstance(cond_cap, bool) or not isinstance(cond_cap, Real) or cond_cap == math.inf:
@@ -562,8 +580,14 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
         rng.standard_normal(out=g[k])
         if cond_cap > 1.0:
             rng.random(out=u[k])
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            tau = _umath_linalg.qr_r_raw(g, signature="d->d")     # R in g's upper triangle
+            q = _umath_linalg.qr_reduced(g, tau, signature="dd->d")
+    except FloatingPointError:
+        raise ConditioningError("QR factorization failed: Incorrect argument found "
+                                "while performing QR factorization") from None
+    d = np.diagonal(g, axis1=-2, axis2=-1)
     q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
     # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
     # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1

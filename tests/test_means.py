@@ -291,3 +291,13 @@ def test_malformed_descriptors_raise_typed_errors():
         MeanDescriptor("hdensity", density="x")
     with pytest.raises(UsageError, match="hdensity needs a JSON file path"):
         parse_mean_descriptor("hdensity:")
+
+
+@pytest.mark.parametrize("kind", ["wgeo", "heinz", "heron"])
+@pytest.mark.parametrize("param", [True, False, "0.25", b"0.25", 0.25j])
+def test_mean_parameter_must_be_a_real_number(kind, param):
+    # float() alone turned True into 1.0 and accepted the text "0.25"
+    with pytest.raises(StructuralError) as info:
+        MeanDescriptor(kind, param=param)
+    assert str(info.value) == f"{kind} parameter must be a real number, got {param!r}"
+    assert MeanDescriptor(kind, param=np.float64(0.25)).param == 0.25

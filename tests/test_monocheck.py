@@ -820,3 +820,19 @@ def test_a_function_that_is_not_callable_is_a_structural_error(call, message):
     with pytest.raises(StructuralError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("s, message", [
+    (True, "s must be a real number, got True"),
+    ("abc", "s must be a real number, got 'abc'"),
+    ("0.25", "s must be a real number, got '0.25'"),
+    (None, "s must be a real number, got None"),
+])
+def test_chain_parameter_must_be_a_real_number(s, message):
+    # float() alone took True for 1.0 and raised a bare ValueError for "abc"
+    a, b = random_spd(3, seed=1), random_spd(3, seed=2)
+    with pytest.raises(StructuralError) as info:
+        verify_inequality_chain(a, b, s)
+    assert str(info.value) == message
+    for real in (np.float64(0.25), 0, 1):      # numpy floats and ints are reals
+        assert verify_inequality_chain(a, b, real).all_hold()

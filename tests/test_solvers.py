@@ -1444,3 +1444,24 @@ def test_y_is_proven_positive_definite_only_when_as_spd_accepts_it(monkeypatch):
         proven += not fallbacks
         accepted += 1
     assert 40 <= proven <= accepted - 40 and accepted <= 360
+
+
+def test_solver_parameters_must_be_real_numbers():
+    # float() alone solved for s = "0.25" and built a chain at gamma0 = "2"
+    x = np.eye(2)
+    y = np.diag([2.0, 3.0])
+    for solver in (solve_heinz_heron_matrix, solve_geom_heinz_matrix):
+        for s in ("0.25", True, None):
+            with pytest.raises(StructuralError) as info:
+                solver(s, x, y)
+            assert str(info.value) == f"s must be a real number, got {s!r}"
+    for call in (geom_heinz_ratio, invert_geom_heinz_ratio):
+        with pytest.raises(StructuralError, match="s must be a real number, got '0.25'"):
+            call("0.25", 0.5)
+    for gamma0 in ("2", True):
+        with pytest.raises(StructuralError) as info:
+            build_monotone_chain(MeanDescriptor.arithmetic(), x, y, gamma0=gamma0)
+        assert str(info.value) == f"gamma0 must be a real number, got {gamma0!r}"
+    chain = build_monotone_chain(MeanDescriptor.arithmetic(), x, y, gamma0=np.float64(2.0))
+    assert chain.gamma0 == 2.0
+    assert solve_heinz_heron_matrix(np.float64(0.25), x, y).matrix_a.shape == (2, 2)
