@@ -15,9 +15,8 @@ from its validation, and stores C; the means, solvers and checks all use it.
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
 matrices as well as one (n, n) matrix, through the same code: LAPACK's
-gufuncs (the eigensolver's and the QR factorization's, called as
-numpy.linalg calls them) and @ act on the last two axes, and on this build
-give each matrix of a stack bitwise the result of a call on that matrix alone.
+gufuncs, numpy's qr and @ act on the last two axes, and on this build give
+each matrix of a stack bitwise the result of a call on that matrix alone.
 The sampled checks run their trials through them as stacks of SpdMatrix pairs.
 """
 from __future__ import annotations
@@ -563,10 +562,6 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
     The draws from rng are those of count successive random_spd_from calls,
     and matrix k is bitwise the entries of the k-th call's SpdMatrix.
     SpdMatrix(stack) validates and decomposes all of them in one call.
-    The Gaussian stack is factored by the gufuncs qr_r_raw and qr_reduced of
-    numpy.linalg._umath_linalg, as np.linalg.qr calls them in its "reduced"
-    mode, so Q is bitwise its Q; R's diagonal is read from the factored
-    array. A gufunc marks a LAPACK failure by the invalid flag, as in _eigh.
     """
     _check_matrix_size(n)
     if isinstance(cond_cap, bool) or not isinstance(cond_cap, Real) or cond_cap == math.inf:
@@ -580,14 +575,8 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
         rng.standard_normal(out=g[k])
         if cond_cap > 1.0:
             rng.random(out=u[k])
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            tau = _umath_linalg.qr_r_raw(g, signature="d->d")     # R in g's upper triangle
-            q = _umath_linalg.qr_reduced(g, tau, signature="dd->d")
-    except FloatingPointError:
-        raise ConditioningError("QR factorization failed: Incorrect argument found "
-                                "while performing QR factorization") from None
-    d = np.diagonal(g, axis1=-2, axis2=-1)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
     # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
     # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1

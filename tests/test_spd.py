@@ -651,34 +651,6 @@ def test_random_spd_stack_draws_in_place_as_the_per_matrix_reference(count, cond
         assert rng.random() == ref.random()     # the same stream consumed
 
 
-@pytest.mark.parametrize("count", [0, 1, 9])
-@pytest.mark.parametrize("cond_cap", [1.0, 50.0])
-def test_random_spd_stack_is_bitwise_the_numpy_qr_reference(count, cond_cap):
-    # _random_spd_stack factors through the QR gufuncs np.linalg.qr calls in
-    # its "reduced" mode and reads R's diagonal from the factored array
-    for n in range(1, 9):
-        rng, ref = np.random.default_rng(3700 + n), np.random.default_rng(3700 + n)
-        got = _random_spd_stack(rng, count, n, cond_cap)
-        assert np.array_equal(got, _reference_draws(ref, count, n, cond_cap))
-
-
-def test_random_spd_stack_turns_a_qr_failure_into_a_conditioning_error(monkeypatch):
-    class Failing:
-        @staticmethod
-        def qr_r_raw(a, signature):
-            return np.zeros(a.shape[:-1]) * np.inf
-
-        @staticmethod
-        def qr_reduced(a, tau, signature):
-            return a
-
-    monkeypatch.setattr(spd_module, "_umath_linalg", Failing)
-    with pytest.raises(ConditioningError) as info:
-        _random_spd_stack(np.random.default_rng(0), 2, 3, 50.0)
-    assert str(info.value) == ("QR factorization failed: Incorrect argument found "
-                               "while performing QR factorization")
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_as_array_rejects_each_non_finite_entry_in_a_matrix_and_in_a_stack(bad):
     m = np.eye(3)
@@ -714,30 +686,3 @@ def test_relative_spectrum_of_a_validated_a_is_bitwise_that_of_the_raw_a(k):
         assert np.array_equal(kept.factor, raw.factor)
         assert np.array_equal(kept.eigenvalues, raw.eigenvalues)
 
-
-def test_qr_is_called_only_inside_random_spd_stack():
-    # the random draws' bits rest on one QR call: no other code may reach
-    # numpy's linalg.qr, nor the QR gufuncs of numpy.linalg._umath_linalg
-    package = Path(opmeans.__file__).parent
-    found = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "spd.py":
-            draw = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                        and node.name == "_random_spd_stack")
-            allowed = set(range(draw.lineno, draw.end_lineno + 1))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr.startswith("qr")
-                    and (isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
-                         or getattr(node.value, "id", getattr(node.value, "attr", None))
-                         == "_umath_linalg")):
-                hit = node.lineno
-            elif (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
-                  and any(alias.name.startswith("qr") for alias in node.names)):
-                hit = node.lineno
-            else:
-                continue
-            if hit not in allowed:
-                found.append(f"{path.name}:{hit}")
-    assert found == [], f"QR calls outside spd._random_spd_stack: {found}"
