@@ -23,9 +23,10 @@ mean inequality chain on one pair and probes the axioms of a mean.
 The checks run many point sets or matrix pairs at once, as stacks through
 the spd primitives, with f called once over all their points; skips,
 faults and refutations are then resolved in trial order, so every verdict,
-trials_run and witness is that of checking one set or pair at a time. The
-sampler plans its grids, with their Loewner geometry, once per process and
-its other point sets on every call; f receives a copy of the points.
+trials_run and witness is that of checking one set or pair at a time; the
+sampler and falsify_transfer build no stack past the first refuting one.
+The sampler plans its grids, with their Loewner geometry, once per process
+and its other point sets on every call; f receives a copy of the points.
 """
 from __future__ import annotations
 
@@ -58,9 +59,6 @@ _ULPS = 16.0
 _NEAR_COLLISION = 3e-6
 _NEAR_REL = float(np.sqrt(_EPS))   # closer points: mean of their derivatives
 _TRANSFER_GRID = np.logspace(-6.0, 6.0, 97)
-# Trials per stack in falsify_transfer: a refutation wastes at most one
-# stack's trials, and 8 and 16 measured alike.
-_TRANSFER_BLOCK = 8
 
 
 def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
@@ -83,11 +81,12 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     _ULPS * eps * |f'(x_i)| on it, and |f'(x_i) - f'(x_j)| + _ULPS * eps *
     (|f'(x_i)| + |f'(x_j)|) / 2 for a mean of derivatives. A central
     difference at step h carries the rounding term _ULPS * eps * (|f(x+h)|
-    + |f(x-h)|) / (2h); its step h = cbrt(eps) * max(1, |x|) balances
-    truncation against rounding, so the truncation term is taken as no
-    larger and the bound is twice the rounding term. Each sum |a| + |b| is
-    formed as 2 (|a|/2 + |b|/2), finite for finite values. The bound reuses
-    the values of f that build the matrix, so it costs no further evaluation.
+    + |f(x-h)|) / (2h), doubled to cover the truncation error h^2 |f'''| / 6
+    where that is no larger: for x >= 1 and |f'''| near |f|, not for x < 1,
+    where h = cbrt(eps) * max(1, |x|) is not relative, nor where |f'''| is
+    large against |f|. Each sum |a| + |b| is formed as 2 (|a|/2 + |b|/2),
+    finite for finite values. The bound reuses the values of f that build
+    the matrix, so it costs no further evaluation.
     """
     _check_functions(f, fprime)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -271,6 +270,18 @@ class MonotonicityVerdict:
                 "witness": None if self.witness is None else self.witness.to_json_dict()}
 
 
+def _search(blocks, judge) -> MonotonicityVerdict:
+    """Verdict of a first-witness search: judge maps each block, in trial order, to
+    (witness or None, candidates examined); a witness ends it before the next block."""
+    trials_run = 0
+    for block in blocks:
+        witness, examined = judge(block)
+        trials_run += examined
+        if witness is not None:
+            return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
+    return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
+
+
 def _check_functions(f, fprime=None) -> None:
     """Reject an f, or a given fprime, that is not callable."""
     spd._check_callable("f", f)
@@ -338,11 +349,9 @@ class _Plan(NamedTuple):
     starts: np.ndarray
 
 
-def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
-    """The _Plan of the point sets, for f with a derivative or without one
-    (None if there are none); each size group lists its sets in trial order."""
-    if not sets:
-        return None
+def _plan(sets: list, derivative: bool) -> _Plan:
+    """The _Plan of the point sets (at least one), for f with a derivative or
+    without one; each size group lists its sets in trial order."""
     sizes = np.array([p.size for p in sets])
     # not np.unique: in numpy 2.4 its first call imports numpy.ma, a cold-start cost
     trial = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
@@ -354,13 +363,12 @@ def _plan(sets: list, derivative: bool) -> Optional[_Plan]:
 
 
 @lru_cache(maxsize=16)
-def _grid_plan(grids: tuple, derivative: bool) -> Optional[_Plan]:
+def _grid_plan(grids: tuple, derivative: bool) -> _Plan:
     """The plan of the log grids, read-only since every call shares it."""
     plan = _plan([np.logspace(np.log10(lo), np.log10(hi), n) for lo, hi, n in grids], derivative)
-    if plan is not None:
-        for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
-                    *(a for _, geometry in plan.groups for a in geometry)):
-            arr.setflags(write=False)
+    for arr in (plan.trial, plan.x, plan.lengths, plan.starts, *plan.sets,
+                *(a for _, geometry in plan.groups for a in geometry)):
+        arr.setflags(write=False)
     return plan
 
 
@@ -391,7 +399,7 @@ def _random_sets(config: MonoConfig) -> list:
     return drawn
 
 
-def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
+def _first_loewner_witness(plan: _Plan, f, fprime, tol: float):
     """(witness, sets examined) for the point sets of the plan in trial
     order, with f (and fprime) called once, on a copy of plan.x.
 
@@ -401,8 +409,6 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
     on a far-out set, and a violation shows up on smaller points. The earliest
     refuting set wins; another error of f on an earlier set propagates.
     """
-    if plan is None:
-        return None, 0
     values, errors = _evaluate_sets(f, plan.x.copy(), plan.lengths)
     phases = [(errors, None)]
     finite = np.isfinite(values)
@@ -443,19 +449,19 @@ def _first_loewner_witness(plan: Optional[_Plan], f, fprime, tol: float):
 
 def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
                                  config: MonoConfig = MonoConfig()) -> MonotonicityVerdict:
-    """Probe operator monotonicity of f on (0, inf) by sampled Loewner matrices.
+    """Probe operator monotonicity of f by sampled Loewner matrices.
 
-    Structured sets run first, then config.trials random log-uniform sets.
-    A point set refutes when the smallest eigenvalue of its Loewner matrix
-    lies below -(config.tol * ||L||_F + rounding bound), the bound assuming
-    f accurate to _ULPS ulps; a consistent verdict means no refutation was
-    found, not a proof of monotonicity. f and fprime may take arrays or
-    scalars only, as in loewner_matrix; f is called once over the points of
-    all sets of a stage, on a copy of them: the grids, then the structured
-    and random sets together. So an f that a structured set refutes is also
-    evaluated on the random sets, but the verdict and trials_run are those
-    of checking the sets one at a time. Only the grids are planned once per
-    process per (grids, derivative or not), on first use.
+    It samples [1e-3, 1e3], not all of (0, inf): the default grids and the
+    config.trials random log-uniform sets lie there, the structured sets in
+    [1e-4, 1e4]. A point set refutes when the smallest eigenvalue of its
+    Loewner matrix lies below -(config.tol * ||L||_F + rounding bound), the
+    bound assuming f accurate to _ULPS ulps; consistent means no refutation
+    was found, not a proof. f and fprime may take arrays or scalars only, as
+    in loewner_matrix; f is called once per stage on a copy of its points:
+    the grids, then, if they refute nothing, the structured and random sets
+    together. So an f that a structured set refutes is also evaluated on the
+    random sets, but the verdict and trials_run are those of checking the
+    sets one at a time. A config that is not a MonoConfig is refused.
 
     A set where f raises one of errors.DOMAIN_ERRORS is skipped, as a pair
     is in falsify_transfer (an f that raises TypeError on every point, as a
@@ -463,14 +469,14 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     Loewner matrix has no finite Frobenius norm: it could not refute.
     """
     _check_functions(f, fprime)
-    d, tol = fprime is not None, config.tol
-    witness, trials_run = _first_loewner_witness(_grid_plan(config.grids, d), f, fprime, tol)
-    if witness is None:     # random sets are drawn only when the grids refute nothing
-        plan = _plan([*_STRUCTURED, *_random_sets(config)], d)
-        witness, examined = _first_loewner_witness(plan, f, fprime, tol)
-        trials_run += examined
-    status = STATUS_REFUTED if witness else STATUS_CONSISTENT
-    return MonotonicityVerdict(status, witness, trials_run)
+    if not isinstance(config, MonoConfig):
+        raise StructuralError(f"config must be a MonoConfig, got {type(config).__name__}")
+    d = fprime is not None
+    # the grids, if any, then the other sets, drawn only when the grids refute nothing
+    stages = (lambda: _grid_plan(config.grids, d),
+              lambda: _plan([*_STRUCTURED, *_random_sets(config)], d))
+    return _search((stage() for stage in stages[not config.grids:]),
+                   lambda plan: _first_loewner_witness(plan, f, fprime, config.tol))
 
 
 def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
@@ -486,36 +492,30 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     rounding bound of _difference_rounding_bound. For operator monotone f no
     witness exists; for many non-monotone f a 2x2 witness appears quickly.
     f may take arrays or scalars only, as in apply_spectral_function. The
-    trials of each size run as stacks of _TRANSFER_BLOCK pairs, and f is
-    called once on the eigenvalues of all means of a stack; trials_run and
-    the witness are those of running the trials one at a time. A pair whose
-    difference has no finite Frobenius norm is skipped: it could not refute.
+    trials of each size run as stacks of 8, 16, 32, ... pairs up to the first
+    refuting one, f called once on the eigenvalues of all means of a stack;
+    trials_run and the witness are those of running the trials one at a
+    time. A pair whose difference has no finite norm is skipped.
     """
     _check_functions(f)
-    rep_s = representing_function(sigma)
-    rep_t = representing_function(tau)
-    fs = np.asarray(rep_s.value(_TRANSFER_GRID), dtype=float)
-    ft = np.asarray(rep_t.value(_TRANSFER_GRID), dtype=float)
-    slack = 1e-10 * np.maximum(1.0, np.abs(ft))
-    if np.any(fs > ft + slack):
+    rep_s, rep_t = representing_function(sigma), representing_function(tau)
+    fs, ft = (np.asarray(rep.value(_TRANSFER_GRID), dtype=float) for rep in (rep_s, rep_t))
+    if np.any(fs > ft + 1e-10 * np.maximum(1.0, np.abs(ft))):
         bad = _TRANSFER_GRID[np.argmax(fs - ft)]
         raise UsageError(
             f"means are not pointwise ordered: f_sigma({bad:.6g}) > f_tau({bad:.6g})")
-
     _check_sampling(trials, seed, tol)
     rng = np.random.default_rng(seed)
     two = int(np.ceil(trials * 0.6))
     three = min(int(np.ceil(trials * 0.25)), trials - two)
 
-    trials_run = 0
-    for n, count in ((2, two), (3, three), (4, trials - two - three)):
-        for start in range(0, count, _TRANSFER_BLOCK):
-            witness, examined = _first_transfer_witness(
-                *_random_pairs(rng, min(_TRANSFER_BLOCK, count - start), n), f, rep_s, rep_t, tol)
-            trials_run += examined
-            if witness is not None:
-                return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
-    return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
+    def stacks():   # 8, 16, 32, ... pairs each: matrix k is drawn alike whatever the stack size
+        for n, count in ((2, two), (3, three), (4, trials - two - three)):
+            start, size = 0, 8
+            while start < count:
+                yield _random_pairs(rng, min(size, count - start), n)
+                start, size = start + size, 2 * size
+    return _search(stacks(), lambda pairs: _first_transfer_witness(*pairs, f, rep_s, rep_t, tol))
 
 
 def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):

@@ -120,7 +120,8 @@ def _sampled_quotient(f: RepresentingFunction, g: RepresentingFunction, config,
         return last[1]
 
     return is_operator_monotone_sampled(lambda t: quotient(t, *parts(t)),
-                                        lambda t: slope(t, *parts(t)), config or MonoConfig())
+                                        lambda t: slope(t, *parts(t)),
+                                        MonoConfig() if config is None else config)
 
 
 def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,

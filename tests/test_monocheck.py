@@ -371,9 +371,8 @@ def _one_set_at_a_time(f, fprime, config):
     """The sampler's verdict by checking its point sets one by one, in trial
     order: (status, trials_run, witness points, min eigenvalue, norm)."""
     derivative = fprime is not None
-    grids = monocheck._grid_plan(config.grids, derivative)
-    sets = [*(grids.sets if grids else ()), *monocheck._STRUCTURED,
-            *monocheck._random_sets(config)]
+    grids = monocheck._grid_plan(config.grids, derivative).sets if config.grids else ()
+    sets = [*grids, *monocheck._STRUCTURED, *monocheck._random_sets(config)]
     for trial, pts in enumerate(sets):
         try:
             with np.errstate(all="ignore"):
@@ -617,12 +616,78 @@ def test_falsify_transfer_precheck_rejects_unordered_means():
 
 
 def test_falsify_transfer_runs_at_most_its_trials():
-    # the 2x2 and 3x3 shares round up; the 3x3 one must stay within the budget
-    for trials in range(21):
+    # the 2x2 and 3x3 shares round up; the 3x3 one must stay within the budget.
+    # The pairs of each size run in stacks of 8, 16, 32, ..., which end after
+    # 24, 56 and 120 pairs: beyond 0-20, these counts give the 2x2 (39, 41, 92,
+    # 94, 199, 201), 3x3 (93, 97, 221, 225, 477, 481) or 4x4 share (160, 168,
+    # 375, 380, 800, 808) one of those sizes or one pair more
+    for trials in (*range(21), 39, 41, 92, 93, 94, 97, 160, 168, 199, 201, 221, 225,
+                   375, 380, 477, 481, 800, 808, 1000):
         verdict = falsify_transfer(np.sqrt, MeanDescriptor.geometric(),
                                    MeanDescriptor.arithmetic(), trials=trials, seed=2)
         assert verdict.status == "consistent"
         assert verdict.trials_run == trials
+
+
+def _one_pair_at_a_time(f, sigma, tau, trials, seed, tol=1e-8):
+    """falsify_transfer's verdict by drawing and judging its pairs one by one,
+    in trial order: (status, trials_run, A and B bytes, min eigenvalue, norm)."""
+    rep_s, rep_t = representing_function(sigma), representing_function(tau)
+    rng = np.random.default_rng(seed)
+    two = math.ceil(0.6 * trials)
+    three = min(math.ceil(0.25 * trials), trials - two)
+    for trial, n in enumerate([2] * two + [3] * three + [4] * (trials - two - three), 1):
+        pair = monocheck._random_pairs(rng, 1, n)
+        w, _ = monocheck._first_transfer_witness(*pair, f, rep_s, rep_t, tol)
+        if w is not None:
+            return ("refuted", trial, w.matrix_a.tobytes(), w.matrix_b.tobytes(),
+                    w.min_eigenvalue, w.diff_norm)
+    return "consistent", trials, None, None, None, None
+
+
+@pytest.mark.parametrize("f, seed, status, trials_run, n", [
+    (np.sqrt, 0, "consistent", 1000, None),
+    (lambda t: t * t, 0, "refuted", 5, 2),
+    (lambda t: t ** 1.01, 11, "refuted", 95, 2),
+    (lambda t: t ** 1.01, 0, "refuted", 372, 2),
+    (lambda t: t ** 1.001, 5, "refuted", 734, 3)],
+    ids=["sqrt", "square", "t^1.01 at 95", "t^1.01 at 372", "t^1.001 at 734"])
+def test_falsify_transfer_equals_drawing_one_pair_at_a_time(f, seed, status, trials_run, n):
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    verdict = falsify_transfer(f, geo, arith, trials=1000, seed=seed)
+    w = verdict.witness
+    got = (verdict.status, verdict.trials_run,
+           *((w.matrix_a.tobytes(), w.matrix_b.tobytes(), w.min_eigenvalue, w.diff_norm)
+             if w else (None,) * 4))
+    assert got == _one_pair_at_a_time(f, geo, arith, 1000, seed)
+    assert (verdict.status, verdict.trials_run) == (status, trials_run)
+    assert (w.matrix_a.shape[0] if w else None) == n
+
+
+def test_first_witness_searches_build_no_later_block(monkeypatch):
+    # a refutation on the grids draws no random set, and one in the first
+    # stack of 2x2 pairs draws no further stack
+    drawn = []
+    for name in ("_random_sets", "_random_pairs"):
+        monkeypatch.setattr(monocheck, name, lambda *args, name=name, draw=getattr(monocheck, name):
+                            drawn.append(name) or draw(*args))
+    square = lambda t: t * t
+    assert is_operator_monotone_sampled(square).trials_run == 1
+    assert falsify_transfer(square, MeanDescriptor.geometric(), MeanDescriptor.arithmetic(),
+                            trials=1000).trials_run == 5
+    assert drawn == ["_random_pairs"]
+    assert is_operator_monotone_sampled(np.sqrt, config=MonoConfig(trials=5)).status == "consistent"
+    assert drawn == ["_random_pairs", "_random_sets"]
+
+
+@pytest.mark.parametrize("config", [{"trials": 3}, (), "trials=3", 150])
+def test_sampler_and_order_tests_refuse_a_config_that_is_not_a_monoconfig(config):
+    geo, arith = (representing_function(MeanDescriptor.geometric()),
+                  representing_function(MeanDescriptor.arithmetic()))
+    with pytest.raises(StructuralError, match="config must be a MonoConfig"):
+        is_operator_monotone_sampled(np.sqrt, None, config)
+    with pytest.raises(StructuralError, match="config must be a MonoConfig"):
+        order_leq_sym(geo, arith, config)
 
 
 @pytest.mark.parametrize("plan", [{"trials": True}, {"trials": False}, {"seed": True}])
