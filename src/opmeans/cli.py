@@ -8,9 +8,15 @@ reproducible: tolerance, trial count and seed for check-monotone and
 check-order, those and the matrix size for ka-check, and nothing ({}) for
 the other verbs. All numbers are printed with 17 significant digits.
 
-`main` may run many times in one process: the parser is built once, at
-import, and each verb's handler returns only its report body and exit code,
-to which `main` prepends the config header.
+`main` may run many times in one process. The parser is built once, at
+import, and `main` hands the arguments after a verb straight to that verb's
+own parser, so a call runs one parse; the full parser runs only when the
+first argument names no verb (help and usage errors). Each verb's handler
+returns only its report body and exit code, to which `main` prepends the
+config header. The matrix verbs validate their first matrix as an SpdMatrix
+and prove the second positive definite from the pair's relative spectrum,
+as the solvers do, so a matrix is decomposed only where its spectrum is
+used; a validation error names its matrix (A, B, X or Y).
 """
 from __future__ import annotations
 
@@ -27,14 +33,15 @@ from .errors import OpmeansError, UsageError
 from .funcexpr import parse_function
 from .hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from .means import (CLASS_BOTH, CLASS_SELF_ADJOINT, CLASS_SYMMETRIC,
-                    MeanDescriptor, arithmetic_pair, eval_mean, geometric_pair,
-                    heinz_pair, heron_pair, parse_mean_descriptor,
+                    MeanDescriptor, arithmetic_pair, geometric_pair, heinz_pair,
+                    heron_pair, mean_from_spectrum, parse_mean_descriptor,
                     representing_function)
 from .monocheck import MonoConfig, is_operator_monotone_sampled, ka_condition_check
 from .orders import order_leq_sa, order_leq_sym, phi_profile
 from .solvers import (build_monotone_chain, solve_geom_heinz_matrix,
                       solve_heinz_heron_matrix, solve_matrix_pair)
-from .spd import SpdMatrix, matrix_from_json_dict, matrix_to_json_dict
+from .spd import (RelativeSpectrum, SpdMatrix, _spd_relative_spectrum, as_spd,
+                  matrix_from_json_dict, matrix_to_json_dict)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_TRIALS = 1000
@@ -47,8 +54,13 @@ def _config_echo(args) -> dict:
     return {key: getattr(args, key) for key in _ECHOED if hasattr(args, key)}
 
 
-def _load_spd(path: str) -> SpdMatrix:
-    return SpdMatrix(matrix_from_json_dict(jsonio.load_file(path)))
+def _load_matrix(path: str) -> np.ndarray:
+    return matrix_from_json_dict(jsonio.load_file(path))
+
+
+def _load_spd(path: str, name: str) -> SpdMatrix:
+    """The first matrix of a pair, validated before the second file is read."""
+    return as_spd(_load_matrix(path), name)
 
 
 def _tolerance(text: str) -> float:
@@ -90,7 +102,10 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _cmd_eval_mean(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
-    value = eval_mean(_load_spd(args.a), _load_spd(args.b), descriptor)
+    a = _load_spd(args.a, "A")
+    b, spectrum = _spd_relative_spectrum(a, _load_matrix(args.b), "B")
+    fn = representing_function(descriptor)
+    value = mean_from_spectrum(RelativeSpectrum(a, b) if spectrum is None else spectrum, fn)
     return {"mean": descriptor.describe(), "value": matrix_to_json_dict(value)}, 0
 
 
@@ -102,30 +117,31 @@ def _cmd_rep_eval(args) -> tuple:
     else:
         cls = SYMMETRIC if args.domain_class == "sym" else SELF_ADJOINT
         h = HDensity.constant(args.constant, cls)
-    points = np.array(_parse_float_list(args.t))
-    value, derivative = representing_function(MeanDescriptor.from_h_density(h)).jet(points)
-    return {"class": h.domain_class, "t": points.tolist(),
+    points = _parse_float_list(args.t)
+    value, derivative = representing_function(MeanDescriptor.from_h_density(h)).jet(
+        np.array(points))
+    return {"class": h.domain_class, "t": points,
             "value": value.tolist(), "derivative": derivative.tolist()}, 0
 
 
 def _cmd_solve_pair(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
-    witness = solve_matrix_pair(descriptor, _load_spd(args.x), _load_spd(args.y))
+    witness = solve_matrix_pair(descriptor, _load_spd(args.x, "X"), _load_matrix(args.y))
     return {"mean": descriptor.describe(), **witness.to_json_dict()}, 0
 
 
 def _cmd_solve_heinz_heron(args) -> tuple:
     solver = (solve_heinz_heron_matrix if args.targets == "heinz-heron"
               else solve_geom_heinz_matrix)
-    witness = solver(args.s, _load_spd(args.x), _load_spd(args.y))
+    witness = solver(args.s, _load_spd(args.x, "X"), _load_matrix(args.y))
     return {"s": float(args.s), "targets": args.targets,
             **witness.to_json_dict()}, 0
 
 
 def _cmd_chain(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
-    witness = build_monotone_chain(descriptor, _load_spd(args.x),
-                                   _load_spd(args.y), gamma0=args.gamma0)
+    witness = build_monotone_chain(descriptor, _load_spd(args.x, "X"),
+                                   _load_matrix(args.y), gamma0=args.gamma0)
     return {"mean": descriptor.describe(), **witness.to_json_dict()}, 0
 
 
@@ -250,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default 42)")
 
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    parser.verbs = sub.choices      # verb -> its own parser, which main calls directly
 
     p = sub.add_parser("eval-mean", help="evaluate a mean of two SPD matrices")
     p.add_argument("--mean", required=True, help="mean spec, e.g. heinz:0.25")
@@ -335,8 +352,12 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _PARSER.verbs.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        # after a verb, its own parser alone gives the full parser's Namespace
+        args = (_PARSER.parse_args(argv) if verb is None
+                else verb.parse_args(argv[1:], argparse.Namespace(verb=argv[0])))
         body, code = args.handler(args)
     except OpmeansError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,11 +34,17 @@ computed values. Derivatives go through the same fold, which keeps them free
 of cancellation for large t. The error in log f is a few ulps of
 max(1, |log t|), so values are accurate to about 1e-14 relative for every
 finite t > 0.
+
+Each HDensity keeps its breakpoint and jump arrays, read-only, in the
+private cached property HDensity._jumps, built at its first evaluation: a
+mean's representing function evaluates one HDensity many times. A jet forms
+the brackets x +- b and 1 +- x b, and t > 1, once for both f and f'.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +81,8 @@ class HDensity:
                 f'density class must be "{SYMMETRIC}" or "{SELF_ADJOINT}", '
                 f"got {self.domain_class!r}")
         try:
-            breaks = tuple(float(x) for x in self.breaks)
-            values = tuple(float(v) for v in self.values)
+            breaks = tuple(map(float, self.breaks))
+            values = tuple(map(float, self.values))
         except (TypeError, ValueError):
             raise StructuralError("density breaks and values must be lists of numbers") from None
         lo, hi = _DOMAIN[self.domain_class]
@@ -100,6 +106,18 @@ class HDensity:
     def constant(cls, value: float, domain_class: str = SYMMETRIC) -> "HDensity":
         lo, hi = _DOMAIN.get(domain_class, (0.0, 1.0))
         return cls(domain_class, (lo, hi), (value,))
+
+    @cached_property
+    def _jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints b_j and jumps w_j = h_{j-1} - h_j of h (zero off its
+        domain), read-only. Summing by parts,
+        sum_i h_i [G(b_{i+1}) - G(b_i)] = sum_j w_j G(b_j).
+        """
+        v = np.array((0.0, *self.values, 0.0))
+        b, w = np.array(self.breaks), v[:-1] - v[1:]
+        for a in (b, w):
+            a.setflags(write=False)
+        return b, w
 
     def value_at(self, x):
         """Segment value at each point of x (boundary points take the right segment)."""
@@ -141,15 +159,6 @@ def _require_class(h: HDensity, cls: str, op: str) -> None:
         raise StructuralError(f'{op} expects a "{cls}" density, got "{h.domain_class}"')
 
 
-def _jumps(h: HDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints b_j and jumps w_j = h_{j-1} - h_j of h (zero off its domain).
-
-    Summing by parts, sum_i h_i [G(b_{i+1}) - G(b_i)] = sum_j w_j G(b_j).
-    """
-    v = np.array((0.0, *h.values, 0.0))
-    return np.array(h.breaks), v[:-1] - v[1:]
-
-
 def _realize_gamma(h: HDensity) -> float:
     """Exact limit at inf of the realize map t -> t f(1/t^2) of h's mean.
 
@@ -164,7 +173,7 @@ def _realize_gamma(h: HDensity) -> float:
     edge = h.values[0 if sym else -1]
     if edge != 0.5:
         return math.inf if edge < 0.5 else 0.0
-    b, w = _jumps(h)
+    b, w = h._jumps
     if sym:
         b, w = b[b > 0.0], w[b > 0.0]
         return 0.5 * math.exp(float(np.sum(w * (2.0 * np.log1p(b) - np.log(b)))))
@@ -175,7 +184,7 @@ def _realize_gamma(h: HDensity) -> float:
 def _weighted_rows(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j terms[i, j] * w[j] per row i; unlike terms @ w, whose BLAS row
     blocking lets a point's value depend on the other points in the call."""
-    return (terms * w).sum(axis=1)
+    return np.add.reduce(terms * w, axis=1)       # terms.sum(axis=1), without its wrapper
 
 
 def _fold(ts: np.ndarray) -> np.ndarray:
@@ -183,25 +192,30 @@ def _fold(ts: np.ndarray) -> np.ndarray:
     return np.minimum(ts, 1.0 / np.maximum(ts, 1.0))
 
 
-def _symmetric_rep(ts, x, b, w) -> np.ndarray:
-    """f at ts, from the folded points x = min(ts, 1/ts)."""
+def _symmetric_rep(ts, x, b, w) -> tuple:
+    """f at ts, from the folded points x = min(ts, 1/ts), with its brackets
+    x + b and 1 + x b (one row per point), which the jet reuses."""
     xc = x[:, None]
-    hv = _weighted_rows(np.log((xc + b) * (1.0 + xc * b) / ((1.0 + b) * (1.0 + b))), -w)
-    return 0.5 * (1.0 + ts) * np.exp(hv)
+    plus, prod = xc + b, 1.0 + xc * b
+    hv = _weighted_rows(np.log(plus * prod / ((1.0 + b) * (1.0 + b))), -w)
+    return 0.5 * (1.0 + ts) * np.exp(hv), plus, prod
 
 
-def _selfadjoint_rep(ts, x, b, w) -> np.ndarray:
-    """f at ts, from the folded points x = min(ts, 1/ts)."""
+def _selfadjoint_rep(ts, up, x, b, w) -> tuple:
+    """f at ts, from up = ts > 1 and the folded points x = min(ts, 1/ts),
+    with its brackets x - b and 1 - x b (one row per point), which the jet
+    reuses."""
     xc = x[:, None]
-    lv = _weighted_rows(np.log((xc - b) / (1.0 - xc * b)), w)
-    return np.exp(np.where(ts > 1.0, -lv, lv))
+    minus, prod = xc - b, 1.0 - xc * b
+    lv = _weighted_rows(np.log(minus / prod), w)
+    return np.exp(np.where(up, -lv, lv)), minus, prod
 
 
 def eval_symmetric_rep(h: HDensity, t):
     """Evaluate the symmetric-class representing function of h at t (> 0)."""
     _require_class(h, SYMMETRIC, "eval_symmetric_rep")
     ts, scalar = _as_positive_1d(t)
-    f = _symmetric_rep(ts, _fold(ts), *_jumps(h))
+    f = _symmetric_rep(ts, _fold(ts), *h._jumps)[0]
     return float(f[0]) if scalar else f
 
 
@@ -209,7 +223,7 @@ def eval_selfadjoint_rep(h: HDensity, t):
     """Evaluate the self-adjoint-class representing function of h at t (> 0)."""
     _require_class(h, SELF_ADJOINT, "eval_selfadjoint_rep")
     ts, scalar = _as_positive_1d(t)
-    f = _selfadjoint_rep(ts, _fold(ts), *_jumps(h))
+    f = _selfadjoint_rep(ts, ts > 1.0, _fold(ts), *h._jumps)[0]
     return float(f[0]) if scalar else f
 
 
@@ -225,18 +239,18 @@ def _symmetric_jet(h: HDensity, t):
     h_0/x is the bracket at b_0 = 0 and P sums the other breakpoints. With
     r = x/(1 + x) + x*P(x) that is (h_0 + r)/x, and for t > 1 the identity
     t*f(1/t) = f(t) turns it into x*((1 - h_0) - r), in which h_0 cancels
-    exactly.
+    exactly. P's brackets reuse the value's x + b and 1 + x b.
     """
     _require_class(h, SYMMETRIC, "symmetric_rep_derivative")
     ts, scalar = _as_positive_1d(t)
     x = _fold(ts)
-    b, w = _jumps(h)
+    b, w = h._jumps
+    f, plus, prod = _symmetric_rep(ts, x, b, w)
     h0 = h.values[0]
-    xc, u = x[:, None], b[1:]
-    r = x * (1.0 / (1.0 + x) + _weighted_rows(-1.0 / (xc + u) - u / (1.0 + xc * u), w[1:]))
+    r = x * (1.0 / (1.0 + x)
+             + _weighted_rows(-1.0 / plus[:, 1:] - b[1:] / prod[:, 1:], w[1:]))
     up = ts > 1.0
     dlog = np.where(up, x * ((1.0 - h0) - r), (h0 + r) / (x * _SLOPE_SCALE))
-    f = _symmetric_rep(ts, x, b, w)
     fprime = f * dlog * np.where(up, 1.0, _SLOPE_SCALE)
     return (float(f[0]), float(fprime[0])) if scalar else (f, fprime)
 
@@ -250,23 +264,22 @@ def _selfadjoint_jet(h: HDensity, t):
     """(eval_selfadjoint_rep(h, t), selfadjoint_rep_derivative(h, t)) at one evaluation of f.
 
     The bracket 1/(t - u) + u/(1 - t u) is summed as
-    (1 - u^2)/((t - u)(1 - t u)), which has no cancellation for u <= 0. For
-    t > 1, f(1/t)*f(t) = 1 gives d/dt log f(t) = x^2 L'(x) with x = 1/t; one
-    factor x goes into each bracket, where it cancels the 1/x of u = 0, which
-    overflows at the subnormal x of the largest t.
+    (1 - u^2)/((t - u)(1 - t u)), which has no cancellation for u <= 0 and
+    reuses the value's t - u and 1 - t u. For t > 1, f(1/t)*f(t) = 1 gives
+    d/dt log f(t) = x^2 L'(x) with x = 1/t; one factor x goes into each
+    bracket, where it cancels the 1/x of u = 0, which overflows at the
+    subnormal x of the largest t.
     """
     _require_class(h, SELF_ADJOINT, "selfadjoint_rep_derivative")
     ts, scalar = _as_positive_1d(t)
     x = _fold(ts)
-    b, w = _jumps(h)
+    b, w = h._jumps
     up = ts > 1.0
-    scale = np.where(up, 1.0, _SLOPE_SCALE)
-    xc = x[:, None]
+    f, minus, prod = _selfadjoint_rep(ts, up, x, b, w)
     num = np.where(up, x, 1.0 / _SLOPE_SCALE)[:, None]
-    dlog = _weighted_rows((1.0 - b * b) * num / ((xc - b) * (1.0 - xc * b)), w)
+    dlog = _weighted_rows((1.0 - b * b) * num / (minus * prod), w)
     dlog = np.where(up, x * dlog, dlog)
-    f = _selfadjoint_rep(ts, x, b, w)
-    fprime = f * dlog * scale
+    fprime = f * dlog * np.where(up, 1.0, _SLOPE_SCALE)
     return (float(f[0]), float(fprime[0])) if scalar else (f, fprime)
 
 

@@ -303,10 +303,10 @@ def _class_residual(fn: RepresentingFunction, cls: str, grid: np.ndarray) -> flo
     """Worst residual on grid of the identities of class cls (both for "both"):
 
     max |t f(1/t) - f(t)| / |f(t)| for t f(1/t) = f(t) (symmetric), and
-    max |f(1/t) f(t) - 1| for f(1/t) f(t) = 1 (self-adjoint).
+    max |f(1/t) f(t) - 1| for f(1/t) f(t) = 1 (self-adjoint). f is
+    evaluated once, at the grid and its reciprocals together.
     """
-    fv = np.asarray(fn.value(grid), dtype=float)
-    fr = np.asarray(fn.value(1.0 / grid), dtype=float)
+    fv, fr = np.split(np.asarray(fn.value(np.concatenate((grid, 1.0 / grid))), dtype=float), 2)
     resid = 0.0
     if cls != CLASS_SELF_ADJOINT:
         resid = float(np.max(np.abs(grid * fr - fv) / np.abs(fv)))

@@ -765,10 +765,9 @@ def verify_mean_axioms(descriptor: MeanDescriptor, *, seed: int = 0,
     config = MonoConfig(trials=max(trials, 10), seed=seed)
     verdict = is_operator_monotone_sampled(fn.value, fn.derivative, config=config)
 
-    # A, B and T of each trial drawn in turn; the trials are checked as stacks
-    rng = np.random.default_rng(seed)
-    draws = [_random_spd_stack(rng, 1, n, cap)[0]
-             for _ in range(trials) for cap in (50.0, 50.0, 10.0)]
+    # A, B and T of each trial drawn in turn, in one stack; the trials are checked as stacks
+    draws = _random_spd_stack(np.random.default_rng(seed), 3 * trials, n,
+                              (50.0, 50.0, 10.0) * trials)
     worst = 0.0
     if trials:
         a, b, t = (np.array(draws[k::3]) for k in range(3))

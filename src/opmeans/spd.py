@@ -556,29 +556,37 @@ def _check_tol(tol) -> None:
 
 
 def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
-                      cond_cap: float) -> np.ndarray:
+                      cond_cap) -> np.ndarray:
     """count random SPD matrices as an exactly symmetric (count, n, n) array.
 
-    The draws from rng are those of count successive random_spd_from calls,
-    and matrix k is bitwise the entries of the k-th call's SpdMatrix.
-    SpdMatrix(stack) validates and decomposes all of them in one call.
+    cond_cap is one cap for all matrices, or a tuple or list of count caps,
+    one per matrix. The draws from rng are those of count successive
+    random_spd_from calls, each with its matrix's cap, and matrix k is
+    bitwise the entries of the k-th call's SpdMatrix. SpdMatrix(stack)
+    validates and decomposes all of them in one call.
     """
     _check_matrix_size(n)
-    if isinstance(cond_cap, bool) or not isinstance(cond_cap, Real) or cond_cap == math.inf:
-        raise StructuralError(f"condition cap must be a finite real, got {cond_cap!r}")
-    if not (cond_cap >= 1.0):
-        raise StructuralError(f"condition cap must be >= 1, got {cond_cap!r}")
+    per_matrix = isinstance(cond_cap, (tuple, list))
+    caps = cond_cap if per_matrix else (cond_cap,)
+    for cap in caps:
+        if isinstance(cap, bool) or not isinstance(cap, Real) or cap == math.inf:
+            raise StructuralError(f"condition cap must be a finite real, got {cap!r}")
+        if not (cap >= 1.0):
+            raise StructuralError(f"condition cap must be >= 1, got {cap!r}")
+    if per_matrix and len(caps) != count:
+        raise StructuralError(f"expected {count} condition caps, got {len(caps)}")
     g = np.empty((count, n, n))
-    # eigenvalues log-uniform in [1, cond_cap] keeps the condition number capped
+    # eigenvalues log-uniform in [1, cap] keeps the condition number capped
     u = np.zeros((count, n))
     for k in range(count):
         rng.standard_normal(out=g[k])
-        if cond_cap > 1.0:
+        if caps[k if per_matrix else 0] > 1.0:
             rng.random(out=u[k])
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
     # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
     # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1
-    lam = np.exp(u * math.log(cond_cap))
+    logs = [math.log(cap) for cap in caps]
+    lam = np.exp(u * (np.array(logs)[:, None] if per_matrix else logs[0]))
     return _symmetrize((q * lam[:, None, :]) @ _transpose(q))

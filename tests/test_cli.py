@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import opmeans
-from opmeans import hdensity, jsonio
+from opmeans import cli, hdensity, jsonio
 from opmeans.cli import main
 from opmeans.means import arithmetic_pair, geometric_pair, heinz_pair, heron_pair
 
@@ -480,6 +480,69 @@ def test_solver_order_failure_exits_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+_MATRIX_VERBS = {"eval-mean": (["--mean", "arithmetic", "--a"], "--b", "AB"),
+                 "solve-pair": (["--mean", "arithmetic", "--x"], "--y", "XY"),
+                 "solve-heinz-heron": (["--s", "0.3", "--x"], "--y", "XY"),
+                 "chain": (["--mean", "arithmetic", "--x"], "--y", "XY")}
+_FLOOR = "matrix is not positive definite within tolerance: smallest eigenvalue"
+_INVALID_MATRICES = {
+    "asymmetric": ([[2.0, 0.5], [0.0, 2.0]], "SpdMatrix is not symmetric: max |M - M^T| = "
+                   "5.000e-01 exceeds 1e-12 * max(1, ||M||_F)"),
+    "indefinite": ([[1.0, 0.0], [0.0, -1.0]], f"{_FLOOR} -1.000000e+00 is below the floor "
+                   "1.414214e-12"),
+    "below-floor": ([[1.0, 0.0], [0.0, 1e-13]], f"{_FLOOR} 1.000000e-13 is below the floor "
+                    "1.000000e-12"),
+    "nan": ([[1.0, math.nan], [math.nan, 1.0]], "SpdMatrix contains non-finite entries")}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_MATRICES) + ["n"])
+@pytest.mark.parametrize("verb", sorted(_MATRIX_VERBS))
+def test_invalid_matrix_files_exit_two_with_a_message_naming_the_matrix(tmp_path, capsys,
+                                                                       verb, case):
+    head, second, names = _MATRIX_VERBS[verb]
+    good = _mat(tmp_path, "good.json", np.eye(2).tolist())
+    worse = _mat(tmp_path, "worse.json", [[1.0, 0.0], [0.0, -3.0]])
+
+    def run(first_file, second_file):
+        return _run(capsys, [verb, *head, first_file, second, second_file])
+
+    if case == "n":     # a valid 3 x 3 matrix against a valid 2 x 2 one
+        other = _mat(tmp_path, "three.json", np.eye(3).tolist())
+        assert run(other, good) == (2, "", "error: shape mismatch: (3, 3) vs (2, 2)\n")
+        assert run(good, other) == (2, "", "error: shape mismatch: (2, 2) vs (3, 3)\n")
+        # an invalid second matrix of another size still fails its own validation
+        assert run(other, worse) == (2, "", f"error: {names[1]}: {_FLOOR} -3.000000e+00 "
+                                            "is below the floor 3.162278e-12\n")
+        return
+    rows, message = _INVALID_MATRICES[case]
+    bad = _mat(tmp_path, "bad.json", rows)
+    assert run(bad, good) == (2, "", f"error: {names[0]}: {message}\n")
+    assert run(good, bad) == (2, "", f"error: {names[1]}: {message}\n")
+    # with both matrices invalid, the first one's error is reported
+    assert run(bad, worse) == (2, "", f"error: {names[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("verb, matrices", [("eval-mean", [1, 1]), ("solve-pair", [1, 1, 1, 1])])
+def test_matrix_verbs_decompose_only_what_they_use(tmp_path, capsys, monkeypatch, verb, matrices):
+    # eval-mean: A's validation and the relative spectrum, which proves B
+    # positive definite and gives the mean; solve-pair: the library solve
+    # alone (X, the relative spectrum, the witness's A and relative spectrum)
+    from opmeans import spd
+    seen = []
+    real = spd._eigh
+
+    def counting(a, *args, **kwargs):
+        seen.append(a.shape[0] if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spd, "_eigh", counting)
+    x = _mat(tmp_path, "x.json", [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]])
+    y = _mat(tmp_path, "y.json", [[2.5, 0.6, 0.1], [0.6, 2.0, 0.2], [0.1, 0.2, 1.5]])
+    head, second, _ = _MATRIX_VERBS[verb]
+    code, out, err = _run(capsys, [verb, *head, x, second, y])
+    assert (code, err) == (0, "") and seen == matrices
+
+
 # ------------------------------------------------------- one parser, one report
 
 def _default_argv(tmp_path, verb):
@@ -524,6 +587,62 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys):
         code, out, _ = _run(capsys, ["rep-eval", "--constant", "0.5", "--t", "4"])
         assert code == 0 and _payload(out)["value"] == [2.0]
     assert built == []
+
+
+def _outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+def test_main_parses_a_verb_once_as_the_full_parser_would(tmp_path, capsys, monkeypatch):
+    # main hands the arguments after a verb straight to that verb's parser:
+    # the handler sees the Namespace the full parser gives, and the report,
+    # the messages and the exit code are those of the full parser's parse
+    namespaces, parses = [], []
+    for p in cli._PARSER.verbs.values():
+        def recording(args, real=p.get_default("handler")):
+            namespaces.append(vars(args))
+            return real(args)
+        monkeypatch.setitem(p._defaults, "handler", recording)
+    real_parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    monkeypatch.setattr(sys, "argv", ["opmeans", "rep-eval", "--constant", "0.5", "--t", "4"])
+
+    def observe(argv):
+        namespaces.clear(), parses.clear()
+        return _outcome(capsys, argv), list(namespaces), list(parses)
+
+    h = _write(tmp_path, "h.json", {"class": "sym", "breaks": [0.0, 1.0], "values": [0.5]})
+    cases = {**{verb: [verb] + _default_argv(tmp_path, verb) for verb in cli._PARSER.verbs},
+             "no-arguments": [], "help": ["-h"], "unknown-verb": ["no-such-verb"],
+             "verb-help": ["eval-mean", "-h"],
+             "unknown-option": ["rep-eval", "--constant", "0.5", "--t", "2", "--bogus"],
+             "abbreviated-option": ["rep-eval", "--dens", h, "--t", "2"], "argv-none": None}
+    assert len(cli._PARSER.verbs) == 9
+    for name, argv in cases.items():
+        fast = observe(argv)
+        with monkeypatch.context() as full_only:
+            full_only.setattr(cli._PARSER, "verbs", {})
+            full = observe(argv)
+        assert fast[:2] == full[:2], name
+        # after a verb, its parser alone runs; the full parser runs itself and then it
+        first = (sys.argv[1:] if argv is None else argv)[:1]
+        if first and first[0] in cli._PARSER.verbs:
+            assert len(full[2]) == 2 and fast[2] == full[2][1:], name
+        else:
+            assert fast[2] == full[2] == ["opmeans"], name
+    assert observe(cases["abbreviated-option"])[0][0] == 0
+    assert observe(cases["unknown-option"])[0][:2] == (2, "")
+    assert observe(cases["verb-help"])[0][0] == ("SystemExit", 0)
 
 
 # -------------------------------------------------------------- reproducibility

@@ -651,6 +651,26 @@ def test_random_spd_stack_draws_in_place_as_the_per_matrix_reference(count, cond
         assert rng.random() == ref.random()     # the same stream consumed
 
 
+@pytest.mark.parametrize("cycles", [0, 1, 25])
+def test_random_spd_stack_with_per_matrix_caps_equals_one_matrix_draws(cycles):
+    # verify_mean_axioms draws the A, B and T of each trial, capped at 50,
+    # 50 and 10, in one stack: each matrix must be bitwise that of drawing
+    # it alone with its own cap, from the same stream
+    caps = (50.0, 50.0, 10.0, 1.0) * cycles
+    for n in range(1, 6):
+        rng, ref = np.random.default_rng(3900 + n), np.random.default_rng(3900 + n)
+        got = _random_spd_stack(rng, len(caps), n, caps)
+        want = [_random_spd_stack(ref, 1, n, cap)[0] for cap in caps]
+        assert got.shape == (len(caps), n, n) and np.array_equal(got, np.reshape(want, got.shape))
+        assert rng.random() == ref.random()     # the same stream consumed
+    with pytest.raises(StructuralError, match="expected 3 condition caps, got 2"):
+        _random_spd_stack(np.random.default_rng(0), 3, 2, [50.0, 10.0])
+    with pytest.raises(StructuralError, match="condition cap must be >= 1, got 0.5"):
+        _random_spd_stack(np.random.default_rng(0), 2, 2, (50.0, 0.5))
+    with pytest.raises(StructuralError, match="condition cap must be a finite real, got inf"):
+        _random_spd_stack(np.random.default_rng(0), 2, 2, (math.inf, 50.0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_as_array_rejects_each_non_finite_entry_in_a_matrix_and_in_a_stack(bad):
     m = np.eye(3)
