@@ -285,8 +285,8 @@ def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> 
 
 def _checked_eigenvalues(spectrum: RelativeSpectrum) -> np.ndarray:
     """The eigenvalues of spectrum, once mean_from_spectrum's check of them passed."""
-    ev = spectrum.eigenvalues
-    if np.any(spectrum.condition > _COND_CAP):
+    ev, condition = spectrum.eigenvalues, spectrum.condition
+    if condition > _COND_CAP if ev.ndim == 1 else (condition > _COND_CAP).any():
         raise ConditioningError(
             f"relative spectrum of the matrix pair spans [{np.min(ev):.3e}, "
             f"{np.max(ev):.3e}]; " + ("the pair is not positive definite" if np.min(ev) <= 0.0

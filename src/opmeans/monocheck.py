@@ -43,7 +43,7 @@ from .errors import DOMAIN_ERRORS, ConditioningError, StructuralError, UsageErro
 from .means import (MeanDescriptor, _checked_eigenvalues, _class_residual, arithmetic_pair,
                     eval_mean_from_function, geometric_pair, harmonic_pair, heinz_pair,
                     heron_pair, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _as_array, _assemble, _check_matrix_size,
+from .spd import (RelativeSpectrum, SpdMatrix, _assemble, _check_matrix_size, _checked_pair,
                   _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
                   _min_eig_and_norm, _random_spd_stack, _symmetrize, sym_eigendecompose)
 
@@ -211,7 +211,7 @@ def _random_pairs(rng: np.random.Generator, count: int, n: int) -> tuple:
     (SpdMatrix stack of the A's, array of the B's, their RelativeSpectrum)."""
     mats = _random_spd_stack(rng, 2 * count, n, 50.0)     # checks n, also for no pairs
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
-    return a, b, RelativeSpectrum(a, b)
+    return a, b, RelativeSpectrum._of(a, b)
 
 
 def _pair_margins(a: SpdMatrix, b: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
@@ -687,8 +687,8 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
     if not 0.0 <= float(s) <= 1.0:
         raise StructuralError(f"s must lie in [0, 1], got {s}")
     s = float(s)
-    am, bm = _as_array(a, "A"), _as_array(b, "B")
-    spectrum = RelativeSpectrum(am, bm)
+    am, bm = _checked_pair(a, b, stack=False)
+    spectrum = RelativeSpectrum._of(am, bm)
     ev = spectrum.eigenvalues
     if ev[-1] <= 0.0:
         raise ConditioningError(f"relative spectrum of the matrix pair has smallest eigenvalue "

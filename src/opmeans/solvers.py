@@ -22,7 +22,11 @@ one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). A pair
 decomposes 4 matrices (X, Z, and the witness's A and relative spectrum), a
 chain 2 + 2 * links in 4 calls: Y is proven positive definite from X's and
 Z's spectra (spd._spd_relative_spectrum) and decomposed only when that bound
-falls short. A relative spectrum takes 3 matrix products and a congruation
+falls short. Each input is checked once: X's shape, entries, symmetry and
+floor by as_spd, Y's first three by spd._symmetric_entries. The relative
+spectra of (X, Y) and of the witnesses take their pairs unchecked
+(RelativeSpectrum._of); the witnesses are congruated exactly symmetric and
+tested finite. A relative spectrum takes 3 matrix products and a congruation
 1. A catalog mean inverts them in closed form
 (RepresentingFunction.realize_inverse); a density mean by one batched scan
 and safeguarded Newton iteration whose every call of the representing
@@ -45,8 +49,8 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, _checked_eigenvalues, heinz_pair,
                     heron_pair, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _check_real, _frobenius, _MatrixPair,
-                  _spd_relative_spectrum, as_spd, matrix_to_json_dict)
+from .spd import (RelativeSpectrum, SpdMatrix, _all_finite, _check_real, _frobenius,
+                  _MatrixPair, _spd_relative_spectrum, as_spd, matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -60,6 +64,7 @@ _EIG_CLAMP = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-7
 _SCALAR_RESIDUAL_TOL = 1e-10
 _MAX_LINKS = 100_000
+_GEOMETRIC = MeanDescriptor.geometric()
 
 
 @dataclass(frozen=True)
@@ -247,10 +252,14 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     pairs (as one stack) from their own relative spectrum, by one condition
     check and one congruation, and the residuals ||mean - target||_F /
     ||target||_F of each side by one stacked norm; the first pair that misses
-    raises."""
-    mats_a, mats_b = spectrum.congruate(np.array((values_a, values_b)))
+    raises, and so does a pair past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = spectrum.congruate(np.array((values_a, values_b)))
+    if not _all_finite(mats):
+        raise ConvergenceError("solution left the representable range: the witness overflows")
+    mats_a, mats_b = mats
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
-    pairs = RelativeSpectrum(mats_a, mats_b)
+    pairs = RelativeSpectrum._of(mats_a, mats_b)    # congruated exactly symmetric
     ev = _checked_eigenvalues(pairs)
     means = pairs.congruate(np.array([np.reshape(fn.value(ev.ravel()), ev.shape)
                                       for fn in (fn_x, fn_y)]))
@@ -305,7 +314,7 @@ def _geometric_pair(sigma: MeanDescriptor, xa: np.ndarray, ya: np.ndarray,
     into the roots t, and (A, B) congruate (t, 1/t)."""
     fn = representing_function(sigma)
     roots = _invert_realize(fn, spectrum.eigenvalues)
-    return _pair_witnesses(spectrum, roots, 1.0 / roots, MeanDescriptor.geometric(),
+    return _pair_witnesses(spectrum, roots, 1.0 / roots, _GEOMETRIC,
                            sigma, xa, ya)
 
 
@@ -363,7 +372,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     ratios = nodes[1:] / nodes[:-1]
     deltas = _invert_realize(fn, ratios.ravel()).reshape(ratios.shape)
     witnesses = _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
-                                MeanDescriptor.geometric(), sigma, links[:-1], links[1:])
+                                _GEOMETRIC, sigma, links[:-1], links[1:])
     return ChainWitness(tuple(links), gamma0, witnesses)
 
 

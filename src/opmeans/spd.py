@@ -42,12 +42,8 @@ def _shape_error(name: str, shape: tuple, stack: bool = False) -> StructuralErro
 
 
 def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """m as a float array: one square matrix, or with stack a (k, n, n) stack.
-
-    Its entries are finite when their sum of squares is (np.vdot does not
-    warn when it overflows); only when it is not are they tested one by one,
-    so a finite matrix of huge entries passes.
-    """
+    """m as a float array of finite entries (_all_finite): one square matrix,
+    or with stack a (k, n, n) stack."""
     if isinstance(m, SpdMatrix) and (stack or m.entries.ndim == 2):
         return m.entries        # validated already
     a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
@@ -55,9 +51,29 @@ def _as_array(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise _shape_error(name, a.shape, stack)
     if a.shape[-1] == 0:
         raise StructuralError(f"{name} must have at least one row")
-    if not np.vdot(a, a) < math.inf and not np.isfinite(a).all():
+    if not _all_finite(a):
         raise StructuralError(f"{name} contains non-finite entries")
     return a
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: its sum of squares is (np.vdot
+    does not warn when it overflows), or else each entry is, so a finite
+    matrix of huge entries passes."""
+    return np.vdot(a, a) < math.inf or bool(np.isfinite(a).all())
+
+
+def _checked_pair(a, b, stack: bool = True) -> tuple:
+    """The arrays (A, B) of a matrix pair, each finite (with stack, a matrix
+    or a stack) and symmetric within SYMMETRY_RTOL, of one shape; in that
+    order the first failing check raises. An SpdMatrix A passed them already."""
+    am, bm = _as_array(a, "A", stack=stack), _as_array(b, "B", stack=stack)
+    if am.shape != bm.shape:
+        raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    if not isinstance(a, SpdMatrix):
+        _check_symmetric(am, "A")
+    _check_symmetric(bm, "B")
+    return am, bm
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -220,10 +236,11 @@ class SpdMatrix:
     """A validated symmetric positive definite matrix, or a (k, n, n) stack.
 
     Construction checks symmetry (within SYMMETRY_RTOL relative) and rejects
-    matrices whose smallest eigenvalue is <= PD_FLOOR_RTOL * ||M||_F, each
-    matrix of a stack bitwise as if alone. The stored array is a read-only
-    copy; instances are immutable value objects. Validation's (w, V), w
-    non-ascending, is kept, private and read-only, for RelativeSpectrum.
+    matrices whose smallest eigenvalue is <= PD_FLOOR_RTOL * ||M||_F, or
+    whose ||M||_F overflows, each matrix of a stack bitwise as if alone. The
+    stored array is a read-only copy; instances are immutable value objects.
+    Validation's (w, V), w non-ascending, is kept, private and read-only,
+    for RelativeSpectrum.
     """
 
     entries: np.ndarray
@@ -235,6 +252,8 @@ class SpdMatrix:
         low, floor = w[..., -1], PD_FLOOR_RTOL * _frobenius(a)
         if (low <= floor).any():
             first = np.argmax(low <= floor)
+            if floor.flat[first] == math.inf:     # ||M||_F overflowed, and no floor is left
+                raise StructuralError("matrix norm ||M||_F exceeds the float range")
             raise StructuralError(
                 f"matrix is not positive definite within tolerance: smallest eigenvalue "
                 f"{low.flat[first]:.6e} is below the floor {floor.flat[first]:.6e}")
@@ -285,8 +304,10 @@ def _symmetric_entries(m, name: str) -> np.ndarray:
 def _spd_relative_spectrum(xs: SpdMatrix, y, name: str) -> tuple:
     """(Y, spectrum) for a matrix y that must be SPD: Y the entries, and the
     errors, of as_spd(y, name), and spectrum RelativeSpectrum(xs, Y), or None
-    when computing it raised (a shape mismatch, an overflow), so that the
-    caller computes it again where that error belongs.
+    on a shape mismatch or when computing it raised (an overflow), so that
+    the caller computes it again where that error belongs. X and Y are each
+    checked once, by as_spd and _symmetric_entries; the spectrum takes them
+    unchecked (RelativeSpectrum._of).
 
     Y is decomposed only when the spectrum cannot prove it SPD. X's kept
     decomposition is exact for an X' = V diag(w) V^T near X, and Y =
@@ -302,8 +323,8 @@ def _spd_relative_spectrum(xs: SpdMatrix, y, name: str) -> tuple:
         ya, proven = _symmetric_entries(y, name), False
     try:
         with np.errstate(all="ignore"):     # every warning comes with an error
-            spectrum = RelativeSpectrum(xs, ya)
-    except (StructuralError, ConditioningError):
+            spectrum = RelativeSpectrum._of(xs, ya) if xs.entries.shape == ya.shape else None
+    except ConditioningError:
         spectrum = None
     if not proven and spectrum is not None:
         w, lam = xs._spectrum[0], spectrum.eigenvalues
@@ -419,12 +440,7 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
     positive real.
     """
     _check_tol(tol)
-    am = _as_array(a, "A")
-    bm = _as_array(b, "B")
-    if am.shape != bm.shape:
-        raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    _check_symmetric(am, "A")
-    _check_symmetric(bm, "B")
+    am, bm = _checked_pair(a, b, stack=False)
     lo, norm = _min_eig_and_norm(_symmetrize(bm - am))
     return float(lo) >= -tol * max(1.0, float(norm))
 
@@ -474,22 +490,37 @@ class RelativeSpectrum:
     a raw A's w is checked before its root is taken. A and B may be (k, n, n)
     stacks of k pairs; lam is then (k, n) and congruate maps (k, n) values
     to a (k, n, n) stack, each matrix bitwise that of its pair alone. A and
-    B must be symmetric within SYMMETRY_RTOL.
+    B must be finite, of one shape and symmetric within SYMMETRY_RTOL
+    (_checked_pair).
+
+    RelativeSpectrum._of(a, b) is the same arithmetic, bit for bit, without
+    those input checks. Its precondition is that the pair would pass them:
+    the caller has validated it (as_spd, _symmetric_entries, an SpdMatrix
+    stack, _checked_pair) or built it exactly symmetric and checked it finite
+    (_assemble, _symmetrize, _random_spd_stack). A raw A is still
+    symmetrized and its w still checked positive.
     """
 
     factor: np.ndarray
     eigenvalues: np.ndarray
 
     def __init__(self, a, b):
-        am, bm = _as_array(a, "A", stack=True), _as_array(b, "B", stack=True)
-        if am.shape != bm.shape:
-            raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
+        am, bm = _checked_pair(a, b)
+        self._relate(a if isinstance(a, SpdMatrix) else am, bm)
+
+    @classmethod
+    def _of(cls, a, b: np.ndarray) -> "RelativeSpectrum":
+        """RelativeSpectrum(a, b) of a pair that passed its checks, unchecked (see above)."""
+        spectrum = object.__new__(cls)
+        spectrum._relate(a, b)
+        return spectrum
+
+    def _relate(self, a, b: np.ndarray) -> None:
         kept = isinstance(a, SpdMatrix)
-        w, v = a._spectrum if kept else _eigh_descending(_require_symmetric(am, "A"))
-        _check_symmetric(bm, "B")     # Z is symmetrized below
+        w, v = a._spectrum if kept else _eigh_descending(_symmetrize(a))
         r = np.sqrt(w) if kept else _sqrt_spectrum(w, "A")
-        ev, u = _eigh_descending(
-            _symmetrize((_transpose(v) @ bm @ v) / (r[..., :, None] * r[..., None, :])))
+        ev, u = _eigh_descending(     # Z, symmetrized
+            _symmetrize((_transpose(v) @ b @ v) / (r[..., :, None] * r[..., None, :])))
         for name, x in (("factor", (v * r[..., None, :]) @ u), ("eigenvalues", ev)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)

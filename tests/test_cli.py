@@ -711,3 +711,37 @@ def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
                                    "--grid", "0:1:3", "--out", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("verb", sorted(_MATRIX_VERBS))
+def test_matrix_verbs_check_each_input_matrix_once(tmp_path, capsys, monkeypatch, verb):
+    # each file's matrix is checked once, its shape and entries and then its
+    # symmetry, and nothing built from them is checked; _as_array's other
+    # calls are the JSON encodings of the reported matrices, in report order
+    from opmeans import spd
+    x_rows = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]
+    y_rows = [[2.5, 0.6, 0.1], [0.6, 2.0, 0.2], [0.1, 0.2, 1.5]]
+    named = {"X": np.array(x_rows), "Y": np.array(y_rows)}
+
+    def label(m):
+        return next((k for k, v in named.items() if np.array_equal(m, v)), "other")
+
+    seen = {}
+    for check in ("_as_array", "_check_symmetric"):
+        log, real = seen.setdefault(check, []), getattr(spd, check)
+
+        def recording(m, *args, log=log, real=real, **kwargs):
+            log.append(label(np.asarray(m.entries if isinstance(m, spd.SpdMatrix) else m)))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(spd, check, recording)
+    head, second, _ = _MATRIX_VERBS[verb]
+    code, out, err = _run(capsys, [verb, *head, _mat(tmp_path, "x.json", x_rows), second,
+                                   _mat(tmp_path, "y.json", y_rows)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    reported = ([report["value"]] if verb == "eval-mean" else
+                report["links"] + [m for w in report["pair_witnesses"] for m in (w["A"], w["B"])]
+                if verb == "chain" else [report["A"], report["B"]])
+    assert seen == {"_as_array": ["X", "Y"] + [label(np.array(m["rows"])) for m in reported],
+                    "_check_symmetric": ["X", "Y"]}

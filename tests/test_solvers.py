@@ -1465,3 +1465,41 @@ def test_solver_parameters_must_be_real_numbers():
     chain = build_monotone_chain(MeanDescriptor.arithmetic(), x, y, gamma0=np.float64(2.0))
     assert chain.gamma0 == 2.0
     assert solve_heinz_heron_matrix(np.float64(0.25), x, y).matrix_a.shape == (2, 2)
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+def test_witness_past_the_float_range_raises_a_convergence_error(solver):
+    # the relative spectrum and its roots are finite, but the witness A =
+    # X^{1/2} diag(t) X^{1/2} overflows: no warning, and no error naming a
+    # matrix the caller never passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="^solution left the representable range"):
+            _TARGET_SOLVERS[solver](1e300 * np.eye(2), np.diag([1.7e308, 3e300]))
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+def test_y_whose_norm_overflows_is_refused_with_that_reason(solver):
+    with pytest.raises(StructuralError, match=r"^Y: matrix norm \|\|M\|\|_F exceeds the float range$"):
+        _TARGET_SOLVERS[solver](np.eye(2), 1.7e308 * np.eye(2))
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+def test_matrix_solvers_check_x_and_y_once_and_never_their_witnesses(monkeypatch, solver):
+    # X by as_spd, Y by _symmetric_entries; the relative spectra of (X, Y) and
+    # of the witness pairs, congruated exactly symmetric and tested finite,
+    # take them unchecked
+    x, y = (_rotated(values, 7) for values in ([1.0, 2.0, 3.0], [2.0, 3.0, 5.0]))
+    x, y = 0.5 * (x + x.T), 0.5 * (y + y.T)     # exactly symmetric
+    seen = {}
+    for check in ("_as_array", "_check_symmetric"):
+        log, real = seen.setdefault(check, []), getattr(spd_module, check)
+
+        def recording(m, *args, log=log, real=real, **kwargs):
+            a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
+            log.append("X" if np.array_equal(a, x) else "Y" if np.array_equal(a, y) else "other")
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(spd_module, check, recording)
+    _TARGET_SOLVERS[solver](x, y)
+    assert seen == {"_as_array": ["X", "Y"], "_check_symmetric": ["X", "Y"]}

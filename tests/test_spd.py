@@ -706,3 +706,60 @@ def test_relative_spectrum_of_a_validated_a_is_bitwise_that_of_the_raw_a(k):
         assert np.array_equal(kept.factor, raw.factor)
         assert np.array_equal(kept.eigenvalues, raw.eigenvalues)
 
+
+
+def _odd_subnormal_stack(rng, count, n):
+    """count exactly symmetric, diagonally dominant matrices whose entries are
+    odd multiples of the smallest subnormal, which (M + M^T) / 2 rounds."""
+    m = 2 * rng.integers(0, 5, (count, n, n)) + 1
+    m = np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
+    m[:, range(n), range(n)] += 20 * n      # stays odd, above the row's other entries
+    return m * 2.0 ** -1074
+
+
+@pytest.mark.parametrize("k", [None, 1, 6])
+def test_unchecked_relative_spectrum_is_bitwise_the_checked_one(k):
+    # RelativeSpectrum._of skips only the input checks: an SpdMatrix A lends
+    # its kept spectrum, a raw A is still symmetrized (not the identity on odd
+    # subnormals) and decomposed, and B is used as given
+    rng = np.random.default_rng(400 if k is None else 400 + k)
+    for n in range(1, 7):
+        for draw in (lambda c: _random_spd_stack(rng, c, n, 50.0),
+                     lambda c: _odd_subnormal_stack(rng, c, n)):
+            a, b = draw(2 * (k or 1)).reshape(2, k or 1, n, n)
+            if k is None:
+                a, b = a[0], b[0]
+            for first in (SpdMatrix(a), a):
+                checked, unchecked = RelativeSpectrum(first, b), RelativeSpectrum._of(first, b)
+                for name in ("factor", "eigenvalues"):
+                    got = getattr(unchecked, name)
+                    assert np.array_equal(got, getattr(checked, name))
+                    assert got.flags.c_contiguous and not got.flags.writeable
+        assert not np.array_equal(spd_module._symmetrize(a), a)    # the odd subnormals round
+
+
+def test_matrix_whose_norm_overflows_is_refused_with_that_reason():
+    # its floor PD_FLOOR_RTOL * ||M||_F would be inf; accepted, it would make a
+    # solver's residual ||mean - target|| / ||target|| read 0
+    why = r"matrix norm \|\|M\|\|_F exceeds the float range$"
+    for m in (1.7e308 * np.eye(2), np.stack([np.eye(2), 1.7e308 * np.eye(2)])):
+        with pytest.raises(StructuralError, match="^" + why):
+            SpdMatrix(m)
+    with pytest.raises(StructuralError, match="^Y: " + why):
+        as_spd(1.7e308 * np.eye(2), "Y")
+    # a stack reports its first failing matrix, and a finite norm of huge entries passes
+    with pytest.raises(StructuralError, match=r"smallest eigenvalue -1\.000000e\+00 is below"):
+        SpdMatrix(np.stack([np.diag([1.0, -1.0]), 1.7e308 * np.eye(2)]))
+    assert SpdMatrix(1.2e308 * np.eye(2)).n == 2
+
+
+def test_relative_spectrum_checks_both_matrices_before_decomposing_a():
+    # A's eigenvalues overflow the float range, B is not symmetric: the
+    # structural fault of the pair is reported first, by RelativeSpectrum and
+    # by the inequality chain, which shares its checks
+    big = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+    for check in (RelativeSpectrum, lambda a, b: verify_inequality_chain(a, b, 0.3)):
+        with pytest.raises(ConditioningError, match="^eigenvalues overflow the float range$"):
+            check(big, np.eye(2))
+        with pytest.raises(StructuralError, match="^B is not symmetric"):
+            check(big, np.array([[1.0, 0.5], [0.0, 1.0]]))
