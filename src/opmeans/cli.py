@@ -2,8 +2,11 @@
 
 Exit codes: 0 = success (or a check that found nothing), 1 = a check ran and
 found a refutation or violation (the witness is on stdout), 2 = usage or
-input error (message on stderr). Every report starts with a "config" header
-echoing the effective values of the options the verb takes, so runs are
+input error (message on stderr), among them a sampled check of a function
+undefined on every set or pair it drew, 141 = the reader of stdout closed it
+before the report was written (128 + SIGPIPE, as a shell reports a process
+that signal ended). Every report starts with a "config" header echoing the
+effective values of the options the verb takes, so runs are
 reproducible: tolerance, trial count and seed for check-monotone and
 check-order, those and the matrix size for ka-check, and nothing ({}) for
 the other verbs. All numbers are printed with 17 significant digits.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -40,8 +44,8 @@ from .monocheck import MonoConfig, is_operator_monotone_sampled, ka_condition_ch
 from .orders import order_leq_sa, order_leq_sym, phi_profile
 from .solvers import (build_monotone_chain, solve_geom_heinz_matrix,
                       solve_heinz_heron_matrix, solve_matrix_pair)
-from .spd import (RelativeSpectrum, SpdMatrix, _spd_relative_spectrum, as_spd,
-                  matrix_from_json_dict, matrix_to_json_dict)
+from .spd import (SpdMatrix, _spd_relative_spectrum, as_spd, matrix_from_json_dict,
+                  matrix_to_json_dict)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_TRIALS = 1000
@@ -103,9 +107,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_eval_mean(args) -> tuple:
     descriptor = parse_mean_descriptor(args.mean)
     a = _load_spd(args.a, "A")
-    b, spectrum = _spd_relative_spectrum(a, _load_matrix(args.b), "B")
-    fn = representing_function(descriptor)
-    value = mean_from_spectrum(RelativeSpectrum(a, b) if spectrum is None else spectrum, fn)
+    spectrum = _spd_relative_spectrum(a, _load_matrix(args.b), ("A", "B"))[2]
+    value = mean_from_spectrum(spectrum, representing_function(descriptor))
     return {"mean": descriptor.describe(), "value": matrix_to_json_dict(value)}, 0
 
 
@@ -359,8 +362,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = (_PARSER.parse_args(argv) if verb is None
                 else verb.parse_args(argv[1:], argparse.Namespace(verb=argv[0])))
         body, code = args.handler(args)
+        print(jsonio.dumps({"config": _config_echo(args), **body}), flush=True)
     except OpmeansError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(jsonio.dumps({"config": _config_echo(args), **body}))
+    except BrokenPipeError:
+        # the reader closed stdout (opmeans ... | head): Python's documented
+        # recipe, so that the exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code

@@ -39,13 +39,13 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import spd
-from .errors import DOMAIN_ERRORS, ConditioningError, StructuralError, UsageError
+from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, _checked_eigenvalues, _class_residual, arithmetic_pair,
                     eval_mean_from_function, geometric_pair, harmonic_pair, heinz_pair,
                     heron_pair, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _assemble, _check_matrix_size, _checked_pair,
                   _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
-                  _min_eig_and_norm, _random_spd_stack, _symmetrize, sym_eigendecompose)
+                  _min_eig_and_norm, _random_spd_stack, _symmetrize)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -108,9 +108,8 @@ def _loewner_geometry(pts: np.ndarray, derivative: bool):
     point plus and minus its central-difference step); geometry x_i - x_j
     with 1 on the diagonal, its absolute value, and the mask of pairs too
     close for a difference quotient or, without a derivative, each step."""
-    on_diag = np.arange(pts.shape[-1])
     diff_x = pts[..., :, None] - pts[..., None, :]
-    diff_x[..., on_diag, on_diag] = 1.0
+    _diagonal(diff_x)[...] = 1.0
     abs_dx = np.abs(diff_x)
     if not derivative:
         step = _DIFF_STEP * np.maximum(1.0, np.abs(pts))
@@ -126,21 +125,21 @@ def _loewner_stack(geometry, values: np.ndarray, derivative):
     the point sets of the given geometry (see _loewner_geometry), from the
     values of f at their x, and of its derivative when one is given."""
     diff_x, abs_dx, step_or_near = geometry
-    on_diag = np.arange(diff_x.shape[-1])
+    n = diff_x.shape[-1]
     if derivative is None:
         step = step_or_near
-        fx, up, down = np.moveaxis(values.reshape(*step.shape[:-1], 3, step.shape[-1]), -2, 0)
+        fx, up, down = values[..., :n], values[..., n:2 * n], values[..., 2 * n:]
         diag = (up - down) / (2.0 * step)
         diag_err = 2.0 * _ULPS * _EPS * (0.5 * np.abs(up) + 0.5 * np.abs(down)) / step
     else:
         fx, diag = values, derivative
         diag_err = _ULPS * _EPS * np.abs(diag)
     out = (fx[..., :, None] - fx[..., None, :]) / diff_x
-    out[..., on_diag, on_diag] = diag
+    _diagonal(out)[...] = diag
     # halved before the sum, as in spd._symmetrize, so that no finite value overflows it
     half = 0.5 * np.abs(fx)
     err = 2.0 * _ULPS * _EPS * (half[..., :, None] + half[..., None, :]) / abs_dx
-    err[..., on_diag, on_diag] = diag_err
+    _diagonal(err)[...] = diag_err
     if derivative is not None and step_or_near.any():
         near = step_or_near
         d_i = np.broadcast_to(diag[..., :, None], out.shape)[near]
@@ -148,6 +147,12 @@ def _loewner_stack(geometry, values: np.ndarray, derivative):
         out[near] = 0.5 * d_i + 0.5 * d_j
         err[near] = np.abs(d_i - d_j) + _ULPS * _EPS * (0.5 * np.abs(d_i) + 0.5 * np.abs(d_j))
     return _symmetrize(out), err
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """The diagonals of a C-contiguous (..., n, n) stack m, as a writable (..., n) view."""
+    n = m.shape[-1]
+    return m.reshape(*m.shape[:-2], n * n)[..., ::n + 1]
 
 
 def _resolve(count: int, phases):
@@ -176,10 +181,10 @@ def _resolve(count: int, phases):
 
 def _first_hit(hits: np.ndarray, faults: list, trial: np.ndarray):
     """(item, trials examined) of the earliest refutation or fault, items
-    ordered by their trial numbers; (None, 0) when there is none."""
+    ordered by their trial numbers; (None, all of them) when there is none."""
     hits = hits | np.array([e is not None for e in faults], dtype=bool)
     if not hits.any():
-        return None, 0
+        return None, len(trial)
     candidates = np.flatnonzero(hits)
     item = int(candidates[np.argmin(trial[candidates])])
     if faults[item] is not None:
@@ -270,15 +275,20 @@ class MonotonicityVerdict:
                 "witness": None if self.witness is None else self.witness.to_json_dict()}
 
 
-def _search(blocks, judge) -> MonotonicityVerdict:
+def _search(blocks, judge, unit: str) -> MonotonicityVerdict:
     """Verdict of a first-witness search: judge maps each block, in trial order, to
-    (witness or None, candidates examined); a witness ends it before the next block."""
-    trials_run = 0
+    (witness or None, candidates examined, candidates where f is defined); a
+    witness ends it before the next block. A search that examined candidates
+    and found f defined on none has no evidence to call "consistent": it
+    raises DomainError, naming the unit (set or pair) it samples."""
+    trials_run = defined = 0
     for block in blocks:
-        witness, examined = judge(block)
-        trials_run += examined
+        witness, examined, usable = judge(block)
+        trials_run, defined = trials_run + examined, defined + usable
         if witness is not None:
             return MonotonicityVerdict(STATUS_REFUTED, witness, trials_run)
+    if trials_run and not defined:
+        raise DomainError(f"f is undefined on every sampled {unit}")
     return MonotonicityVerdict(STATUS_CONSISTENT, None, trials_run)
 
 
@@ -400,8 +410,9 @@ def _random_sets(config: MonoConfig) -> list:
 
 
 def _first_loewner_witness(plan: _Plan, f, fprime, tol: float):
-    """(witness, sets examined) for the point sets of the plan in trial
-    order, with f (and fprime) called once, on a copy of plan.x.
+    """(witness, sets examined, sets where f is defined) for the point sets
+    of the plan in trial order, with f (and fprime) called once, on a copy of
+    plan.x.
 
     Each size group's Loewner matrices are decomposed as one stack. A set is
     skipped when f raises one of DOMAIN_ERRORS on it or a value or the norm
@@ -441,10 +452,10 @@ def _first_loewner_witness(plan: _Plan, f, fprime, tol: float):
             refuted[ok] = lo < -(tol * fro + _frobenius(err[bounded]))
             min_eig[ok], norm[ok] = lo, fro
     item, examined = _first_hit(refuted, faults, plan.trial)
-    if item is None:
-        return None, len(plan.sets)
-    return LoewnerWitness(tuple(float(v) for v in plan.sets[plan.trial[item]]),
-                          float(min_eig[item]), float(norm[item])), examined
+    witness = None if item is None else LoewnerWitness(
+        tuple(float(v) for v in plan.sets[plan.trial[item]]), float(min_eig[item]),
+        float(norm[item]))
+    return witness, examined, int(usable.sum())
 
 
 def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
@@ -463,10 +474,12 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     random sets, but the verdict and trials_run are those of checking the
     sets one at a time. A config that is not a MonoConfig is refused.
 
-    A set where f raises one of errors.DOMAIN_ERRORS is skipped, as a pair
-    is in falsify_transfer (an f that raises TypeError on every point, as a
-    complex value fails float(), reads as consistent), and so is a set whose
-    Loewner matrix has no finite Frobenius norm: it could not refute.
+    A set where f raises one of errors.DOMAIN_ERRORS, or gives a value that
+    is not finite, is skipped, as a pair is in falsify_transfer, and so is a
+    set whose Loewner matrix has no finite Frobenius norm: it could not
+    refute. When f is undefined on every set, as an f that raises TypeError
+    on every point (a complex value fails float()), the check raises
+    DomainError instead of reading as consistent.
     """
     _check_functions(f, fprime)
     if not isinstance(config, MonoConfig):
@@ -476,7 +489,7 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     stages = (lambda: _grid_plan(config.grids, d),
               lambda: _plan([*_STRUCTURED, *_random_sets(config)], d))
     return _search((stage() for stage in stages[not config.grids:]),
-                   lambda plan: _first_loewner_witness(plan, f, fprime, config.tol))
+                   lambda plan: _first_loewner_witness(plan, f, fprime, config.tol), "set")
 
 
 def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
@@ -495,7 +508,9 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     trials of each size run as stacks of 8, 16, 32, ... pairs up to the first
     refuting one, f called once on the eigenvalues of all means of a stack;
     trials_run and the witness are those of running the trials one at a
-    time. A pair whose difference has no finite norm is skipped.
+    time. A pair whose difference has no finite norm is skipped. When f is
+    undefined on every pair drawn, it raises DomainError; with no trials it
+    is consistent.
     """
     _check_functions(f)
     rep_s, rep_t = representing_function(sigma), representing_function(tau)
@@ -515,12 +530,14 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
             while start < count:
                 yield _random_pairs(rng, min(size, count - start), n)
                 start, size = start + size, 2 * size
-    return _search(stacks(), lambda pairs: _first_transfer_witness(*pairs, f, rep_s, rep_t, tol))
+    return _search(stacks(), lambda pairs: _first_transfer_witness(*pairs, f, rep_s, rep_t, tol),
+                   "pair")
 
 
 def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
-    """(witness, trials examined) for the pairs (a, b, spectrum) of
-    _random_pairs, as one stack, f called once on the eigenvalues of all means.
+    """(witness, trials examined, pairs where f is defined) for the pairs
+    (a, b, spectrum) of _random_pairs, as one stack, f called once on the
+    eigenvalues of all means.
 
     A pair is skipped when f raises one of DOMAIN_ERRORS on the spectrum of
     either mean or gives a non-finite value there, as apply_spectral_function
@@ -545,10 +562,9 @@ def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
         diff = images[size:] - images[:size]
     min_eig, norm, refuted = _pair_margins(a, b, images[:size], images[size:], diff, tol)
     item, examined = _first_hit(usable & refuted, faults, np.arange(size))
-    if item is None:
-        return None, size
-    return TransferWitness(a.entries[item].copy(), b[item].copy(),
-                           float(min_eig[item]), float(norm[item])), examined
+    witness = None if item is None else TransferWitness(
+        a.entries[item].copy(), b[item].copy(), float(min_eig[item]), float(norm[item]))
+    return witness, examined, int(usable.sum())
 
 
 @dataclass(frozen=True)
@@ -718,8 +734,9 @@ def verify_inequality_chain(a, b, s: float) -> InequalityChainReport:
 
     scalar_checked, scalar_margin = False, None
     if commuting:
-        probe = sym_eigendecompose(am + np.e * bm)
-        a_t, b_t = probe.basis.T @ np.stack((am, bm)) @ probe.basis
+        # A and B were checked; a basis of their sum, signs unnormalized, is not checked again
+        probe = _eigh_descending(_symmetrize(am + np.e * bm))[1]
+        a_t, b_t = probe.T @ np.stack((am, bm)) @ probe
         off = max(_frobenius(a_t - np.diag(np.diag(a_t))), _frobenius(b_t - np.diag(np.diag(b_t))))
         if off <= 1e-8 * max(1.0, norm_a, norm_b):
             scalar_checked = True

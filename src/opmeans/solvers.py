@@ -21,10 +21,10 @@ and its link witnesses re-evaluated as one (links, n, n) stack. A pair is its
 one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). A pair
 decomposes 4 matrices (X, Z, and the witness's A and relative spectrum), a
 chain 2 + 2 * links in 4 calls: Y is proven positive definite from X's and
-Z's spectra (spd._spd_relative_spectrum) and decomposed only when that bound
-falls short. Each input is checked once: X's shape, entries, symmetry and
-floor by as_spd, Y's first three by spd._symmetric_entries. The relative
-spectra of (X, Y) and of the witnesses take their pairs unchecked
+Z's spectra and decomposed only when that bound falls short. Each input is
+checked once, by spd._spd_relative_spectrum: X's shape, entries, symmetry
+and floor as by as_spd, Y's first three likewise. The relative spectra of
+(X, Y) and of the witnesses take their pairs unchecked
 (RelativeSpectrum._of); the witnesses are congruated exactly symmetric and
 tested finite. A relative spectrum takes 3 matrix products and a congruation
 1. A catalog mean inverts them in closed form
@@ -49,8 +49,9 @@ from .errors import (ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, _checked_eigenvalues, heinz_pair,
                     heron_pair, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _all_finite, _check_real, _frobenius,
-                  _MatrixPair, _spd_relative_spectrum, as_spd, matrix_to_json_dict)
+from .spd import (RelativeSpectrum, _all_finite, _check_real, _frobenius,
+                  _MatrixPair, _deferred_relative_spectrum, _spd_relative_spectrum,
+                  matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -274,20 +275,17 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     return tuple(map(PairWitness, mats_a, mats_b, res_x, res_y))
 
 
-def _ordered_spectrum(xs: SpdMatrix, y, spectrum: Optional[RelativeSpectrum] = None) -> tuple:
-    """RelativeSpectrum(X, Y), computed here unless given, and its
-    eigenvalues clamped to at least 1.
+def _ordered_eigenvalues(spectrum: RelativeSpectrum) -> np.ndarray:
+    """The eigenvalues of RelativeSpectrum(X, Y), clamped to at least 1.
 
     X <= Y exactly when the smallest eigenvalue of X^{-1/2} Y X^{-1/2} is at
     least 1; the test allows 1 - _EIG_CLAMP, relative to X and so the same
     at any scale.
     """
-    if spectrum is None:
-        spectrum = RelativeSpectrum(xs, y)
     low = float(spectrum.eigenvalues[-1])
     if low < 1.0 - _EIG_CLAMP:
         raise OrderError(f"relative eigenvalue {low!r} is below 1: X <= Y fails")
-    return spectrum, np.maximum(spectrum.eigenvalues, 1.0)
+    return np.maximum(spectrum.eigenvalues, 1.0)
 
 
 def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
@@ -300,11 +298,7 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     Every relative eigenvalue is checked against that range, as invert_phi
     checks its target, before any is inverted.
     """
-    xs = as_spd(x, "X")
-    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
-    if spectrum is None:
-        spectrum = RelativeSpectrum(xs, ya)
-    return _geometric_pair(sigma, xs.entries, ya, spectrum)
+    return _geometric_pair(sigma, *_spd_relative_spectrum(x, y))
 
 
 def _geometric_pair(sigma: MeanDescriptor, xa: np.ndarray, ya: np.ndarray,
@@ -343,9 +337,8 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
-    xs = as_spd(x, "X")
-    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
-    xa = xs.entries
+    # the spectrum's own error comes after sigma's and gamma0's
+    xa, ya, spectrum = _deferred_relative_spectrum(x, y)
     fn = representing_function(sigma)
     gamma = fn.realize_gamma
     if not gamma > 1.0:
@@ -361,7 +354,9 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
 
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    spectrum, lams = _ordered_spectrum(xs, ya, spectrum)
+    if not isinstance(spectrum, RelativeSpectrum):
+        raise spectrum
+    lams = _ordered_eigenvalues(spectrum)
     count = max(1, _power_index(float(lams.max()), gamma0) + 1)
     if count > _MAX_LINKS:
         raise OutOfRangeError(
@@ -570,16 +565,15 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     Where u underflows it raises the ConvergenceError solve_scalar_heinz_heron does.
     """
     s, alpha = _heinz_heron_alpha(s)
-    xs = as_spd(x, "X")
-    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
-    spectrum, lams = _ordered_spectrum(xs, ya, spectrum)
+    xa, ya, spectrum = _spd_relative_spectrum(x, y)
+    lams = _ordered_eigenvalues(spectrum)
     cs = np.array([invert_f_alpha(alpha, 1.0 / v) for v in lams])
     ratios = np.exp(-2.0 * cs)
     if not ratios.all():    # u = 0 makes Heinz_s(1, u) = 0 and the pair infinite
         raise ConvergenceError(f"solution left the representable range (c = {float(cs.max())!r})")
     d = heinz_pair(s, 1.0, ratios)
     return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                           MeanDescriptor.heron(alpha * alpha), xs.entries, ya)
+                           MeanDescriptor.heron(alpha * alpha), xa, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -618,7 +612,6 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     has geometric mean 1 and Heinz mean lambda, and A, B congruate it.
     """
     s = _validate_heinz_heron_parameter(s)
-    xs = as_spd(x, "X")
-    ya, spectrum = _spd_relative_spectrum(xs, y, "Y")
-    return _geometric_pair(MeanDescriptor.heinz(s), xs.entries, ya,
-                           _ordered_spectrum(xs, ya, spectrum)[0])
+    xa, ya, spectrum = _spd_relative_spectrum(x, y)
+    _ordered_eigenvalues(spectrum)     # X <= Y
+    return _geometric_pair(MeanDescriptor.heinz(s), xa, ya, spectrum)

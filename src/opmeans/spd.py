@@ -18,6 +18,22 @@ matrices as well as one (n, n) matrix, through the same code: LAPACK's
 gufuncs, numpy's qr and @ act on the last two axes, and on this build give
 each matrix of a stack bitwise the result of a call on that matrix alone.
 The sampled checks run their trials through them as stacks of SpdMatrix pairs.
+
+Each input matrix is checked once, and nothing built from checked matrices
+is checked again. The two checks are _as_array (shape, at least one row,
+finite entries) and _check_symmetric (symmetry within SYMMETRY_RTOL, the
+matrix returned for its caller to symmetrize). They run in four places:
+  * SpdMatrix, which then applies the positive-definiteness floor
+    (_above_floor); as_spd wraps it for one matrix named in its errors;
+  * _checked_pair, for a pair (A, B): RelativeSpectrum, loewner_leq and
+    verify_inequality_chain;
+  * sym_eigendecompose and min_eig_and_norm, for a symmetric matrix;
+  * _spd_relative_spectrum, for the solvers' and the CLI's pair (X, Y): X
+    by as_spd, Y's entries once, and Y's floor proven from the pair's
+    relative spectrum or else tested by _above_floor on those entries.
+_one_matrix holds the one-matrix shape check and the name prefix of as_spd
+and _spd_relative_spectrum. RelativeSpectrum._of takes a checked pair, or
+one built exactly symmetric, without checking it.
 """
 from __future__ import annotations
 
@@ -32,7 +48,7 @@ from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralErr
 
 SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
-_PD_PROOF_ULPS = 64        # rounding allowance of _spd_relative_spectrum, in n * eps
+_PD_PROOF_ULPS = 64        # rounding allowance of _deferred_relative_spectrum, in n * eps
 _EPS = float(np.finfo(float).eps)
 
 
@@ -68,34 +84,33 @@ def _checked_pair(a, b, stack: bool = True) -> tuple:
     or a stack) and symmetric within SYMMETRY_RTOL, of one shape; in that
     order the first failing check raises. An SpdMatrix A passed them already."""
     am, bm = _as_array(a, "A", stack=stack), _as_array(b, "B", stack=stack)
-    if am.shape != bm.shape:
-        raise StructuralError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    _check_same_shape(am, bm)
     if not isinstance(a, SpdMatrix):
         _check_symmetric(am, "A")
     _check_symmetric(bm, "B")
     return am, bm
 
 
-def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Reject matrices that are asymmetric beyond roundoff; return (a + a.T)/2."""
-    _check_symmetric(a, name)
-    return _symmetrize(a)
+def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise StructuralError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    """Raise unless a is symmetric within SYMMETRY_RTOL * max(1, ||a||_F).
+def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """a, once it is symmetric within SYMMETRY_RTOL * max(1, ||a||_F); the
+    caller symmetrizes it where it needs exact symmetry.
 
     A stack is checked matrix by matrix, each against its own norm; exactly
     symmetric input, the common case, costs one comparison.
     """
-    if not (a != _transpose(a)).any():
-        return
-    asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
-    bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
-    if bad.any():
-        raise StructuralError(
-            f"{name} is not symmetric: max |M - M^T| = {float(np.max(asym[bad])):.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
+    if (a != _transpose(a)).any():
+        asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
+        bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
+        if bad.any():
+            raise StructuralError(
+                f"{name} is not symmetric: max |M - M^T| = {float(np.max(asym[bad])):.3e} "
+                f"exceeds {SYMMETRY_RTOL:.0e} * max(1, ||M||_F)")
+    return a
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -221,7 +236,7 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     on equal input give identical output. A (k, n, n) stack is decomposed
     matrix by matrix in one call.
     """
-    w, v = _eigh_descending(_require_symmetric(_as_array(m, stack=True), "matrix"))
+    w, v = _eigh_descending(_symmetrize(_check_symmetric(_as_array(m, stack=True), "matrix")))
     # the largest-magnitude entry of each column, gathered from the columns
     # laid out as rows
     row = np.abs(v).argmax(axis=-2)
@@ -247,16 +262,9 @@ class SpdMatrix:
     _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _require_symmetric(_as_array(self.entries, "SpdMatrix", stack=True), "SpdMatrix")
-        w, v = _eigh_descending(a)
-        low, floor = w[..., -1], PD_FLOOR_RTOL * _frobenius(a)
-        if (low <= floor).any():
-            first = np.argmax(low <= floor)
-            if floor.flat[first] == math.inf:     # ||M||_F overflowed, and no floor is left
-                raise StructuralError("matrix norm ||M||_F exceeds the float range")
-            raise StructuralError(
-                f"matrix is not positive definite within tolerance: smallest eigenvalue "
-                f"{low.flat[first]:.6e} is below the floor {floor.flat[first]:.6e}")
+        a = _symmetrize(_check_symmetric(_as_array(self.entries, "SpdMatrix", stack=True),
+                                         "SpdMatrix"))
+        w, v = _above_floor(a)
         for x in (a, w, v):
             x.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -278,63 +286,84 @@ class SpdMatrix:
         return cls(matrix_from_json_dict(data))
 
 
+def _above_floor(a: np.ndarray) -> tuple:
+    """_eigh_descending(a) of an exactly symmetric matrix or stack, once the
+    smallest eigenvalue of each matrix lies above PD_FLOOR_RTOL * ||M||_F and
+    its ||M||_F is finite: SpdMatrix's test of positive definiteness."""
+    w, v = _eigh_descending(a)
+    low, floor = w[..., -1], PD_FLOOR_RTOL * _frobenius(a)
+    if (low <= floor).any():
+        first = np.argmax(low <= floor)
+        if floor.flat[first] == math.inf:     # ||M||_F overflowed, and no floor is left
+            raise StructuralError("matrix norm ||M||_F exceeds the float range")
+        raise StructuralError(
+            f"matrix is not positive definite within tolerance: smallest eigenvalue "
+            f"{low.flat[first]:.6e} is below the floor {floor.flat[first]:.6e}")
+    return w, v
+
+
 def as_spd(m, name: str = "matrix") -> SpdMatrix:
     """Coerce one matrix (not a stack) to SpdMatrix, validating it once; errors start with name."""
+    return _one_matrix(m, name, lambda a: m if isinstance(m, SpdMatrix) else SpdMatrix(a))
+
+
+def _one_matrix(m, name: str, check):
+    """check(a) of the entries a of m, once m is one square matrix, not a
+    stack; every StructuralError, the shape's among them, starts with name."""
     a = m.entries if isinstance(m, SpdMatrix) else np.asarray(m, dtype=float)
     try:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:     # SpdMatrix checks the rest
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:     # check does the rest
             raise _shape_error("SpdMatrix", a.shape)
-        return m if isinstance(m, SpdMatrix) else SpdMatrix(a)
+        return check(a)
     except StructuralError as exc:
         raise StructuralError(f"{name}: {exc}") from None
 
 
-def _symmetric_entries(m, name: str) -> np.ndarray:
-    """The entries as_spd(m, name) would hold, with its errors for the shape,
-    finiteness and symmetry of m, but not tested for positive definiteness."""
-    a = np.asarray(m, dtype=float)
-    try:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise _shape_error("SpdMatrix", a.shape)
-        return _require_symmetric(_as_array(a, "SpdMatrix"), "SpdMatrix")
-    except StructuralError as exc:
-        raise StructuralError(f"{name}: {exc}") from None
+def _spd_relative_spectrum(x, y, names=("X", "Y")) -> tuple:
+    """(X, Y, RelativeSpectrum(X, Y)) of _deferred_relative_spectrum, whose
+    error, if the spectrum raised one, is raised here, after X's and Y's."""
+    xa, ya, spectrum = _deferred_relative_spectrum(x, y, names)
+    if not isinstance(spectrum, RelativeSpectrum):
+        raise spectrum
+    return xa, ya, spectrum
 
 
-def _spd_relative_spectrum(xs: SpdMatrix, y, name: str) -> tuple:
-    """(Y, spectrum) for a matrix y that must be SPD: Y the entries, and the
-    errors, of as_spd(y, name), and spectrum RelativeSpectrum(xs, Y), or None
-    on a shape mismatch or when computing it raised (an overflow), so that
-    the caller computes it again where that error belongs. X and Y are each
-    checked once, by as_spd and _symmetric_entries; the spectrum takes them
-    unchecked (RelativeSpectrum._of).
+def _deferred_relative_spectrum(x, y, names=("X", "Y")) -> tuple:
+    """(X, Y, spectrum) for a pair of single matrices that must be SPD: X and
+    Y the entries, and the errors, of as_spd(x, names[0]) and as_spd(y,
+    names[1]), in that order, and spectrum RelativeSpectrum(X, Y), or the
+    error computing it raised (a shape mismatch, an overflow), returned for
+    the caller to raise where it belongs. Each matrix is checked once, here;
+    the spectrum takes them unchecked (RelativeSpectrum._of).
 
     Y is decomposed only when the spectrum cannot prove it SPD. X's kept
     decomposition is exact for an X' = V diag(w) V^T near X, and Y =
     X'^{1/2} Z' X'^{1/2}, so lambda_min(Y) >= w_min lambda_min(Z'). Forming
     and decomposing Z' errs by a small multiple of n eps kappa(X) ||Z'||_2,
-    Y's own eigensolve by one of n eps ||Y||_F. Less
-    _PD_PROOF_ULPS times each, a bound above twice as_spd's floor proves that
-    as_spd accepts Y; otherwise as_spd decides.
+    Y's own eigensolve by one of n eps ||Y||_F. Less _PD_PROOF_ULPS times
+    each, a bound above twice the floor proves that Y passes SpdMatrix's
+    floor test (_above_floor); otherwise that test decides, on Y's checked
+    entries.
     """
-    if isinstance(y, SpdMatrix):
-        ya, proven = as_spd(y, name).entries, True
-    else:
-        ya, proven = _symmetric_entries(y, name), False
+    xs, name = as_spd(x, names[0]), names[1]
+    proven = isinstance(y, SpdMatrix)
+    ya = as_spd(y, name).entries if proven else _one_matrix(
+        y, name, lambda a: _symmetrize(_check_symmetric(_as_array(a, "SpdMatrix"), "SpdMatrix")))
     try:
+        _check_same_shape(xs.entries, ya)
         with np.errstate(all="ignore"):     # every warning comes with an error
-            spectrum = RelativeSpectrum._of(xs, ya) if xs.entries.shape == ya.shape else None
-    except ConditioningError:
-        spectrum = None
-    if not proven and spectrum is not None:
+            spectrum = RelativeSpectrum._of(xs, ya)
+    except (StructuralError, ConditioningError) as exc:
+        spectrum = exc
+    if not proven and isinstance(spectrum, RelativeSpectrum):
         w, lam = xs._spectrum[0], spectrum.eigenvalues
         rounding = _PD_PROOF_ULPS * len(w) * _EPS
         kappa, lo = float(w[0]) / float(w[-1]), float(lam[-1])
         bound = float(w[-1]) * (lo - rounding * kappa * max(float(lam[0]), -lo))
         proven = bound > (2.0 * PD_FLOOR_RTOL + rounding) * float(_frobenius(ya))
     if not proven:
-        as_spd(y, name)     # raises unless Y is SPD
-    return ya, spectrum
+        _one_matrix(ya, name, _above_floor)     # raises unless Y is SPD
+    return xs.entries, ya, spectrum
 
 
 def matrix_to_json_dict(m) -> dict:
@@ -451,7 +480,7 @@ def min_eig_and_norm(a):
     Two floats for one matrix; for a (k, n, n) stack two (k,) arrays, from
     one eigvalsh call, each entry bitwise the value of its matrix alone.
     """
-    m = _require_symmetric(_as_array(a, stack=True), "matrix")
+    m = _symmetrize(_check_symmetric(_as_array(a, stack=True), "matrix"))
     lo, norm = _min_eig_and_norm(m)
     return (float(lo), float(norm)) if m.ndim == 2 else (lo, norm)
 
@@ -495,7 +524,7 @@ class RelativeSpectrum:
 
     RelativeSpectrum._of(a, b) is the same arithmetic, bit for bit, without
     those input checks. Its precondition is that the pair would pass them:
-    the caller has validated it (as_spd, _symmetric_entries, an SpdMatrix
+    the caller has validated it (_spd_relative_spectrum, an SpdMatrix
     stack, _checked_pair) or built it exactly symmetric and checked it finite
     (_assemble, _symmetrize, _random_spd_stack). A raw A is still
     symmetrized and its w still checked positive.

@@ -713,28 +713,35 @@ def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
-@pytest.mark.parametrize("verb", sorted(_MATRIX_VERBS))
-def test_matrix_verbs_check_each_input_matrix_once(tmp_path, capsys, monkeypatch, verb):
-    # each file's matrix is checked once, its shape and entries and then its
-    # symmetry, and nothing built from them is checked; _as_array's other
-    # calls are the JSON encodings of the reported matrices, in report order
+def _label(named, m):
+    return next((k for k, v in named.items() if np.array_equal(m, v)), "other")
+
+
+def _record_checks(monkeypatch, named):
+    """Log, for spd._as_array and spd._check_symmetric, the name in named
+    (name -> array) of each matrix they are called on, or "other"."""
     from opmeans import spd
-    x_rows = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]
-    y_rows = [[2.5, 0.6, 0.1], [0.6, 2.0, 0.2], [0.1, 0.2, 1.5]]
-    named = {"X": np.array(x_rows), "Y": np.array(y_rows)}
-
-    def label(m):
-        return next((k for k, v in named.items() if np.array_equal(m, v)), "other")
-
     seen = {}
     for check in ("_as_array", "_check_symmetric"):
         log, real = seen.setdefault(check, []), getattr(spd, check)
 
         def recording(m, *args, log=log, real=real, **kwargs):
-            log.append(label(np.asarray(m.entries if isinstance(m, spd.SpdMatrix) else m)))
+            log.append(_label(named, np.asarray(m.entries if isinstance(m, spd.SpdMatrix) else m)))
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(spd, check, recording)
+    return seen
+
+
+@pytest.mark.parametrize("verb", sorted(_MATRIX_VERBS))
+def test_matrix_verbs_check_each_input_matrix_once(tmp_path, capsys, monkeypatch, verb):
+    # each file's matrix is checked once, its shape and entries and then its
+    # symmetry, and nothing built from them is checked; _as_array's other
+    # calls are the JSON encodings of the reported matrices, in report order
+    x_rows = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]
+    y_rows = [[2.5, 0.6, 0.1], [0.6, 2.0, 0.2], [0.1, 0.2, 1.5]]
+    named = {"X": np.array(x_rows), "Y": np.array(y_rows)}
+    seen = _record_checks(monkeypatch, named)
     head, second, _ = _MATRIX_VERBS[verb]
     code, out, err = _run(capsys, [verb, *head, _mat(tmp_path, "x.json", x_rows), second,
                                    _mat(tmp_path, "y.json", y_rows)])
@@ -743,5 +750,45 @@ def test_matrix_verbs_check_each_input_matrix_once(tmp_path, capsys, monkeypatch
     reported = ([report["value"]] if verb == "eval-mean" else
                 report["links"] + [m for w in report["pair_witnesses"] for m in (w["A"], w["B"])]
                 if verb == "chain" else [report["A"], report["B"]])
-    assert seen == {"_as_array": ["X", "Y"] + [label(np.array(m["rows"])) for m in reported],
+    assert seen == {"_as_array": ["X", "Y"] + [_label(named, np.array(m["rows"]))
+                                               for m in reported],
                     "_check_symmetric": ["X", "Y"]}
+
+
+@pytest.mark.parametrize("verb", sorted(_MATRIX_VERBS))
+def test_matrix_verbs_check_a_second_matrix_near_the_floor_once(tmp_path, capsys, monkeypatch,
+                                                                verb):
+    # the second matrix is SPD, too near the floor for the spectral proof:
+    # SpdMatrix's floor test decides it, on the entries already checked
+    x, y = np.eye(2), np.diag([1.0, 1.5e-12])
+    seen = _record_checks(monkeypatch, {"X": x, "Y": y})
+    head, second, _ = _MATRIX_VERBS[verb]
+    code, out, err = _run(capsys, [verb, *head, _mat(tmp_path, "x.json", x), second,
+                                   _mat(tmp_path, "y.json", y)])
+    # eval-mean reports the mean; the solves fail after the checks (Y is
+    # below X, or the witness too ill-conditioned)
+    reported = ["other"] if verb == "eval-mean" else []
+    assert seen == {"_as_array": ["X", "Y"] + reported, "_check_symmetric": ["X", "Y"]}
+    assert (code, out == "") == ((0, False) if reported else (2, True))
+
+
+@pytest.mark.parametrize("fn", ["log(-t)", "sqrt(-t)", "1/(t-t)"])
+def test_check_monotone_of_a_function_undefined_on_every_set_exits_two(capsys, fn):
+    # every sampled set is skipped: no verdict rests on them
+    code, out, err = _run(capsys, ["check-monotone", "--fn", fn])
+    assert (code, out, err) == (2, "", "error: f is undefined on every sampled set\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the report is written, as in `opmeans ... | head -c 0`
+    src = str(Path(opmeans.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "opmeans", "check-monotone", "--fn", "t^2"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opmeans import (ConditioningError, HDensity, MeanDescriptor, MonoConfig, StructuralError,
-                     UsageError, apply_spectral_function, falsify_transfer, ka_condition_check,
-                     is_operator_monotone_sampled, loewner_leq, loewner_matrix,
+from opmeans import (ConditioningError, DomainError, HDensity, MeanDescriptor, MonoConfig,
+                     StructuralError, UsageError, apply_spectral_function, falsify_transfer,
+                     ka_condition_check, is_operator_monotone_sampled, loewner_leq, loewner_matrix,
                      order_leq_sa, order_leq_sym, parse_function, random_spd,
                      verify_inequality_chain)
 from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_pair,
@@ -535,6 +535,18 @@ def test_sampler_and_transfer_skip_the_same_errors(seed):
         float(scalar_only(0.25))
 
 
+def test_a_function_undefined_everywhere_has_no_verdict():
+    # every set and pair is skipped: "consistent" would rest on none of them
+    geo, arith = MeanDescriptor.geometric(), MeanDescriptor.arithmetic()
+    with pytest.raises(DomainError, match="^f is undefined on every sampled set$"):
+        is_operator_monotone_sampled(_outside_the_domain)
+    with pytest.raises(DomainError, match="^f is undefined on every sampled pair$"):
+        falsify_transfer(_outside_the_domain, geo, arith, trials=20)
+    # a search that examined nothing is still consistent
+    verdict = falsify_transfer(_outside_the_domain, geo, arith, trials=0)
+    assert (verdict.status, verdict.trials_run) == ("consistent", 0)
+
+
 def test_values_near_the_largest_float_skip_their_sets_and_pairs():
     # f(M) = M + 1e308 I overflows when assembled, and the sampler's rounding
     # bound overflows: such pairs are skipped and such sets cannot refute,
@@ -638,7 +650,7 @@ def _one_pair_at_a_time(f, sigma, tau, trials, seed, tol=1e-8):
     three = min(math.ceil(0.25 * trials), trials - two)
     for trial, n in enumerate([2] * two + [3] * three + [4] * (trials - two - three), 1):
         pair = monocheck._random_pairs(rng, 1, n)
-        w, _ = monocheck._first_transfer_witness(*pair, f, rep_s, rep_t, tol)
+        w = monocheck._first_transfer_witness(*pair, f, rep_s, rep_t, tol)[0]
         if w is not None:
             return ("refuted", trial, w.matrix_a.tobytes(), w.matrix_b.tobytes(),
                     w.min_eigenvalue, w.diff_norm)

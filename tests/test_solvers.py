@@ -708,7 +708,7 @@ def test_chain_is_never_longer_than_the_grouped_ladder():
         g = rng.standard_normal((n, n))
         y = x + scale * (g @ g.T) / n
         chain = build_monotone_chain(sigma, x, y)
-        lams = solvers_module._ordered_spectrum(as_spd(x), as_spd(y))[1]
+        lams = solvers_module._ordered_eigenvalues(RelativeSpectrum(as_spd(x), as_spd(y)))
         assert len(chain.pair_witnesses) <= _ladder_link_count(lams, chain.gamma0)
         _assert_sound_chain(chain, chain.gamma0)
 
@@ -1419,10 +1419,11 @@ def test_ill_conditioned_y_is_judged_as_by_as_spd(solver, x, y):
 
 def test_y_is_proven_positive_definite_only_when_as_spd_accepts_it(monkeypatch):
     # Y near the floor, against X of condition up to 1e6: every Y the
-    # spectral bound proves SPD must pass as_spd, and the rest get its verdict
+    # spectral bound proves SPD must pass as_spd, and the rest get its
+    # verdict from SpdMatrix's floor test, the fallback counted here
     fallbacks = []
-    real = spd_module.as_spd
-    monkeypatch.setattr(spd_module, "as_spd", lambda m, name: fallbacks.append(1) or real(m, name))
+    real = spd_module._above_floor
+    monkeypatch.setattr(spd_module, "_above_floor", lambda a: fallbacks.append(1) or real(a))
     rng = np.random.default_rng(3636)
     proven = accepted = 0
     for k in range(400):
@@ -1431,16 +1432,16 @@ def test_y_is_proven_positive_definite_only_when_as_spd_accepts_it(monkeypatch):
         low = 10.0 ** float(rng.uniform(-13.0, -10.0))
         y = _rotated(np.concatenate(([low], rng.uniform(0.2, 1.0, n - 1))), 5000 + k)
         xs = as_spd(x, "X")
-        fallbacks.clear()
         try:
-            real(y, "Y")
+            want = as_spd(y, "Y").entries
         except StructuralError as exc:
             with pytest.raises(StructuralError) as info:
-                spd_module._spd_relative_spectrum(xs, y, "Y")
+                spd_module._spd_relative_spectrum(xs, y)
             assert str(info.value) == str(exc)
             continue
-        ya, spectrum = spd_module._spd_relative_spectrum(xs, y, "Y")
-        assert np.array_equal(ya, real(y, "Y").entries) and spectrum is not None
+        fallbacks.clear()
+        ya, spectrum = spd_module._spd_relative_spectrum(xs, y)[1:]
+        assert np.array_equal(ya, want) and spectrum is not None
         proven += not fallbacks
         accepted += 1
     assert 40 <= proven <= accepted - 40 and accepted <= 360

@@ -763,3 +763,68 @@ def test_relative_spectrum_checks_both_matrices_before_decomposing_a():
             check(big, np.eye(2))
         with pytest.raises(StructuralError, match="^B is not symmetric"):
             check(big, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def _record_checks(monkeypatch, named):
+    """Log, for spd._as_array and spd._check_symmetric, the name in named
+    (name -> array) of each matrix they are called on, or "other"."""
+    seen = {}
+    for check in ("_as_array", "_check_symmetric"):
+        log, real = seen.setdefault(check, []), getattr(spd_module, check)
+
+        def recording(m, *args, log=log, real=real, **kwargs):
+            a = np.asarray(m.entries if isinstance(m, SpdMatrix) else m, dtype=float)
+            log.append(next((k for k, v in named.items() if np.array_equal(a, v)), "other"))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(spd_module, check, recording)
+    return seen
+
+
+_ARITH = MeanDescriptor.arithmetic()
+# path: (call on X, or on X and Y, inputs)
+_MATRIX_PATHS = {
+    "eval_mean": (lambda x, y: eval_mean(x, y, MeanDescriptor.geometric()), 2),
+    "RelativeSpectrum": (RelativeSpectrum, 2),
+    "solve_matrix_pair": (lambda x, y: opmeans.solve_matrix_pair(_ARITH, x, y), 2),
+    "solve_heinz_heron_matrix": (lambda x, y: opmeans.solve_heinz_heron_matrix(0.3, x, y), 2),
+    "solve_geom_heinz_matrix": (lambda x, y: opmeans.solve_geom_heinz_matrix(0.3, x, y), 2),
+    "build_monotone_chain": (lambda x, y: opmeans.build_monotone_chain(_ARITH, x, y), 2),
+    "verify_inequality_chain": (lambda x, y: verify_inequality_chain(x, y, 0.3), 2),
+    "loewner_leq": (loewner_leq, 2),
+    "as_spd": (as_spd, 1),
+    "SpdMatrix": (SpdMatrix, 1),
+    "min_eig_and_norm": (min_eig_and_norm, 1),
+    "sym_eigendecompose": (sym_eigendecompose, 1),
+}
+
+
+@pytest.mark.parametrize("path", _MATRIX_PATHS)
+def test_every_public_matrix_path_checks_each_input_once(monkeypatch, path):
+    # each input matrix passes _as_array and _check_symmetric once, and
+    # nothing built from the inputs passes either: X and Y commute, so the
+    # inequality chain also runs its scalar check
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    x, y = ((q * v) @ q.T for v in ([1.0, 2.0, 3.0], [2.0, 3.0, 5.0]))
+    x, y = 0.5 * (x + x.T), 0.5 * (y + y.T)     # exactly symmetric
+    call, inputs = _MATRIX_PATHS[path]
+    seen = _record_checks(monkeypatch, {"X": x, "Y": y})
+    report = call(x, y) if inputs == 2 else call(x)
+    if path == "verify_inequality_chain":
+        assert report.commuting and report.scalar_checked
+    names = ["X", "Y"][:inputs]
+    assert seen == {"_as_array": names, "_check_symmetric": names}
+
+
+@pytest.mark.parametrize("path", [p for p in _MATRIX_PATHS if p.startswith(("solve", "build"))])
+def test_y_too_near_the_floor_for_the_proof_is_checked_once(monkeypatch, path):
+    # Y is SPD, but its smallest eigenvalue 1.5e-12 is under twice the floor:
+    # the relative spectrum cannot prove it, and SpdMatrix's floor test
+    # decides it on the entries already checked. The solves then fail (Y is
+    # below X, or its witness is too ill-conditioned), after the checks.
+    x, y = np.eye(2), np.diag([1.0, 1.5e-12])
+    as_spd(y, "Y")
+    seen = _record_checks(monkeypatch, {"X": x, "Y": y})
+    with pytest.raises(opmeans.OpmeansError):
+        _MATRIX_PATHS[path][0](x, y)
+    assert seen == {"_as_array": ["X", "Y"], "_check_symmetric": ["X", "Y"]}
