@@ -84,19 +84,18 @@ _TOKEN = (r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d_]+)"
 
 
 def _tokenize(source: str) -> List[Tuple[str, object, int]]:
-    """Tokens as (kind, value, position); kinds: num, name, op, end. The first
-    malformed number or stray character, in source order, is a usage error."""
+    """Tokens as (kind, text, position); kinds: num, name, op, end. A number
+    keeps the text typed, so errors quote it as typed, and '**' reads '^'. The
+    first malformed number or stray character, in source order, is a usage error."""
     tokens = []
     for match in re.finditer(_TOKEN, source):
         kind = match.lastgroup
         text, pos = match[kind], match.start(kind)
         if kind == "bad":
             raise UsageError(f"unexpected character {text!r} at position {pos}")
-        try:
-            value = float(text) if kind == "num" else "^" if text == "**" else text
-        except ValueError:     # digits with two or more dots
-            raise UsageError(f"malformed number {text!r} at position {pos}") from None
-        tokens.append((kind, value, pos))
+        if kind == "num" and text.count(".") > 1:   # what float() refuses in a match
+            raise UsageError(f"malformed number {text!r} at position {pos}")
+        tokens.append((kind, "^" if text == "**" else text, pos))
     return tokens + [("end", None, len(source))]
 
 
@@ -125,7 +124,7 @@ def _build(node, text, at, column):
     before its '(', as in (sqrt)(t)."""
     key, operands, where = None, (), node.col_offset
     if isinstance(node, ast.Name) and node.id in ("t", "_k", *_CONSTANTS):
-        k = at[where][1] if node.id == "_k" else _CONSTANTS.get(node.id)
+        k = float(at[where][1]) if node.id == "_k" else _CONSTANTS.get(node.id)
         return _OPS["t"][column] if k is None else _OPS["const"][column](k)
     if isinstance(node, ast.BinOp):
         key, operands = type(node.op), (node.left, node.right)

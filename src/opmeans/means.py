@@ -277,21 +277,18 @@ def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> 
 
     Refuses pairs whose relative spectrum has condition number above 1e12
     or is not positive. For a stacked spectrum, f is called once on all
-    eigenvalues of the stack, and one refused pair refuses the stack.
+    eigenvalues of the stack, and one refused pair refuses the stack. This
+    is the package's one conditioning gate, for pairs a caller passes in
+    (eval_mean, eval_mean_from_function, CLI eval-mean); the pairs the
+    solvers and sampled checks build are judged otherwise.
     """
-    ev = _checked_eigenvalues(spectrum)
-    return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
-
-
-def _checked_eigenvalues(spectrum: RelativeSpectrum) -> np.ndarray:
-    """The eigenvalues of spectrum, once mean_from_spectrum's check of them passed."""
     ev, condition = spectrum.eigenvalues, spectrum.condition
     if condition > _COND_CAP if ev.ndim == 1 else (condition > _COND_CAP).any():
         raise ConditioningError(
             f"relative spectrum of the matrix pair spans [{np.min(ev):.3e}, "
             f"{np.max(ev):.3e}]; " + ("the pair is not positive definite" if np.min(ev) <= 0.0
                                      else "too ill-conditioned to evaluate reliably"))
-    return ev
+    return spectrum.congruate(np.reshape(fn.value(ev.ravel()), ev.shape))
 
 
 def eval_mean_from_function(a, b, fn: RepresentingFunction) -> np.ndarray:

@@ -40,9 +40,8 @@ import numpy as np
 
 from . import spd
 from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralError, UsageError
-from .means import (MeanDescriptor, _checked_eigenvalues, _class_residual, arithmetic_pair,
-                    eval_mean_from_function, geometric_pair, harmonic_pair, heinz_pair,
-                    heron_pair, representing_function)
+from .means import (MeanDescriptor, _class_residual, arithmetic_pair, eval_mean_from_function,
+                    geometric_pair, harmonic_pair, heinz_pair, heron_pair, representing_function)
 from .spd import (RelativeSpectrum, SpdMatrix, _assemble, _check_matrix_size, _checked_pair,
                   _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
                   _min_eig_and_norm, _random_spd_stack, _symmetrize)
@@ -545,9 +544,10 @@ def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
     refuting pair wins; another error of f on an earlier pair propagates.
     """
     size, n = b.shape[:2]
-    # both means of every pair by one condition check and one congruation;
-    # they are exactly symmetric: decompose them without re-validation
-    ev = _checked_eigenvalues(spectrum).ravel()
+    # both means of every pair by one congruation; each matrix has condition
+    # at most 50, so the relative spectrum's is at most 2,500. The means are
+    # exactly symmetric: decompose them without re-validation
+    ev = spectrum.eigenvalues.ravel()
     means = spectrum.congruate(np.reshape((rep_s.value(ev), rep_t.value(ev)), (2, size, n)))
     w, v = _eigh_descending(means.reshape(2 * size, n, n))
     values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))

@@ -26,15 +26,18 @@ checked once, by spd._spd_relative_spectrum: X's shape, entries, symmetry
 and floor as by as_spd, Y's first three likewise. The relative spectra of
 (X, Y) and of the witnesses take their pairs unchecked
 (RelativeSpectrum._of); the witnesses are congruated exactly symmetric and
-tested finite. A relative spectrum takes 3 matrix products and a congruation
-1. A catalog mean inverts them in closed form
-(RepresentingFunction.realize_inverse); a density mean by one batched scan
-and safeguarded Newton iteration whose every call of the representing
-function serves all of them. Either way a root must lie
+tested finite. A relative spectrum takes 3 matrix products, and each
+congruation 1. The relative eigenvalues are inverted in one pass: a catalog
+mean's in closed form (RepresentingFunction.realize_inverse), a density
+mean's by one batched scan and safeguarded Newton iteration whose every call
+of the representing function serves all of them. Either way a root must lie
 below the scan horizon 1e40 and is checked forward.
 
 Residuals are part of every witness: each solver re-evaluates its target
-equations and refuses to return silently inaccurate answers.
+equations and refuses to return silently inaccurate answers. A witness is
+judged by its two residuals alone (at most 1e-7; NaN fails), not by the 1e12
+condition gate that mean_from_spectrum applies to a caller's pair, and every
+failure of its re-evaluation raises ConvergenceError.
 """
 from __future__ import annotations
 
@@ -45,10 +48,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, OrderError,
+from .errors import (ConditioningError, ConvergenceError, DomainError, OrderError,
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
-from .means import (MeanDescriptor, RepresentingFunction, _checked_eigenvalues, heinz_pair,
-                    heron_pair, representing_function)
+from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
+                    representing_function)
 from .spd import (RelativeSpectrum, _all_finite, _check_real, _frobenius,
                   _MatrixPair, _deferred_relative_spectrum, _spd_relative_spectrum,
                   matrix_to_json_dict)
@@ -250,26 +253,35 @@ def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
     against the targets xs, ys: one PairWitness for (n,) values and (n, n)
     targets, or a tuple of k for (k, n) values and (k, n, n) targets. A and
     B come from one congruation. Both target means are re-evaluated on the
-    pairs (as one stack) from their own relative spectrum, by one condition
-    check and one congruation, and the residuals ||mean - target||_F /
-    ||target||_F of each side by one stacked norm; the first pair that misses
-    raises, and so does a pair past the float range."""
+    pairs (as one stack) from their own relative spectrum, by one congruation,
+    and the residuals ||mean - target||_F / ||target||_F of each side by one
+    stacked norm. A witness stands or falls by its residuals alone: no
+    condition gate applies to a pair the solver built. Every way the
+    re-evaluation fails raises ConvergenceError: a pair past the float range,
+    an eigensolver or square-root error on A, a relative eigenvalue <= 0
+    (before either mean is evaluated), and the first pair with a residual
+    above the tolerance or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         mats = spectrum.congruate(np.array((values_a, values_b)))
     if not _all_finite(mats):
         raise ConvergenceError("solution left the representable range: the witness overflows")
     mats_a, mats_b = mats
     fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
-    pairs = RelativeSpectrum._of(mats_a, mats_b)    # congruated exactly symmetric
-    ev = _checked_eigenvalues(pairs)
+    try:
+        pairs = RelativeSpectrum._of(mats_a, mats_b)    # congruated exactly symmetric
+    except ConditioningError as exc:
+        raise ConvergenceError(f"pair solve witness cannot be re-evaluated: {exc}") from None
+    ev = pairs.eigenvalues
+    if not ev.min() > 0.0:
+        raise ConvergenceError(f"pair solve witness has relative eigenvalue {ev.min():.3e} <= 0")
     means = pairs.congruate(np.array([np.reshape(fn.value(ev.ravel()), ev.shape)
                                       for fn in (fn_x, fn_y)]))
     res_x, res_y = (np.ravel(_frobenius(mean - want) / _frobenius(want)).tolist()
                     for mean, want in zip(means, (xs, ys)))
     for got_x, got_y in zip(res_x, res_y):
-        if got_x > _PAIR_RESIDUAL_TOL or got_y > _PAIR_RESIDUAL_TOL:
-            raise ConvergenceError(f"pair solve residuals too large: {fn_x.label} {got_x:.3e}, "
-                                   f"{fn_y.label} {got_y:.3e}")
+        if not (got_x <= _PAIR_RESIDUAL_TOL and got_y <= _PAIR_RESIDUAL_TOL):
+            raise ConvergenceError(f"pair solve witness residuals too large: {fn_x.label} "
+                                   f"{got_x:.3e}, {fn_y.label} {got_y:.3e}")
     if mats_a.ndim == 2:
         return PairWitness(mats_a, mats_b, res_x[0], res_y[0])
     return tuple(map(PairWitness, mats_a, mats_b, res_x, res_y))

@@ -8,7 +8,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
+import opmeans
 from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      MonoConfig, apply_spectral_function, build_monotone_chain,
                      dagger, dagger_density, eval_mean, eval_selfadjoint_rep,
@@ -389,3 +391,91 @@ def test_acceptance_08_ratio_map_inversions():
         if worst > 1e-12:
             failures.append(f"s={s:.2f}: ratio roundtrip {worst:.3e}")
     _finish(8, "ratio map inversions", failures)
+
+
+# --------------------------------------------------------------- criterion 9
+#
+# The abstract (PAPER.md), claim by claim. A row is (f, sigma, tau, expected
+# verdict, how reached): "sampled" runs falsify_transfer(f, sigma, tau) at
+# 1,000 trials, seed 0, which tests f(A sigma B) <= f(A tau B); a row that
+# waits for a construction or for the paper's hypotheses is a strict xfail
+# that says which.
+
+_HARM = MeanDescriptor.harmonic()
+_SYMMETRIC_SIGMAS = (MeanDescriptor.heinz(0.25), MeanDescriptor.heron(0.3))
+_OM = (("sqrt t", np.sqrt), ("log(1+t)", np.log1p), ("t/(1+t)", lambda t: t / (1.0 + t)))
+_NOT_OM = (("t^2", lambda t: t * t), ("t^1.01", lambda t: t ** 1.01), ("exp t", np.exp))
+# f(A ! B) <= f(A sigma B) <= f(A nabla B), sigma symmetric
+_DISPLAYED = tuple((_HARM, s) for s in _SYMMETRIC_SIGMAS) + tuple(
+    (s, ARITH) for s in _SYMMETRIC_SIGMAS)
+# ! and nabla replaced by #: f(A # B) <= f(A sigma B) for sigma >= #, and
+# f(A ! B) <= f(A # B)
+_GEOMETRIC_FORM = tuple((GEO, s) for s in (*_SYMMETRIC_SIGMAS, ARITH)) + ((_HARM, GEO),)
+_NO_QUOTE = ("characterization; PAPER.md holds only the abstract, so its hypotheses "
+             "cannot be quoted")
+
+
+def _rows(functions, pairs, expected, how):
+    return [(name, f, sigma, tau, expected, how) for name, f in functions for sigma, tau in pairs]
+
+
+_PAPER_CLAIMS = {
+    # (a) the displayed inequality holds for operator monotone f
+    "(a) displayed inequality": _rows(_OM, _DISPLAYED, "consistent", "sampled"),
+    # (b) Ando-Hiai: either inequality, for a symmetric sigma other than !
+    # and nabla, forces f to be operator monotone
+    "(b) Ando-Hiai converse": _rows(_NOT_OM, _DISPLAYED, "refuted", "sampled"),
+    # (c) the paper's result: the same with # in place of ! and nabla
+    "(c) geometric form": (_rows(_OM, _GEOMETRIC_FORM, "consistent", "sampled")
+                           + _rows(_NOT_OM, _GEOMETRIC_FORM, "refuted", "sampled")),
+}
+_WGEO = MeanDescriptor.weighted_geometric(0.3)
+_BY_PAIR_SOLVER = "constructed by a (sigma, tau) pair solver (ROADMAP item 3)"
+_FROM_LOEWNER = "constructed from a Loewner witness (ROADMAP item 2)"
+_PENDING_CLAIMS = {
+    # pairs with A ! B = X and A sigma B = Y need the (sigma, tau) pair solver
+    "(b) Ando-Hiai converse": _rows(_NOT_OM, _DISPLAYED[:1], "refuted", _BY_PAIR_SOLVER),
+    # f(X) not <= f(Y) for some X <= Y, realized as X = A # B, Y = A sigma B
+    "(c) geometric form": (_rows(_NOT_OM, _GEOMETRIC_FORM[:1], "refuted", _FROM_LOEWNER)
+                           + _rows(_OM, _GEOMETRIC_FORM[:1], "consistent", _FROM_LOEWNER)),
+    # a self-adjoint sigma (tau unknown), and general means (sigma, tau)
+    # under the Kubo-Ando constraint, which ka_condition_check samples
+    "(d) self-adjoint and Kubo-Ando": (
+        _rows(_OM[:1], [(_WGEO, None), (GEO, _WGEO)], "consistent", _NO_QUOTE)
+        + _rows(_NOT_OM[:1], [(_WGEO, None), (GEO, _WGEO)], "refuted", _NO_QUOTE)),
+}
+
+
+def _reached(f, sigma, tau, how):
+    """The verdict of one row, by the route that its how names."""
+    if how == "sampled":
+        return falsify_transfer(f, sigma, tau, trials=1000, seed=0).status
+    if how.startswith("constructed"):
+        witness = getattr(opmeans, "construct_transfer_witness")(f, sigma, tau)
+        return "consistent" if witness is None else "refuted"
+    raise NotImplementedError(how)
+
+
+def test_acceptance_09_paper_claims():
+    failures = []
+    start = time.perf_counter()
+    for claim, rows in _PAPER_CLAIMS.items():
+        for name, f, sigma, tau, expected, how in rows:
+            got = _reached(f, sigma, tau, how)
+            if got != expected:
+                failures.append(f"{claim}: {name} on ({sigma.describe()}, {tau.describe()}) "
+                                f"{how} {got}, expected {expected}")
+    elapsed = time.perf_counter() - start
+    if elapsed > 2.0:
+        failures.append(f"runtime {elapsed:.2f}s exceeds 2s")
+    _finish(9, "paper claims", failures)
+
+
+@pytest.mark.parametrize("claim, name, f, sigma, tau, expected, how", [
+    pytest.param(claim, *row, marks=pytest.mark.xfail(
+                     strict=True, reason=row[5],
+                     raises=NotImplementedError if row[5] == _NO_QUOTE else AttributeError),
+                 id=f"{claim[:3]}-{row[0]}-{row[2].kind}-{getattr(row[3], 'kind', '?')}")
+    for claim, rows in _PENDING_CLAIMS.items() for row in rows])
+def test_acceptance_09_paper_claims_pending(claim, name, f, sigma, tau, expected, how):
+    assert _reached(f, sigma, tau, how) == expected

@@ -765,8 +765,8 @@ def test_matrix_verbs_check_a_second_matrix_near_the_floor_once(tmp_path, capsys
     head, second, _ = _MATRIX_VERBS[verb]
     code, out, err = _run(capsys, [verb, *head, _mat(tmp_path, "x.json", x), second,
                                    _mat(tmp_path, "y.json", y)])
-    # eval-mean reports the mean; the solves fail after the checks (Y is
-    # below X, or the witness too ill-conditioned)
+    # eval-mean reports the mean; the solves fail after the checks, as Y is
+    # below X
     reported = ["other"] if verb == "eval-mean" else []
     assert seen == {"_as_array": ["X", "Y"] + reported, "_check_symmetric": ["X", "Y"]}
     assert (code, out == "") == ((0, False) if reported else (2, True))
@@ -792,3 +792,14 @@ def test_closed_stdout_exits_141_without_a_traceback():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_eval_mean_keeps_the_condition_gate_for_the_callers_pair(tmp_path, capsys):
+    # each matrix is well above the floor, but their relative spectrum spans
+    # [1e-7, 1e7]: a condition of 1e14, past the 1e12 gate
+    a = _mat(tmp_path, "a.json", [[1.0, 0.0], [0.0, 1e-7]])
+    b = _mat(tmp_path, "b.json", [[1e-7, 0.0], [0.0, 1.0]])
+    code, out, err = _run(capsys, ["eval-mean", "--mean", "arithmetic", "--a", a, "--b", b])
+    assert (code, out, err) == (2, "", "error: relative spectrum of the matrix pair spans "
+                                       "[1.000e-07, 1.000e+07]; too ill-conditioned to "
+                                       "evaluate reliably\n")

@@ -77,7 +77,12 @@ def test_parse_errors_carry_position():
     ("t + $", "unexpected character '$' at position 4"),
     ("1.2.3*t", "malformed number '1.2.3' at position 0"),
     ("x + 1", "unknown name 'x' at position 0"),
-    ("x + $", "unexpected character '$' at position 4")])   # scanning comes first
+    ("x + $", "unexpected character '$' at position 4"),    # scanning comes first
+    # a number is quoted as typed, not as its float ('inf', '2.0', '0.001')
+    ("t 1e999", "unexpected '1e999' at position 2"),
+    ("1 2", "unexpected '2' at position 2"),
+    ("t 1e-3", "unexpected '1e-3' at position 2"),
+    ("t \u0663", "unexpected '\u0663' at position 2")])
 def test_scanning_and_name_errors_give_exact_messages(source, message):
     with pytest.raises(UsageError) as info:
         parse_function(source)

@@ -6,6 +6,7 @@ means solving t + 1/t = 2 y / x, a quadratic with explicit roots; the
 harmonic case mirrors it. Matrix cases are checked against independent
 re-evaluation of both target means.
 """
+import collections
 import dataclasses
 import math
 import warnings
@@ -449,15 +450,20 @@ def test_pair_solve_realize_map_calls_do_not_grow_with_n(monkeypatch):
     assert counts[12] <= counts[2]
 
 
-def test_stacked_chain_with_one_ill_conditioned_link_raises():
+def test_stacked_chain_with_one_ill_conditioned_link_is_returned():
     # two links: ratios (1, 9e5), then (1, 3.3); the first link's witness
-    # pair has a relative spectrum of condition about (1.8e6)^2 > 1e12, and
-    # it refuses the whole stack
+    # pair has a relative spectrum of condition about (1.8e6)^2 > 1e12, the
+    # gate for a caller's pair, yet its residuals meet the contract, and
+    # they alone judge a witness
     x = random_spd(2, cond_cap=5.0, seed=3).entries
     root = spd_module.sqrt_pair(x)[0]
     y = root @ np.diag([1.0, 3e6]) @ root
-    with pytest.raises(ConditioningError):
-        build_monotone_chain(ARITH, x, y, gamma0=9e5)
+    chain = build_monotone_chain(ARITH, x, y, gamma0=9e5)
+    assert len(chain.pair_witnesses) == 2
+    first = chain.pair_witnesses[0]
+    assert RelativeSpectrum(first.matrix_a, first.matrix_b).condition > 1e12
+    for w in chain.pair_witnesses:
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
     chain = build_monotone_chain(ARITH, x, y, gamma0=1e3)
     assert len(chain.pair_witnesses) >= 3
 
@@ -839,6 +845,159 @@ def test_pair_witnesses_raise_on_the_first_pair_that_misses():
     with pytest.raises(ConvergenceError, match=r"residuals too large: .* 1\.667e-01$"):
         solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], GEO, ARITH,
                                        xs[1], ys[1])
+
+
+_NEAR_EDGE = {
+    "arithmetic": lambda x, y: solve_matrix_pair(ARITH, x, y),
+    "heron-0.5": lambda x, y: solve_matrix_pair(MeanDescriptor.heron(0.5), x, y),
+    "heinz-0.2": lambda x, y: solve_matrix_pair(MeanDescriptor.heinz(0.2), x, y),
+    "geom-heinz-0.1": lambda x, y: solve_geom_heinz_matrix(0.1, x, y),
+    "heinz-heron-0.1": lambda x, y: solve_heinz_heron_matrix(0.1, x, y)}
+
+
+@pytest.mark.parametrize("top", [5e7, 5e9])
+@pytest.mark.parametrize("solver", _NEAR_EDGE)
+def test_witnesses_past_the_callers_condition_gate_are_judged_by_their_residuals(solver, top):
+    # each witness pair's relative spectrum has condition above 1e12, the
+    # gate of a pair a caller passes to eval_mean, which refused all of them
+    w = _NEAR_EDGE[solver](np.eye(2), np.diag([top, 3.0]))
+    assert RelativeSpectrum(w.matrix_a, w.matrix_b).condition > 1e12
+    assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+
+
+def test_every_failure_of_the_witness_re_evaluation_is_a_convergence_error(monkeypatch):
+    spectrum, xs = RelativeSpectrum(np.eye(2), np.eye(2)), 2.0 * np.eye(2)
+    density = MeanDescriptor.from_h_density(HDensity.constant(0.3, SYMMETRIC))
+    # a non-positive relative eigenvalue, found before any mean is evaluated
+    # there: no RuntimeWarning (an error here) from sqrt, no DomainError from
+    # the density
+    for mean_y in (ARITH, density):
+        with pytest.raises(ConvergenceError,
+                           match=r"^pair solve witness has relative eigenvalue -2\.500e-01 <= 0$"):
+            solvers_module._pair_witnesses(spectrum, np.array([4.0, 4.0]), np.array([-1.0, 1.0]),
+                                           GEO, mean_y, xs, xs)
+    # the witness's A has no square root
+    with pytest.raises(ConvergenceError, match=r"^pair solve witness cannot be re-evaluated: "
+                       r"square root of A needs a positive spectrum, got -1\.0$"):
+        solvers_module._pair_witnesses(spectrum, np.array([-1.0, 4.0]), np.ones(2), GEO, ARITH,
+                                       xs, xs)
+    # the eigensolver fails on the witness's A (call 3 of a pair solve) or
+    # on its relative spectrum (call 4)
+    real_eigh = spd_module._eigh
+    for failing in (3, 4):
+        calls = []
+
+        def eigh(a, *args, calls=calls, failing=failing, **kwargs):
+            calls.append(a)
+            if len(calls) == failing:
+                raise ConditioningError("symmetric eigensolver failed: did not converge")
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(spd_module, "_eigh", eigh)
+        with pytest.raises(ConvergenceError, match="^pair solve witness cannot be re-evaluated: "
+                                                   "symmetric eigensolver failed"):
+            solve_matrix_pair(ARITH, np.eye(2), np.diag([2.0, 3.0]))
+        assert len(calls) == failing
+    monkeypatch.setattr(spd_module, "_eigh", real_eigh)
+    # a NaN residual fails, where a test of got > tol would let it pass
+    real_rep = solvers_module.representing_function
+    monkeypatch.setattr(solvers_module, "representing_function", lambda m: dataclasses.replace(
+        real_rep(m), value=lambda t: np.full_like(t, np.nan)) if m == ARITH else real_rep(m))
+    with pytest.raises(ConvergenceError, match=r"^pair solve witness residuals too large: "
+                                               r"geometric mean 0\.000e\+00, arithmetic mean nan$"):
+        solvers_module._pair_witnesses(spectrum, np.array([4.0, 4.0]), np.ones(2), GEO, ARITH,
+                                       xs, 2.5 * np.eye(2))
+
+
+def _mp_mean(mpmath, a, b, f):
+    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} at mpmath's working precision,
+    from the float entries of a and b taken exactly."""
+    w, v = mpmath.eigsy(mpmath.matrix(a.tolist()))
+    root = v * mpmath.diag([mpmath.sqrt(x) for x in w]) * v.T
+    inv_root = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T
+    lam, u = mpmath.eigsy(inv_root * mpmath.matrix(b.tolist()) * inv_root)
+    c = root * u
+    return c * mpmath.diag([f(x) for x in lam]) * c.T
+
+
+def _residuals_at_50_digits(mpmath, witness, targets):
+    """||mean - target||_F / ||target||_F of each (f, target) of targets, both
+    means of the witness recomputed at 50 digits: no arithmetic of the package
+    is reused."""
+    with mpmath.workdps(50):
+        out = []
+        for f, target in targets:
+            want = mpmath.matrix(target.tolist())
+            got = _mp_mean(mpmath, witness.matrix_a, witness.matrix_b, f)
+            out.append(float(mpmath.mnorm(got - want, "f") / mpmath.mnorm(want, "f")))
+        return out
+
+
+@pytest.mark.parametrize("seed, top", [(None, 5e7), (11, 5e7), (1, 5e9)],
+                         ids=["identity", "rotated-5e7", "rotated-5e9"])
+def test_witnesses_near_the_edge_re_verify_at_50_digits(seed, top):
+    # Y = X^{1/2} diag(top, 3) X^{1/2}: the witnesses of the five solvers
+    # below have relative condition above 1e12, and the gate refused them
+    # all. Every witness returned is within 1e-7 at 50 digits; at X = I all
+    # are returned, and with X rotated some are refused by their residuals
+    mpmath = pytest.importorskip("mpmath")
+
+    def heinz(s):
+        return lambda t: (t ** s + t ** (1 - s)) / 2
+
+    def heron(s):
+        return lambda t: s * (1 + t) / 2 + (1 - s) * mpmath.sqrt(t)
+
+    x = np.eye(2) if seed is None else _rotated([1.0, 4.0], seed)
+    root = spd_module.sqrt_pair(x)[0]
+    y = spd_module._symmetrize(root @ np.diag([top, 3.0]) @ root)
+    cases = [(lambda: solve_matrix_pair(ARITH, x, y), mpmath.sqrt, heron(1.0)),
+             (lambda: solve_matrix_pair(MeanDescriptor.heron(0.5), x, y), mpmath.sqrt, heron(0.5)),
+             (lambda: solve_matrix_pair(MeanDescriptor.heinz(0.2), x, y), mpmath.sqrt, heinz(0.2)),
+             (lambda: solve_geom_heinz_matrix(0.1, x, y), mpmath.sqrt, heinz(0.1)),
+             (lambda: solve_heinz_heron_matrix(0.1, x, y), heinz(0.1), heron((2 * 0.1 - 1) ** 2))]
+    returned = 0
+    for solve, f_x, f_y in cases:
+        try:
+            witness = solve()
+        except ConvergenceError:
+            continue
+        returned += 1
+        assert RelativeSpectrum(witness.matrix_a, witness.matrix_b).condition > 1e12
+        assert max(_residuals_at_50_digits(mpmath, witness, [(f_x, x), (f_y, y)])) <= 1e-7
+    assert returned == 5 if seed is None else returned >= 2
+
+
+_SWEEP_MEANS = (ARITH, MeanDescriptor.heron(0.5), MeanDescriptor.heinz(0.2),
+                MeanDescriptor.weighted_geometric(0.3),
+                MeanDescriptor.from_h_density(HDensity.constant(0.3, SELF_ADJOINT)),
+                MeanDescriptor.from_h_density(HDensity.constant(0.2, SYMMETRIC)))
+
+
+def test_a_sweep_of_ill_conditioned_pair_solves_meets_no_gate_and_no_domain_error():
+    # X of condition up to 1e6, relative eigenvalues up to 1e11, six means:
+    # each solve returns a witness within 1e-7, raises ConvergenceError, or
+    # refuses a Y below the floor. A RuntimeWarning is an error in this suite
+    rng = np.random.default_rng(7)
+    seen = collections.Counter()
+    for k in range(300):
+        n, sigma = 2 + k % 3, _SWEEP_MEANS[k % len(_SWEEP_MEANS)]
+        x = random_spd(n, cond_cap=10.0 ** float(rng.uniform(0.0, 6.0)), seed=k).entries
+        root = spd_module.sqrt_pair(x)[0]
+        y = root @ _rotated(10.0 ** rng.uniform(0.0, 11.0, n), 9000 + k) @ root
+        try:
+            w = solve_matrix_pair(sigma, x, y)
+        except ConvergenceError as exc:
+            seen["non-positive" if "relative eigenvalue" in str(exc) else "convergence"] += 1
+            continue
+        except StructuralError as exc:
+            assert str(exc).startswith("Y: matrix is not positive definite")
+            seen["Y below the floor"] += 1
+            continue
+        assert w.residual_x <= 1e-7 and w.residual_y <= 1e-7
+        seen["past the gate" if RelativeSpectrum(w.matrix_a, w.matrix_b).condition > 1e12
+             else "returned"] += 1
+    assert seen["past the gate"] >= 10 and seen["non-positive"] >= 10, seen
 
 
 def test_chain_rejects_mismatched_shapes():

@@ -820,8 +820,8 @@ def test_every_public_matrix_path_checks_each_input_once(monkeypatch, path):
 def test_y_too_near_the_floor_for_the_proof_is_checked_once(monkeypatch, path):
     # Y is SPD, but its smallest eigenvalue 1.5e-12 is under twice the floor:
     # the relative spectrum cannot prove it, and SpdMatrix's floor test
-    # decides it on the entries already checked. The solves then fail (Y is
-    # below X, or its witness is too ill-conditioned), after the checks.
+    # decides it on the entries already checked. The solves then fail, as Y
+    # is below X, after the checks.
     x, y = np.eye(2), np.diag([1.0, 1.5e-12])
     as_spd(y, "Y")
     seen = _record_checks(monkeypatch, {"X": x, "Y": y})
