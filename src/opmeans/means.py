@@ -86,10 +86,11 @@ class MeanDescriptor:
     density: Optional[HDensity] = None
 
     def __post_init__(self):
-        if self.kind in _PARAMETER_FREE:
+        kind = self.kind if isinstance(self.kind, str) else None    # unknown, hashable or not
+        if kind in _PARAMETER_FREE:
             if self.param is not None or self.density is not None:
                 raise StructuralError(f"{self.kind} mean takes no parameter")
-        elif self.kind in _PARAMETRIC:
+        elif kind in _PARAMETRIC:
             if self.param is None or self.density is not None:
                 raise StructuralError(f"{self.kind} mean needs a numeric parameter")
             _check_real(f"{self.kind} parameter", self.param)
@@ -103,7 +104,7 @@ class MeanDescriptor:
                 raise StructuralError(
                     f"{self.kind} parameter must lie in [0, 1], got {p}")
             object.__setattr__(self, "param", p)
-        elif self.kind == H_DENSITY:
+        elif kind == H_DENSITY:
             if self.density is None or self.param is not None:
                 raise StructuralError("hdensity mean needs an HDensity and no scalar parameter")
             if not isinstance(self.density, HDensity):
@@ -223,9 +224,19 @@ _CATALOG = {
 }
 
 
-@lru_cache(maxsize=256)
 def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
-    """Build the representing function (with analytic derivative) of a mean."""
+    """Build the representing function (with analytic derivative) of a mean.
+
+    The one check that a mean argument is a MeanDescriptor: every public
+    entry point that takes a mean resolves it here.
+    """
+    if not isinstance(descriptor, MeanDescriptor):
+        raise StructuralError(f"mean must be a MeanDescriptor, got {type(descriptor).__name__}")
+    return _representing_function(descriptor)
+
+
+@lru_cache(maxsize=256)
+def _representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
     kind = descriptor.kind
     if kind in _CATALOG:
         cls, val, der, inverse, gamma = _CATALOG[kind]

@@ -91,6 +91,8 @@ def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 2:
         raise StructuralError("points must form a one-dimensional sequence or a (k, n) array")
+    if not np.isfinite(pts).all():      # NaN would pass the distinct-points test
+        raise StructuralError("Loewner matrix needs finite points")
     ordered = np.sort(pts, axis=-1)
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise StructuralError("Loewner matrix needs distinct points")

@@ -21,10 +21,13 @@ and its link witnesses re-evaluated as one (links, n, n) stack. A pair is its
 one-link case v = 1 (solve_matrix_pair, solve_geom_heinz_matrix). A pair
 decomposes 4 matrices (X, Z, and the witness's A and relative spectrum), a
 chain 2 + 2 * links in 4 calls: Y is proven positive definite from X's and
-Z's spectra and decomposed only when that bound falls short. Each input is
-checked once, by spd._spd_relative_spectrum: X's shape, entries, symmetry
-and floor as by as_spd, Y's first three likewise. The relative spectra of
-(X, Y) and of the witnesses take their pairs unchecked
+Z's spectra and decomposed only when that bound falls short. Every matrix
+solver checks its scalar parameters first (the mean, s, gamma0), then X and
+Y, then their relative spectrum, so a bad parameter costs no decomposition;
+each mean is resolved to its RepresentingFunction once per call and passed
+down. Each input is checked once, by spd._spd_relative_spectrum: X's shape,
+entries, symmetry and floor as by as_spd, Y's first three likewise. The
+relative spectra of (X, Y) and of the witnesses take their pairs unchecked
 (RelativeSpectrum._of); the witnesses are congruated exactly symmetric and
 tested finite. A relative spectrum takes 3 matrix products, and each
 congruation 1. The relative eigenvalues are inverted in one pass: a catalog
@@ -53,8 +56,7 @@ from .errors import (ConditioningError, ConvergenceError, DomainError, OrderErro
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     representing_function)
 from .spd import (RelativeSpectrum, _all_finite, _check_real, _frobenius,
-                  _MatrixPair, _deferred_relative_spectrum, _spd_relative_spectrum,
-                  matrix_to_json_dict)
+                  _MatrixPair, _spd_relative_spectrum, matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL = 1e-14
@@ -68,7 +70,7 @@ _EIG_CLAMP = 1e-9
 _PAIR_RESIDUAL_TOL = 1e-7
 _SCALAR_RESIDUAL_TOL = 1e-10
 _MAX_LINKS = 100_000
-_GEOMETRIC = MeanDescriptor.geometric()
+_GEOMETRIC = representing_function(MeanDescriptor.geometric())
 
 
 @dataclass(frozen=True)
@@ -248,25 +250,24 @@ def invert_phi(f: RepresentingFunction, y0: float) -> float:
 
 
 def _pair_witnesses(spectrum: RelativeSpectrum, values_a, values_b,
-                    mean_x: MeanDescriptor, mean_y: MeanDescriptor, xs, ys):
+                    fn_x: RepresentingFunction, fn_y: RepresentingFunction, xs, ys):
     """Witnesses (A, B) = (congruate(values_a), congruate(values_b)) of spectrum
-    against the targets xs, ys: one PairWitness for (n,) values and (n, n)
-    targets, or a tuple of k for (k, n) values and (k, n, n) targets. A and
-    B come from one congruation. Both target means are re-evaluated on the
-    pairs (as one stack) from their own relative spectrum, by one congruation,
-    and the residuals ||mean - target||_F / ||target||_F of each side by one
-    stacked norm. A witness stands or falls by its residuals alone: no
-    condition gate applies to a pair the solver built. Every way the
-    re-evaluation fails raises ConvergenceError: a pair past the float range,
-    an eigensolver or square-root error on A, a relative eigenvalue <= 0
-    (before either mean is evaluated), and the first pair with a residual
-    above the tolerance or NaN."""
+    against the targets xs, ys of the means fn_x, fn_y: one PairWitness for
+    (n,) values and (n, n) targets, or a tuple of k for (k, n) values and
+    (k, n, n) targets. A and B come from one congruation. Both target means
+    are re-evaluated on the pairs (as one stack) from their own relative
+    spectrum, by one congruation, and the residuals ||mean - target||_F /
+    ||target||_F of each side by one stacked norm. A witness stands or falls
+    by its residuals alone: no condition gate applies to a pair the solver
+    built. Every way the re-evaluation fails raises ConvergenceError: a pair
+    past the float range, an eigensolver or square-root error on A, a
+    relative eigenvalue <= 0 (before either mean is evaluated), and the first
+    pair with a residual above the tolerance or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         mats = spectrum.congruate(np.array((values_a, values_b)))
     if not _all_finite(mats):
         raise ConvergenceError("solution left the representable range: the witness overflows")
     mats_a, mats_b = mats
-    fn_x, fn_y = representing_function(mean_x), representing_function(mean_y)
     try:
         pairs = RelativeSpectrum._of(mats_a, mats_b)    # congruated exactly symmetric
     except ConditioningError as exc:
@@ -310,18 +311,16 @@ def solve_matrix_pair(sigma: MeanDescriptor, x, y) -> PairWitness:
     Every relative eigenvalue is checked against that range, as invert_phi
     checks its target, before any is inverted.
     """
-    return _geometric_pair(sigma, *_spd_relative_spectrum(x, y))
+    return _geometric_pair(representing_function(sigma), *_spd_relative_spectrum(x, y))
 
 
-def _geometric_pair(sigma: MeanDescriptor, xa: np.ndarray, ya: np.ndarray,
+def _geometric_pair(fn: RepresentingFunction, xa: np.ndarray, ya: np.ndarray,
                     spectrum: RelativeSpectrum) -> PairWitness:
-    """The witness (A, B) of A # B = X, A sigma B = Y from spectrum, the
-    relative spectrum of (X, Y): its eigenvalues are inverted in one pass
-    into the roots t, and (A, B) congruate (t, 1/t)."""
-    fn = representing_function(sigma)
+    """The witness (A, B) of A # B = X, A sigma B = Y, sigma the mean of fn,
+    from spectrum, the relative spectrum of (X, Y): its eigenvalues are
+    inverted in one pass into the roots t, and (A, B) congruate (t, 1/t)."""
     roots = _invert_realize(fn, spectrum.eigenvalues)
-    return _pair_witnesses(spectrum, roots, 1.0 / roots, _GEOMETRIC,
-                           sigma, xa, ya)
+    return _pair_witnesses(spectrum, roots, 1.0 / roots, _GEOMETRIC, fn, xa, ya)
 
 
 def _power_index(value: float, gamma0: float) -> int:
@@ -349,8 +348,6 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     gamma0 defaults to sqrt(gamma) (2 when gamma is infinite) and must lie
     strictly between 1 and gamma.
     """
-    # the spectrum's own error comes after sigma's and gamma0's
-    xa, ya, spectrum = _deferred_relative_spectrum(x, y)
     fn = representing_function(sigma)
     gamma = fn.realize_gamma
     if not gamma > 1.0:
@@ -364,10 +361,9 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
         raise OutOfRangeError(
             f"gamma0 = {gamma0!r} must lie strictly between 1 and gamma = {gamma!r}")
 
+    xa, ya, spectrum = _spd_relative_spectrum(x, y)
     if np.array_equal(xa, ya):
         return ChainWitness((xa.copy(),), gamma0, ())
-    if not isinstance(spectrum, RelativeSpectrum):
-        raise spectrum
     lams = _ordered_eigenvalues(spectrum)
     count = max(1, _power_index(float(lams.max()), gamma0) + 1)
     if count > _MAX_LINKS:
@@ -379,7 +375,7 @@ def build_monotone_chain(sigma: MeanDescriptor, x, y,
     ratios = nodes[1:] / nodes[:-1]
     deltas = _invert_realize(fn, ratios.ravel()).reshape(ratios.shape)
     witnesses = _pair_witnesses(spectrum, nodes[:-1] * deltas, nodes[:-1] / deltas,
-                                _GEOMETRIC, sigma, links[:-1], links[1:])
+                                _GEOMETRIC, fn, links[:-1], links[1:])
     return ChainWitness(tuple(links), gamma0, witnesses)
 
 
@@ -584,8 +580,9 @@ def solve_heinz_heron_matrix(s: float, x, y) -> PairWitness:
     if not ratios.all():    # u = 0 makes Heinz_s(1, u) = 0 and the pair infinite
         raise ConvergenceError(f"solution left the representable range (c = {float(cs.max())!r})")
     d = heinz_pair(s, 1.0, ratios)
-    return _pair_witnesses(spectrum, 1.0 / d, ratios / d, MeanDescriptor.heinz(s),
-                           MeanDescriptor.heron(alpha * alpha), xa, ya)
+    return _pair_witnesses(spectrum, 1.0 / d, ratios / d,
+                           representing_function(MeanDescriptor.heinz(s)),
+                           representing_function(MeanDescriptor.heron(alpha * alpha)), xa, ya)
 
 
 def geom_heinz_ratio(s: float, x: float) -> float:
@@ -626,4 +623,4 @@ def solve_geom_heinz_matrix(s: float, x, y) -> PairWitness:
     s = _validate_heinz_heron_parameter(s)
     xa, ya, spectrum = _spd_relative_spectrum(x, y)
     _ordered_eigenvalues(spectrum)     # X <= Y
-    return _geometric_pair(MeanDescriptor.heinz(s), xa, ya, spectrum)
+    return _geometric_pair(representing_function(MeanDescriptor.heinz(s)), xa, ya, spectrum)

@@ -30,7 +30,9 @@ matrix returned for its caller to symmetrize). They run in four places:
   * sym_eigendecompose and min_eig_and_norm, for a symmetric matrix;
   * _spd_relative_spectrum, for the solvers' and the CLI's pair (X, Y): X
     by as_spd, Y's entries once, and Y's floor proven from the pair's
-    relative spectrum or else tested by _above_floor on those entries.
+    relative spectrum or else tested by _above_floor on those entries. It
+    raises each error where it finds it: X's, then Y's (its floor
+    included), then the spectrum's (a shape mismatch, an overflow).
 _one_matrix holds the one-matrix shape check and the name prefix of as_spd
 and _spd_relative_spectrum. RelativeSpectrum._of takes a checked pair, or
 one built exactly symmetric, without checking it.
@@ -48,7 +50,7 @@ from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralErr
 
 SYMMETRY_RTOL = 1e-12      # admissible asymmetry, relative to max(1, ||M||_F)
 PD_FLOOR_RTOL = 1e-12      # positive definiteness floor, relative to ||M||_F
-_PD_PROOF_ULPS = 64        # rounding allowance of _deferred_relative_spectrum, in n * eps
+_PD_PROOF_ULPS = 64        # rounding allowance of _spd_relative_spectrum, in n * eps
 _EPS = float(np.finfo(float).eps)
 
 
@@ -320,21 +322,11 @@ def _one_matrix(m, name: str, check):
 
 
 def _spd_relative_spectrum(x, y, names=("X", "Y")) -> tuple:
-    """(X, Y, RelativeSpectrum(X, Y)) of _deferred_relative_spectrum, whose
-    error, if the spectrum raised one, is raised here, after X's and Y's."""
-    xa, ya, spectrum = _deferred_relative_spectrum(x, y, names)
-    if not isinstance(spectrum, RelativeSpectrum):
-        raise spectrum
-    return xa, ya, spectrum
-
-
-def _deferred_relative_spectrum(x, y, names=("X", "Y")) -> tuple:
-    """(X, Y, spectrum) for a pair of single matrices that must be SPD: X and
-    Y the entries, and the errors, of as_spd(x, names[0]) and as_spd(y,
-    names[1]), in that order, and spectrum RelativeSpectrum(X, Y), or the
-    error computing it raised (a shape mismatch, an overflow), returned for
-    the caller to raise where it belongs. Each matrix is checked once, here;
-    the spectrum takes them unchecked (RelativeSpectrum._of).
+    """(X, Y, RelativeSpectrum(X, Y)) for a pair of single matrices that must
+    be SPD: X and Y the entries, and the errors, of as_spd(x, names[0]) and
+    as_spd(y, names[1]), in that order, then the spectrum's own (a shape
+    mismatch, an overflow). Each matrix is checked once, here; the spectrum
+    takes them unchecked (RelativeSpectrum._of).
 
     Y is decomposed only when the spectrum cannot prove it SPD. X's kept
     decomposition is exact for an X' = V diag(w) V^T near X, and Y =
@@ -353,16 +345,17 @@ def _deferred_relative_spectrum(x, y, names=("X", "Y")) -> tuple:
         _check_same_shape(xs.entries, ya)
         with np.errstate(all="ignore"):     # every warning comes with an error
             spectrum = RelativeSpectrum._of(xs, ya)
-    except (StructuralError, ConditioningError) as exc:
-        spectrum = exc
-    if not proven and isinstance(spectrum, RelativeSpectrum):
+    except (StructuralError, ConditioningError):
+        if not proven:      # Y's own error comes before the spectrum's
+            _one_matrix(ya, name, _above_floor)
+        raise
+    if not proven:
         w, lam = xs._spectrum[0], spectrum.eigenvalues
         rounding = _PD_PROOF_ULPS * len(w) * _EPS
         kappa, lo = float(w[0]) / float(w[-1]), float(lam[-1])
         bound = float(w[-1]) * (lo - rounding * kappa * max(float(lam[0]), -lo))
-        proven = bound > (2.0 * PD_FLOOR_RTOL + rounding) * float(_frobenius(ya))
-    if not proven:
-        _one_matrix(ya, name, _above_floor)     # raises unless Y is SPD
+        if not bound > (2.0 * PD_FLOOR_RTOL + rounding) * float(_frobenius(ya)):
+            _one_matrix(ya, name, _above_floor)     # raises unless Y is SPD
     return xs.entries, ya, spectrum
 
 

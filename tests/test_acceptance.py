@@ -23,6 +23,8 @@ from opmeans import (SELF_ADJOINT, SYMMETRIC, HDensity, MeanDescriptor,
                      solve_heinz_heron_matrix, solve_matrix_pair,
                      verify_inequality_chain)
 
+from mp_oracle import loewner_min_eigenvalue, transfer_min_eigenvalue
+
 GEO = MeanDescriptor.geometric()
 ARITH = MeanDescriptor.arithmetic()
 
@@ -216,19 +218,20 @@ def test_acceptance_04_inequality_chains():
 
 # --------------------------------------------------------------- criterion 5
 
+_CALIBRATION_REFUTED = (("square", lambda t: t * t), ("cube", lambda t: t ** 3),
+                        ("scaled-exp", lambda t: math.expm1(t) / math.expm1(1.0)))
+
+
 def test_acceptance_05_monotonicity_calibration():
     failures = []
     monotone = [("sqrt", np.sqrt), ("identity", lambda t: t),
                 ("harmonic-rep", lambda t: 2.0 * t / (1.0 + t)),
                 ("power-0.3", lambda t: t ** 0.3),
                 ("heinz-rep", lambda t: 0.5 * (t ** 0.25 + t ** 0.75))]
-    refuted = [("square", lambda t: t * t),
-               ("cube", lambda t: t ** 3),
-               ("scaled-exp", lambda t: math.expm1(t) / math.expm1(1.0))]
     for name, f in monotone:
         if is_operator_monotone_sampled(f).status != "consistent":
             failures.append(f"{name} wrongly refuted")
-    for name, f in refuted:
+    for name, f in _CALIBRATION_REFUTED:
         if is_operator_monotone_sampled(f).status != "refuted":
             failures.append(f"{name} not refuted")
         verdict = falsify_transfer(f, GEO, ARITH, trials=1000, seed=11)
@@ -479,3 +482,39 @@ def test_acceptance_09_paper_claims():
     for claim, rows in _PENDING_CLAIMS.items() for row in rows])
 def test_acceptance_09_paper_claims_pending(claim, name, f, sigma, tau, expected, how):
     assert _reached(f, sigma, tau, how) == expected
+
+
+# ----------------------------------------- refutations re-verified at 50 digits
+
+def _mp_functions(mpmath):
+    """The functions acceptance 05 and 09 refute, by name, on mpf values."""
+    return {"square": lambda t: t * t, "cube": lambda t: t ** 3,
+            "scaled-exp": lambda t: mpmath.expm1(t) / mpmath.expm1(1),
+            "t^2": lambda t: t * t, "t^1.01": lambda t: t ** 1.01,
+            "t^1.001": lambda t: t ** 1.001, "exp t": mpmath.exp}
+
+
+def test_refutations_of_acceptance_05_and_09_hold_at_50_digits():
+    # recomputing a refutation in the same float arithmetic re-verifies
+    # nothing: each witness's min eigenvalue is recomputed at 50 digits, and
+    # must lie below the threshold that refuted it, tol times ||L||_F for a
+    # Loewner witness and tol times max(1, ||D||_F) for a pair
+    mpmath = pytest.importorskip("mpmath")
+    mp_f, tol, failures = _mp_functions(mpmath), 1e-8, []
+    # acceptance 05's functions, 09's other two, and one closer to t
+    for name, f in (*_CALIBRATION_REFUTED, *_NOT_OM[1:], ("t^1.001", lambda t: t ** 1.001)):
+        witness = is_operator_monotone_sampled(f).witness
+        low, norm = loewner_min_eigenvalue(mpmath, witness, mp_f[name])
+        if not low < -tol * norm:
+            failures.append(f"Loewner witness of {name}: {float(low / norm):.3e}")
+    rows = [(name, f, GEO, ARITH, 11) for name, f in _CALIBRATION_REFUTED] + [
+        (name, f, sigma, tau, 0) for rows in _PAPER_CLAIMS.values()
+        for name, f, sigma, tau, expected, _ in rows if expected == "refuted"]
+    assert len(rows) == 3 + 24
+    for name, f, sigma, tau, seed in rows:
+        witness = falsify_transfer(f, sigma, tau, trials=1000, seed=seed).witness
+        low, norm = transfer_min_eigenvalue(mpmath, witness, mp_f[name], sigma, tau)
+        if not low < -tol * max(1, norm):
+            failures.append(f"pair witness of {name} on ({sigma.describe()}, {tau.describe()}): "
+                            f"{float(low / max(1, norm)):.3e}")
+    assert failures == []

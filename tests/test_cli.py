@@ -19,6 +19,8 @@ from opmeans import cli, hdensity, jsonio
 from opmeans.cli import main
 from opmeans.means import arithmetic_pair, geometric_pair, heinz_pair, heron_pair
 
+import om_grammar
+
 # each verb echoes the defaults of the options it takes, and only those
 _SAMPLED_ECHO = {"tol": 1e-8, "trials": 1000, "seed": 42}
 DEFAULT_ECHO = {"eval-mean": {}, "rep-eval": {}, "solve-pair": {},
@@ -215,37 +217,11 @@ def test_check_monotone_of_a_scaled_monotone_function_is_consistent(fn, capsys):
     assert main(["check-monotone", "--fn", fn]) == 0
 
 
-# operator monotone by construction (sums, positive multiples, powers in
-# (0, 1], log(c + f), d - d/(e + f) and t/(c + f) of operator monotone f),
-# yet each is refuted at the CLI defaults, after 1 to 799 trials
-_GRAMMAR_FALSE_REFUTATIONS = [
-    "log(0.00129 + t/(0.0262 + t))",
-    "log(0.00319 + t/(0.00262 + (0.000157 + t)))",
-    "(t + ((0.00789 + (t)^0.879) + (392000 - 392000/(8.45e-06 + t/(1.19e-06 + t)))))",
-    "(1.74 - 1.74/(7.41e-06 + t/(6.09e-06 + t)))",
-    "log(0.000123 + t/(0.104 + t))",
-    "(238000 - 238000/(1.01 + 5.73*1.09e-05*(t)^0.348))",
-    "5.42e+07*log(1.41e-09 + (sqrt(t/(6.19e-09 + t)))^0.151)",
-    "(2.58e-06 - 2.58e-06/(4.22e-05 + t/(7.08e-09 + (1.67e-09 + t))))",
-    "16300*(2.32 - 2.32/(0.00072 + sqrt(sqrt(t/(0.000159 + t)))))",
-    "29000*log(8.06e-06 + t/(1.24e-06 + t))",
-    "log(3.3e-09 + t/(1.88e-07 + t))",
-    "1.41e+07*(17400 - 17400/(0.0127 + t/(3.38e-06 + t)))",
-    "log(2.39e-09 + (((log(584 + t))^0.37)^0.25)^0.073)",
-    "(8.38e-09 + (29.3 - 29.3/(0.000233 + (1.33e-09 + t/(0.168 + t)))))",
-    "84.8*(4.65e-07 - 4.65e-07/(1.18e-05 + t/(3.71e-05 + t)))",
-    "(1.07e-06 - 1.07e-06/(9.89e-08 + (t/(1.43e-05 + t) + t/(1.53e+06 + t))))",
-    "(33.6 - 33.6/(0.000541 + t/(2.46e-06 + t)))",
-    "(8.13e-09 + (0.00508 - 0.00508/(1.19e-06 + t/(0.000461 + t))))",
-    "0.0117*log(1.2e-09 + t/(1.09e-07 + t))",
-    "9.81e-10*(547000 - 547000/(0.00983 + t/(0.0317 + t)))",
-    "log(3.4e-07 + t/(0.105 + t))",
-]
-
-
+# operator monotone by construction (tests/om_grammar.py), yet each is
+# refuted at the CLI defaults, after 1 to 799 trials
 @pytest.mark.xfail(strict=True, reason="rounding error in a parsed expression reads as a "
                                       "refutation until parsed functions carry an error bound")
-@pytest.mark.parametrize("fn", _GRAMMAR_FALSE_REFUTATIONS)
+@pytest.mark.parametrize("fn", om_grammar.PINNED)
 def test_check_monotone_of_a_grammar_monotone_function_is_consistent(fn, capsys):
     assert main(["check-monotone", "--fn", fn]) == 0
 

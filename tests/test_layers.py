@@ -46,3 +46,28 @@ def test_no_module_imports_a_private_name_of_monocheck():
     found = [(module, name) for module, target, names, _ in _package_imports()
              if target == "monocheck" for name in names if name.startswith("_")]
     assert found == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # a re-export counts as a use: the facade names what it imports in
+    # __all__, and a binding kept for others to patch says so by its noqa
+    found = []
+    for path in sorted(Path(opmeans.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(source), source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    found.append(f"{path.stem} imports {name} and never uses it")
+    assert found == []

@@ -1,5 +1,6 @@
 """Mean catalog: descriptors, closed forms, spectral evaluation, axioms."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeans import (SELF_ADJOINT, SYMMETRIC, ConditioningError, HDensity,
-                     MeanDescriptor, StructuralError, UsageError, eval_mean,
-                     parse_mean_descriptor, random_spd, representing_function,
-                     verify_mean_axioms)
+                     MeanDescriptor, StructuralError, UsageError, build_monotone_chain,
+                     eval_mean, falsify_transfer, ka_condition_check, parse_mean_descriptor,
+                     random_spd, representing_function, solve_matrix_pair,
+                     solve_scalar_geometric_pair, verify_mean_axioms)
 from opmeans import spd as spd_module
 from opmeans.spd import random_spd_from
 
@@ -143,6 +145,9 @@ def test_descriptor_validation():
         MeanDescriptor("arithmetic", param=0.5)
     with pytest.raises(UsageError):
         MeanDescriptor("nonsense")
+    for kind in (["x"], None, 3):       # not a string, hashable or not
+        with pytest.raises(UsageError, match=re.escape(f"unknown mean kind {kind!r}")):
+            MeanDescriptor(kind)
 
 
 def test_parse_mean_descriptor_forms(tmp_path):
@@ -301,3 +306,26 @@ def test_mean_parameter_must_be_a_real_number(kind, param):
         MeanDescriptor(kind, param=param)
     assert str(info.value) == f"{kind} parameter must be a real number, got {param!r}"
     assert MeanDescriptor(kind, param=np.float64(0.25)).param == 0.25
+
+
+_ARITH, _HARM, _I = MeanDescriptor.arithmetic(), MeanDescriptor.harmonic(), np.eye(2)
+_TAKES_A_MEAN = {
+    "representing_function": representing_function,
+    "eval_mean": lambda m: eval_mean(_I, 2.0 * _I, m),
+    "solve_matrix_pair": lambda m: solve_matrix_pair(m, _I, 2.0 * _I),
+    "solve_scalar_geometric_pair": lambda m: solve_scalar_geometric_pair(m, 1.0, 2.0),
+    "build_monotone_chain": lambda m: build_monotone_chain(m, _I, 2.0 * _I),
+    "falsify_transfer-sigma": lambda m: falsify_transfer(np.sqrt, m, _ARITH),
+    "falsify_transfer-tau": lambda m: falsify_transfer(np.sqrt, _HARM, m),
+    "ka_condition_check-sigma": lambda m: ka_condition_check(m, _ARITH),
+    "ka_condition_check-tau": lambda m: ka_condition_check(_ARITH, m),
+    "verify_mean_axioms": verify_mean_axioms}
+
+
+@pytest.mark.parametrize("mean", ["arithmetic", None, ["a"], 3])
+@pytest.mark.parametrize("entry", _TAKES_A_MEAN)
+def test_a_mean_that_is_not_a_mean_descriptor_raises_structural_error(entry, mean):
+    # was an AttributeError on .kind, or a TypeError from the cache's hash
+    with pytest.raises(StructuralError,
+                       match=f"^mean must be a MeanDescriptor, got {type(mean).__name__}$"):
+        _TAKES_A_MEAN[entry](mean)

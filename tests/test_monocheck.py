@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_p
 from opmeans import monocheck
 from opmeans.errors import DOMAIN_ERRORS
 from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
+
+import om_grammar
 
 EPS = float(np.finfo(float).eps)
 
@@ -59,6 +62,27 @@ def test_loewner_rejects_duplicates_and_handles_empty():
     with pytest.raises(StructuralError):
         loewner_matrix([1.0, 1.0], np.sqrt)
     assert loewner_matrix([], np.sqrt).shape == (0, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: rounding error in a parsed expression reads as a "
+                          "refutation until refutations are checked at high precision")
+def test_no_expression_of_the_monotone_grammar_is_refuted():
+    # a seeded batch, never re-seeded, and the expressions earlier runs found
+    rng = np.random.default_rng(0)
+    batch = [om_grammar.monotone(rng)[0] for _ in range(150)]
+    assert om_grammar.refuted(batch + om_grammar.PINNED) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_loewner_rejects_non_finite_points_before_calling_f(bad):
+    # NaN passed the distinct-points test, and f made a NaN matrix with warnings
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="^Loewner matrix needs finite points$"):
+            loewner_matrix([1.0, bad], lambda t: calls.append(t) or np.sqrt(t))
+    assert calls == []
 
 
 def test_vectorized_function_is_called_on_whole_point_sets():

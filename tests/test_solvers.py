@@ -31,6 +31,8 @@ from opmeans import (ConditioningError, ConvergenceError, DomainError,
 from opmeans.hdensity import SELF_ADJOINT, SYMMETRIC, HDensity
 from opmeans.means import RepresentingFunction
 
+from mp_oracle import DIGITS, mp_mean, mp_representing
+
 ARITH = MeanDescriptor.arithmetic()
 GEO = MeanDescriptor.geometric()
 HARM = MeanDescriptor.harmonic()
@@ -831,9 +833,10 @@ def test_pair_witnesses_raise_on_the_first_pair_that_misses():
     values_a, values_b = np.array([[4.0, 4.0], [9.0, 9.0]]), np.ones((2, 2))
     xs = np.array([2.0, 3.0])[:, None, None] * np.eye(2)
     ys = np.array([2.5, 5.0])[:, None, None] * np.eye(2)
-    single = solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], GEO, ARITH,
+    geo, arith = representing_function(GEO), representing_function(ARITH)
+    single = solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], geo, arith,
                                             xs[1], ys[1])
-    stacked = solvers_module._pair_witnesses(spectrum, values_a, values_b, GEO, ARITH, xs, ys)
+    stacked = solvers_module._pair_witnesses(spectrum, values_a, values_b, geo, arith, xs, ys)
     assert isinstance(single, PairWitness) and len(stacked) == 2
     for w, want in zip((single, *stacked), (5.0, 2.5, 5.0)):
         assert type(w.residual_x) is float and type(w.residual_y) is float
@@ -841,9 +844,9 @@ def test_pair_witnesses_raise_on_the_first_pair_that_misses():
         assert np.allclose(w.matrix_a + w.matrix_b, 2.0 * want * np.eye(2))
     ys[1] *= 1.2
     with pytest.raises(ConvergenceError, match=r"residuals too large: .* 1\.667e-01$"):
-        solvers_module._pair_witnesses(spectrum, values_a, values_b, GEO, ARITH, xs, ys)
+        solvers_module._pair_witnesses(spectrum, values_a, values_b, geo, arith, xs, ys)
     with pytest.raises(ConvergenceError, match=r"residuals too large: .* 1\.667e-01$"):
-        solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], GEO, ARITH,
+        solvers_module._pair_witnesses(spectrum, values_a[1], values_b[1], geo, arith,
                                        xs[1], ys[1])
 
 
@@ -867,19 +870,21 @@ def test_witnesses_past_the_callers_condition_gate_are_judged_by_their_residuals
 
 def test_every_failure_of_the_witness_re_evaluation_is_a_convergence_error(monkeypatch):
     spectrum, xs = RelativeSpectrum(np.eye(2), np.eye(2)), 2.0 * np.eye(2)
-    density = MeanDescriptor.from_h_density(HDensity.constant(0.3, SYMMETRIC))
+    geo, arith = representing_function(GEO), representing_function(ARITH)
+    density = representing_function(MeanDescriptor.from_h_density(
+        HDensity.constant(0.3, SYMMETRIC)))
     # a non-positive relative eigenvalue, found before any mean is evaluated
     # there: no RuntimeWarning (an error here) from sqrt, no DomainError from
     # the density
-    for mean_y in (ARITH, density):
+    for mean_y in (arith, density):
         with pytest.raises(ConvergenceError,
                            match=r"^pair solve witness has relative eigenvalue -2\.500e-01 <= 0$"):
             solvers_module._pair_witnesses(spectrum, np.array([4.0, 4.0]), np.array([-1.0, 1.0]),
-                                           GEO, mean_y, xs, xs)
+                                           geo, mean_y, xs, xs)
     # the witness's A has no square root
     with pytest.raises(ConvergenceError, match=r"^pair solve witness cannot be re-evaluated: "
                        r"square root of A needs a positive spectrum, got -1\.0$"):
-        solvers_module._pair_witnesses(spectrum, np.array([-1.0, 4.0]), np.ones(2), GEO, ARITH,
+        solvers_module._pair_witnesses(spectrum, np.array([-1.0, 4.0]), np.ones(2), geo, arith,
                                        xs, xs)
     # the eigensolver fails on the witness's A (call 3 of a pair solve) or
     # on its relative spectrum (call 4)
@@ -900,35 +905,22 @@ def test_every_failure_of_the_witness_re_evaluation_is_a_convergence_error(monke
         assert len(calls) == failing
     monkeypatch.setattr(spd_module, "_eigh", real_eigh)
     # a NaN residual fails, where a test of got > tol would let it pass
-    real_rep = solvers_module.representing_function
-    monkeypatch.setattr(solvers_module, "representing_function", lambda m: dataclasses.replace(
-        real_rep(m), value=lambda t: np.full_like(t, np.nan)) if m == ARITH else real_rep(m))
+    nan_arith = dataclasses.replace(arith, value=lambda t: np.full_like(t, np.nan))
     with pytest.raises(ConvergenceError, match=r"^pair solve witness residuals too large: "
                                                r"geometric mean 0\.000e\+00, arithmetic mean nan$"):
-        solvers_module._pair_witnesses(spectrum, np.array([4.0, 4.0]), np.ones(2), GEO, ARITH,
+        solvers_module._pair_witnesses(spectrum, np.array([4.0, 4.0]), np.ones(2), geo, nan_arith,
                                        xs, 2.5 * np.eye(2))
-
-
-def _mp_mean(mpmath, a, b, f):
-    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} at mpmath's working precision,
-    from the float entries of a and b taken exactly."""
-    w, v = mpmath.eigsy(mpmath.matrix(a.tolist()))
-    root = v * mpmath.diag([mpmath.sqrt(x) for x in w]) * v.T
-    inv_root = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T
-    lam, u = mpmath.eigsy(inv_root * mpmath.matrix(b.tolist()) * inv_root)
-    c = root * u
-    return c * mpmath.diag([f(x) for x in lam]) * c.T
 
 
 def _residuals_at_50_digits(mpmath, witness, targets):
     """||mean - target||_F / ||target||_F of each (f, target) of targets, both
     means of the witness recomputed at 50 digits: no arithmetic of the package
     is reused."""
-    with mpmath.workdps(50):
+    with mpmath.workdps(DIGITS):
         out = []
         for f, target in targets:
             want = mpmath.matrix(target.tolist())
-            got = _mp_mean(mpmath, witness.matrix_a, witness.matrix_b, f)
+            got = mp_mean(mpmath, witness.matrix_a, witness.matrix_b, f)
             out.append(float(mpmath.mnorm(got - want, "f") / mpmath.mnorm(want, "f")))
         return out
 
@@ -943,10 +935,10 @@ def test_witnesses_near_the_edge_re_verify_at_50_digits(seed, top):
     mpmath = pytest.importorskip("mpmath")
 
     def heinz(s):
-        return lambda t: (t ** s + t ** (1 - s)) / 2
+        return mp_representing(mpmath, MeanDescriptor.heinz(s))
 
     def heron(s):
-        return lambda t: s * (1 + t) / 2 + (1 - s) * mpmath.sqrt(t)
+        return mp_representing(mpmath, MeanDescriptor.heron(s))
 
     x = np.eye(2) if seed is None else _rotated([1.0, 4.0], seed)
     root = spd_module.sqrt_pair(x)[0]
@@ -1544,15 +1536,45 @@ def test_invalid_y_raises_as_spds_error(solver, x, y):
         _TARGET_SOLVERS[solver]([[2.0, 1.0], [0.0, 2.0]], y)
 
 
-def test_chain_raises_ys_error_before_gamma0s_and_the_spectrums_after():
-    with pytest.raises(StructuralError, match="^Y: matrix is not positive definite"):
+def test_chain_raises_gamma0s_error_before_ys_and_ys_before_the_spectrums():
+    with pytest.raises(OutOfRangeError, match="^gamma0 = 0.5 must lie"):
         build_monotone_chain(ARITH, np.eye(2), np.diag([1.0, -1.0]), gamma0=0.5)
     with pytest.raises(OutOfRangeError, match="^gamma0 = 0.5 must lie"):
         build_monotone_chain(ARITH, np.eye(2), 2.0 * np.eye(3), gamma0=0.5)
     with pytest.raises(OutOfRangeError, match="^gamma0 = 0.5 must lie"):
         build_monotone_chain(ARITH, _TINY, 1e10 * np.eye(2), gamma0=0.5)
+    with pytest.raises(StructuralError, match="^Y: matrix is not positive definite"):
+        build_monotone_chain(ARITH, np.eye(2), np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(StructuralError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)"):
         build_monotone_chain(ARITH, np.eye(2), 2.0 * np.eye(3))
+
+
+_BAD_PARAMETER = {
+    "pair": (lambda x, y: solve_matrix_pair("arithmetic", x, y), StructuralError,
+             "^mean must be a MeanDescriptor, got str$"),
+    "chain": (lambda x, y: build_monotone_chain(HARM, x, y), UnsupportedMeanError,
+              "^chain construction needs gamma > 1"),
+    "heinz-heron": (lambda x, y: solve_heinz_heron_matrix(0.5, x, y), StructuralError,
+                    "^s = 1/2 is degenerate"),
+    "geom-heinz": (lambda x, y: solve_geom_heinz_matrix(0.5, x, y), StructuralError,
+                   "^s = 1/2 is degenerate")}
+
+
+@pytest.mark.parametrize("solver", _TARGET_SOLVERS)
+def test_solvers_check_parameters_then_x_then_y_then_the_spectrum(solver, monkeypatch):
+    bad_x, bad_y = np.diag([1.0, -1.0]), np.diag([1.0, -1.0, 2.0])
+    call, error, message = _BAD_PARAMETER[solver]
+    matrices = _count_eigensolved_matrices(monkeypatch)
+    with pytest.raises(error, match=message):
+        call(bad_x, bad_y)
+    assert matrices == []       # X is not even decomposed
+    solve = _TARGET_SOLVERS[solver]
+    with pytest.raises(StructuralError, match="^X: matrix is not positive definite"):
+        solve(bad_x, bad_y)
+    # Y's floor error comes before a shape mismatch and before an overflow
+    for x, y in ((np.eye(2), bad_y), (_TINY, np.diag([1e10, -1e10]))):
+        with pytest.raises(StructuralError, match="^Y: matrix is not positive definite"):
+            solve(x, y)
 
 
 @pytest.mark.parametrize("solver", _TARGET_SOLVERS)
