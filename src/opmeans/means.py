@@ -26,7 +26,7 @@ import numpy as np
 from . import hdensity, jsonio
 from .errors import ConditioningError, StructuralError, UsageError
 from .hdensity import HDensity
-from .spd import RelativeSpectrum, _check_real
+from .spd import RelativeSpectrum, _check_instance, _check_real
 from .spd import sqrt_pair  # noqa: F401 -- perfbench's tracer test patches this binding
 
 ARITHMETIC = "arithmetic"
@@ -230,8 +230,7 @@ def representing_function(descriptor: MeanDescriptor) -> RepresentingFunction:
     The one check that a mean argument is a MeanDescriptor: every public
     entry point that takes a mean resolves it here.
     """
-    if not isinstance(descriptor, MeanDescriptor):
-        raise StructuralError(f"mean must be a MeanDescriptor, got {type(descriptor).__name__}")
+    _check_instance("mean", descriptor, MeanDescriptor)
     return _representing_function(descriptor)
 
 
@@ -293,6 +292,7 @@ def mean_from_spectrum(spectrum: RelativeSpectrum, fn: RepresentingFunction) -> 
     (eval_mean, eval_mean_from_function, CLI eval-mean); the pairs the
     solvers and sampled checks build are judged otherwise.
     """
+    _check_instance("fn", fn, RepresentingFunction)
     ev, condition = spectrum.eigenvalues, spectrum.condition
     if condition > _COND_CAP if ev.ndim == 1 else (condition > _COND_CAP).any():
         raise ConditioningError(

@@ -42,9 +42,9 @@ from . import spd
 from .errors import DOMAIN_ERRORS, ConditioningError, DomainError, StructuralError, UsageError
 from .means import (MeanDescriptor, _class_residual, arithmetic_pair, eval_mean_from_function,
                     geometric_pair, harmonic_pair, heinz_pair, heron_pair, representing_function)
-from .spd import (RelativeSpectrum, SpdMatrix, _assemble, _check_matrix_size, _checked_pair,
-                  _eigh_descending, _evaluate, _evaluate_sets, _frobenius, _MatrixPair,
-                  _min_eig_and_norm, _random_spd_stack, _symmetrize)
+from .spd import (RelativeSpectrum, SpdMatrix, _all_finite, _assemble, _check_matrix_size,
+                  _checked_pair, _eigh_descending, _evaluate, _evaluate_sets, _frobenius,
+                  _MatrixPair, _min_eig_and_norm, _random_spd_stack, _symmetrize)
 
 STATUS_CONSISTENT = "consistent"
 STATUS_REFUTED = "refuted"
@@ -58,6 +58,7 @@ _ULPS = 16.0
 _NEAR_COLLISION = 3e-6
 _NEAR_REL = float(np.sqrt(_EPS))   # closer points: mean of their derivatives
 _TRANSFER_GRID = np.logspace(-6.0, 6.0, 97)
+_DRAW_CAP = 50.0       # every eigenvalue of a matrix _random_pairs draws lies in [1, _DRAW_CAP)
 
 
 def loewner_matrix(points, f: Callable, fprime: Optional[Callable] = None, *,
@@ -193,46 +194,36 @@ def _first_hit(hits: np.ndarray, faults: list, trial: np.ndarray):
     return item, int(trial[item]) + 1
 
 
-def _difference_rounding_bound(spec_a: np.ndarray, spec_b: np.ndarray,
-                               lhs: np.ndarray, rhs: np.ndarray):
-    """Bound on the eigenvalue error of the computed difference rhs - lhs.
-
-    lhs and rhs are built from means of the SPD pair (a, b) with spectra
-    spec_a and spec_b, each in either order; the means' spectra all lie in
-    the joint spectral range of a and b, and the congruences by C = a^{1/2} U
-    that evaluate them lose at most about n * eps * kappa relative, kappa
-    being the joint condition number. With _ULPS ulps per value the computed
-    difference is off by at most _ULPS * n * eps * kappa * (||lhs||_F +
-    ||rhs||_F), and by Weyl's inequality so is each of its eigenvalues.
-    Stacks of pairs give a (k,) array of bounds.
-    """
-    kappa = (np.maximum(spec_a.max(axis=-1), spec_b.max(axis=-1))
-             / np.minimum(spec_a.min(axis=-1), spec_b.min(axis=-1)))
-    scale = _frobenius(lhs) + _frobenius(rhs)
-    return _ULPS * lhs.shape[-1] * _EPS * kappa * scale
+def _difference_rounding_bound(kappa, n: int, scale):
+    """E = _ULPS * n * eps * kappa * scale, scale = ||lhs||_F + ||rhs||_F, bounds
+    the error of a computed n x n difference rhs - lhs of means of SPD pairs of
+    joint condition at most kappa, in norm and (Weyl) in each eigenvalue: the
+    means' spectra lie in the pairs' joint spectral range, and congruating by
+    C = a^{1/2} U loses about n * eps * kappa relative. Arrays give arrays."""
+    return _ULPS * n * _EPS * kappa * scale
 
 
 def _random_pairs(rng: np.random.Generator, count: int, n: int) -> tuple:
-    """count random n x n SPD pairs of condition at most 50, A then B, as
-    (SpdMatrix stack of the A's, array of the B's, their RelativeSpectrum)."""
-    mats = _random_spd_stack(rng, 2 * count, n, 50.0)     # checks n, also for no pairs
+    """count random n x n SPD pairs, A then B, as (SpdMatrix stack of the A's,
+    array of the B's, their RelativeSpectrum). A pair's joint condition
+    number lies below _DRAW_CAP, up to rounding."""
+    mats = _random_spd_stack(rng, 2 * count, n, _DRAW_CAP)     # checks n, also for no pairs
     a, b = SpdMatrix(mats[0::2]), mats[1::2]
     return a, b, RelativeSpectrum._of(a, b)
 
 
-def _pair_margins(a: SpdMatrix, b: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-                  diff: np.ndarray, tol: float) -> tuple:
-    """(min_eig, norm, refuted) of each difference rhs - lhs of means of the
-    pairs (a, b) of _random_pairs: refuted when min_eig < -(tol * max(1, norm)
-    + E), E its _difference_rounding_bound. A difference with no finite norm
-    cannot refute; its lhs, rhs and diff are zeroed in place for E and min_eig."""
+def _pair_margins(stack: np.ndarray, kappa, tol: float) -> tuple:
+    """(min_eig, norm, refuted) of each difference D = rhs - lhs of means of k
+    SPD pairs, stack the (3, k, n, n) stack of lhs, rhs and D (3k norms in one
+    pass): refuted when min_eig < -(tol * max(1, norm) + E), E the rounding
+    bound at kappa. A D with no finite norm cannot refute; it is zeroed in place."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = _frobenius(diff)
+        lhs_norm, rhs_norm, norm = _frobenius(stack)
         bounded = np.isfinite(norm)
         if not bounded.all():
-            lhs[~bounded] = rhs[~bounded] = diff[~bounded] = 0.0
-        bound = _difference_rounding_bound(a._spectrum[0], spd._eigh(b, vectors=False), lhs, rhs)
-    min_eig = spd._eigh(diff, vectors=False)[..., 0]    # none above norm in size
+            stack[2, ~bounded] = 0.0
+        bound = _difference_rounding_bound(kappa, stack.shape[-1], lhs_norm + rhs_norm)
+    min_eig = spd._eigh(stack[2], vectors=False)[..., 0]    # none above norm in size
     return min_eig, norm, bounded & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
 
 
@@ -483,8 +474,7 @@ def is_operator_monotone_sampled(f: Callable, fprime: Optional[Callable] = None,
     DomainError instead of reading as consistent.
     """
     _check_functions(f, fprime)
-    if not isinstance(config, MonoConfig):
-        raise StructuralError(f"config must be a MonoConfig, got {type(config).__name__}")
+    spd._check_instance("config", config, MonoConfig)
     d = fprime is not None
     # the grids, if any, then the other sets, drawn only when the grids refute nothing
     stages = (lambda: _grid_plan(config.grids, d),
@@ -503,15 +493,15 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     random pairs and tests f(mean_sigma) <= f(mean_tau) in the Loewner order,
     starting at 2x2 and escalating to 3x3 and 4x4. A pair refutes when the
     difference has min eigenvalue below -(tol * max(1, norm) + E), E the
-    rounding bound of _difference_rounding_bound. For operator monotone f no
-    witness exists; for many non-monotone f a 2x2 witness appears quickly.
-    f may take arrays or scalars only, as in apply_spectral_function. The
-    trials of each size run as stacks of 8, 16, 32, ... pairs up to the first
-    refuting one, f called once on the eigenvalues of all means of a stack;
-    trials_run and the witness are those of running the trials one at a
-    time. A pair whose difference has no finite norm is skipped. When f is
-    undefined on every pair drawn, it raises DomainError; with no trials it
-    is consistent.
+    _difference_rounding_bound at the draw's cap _DRAW_CAP; one whose
+    difference has no finite norm is skipped. For operator monotone f no
+    witness exists; for many non-monotone f a 2x2 one appears quickly. f may
+    take arrays or scalars only, as in apply_spectral_function. Each size's
+    trials run as stacks of 8, 16, 32, ... pairs up to the first refuting
+    one, f called once per stack, at 5 eigensolves a pair (A's validation,
+    Z, both means, the difference); trials_run and the witness are those of
+    one trial at a time. When f is undefined on every pair drawn, it raises
+    DomainError; with no trials it is consistent.
     """
     _check_functions(f)
     rep_s, rep_t = representing_function(sigma), representing_function(tau)
@@ -522,8 +512,8 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
             f"means are not pointwise ordered: f_sigma({bad:.6g}) > f_tau({bad:.6g})")
     _check_sampling(trials, seed, tol)
     rng = np.random.default_rng(seed)
-    two = int(np.ceil(trials * 0.6))
-    three = min(int(np.ceil(trials * 0.25)), trials - two)
+    two = math.ceil(trials * 0.6)
+    three = min(math.ceil(trials * 0.25), trials - two)
 
     def stacks():   # 8, 16, 32, ... pairs each: matrix k is drawn alike whatever the stack size
         for n, count in ((2, two), (3, three), (4, trials - two - three)):
@@ -538,35 +528,36 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
 def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
     """(witness, trials examined, pairs where f is defined) for the pairs
     (a, b, spectrum) of _random_pairs, as one stack, f called once on the
-    eigenvalues of all means.
-
-    A pair is skipped when f raises one of DOMAIN_ERRORS on the spectrum of
-    either mean or gives a non-finite value there, as apply_spectral_function
-    would report it, or when its difference has no finite norm. The earliest
-    refuting pair wins; another error of f on an earlier pair propagates.
-    """
+    eigenvalues of all means. A pair is skipped when f raises one of
+    DOMAIN_ERRORS on the spectrum of either mean or gives a non-finite value
+    there, as apply_spectral_function would report it, or when its
+    difference has no finite norm. The earliest refuting pair wins; another
+    error of f on an earlier pair propagates."""
     size, n = b.shape[:2]
-    # both means of every pair by one congruation; each matrix has condition
-    # at most 50, so the relative spectrum's is at most 2,500. The means are
-    # exactly symmetric: decompose them without re-validation
+    # both means of every pair by one congruation, exactly symmetric: no re-validation
     ev = spectrum.eigenvalues.ravel()
     means = spectrum.congruate(np.reshape((rep_s.value(ev), rep_t.value(ev)), (2, size, n)))
     w, v = _eigh_descending(means.reshape(2 * size, n, n))
     values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))
     values = values.reshape(2 * size, n)
-    finite = np.all(np.isfinite(values), axis=-1)
-    lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
-    usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])])
-    # skipped pairs get harmless values and their margins are ignored; with
-    # values of f near the largest float, f(mean) or the difference overflows
+    usable, faults = True, [None] * size        # the common case: f failed nowhere
+    if errors is not None or not _all_finite(values):
+        finite = np.all(np.isfinite(values), axis=-1)
+        lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
+        usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])])
+        # skipped pairs get harmless values and their margins are ignored
+        values = np.where(np.concatenate((usable, usable))[:, None], values, 1.0)
+    # with values of f near the largest float, f(mean) or the difference overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        images = _assemble(v, np.where(np.concatenate((usable, usable))[:, None], values, 1.0))
-        diff = images[size:] - images[:size]
-    min_eig, norm, refuted = _pair_margins(a, b, images[:size], images[size:], diff, tol)
+        images = _assemble(v, values).reshape(2, size, n, n)
+        stack = np.concatenate((images, (images[1] - images[0])[None]))
+    min_eig, norm, refuted = _pair_margins(stack, _DRAW_CAP, tol)
+    if usable is True and not refuted.any():    # nothing to resolve
+        return None, size, size
     item, examined = _first_hit(usable & refuted, faults, np.arange(size))
     witness = None if item is None else TransferWitness(
         a.entries[item].copy(), b[item].copy(), float(min_eig[item]), float(norm[item]))
-    return witness, examined, int(usable.sum())
+    return witness, examined, size if usable is True else int(usable.sum())
 
 
 @dataclass(frozen=True)
@@ -615,12 +606,11 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     function. Every mean of (A, B) is C diag(m(z)) C^T, z the relative
     eigenvalues and C = A^{1/2} U; the mixed one has m = lo f_sigma(hi / lo),
     lo = g_tau(z), hi = z / lo. Both sides and their difference (from the
-    scalar gap) congruate from that one spectrum, so a pair costs 4
-    eigensolves: A's validation, Z, the difference and B's eigenvalues for E.
-    A violation is a pair, drawn and judged as in falsify_transfer, whose
-    difference has min eigenvalue below -(tol * max(1, norm) + E). The
-    margin is the worst normalized eigenvalue seen; all trials run as one stack.
-    """
+    scalar gap) congruate from that one spectrum: 3 eigensolves a pair (A's
+    validation, Z, the difference), all trials as one stack. A violation is
+    a pair, drawn and judged as in falsify_transfer, whose difference has min
+    eigenvalue below -(tol * max(1, norm) + E); the margin is the worst
+    normalized eigenvalue seen."""
     _check_sampling(trials, seed, tol)
     f_sigma, g_tau = representing_function(sigma), representing_function(tau)
     a, b, spectrum = _random_pairs(np.random.default_rng(seed), trials, n)
@@ -630,8 +620,8 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     lo = g_tau.value(z)
     hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
     mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
-    lhs, rhs, diff = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
-    min_eig, norm, violated = _pair_margins(a, b, lhs, rhs, diff, tol)
+    stack = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
+    min_eig, norm, violated = _pair_margins(stack, _DRAW_CAP, tol)
     violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(), float(min_eig[i]),
                                    float(norm[i])) for i in np.flatnonzero(violated))
     return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,

@@ -34,6 +34,7 @@ from .errors import DomainError, StructuralError
 from .means import (CLASS_SELF_ADJOINT, CLASS_SYMMETRIC, RepresentingFunction,
                     _class_residual, _scalarize, arithmetic_pair)
 from .monocheck import MonoConfig, MonotonicityVerdict, is_operator_monotone_sampled
+from .spd import _check_instance
 
 DIRECTION_UP = "non-decreasing"
 DIRECTION_DOWN = "non-increasing"
@@ -84,6 +85,7 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
     (phi = 1 / realize_phi). Direction flags on (0, 1) and (1, inf) come
     from sampled differences at relative tolerance 1e-7.
     """
+    _check_instance("f", f, RepresentingFunction)
     phi = _scalarize(lambda t: np.asarray(f.value(t * t), dtype=float) / t)
     gamma = f.realize_gamma
     return PhiProfile(
@@ -96,14 +98,16 @@ def phi_profile(f: RepresentingFunction) -> PhiProfile:
         symmetry_class=f.symmetry_class)
 
 
-def _check_class_identity(fn: RepresentingFunction, want: str, op: str) -> None:
-    resid = _class_residual(fn, want, _CLASS_GRID)
+def _check_class_identity(op: str, want: str, f, g) -> None:
+    _check_instance("f", f, RepresentingFunction)
+    _check_instance("g", g, RepresentingFunction)
     name = ("symmetric (t f(1/t) = f(t))" if want == CLASS_SYMMETRIC
             else "self-adjoint (f(1/t) f(t) = 1)")
-    if resid > 1e-8:
-        raise StructuralError(
-            f"{op}: {fn.label} fails the {name} identity "
-            f"(max residual {resid:.3e})")
+    for fn in (f, g):
+        resid = _class_residual(fn, want, _CLASS_GRID)
+        if resid > 1e-8:
+            raise StructuralError(
+                f"{op}: {fn.label} fails the {name} identity (max residual {resid:.3e})")
 
 
 def _sampled_quotient(f: RepresentingFunction, g: RepresentingFunction, config,
@@ -133,8 +137,7 @@ def order_leq_sym(f: RepresentingFunction, g: RepresentingFunction,
     verdict, not a proof; refuted comes with a witness whose Loewner matrix
     has min eigenvalue below -(tol * ||L||_F + rounding bound).
     """
-    _check_class_identity(f, CLASS_SYMMETRIC, "order_leq_sym")
-    _check_class_identity(g, CLASS_SYMMETRIC, "order_leq_sym")
+    _check_class_identity("order_leq_sym", CLASS_SYMMETRIC, f, g)
     return _sampled_quotient(
         f, g, config, lambda t, fv, fp, gv, gp: arithmetic_pair(1.0, t) * fv / gv,
         lambda t, fv, fp, gv, gp: (0.5 * fv / gv
@@ -150,8 +153,7 @@ def order_leq_sa(f: RepresentingFunction, g: RepresentingFunction,
     above g (h_order verdict "geq"), mirroring how the symmetric test also
     puts its first argument in the quotient's numerator.
     """
-    _check_class_identity(f, CLASS_SELF_ADJOINT, "order_leq_sa")
-    _check_class_identity(g, CLASS_SELF_ADJOINT, "order_leq_sa")
+    _check_class_identity("order_leq_sa", CLASS_SELF_ADJOINT, f, g)
     return _sampled_quotient(f, g, config, lambda t, fv, fp, gv, gp: fv / gv,
                              lambda t, fv, fp, gv, gp: (fp * gv - fv * gp) / (gv * gv))
 
@@ -172,6 +174,7 @@ def dagger(f: RepresentingFunction) -> RepresentingFunction:
         fv = nonvanishing(t)
         return (fv - t * np.asarray(f.derivative(t), dtype=float)) / (fv * fv)
 
+    _check_instance("f", f, RepresentingFunction)
     return RepresentingFunction(f"adjoint of {f.label}", f.symmetry_class,
                                 _scalarize(lambda t: t / nonvanishing(t)),
                                 _scalarize(derivative),

@@ -55,7 +55,7 @@ from .errors import (ConditioningError, ConvergenceError, DomainError, OrderErro
                      OutOfRangeError, StructuralError, UnsupportedMeanError)
 from .means import (MeanDescriptor, RepresentingFunction, heinz_pair, heron_pair,
                     representing_function)
-from .spd import (RelativeSpectrum, _all_finite, _check_real, _frobenius,
+from .spd import (RelativeSpectrum, _all_finite, _check_instance, _check_real, _frobenius,
                   _MatrixPair, _spd_relative_spectrum, matrix_to_json_dict)
 
 _BISECT_MAX_ITER = 200
@@ -246,6 +246,7 @@ def invert_phi(f: RepresentingFunction, y0: float) -> float:
     This is the one-target case of the batched inversion the pair and chain
     solvers run.
     """
+    _check_instance("f", f, RepresentingFunction)
     return float(_invert_realize(f, [float(y0)])[0])
 
 

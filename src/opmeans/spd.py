@@ -596,6 +596,12 @@ def _check_callable(name: str, f) -> None:
         raise StructuralError(f"{name} must be callable, got {type(f).__name__}")
 
 
+def _check_instance(name: str, value, cls: type) -> None:
+    """Reject an argument (a mean, a representing function, a config) that is not a cls."""
+    if not isinstance(value, cls):
+        raise StructuralError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_real(name: str, value) -> None:
     """Reject a real parameter (a mean's s, a chain's gamma0) that is a bool or not a real."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -628,16 +634,15 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
             raise StructuralError(f"condition cap must be >= 1, got {cap!r}")
     if per_matrix and len(caps) != count:
         raise StructuralError(f"expected {count} condition caps, got {len(caps)}")
-    g = np.empty((count, n, n))
-    # eigenvalues log-uniform in [1, cap] keeps the condition number capped
-    u = np.zeros((count, n))
-    for k in range(count):
-        rng.standard_normal(out=g[k])
-        if caps[k if per_matrix else 0] > 1.0:
-            rng.random(out=u[k])
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * np.where(d >= 0.0, 1.0, -1.0)[:, None, :]
+    # eigenvalues log-uniform in [1, cap] keep the condition number capped
+    g, u = np.empty((count, n, n)), np.zeros((count, n))
+    normal, uniform = rng.standard_normal, rng.random
+    for gk, uk, cap in zip(g, u, caps if per_matrix else caps * count):
+        normal(out=gk)
+        if cap > 1.0:       # a cap of 1 draws no eigenvalues
+            uniform(out=uk)
+    # Q's column signs cancel bitwise in Q diag(lam) Q^T: each product holds one twice
+    q = np.linalg.qr(g)[0]
     # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
     # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1
     logs = [math.log(cap) for cap in caps]

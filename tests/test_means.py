@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeans import (SELF_ADJOINT, SYMMETRIC, ConditioningError, HDensity,
-                     MeanDescriptor, StructuralError, UsageError, build_monotone_chain,
-                     eval_mean, falsify_transfer, ka_condition_check, parse_mean_descriptor,
+                     MeanDescriptor, RelativeSpectrum, StructuralError, UsageError,
+                     build_monotone_chain, dagger, eval_mean, eval_mean_from_function,
+                     falsify_transfer, invert_phi, ka_condition_check, mean_from_spectrum,
+                     order_leq_sa, order_leq_sym, parse_mean_descriptor, phi_profile,
                      random_spd, representing_function, solve_matrix_pair,
                      solve_scalar_geometric_pair, verify_mean_axioms)
 from opmeans import spd as spd_module
@@ -329,3 +331,26 @@ def test_a_mean_that_is_not_a_mean_descriptor_raises_structural_error(entry, mea
     with pytest.raises(StructuralError,
                        match=f"^mean must be a MeanDescriptor, got {type(mean).__name__}$"):
         _TAKES_A_MEAN[entry](mean)
+
+
+_GEO_FN = representing_function(MeanDescriptor.geometric())
+_TAKES_A_FUNCTION = {   # entry -> (the argument's name, the call)
+    "phi_profile": ("f", phi_profile),
+    "order_leq_sym-f": ("f", lambda fn: order_leq_sym(fn, _GEO_FN)),
+    "order_leq_sym-g": ("g", lambda fn: order_leq_sym(_GEO_FN, fn)),
+    "order_leq_sa-f": ("f", lambda fn: order_leq_sa(fn, _GEO_FN)),
+    "order_leq_sa-g": ("g", lambda fn: order_leq_sa(_GEO_FN, fn)),
+    "dagger": ("f", dagger),
+    "eval_mean_from_function": ("fn", lambda fn: eval_mean_from_function(_I, 2.0 * _I, fn)),
+    "mean_from_spectrum": ("fn", lambda fn: mean_from_spectrum(RelativeSpectrum(_I, 2.0 * _I), fn)),
+    "invert_phi": ("f", lambda fn: invert_phi(fn, 1.5))}
+
+
+@pytest.mark.parametrize("fn", ["x", 3, None])
+@pytest.mark.parametrize("entry", _TAKES_A_FUNCTION)
+def test_a_function_that_is_not_a_representing_function_raises_structural_error(entry, fn):
+    # was an AttributeError on the first attribute read
+    name, call = _TAKES_A_FUNCTION[entry]
+    with pytest.raises(StructuralError, match=f"^{name} must be a RepresentingFunction, "
+                                              f"got {type(fn).__name__}$"):
+        call(fn)

@@ -21,7 +21,8 @@ from opmeans.means import (arithmetic_pair, eval_mean_from_function, geometric_p
                            heinz_pair, heron_pair, representing_function)
 from opmeans import monocheck
 from opmeans.errors import DOMAIN_ERRORS
-from opmeans.monocheck import _ULPS, _difference_rounding_bound, _scalar_chain_margin
+from opmeans.monocheck import (_DRAW_CAP, _ULPS, _difference_rounding_bound,
+                               _scalar_chain_margin)
 
 import om_grammar
 
@@ -752,6 +753,23 @@ def test_pair_records_share_one_json_layout():
             == '{' + pair + ', "min_eigenvalue": -0.5, "diff_norm": 1.5}')
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_drawn_pairs_have_joint_condition_within_the_draw_cap(n):
+    # the rounding bound of both sampled pair checks takes _DRAW_CAP for the
+    # joint condition number of every drawn pair instead of eigensolving B
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for count in (0, 1, 8, 33):
+            a, b, _ = monocheck._random_pairs(rng, count, n)
+            assert a.entries.shape == b.shape == (count, n, n)
+            for m in (a.entries, b):
+                assert np.array_equal(m, np.swapaxes(m, -1, -2))
+            for am, bm in zip(a.entries, b):
+                spec = np.concatenate((np.linalg.eigvalsh(am), np.linalg.eigvalsh(bm)))
+                assert spec.min() > 0.0
+                assert spec.max() / spec.min() <= _DRAW_CAP
+
+
 def test_transfer_rounding_bound_covers_computed_difference():
     mpmath = pytest.importorskip("mpmath")
 
@@ -779,8 +797,11 @@ def test_transfer_rounding_bound_covers_computed_difference():
             exact = (spectral(mean(am, bm, lambda x: (1 + x) / 2), cube)
                      - spectral(mean(am, bm, mpmath.sqrt), cube))
             error = np.linalg.norm((rhs - lhs) - np.array(exact.tolist(), dtype=float))
-            spectra = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
-            assert error <= _difference_rounding_bound(*spectra, lhs, rhs), k
+            # the pair's own joint condition number, tighter than the draw's cap
+            spec = np.concatenate((np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)))
+            kappa = spec.max() / spec.min()
+            scale = np.linalg.norm(lhs) + np.linalg.norm(rhs)
+            assert error <= _difference_rounding_bound(kappa, len(lhs), scale), k
 
 
 def test_inequality_chain_tight_when_equal():

@@ -392,6 +392,53 @@ def test_ka_mixed_mean_matches_the_mean_of_the_two_mixed_matrices(sigma, tau):
     assert len(report.violations) == violated
 
 
+# (sigma-tau, seed, n) -> (min_margin, number of violations, the first one's
+# min_eigenvalue) at 40 trials, as the check gave them when it still
+# eigensolved every B for the rounding bound's condition number
+_KA_PINNED = {
+    ("harm-arith", 0, 2): (-0.9999954565646164, 40, -1.4750933238997401),
+    ("harm-arith", 0, 3): (-0.9972538444844551, 40, -2.986735427685336),
+    ("harm-arith", 0, 4): (-0.9945919069535524, 40, -3.7906824230143363),
+    ("harm-arith", 1, 2): (-0.9999999979857508, 40, -1.6056589652264914),
+    ("harm-arith", 1, 3): (-0.9995193099934371, 40, -4.333755669009511),
+    ("harm-arith", 1, 4): (-0.9897490757713416, 40, -0.9978043246655917),
+    ("harm-arith", 2, 2): (-0.9999998610795114, 40, -1.5679955149598457),
+    ("harm-arith", 2, 3): (-0.999431820814357, 40, -2.42899428863954),
+    ("harm-arith", 2, 4): (-0.9968402434611673, 40, -4.165518748649302),
+    ("harm-geo", 0, 2): (-0.9999985089873487, 40, -3.15803773902517),
+    ("harm-geo", 0, 3): (-0.997463849453064, 40, -3.8235741265189374),
+    ("harm-geo", 0, 4): (-0.998263925227774, 40, -4.917756309869353),
+    ("harm-geo", 1, 2): (-0.9999999989547704, 40, -1.8068488705571162),
+    ("harm-geo", 1, 3): (-0.9998487412391025, 40, -4.95924885774601),
+    ("harm-geo", 1, 4): (-0.995915359987339, 40, -1.1066925203789628),
+    ("harm-geo", 2, 2): (-0.9999999039164464, 40, -2.2215766917555433),
+    ("harm-geo", 2, 3): (-0.9997208178806759, 40, -4.096006070514656),
+    ("harm-geo", 2, 4): (-0.9977359013875868, 40, -4.912865891986024),
+    ("heinz-arith", 0, 2): (0.0005863056048144855, 0, None),
+    ("heinz-arith", 0, 3): (0.00017494166170100366, 0, None),
+    ("heinz-arith", 0, 4): (1.0464645613950428e-05, 0, None),
+    ("heinz-arith", 1, 2): (1.428758043165411e-05, 0, None),
+    ("heinz-arith", 1, 3): (0.000626983738242561, 0, None),
+    ("heinz-arith", 1, 4): (5.318709343913925e-05, 0, None),
+    ("heinz-arith", 2, 2): (0.0003087890778243896, 0, None),
+    ("heinz-arith", 2, 3): (7.701217823766404e-06, 0, None),
+    ("heinz-arith", 2, 4): (0.00026906289231919844, 0, None),
+}
+_KA_PAIRS = {"harm-arith": (MeanDescriptor.harmonic(), MeanDescriptor.arithmetic()),
+             "harm-geo": (MeanDescriptor.harmonic(), MeanDescriptor.geometric()),
+             "heinz-arith": (MeanDescriptor.heinz(0.2), MeanDescriptor.arithmetic())}
+
+
+@pytest.mark.parametrize("key", list(_KA_PINNED), ids=lambda key: "-".join(map(str, key)))
+def test_ka_reports_are_pinned_bit_for_bit(key):
+    # a change to the margins or to the rounding bound that moves a float
+    # or flips a verdict shows here, not only in the margin's approximation
+    name, seed, n = key
+    report = ka_condition_check(*_KA_PAIRS[name], trials=40, seed=seed, n=n)
+    first = report.violations[0].min_eigenvalue if report.violations else None
+    assert (report.min_margin, len(report.violations), first) == _KA_PINNED[key]
+
+
 def test_ka_violation_json_shape():
     report = ka_condition_check(MeanDescriptor.harmonic(), MeanDescriptor.arithmetic(),
                                 trials=5, seed=0)
