@@ -119,7 +119,7 @@ def _loewner_geometry(pts: np.ndarray, derivative: bool):
     # points too close for a difference quotient (which cancellation
     # leaves no digit of) take the mean of their derivatives
     near = abs_dx <= _NEAR_REL * np.abs(pts)[..., :, None]
-    return pts, (diff_x, abs_dx, near | np.swapaxes(near, -1, -2))
+    return pts, (diff_x, abs_dx, near | near.mT)
 
 
 def _loewner_stack(geometry, values: np.ndarray, derivative):
@@ -216,13 +216,14 @@ def _pair_margins(stack: np.ndarray, kappa, tol: float) -> tuple:
     """(min_eig, norm, refuted) of each difference D = rhs - lhs of means of k
     SPD pairs, stack the (3, k, n, n) stack of lhs, rhs and D (3k norms in one
     pass): refuted when min_eig < -(tol * max(1, norm) + E), E the rounding
-    bound at kappa. A D with no finite norm cannot refute; it is zeroed in place."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs_norm, rhs_norm, norm = _frobenius(stack)
-        bounded = np.isfinite(norm)
-        if not bounded.all():
-            stack[2, ~bounded] = 0.0
-        bound = _difference_rounding_bound(kappa, stack.shape[-1], lhs_norm + rhs_norm)
+    bound at kappa. A D with no finite norm cannot refute; it is zeroed in place.
+    The error state is the caller's: it holds np.errstate with over and
+    invalid ignored, for the norms and bounds that overflow to inf."""
+    lhs_norm, rhs_norm, norm = _frobenius(stack)
+    bounded = np.isfinite(norm)
+    if not bounded.all():
+        stack[2, ~bounded] = 0.0
+    bound = _difference_rounding_bound(kappa, stack.shape[-1], lhs_norm + rhs_norm)
     min_eig = spd._eigh(stack[2], vectors=False)[..., 0]    # none above norm in size
     return min_eig, norm, bounded & (min_eig < -(tol * np.maximum(1.0, norm) + bound))
 
@@ -412,11 +413,13 @@ def _first_loewner_witness(plan: _Plan, f, fprime, tol: float):
     on a far-out set, and a violation shows up on smaller points. The earliest
     refuting set wins; another error of f on an earlier set propagates.
     """
-    values, errors = _evaluate_sets(f, plan.x.copy(), plan.lengths)
+    with np.errstate(all="ignore"):
+        values, errors = _evaluate_sets(f, plan.x.copy(), plan.lengths)
+        if fprime is not None:
+            derivs, d_errors = _evaluate_sets(fprime, plan.x.copy(), plan.lengths)
     phases = [(errors, None)]
     finite = np.isfinite(values)
     if fprime is not None:
-        derivs, d_errors = _evaluate_sets(fprime, plan.x.copy(), plan.lengths)
         phases.append((d_errors, None))
         finite &= np.isfinite(derivs)
     phases.append((None, np.logical_and.reduceat(finite, plan.starts)))
@@ -505,11 +508,7 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
     """
     _check_functions(f)
     rep_s, rep_t = representing_function(sigma), representing_function(tau)
-    fs, ft = (np.asarray(rep.value(_TRANSFER_GRID), dtype=float) for rep in (rep_s, rep_t))
-    if np.any(fs > ft + 1e-10 * np.maximum(1.0, np.abs(ft))):
-        bad = _TRANSFER_GRID[np.argmax(fs - ft)]
-        raise UsageError(
-            f"means are not pointwise ordered: f_sigma({bad:.6g}) > f_tau({bad:.6g})")
+    _check_ordered(rep_s, rep_t)
     _check_sampling(trials, seed, tol)
     rng = np.random.default_rng(seed)
     two = math.ceil(trials * 0.6)
@@ -525,6 +524,18 @@ def falsify_transfer(f: Callable, sigma: MeanDescriptor, tau: MeanDescriptor,
                    "pair")
 
 
+@lru_cache(maxsize=256)
+def _check_ordered(rep_s, rep_t) -> None:
+    """Raise UsageError unless f_sigma <= f_tau on _TRANSFER_GRID, up to
+    1e-10 relative. Cached on the two representing functions, themselves
+    cached per descriptor, so an ordered pair of means is tested once."""
+    fs, ft = (np.asarray(rep.value(_TRANSFER_GRID), dtype=float) for rep in (rep_s, rep_t))
+    if np.any(fs > ft + 1e-10 * np.maximum(1.0, np.abs(ft))):
+        bad = _TRANSFER_GRID[np.argmax(fs - ft)]
+        raise UsageError(
+            f"means are not pointwise ordered: f_sigma({bad:.6g}) > f_tau({bad:.6g})")
+
+
 def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
     """(witness, trials examined, pairs where f is defined) for the pairs
     (a, b, spectrum) of _random_pairs, as one stack, f called once on the
@@ -538,20 +549,23 @@ def _first_transfer_witness(a, b, spectrum, f, rep_s, rep_t, tol: float):
     ev = spectrum.eigenvalues.ravel()
     means = spectrum.congruate(np.reshape((rep_s.value(ev), rep_t.value(ev)), (2, size, n)))
     w, v = _eigh_descending(means.reshape(2 * size, n, n))
-    values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))
-    values = values.reshape(2 * size, n)
-    usable, faults = True, [None] * size        # the common case: f failed nowhere
-    if errors is not None or not _all_finite(values):
-        finite = np.all(np.isfinite(values), axis=-1)
-        lhs_errors, rhs_errors = (None, None) if errors is None else (errors[:size], errors[size:])
-        usable, faults = _resolve(size, [(lhs_errors, finite[:size]), (rhs_errors, finite[size:])])
-        # skipped pairs get harmless values and their margins are ignored
-        values = np.where(np.concatenate((usable, usable))[:, None], values, 1.0)
-    # with values of f near the largest float, f(mean) or the difference overflows
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the stack's one error state, for _evaluate_sets and _pair_margins: with
+    # values of f near the largest float, f(mean) or the difference overflows
+    with np.errstate(all="ignore"):
+        values, errors = _evaluate_sets(f, w.ravel(), np.full(2 * size, n))
+        values = values.reshape(2 * size, n)
+        usable, faults = True, [None] * size        # the common case: f failed nowhere
+        if errors is not None or not _all_finite(values):
+            finite = np.all(np.isfinite(values), axis=-1)
+            lhs_errors, rhs_errors = ((None, None) if errors is None
+                                      else (errors[:size], errors[size:]))
+            usable, faults = _resolve(size, [(lhs_errors, finite[:size]),
+                                             (rhs_errors, finite[size:])])
+            # skipped pairs get harmless values and their margins are ignored
+            values = np.where(np.concatenate((usable, usable))[:, None], values, 1.0)
         images = _assemble(v, values).reshape(2, size, n, n)
         stack = np.concatenate((images, (images[1] - images[0])[None]))
-    min_eig, norm, refuted = _pair_margins(stack, _DRAW_CAP, tol)
+        min_eig, norm, refuted = _pair_margins(stack, _DRAW_CAP, tol)
     if usable is True and not refuted.any():    # nothing to resolve
         return None, size, size
     item, examined = _first_hit(usable & refuted, faults, np.arange(size))
@@ -621,7 +635,8 @@ def ka_condition_check(sigma: MeanDescriptor, tau: MeanDescriptor,
     hi = z / lo         # the adjoint's value, as dagger(g_tau) forms it
     mixed, whole = lo * f_sigma.value(hi / lo), f_sigma.value(z)
     stack = spectrum.congruate(np.reshape((mixed, whole, whole - mixed), (3, trials, n)))
-    min_eig, norm, violated = _pair_margins(stack, _DRAW_CAP, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_eig, norm, violated = _pair_margins(stack, _DRAW_CAP, tol)
     violations = tuple(KaViolation(a.entries[i].copy(), b[i].copy(), float(min_eig[i]),
                                    float(norm[i])) for i in np.flatnonzero(violated))
     return KaReport(f_sigma.label, g_tau.label, trials, seed, tol, n,

@@ -2,10 +2,12 @@
 
 Everything numerically heavy in this package reduces to the primitives here.
 The eigensolver is LAPACK's symmetric solver, through the gufuncs numpy's
-eigh/eigvalsh call. It is normwise backward stable: every computed
-eigenvalue lies within a small multiple of n * eps * ||M||_2 of the exact
-one. That error is far below the tol * ||M|| term of every refutation rule
-in monocheck.
+eigh/eigvalsh call; random SPD draws take their orthogonal factor from
+LAPACK's QR, through the gufuncs numpy's qr calls. These four gufuncs of
+numpy.linalg._umath_linalg are the package's only use of numpy internals.
+The eigensolver is normwise backward stable: every computed eigenvalue lies
+within a small multiple of n * eps * ||M||_2 of the exact one. That error is
+far below the tol * ||M|| term of every refutation rule in monocheck.
 
 Every operator mean of a pair (A, B) is C diag(g(lam)) C^T, for the relative
 spectrum Z = A^{-1/2} B A^{-1/2} = U diag(lam) U^T and the factor C = A^{1/2} U.
@@ -15,8 +17,8 @@ from its validation, and stores C; the means, solvers and checks all use it.
 The eigensolver, sym_eigendecompose, SpectralDecomposition.apply,
 min_eig_and_norm, SpdMatrix and RelativeSpectrum take a (k, n, n) stack of
 matrices as well as one (n, n) matrix, through the same code: LAPACK's
-gufuncs, numpy's qr and @ act on the last two axes, and on this build give
-each matrix of a stack bitwise the result of a call on that matrix alone.
+gufuncs and @ act on the last two axes, and on this build give each matrix
+of a stack bitwise the result of a call on that matrix alone.
 The sampled checks run their trials through them as stacks of SpdMatrix pairs.
 
 Each input matrix is checked once, and nothing built from checked matrices
@@ -105,8 +107,8 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     A stack is checked matrix by matrix, each against its own norm; exactly
     symmetric input, the common case, costs one comparison.
     """
-    if (a != _transpose(a)).any():
-        asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
+    if (a != a.mT).any():
+        asym = np.abs(a - a.mT).max(axis=(-2, -1))
         bad = asym > SYMMETRY_RTOL * np.maximum(1.0, _frobenius(a))
         if bad.any():
             raise StructuralError(
@@ -115,14 +117,10 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """(a + a^T) / 2, halved before the sum so that no finite entry overflows."""
     half = 0.5 * a
-    return half + _transpose(half)
+    return half + half.mT
 
 
 def _frobenius(a: np.ndarray):
@@ -141,15 +139,15 @@ def _frobenius(a: np.ndarray):
         return np.sqrt(total)
     rows = a.reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))    # also for k = 0
     if total < 2.0 ** 1020:     # no matrix's x @ x overflows
-        squares = (rows @ _transpose(rows))[..., 0, 0]
+        squares = (rows @ rows.mT)[..., 0, 0]
         # nor falls below 2^-960, unless the matrix is zero and its norm 0 exact
         if squares.min(initial=math.inf) >= 2.0 ** -960 or not rows[squares < 2.0 ** -960].any():
             return np.sqrt(squares)
     with np.errstate(over="ignore"):
-        norm = np.sqrt((rows @ _transpose(rows))[..., 0, 0])
+        norm = np.sqrt((rows @ rows.mT)[..., 0, 0])
         exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
         scaled = np.ldexp(rows, -exponent[..., None])
-        rescaled = np.ldexp(np.sqrt((scaled @ _transpose(scaled))[..., 0, 0]), exponent[..., 0])
+        rescaled = np.ldexp(np.sqrt((scaled @ scaled.mT)[..., 0, 0]), exponent[..., 0])
         return np.where((2.0 ** -480 <= norm) & (norm < math.inf), norm, rescaled)[()]
 
 
@@ -220,7 +218,7 @@ class SpectralDecomposition:
 def _assemble(basis: np.ndarray, values) -> np.ndarray:
     """basis diag(values) basis^T, symmetrized; values (..., n) gives a stack."""
     vals = np.asarray(values, dtype=float)
-    return _symmetrize((basis * vals[..., None, :]) @ _transpose(basis))
+    return _symmetrize((basis * vals[..., None, :]) @ basis.mT)
 
 
 def _eigh_descending(a: np.ndarray) -> tuple:
@@ -242,7 +240,7 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     # the largest-magnitude entry of each column, gathered from the columns
     # laid out as rows
     row = np.abs(v).argmax(axis=-2)
-    columns = _transpose(v).reshape(-1, v.shape[-1])
+    columns = v.mT.reshape(-1, v.shape[-1])
     lead = columns[np.arange(len(columns)), row.ravel()].reshape(row.shape)
     v = v * np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
     return SpectralDecomposition(eigenvalues=w, basis=v)
@@ -396,7 +394,8 @@ def matrix_from_json_dict(data) -> np.ndarray:
 def _evaluate(g, x: np.ndarray) -> np.ndarray:
     """g at each point of the 1-d float array x: _evaluate_sets on one set,
     with that set's error, if any, raised."""
-    out, errors = _evaluate_sets(g, x, [len(x)])
+    with np.errstate(all="ignore"):
+        out, errors = _evaluate_sets(g, x, [len(x)])
     if errors and errors[0] is not None:
         raise errors[0]
     return out
@@ -406,29 +405,30 @@ def _evaluate_sets(g, x: np.ndarray, lengths):
     """g at the 1-d float array x, which holds consecutive point sets of the
     given lengths: one call on all of x, or, when that raises or returns the
     wrong shape, one call per point. Rejecting non-finite values is the
-    caller's job.
+    caller's job, and so is the error state: every caller holds
+    np.errstate(all="ignore"), so g's floating-point warnings (an overflow,
+    a log of a negative) are not reported.
 
     Returns (values, errors). errors is None after the one call; otherwise it
     holds per set the first exception g raised on one of its points, or None.
     That error is kept, not raised, so the caller can raise it when its set
     is reached; a failed set's values are NaN.
     """
-    with np.errstate(all="ignore"):
+    try:
+        out = np.asarray(g(x), dtype=float)
+        if out.shape == x.shape:
+            return out, None
+    except Exception:
+        pass
+    out = np.full(x.shape, np.nan)
+    errors = []
+    cuts = np.cumsum(lengths)[:-1]
+    for part, vals in zip(np.split(x, cuts), np.split(out, cuts)):
         try:
-            out = np.asarray(g(x), dtype=float)
-            if out.shape == x.shape:
-                return out, None
-        except Exception:
-            pass
-        out = np.full(x.shape, np.nan)
-        errors = []
-        cuts = np.cumsum(lengths)[:-1]
-        for part, vals in zip(np.split(x, cuts), np.split(out, cuts)):
-            try:
-                vals[:] = [float(g(v)) for v in part.tolist()]
-                errors.append(None)
-            except Exception as exc:
-                errors.append(exc)
+            vals[:] = [float(g(v)) for v in part.tolist()]
+            errors.append(None)
+        except Exception as exc:
+            errors.append(exc)
     return out, errors
 
 
@@ -542,7 +542,7 @@ class RelativeSpectrum:
         w, v = a._spectrum if kept else _eigh_descending(_symmetrize(a))
         r = np.sqrt(w) if kept else _sqrt_spectrum(w, "A")
         ev, u = _eigh_descending(     # Z, symmetrized
-            _symmetrize((_transpose(v) @ b @ v) / (r[..., :, None] * r[..., None, :])))
+            _symmetrize((v.mT @ b @ v) / (r[..., :, None] * r[..., None, :])))
         for name, x in (("factor", (v * r[..., None, :]) @ u), ("eigenvalues", ev)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -618,6 +618,10 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
                       cond_cap) -> np.ndarray:
     """count random SPD matrices as an exactly symmetric (count, n, n) array.
 
+    Matrix k is Q diag(lam) Q^T: Q the orthogonal QR factor of a Gaussian
+    matrix, lam log-uniform in [1, cap]. All count factors come from the
+    two QR gufuncs np.linalg.qr calls, run once on the whole Gaussian stack
+    and in place.
     cond_cap is one cap for all matrices, or a tuple or list of count caps,
     one per matrix. The draws from rng are those of count successive
     random_spd_from calls, each with its matrix's cap, and matrix k is
@@ -641,10 +645,15 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
         normal(out=gk)
         if cap > 1.0:       # a cap of 1 draws no eigenvalues
             uniform(out=uk)
-    # Q's column signs cancel bitwise in Q diag(lam) Q^T: each product holds one twice
-    q = np.linalg.qr(g)[0]
+    # Q's column signs cancel bitwise in Q diag(lam) Q^T: each product holds one twice.
+    # Q is np.linalg.qr(g)[0], bitwise, from the two gufuncs that call makes
+    # without its copy, checks and R: qr_r_raw overwrites g with its
+    # Householder reflectors and returns their scalars, from which
+    # qr_reduced forms Q. LAPACK does not fail on a finite g.
+    q = _umath_linalg.qr_reduced(g, _umath_linalg.qr_r_raw(g, signature="d->d"),
+                                 signature="dd->d")
     # uniform(0, h) draws 0 + h * random(), which is h * random() exactly,
     # with or without a fused multiply-add; a cap of 1 gives exp(0) = 1
     logs = [math.log(cap) for cap in caps]
     lam = np.exp(u * (np.array(logs)[:, None] if per_matrix else logs[0]))
-    return _symmetrize((q * lam[:, None, :]) @ _transpose(q))
+    return _symmetrize((q * lam[:, None, :]) @ q.mT)

@@ -647,9 +647,18 @@ def test_falsify_transfer_propagates_faults_of_f():
 
 
 def test_falsify_transfer_precheck_rejects_unordered_means():
-    with pytest.raises(UsageError):
-        falsify_transfer(np.sqrt, MeanDescriptor.arithmetic(),
-                         MeanDescriptor.geometric(), trials=10, seed=0)
+    # the order test is cached per pair of means: an unordered pair raises the
+    # same error on every call, and an ordered pair is not refused after it
+    messages = []
+    for _ in range(2):
+        with pytest.raises(UsageError) as info:
+            falsify_transfer(np.sqrt, MeanDescriptor.arithmetic(),
+                             MeanDescriptor.geometric(), trials=10, seed=0)
+        messages.append(str(info.value))
+    assert messages == ["means are not pointwise ordered: f_sigma(1e+06) > f_tau(1e+06)"] * 2
+    verdict = falsify_transfer(np.sqrt, MeanDescriptor.geometric(),
+                               MeanDescriptor.arithmetic(), trials=10, seed=0)
+    assert verdict.status == "consistent" and verdict.trials_run == 10
 
 
 def test_falsify_transfer_runs_at_most_its_trials():

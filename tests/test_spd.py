@@ -522,6 +522,25 @@ def test_eigensolver_is_called_only_inside_eigh():
     assert found == [], f"eigensolver calls outside spd._eigh: {found}"
 
 
+def test_package_reads_exactly_four_private_numpy_gufuncs():
+    # numpy.linalg._umath_linalg is private: a rename in a numpy release
+    # must fail here, by name, and not only as an AttributeError deep in a draw
+    from numpy.linalg import _umath_linalg
+    package = Path(opmeans.__file__).parent
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", getattr(node.value, "attr", None))
+                    == "_umath_linalg"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").endswith("_umath_linalg")):
+                read.update(alias.name for alias in node.names)
+    assert read == {"eigh_lo", "eigvalsh_lo", "qr_r_raw", "qr_reduced"}
+    assert [name for name in sorted(read) if not hasattr(_umath_linalg, name)] == []
+
+
 def test_only_spd_calls_the_public_validating_primitives():
     # package code hands its own (finite, exactly symmetric) arrays to the
     # private kernels; the public, validating entry points are for callers
@@ -640,10 +659,11 @@ def _reference_draws(rng, count, n, cond_cap):
     return half + np.swapaxes(half, -1, -2)
 
 
-@pytest.mark.parametrize("count", [0, 1, 9])
+@pytest.mark.parametrize("count", [0, 1, 9, 33])
 @pytest.mark.parametrize("cond_cap", [1.0, 50.0])
 def test_random_spd_stack_draws_in_place_as_the_per_matrix_reference(count, cond_cap):
-    for n in range(1, 6):
+    # 33 matrices: wider than falsify_transfer's first stack of 16 (8 pairs)
+    for n in range(1, 9):
         rng, ref = np.random.default_rng(3600 + n), np.random.default_rng(3600 + n)
         got = _random_spd_stack(rng, count, n, cond_cap)
         want = _reference_draws(ref, count, n, cond_cap)
