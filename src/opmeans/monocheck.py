@@ -415,13 +415,12 @@ def _first_loewner_witness(plan: _Plan, f, fprime, tol: float):
     """
     with np.errstate(all="ignore"):
         values, errors = _evaluate_sets(f, plan.x.copy(), plan.lengths)
+        phases = [(errors, None)]
+        finite = np.isfinite(values)
         if fprime is not None:
             derivs, d_errors = _evaluate_sets(fprime, plan.x.copy(), plan.lengths)
-    phases = [(errors, None)]
-    finite = np.isfinite(values)
-    if fprime is not None:
-        phases.append((d_errors, None))
-        finite &= np.isfinite(derivs)
+            phases.append((d_errors, None))
+            finite &= np.isfinite(derivs)
     phases.append((None, np.logical_and.reduceat(finite, plan.starts)))
     usable, faults = _resolve(len(plan.sets), phases)
 
