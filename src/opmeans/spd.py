@@ -622,6 +622,7 @@ def _random_spd_stack(rng: np.random.Generator, count: int, n: int,
     matrix, lam log-uniform in [1, cap]. All count factors come from the
     two QR gufuncs np.linalg.qr calls, run once on the whole Gaussian stack
     and in place.
+
     cond_cap is one cap for all matrices, or a tuple or list of count caps,
     one per matrix. The draws from rng are those of count successive
     random_spd_from calls, each with its matrix's cap, and matrix k is
